@@ -5,7 +5,8 @@ primitives, `model` the deterministic toy decoder, `cache` the per
 (layer, KV head) stores with their attention-profile windows, `morph` the
 constant-size selective retention policy, `baselines` the comparison
 policies, `oracle` the exhaustive ground truth, `metrics` byte accounting
-and degeneration measures, and `harness` the run loop and sweeps.
+and degeneration measures, `trace` the per-step trace and its JSON
+document, and `harness` the run loop and sweeps.
 """
 
 from .cache import AttentionProfileWindow, KvCacheState, KvEntry, aggregate_group_scores, record_profile
@@ -14,8 +15,6 @@ from .harness import (
     CompareReport,
     RunConfig,
     RunResult,
-    StepRecord,
-    StepTrace,
     compare,
     load_run_config,
     oracle_regression,
@@ -43,6 +42,7 @@ from .baselines import (
 )
 from .numerics import apply_rope, scaled_dot_attention, softmax
 from .oracle import ErrorRecord, optimal_subset, shadow_error
+from .trace import StepRecord, StepTrace
 
 __version__ = "0.1.0"
 

@@ -98,21 +98,18 @@ def h2o_step(
     budget = cfg.cache_budget
     for layer in range(cache.n_layers):
         for head in range(cache.n_kv_heads):
-            store = cache.entries[layer][head]
             cum = np.append(scores.values[layer][head], 0.0) + aggregated[layer][head]
-            occ = len(store)
-            decode_count = occ - sum(
-                1 for e in store if e.abs_position < scores.prompt_length
+            occ = cache.occupancy(layer, head)
+            # Positions increase with the index, so the decode entries are
+            # the suffix starting at the first position past the prompt.
+            first_decode = int(
+                np.searchsorted(cache.positions(layer, head), scores.prompt_length)
             )
-            if decode_count > budget:
+            if occ - first_decode > budget:
                 recent_start = occ - min(cfg.recent_window, occ)
-                candidates = [
-                    i
-                    for i in range(recent_start)
-                    if store[i].abs_position >= scores.prompt_length
-                ]
-                victim = min(candidates, key=lambda i: (cum[i], store[i].abs_position))
-                cache.keep(layer, head, [i for i in range(occ) if i != victim])
+                # argmin takes the first minimum: ties evict the oldest.
+                victim = first_decode + int(np.argmin(cum[first_decode:recent_start]))
+                cache.keep(layer, head, np.delete(np.arange(occ), victim))
                 cum = np.delete(cum, victim)
             scores.values[layer][head] = cum
     return cache
@@ -139,7 +136,7 @@ def snapkv_policy(cache: KvCacheState, cfg: EvictionPolicyConfig) -> KvCacheStat
             else:
                 scores = fuse(cache.windows[layer][head], "sum")
                 retained = select_retained(
-                    cache.entries[layer][head],
+                    cache.positions(layer, head),
                     scores,
                     budget - cfg.recent_window,
                     cfg.recent_window,

@@ -10,6 +10,22 @@ ranking, and keeping the raw weights keeps dumps auditable.
 Stores evolve independently: after eviction two heads may retain different
 position sets, which is why keys are cached post-rotation and positions
 are absolute.
+
+Array layout: a store is four preallocated arrays, row-major keys and
+values of shape ``(alloc, head_dim)`` plus absolute positions and token
+ids of shape ``(alloc,)``; the leading ``n`` rows are the live entries in
+entry order. A window is one ``(capacity, alloc_width)`` float64 score
+array used as a ring of rows, with the producer position of each row
+beside it; the leading ``width`` columns are live. Both grow
+geometrically (by half again when full), so an append is one row write
+and padding a window zeroes one column. Eviction compacts each array
+with one fancy index. Window rows are always read back oldest first,
+which is the order :func:`morph.fuse` sums them in.
+
+View lifetime: :meth:`KvCacheState.keys_matrix`, :meth:`values_matrix`
+and :meth:`positions` return read-only views of the live rows, not
+copies. A view is valid until the next :meth:`append` or :meth:`keep` on
+that store; after that it may show stale or compacted rows.
 """
 
 from __future__ import annotations
@@ -20,6 +36,15 @@ import numpy as np
 
 from .config import ModelConfig
 from .errors import InternalInvariantViolation, InvalidConfig, InvalidShape
+
+# Rows (store entries) and columns (window width) allocated at first use.
+INITIAL_ALLOC = 16
+
+
+def _grown(alloc: int) -> int:
+    """Next allocation: 1.5x, which bounds the slack a constant-size store
+    carries at one growth step past its budget."""
+    return alloc + max(alloc // 2, INITIAL_ALLOC)
 
 
 @dataclass
@@ -47,10 +72,16 @@ def aggregate_group_scores(rows) -> np.ndarray:
     return arr.sum(axis=0)
 
 
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    view = arr.view()
+    view.flags.writeable = False
+    return view
+
+
 class AttentionProfileWindow:
     """The newest ``capacity`` aggregated attention rows of one store."""
 
-    __slots__ = ("capacity", "width", "rows")
+    __slots__ = ("capacity", "width", "_scores", "_producers", "_start", "_count")
 
     def __init__(self, capacity: int):
         if capacity < 1:
@@ -58,17 +89,51 @@ class AttentionProfileWindow:
         self.capacity = capacity
         # Column count; kept in lockstep with the owning store's occupancy.
         self.width = 0
-        # (producer position, scores) pairs, oldest first.
-        self.rows: list[tuple[int, np.ndarray]] = []
+        self._scores = np.empty((capacity, INITIAL_ALLOC))
+        self._producers = np.empty(capacity, dtype=np.int64)
+        # Ring state: physical row of the oldest row, and rows held.
+        self._start = 0
+        self._count = 0
+
+    def __len__(self) -> int:
+        return self._count
+
+    def _order(self) -> np.ndarray:
+        """Physical row indices, oldest first."""
+        return (self._start + np.arange(self._count)) % self.capacity
+
+    def score_matrix(self, columns: int | None = None) -> np.ndarray:
+        """C-contiguous ``(rows, columns)`` copy of the leading columns, oldest row first."""
+        cols = self.width if columns is None else columns
+        return self._scores[self._order(), :cols]
+
+    @property
+    def rows(self) -> list[tuple[int, np.ndarray]]:
+        """``(producer position, scores)`` pairs, oldest first, as copies."""
+        matrix = self.score_matrix()
+        producers = self._producers[self._order()].tolist()
+        return list(zip(producers, matrix))
+
+    @rows.setter
+    def rows(self, pairs) -> None:
+        self._scores = np.empty((self.capacity, max(self.width, INITIAL_ALLOC)))
+        self._start = self._count = 0
+        for producer, row in pairs:
+            self.record(row, producer)
 
     def pad_for_append(self) -> None:
+        alloc = self._scores.shape[1]
+        if self.width >= alloc:
+            grown = np.empty((self.capacity, max(_grown(alloc), self.width + 1)))
+            grown[:, :alloc] = self._scores
+            self._scores = grown
+        self._scores[:, self.width] = 0.0
         self.width += 1
-        self.rows = [(pos, np.append(row, 0.0)) for pos, row in self.rows]
 
     def keep_columns(self, indices) -> None:
         idx = np.asarray(indices, dtype=np.intp)
+        self._scores[:, : idx.size] = self._scores[:, idx]
         self.width = int(idx.size)
-        self.rows = [(pos, row[idx]) for pos, row in self.rows]
 
     def record(self, scores, producer_position: int) -> None:
         row = np.asarray(scores, dtype=np.float64)
@@ -76,9 +141,14 @@ class AttentionProfileWindow:
             raise InvalidShape(
                 f"profile row has {row.size} columns but the store holds {self.width} entries"
             )
-        self.rows.append((producer_position, row.copy()))
-        if len(self.rows) > self.capacity:
-            del self.rows[0]
+        if self._count < self.capacity:
+            slot = (self._start + self._count) % self.capacity
+            self._count += 1
+        else:
+            slot = self._start
+            self._start = (self._start + 1) % self.capacity
+        self._scores[slot, : self.width] = row
+        self._producers[slot] = producer_position
 
 
 def record_profile(
@@ -89,8 +159,68 @@ def record_profile(
     return window
 
 
+# Order of a store's buffers, and their dtypes.
+_KEYS, _VALUES, _POSITIONS, _TOKENS = range(4)
+_DTYPES = (np.float64, np.float64, np.int64, np.int64)
+
+
+class _KvStore:
+    """One (layer, KV head) store.
+
+    ``buffers`` holds keys, values, positions and token ids (in the order
+    above) in preallocated arrays whose first ``n`` rows are live;
+    ``views`` holds read-only views of the same memory.
+    """
+
+    __slots__ = ("n", "buffers", "views")
+
+    def __init__(self):
+        self.n = 0
+        self.buffers = ()
+        self._allocate(0, (0,))
+
+    def _allocate(self, rows: int, row_shape: tuple) -> None:
+        shapes = [(rows, *row_shape)] * 2 + [(rows,)] * 2
+        buffers = tuple(np.empty(shape, dtype) for shape, dtype in zip(shapes, _DTYPES))
+        if self.n:
+            for new, old in zip(buffers, self.buffers):
+                new[: self.n] = old[: self.n]
+        self.buffers = buffers
+        self.views = tuple(_read_only(buf) for buf in buffers)
+
+    def append(self, entry: KvEntry) -> None:
+        n = self.n
+        keys = self.buffers[_KEYS]
+        if n == len(keys):
+            # The first entry fixes the row shape.
+            self._allocate(_grown(n), np.shape(entry.key) if n == 0 else keys.shape[1:])
+        row_shape = self.buffers[_KEYS].shape[1:]
+        if np.shape(entry.key) != row_shape or np.shape(entry.value) != row_shape:
+            raise InvalidShape(f"cache entries must be vectors of shape {row_shape}")
+        fields = (entry.key, entry.value, entry.abs_position, entry.token_id)
+        for buf, value in zip(self.buffers, fields):
+            buf[n] = value
+        self.n = n + 1
+
+    def live(self, which: int) -> np.ndarray:
+        """Read-only view of the live rows of one buffer."""
+        return self.views[which][: self.n]
+
+    def compact(self, idx: np.ndarray) -> None:
+        for buf in self.buffers:
+            buf[: idx.size] = buf[idx]
+        self.n = idx.size
+
+    def entries(self) -> list[KvEntry]:
+        keys, values, positions, tokens = (self.live(which) for which in range(4))
+        return [
+            KvEntry(keys[i], values[i], p, t)
+            for i, (p, t) in enumerate(zip(positions.tolist(), tokens.tolist()))
+        ]
+
+
 class KvCacheState:
-    """Ordered entry lists plus profile windows, one pair per (layer, KV head).
+    """Array-backed stores plus profile windows, one pair per (layer, KV head).
 
     Mutations go through :meth:`append` and :meth:`keep` so the windows
     stay column-aligned with the stores. Evictions are journaled; the run
@@ -103,8 +233,8 @@ class KvCacheState:
         self.n_layers = n_layers
         self.n_kv_heads = n_kv_heads
         self.window_capacity = window_capacity
-        self.entries: list[list[list[KvEntry]]] = [
-            [[] for _ in range(n_kv_heads)] for _ in range(n_layers)
+        self._stores: list[list[_KvStore]] = [
+            [_KvStore() for _ in range(n_kv_heads)] for _ in range(n_layers)
         ]
         self.windows: list[list[AttentionProfileWindow]] = [
             [AttentionProfileWindow(window_capacity) for _ in range(n_kv_heads)]
@@ -116,34 +246,50 @@ class KvCacheState:
     def for_model(cls, model: ModelConfig, window_capacity: int) -> "KvCacheState":
         return cls(model.n_layers, model.n_kv_heads, window_capacity)
 
+    @property
+    def entries(self) -> list[list[list[KvEntry]]]:
+        """Per-entry records built from the arrays on each access.
+
+        For inspection and tests; keys and values are read-only views.
+        Hot paths read :meth:`positions` or :meth:`occupancy` instead.
+        """
+        return [[store.entries() for store in layer] for layer in self._stores]
+
     def occupancy(self, layer: int, head: int) -> int:
-        return len(self.entries[layer][head])
+        return self._stores[layer][head].n
 
     def occupancies(self) -> list[list[int]]:
-        return [[len(store) for store in layer] for layer in self.entries]
+        return [[store.n for store in layer] for layer in self._stores]
 
     def total_entries(self) -> int:
-        return sum(len(store) for layer in self.entries for store in layer)
+        return sum(store.n for layer in self._stores for store in layer)
 
     def is_empty(self) -> bool:
         return self.total_entries() == 0
 
     def min_occupancy(self) -> int:
-        return min(len(store) for layer in self.entries for store in layer)
+        return min(store.n for layer in self._stores for store in layer)
 
     def next_position(self) -> int:
-        store = self.entries[0][0]
-        return store[-1].abs_position + 1 if store else 0
+        positions = self.positions(0, 0)
+        return int(positions[-1]) + 1 if positions.size else 0
 
     def append(self, layer: int, head: int, entry: KvEntry) -> None:
-        self.entries[layer][head].append(entry)
+        self._stores[layer][head].append(entry)
         self.windows[layer][head].pad_for_append()
 
     def keys_matrix(self, layer: int, head: int) -> np.ndarray:
-        return np.stack([e.key for e in self.entries[layer][head]])
+        return self._stores[layer][head].live(_KEYS)
 
     def values_matrix(self, layer: int, head: int) -> np.ndarray:
-        return np.stack([e.value for e in self.entries[layer][head]])
+        return self._stores[layer][head].live(_VALUES)
+
+    def positions(self, layer: int, head: int) -> np.ndarray:
+        """Absolute positions of the live entries, strictly increasing."""
+        return self._stores[layer][head].live(_POSITIONS)
+
+    def token_ids(self, layer: int, head: int) -> np.ndarray:
+        return self._stores[layer][head].live(_TOKENS)
 
     def keep(self, layer: int, head: int, retained) -> list[int]:
         """Drop every entry not in ``retained`` (sorted, unique indices).
@@ -151,17 +297,25 @@ class KvCacheState:
         Returns the absolute positions evicted and journals them. Profile
         rows lose the matching columns, so alignment survives.
         """
-        store = self.entries[layer][head]
-        idx = list(retained)
-        if any(b <= a for a, b in zip(idx, idx[1:])) or (
-            idx and not 0 <= idx[0] <= idx[-1] < len(store)
+        store = self._stores[layer][head]
+        idx = np.asarray(retained)
+        if idx.ndim != 1 or (
+            idx.size
+            and (
+                idx.dtype.kind not in "iu"
+                or idx[0] < 0
+                or idx[-1] >= store.n
+                or bool(np.any(idx[1:] <= idx[:-1]))
+            )
         ):
-            raise InvalidShape("retained indices must be sorted, unique, and in range")
-        keep_set = set(idx)
-        evicted = [e.abs_position for i, e in enumerate(store) if i not in keep_set]
-        if not evicted:
+            raise InvalidShape("retained indices must be sorted, unique, integer, and in range")
+        idx = idx.astype(np.intp, copy=False)
+        if idx.size == store.n:
             return []
-        self.entries[layer][head] = [store[i] for i in idx]
+        dropped = np.ones(store.n, dtype=bool)
+        dropped[idx] = False
+        evicted = store.live(_POSITIONS)[dropped].tolist()
+        store.compact(idx)
         self.windows[layer][head].keep_columns(idx)
         self._journal.append((layer, head, evicted))
         return evicted
@@ -196,15 +350,9 @@ class KvCacheState:
             heads = []
             for head in range(self.n_kv_heads):
                 window = self.windows[layer][head]
-                scores = fuse(window, fusion).tolist() if window.rows else []
-                heads.append(
-                    {
-                        "entries": [
-                            [e.abs_position, e.token_id] for e in self.entries[layer][head]
-                        ],
-                        "fused_scores": scores,
-                    }
-                )
+                scores = fuse(window, fusion).tolist() if len(window) else []
+                pairs = np.stack([self.positions(layer, head), self.token_ids(layer, head)], axis=1)
+                heads.append({"entries": pairs.tolist(), "fused_scores": scores})
             layers.append(heads)
         return {"window_capacity": self.window_capacity, "layers": layers}
 
@@ -212,24 +360,19 @@ class KvCacheState:
         """Debug-mode invariant sweep; raises on the first violation."""
         for layer in range(self.n_layers):
             for head in range(self.n_kv_heads):
-                store = self.entries[layer][head]
-                window = self.windows[layer][head]
-                positions = [e.abs_position for e in store]
-                if any(b <= a for a, b in zip(positions, positions[1:])):
+                n = self.occupancy(layer, head)
+                positions = self.positions(layer, head)
+                if np.any(positions[1:] <= positions[:-1]):
                     raise InternalInvariantViolation(
                         f"store ({layer},{head}) positions not strictly increasing"
                     )
-                if window.width != len(store):
+                width = self.windows[layer][head].width
+                if width != n:
                     raise InternalInvariantViolation(
-                        f"window width {window.width} != occupancy {len(store)} at ({layer},{head})"
+                        f"window width {width} != occupancy {n} at ({layer},{head})"
                     )
-                if len(window.rows) > window.capacity:
-                    raise InternalInvariantViolation("window row count exceeds capacity")
-                for _, row in window.rows:
-                    if row.size != len(store):
-                        raise InternalInvariantViolation(
-                            f"profile row length {row.size} != occupancy {len(store)}"
-                        )
-                for e in store:
-                    if not (np.all(np.isfinite(e.key)) and np.all(np.isfinite(e.value))):
-                        raise InternalInvariantViolation("non-finite cache entry")
+                if not (
+                    np.isfinite(self.keys_matrix(layer, head)).all()
+                    and np.isfinite(self.values_matrix(layer, head)).all()
+                ):
+                    raise InternalInvariantViolation("non-finite cache entry")

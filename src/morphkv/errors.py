@@ -38,7 +38,7 @@ class CacheNotEmpty(ValueError):
 
 
 class TraceMismatch(ValueError):
-    """Two runs that must align (model, seed, tokens) do not."""
+    """Two runs that must align (model, seed, tokens) do not, or a saved trace is malformed."""
 
 
 class InstanceTooLarge(ValueError):

@@ -13,7 +13,7 @@ from __future__ import annotations
 import configparser
 import json
 import os
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -38,8 +38,7 @@ from .metrics import (
 from .model import decode_step, greedy_token, init_model, prefill
 from .morph import fuse, prefill_compress, select_retained
 from .oracle import optimal_subset, shadow_error, subset_output_error
-
-TRACE_SCHEMA = "kv-eviction-trace-v1"
+from .trace import StepRecord, StepTrace
 
 
 @dataclass(frozen=True)
@@ -65,71 +64,6 @@ class RunConfig:
         if self.bytes_per_scalar < 1:
             raise InvalidConfig("bytes_per_scalar must be >= 1")
         return self
-
-
-@dataclass
-class StepRecord:
-    step: int
-    token: int
-    occupancy: list[list[int]]
-    evicted: list[list[list[int]]]
-    bytes: int
-
-
-@dataclass
-class StepTrace:
-    model: ModelConfig
-    policy: EvictionPolicyConfig
-    prompt: list[int]
-    bytes_per_scalar: int
-    prefill_evictions: list[list[list[int]]]
-    records: list[StepRecord]
-
-    def consumed_tokens(self) -> list[int]:
-        return [rec.token for rec in self.records]
-
-    def occupancy_totals(self) -> list[int]:
-        return [sum(occ for layer in rec.occupancy for occ in layer) for rec in self.records]
-
-    def byte_stream(self) -> list[int]:
-        return [rec.bytes for rec in self.records]
-
-    def eviction_log(self) -> list[tuple[int, int, int, tuple[int, ...]]]:
-        log = []
-        for rec in self.records:
-            for layer, heads in enumerate(rec.evicted):
-                for head, positions in enumerate(heads):
-                    if positions:
-                        log.append((rec.step, layer, head, tuple(positions)))
-        return log
-
-    def total_evictions(self) -> int:
-        prefill = sum(len(p) for layer in self.prefill_evictions for p in layer)
-        return prefill + sum(len(p) for _, _, _, p in self.eviction_log())
-
-    def to_dict(self) -> dict:
-        return {
-            "schema": TRACE_SCHEMA,
-            "model": asdict(self.model),
-            "policy": asdict(self.policy),
-            "prompt": list(self.prompt),
-            "bytes_per_scalar": self.bytes_per_scalar,
-            "prefill_evictions": self.prefill_evictions,
-            "steps": [asdict(rec) for rec in self.records],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "StepTrace":
-        if data.get("schema") != TRACE_SCHEMA:
-            raise TraceMismatch(f"unknown trace schema {data.get('schema')!r}")
-        return cls(
-            model=ModelConfig(**data["model"]),
-            policy=EvictionPolicyConfig(**data["policy"]),
-            prompt=list(data["prompt"]),
-            bytes_per_scalar=data["bytes_per_scalar"],
-            prefill_evictions=data["prefill_evictions"],
-            records=[StepRecord(**rec) for rec in data["steps"]],
-        )
 
 
 @dataclass
@@ -191,9 +125,9 @@ def _expected_occupancy_stream(policy: EvictionPolicyConfig, prompt_len: int, st
 def _debug_check(cache, policy, prompt_len, step_index, expected, events) -> None:
     cache.validate()
     for layer, head, positions in events:
-        store = cache.entries[layer][head]
-        recent = min(policy.recent_window, len(store))
-        if recent and max(positions) >= store[-recent].abs_position:
+        live = cache.positions(layer, head)
+        recent = min(policy.recent_window, live.size)
+        if recent and max(positions) >= live[-recent]:
             raise InternalInvariantViolation(
                 f"step {step_index}: evicted a recent-window position at ({layer},{head})"
             )
@@ -241,6 +175,9 @@ def run(config: RunConfig, forced_tokens=None) -> RunResult:
     expected = _expected_occupancy_stream(policy, len(prompt), config.decode_steps)
     token = forced_tokens[0] if forced_tokens is not None else greedy_token(prefill_logits)
     records: list[StepRecord] = []
+    # The trace keeps every eviction of every store; one int object per
+    # evicted position, whichever stores evict it, keeps that list small.
+    shared: dict[int, int] = {}
     logits: list[np.ndarray] = []
     attn_outputs = [] if config.attention_snapshots else None
     attn_rows = [] if config.attention_snapshots else None
@@ -252,7 +189,7 @@ def run(config: RunConfig, forced_tokens=None) -> RunResult:
             [[] for _ in range(model_cfg.n_kv_heads)] for _ in range(model_cfg.n_layers)
         ]
         for layer, head, positions in events:
-            evicted[layer][head].extend(positions)
+            evicted[layer][head].extend([shared.setdefault(p, p) for p in positions])
         step_bytes = kv_bytes_from_occupancies(
             cache.occupancies(), model_cfg, policy, config.bytes_per_scalar
         )
@@ -541,7 +478,7 @@ def oracle_regression(config: RunConfig, instances: int) -> list[RegressionRow]:
         n = keys.shape[0]
         _, optimal_error = optimal_subset(query, keys, vals, budget, r)
         window = cache.windows[0][0]
-        entries = cache.entries[0][0]
+        live = cache.positions(0, 0)
         cumulative = np.zeros(n)
         for step_rows in result.attn_rows:
             row = step_rows[0][0][0]
@@ -549,8 +486,8 @@ def oracle_regression(config: RunConfig, instances: int) -> list[RegressionRow]:
         recent = list(range(n - r, n))
         distant_count = n - r
         picks: dict[str, list[int]] = {
-            "morphkv_sum": select_retained(entries, fuse(window, "sum"), c, r),
-            "morphkv_max": select_retained(entries, fuse(window, "max"), c, r),
+            "morphkv_sum": select_retained(live, fuse(window, "sum"), c, r),
+            "morphkv_max": select_retained(live, fuse(window, "max"), c, r),
             "scissorhands": list(range(n - budget, n)),
         }
         sinks = min(_REGRESSION_SINKS, budget - r)

@@ -54,10 +54,7 @@ def kv_bytes_from_occupancies(
 
 def profile_overhead_bytes(cache, bytes_per_scalar: int = 8) -> int:
     """Scalars held by the profile windows, if one chooses to count them."""
-    total = 0
-    for layer in cache.windows:
-        for window in layer:
-            total += sum(row.size for _, row in window.rows)
+    total = sum(len(window) * window.width for layer in cache.windows for window in layer)
     return total * bytes_per_scalar
 
 

@@ -120,7 +120,7 @@ def _forward_token(
     cfg = weights.config
     g = cfg.group_size
     hd = cfg.head_dim
-    x = weights.embedding[token].copy()
+    x = weights.embedding[token]
     all_rows: list[list[np.ndarray]] = []
     all_outs: list[list[np.ndarray]] = []
     all_queries: list[list[np.ndarray]] = []
@@ -131,9 +131,7 @@ def _forward_token(
         v = (xn @ lw.w_v).reshape(cfg.n_kv_heads, hd)
         # Append before attending: the new token attends to itself.
         for head in range(cfg.n_kv_heads):
-            cache.append(
-                layer_idx, head, KvEntry(k[head].copy(), v[head].copy(), position, token)
-            )
+            cache.append(layer_idx, head, KvEntry(k[head], v[head], position, token))
         attn_flat = np.empty(cfg.d_model)
         layer_rows, layer_outs, layer_queries = [], [], []
         for head in range(cfg.n_kv_heads):
@@ -149,7 +147,7 @@ def _forward_token(
                 attn_flat[m * hd : (m + 1) * hd] = out
             layer_rows.append(group_rows)
             layer_outs.append(group_out)
-            layer_queries.append(q[head * g : (head + 1) * g].copy())
+            layer_queries.append(q[head * g : (head + 1) * g])
         x = x + attn_flat @ lw.w_o
         x = x + np.tanh(_rms_norm(x) @ lw.w_in) @ lw.w_out
         all_rows.append(layer_rows)

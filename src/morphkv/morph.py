@@ -26,14 +26,20 @@ def fuse(window: AttentionProfileWindow, fusion: str) -> np.ndarray:
 
     The last ``min(capacity, occupancy)`` entries are the recent window and
     get no score: they are retained unconditionally, so only the columns of
-    older (distant) entries are returned, in entry order.
+    older (distant) entries are returned, in entry order. Rows are combined
+    oldest first; any object with ``capacity``, ``width`` and ``rows``
+    (``(producer, scores)`` pairs, oldest first) is accepted as a window.
     """
-    if not window.rows:
-        raise EmptyWindow("cannot fuse an empty profile window")
     distant = window.width - min(window.capacity, window.width)
+    if isinstance(window, AttentionProfileWindow):
+        stacked = window.score_matrix(distant)
+    else:
+        rows = window.rows
+        stacked = np.stack([row[:distant] for _, row in rows]) if rows else np.zeros((0, 0))
+    if stacked.shape[0] == 0:
+        raise EmptyWindow("cannot fuse an empty profile window")
     if distant == 0:
         return np.zeros(0, dtype=np.float64)
-    stacked = np.stack([row[:distant] for _, row in window.rows])
     if fusion == "sum":
         return stacked.sum(axis=0)
     if fusion == "max":
@@ -44,6 +50,7 @@ def fuse(window: AttentionProfileWindow, fusion: str) -> np.ndarray:
 def select_retained(entries, scores, distant_capacity: int, recent_window: int) -> list[int]:
     """Indices to keep: the recent window plus the top-scoring distant entries.
 
+    Only ``len(entries)`` is read, so the store's position array serves.
     ``scores`` must align with the distant prefix of ``entries``. Returns
     sorted indices, so entry order is preserved; equal scores favor the
     larger index (the more recent entry). Size is
@@ -76,7 +83,7 @@ def _evict_store(
         return
     scores = fuse(cache.windows[layer][head], fusion)
     retained = select_retained(
-        cache.entries[layer][head], scores, cfg.distant_capacity, cfg.recent_window
+        cache.positions(layer, head), scores, cfg.distant_capacity, cfg.recent_window
     )
     cache.keep(layer, head, retained)
 
