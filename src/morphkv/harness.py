@@ -190,8 +190,9 @@ def run(config: RunConfig, forced_tokens=None) -> RunResult:
         ]
         for layer, head, positions in events:
             evicted[layer][head].extend([shared.setdefault(p, p) for p in positions])
+        occupancy = cache.occupancies()
         step_bytes = kv_bytes_from_occupancies(
-            cache.occupancies(), model_cfg, policy, config.bytes_per_scalar
+            occupancy, model_cfg, policy, config.bytes_per_scalar
         )
         if config.profile_overhead:
             step_bytes += profile_overhead_bytes(cache, config.bytes_per_scalar)
@@ -199,7 +200,7 @@ def run(config: RunConfig, forced_tokens=None) -> RunResult:
             StepRecord(
                 step=i,
                 token=token,
-                occupancy=cache.occupancies(),
+                occupancy=occupancy,
                 evicted=evicted,
                 bytes=step_bytes,
             )
@@ -483,8 +484,6 @@ def oracle_regression(config: RunConfig, instances: int) -> list[RegressionRow]:
         for step_rows in result.attn_rows:
             row = step_rows[0][0][0]
             cumulative[: row.size] += row
-        recent = list(range(n - r, n))
-        distant_count = n - r
         picks: dict[str, list[int]] = {
             "morphkv_sum": select_retained(live, fuse(window, "sum"), c, r),
             "morphkv_max": select_retained(live, fuse(window, "max"), c, r),
@@ -492,8 +491,7 @@ def oracle_regression(config: RunConfig, instances: int) -> list[RegressionRow]:
         }
         sinks = min(_REGRESSION_SINKS, budget - r)
         picks["streamingllm"] = list(range(sinks)) + list(range(n - (budget - sinks), n))
-        order = sorted(range(distant_count), key=lambda k: (cumulative[k], k), reverse=True)
-        picks["h2o"] = sorted(order[: budget - r]) + recent
+        picks["h2o"] = select_retained(live, cumulative[: n - r], budget - r, r)
         for policy_name in REGRESSION_POLICIES:
             err = subset_output_error(query, keys, vals, picks[policy_name])
             if err < optimal_error - 1e-12:

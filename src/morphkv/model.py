@@ -132,23 +132,17 @@ def _forward_token(
         # Append before attending: the new token attends to itself.
         for head in range(cfg.n_kv_heads):
             cache.append(layer_idx, head, KvEntry(k[head], v[head], position, token))
-        attn_flat = np.empty(cfg.d_model)
+        # One call per KV group: the group's query heads share the store.
         layer_rows, layer_outs, layer_queries = [], [], []
         for head in range(cfg.n_kv_heads):
-            keys = cache.keys_matrix(layer_idx, head)
-            vals = cache.values_matrix(layer_idx, head)
-            group_rows = np.empty((g, keys.shape[0]))
-            group_out = np.empty((g, hd))
-            for j in range(g):
-                m = head * g + j
-                row, out = scaled_dot_attention(q[m], keys, vals)
-                group_rows[j] = row
-                group_out[j] = out
-                attn_flat[m * hd : (m + 1) * hd] = out
-            layer_rows.append(group_rows)
-            layer_outs.append(group_out)
-            layer_queries.append(q[head * g : (head + 1) * g])
-        x = x + attn_flat @ lw.w_o
+            group_q = q[head * g : (head + 1) * g]
+            rows, outs = scaled_dot_attention(
+                group_q, cache.keys_matrix(layer_idx, head), cache.values_matrix(layer_idx, head)
+            )
+            layer_rows.append(rows)
+            layer_outs.append(outs)
+            layer_queries.append(group_q)
+        x = x + np.concatenate(layer_outs, axis=None) @ lw.w_o
         x = x + np.tanh(_rms_norm(x) @ lw.w_in) @ lw.w_out
         all_rows.append(layer_rows)
         all_outs.append(layer_outs)

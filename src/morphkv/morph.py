@@ -67,12 +67,12 @@ def select_retained(entries, scores, distant_capacity: int, recent_window: int) 
             f"expected {distant_count} distant scores, got {ranked.size}"
         )
     keep_distant = min(distant_capacity, distant_count)
-    if keep_distant:
-        order = sorted(range(distant_count), key=lambda k: (ranked[k], k), reverse=True)
-        chosen = sorted(order[:keep_distant])
-    else:
-        chosen = []
-    return chosen + list(range(distant_count, occ))
+    # Ascending by (score, index): the last keep_distant rank highest. A
+    # mask puts them back in entry order without paging in np.sort.
+    order = np.lexsort((np.arange(distant_count), ranked))
+    kept = np.zeros(distant_count, dtype=bool)
+    kept[order[distant_count - keep_distant :]] = True
+    return np.flatnonzero(kept).tolist() + list(range(distant_count, occ))
 
 
 def _evict_store(

@@ -1,12 +1,16 @@
 """Dense float64 math shared by the decoder and the oracles.
 
 Every operation is pure: results depend only on the numeric inputs, never
-on global state, so equal seeds reproduce equal bits.
+on global state, so equal seeds reproduce equal bits. Attention broadcasts
+over leading axes but never changes a slice's summation order: batching a
+group of heads, or a stack of key subsets, returns the bits of the
+single-query calls it replaces.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
@@ -25,29 +29,45 @@ def softmax(logits) -> np.ndarray:
     x = np.asarray(logits, dtype=np.float64)
     if x.ndim != 1 or x.size == 0:
         raise InvalidShape("softmax expects a non-empty 1-D array")
-    if not np.all(np.isfinite(x)):
+    return _softmax_rows(x)
+
+
+def _softmax_rows(x: np.ndarray) -> np.ndarray:
+    """`softmax` of every row along the last axis; rows must be non-empty."""
+    if not np.isfinite(x).all():
         raise NonFiniteInput("softmax input must be finite")
-    weights = np.exp(x - x.max())
-    return weights / weights.sum()
+    weights = np.exp(x - x.max(axis=-1, keepdims=True))
+    return weights / weights.sum(axis=-1, keepdims=True)
 
 
 def scaled_dot_attention(q, keys, vals) -> tuple[np.ndarray, np.ndarray]:
-    """Single-query attention over ``n`` cached key/value rows.
+    """Attention of ``q (..., d)`` over cached rows ``keys``/``vals (..., n, d)``.
 
-    Returns ``(weights, output)`` where ``weights`` is the softmax of
-    ``keys @ q / sqrt(d)`` and ``output = weights @ vals``.
+    Leading axes broadcast, so one call serves a group of query heads over
+    one store, or one query over a stack of key subsets. Returns
+    ``(weights (..., n), output (..., d))`` where ``weights`` is the softmax
+    of ``keys @ q / sqrt(d)`` and ``output = weights @ vals``; ``output``
+    owns its memory. Every product is a stacked matmul with a unit axis,
+    which numpy runs as one gemv per slice, so each slice's bits equal a
+    single-query call; a 2-D gemm would sum in another order.
     """
     q = np.asarray(q, dtype=np.float64)
     k = np.asarray(keys, dtype=np.float64)
     v = np.asarray(vals, dtype=np.float64)
-    if k.ndim != 2 or v.ndim != 2:
-        raise InvalidShape("keys and vals must be 2-D (entries, head_dim)")
-    if k.shape[0] == 0:
+    if k.ndim < 2 or v.ndim < 2:
+        raise InvalidShape("keys and vals must be (..., entries, head_dim)")
+    if k.shape[-2] == 0:
         raise EmptyCache("attention needs at least one cached entry")
-    if q.ndim != 1 or k.shape[1] != q.shape[0] or v.shape != k.shape:
+    if q.ndim == 0 or k.shape[-1] != q.shape[-1] or v.shape != k.shape:
         raise InvalidShape("query/key/value dimensions disagree")
-    weights = softmax(k @ q / np.sqrt(q.shape[0]))
-    return weights, weights @ v
+    try:
+        logits = np.matmul(k, q[..., :, None])[..., 0]
+    except ValueError:
+        raise InvalidShape("query and key leading axes do not broadcast") from None
+    weights = _softmax_rows(logits / math.sqrt(q.shape[-1]))
+    output = np.empty(weights.shape[:-1] + q.shape[-1:])
+    np.matmul(weights[..., None, :], v, out=output[..., None, :])
+    return weights, output
 
 
 @functools.lru_cache(maxsize=None)

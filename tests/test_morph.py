@@ -78,6 +78,22 @@ class TestSelectRetained:
         # The recent suffix is always retained verbatim.
         assert kept[-min(recent, occ):] == list(range(occ - min(recent, occ), occ))
 
+    @given(
+        st.integers(1, 60),
+        st.integers(0, 20),
+        st.integers(1, 8),
+        st.lists(st.sampled_from([0.0, -0.0, 0.25, 1.0, 3.5]), min_size=60, max_size=60),
+    )
+    def test_matches_sorted_key_rule(self, occ, cap, recent, pool):
+        # The rule select_retained ranks with, spelled as a Python sort.
+        distant = occ - min(recent, occ)
+        scores = pool[:distant]
+        order = sorted(range(distant), key=lambda k: (scores[k], k), reverse=True)
+        want = sorted(order[: min(cap, distant)]) + list(range(distant, occ))
+        kept = select_retained(range(occ), scores, cap, recent)
+        assert kept == want
+        assert all(type(i) is int for i in kept)
+
 
 class TestMorphStep:
     CFG = EvictionPolicyConfig(kind="morphkv", distant_capacity=2, recent_window=2, fusion="sum")
