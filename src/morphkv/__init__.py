@@ -9,7 +9,7 @@ and degeneration measures, `trace` the per-step trace and its JSON
 document, and `harness` the run loop and sweeps.
 """
 
-from .cache import AttentionProfileWindow, KvCacheState, KvEntry, aggregate_group_scores, record_profile
+from .cache import AttentionProfileWindow, KvCacheState, aggregate_group_scores
 from .config import EvictionPolicyConfig, ModelConfig
 from .harness import (
     CompareReport,
@@ -27,9 +27,7 @@ from .model import (
     decode_step,
     greedy_token,
     init_model,
-    load_weights,
     prefill,
-    save_weights,
     weights_checksum,
 )
 from .morph import fuse, morphkv_step, prefill_compress, select_retained
@@ -54,7 +52,6 @@ __all__ = [
     "ErrorRecord",
     "EvictionPolicyConfig",
     "KvCacheState",
-    "KvEntry",
     "ModelConfig",
     "RepetitionReport",
     "RunConfig",
@@ -72,17 +69,14 @@ __all__ = [
     "init_model",
     "kv_bytes",
     "load_run_config",
-    "load_weights",
     "morphkv_step",
     "optimal_subset",
     "oracle_regression",
     "prefill",
     "prefill_compress",
-    "record_profile",
     "relative_cache_ratio",
     "repetition_rate",
     "run",
-    "save_weights",
     "scaled_dot_attention",
     "scissorhands_step",
     "select_retained",

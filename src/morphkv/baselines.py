@@ -50,13 +50,23 @@ def make_policy_state(
     return None
 
 
-def _keep_window(cache: KvCacheState, layer: int, head: int, sinks: int, recent: int) -> None:
-    occ = cache.occupancy(layer, head)
+def keep_window(occ: int, sinks: int, recent: int) -> list[int]:
+    """Indices a window rule keeps out of ``occ`` entries: the first
+    ``sinks`` entries plus the ``recent`` newest, or all of them if fewer."""
     pinned = min(sinks, occ)
     tail = min(recent, occ - pinned)
-    retained = list(range(pinned)) + list(range(occ - tail, occ))
-    if len(retained) < occ:
-        cache.keep(layer, head, retained)
+    return list(range(pinned)) + list(range(occ - tail, occ))
+
+
+def _window_step(cache: KvCacheState, step_output, sinks: int, recent: int) -> KvCacheState:
+    cache.record_step_profiles(step_output)
+    for layer in range(cache.n_layers):
+        for head in range(cache.n_kv_heads):
+            occ = cache.occupancy(layer, head)
+            retained = keep_window(occ, sinks, recent)
+            if len(retained) < occ:
+                cache.keep(layer, head, retained)
+    return cache
 
 
 def scissorhands_step(
@@ -65,11 +75,7 @@ def scissorhands_step(
     """Sliding window: only the ``recent_window`` newest entries survive."""
     if cfg.kind != "scissorhands":
         raise InvalidConfig(f"scissorhands_step got policy kind {cfg.kind!r}")
-    cache.record_step_profiles(step_output)
-    for layer in range(cache.n_layers):
-        for head in range(cache.n_kv_heads):
-            _keep_window(cache, layer, head, 0, cfg.recent_window)
-    return cache
+    return _window_step(cache, step_output, 0, cfg.recent_window)
 
 
 def streamingllm_step(
@@ -78,11 +84,7 @@ def streamingllm_step(
     """Attention sinks: the first ``sink_count`` entries plus the window."""
     if cfg.kind != "streamingllm":
         raise InvalidConfig(f"streamingllm_step got policy kind {cfg.kind!r}")
-    cache.record_step_profiles(step_output)
-    for layer in range(cache.n_layers):
-        for head in range(cache.n_kv_heads):
-            _keep_window(cache, layer, head, cfg.sink_count, cfg.recent_window)
-    return cache
+    return _window_step(cache, step_output, cfg.sink_count, cfg.recent_window)
 
 
 def h2o_step(
@@ -145,15 +147,6 @@ def snapkv_policy(cache: KvCacheState, cfg: EvictionPolicyConfig) -> KvCacheStat
     return cache
 
 
-def full_attention_step(
-    cache: KvCacheState, step_output, cfg: EvictionPolicyConfig
-) -> KvCacheState:
-    if cfg.kind != "full_attention":
-        raise InvalidConfig(f"full_attention_step got policy kind {cfg.kind!r}")
-    cache.record_step_profiles(step_output)
-    return cache
-
-
 def policy_step(
     cache: KvCacheState,
     step_output,
@@ -170,9 +163,8 @@ def policy_step(
         return streamingllm_step(cache, step_output, cfg)
     if cfg.kind == "h2o":
         return h2o_step(cache, step_output, state, cfg)
-    if cfg.kind == "snapkv":
+    if cfg.kind in ("snapkv", "full_attention"):
+        # Neither evicts during decode; the rows are still recorded.
         cache.record_step_profiles(step_output)
         return cache
-    if cfg.kind == "full_attention":
-        return full_attention_step(cache, step_output, cfg)
     raise InvalidConfig(f"unknown policy kind {cfg.kind!r}")

@@ -15,22 +15,20 @@ Array layout: a store is four preallocated arrays, row-major keys and
 values of shape ``(alloc, head_dim)`` plus absolute positions and token
 ids of shape ``(alloc,)``; the leading ``n`` rows are the live entries in
 entry order. A window is one ``(capacity, alloc_width)`` float64 score
-array used as a ring of rows, with the producer position of each row
-beside it; the leading ``width`` columns are live. Both grow
-geometrically (by half again when full), so an append is one row write
-and padding a window zeroes one column. Eviction compacts each array
+array used as a ring of rows; the leading ``width`` columns are live.
+Both grow geometrically (by half again when full), so an append is one
+row write and padding a window zeroes one column. Eviction compacts each array
 with one fancy index. Window rows are always read back oldest first,
 which is the order :func:`morph.fuse` sums them in.
 
 View lifetime: :meth:`KvCacheState.keys_matrix`, :meth:`values_matrix`
 and :meth:`positions` return read-only views of the live rows, not
 copies. A view is valid until the next :meth:`append` or :meth:`keep` on
-that store; after that it may show stale or compacted rows.
+that store; after that it may show stale or compacted rows. These views
+and :meth:`AttentionProfileWindow.score_matrix` are the only read paths.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,16 +43,6 @@ def _grown(alloc: int) -> int:
     """Next allocation: 1.5x, which bounds the slack a constant-size store
     carries at one growth step past its budget."""
     return alloc + max(alloc // 2, INITIAL_ALLOC)
-
-
-@dataclass
-class KvEntry:
-    """One cached token: rotated key, value, and provenance."""
-
-    key: np.ndarray
-    value: np.ndarray
-    abs_position: int
-    token_id: int
 
 
 def aggregate_group_scores(rows) -> np.ndarray:
@@ -81,7 +69,7 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
 class AttentionProfileWindow:
     """The newest ``capacity`` aggregated attention rows of one store."""
 
-    __slots__ = ("capacity", "width", "_scores", "_producers", "_start", "_count")
+    __slots__ = ("capacity", "width", "_scores", "_start", "_count")
 
     def __init__(self, capacity: int):
         if capacity < 1:
@@ -90,7 +78,6 @@ class AttentionProfileWindow:
         # Column count; kept in lockstep with the owning store's occupancy.
         self.width = 0
         self._scores = np.empty((capacity, INITIAL_ALLOC))
-        self._producers = np.empty(capacity, dtype=np.int64)
         # Ring state: physical row of the oldest row, and rows held.
         self._start = 0
         self._count = 0
@@ -107,20 +94,6 @@ class AttentionProfileWindow:
         cols = self.width if columns is None else columns
         return self._scores[self._order(), :cols]
 
-    @property
-    def rows(self) -> list[tuple[int, np.ndarray]]:
-        """``(producer position, scores)`` pairs, oldest first, as copies."""
-        matrix = self.score_matrix()
-        producers = self._producers[self._order()].tolist()
-        return list(zip(producers, matrix))
-
-    @rows.setter
-    def rows(self, pairs) -> None:
-        self._scores = np.empty((self.capacity, max(self.width, INITIAL_ALLOC)))
-        self._start = self._count = 0
-        for producer, row in pairs:
-            self.record(row, producer)
-
     def pad_for_append(self) -> None:
         alloc = self._scores.shape[1]
         if self.width >= alloc:
@@ -135,7 +108,8 @@ class AttentionProfileWindow:
         self._scores[:, : idx.size] = self._scores[:, idx]
         self.width = int(idx.size)
 
-    def record(self, scores, producer_position: int) -> None:
+    def record(self, scores) -> None:
+        """Append one aggregated row, dropping the oldest once past capacity."""
         row = np.asarray(scores, dtype=np.float64)
         if row.ndim != 1 or row.size != self.width:
             raise InvalidShape(
@@ -148,15 +122,6 @@ class AttentionProfileWindow:
             slot = self._start
             self._start = (self._start + 1) % self.capacity
         self._scores[slot, : self.width] = row
-        self._producers[slot] = producer_position
-
-
-def record_profile(
-    window: AttentionProfileWindow, aggregated, producer_position: int
-) -> AttentionProfileWindow:
-    """Append one aggregated row, dropping the oldest once past capacity."""
-    window.record(aggregated, producer_position)
-    return window
 
 
 # Order of a store's buffers, and their dtypes.
@@ -188,18 +153,20 @@ class _KvStore:
         self.buffers = buffers
         self.views = tuple(_read_only(buf) for buf in buffers)
 
-    def append(self, entry: KvEntry) -> None:
+    def append(self, key, value, position: int, token: int) -> None:
         n = self.n
         keys = self.buffers[_KEYS]
         if n == len(keys):
             # The first entry fixes the row shape.
-            self._allocate(_grown(n), np.shape(entry.key) if n == 0 else keys.shape[1:])
-        row_shape = self.buffers[_KEYS].shape[1:]
-        if np.shape(entry.key) != row_shape or np.shape(entry.value) != row_shape:
+            self._allocate(_grown(n), np.shape(key) if n == 0 else keys.shape[1:])
+        keys, values, positions, tokens = self.buffers
+        row_shape = keys.shape[1:]
+        if np.shape(key) != row_shape or np.shape(value) != row_shape:
             raise InvalidShape(f"cache entries must be vectors of shape {row_shape}")
-        fields = (entry.key, entry.value, entry.abs_position, entry.token_id)
-        for buf, value in zip(self.buffers, fields):
-            buf[n] = value
+        keys[n] = key
+        values[n] = value
+        positions[n] = position
+        tokens[n] = token
         self.n = n + 1
 
     def live(self, which: int) -> np.ndarray:
@@ -210,13 +177,6 @@ class _KvStore:
         for buf in self.buffers:
             buf[: idx.size] = buf[idx]
         self.n = idx.size
-
-    def entries(self) -> list[KvEntry]:
-        keys, values, positions, tokens = (self.live(which) for which in range(4))
-        return [
-            KvEntry(keys[i], values[i], p, t)
-            for i, (p, t) in enumerate(zip(positions.tolist(), tokens.tolist()))
-        ]
 
 
 class KvCacheState:
@@ -246,15 +206,6 @@ class KvCacheState:
     def for_model(cls, model: ModelConfig, window_capacity: int) -> "KvCacheState":
         return cls(model.n_layers, model.n_kv_heads, window_capacity)
 
-    @property
-    def entries(self) -> list[list[list[KvEntry]]]:
-        """Per-entry records built from the arrays on each access.
-
-        For inspection and tests; keys and values are read-only views.
-        Hot paths read :meth:`positions` or :meth:`occupancy` instead.
-        """
-        return [[store.entries() for store in layer] for layer in self._stores]
-
     def occupancy(self, layer: int, head: int) -> int:
         return self._stores[layer][head].n
 
@@ -274,8 +225,9 @@ class KvCacheState:
         positions = self.positions(0, 0)
         return int(positions[-1]) + 1 if positions.size else 0
 
-    def append(self, layer: int, head: int, entry: KvEntry) -> None:
-        self._stores[layer][head].append(entry)
+    def append(self, layer: int, head: int, key, value, position: int, token: int) -> None:
+        """Add one entry: rotated key and value rows, absolute position, token id."""
+        self._stores[layer][head].append(key, value, position, token)
         self.windows[layer][head].pad_for_append()
 
     def keys_matrix(self, layer: int, head: int) -> np.ndarray:
@@ -331,7 +283,7 @@ class KvCacheState:
             layer_rows = []
             for head in range(self.n_kv_heads):
                 agg = aggregate_group_scores(step_output.attn_rows[layer][head])
-                record_profile(self.windows[layer][head], agg, step_output.position)
+                self.windows[layer][head].record(agg)
                 layer_rows.append(agg)
             aggregated.append(layer_rows)
         return aggregated

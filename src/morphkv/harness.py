@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .baselines import make_policy_state, policy_step, snapkv_policy
+from .baselines import keep_window, make_policy_state, policy_step, snapkv_policy
 from .cache import KvCacheState
 from .config import EvictionPolicyConfig, ModelConfig
 from .errors import (
@@ -487,10 +487,10 @@ def oracle_regression(config: RunConfig, instances: int) -> list[RegressionRow]:
         picks: dict[str, list[int]] = {
             "morphkv_sum": select_retained(live, fuse(window, "sum"), c, r),
             "morphkv_max": select_retained(live, fuse(window, "max"), c, r),
-            "scissorhands": list(range(n - budget, n)),
+            "scissorhands": keep_window(n, 0, budget),
         }
         sinks = min(_REGRESSION_SINKS, budget - r)
-        picks["streamingllm"] = list(range(sinks)) + list(range(n - (budget - sinks), n))
+        picks["streamingllm"] = keep_window(n, sinks, budget - sinks)
         picks["h2o"] = select_retained(live, cumulative[: n - r], budget - r, r)
         for policy_name in REGRESSION_POLICIES:
             err = subset_output_error(query, keys, vals, picks[policy_name])
@@ -558,7 +558,6 @@ _RUN_KEYS = {
     "decode_steps",
     "bytes_per_scalar",
     "debug_invariants",
-    "attention_snapshots",
     "profile_overhead",
 }
 
@@ -610,7 +609,7 @@ def load_run_config(path: str) -> RunConfig:
             run_kwargs["decode_steps"] = section.getint("decode_steps")
         if "bytes_per_scalar" in section:
             run_kwargs["bytes_per_scalar"] = section.getint("bytes_per_scalar")
-        for flag in ("debug_invariants", "attention_snapshots", "profile_overhead"):
+        for flag in ("debug_invariants", "profile_overhead"):
             if flag in section:
                 run_kwargs[flag] = section.getboolean(flag)
     return RunConfig(model=model, policy=policy, **run_kwargs).validate()

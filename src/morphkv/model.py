@@ -15,29 +15,16 @@ with a residual. Logits come from the tied embedding.
 from __future__ import annotations
 
 import hashlib
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .cache import KvCacheState, KvEntry
+from .cache import KvCacheState
 from .config import ModelConfig
-from .errors import (
-    CacheNotEmpty,
-    EmptyCache,
-    InvalidConfig,
-    InvalidShape,
-    InvalidToken,
-)
+from .errors import CacheNotEmpty, EmptyCache, InvalidShape, InvalidToken
 from .numerics import apply_rope, scaled_dot_attention
 
 MLP_MULT = 4
-
-WEIGHTS_MAGIC = b"TKVD"
-WEIGHTS_VERSION = 1
-# magic, version, n_layers, n_query_heads, n_kv_heads, head_dim, reserved,
-# vocab_size, seed, 4 pad bytes: exactly 32 bytes, little endian.
-_HEADER = struct.Struct("<4sHHHHHHIQ4x")
 
 
 @dataclass(frozen=True)
@@ -131,7 +118,7 @@ def _forward_token(
         v = (xn @ lw.w_v).reshape(cfg.n_kv_heads, hd)
         # Append before attending: the new token attends to itself.
         for head in range(cfg.n_kv_heads):
-            cache.append(layer_idx, head, KvEntry(k[head], v[head], position, token))
+            cache.append(layer_idx, head, k[head], v[head], position, token)
         # One call per KV group: the group's query heads share the store.
         layer_rows, layer_outs, layer_queries = [], [], []
         for head in range(cfg.n_kv_heads):
@@ -211,59 +198,3 @@ def weights_checksum(weights: DecoderWeights) -> str:
     for arr in _weight_arrays(weights):
         digest.update(np.ascontiguousarray(arr, dtype="<f8").tobytes())
     return digest.hexdigest()
-
-
-def save_weights(weights: DecoderWeights, path) -> None:
-    """Flat little-endian float64 dump behind a 32-byte header."""
-    cfg = weights.config
-    header = _HEADER.pack(
-        WEIGHTS_MAGIC,
-        WEIGHTS_VERSION,
-        cfg.n_layers,
-        cfg.n_query_heads,
-        cfg.n_kv_heads,
-        cfg.head_dim,
-        0,
-        cfg.vocab_size,
-        cfg.seed,
-    )
-    with open(path, "wb") as fh:
-        fh.write(header)
-        for arr in _weight_arrays(weights):
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-
-
-def load_weights(path) -> DecoderWeights:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < _HEADER.size:
-        raise InvalidShape("weight file shorter than its header")
-    magic, version, n_layers, n_q, n_kv, head_dim, _, vocab, seed = _HEADER.unpack(
-        blob[: _HEADER.size]
-    )
-    if magic != WEIGHTS_MAGIC:
-        raise InvalidConfig(f"bad magic {magic!r}")
-    if version != WEIGHTS_VERSION:
-        raise InvalidConfig(f"unsupported weight format version {version}")
-    cfg = ModelConfig(
-        n_layers=n_layers,
-        n_query_heads=n_q,
-        n_kv_heads=n_kv,
-        head_dim=head_dim,
-        vocab_size=vocab,
-        seed=seed,
-    ).validate()
-    flat = np.frombuffer(blob, dtype="<f8", offset=_HEADER.size)
-    shapes = [(cfg.vocab_size, cfg.d_model)] + _layer_sizes(cfg) * cfg.n_layers
-    expected = sum(r * c for r, c in shapes)
-    if flat.size != expected:
-        raise InvalidShape(f"weight file holds {flat.size} floats, config needs {expected}")
-    arrays = []
-    offset = 0
-    for rows, cols in shapes:
-        arrays.append(flat[offset : offset + rows * cols].reshape(rows, cols).copy())
-        offset += rows * cols
-    layers = tuple(
-        LayerWeights(*arrays[1 + i * 6 : 7 + i * 6]) for i in range(cfg.n_layers)
-    )
-    return DecoderWeights(config=cfg, embedding=arrays[0], layers=layers)

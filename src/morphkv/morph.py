@@ -27,15 +27,10 @@ def fuse(window: AttentionProfileWindow, fusion: str) -> np.ndarray:
     The last ``min(capacity, occupancy)`` entries are the recent window and
     get no score: they are retained unconditionally, so only the columns of
     older (distant) entries are returned, in entry order. Rows are combined
-    oldest first; any object with ``capacity``, ``width`` and ``rows``
-    (``(producer, scores)`` pairs, oldest first) is accepted as a window.
+    oldest first, as :meth:`AttentionProfileWindow.score_matrix` returns them.
     """
     distant = window.width - min(window.capacity, window.width)
-    if isinstance(window, AttentionProfileWindow):
-        stacked = window.score_matrix(distant)
-    else:
-        rows = window.rows
-        stacked = np.stack([row[:distant] for _, row in rows]) if rows else np.zeros((0, 0))
+    stacked = window.score_matrix(distant)
     if stacked.shape[0] == 0:
         raise EmptyWindow("cannot fuse an empty profile window")
     if distant == 0:

@@ -19,8 +19,8 @@ import pytest
 import reference
 from morphkv import (
     EvictionPolicyConfig,
+    AttentionProfileWindow,
     KvCacheState,
-    KvEntry,
     ModelConfig,
     RunConfig,
     aggregate_group_scores,
@@ -140,8 +140,8 @@ def test_scripted_walkthrough_replay():
         [0.05, 0.30, 0.40, 0.25],
     ]
     for pos, row in enumerate(prompt_rows):
-        cache.append(0, 0, KvEntry(np.zeros(2), np.zeros(2), pos, pos))
-        cache.windows[0][0].record(row, pos)
+        cache.append(0, 0, np.zeros(2), np.zeros(2), pos, pos)
+        cache.windows[0][0].record(row)
     decode_rows = [
         [0.05, 0.30, 0.15, 0.30, 0.20],
         [0.20, 0.05, 0.15, 0.25, 0.35],
@@ -152,24 +152,24 @@ def test_scripted_walkthrough_replay():
     # First step, decomposed: after the new entry and its row land, the
     # three distant entries carry fused scores 0.10, 0.60, 0.55, so the
     # 0.10 entry (position 0) must be the unique eviction.
-    cache.append(0, 0, KvEntry(np.zeros(2), np.zeros(2), 4, 4))
-    cache.windows[0][0].record(decode_rows[0], 4)
+    cache.append(0, 0, np.zeros(2), np.zeros(2), 4, 4)
+    cache.windows[0][0].record(decode_rows[0])
     first_scores = fuse(cache.windows[0][0], "sum")
     np.testing.assert_allclose(first_scores, [0.10, 0.60, 0.55], atol=1e-12)
-    retained = select_retained(cache.entries[0][0], first_scores, 2, 2)
+    retained = select_retained(cache.positions(0, 0), first_scores, 2, 2)
     assert cache.keep(0, 0, retained) == [0]
     cache.pop_eviction_events()
     # Remaining steps through the policy entry point.
     evictions = [[0]]
     for idx, row in enumerate(decode_rows[1:], start=1):
         pos = 4 + idx
-        cache.append(0, 0, KvEntry(np.zeros(2), np.zeros(2), pos, pos))
+        cache.append(0, 0, np.zeros(2), np.zeros(2), pos, pos)
         out = SimpleNamespace(attn_rows=[[np.array([row])]], position=pos, token_id=pos)
         morphkv_step(cache, out, cfg, idx)
         evictions.extend(e[2] for e in cache.pop_eviction_events())
         assert cache.occupancy(0, 0) == 4
     assert evictions == [[0], [2], [3], [5], [1]]
-    survivors = [e.abs_position for e in cache.entries[0][0]]
+    survivors = cache.positions(0, 0).tolist()
     assert survivors == [4, 6, 7, 8]
     # The entry appended at the first decode step (position 4) is now the
     # oldest survivor: it outlived every prompt entry and one younger
@@ -190,8 +190,11 @@ def test_fusion_matches_independent_recomputation():
         capacity = int(rng.integers(1, 7))
         width = int(rng.integers(capacity, capacity + 11))
         rows = rng.uniform(size=(capacity, width))
-        window = SimpleNamespace(capacity=capacity, width=width,
-                                 rows=[(i, rows[i]) for i in range(capacity)])
+        window = AttentionProfileWindow(capacity)
+        for _ in range(width):
+            window.pad_for_append()
+        for row in rows:
+            window.record(row)
         distant = width - capacity
         sum_scores = fuse(window, "sum")
         max_scores = fuse(window, "max")
@@ -228,8 +231,8 @@ def test_group_aggregation_consistency():
         replays = {}
         for layer in range(model.n_layers):
             for head in range(model.n_kv_heads):
-                live = [e.abs_position for e in cache.entries[layer][head]]
-                rows = [row for _, row in cache.windows[layer][head].rows]
+                live = cache.positions(layer, head).tolist()
+                rows = cache.windows[layer][head].score_matrix()
                 replays[layer, head, True] = reference.RetentionReplay(
                     live, rows, 3, 2, aggregate=True
                 )

@@ -7,7 +7,6 @@ from morphkv import (
     CumulativeScoreState,
     EvictionPolicyConfig,
     KvCacheState,
-    KvEntry,
     ModelConfig,
     RunConfig,
     h2o_step,
@@ -16,17 +15,18 @@ from morphkv import (
     snapkv_policy,
     streamingllm_step,
 )
-from morphkv.baselines import full_attention_step, make_policy_state, policy_step
+from morphkv.baselines import keep_window, make_policy_state, policy_step
 from morphkv.errors import InvalidConfig
 from morphkv.morph import fuse, select_retained
 
 
-def entry(pos: int) -> KvEntry:
-    return KvEntry(np.zeros(2), np.zeros(2), pos, 0)
+def entry(pos: int) -> tuple:
+    """``KvCacheState.append`` arguments after (layer, head)."""
+    return np.zeros(2), np.zeros(2), pos, 0
 
 
 def uniform_step(cache: KvCacheState, pos: int) -> SimpleNamespace:
-    cache.append(0, 0, entry(pos))
+    cache.append(0, 0, *entry(pos))
     occ = cache.occupancy(0, 0)
     return SimpleNamespace(
         attn_rows=[[np.array([np.full(occ, 1.0 / occ)])]], position=pos, token_id=0
@@ -34,7 +34,7 @@ def uniform_step(cache: KvCacheState, pos: int) -> SimpleNamespace:
 
 
 def one_hot_step(cache: KvCacheState, pos: int) -> SimpleNamespace:
-    cache.append(0, 0, entry(pos))
+    cache.append(0, 0, *entry(pos))
     occ = cache.occupancy(0, 0)
     row = np.zeros(occ)
     row[-1] = 1.0
@@ -42,7 +42,7 @@ def one_hot_step(cache: KvCacheState, pos: int) -> SimpleNamespace:
 
 
 def positions(cache: KvCacheState, layer: int = 0, head: int = 0) -> list[int]:
-    return [e.abs_position for e in cache.entries[layer][head]]
+    return cache.positions(layer, head).tolist()
 
 
 class TestScissorhands:
@@ -51,8 +51,8 @@ class TestScissorhands:
     def test_keeps_only_newest_window(self):
         cache = KvCacheState(1, 1, window_capacity=4)
         for pos in range(6):
-            cache.append(0, 0, entry(pos))
-            cache.windows[0][0].record(np.full(pos + 1, 1.0 / (pos + 1)), pos)
+            cache.append(0, 0, *entry(pos))
+            cache.windows[0][0].record(np.full(pos + 1, 1.0 / (pos + 1)))
         for pos in range(6, 10):
             scissorhands_step(cache, uniform_step(cache, pos), self.CFG)
             assert cache.occupancy(0, 0) == 4
@@ -61,15 +61,15 @@ class TestScissorhands:
     def test_evicts_exactly_the_oldest(self):
         cache = KvCacheState(1, 1, window_capacity=4)
         for pos in range(4):
-            cache.append(0, 0, entry(pos))
-            cache.windows[0][0].record(np.full(pos + 1, 1.0 / (pos + 1)), pos)
+            cache.append(0, 0, *entry(pos))
+            cache.windows[0][0].record(np.full(pos + 1, 1.0 / (pos + 1)))
         scissorhands_step(cache, uniform_step(cache, 4), self.CFG)
         assert cache.pop_eviction_events() == [(0, 0, [0])]
 
     def test_below_window_no_eviction(self):
         cache = KvCacheState(1, 1, window_capacity=4)
-        cache.append(0, 0, entry(0))
-        cache.windows[0][0].record([1.0], 0)
+        cache.append(0, 0, *entry(0))
+        cache.windows[0][0].record([1.0])
         scissorhands_step(cache, uniform_step(cache, 1), self.CFG)
         assert cache.pop_eviction_events() == []
 
@@ -85,8 +85,8 @@ class TestStreamingLlm:
         cfg = EvictionPolicyConfig(kind="streamingllm", sink_count=2, recent_window=3)
         cache = KvCacheState(1, 1, window_capacity=3)
         for pos in range(5):
-            cache.append(0, 0, entry(pos))
-            cache.windows[0][0].record(np.full(pos + 1, 1.0 / (pos + 1)), pos)
+            cache.append(0, 0, *entry(pos))
+            cache.windows[0][0].record(np.full(pos + 1, 1.0 / (pos + 1)))
         for pos in range(5, 10):
             streamingllm_step(cache, uniform_step(cache, pos), cfg)
             assert cache.occupancy(0, 0) == 5
@@ -96,8 +96,8 @@ class TestStreamingLlm:
         def drive(step_fn, cfg):
             cache = KvCacheState(1, 1, window_capacity=3)
             for pos in range(5):
-                cache.append(0, 0, entry(pos))
-                cache.windows[0][0].record(np.full(pos + 1, 1.0 / (pos + 1)), pos)
+                cache.append(0, 0, *entry(pos))
+                cache.windows[0][0].record(np.full(pos + 1, 1.0 / (pos + 1)))
             events = []
             for pos in range(5, 11):
                 step_fn(cache, uniform_step(cache, pos), cfg)
@@ -117,11 +117,18 @@ class TestStreamingLlm:
     def test_short_store_entirely_pinned(self):
         cfg = EvictionPolicyConfig(kind="streamingllm", sink_count=4, recent_window=2)
         cache = KvCacheState(1, 1, window_capacity=2)
-        cache.append(0, 0, entry(0))
-        cache.windows[0][0].record([1.0], 0)
+        cache.append(0, 0, *entry(0))
+        cache.windows[0][0].record([1.0])
         streamingllm_step(cache, uniform_step(cache, 1), cfg)
         assert cache.pop_eviction_events() == []
         assert positions(cache) == [0, 1]
+
+    def test_keep_window_indices(self):
+        assert keep_window(7, 2, 3) == [0, 1, 4, 5, 6]
+        assert keep_window(7, 0, 3) == [4, 5, 6]
+        # A store no longer than sinks plus window is kept whole.
+        assert keep_window(4, 2, 3) == [0, 1, 2, 3]
+        assert keep_window(1, 4, 2) == [0]
 
     def test_kind_guard(self):
         with pytest.raises(InvalidConfig):
@@ -140,8 +147,8 @@ class TestH2o:
         cfg = EvictionPolicyConfig(kind="h2o", distant_capacity=1, recent_window=1)
         cache = KvCacheState(1, 1, window_capacity=1)
         for pos in range(3):
-            cache.append(0, 0, entry(pos))
-            cache.windows[0][0].record(np.zeros(pos + 1), pos)
+            cache.append(0, 0, *entry(pos))
+            cache.windows[0][0].record(np.zeros(pos + 1))
         state = CumulativeScoreState(model, prompt_length=3)
         events = []
         for pos in range(3, 7):
@@ -249,7 +256,7 @@ class TestSnapKv:
         for layer in range(model.n_layers):
             for head in range(model.n_kv_heads):
                 scores = fuse(manual.windows[layer][head], "sum")
-                kept = select_retained(manual.entries[layer][head], scores, 3, 2)
+                kept = select_retained(manual.positions(layer, head), scores, 3, 2)
                 manual.keep(layer, head, kept)
                 assert positions(auto, layer, head) == positions(manual, layer, head)
                 assert len(positions(auto, layer, head)) == 5
@@ -285,7 +292,7 @@ class TestDispatch:
         cfg = EvictionPolicyConfig(kind="full_attention", recent_window=2)
         cache = KvCacheState(1, 1, window_capacity=2)
         for pos in range(6):
-            full_attention_step(cache, uniform_step(cache, pos), cfg)
+            policy_step(cache, uniform_step(cache, pos), cfg, pos)
         assert cache.occupancy(0, 0) == 6
         assert cache.pop_eviction_events() == []
 
@@ -308,4 +315,4 @@ class TestDispatch:
         for pos in range(4):
             policy_step(cache, uniform_step(cache, pos), cfg, pos)
         assert cache.occupancy(0, 0) == 4
-        assert len(cache.windows[0][0].rows) == 2
+        assert len(cache.windows[0][0]) == 2

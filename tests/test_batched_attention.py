@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from morphkv import ModelConfig, decode_step, init_model, optimal_subset, prefill
-from morphkv.cache import INITIAL_ALLOC, KvCacheState, KvEntry
+from morphkv.cache import INITIAL_ALLOC, KvCacheState
 from morphkv.errors import EmptyCache, InvalidShape, NonFiniteInput
 from morphkv.numerics import scaled_dot_attention, softmax
 from morphkv.oracle import SUBSET_CHUNK
@@ -52,7 +52,7 @@ class TestQueryGroupStack:
         rng = np.random.default_rng(g)
         cache = KvCacheState(1, 1, window_capacity=2)
         for n in range(1, 2 * INITIAL_ALLOC + 6):
-            cache.append(0, 0, KvEntry(rng.normal(size=d), rng.normal(size=d), n - 1, 0))
+            cache.append(0, 0, rng.normal(size=d), rng.normal(size=d), n - 1, 0)
             keys, vals = cache.keys_matrix(0, 0), cache.values_matrix(0, 0)
             assert keys.base is not None  # a leading slice of the store's buffer
             q = rng.normal(size=(g, d)) * 3.0

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -7,11 +9,9 @@ import reference
 from morphkv import (
     AttentionProfileWindow,
     KvCacheState,
-    KvEntry,
     ModelConfig,
     aggregate_group_scores,
     fuse,
-    record_profile,
 )
 from morphkv.errors import (
     EmptyWindow,
@@ -21,8 +21,19 @@ from morphkv.errors import (
 )
 
 
-def entry(pos: int, token: int = 0, d: int = 2) -> KvEntry:
-    return KvEntry(np.full(d, float(pos)), np.full(d, float(pos)), pos, token)
+def entry(pos: int, token: int = 0, d: int = 2) -> tuple:
+    """``KvCacheState.append`` arguments after (layer, head)."""
+    return np.full(d, float(pos)), np.full(d, float(pos)), pos, token
+
+
+def window_of(rows, width: int, capacity: int | None = None) -> AttentionProfileWindow:
+    """A window ``width`` entries wide holding ``rows``, oldest first."""
+    w = AttentionProfileWindow(capacity or len(rows))
+    for _ in range(width):
+        w.pad_for_append()
+    for row in rows:
+        w.record(row)
+    return w
 
 
 class TestAggregation:
@@ -61,37 +72,42 @@ class TestWindow:
     def test_record_then_pad_appends_zero_column(self):
         w = AttentionProfileWindow(3)
         w.pad_for_append()
-        w.record([1.0], 0)
+        w.record([1.0])
         w.pad_for_append()
-        np.testing.assert_array_equal(w.rows[0][1], [1.0, 0.0])
+        np.testing.assert_array_equal(w.score_matrix(), [[1.0, 0.0]])
         assert w.width == 2
 
     def test_capacity_drops_oldest(self):
         w = AttentionProfileWindow(2)
         for pos in range(4):
             w.pad_for_append()
-            w.record(np.ones(pos + 1), pos)
-        assert [pos for pos, _ in w.rows] == [2, 3]
+            w.record(np.full(pos + 1, float(pos)))
+        assert len(w) == 2
+        np.testing.assert_array_equal(w.score_matrix(1)[:, 0], [2.0, 3.0])
 
     def test_keep_columns_realigns_rows(self):
         w = AttentionProfileWindow(2)
         for pos in range(3):
             w.pad_for_append()
-            w.record(np.arange(pos + 1, dtype=float), pos)
+            w.record(np.arange(pos + 1, dtype=float))
         w.keep_columns([0, 2])
         assert w.width == 2
-        np.testing.assert_array_equal(w.rows[-1][1], [0.0, 2.0])
+        np.testing.assert_array_equal(w.score_matrix()[-1], [0.0, 2.0])
 
     def test_record_rejects_misaligned_row(self):
         w = AttentionProfileWindow(2)
         w.pad_for_append()
         with pytest.raises(InvalidShape):
-            w.record([0.5, 0.5], 0)
+            w.record([0.5, 0.5])
 
-    def test_record_profile_returns_window(self):
-        w = AttentionProfileWindow(1)
-        w.pad_for_append()
-        assert record_profile(w, [1.0], 0) is w
+    def test_record_step_profiles_returns_aggregated_rows(self):
+        cache = KvCacheState(1, 1, window_capacity=1)
+        cache.append(0, 0, *entry(0))
+        cache.append(0, 0, *entry(1))
+        group = np.array([[0.25, 0.75], [0.5, 0.5]])
+        aggregated = cache.record_step_profiles(SimpleNamespace(attn_rows=[[group]]))
+        np.testing.assert_array_equal(aggregated[0][0], [0.75, 1.25])
+        np.testing.assert_array_equal(cache.windows[0][0].score_matrix(), [[0.75, 1.25]])
 
     def test_rejects_zero_capacity(self):
         with pytest.raises(InvalidConfig):
@@ -101,34 +117,28 @@ class TestWindow:
         w = AttentionProfileWindow(2)
         w.pad_for_append()
         src = np.array([0.7])
-        w.record(src, 0)
+        w.record(src)
         src[0] = -1.0
-        assert w.rows[0][1][0] == 0.7
+        assert w.score_matrix()[0, 0] == 0.7
 
 
 class TestFusion:
-    def build(self, rows, width, capacity=None):
-        w = AttentionProfileWindow(capacity or len(rows))
-        w.width = width
-        w.rows = [(i, np.asarray(r, dtype=float)) for i, r in enumerate(rows)]
-        return w
-
     def test_sum_fusion_golden(self):
         # Two rows over 5 entries, window capacity 2: the 3 distant
         # columns fuse to [0.6, 0.1, 0.55].
-        w = self.build(
+        w = window_of(
             [[0.3, 0.05, 0.3, 0.2, 0.15], [0.3, 0.05, 0.25, 0.1, 0.3]], width=5
         )
         np.testing.assert_allclose(fuse(w, "sum"), [0.6, 0.1, 0.55], atol=1e-12)
 
     def test_max_fusion_golden(self):
-        w = self.build(
+        w = window_of(
             [[0.3, 0.05, 0.3, 0.2, 0.15], [0.2, 0.15, 0.25, 0.1, 0.3]], width=5
         )
         np.testing.assert_allclose(fuse(w, "max"), [0.3, 0.15, 0.3], atol=1e-15)
 
     def test_no_distant_entries_gives_empty_scores(self):
-        w = self.build([[0.5, 0.5]], width=2, capacity=2)
+        w = window_of([[0.5, 0.5]], width=2, capacity=2)
         assert fuse(w, "sum").size == 0
 
     def test_empty_window_raises(self):
@@ -143,7 +153,7 @@ class TestFusion:
             cap = int(rng.integers(1, 5))
             width = int(rng.integers(cap, cap + 8))
             rows = rng.uniform(size=(cap, width))
-            w = self.build(rows, width)
+            w = window_of(rows, width)
             distant = width - cap
             for kind in ("sum", "max"):
                 np.testing.assert_allclose(
@@ -158,43 +168,44 @@ class TestFusion:
         # window is bounded by the sum over the window, column by column.
         width = cap + extra
         rows = np.random.default_rng(seed).uniform(size=(cap, width))
-        w = self.build(rows, width)
+        w = window_of(rows, width)
         assert np.all(fuse(w, "max") <= fuse(w, "sum") + 1e-15)
 
 
 class TestCacheState:
     def test_append_pads_every_existing_row(self):
         cache = KvCacheState(1, 1, window_capacity=4)
-        cache.append(0, 0, entry(0))
-        cache.windows[0][0].record([1.0], 0)
-        cache.append(0, 0, entry(1))
-        cache.windows[0][0].record([0.4, 0.6], 1)
-        rows = cache.windows[0][0].rows
-        np.testing.assert_array_equal(rows[0][1], [1.0, 0.0])
+        cache.append(0, 0, *entry(0))
+        cache.windows[0][0].record([1.0])
+        cache.append(0, 0, *entry(1))
+        cache.windows[0][0].record([0.4, 0.6])
+        rows = cache.windows[0][0].score_matrix()
+        np.testing.assert_array_equal(rows[0], [1.0, 0.0])
         assert cache.occupancy(0, 0) == 2
         cache.validate()
 
     def test_keep_returns_evicted_positions_and_journals(self):
         cache = KvCacheState(1, 1, window_capacity=4)
         for pos in range(4):
-            cache.append(0, 0, entry(pos, token=pos + 10))
+            cache.append(0, 0, *entry(pos, token=pos + 10))
         evicted = cache.keep(0, 0, [0, 2, 3])
         assert evicted == [1]
-        assert [e.abs_position for e in cache.entries[0][0]] == [0, 2, 3]
+        assert cache.positions(0, 0).tolist() == [0, 2, 3]
+        assert cache.token_ids(0, 0).tolist() == [10, 12, 13]
         assert cache.pop_eviction_events() == [(0, 0, [1])]
         assert cache.pop_eviction_events() == []
 
     def test_keep_everything_is_a_noop(self):
         cache = KvCacheState(1, 1, window_capacity=4)
         for pos in range(3):
-            cache.append(0, 0, entry(pos))
+            cache.append(0, 0, *entry(pos))
         assert cache.keep(0, 0, [0, 1, 2]) == []
         assert cache.pop_eviction_events() == []
 
     def test_keep_rejects_unsorted_and_out_of_range(self):
         cache = KvCacheState(1, 1, window_capacity=4)
         for pos in range(3):
-            cache.append(0, 0, entry(pos))
+            cache.append(0, 0, *entry(pos))
         with pytest.raises(InvalidShape):
             cache.keep(0, 0, [1, 0])
         with pytest.raises(InvalidShape):
@@ -207,7 +218,7 @@ class TestCacheState:
         for pos in range(3):
             for layer in range(2):
                 for head in range(2):
-                    cache.append(layer, head, entry(pos))
+                    cache.append(layer, head, *entry(pos))
         cache.keep(1, 0, [2])
         assert cache.occupancy(0, 0) == 3
         assert cache.occupancy(1, 0) == 1
@@ -217,22 +228,22 @@ class TestCacheState:
     def test_next_position_continues_after_eviction(self):
         cache = KvCacheState(1, 1, window_capacity=4)
         for pos in range(5):
-            cache.append(0, 0, entry(pos))
+            cache.append(0, 0, *entry(pos))
         cache.keep(0, 0, [3, 4])
         assert cache.next_position() == 5
 
     def test_keys_matrix_orders_rows_by_entry(self):
         cache = KvCacheState(1, 1, window_capacity=4)
         for pos in range(3):
-            cache.append(0, 0, entry(pos))
+            cache.append(0, 0, *entry(pos))
         np.testing.assert_array_equal(cache.keys_matrix(0, 0)[:, 0], [0.0, 1.0, 2.0])
         np.testing.assert_array_equal(cache.values_matrix(0, 0)[:, 0], [0.0, 1.0, 2.0])
 
     def test_snapshot_reports_entries_and_scores(self):
         cache = KvCacheState(1, 1, window_capacity=2)
         for pos in range(4):
-            cache.append(0, 0, entry(pos, token=pos))
-        cache.windows[0][0].record([0.1, 0.2, 0.3, 0.4], 3)
+            cache.append(0, 0, *entry(pos, token=pos))
+        cache.windows[0][0].record([0.1, 0.2, 0.3, 0.4])
         snap = cache.snapshot()
         assert snap["window_capacity"] == 2
         assert snap["layers"][0][0]["entries"] == [[0, 0], [1, 1], [2, 2], [3, 3]]
@@ -240,23 +251,23 @@ class TestCacheState:
 
     def test_validate_flags_misaligned_window(self):
         cache = KvCacheState(1, 1, window_capacity=4)
-        cache.append(0, 0, entry(0))
+        cache.append(0, 0, *entry(0))
         cache.windows[0][0].width = 5
         with pytest.raises(InternalInvariantViolation):
             cache.validate()
 
     def test_validate_flags_nonincreasing_positions(self):
         cache = KvCacheState(1, 1, window_capacity=4)
-        cache.append(0, 0, entry(1))
-        cache.append(0, 0, entry(1))
+        cache.append(0, 0, *entry(1))
+        cache.append(0, 0, *entry(1))
         with pytest.raises(InternalInvariantViolation):
             cache.validate()
 
     def test_validate_flags_nonfinite_entry(self):
         cache = KvCacheState(1, 1, window_capacity=4)
-        bad = entry(0)
-        bad.key[0] = np.nan
-        cache.append(0, 0, bad)
+        key, value, pos, token = entry(0)
+        key[0] = np.nan
+        cache.append(0, 0, key, value, pos, token)
         with pytest.raises(InternalInvariantViolation):
             cache.validate()
 

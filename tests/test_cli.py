@@ -99,6 +99,17 @@ class TestRunCommand:
         path.write_text("[policy]\nbudget = 9\n")
         assert main(["run", "--config", str(path)]) == 1
 
+    def test_attention_snapshots_key_is_input_error(self, tmp_path, capsys):
+        # Snapshots are an internal switch of compare and oracle, not a run key.
+        path = tmp_path / "snapshots.ini"
+        path.write_text(MORPH_INI + "attention_snapshots = true\n")
+        assert main(["run", "--config", str(path)]) == 1
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "attention_snapshots" in lines[0]
+        assert captured.out == ""
+
     def test_missing_required_flag_exits_one(self):
         with pytest.raises(SystemExit) as exc:
             main(["run"])

@@ -10,14 +10,12 @@ from morphkv import (
     decode_step,
     greedy_token,
     init_model,
-    load_weights,
     prefill,
-    save_weights,
     scaled_dot_attention,
     weights_checksum,
 )
 from morphkv.errors import CacheNotEmpty, EmptyCache, InvalidConfig, InvalidShape, InvalidToken
-from morphkv.model import MLP_MULT, _HEADER
+from morphkv.model import MLP_MULT
 
 # Frozen at first computation; any drift means the weight stream layout
 # or the draw order changed, which silently invalidates every other
@@ -210,50 +208,3 @@ class TestForward:
         with pytest.raises(EmptyCache):
             decode_step(w, 1, fresh_cache(TINY))
 
-
-class TestSerialization:
-    def test_header_is_32_bytes(self):
-        assert _HEADER.size == 32
-
-    def test_roundtrip_bit_exact(self, tmp_path):
-        w = init_model(ModelConfig(n_layers=2, n_query_heads=4, n_kv_heads=2, head_dim=4, vocab_size=32, seed=77))
-        path = tmp_path / "weights.bin"
-        save_weights(w, path)
-        loaded = load_weights(path)
-        assert loaded.config == w.config
-        assert weights_checksum(loaded) == weights_checksum(w)
-        np.testing.assert_array_equal(loaded.embedding, w.embedding)
-
-    def test_file_size_is_header_plus_floats(self, tmp_path):
-        cfg = TINY
-        w = init_model(cfg)
-        path = tmp_path / "weights.bin"
-        save_weights(w, path)
-        d = cfg.d_model
-        kv = cfg.n_kv_heads * cfg.head_dim
-        per_layer = d * d + d * kv + d * kv + d * d + d * (MLP_MULT * d) + (MLP_MULT * d) * d
-        floats = cfg.vocab_size * d + cfg.n_layers * per_layer
-        assert path.stat().st_size == 32 + 8 * floats
-
-    def test_rejects_bad_magic(self, tmp_path):
-        path = tmp_path / "weights.bin"
-        w = init_model(TINY)
-        save_weights(w, path)
-        blob = bytearray(path.read_bytes())
-        blob[:4] = b"NOPE"
-        path.write_bytes(bytes(blob))
-        with pytest.raises(InvalidConfig):
-            load_weights(path)
-
-    def test_rejects_truncated_payload(self, tmp_path):
-        path = tmp_path / "weights.bin"
-        save_weights(init_model(TINY), path)
-        path.write_bytes(path.read_bytes()[:-16])
-        with pytest.raises(InvalidShape):
-            load_weights(path)
-
-    def test_rejects_short_header(self, tmp_path):
-        path = tmp_path / "weights.bin"
-        path.write_bytes(b"TKVD")
-        with pytest.raises(InvalidShape):
-            load_weights(path)

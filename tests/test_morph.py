@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from morphkv import (
     EvictionPolicyConfig,
     KvCacheState,
-    KvEntry,
     ModelConfig,
     decode_step,
     fuse,
@@ -21,8 +20,9 @@ from morphkv import (
 from morphkv.errors import InvalidConfig, InvalidParam, InvalidShape
 
 
-def entry(pos: int, token: int = 0) -> KvEntry:
-    return KvEntry(np.zeros(2), np.zeros(2), pos, token)
+def entry(pos: int, token: int = 0) -> tuple:
+    """``KvCacheState.append`` arguments after (layer, head)."""
+    return np.zeros(2), np.zeros(2), pos, token
 
 
 def scripted_row(row, pos: int) -> SimpleNamespace:
@@ -112,8 +112,8 @@ class TestMorphStep:
             [0.05, 0.30, 0.40, 0.25],
         ]
         for pos, row in enumerate(rows):
-            cache.append(0, 0, entry(pos, token=pos))
-            cache.windows[0][0].record(row, pos)
+            cache.append(0, 0, *entry(pos, token=pos))
+            cache.windows[0][0].record(row)
         return cache
 
     # One scripted decode trajectory, five steps. Entry names in comments
@@ -131,11 +131,11 @@ class TestMorphStep:
         # three distant entries carry fused weights 0.10, 0.60, 0.55, so
         # the 0.10 entry (position 0) is the unique eviction.
         cache = self.build_prompt_cache()
-        cache.append(0, 0, entry(4, token=4))
-        cache.windows[0][0].record(self.STEPS[0][0], 4)
+        cache.append(0, 0, *entry(4, token=4))
+        cache.windows[0][0].record(self.STEPS[0][0])
         scores = fuse(cache.windows[0][0], "sum")
         np.testing.assert_allclose(scores, [0.10, 0.60, 0.55], atol=1e-12)
-        retained = select_retained(cache.entries[0][0], scores, 2, 2)
+        retained = select_retained(cache.positions(0, 0), scores, 2, 2)
         assert retained == [1, 2, 3, 4]
         assert cache.keep(0, 0, retained) == [0]
 
@@ -143,14 +143,14 @@ class TestMorphStep:
         cache = self.build_prompt_cache()
         evicted_positions = []
         for idx, (row, expected) in enumerate(self.STEPS):
-            cache.append(0, 0, entry(4 + idx, token=4 + idx))
+            cache.append(0, 0, *entry(4 + idx, token=4 + idx))
             morphkv_step(cache, scripted_row(row, 4 + idx), self.CFG, idx)
             events = cache.pop_eviction_events()
             assert [e[2] for e in events] == [expected], f"step {idx}"
             evicted_positions.extend(events[0][2])
             assert cache.occupancy(0, 0) == 4
             cache.validate()
-        survivors = [e.abs_position for e in cache.entries[0][0]]
+        survivors = cache.positions(0, 0).tolist()
         assert survivors == [4, 6, 7, 8]
         # Position 4 entered at the first decode step, outlived every
         # prompt entry and two younger generated ones, and is still the
@@ -165,7 +165,7 @@ class TestMorphStep:
         cache = self.build_prompt_cache()
         occupancies = []
         for idx in range(5):
-            cache.append(0, 0, entry(4 + idx, token=4 + idx))
+            cache.append(0, 0, *entry(4 + idx, token=4 + idx))
             width = cache.occupancy(0, 0)
             morphkv_step(cache, scripted_row(np.full(width, 1.0 / width), 4 + idx), cfg, idx)
             occupancies.append(cache.occupancy(0, 0))
@@ -180,17 +180,15 @@ class TestMorphStep:
         cache = KvCacheState(2, 1, window_capacity=1)
         for pos in range(4):
             for layer in range(2):
-                cache.append(layer, 0, entry(pos))
-                cache.windows[layer][0].record(
-                    np.full(pos + 1, 1.0 / (pos + 1)), pos
-                )
+                cache.append(layer, 0, *entry(pos))
+                cache.windows[layer][0].record(np.full(pos + 1, 1.0 / (pos + 1)))
         out = SimpleNamespace(
             attn_rows=[[np.array([np.full(5, 0.2)])], [np.array([np.full(5, 0.2)])]],
             position=4,
             token_id=0,
         )
         for layer in range(2):
-            cache.append(layer, 0, entry(4))
+            cache.append(layer, 0, *entry(4))
         morphkv_step(cache, out, cfg, 0)
         assert cache.occupancy(0, 0) == 5
         assert cache.occupancy(1, 0) == 2
@@ -202,9 +200,9 @@ class TestMorphStep:
             cache = KvCacheState(1, 1, window_capacity=2)
             rows = [[1.0], [0.5, 0.5], [0.2, 0.3, 0.5], [0.05, 0.30, 0.40, 0.25]]
             for i, row in enumerate(rows):
-                cache.append(0, 0, entry(shift + i, token=i))
-                cache.windows[0][0].record(row, shift + i)
-            cache.append(0, 0, entry(shift + 4, token=4))
+                cache.append(0, 0, *entry(shift + i, token=i))
+                cache.windows[0][0].record(row)
+            cache.append(0, 0, *entry(shift + 4, token=4))
             out = SimpleNamespace(
                 attn_rows=[[np.array([self.STEPS[0][0]])]],
                 position=shift + 4,
@@ -223,7 +221,7 @@ class TestMorphStep:
 
     def test_no_eviction_below_budget(self):
         cache = KvCacheState(1, 1, window_capacity=2)
-        cache.append(0, 0, entry(0))
+        cache.append(0, 0, *entry(0))
         out = SimpleNamespace(attn_rows=[[np.array([[1.0]])]], position=0, token_id=0)
         morphkv_step(cache, out, self.CFG, 0)
         assert cache.occupancy(0, 0) == 1
@@ -267,14 +265,12 @@ class TestPrefillCompress:
         for layer in range(cfg.n_layers):
             for head in range(cfg.n_kv_heads):
                 scores = fuse(manual.windows[layer][head], "sum")
-                kept = select_retained(manual.entries[layer][head], scores, 2, 2)
+                kept = select_retained(manual.positions(layer, head), scores, 2, 2)
                 manual.keep(layer, head, kept)
         prefill_compress(auto, policy)
         for layer in range(cfg.n_layers):
             for head in range(cfg.n_kv_heads):
-                assert [e.abs_position for e in auto.entries[layer][head]] == [
-                    e.abs_position for e in manual.entries[layer][head]
-                ]
+                assert auto.positions(layer, head).tolist() == manual.positions(layer, head).tolist()
 
     def test_separate_prompt_fusion_rule(self):
         # A policy may rank the prompt with max fusion while decoding with
@@ -296,12 +292,10 @@ class TestPrefillCompress:
             ref = KvCacheState.for_model(cfg, window_capacity=policy.recent_window)
             prefill(w, prompt, ref)
             scores = fuse(ref.windows[0][0], prefill_fusion or "sum")
-            kept = select_retained(ref.entries[0][0], scores, 2, 2)
+            kept = select_retained(ref.positions(0, 0), scores, 2, 2)
             prefill_compress(cache, policy)
-            assert [e.abs_position for e in cache.entries[0][0]] == [
-                ref.entries[0][0][i].abs_position for i in kept
-            ]
-            return tuple(e.abs_position for e in cache.entries[0][0])
+            assert cache.positions(0, 0).tolist() == ref.positions(0, 0)[kept].tolist()
+            return tuple(cache.positions(0, 0).tolist())
 
         compress(None)
         compress("max")
@@ -345,7 +339,7 @@ class TestEngineIntegration:
             morphkv_step(cache, out, policy, idx)
             token = int(np.argmax(out.logits))
         kept = {
-            (layer, head): tuple(e.abs_position for e in cache.entries[layer][head])
+            (layer, head): tuple(cache.positions(layer, head).tolist())
             for layer in range(2)
             for head in range(2)
         }

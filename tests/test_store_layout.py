@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from morphkv import KvCacheState, KvEntry
+from morphkv import KvCacheState
 from morphkv.cache import INITIAL_ALLOC
 from morphkv.errors import InvalidShape
 
@@ -21,7 +21,9 @@ GROUP = 2
 
 
 class ListCache:
-    """Entries and window rows kept as Python lists, one pair per store."""
+    """Entries and window rows kept as Python lists, one pair per store.
+
+    An entry is a ``(key, value, position, token)`` tuple."""
 
     def __init__(self, n_layers, n_heads, capacity):
         self.capacity = capacity
@@ -31,21 +33,21 @@ class ListCache:
 
     def append(self, key, entry):
         self.stores[key].append(entry)
-        for _, row in self.windows[key]:
+        for row in self.windows[key]:
             row.append(0.0)
 
-    def record(self, key, row, producer):
+    def record(self, key, row):
         window = self.windows[key]
-        window.append((producer, list(row)))
+        window.append(list(row))
         if len(window) > self.capacity:
             window.pop(0)
 
     def keep(self, key, retained):
         store = self.stores[key]
-        evicted = [e.abs_position for i, e in enumerate(store) if i not in retained]
+        evicted = [e[2] for i, e in enumerate(store) if i not in retained]
         if evicted:
             self.stores[key] = [store[i] for i in retained]
-            self.windows[key] = [(p, [row[i] for i in retained]) for p, row in self.windows[key]]
+            self.windows[key] = [[row[i] for i in retained] for row in self.windows[key]]
             self.journal.append((key[0], key[1], evicted))
         return evicted
 
@@ -61,22 +63,17 @@ def assert_same(cache: KvCacheState, model: ListCache):
         keys = cache.keys_matrix(layer, head)
         vals = cache.values_matrix(layer, head)
         assert keys.shape[0] == vals.shape[0] == n
-        assert bits(keys) == bits([e.key for e in store])
-        assert bits(vals) == bits([e.value for e in store])
-        assert cache.positions(layer, head).tolist() == [e.abs_position for e in store]
-        assert cache.token_ids(layer, head).tolist() == [e.token_id for e in store]
-        view = cache.entries[layer][head]
-        assert [(e.abs_position, e.token_id) for e in view] == [
-            (e.abs_position, e.token_id) for e in store
-        ]
+        assert bits(keys) == bits([e[0] for e in store])
+        assert bits(vals) == bits([e[1] for e in store])
+        assert cache.positions(layer, head).tolist() == [e[2] for e in store]
+        assert cache.token_ids(layer, head).tolist() == [e[3] for e in store]
         window = cache.windows[layer][head]
         assert window.width == n
-        rows = window.rows
-        assert [p for p, _ in rows] == [p for p, _ in model.windows[(layer, head)]]
-        for (_, got), (_, want) in zip(rows, model.windows[(layer, head)]):
-            assert bits(got) == bits(want)
-        if rows:
-            assert bits(window.score_matrix()) == bits([r for _, r in model.windows[(layer, head)]])
+        want = model.windows[(layer, head)]
+        assert len(window) == len(want)
+        assert window.score_matrix().shape == (len(want), n)
+        for got, row in zip(window.score_matrix(), want):
+            assert bits(got) == bits(row)
 
 
 def pick(n_layers, n_heads, layer, head):
@@ -126,7 +123,6 @@ def test_matches_list_model(n_layers, n_heads, capacity, ops, seed):
     cache = KvCacheState(n_layers, n_heads, window_capacity=capacity)
     model = ListCache(n_layers, n_heads, capacity)
     next_pos = {key: 0 for key in model.stores}
-    producer = 0
     for kind, a, b, arg in ops:
         key = pick(n_layers, n_heads, a, b)
         n = len(model.stores[key])
@@ -134,26 +130,24 @@ def test_matches_list_model(n_layers, n_heads, capacity, ops, seed):
             for _ in range(arg):
                 pos = next_pos[key]
                 next_pos[key] = pos + 1 + int(rng.integers(0, 3))
-                entry = KvEntry(
+                entry = (
                     rng.standard_normal(HEAD_DIM), rng.standard_normal(HEAD_DIM), pos, int(rng.integers(0, 50))
                 )
-                cache.append(*key, entry)
+                cache.append(*key, *entry)
                 model.append(key, entry)
         elif kind == "record":
             row = rng.uniform(size=n)
-            cache.windows[key[0]][key[1]].record(row, producer)
-            model.record(key, row, producer)
-            producer += 1
+            cache.windows[key[0]][key[1]].record(row)
+            model.record(key, row)
         elif kind == "record_all":
             grid = [
                 [rng.uniform(size=(GROUP, len(model.stores[(l, h)]))) for h in range(n_heads)]
                 for l in range(n_layers)
             ]
-            cache.record_step_profiles(SimpleNamespace(attn_rows=grid, position=producer))
+            cache.record_step_profiles(SimpleNamespace(attn_rows=grid))
             for (l, h) in model.stores:
                 group = grid[l][h]
-                model.record((l, h), [group[0][j] + group[1][j] for j in range(group.shape[1])], producer)
-            producer += 1
+                model.record((l, h), [group[0][j] + group[1][j] for j in range(group.shape[1])])
         else:
             if arg == "none":
                 retained = []
@@ -172,7 +166,7 @@ def test_growth_keeps_earlier_rows():
     cache = KvCacheState(1, 1, window_capacity=2)
     total = 4 * INITIAL_ALLOC + 1
     for pos in range(total):
-        cache.append(0, 0, KvEntry(np.full(2, float(pos)), np.full(2, -float(pos)), pos, pos))
+        cache.append(0, 0, np.full(2, float(pos)), np.full(2, -float(pos)), pos, pos)
     np.testing.assert_array_equal(cache.keys_matrix(0, 0)[:, 0], np.arange(total, dtype=float))
     np.testing.assert_array_equal(cache.values_matrix(0, 0)[:, 1], -np.arange(total, dtype=float))
     assert cache.windows[0][0].width == total
@@ -182,12 +176,12 @@ def test_growth_keeps_earlier_rows():
 def test_keep_nothing_empties_store_and_window():
     cache = KvCacheState(1, 1, window_capacity=2)
     for pos in range(3):
-        cache.append(0, 0, KvEntry(np.zeros(2), np.zeros(2), pos, 0))
-    cache.windows[0][0].record([0.2, 0.3, 0.5], 2)
+        cache.append(0, 0, np.zeros(2), np.zeros(2), pos, 0)
+    cache.windows[0][0].record([0.2, 0.3, 0.5])
     assert cache.keep(0, 0, []) == [0, 1, 2]
     assert cache.occupancy(0, 0) == 0
     assert cache.keys_matrix(0, 0).shape[0] == 0
-    assert [row.size for _, row in cache.windows[0][0].rows] == [0]
+    assert cache.windows[0][0].score_matrix().shape == (1, 0)
     cache.validate()
 
 
@@ -195,7 +189,7 @@ def test_keep_nothing_empties_store_and_window():
 def test_returned_views_are_read_only(accessor):
     cache = KvCacheState(1, 1, window_capacity=2)
     for pos in range(3):
-        cache.append(0, 0, KvEntry(np.ones(2), np.ones(2), pos, pos))
+        cache.append(0, 0, np.ones(2), np.ones(2), pos, pos)
     view = getattr(cache, accessor)(0, 0)
     before = view.copy()
     with pytest.raises(ValueError):
@@ -209,7 +203,7 @@ def test_returned_views_are_read_only(accessor):
 def test_keep_rejects_non_integer_indices(retained):
     cache = KvCacheState(1, 1, window_capacity=2)
     for pos in range(3):
-        cache.append(0, 0, KvEntry(np.ones(2), np.ones(2), pos, pos))
+        cache.append(0, 0, np.ones(2), np.ones(2), pos, pos)
     with pytest.raises(InvalidShape):
         cache.keep(0, 0, retained)
     assert cache.occupancy(0, 0) == 3
