@@ -2,14 +2,14 @@
 
 The package is organized bottom up: `numerics` holds the shared float64
 primitives, `model` the deterministic toy decoder, `cache` the per
-(layer, KV head) stores with their attention-profile windows, `morph` the
+(layer, KV head) stores with their attention profiles, `morph` the
 constant-size selective retention policy, `baselines` the comparison
 policies, `oracle` the exhaustive ground truth, `metrics` byte accounting
 and degeneration measures, `trace` the per-step trace and its JSON
 document, and `harness` the run loop and sweeps.
 """
 
-from .cache import AttentionProfileWindow, KvCacheState, aggregate_group_scores
+from .cache import KvCacheState, aggregate_group_scores
 from .config import EvictionPolicyConfig, ModelConfig
 from .harness import (
     CompareReport,
@@ -31,13 +31,7 @@ from .model import (
     weights_checksum,
 )
 from .morph import fuse, morphkv_step, prefill_compress, select_retained
-from .baselines import (
-    CumulativeScoreState,
-    h2o_step,
-    scissorhands_step,
-    snapkv_policy,
-    streamingllm_step,
-)
+from .baselines import h2o_step, scissorhands_step, snapkv_policy, streamingllm_step
 from .numerics import apply_rope, scaled_dot_attention, softmax
 from .oracle import ErrorRecord, optimal_subset, shadow_error
 from .trace import StepRecord, StepTrace
@@ -45,9 +39,7 @@ from .trace import StepRecord, StepTrace
 __version__ = "0.1.0"
 
 __all__ = [
-    "AttentionProfileWindow",
     "CompareReport",
-    "CumulativeScoreState",
     "DecoderWeights",
     "ErrorRecord",
     "EvictionPolicyConfig",

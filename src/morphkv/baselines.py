@@ -3,16 +3,19 @@
 All policies are deterministic and evict only at decode-step boundaries;
 the only prompt-phase mutation in the whole runtime is an explicit
 one-shot call (``snapkv_policy`` here, ``prefill_compress`` for the
-selective policy). Every step function records the step's aggregated rows
-into the profile windows first, so cache snapshots stay comparable across
-policies, then applies its own retention rule:
+selective policy). The decoder records every step's aggregated rows into
+the store profiles before any policy runs, in prefill and in decode, so
+cache snapshots stay comparable across policies. A step function only
+applies its own retention rule; it takes the step output to keep one
+signature but does not read it:
 
 - ``scissorhands``: keep only the ``recent_window`` newest entries.
 - ``streamingllm``: additionally pin the first ``sink_count`` entries.
 - ``h2o``: never touch prompt entries; rank decode entries by the total
-  attention they have received so far and evict the weakest non-recent
-  one whenever more than ``distant_capacity + recent_window`` decode
-  entries are live. Ties evict the oldest.
+  attention they have received so far (the store's received totals) and
+  evict the weakest non-recent one whenever more than
+  ``distant_capacity + recent_window`` decode entries are live. Ties
+  evict the oldest.
 - ``snapkv``: one-shot prompt reduction, then keep every decode entry.
 - ``full_attention``: keep everything.
 """
@@ -22,32 +25,9 @@ from __future__ import annotations
 import numpy as np
 
 from .cache import KvCacheState
-from .config import EvictionPolicyConfig, ModelConfig
+from .config import EvictionPolicyConfig
 from .errors import InvalidConfig
 from .morph import fuse, morphkv_step, select_retained
-
-
-class CumulativeScoreState:
-    """Running total of attention received by each live entry, per store.
-
-    Arrays stay index-aligned with the owning store: extended by one on
-    every append, compacted on every eviction.
-    """
-
-    def __init__(self, model: ModelConfig, prompt_length: int):
-        self.prompt_length = prompt_length
-        self.values: list[list[np.ndarray]] = [
-            [np.zeros(prompt_length) for _ in range(model.n_kv_heads)]
-            for _ in range(model.n_layers)
-        ]
-
-
-def make_policy_state(
-    cfg: EvictionPolicyConfig, model: ModelConfig, prompt_length: int
-) -> CumulativeScoreState | None:
-    if cfg.kind == "h2o":
-        return CumulativeScoreState(model, prompt_length)
-    return None
 
 
 def keep_window(occ: int, sinks: int, recent: int) -> list[int]:
@@ -58,8 +38,7 @@ def keep_window(occ: int, sinks: int, recent: int) -> list[int]:
     return list(range(pinned)) + list(range(occ - tail, occ))
 
 
-def _window_step(cache: KvCacheState, step_output, sinks: int, recent: int) -> KvCacheState:
-    cache.record_step_profiles(step_output)
+def _window_step(cache: KvCacheState, sinks: int, recent: int) -> KvCacheState:
     for layer in range(cache.n_layers):
         for head in range(cache.n_kv_heads):
             occ = cache.occupancy(layer, head)
@@ -75,7 +54,7 @@ def scissorhands_step(
     """Sliding window: only the ``recent_window`` newest entries survive."""
     if cfg.kind != "scissorhands":
         raise InvalidConfig(f"scissorhands_step got policy kind {cfg.kind!r}")
-    return _window_step(cache, step_output, 0, cfg.recent_window)
+    return _window_step(cache, 0, cfg.recent_window)
 
 
 def streamingllm_step(
@@ -84,36 +63,33 @@ def streamingllm_step(
     """Attention sinks: the first ``sink_count`` entries plus the window."""
     if cfg.kind != "streamingllm":
         raise InvalidConfig(f"streamingllm_step got policy kind {cfg.kind!r}")
-    return _window_step(cache, step_output, cfg.sink_count, cfg.recent_window)
+    return _window_step(cache, cfg.sink_count, cfg.recent_window)
 
 
 def h2o_step(
     cache: KvCacheState,
     step_output,
-    scores: CumulativeScoreState,
+    prompt_length: int,
     cfg: EvictionPolicyConfig,
 ) -> KvCacheState:
     """Cumulative heavy hitters over decode entries; the prompt is immortal."""
     if cfg.kind != "h2o":
         raise InvalidConfig(f"h2o_step got policy kind {cfg.kind!r}")
-    aggregated = cache.record_step_profiles(step_output)
     budget = cfg.cache_budget
     for layer in range(cache.n_layers):
         for head in range(cache.n_kv_heads):
-            cum = np.append(scores.values[layer][head], 0.0) + aggregated[layer][head]
             occ = cache.occupancy(layer, head)
             # Positions increase with the index, so the decode entries are
             # the suffix starting at the first position past the prompt.
-            first_decode = int(
-                np.searchsorted(cache.positions(layer, head), scores.prompt_length)
-            )
+            # They did not exist during prefill, so their received totals
+            # count decode rows only.
+            first_decode = int(np.searchsorted(cache.positions(layer, head), prompt_length))
             if occ - first_decode > budget:
                 recent_start = occ - min(cfg.recent_window, occ)
+                cum = cache.received(layer, head)
                 # argmin takes the first minimum: ties evict the oldest.
                 victim = first_decode + int(np.argmin(cum[first_decode:recent_start]))
                 cache.keep(layer, head, np.delete(np.arange(occ), victim))
-                cum = np.delete(cum, victim)
-            scores.values[layer][head] = cum
     return cache
 
 
@@ -122,7 +98,7 @@ def snapkv_policy(cache: KvCacheState, cfg: EvictionPolicyConfig) -> KvCacheStat
 
     Scores distant prompt entries by sum-fusing the observation window
     (the last ``recent_window`` prompt rows, already sitting in the
-    profile windows) and keeps the top scorers plus the window itself.
+    store profiles) and keeps the top scorers plus the window itself.
     A prompt within budget is left whole. Decode never evicts.
     """
     if cfg.kind != "snapkv":
@@ -136,7 +112,7 @@ def snapkv_policy(cache: KvCacheState, cfg: EvictionPolicyConfig) -> KvCacheStat
             if budget <= cfg.recent_window:
                 retained = list(range(occ - budget, occ))
             else:
-                scores = fuse(cache.windows[layer][head], "sum")
+                scores = fuse(cache, layer, head, "sum")
                 retained = select_retained(
                     cache.positions(layer, head),
                     scores,
@@ -152,7 +128,7 @@ def policy_step(
     step_output,
     cfg: EvictionPolicyConfig,
     step_index: int,
-    state: CumulativeScoreState | None = None,
+    prompt_length: int,
 ) -> KvCacheState:
     """Dispatch one decode step to the configured policy."""
     if cfg.kind == "morphkv":
@@ -162,9 +138,8 @@ def policy_step(
     if cfg.kind == "streamingllm":
         return streamingllm_step(cache, step_output, cfg)
     if cfg.kind == "h2o":
-        return h2o_step(cache, step_output, state, cfg)
+        return h2o_step(cache, step_output, prompt_length, cfg)
     if cfg.kind in ("snapkv", "full_attention"):
-        # Neither evicts during decode; the rows are still recorded.
-        cache.record_step_profiles(step_output)
+        # Neither evicts during decode.
         return cache
     raise InvalidConfig(f"unknown policy kind {cfg.kind!r}")

@@ -1,31 +1,35 @@
-"""Per (layer, KV head) KV stores and their attention-profile windows.
+"""Per (layer, KV head) KV stores, each with its attention profile.
 
-Alignment contract: every stored profile row has exactly one column per
-live cache entry, in entry order. Appending an entry extends all existing
-rows with a zero column (a token cannot have attended to entries created
-after it); evicting entries deletes their columns from every row. Scores
-are never renormalized after a deletion: they are only ever compared for
-ranking, and keeping the raw weights keeps dumps auditable.
+Alignment is structural: a store keeps every per-entry array (keys,
+values, positions, token ids, received attention, profile) on one entry
+axis, so one append adds a row to each and one eviction compacts each
+with the same fancy index. The profile holds the newest
+``window_capacity`` aggregated attention rows as columns, one per ring
+slot; a new entry's profile row is zero (a token cannot have attended to
+entries created after it), and evicted entries leave with their rows.
+Received attention is the running total of every recorded row, prefill
+rows included. Scores are never renormalized after a deletion: they are
+only ever compared for ranking, and keeping the raw weights keeps dumps
+auditable.
 
 Stores evolve independently: after eviction two heads may retain different
 position sets, which is why keys are cached post-rotation and positions
 are absolute.
 
-Array layout: a store is four preallocated arrays, row-major keys and
-values of shape ``(alloc, head_dim)`` plus absolute positions and token
-ids of shape ``(alloc,)``; the leading ``n`` rows are the live entries in
-entry order. A window is one ``(capacity, alloc_width)`` float64 score
-array used as a ring of rows; the leading ``width`` columns are live.
-Both grow geometrically (by half again when full), so an append is one
-row write and padding a window zeroes one column. Eviction compacts each array
-with one fancy index. Window rows are always read back oldest first,
-which is the order :func:`morph.fuse` sums them in.
+Array layout: keys and values are row-major ``(alloc, head_dim)``,
+positions, token ids and received attention ``(alloc,)``, and the profile
+``(alloc, window_capacity)``; the leading ``n`` rows are the live entries
+in entry order. Allocations grow geometrically (by half again when full),
+so an append is one row write per array. Profile rows are always read
+back oldest first, as a C-contiguous copy, which is the order and layout
+:func:`morph.fuse` sums them in.
 
-View lifetime: :meth:`KvCacheState.keys_matrix`, :meth:`values_matrix`
-and :meth:`positions` return read-only views of the live rows, not
-copies. A view is valid until the next :meth:`append` or :meth:`keep` on
-that store; after that it may show stale or compacted rows. These views
-and :meth:`AttentionProfileWindow.score_matrix` are the only read paths.
+View lifetime: :meth:`KvCacheState.keys_matrix`, :meth:`values_matrix`,
+:meth:`positions`, :meth:`token_ids` and :meth:`received` return
+read-only views of the live rows, not copies. A view is valid until the
+next :meth:`append`, :meth:`record` or :meth:`keep` on that store; after
+that it may show stale or compacted rows. These views and
+:meth:`KvCacheState.score_matrix` are the only read paths.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ import numpy as np
 from .config import ModelConfig
 from .errors import InternalInvariantViolation, InvalidConfig, InvalidShape
 
-# Rows (store entries) and columns (window width) allocated at first use.
+# Rows (store entries) allocated at first use.
 INITIAL_ALLOC = 16
 
 
@@ -66,86 +70,34 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
     return view
 
 
-class AttentionProfileWindow:
-    """The newest ``capacity`` aggregated attention rows of one store."""
-
-    __slots__ = ("capacity", "width", "_scores", "_start", "_count")
-
-    def __init__(self, capacity: int):
-        if capacity < 1:
-            raise InvalidConfig("window capacity must be >= 1")
-        self.capacity = capacity
-        # Column count; kept in lockstep with the owning store's occupancy.
-        self.width = 0
-        self._scores = np.empty((capacity, INITIAL_ALLOC))
-        # Ring state: physical row of the oldest row, and rows held.
-        self._start = 0
-        self._count = 0
-
-    def __len__(self) -> int:
-        return self._count
-
-    def _order(self) -> np.ndarray:
-        """Physical row indices, oldest first."""
-        return (self._start + np.arange(self._count)) % self.capacity
-
-    def score_matrix(self, columns: int | None = None) -> np.ndarray:
-        """C-contiguous ``(rows, columns)`` copy of the leading columns, oldest row first."""
-        cols = self.width if columns is None else columns
-        return self._scores[self._order(), :cols]
-
-    def pad_for_append(self) -> None:
-        alloc = self._scores.shape[1]
-        if self.width >= alloc:
-            grown = np.empty((self.capacity, max(_grown(alloc), self.width + 1)))
-            grown[:, :alloc] = self._scores
-            self._scores = grown
-        self._scores[:, self.width] = 0.0
-        self.width += 1
-
-    def keep_columns(self, indices) -> None:
-        idx = np.asarray(indices, dtype=np.intp)
-        self._scores[:, : idx.size] = self._scores[:, idx]
-        self.width = int(idx.size)
-
-    def record(self, scores) -> None:
-        """Append one aggregated row, dropping the oldest once past capacity."""
-        row = np.asarray(scores, dtype=np.float64)
-        if row.ndim != 1 or row.size != self.width:
-            raise InvalidShape(
-                f"profile row has {row.size} columns but the store holds {self.width} entries"
-            )
-        if self._count < self.capacity:
-            slot = (self._start + self._count) % self.capacity
-            self._count += 1
-        else:
-            slot = self._start
-            self._start = (self._start + 1) % self.capacity
-        self._scores[slot, : self.width] = row
-
-
-# Order of a store's buffers, and their dtypes.
-_KEYS, _VALUES, _POSITIONS, _TOKENS = range(4)
-_DTYPES = (np.float64, np.float64, np.int64, np.int64)
+# Order of a store's buffers, and their dtypes. Every buffer's first axis
+# is the entry axis, so one allocation and one fancy index serve them all.
+_KEYS, _VALUES, _POSITIONS, _TOKENS, _RECEIVED, _PROFILE = range(6)
+_DTYPES = (np.float64, np.float64, np.int64, np.int64, np.float64, np.float64)
 
 
 class _KvStore:
-    """One (layer, KV head) store.
+    """One (layer, KV head) store with its attention profile.
 
-    ``buffers`` holds keys, values, positions and token ids (in the order
-    above) in preallocated arrays whose first ``n`` rows are live;
-    ``views`` holds read-only views of the same memory.
+    ``buffers`` holds keys, values, positions, token ids, received
+    attention and profile columns (in the order above) in preallocated
+    arrays whose first ``n`` rows are live; ``views`` holds read-only
+    views of the same memory. The profile has one column per ring slot:
+    ``_count`` slots are filled and ``_start`` is the oldest.
     """
 
-    __slots__ = ("n", "buffers", "views")
+    __slots__ = ("n", "capacity", "buffers", "views", "_start", "_count")
 
-    def __init__(self):
+    def __init__(self, capacity: int):
         self.n = 0
+        self.capacity = capacity
         self.buffers = ()
         self._allocate(0, (0,))
+        self._start = 0
+        self._count = 0
 
     def _allocate(self, rows: int, row_shape: tuple) -> None:
-        shapes = [(rows, *row_shape)] * 2 + [(rows,)] * 2
+        shapes = [(rows, *row_shape)] * 2 + [(rows,)] * 3 + [(rows, self.capacity)]
         buffers = tuple(np.empty(shape, dtype) for shape, dtype in zip(shapes, _DTYPES))
         if self.n:
             for new, old in zip(buffers, self.buffers):
@@ -159,7 +111,7 @@ class _KvStore:
         if n == len(keys):
             # The first entry fixes the row shape.
             self._allocate(_grown(n), np.shape(key) if n == 0 else keys.shape[1:])
-        keys, values, positions, tokens = self.buffers
+        keys, values, positions, tokens, received, profile = self.buffers
         row_shape = keys.shape[1:]
         if np.shape(key) != row_shape or np.shape(value) != row_shape:
             raise InvalidShape(f"cache entries must be vectors of shape {row_shape}")
@@ -167,11 +119,34 @@ class _KvStore:
         values[n] = value
         positions[n] = position
         tokens[n] = token
+        # A new entry has received no attention and is in no row held so far.
+        received[n] = 0.0
+        profile[n] = 0.0
         self.n = n + 1
 
     def live(self, which: int) -> np.ndarray:
         """Read-only view of the live rows of one buffer."""
         return self.views[which][: self.n]
+
+    def record(self, row: np.ndarray) -> None:
+        """Write one attention row into the next ring slot, overwriting the
+        oldest once the ring is full, and add it to the received totals."""
+        n = self.n
+        if row.shape != (n,):
+            raise InvalidShape(f"profile row has shape {row.shape} but the store holds {n} entries")
+        if self._count < self.capacity:
+            # The ring has never wrapped, so ``_start`` is still 0.
+            slot = self._count
+            self._count += 1
+        else:
+            slot = self._start
+            self._start = (slot + 1) % self.capacity
+        self.buffers[_PROFILE][:n, slot] = row
+        self.buffers[_RECEIVED][:n] += row
+
+    def score_matrix(self, columns: int) -> np.ndarray:
+        order = (self._start + np.arange(self._count)) % self.capacity
+        return np.ascontiguousarray(self.buffers[_PROFILE][:columns, order].T)
 
     def compact(self, idx: np.ndarray) -> None:
         for buf in self.buffers:
@@ -180,25 +155,23 @@ class _KvStore:
 
 
 class KvCacheState:
-    """Array-backed stores plus profile windows, one pair per (layer, KV head).
+    """Array-backed stores with their attention profiles, one per (layer, KV head).
 
-    Mutations go through :meth:`append` and :meth:`keep` so the windows
-    stay column-aligned with the stores. Evictions are journaled; the run
-    loop drains the journal once per step via :meth:`pop_eviction_events`.
+    Mutations go through :meth:`append`, :meth:`record` and :meth:`keep`.
+    Evictions are journaled; the run loop drains the journal once per step
+    via :meth:`pop_eviction_events`.
     """
 
     def __init__(self, n_layers: int, n_kv_heads: int, window_capacity: int):
         if n_layers < 1 or n_kv_heads < 1:
             raise InvalidConfig("need at least one layer and one KV head")
+        if window_capacity < 1:
+            raise InvalidConfig("window capacity must be >= 1")
         self.n_layers = n_layers
         self.n_kv_heads = n_kv_heads
         self.window_capacity = window_capacity
         self._stores: list[list[_KvStore]] = [
-            [_KvStore() for _ in range(n_kv_heads)] for _ in range(n_layers)
-        ]
-        self.windows: list[list[AttentionProfileWindow]] = [
-            [AttentionProfileWindow(window_capacity) for _ in range(n_kv_heads)]
-            for _ in range(n_layers)
+            [_KvStore(window_capacity) for _ in range(n_kv_heads)] for _ in range(n_layers)
         ]
         self._journal: list[tuple[int, int, list[int]]] = []
 
@@ -228,7 +201,6 @@ class KvCacheState:
     def append(self, layer: int, head: int, key, value, position: int, token: int) -> None:
         """Add one entry: rotated key and value rows, absolute position, token id."""
         self._stores[layer][head].append(key, value, position, token)
-        self.windows[layer][head].pad_for_append()
 
     def keys_matrix(self, layer: int, head: int) -> np.ndarray:
         return self._stores[layer][head].live(_KEYS)
@@ -243,11 +215,29 @@ class KvCacheState:
     def token_ids(self, layer: int, head: int) -> np.ndarray:
         return self._stores[layer][head].live(_TOKENS)
 
+    def received(self, layer: int, head: int) -> np.ndarray:
+        """Total attention each live entry has received over every recorded row."""
+        return self._stores[layer][head].live(_RECEIVED)
+
+    def profile_rows(self, layer: int, head: int) -> int:
+        """Attention rows held in the store's profile, at most ``window_capacity``."""
+        return self._stores[layer][head]._count
+
+    def score_matrix(self, layer: int, head: int, columns: int | None = None) -> np.ndarray:
+        """C-contiguous ``(rows, columns)`` copy of the profile's leading
+        columns (all live entries by default), oldest row first."""
+        store = self._stores[layer][head]
+        return store.score_matrix(store.n if columns is None else columns)
+
+    def record(self, layer: int, head: int, row) -> None:
+        """Add one aggregated attention row over the store's live entries,
+        dropping the oldest row once ``window_capacity`` are held."""
+        self._stores[layer][head].record(np.asarray(row, dtype=np.float64))
+
     def keep(self, layer: int, head: int, retained) -> list[int]:
         """Drop every entry not in ``retained`` (sorted, unique indices).
 
-        Returns the absolute positions evicted and journals them. Profile
-        rows lose the matching columns, so alignment survives.
+        Returns the absolute positions evicted and journals them.
         """
         store = self._stores[layer][head]
         idx = np.asarray(retained)
@@ -268,22 +258,20 @@ class KvCacheState:
         dropped[idx] = False
         evicted = store.live(_POSITIONS)[dropped].tolist()
         store.compact(idx)
-        self.windows[layer][head].keep_columns(idx)
         self._journal.append((layer, head, evicted))
         return evicted
 
     def record_step_profiles(self, step_output) -> list[list[np.ndarray]]:
-        """Aggregate one step's group rows into every window.
+        """Aggregate one step's group rows and record them into every store.
 
-        Returns the aggregated row per (layer, head) so callers that rank
-        by received attention do not re-aggregate.
+        Returns the aggregated row per (layer, head).
         """
         aggregated: list[list[np.ndarray]] = []
-        for layer in range(self.n_layers):
+        for layer, stores in enumerate(self._stores):
             layer_rows = []
-            for head in range(self.n_kv_heads):
+            for head, store in enumerate(stores):
                 agg = aggregate_group_scores(step_output.attn_rows[layer][head])
-                self.windows[layer][head].record(agg)
+                store.record(agg)
                 layer_rows.append(agg)
             aggregated.append(layer_rows)
         return aggregated
@@ -301,8 +289,8 @@ class KvCacheState:
         for layer in range(self.n_layers):
             heads = []
             for head in range(self.n_kv_heads):
-                window = self.windows[layer][head]
-                scores = fuse(window, fusion).tolist() if len(window) else []
+                recorded = self.profile_rows(layer, head)
+                scores = fuse(self, layer, head, fusion).tolist() if recorded else []
                 pairs = np.stack([self.positions(layer, head), self.token_ids(layer, head)], axis=1)
                 heads.append({"entries": pairs.tolist(), "fused_scores": scores})
             layers.append(heads)
@@ -312,16 +300,10 @@ class KvCacheState:
         """Debug-mode invariant sweep; raises on the first violation."""
         for layer in range(self.n_layers):
             for head in range(self.n_kv_heads):
-                n = self.occupancy(layer, head)
                 positions = self.positions(layer, head)
                 if np.any(positions[1:] <= positions[:-1]):
                     raise InternalInvariantViolation(
                         f"store ({layer},{head}) positions not strictly increasing"
-                    )
-                width = self.windows[layer][head].width
-                if width != n:
-                    raise InternalInvariantViolation(
-                        f"window width {width} != occupancy {n} at ({layer},{head})"
                     )
                 if not (
                     np.isfinite(self.keys_matrix(layer, head)).all()

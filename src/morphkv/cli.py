@@ -103,7 +103,11 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_metrics(args) -> int:
     with open(args.trace, "r", encoding="utf-8") as fh:
-        trace = StepTrace.from_dict(json.load(fh))
+        try:
+            document = json.load(fh)
+        except RecursionError as exc:
+            raise errors.TraceMismatch("trace JSON is nested too deeply to parse") from exc
+    trace = StepTrace.from_dict(document)
     sys.stdout.write(render_metrics_csv(trace))
     report = repetition_rate(trace.consumed_tokens(), args.ngram)
     print(

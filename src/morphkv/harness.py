@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .baselines import keep_window, make_policy_state, policy_step, snapkv_policy
+from .baselines import keep_window, policy_step, snapkv_policy
 from .cache import KvCacheState
 from .config import EvictionPolicyConfig, ModelConfig
 from .errors import (
@@ -28,13 +28,7 @@ from .errors import (
     InvalidToken,
     TraceMismatch,
 )
-from .metrics import (
-    kv_bytes,
-    kv_bytes_from_occupancies,
-    profile_overhead_bytes,
-    relative_cache_ratio,
-    repetition_rate,
-)
+from .metrics import kv_bytes, kv_bytes_from_occupancies, relative_cache_ratio, repetition_rate
 from .model import decode_step, greedy_token, init_model, prefill
 from .morph import fuse, prefill_compress, select_retained
 from .oracle import optimal_subset, shadow_error, subset_output_error
@@ -51,7 +45,6 @@ class RunConfig:
     bytes_per_scalar: int = 8
     debug_invariants: bool = False
     attention_snapshots: bool = False
-    profile_overhead: bool = False
     out_dir: str | None = None
 
     def validate(self) -> "RunConfig":
@@ -171,7 +164,6 @@ def run(config: RunConfig, forced_tokens=None) -> RunResult:
                 f"forced token stream covers {len(forced_tokens)} of "
                 f"{config.decode_steps} decode steps"
             )
-    state = make_policy_state(policy, model_cfg, len(prompt))
     expected = _expected_occupancy_stream(policy, len(prompt), config.decode_steps)
     token = forced_tokens[0] if forced_tokens is not None else greedy_token(prefill_logits)
     records: list[StepRecord] = []
@@ -183,7 +175,7 @@ def run(config: RunConfig, forced_tokens=None) -> RunResult:
     attn_rows = [] if config.attention_snapshots else None
     for i in range(config.decode_steps):
         out = decode_step(weights, token, cache)
-        policy_step(cache, out, policy, i, state)
+        policy_step(cache, out, policy, i, len(prompt))
         events = cache.pop_eviction_events()
         evicted = [
             [[] for _ in range(model_cfg.n_kv_heads)] for _ in range(model_cfg.n_layers)
@@ -194,8 +186,6 @@ def run(config: RunConfig, forced_tokens=None) -> RunResult:
         step_bytes = kv_bytes_from_occupancies(
             occupancy, model_cfg, policy, config.bytes_per_scalar
         )
-        if config.profile_overhead:
-            step_bytes += profile_overhead_bytes(cache, config.bytes_per_scalar)
         records.append(
             StepRecord(
                 step=i,
@@ -478,15 +468,16 @@ def oracle_regression(config: RunConfig, instances: int) -> list[RegressionRow]:
         query = result.last_output.queries[0][0][0]
         n = keys.shape[0]
         _, optimal_error = optimal_subset(query, keys, vals, budget, r)
-        window = cache.windows[0][0]
         live = cache.positions(0, 0)
+        # Decode rows only: ``cache.received`` also counts the prefill rows,
+        # which would change how this pick ranks the prompt entries.
         cumulative = np.zeros(n)
         for step_rows in result.attn_rows:
             row = step_rows[0][0][0]
             cumulative[: row.size] += row
         picks: dict[str, list[int]] = {
-            "morphkv_sum": select_retained(live, fuse(window, "sum"), c, r),
-            "morphkv_max": select_retained(live, fuse(window, "max"), c, r),
+            "morphkv_sum": select_retained(live, fuse(cache, 0, 0, "sum"), c, r),
+            "morphkv_max": select_retained(live, fuse(cache, 0, 0, "max"), c, r),
             "scissorhands": keep_window(n, 0, budget),
         }
         sinks = min(_REGRESSION_SINKS, budget - r)
@@ -558,12 +549,23 @@ _RUN_KEYS = {
     "decode_steps",
     "bytes_per_scalar",
     "debug_invariants",
-    "profile_overhead",
 }
 
 
 def load_run_config(path: str) -> RunConfig:
-    """Parse a flat key/value config file with [model], [policy], [run] sections."""
+    """Parse a flat key/value config file with [model], [policy], [run] sections.
+
+    Whatever the INI parser rejects (a duplicate section or option, a
+    missing section header, a bad interpolation) is an ``InvalidConfig``
+    with a one-line message.
+    """
+    try:
+        return _parse_run_config(path)
+    except configparser.Error as exc:
+        raise InvalidConfig(f"malformed config file: {' '.join(str(exc).split())}") from exc
+
+
+def _parse_run_config(path: str) -> RunConfig:
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     read = parser.read(path)
     if not read:
@@ -609,7 +611,6 @@ def load_run_config(path: str) -> RunConfig:
             run_kwargs["decode_steps"] = section.getint("decode_steps")
         if "bytes_per_scalar" in section:
             run_kwargs["bytes_per_scalar"] = section.getint("bytes_per_scalar")
-        for flag in ("debug_invariants", "profile_overhead"):
-            if flag in section:
-                run_kwargs[flag] = section.getboolean(flag)
+        if "debug_invariants" in section:
+            run_kwargs["debug_invariants"] = section.getboolean("debug_invariants")
     return RunConfig(model=model, policy=policy, **run_kwargs).validate()

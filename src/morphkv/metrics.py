@@ -52,12 +52,6 @@ def kv_bytes_from_occupancies(
     return total * factor * model.head_dim * 2 * bytes_per_scalar
 
 
-def profile_overhead_bytes(cache, bytes_per_scalar: int = 8) -> int:
-    """Scalars held by the profile windows, if one chooses to count them."""
-    total = sum(len(window) * window.width for layer in cache.windows for window in layer)
-    return total * bytes_per_scalar
-
-
 def relative_cache_ratio(policy_bytes, full_bytes) -> list[float]:
     """Elementwise policy bytes over full-attention bytes."""
     policy_bytes = list(policy_bytes)

@@ -102,7 +102,6 @@ def _forward_token(
     token: int,
     position: int,
     cache: KvCacheState,
-    record_profiles: bool,
 ) -> StepOutput:
     cfg = weights.config
     g = cfg.group_size
@@ -143,8 +142,8 @@ def _forward_token(
         position=position,
         token_id=token,
     )
-    if record_profiles:
-        cache.record_step_profiles(step)
+    # The one writer of profile rows: every step records before any policy runs.
+    cache.record_step_profiles(step)
     return step
 
 
@@ -152,7 +151,7 @@ def prefill(weights: DecoderWeights, prompt, cache: KvCacheState) -> StepOutput:
     """Run the prompt through an empty cache, one position at a time.
 
     Leaves one entry per prompt token in every store and records every
-    position's aggregated attention rows, so the windows end up holding
+    position's aggregated attention rows, so the profiles end up holding
     the rows of the last ``window_capacity`` prompt positions that the
     one-shot prompt compression consumes. Returns the final position's
     output.
@@ -164,21 +163,22 @@ def prefill(weights: DecoderWeights, prompt, cache: KvCacheState) -> StepOutput:
         raise CacheNotEmpty("prefill needs an empty cache")
     out = None
     for position, token in enumerate(tokens):
-        out = _forward_token(weights, token, position, cache, record_profiles=True)
+        out = _forward_token(weights, token, position, cache)
     return out
 
 
 def decode_step(weights: DecoderWeights, token: int, cache: KvCacheState) -> StepOutput:
     """Process one generated token against the (possibly evicted) cache.
 
-    Appends exactly one entry per store at the next absolute position.
-    Profile recording is the policy layer's job during decode, so a plain
-    decode step leaves the windows untouched.
+    Appends exactly one entry per store at the next absolute position and
+    records the step's aggregated attention rows into every store, as
+    prefill does, so the policy that runs next sees the step's row in
+    place. Policies never record.
     """
     if cache.is_empty() or cache.min_occupancy() == 0:
         raise EmptyCache("decode_step needs a prefilled cache in every store")
     token = _check_token(token, weights.config)
-    return _forward_token(weights, token, cache.next_position(), cache, record_profiles=False)
+    return _forward_token(weights, token, cache.next_position(), cache)
 
 
 def greedy_token(logits: np.ndarray) -> int:

@@ -16,21 +16,23 @@ from __future__ import annotations
 
 import numpy as np
 
-from .cache import AttentionProfileWindow, KvCacheState
+from .cache import KvCacheState
 from .config import EvictionPolicyConfig
 from .errors import EmptyWindow, InvalidConfig, InvalidParam, InvalidShape
 
 
-def fuse(window: AttentionProfileWindow, fusion: str) -> np.ndarray:
-    """Combine the windowed rows into one score per distant entry.
+def fuse(cache: KvCacheState, layer: int, head: int, fusion: str) -> np.ndarray:
+    """Combine one store's profile rows into one score per distant entry.
 
-    The last ``min(capacity, occupancy)`` entries are the recent window and
-    get no score: they are retained unconditionally, so only the columns of
-    older (distant) entries are returned, in entry order. Rows are combined
-    oldest first, as :meth:`AttentionProfileWindow.score_matrix` returns them.
+    The last ``min(window_capacity, occupancy)`` entries are the recent
+    window and get no score: they are retained unconditionally, so only the
+    columns of older (distant) entries are returned, in entry order. Rows
+    are combined oldest first, as :meth:`KvCacheState.score_matrix` returns
+    them.
     """
-    distant = window.width - min(window.capacity, window.width)
-    stacked = window.score_matrix(distant)
+    occ = cache.occupancy(layer, head)
+    distant = occ - min(cache.window_capacity, occ)
+    stacked = cache.score_matrix(layer, head, distant)
     if stacked.shape[0] == 0:
         raise EmptyWindow("cannot fuse an empty profile window")
     if distant == 0:
@@ -76,7 +78,7 @@ def _evict_store(
     occ = cache.occupancy(layer, head)
     if occ <= cfg.cache_budget:
         return
-    scores = fuse(cache.windows[layer][head], fusion)
+    scores = fuse(cache, layer, head, fusion)
     retained = select_retained(
         cache.positions(layer, head), scores, cfg.distant_capacity, cfg.recent_window
     )
@@ -88,14 +90,13 @@ def morphkv_step(
 ) -> KvCacheState:
     """One decode-step policy application.
 
-    Records the step's aggregated rows into every window, then, on steps
-    whose index is a multiple of ``eviction_interval``, trims every
-    unprotected store that exceeds the budget back to exactly
-    ``distant_capacity + recent_window`` entries.
+    On steps whose index is a multiple of ``eviction_interval``, trims
+    every unprotected store that exceeds the budget back to exactly
+    ``distant_capacity + recent_window`` entries. The decoder has already
+    recorded the step's rows, so ``step_output`` is not read.
     """
     if cfg.kind != "morphkv":
         raise InvalidConfig(f"morphkv_step got policy kind {cfg.kind!r}")
-    cache.record_step_profiles(step_output)
     if step_index % cfg.eviction_interval:
         return cache
     for layer in range(cfg.protected_layers, cache.n_layers):
@@ -107,7 +108,7 @@ def morphkv_step(
 def prefill_compress(cache: KvCacheState, cfg: EvictionPolicyConfig) -> KvCacheState:
     """Optional one-shot compression of the prompt before decoding starts.
 
-    Uses the rows the prefill recorded into the windows (the last
+    Uses the rows the prefill recorded into the profiles (the last
     ``recent_window`` prompt positions; fewer if the prompt is shorter,
     which is not an error). A prompt already within budget is untouched.
     """

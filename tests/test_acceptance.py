@@ -19,7 +19,6 @@ import pytest
 import reference
 from morphkv import (
     EvictionPolicyConfig,
-    AttentionProfileWindow,
     KvCacheState,
     ModelConfig,
     RunConfig,
@@ -141,7 +140,7 @@ def test_scripted_walkthrough_replay():
     ]
     for pos, row in enumerate(prompt_rows):
         cache.append(0, 0, np.zeros(2), np.zeros(2), pos, pos)
-        cache.windows[0][0].record(row)
+        cache.record(0, 0, row)
     decode_rows = [
         [0.05, 0.30, 0.15, 0.30, 0.20],
         [0.20, 0.05, 0.15, 0.25, 0.35],
@@ -153,8 +152,8 @@ def test_scripted_walkthrough_replay():
     # three distant entries carry fused scores 0.10, 0.60, 0.55, so the
     # 0.10 entry (position 0) must be the unique eviction.
     cache.append(0, 0, np.zeros(2), np.zeros(2), 4, 4)
-    cache.windows[0][0].record(decode_rows[0])
-    first_scores = fuse(cache.windows[0][0], "sum")
+    cache.record(0, 0, decode_rows[0])
+    first_scores = fuse(cache, 0, 0, "sum")
     np.testing.assert_allclose(first_scores, [0.10, 0.60, 0.55], atol=1e-12)
     retained = select_retained(cache.positions(0, 0), first_scores, 2, 2)
     assert cache.keep(0, 0, retained) == [0]
@@ -165,6 +164,8 @@ def test_scripted_walkthrough_replay():
         pos = 4 + idx
         cache.append(0, 0, np.zeros(2), np.zeros(2), pos, pos)
         out = SimpleNamespace(attn_rows=[[np.array([row])]], position=pos, token_id=pos)
+        # The decoder records each step's rows before the policy runs.
+        cache.record_step_profiles(out)
         morphkv_step(cache, out, cfg, idx)
         evictions.extend(e[2] for e in cache.pop_eviction_events())
         assert cache.occupancy(0, 0) == 4
@@ -190,14 +191,14 @@ def test_fusion_matches_independent_recomputation():
         capacity = int(rng.integers(1, 7))
         width = int(rng.integers(capacity, capacity + 11))
         rows = rng.uniform(size=(capacity, width))
-        window = AttentionProfileWindow(capacity)
-        for _ in range(width):
-            window.pad_for_append()
+        cache = KvCacheState(1, 1, window_capacity=capacity)
+        for pos in range(width):
+            cache.append(0, 0, np.zeros(2), np.zeros(2), pos, pos)
         for row in rows:
-            window.record(row)
+            cache.record(0, 0, row)
         distant = width - capacity
-        sum_scores = fuse(window, "sum")
-        max_scores = fuse(window, "max")
+        sum_scores = fuse(cache, 0, 0, "sum")
+        max_scores = fuse(cache, 0, 0, "max")
         np.testing.assert_allclose(
             sum_scores, reference.fuse_loops(rows, distant, "sum"), atol=1e-12
         )
@@ -232,7 +233,7 @@ def test_group_aggregation_consistency():
         for layer in range(model.n_layers):
             for head in range(model.n_kv_heads):
                 live = cache.positions(layer, head).tolist()
-                rows = cache.windows[layer][head].score_matrix()
+                rows = cache.score_matrix(layer, head)
                 replays[layer, head, True] = reference.RetentionReplay(
                     live, rows, 3, 2, aggregate=True
                 )

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from morphkv import (
-    CumulativeScoreState,
     EvictionPolicyConfig,
     KvCacheState,
     ModelConfig,
@@ -15,7 +14,7 @@ from morphkv import (
     snapkv_policy,
     streamingllm_step,
 )
-from morphkv.baselines import keep_window, make_policy_state, policy_step
+from morphkv.baselines import keep_window, policy_step
 from morphkv.errors import InvalidConfig
 from morphkv.morph import fuse, select_retained
 
@@ -25,20 +24,23 @@ def entry(pos: int) -> tuple:
     return np.zeros(2), np.zeros(2), pos, 0
 
 
-def uniform_step(cache: KvCacheState, pos: int) -> SimpleNamespace:
+def decoded(cache: KvCacheState, pos: int, row: np.ndarray) -> SimpleNamespace:
+    """Append an entry and record its step's row, as the decoder does."""
     cache.append(0, 0, *entry(pos))
-    occ = cache.occupancy(0, 0)
-    return SimpleNamespace(
-        attn_rows=[[np.array([np.full(occ, 1.0 / occ)])]], position=pos, token_id=0
-    )
+    step = SimpleNamespace(attn_rows=[[np.array([row])]], position=pos, token_id=0)
+    cache.record_step_profiles(step)
+    return step
+
+
+def uniform_step(cache: KvCacheState, pos: int) -> SimpleNamespace:
+    occ = cache.occupancy(0, 0) + 1
+    return decoded(cache, pos, np.full(occ, 1.0 / occ))
 
 
 def one_hot_step(cache: KvCacheState, pos: int) -> SimpleNamespace:
-    cache.append(0, 0, *entry(pos))
-    occ = cache.occupancy(0, 0)
-    row = np.zeros(occ)
+    row = np.zeros(cache.occupancy(0, 0) + 1)
     row[-1] = 1.0
-    return SimpleNamespace(attn_rows=[[np.array([row])]], position=pos, token_id=0)
+    return decoded(cache, pos, row)
 
 
 def positions(cache: KvCacheState, layer: int = 0, head: int = 0) -> list[int]:
@@ -52,7 +54,7 @@ class TestScissorhands:
         cache = KvCacheState(1, 1, window_capacity=4)
         for pos in range(6):
             cache.append(0, 0, *entry(pos))
-            cache.windows[0][0].record(np.full(pos + 1, 1.0 / (pos + 1)))
+            cache.record(0, 0, np.full(pos + 1, 1.0 / (pos + 1)))
         for pos in range(6, 10):
             scissorhands_step(cache, uniform_step(cache, pos), self.CFG)
             assert cache.occupancy(0, 0) == 4
@@ -62,14 +64,14 @@ class TestScissorhands:
         cache = KvCacheState(1, 1, window_capacity=4)
         for pos in range(4):
             cache.append(0, 0, *entry(pos))
-            cache.windows[0][0].record(np.full(pos + 1, 1.0 / (pos + 1)))
+            cache.record(0, 0, np.full(pos + 1, 1.0 / (pos + 1)))
         scissorhands_step(cache, uniform_step(cache, 4), self.CFG)
         assert cache.pop_eviction_events() == [(0, 0, [0])]
 
     def test_below_window_no_eviction(self):
         cache = KvCacheState(1, 1, window_capacity=4)
         cache.append(0, 0, *entry(0))
-        cache.windows[0][0].record([1.0])
+        cache.record(0, 0, [1.0])
         scissorhands_step(cache, uniform_step(cache, 1), self.CFG)
         assert cache.pop_eviction_events() == []
 
@@ -86,7 +88,7 @@ class TestStreamingLlm:
         cache = KvCacheState(1, 1, window_capacity=3)
         for pos in range(5):
             cache.append(0, 0, *entry(pos))
-            cache.windows[0][0].record(np.full(pos + 1, 1.0 / (pos + 1)))
+            cache.record(0, 0, np.full(pos + 1, 1.0 / (pos + 1)))
         for pos in range(5, 10):
             streamingllm_step(cache, uniform_step(cache, pos), cfg)
             assert cache.occupancy(0, 0) == 5
@@ -97,7 +99,7 @@ class TestStreamingLlm:
             cache = KvCacheState(1, 1, window_capacity=3)
             for pos in range(5):
                 cache.append(0, 0, *entry(pos))
-                cache.windows[0][0].record(np.full(pos + 1, 1.0 / (pos + 1)))
+                cache.record(0, 0, np.full(pos + 1, 1.0 / (pos + 1)))
             events = []
             for pos in range(5, 11):
                 step_fn(cache, uniform_step(cache, pos), cfg)
@@ -118,7 +120,7 @@ class TestStreamingLlm:
         cfg = EvictionPolicyConfig(kind="streamingllm", sink_count=4, recent_window=2)
         cache = KvCacheState(1, 1, window_capacity=2)
         cache.append(0, 0, *entry(0))
-        cache.windows[0][0].record([1.0])
+        cache.record(0, 0, [1.0])
         streamingllm_step(cache, uniform_step(cache, 1), cfg)
         assert cache.pop_eviction_events() == []
         assert positions(cache) == [0, 1]
@@ -143,16 +145,14 @@ class TestH2o:
         # cumulative score (exactly 1.0, from its own step), so the tie
         # rule must fall back to age: the oldest non-recent decode entry
         # goes first, and prompt entries are never candidates at all.
-        model = ModelConfig(n_layers=1, n_query_heads=1, n_kv_heads=1, head_dim=2, vocab_size=8)
         cfg = EvictionPolicyConfig(kind="h2o", distant_capacity=1, recent_window=1)
         cache = KvCacheState(1, 1, window_capacity=1)
         for pos in range(3):
             cache.append(0, 0, *entry(pos))
-            cache.windows[0][0].record(np.zeros(pos + 1))
-        state = CumulativeScoreState(model, prompt_length=3)
+            cache.record(0, 0, np.zeros(pos + 1))
         events = []
         for pos in range(3, 7):
-            h2o_step(cache, one_hot_step(cache, pos), state, cfg)
+            h2o_step(cache, one_hot_step(cache, pos), 3, cfg)
             events.extend(cache.pop_eviction_events())
         assert events == [(0, 0, [3]), (0, 0, [4])]
         assert positions(cache) == [0, 1, 2, 5, 6]
@@ -222,7 +222,7 @@ class TestH2o:
 
     def test_kind_guard(self):
         with pytest.raises(InvalidConfig):
-            h2o_step(KvCacheState(1, 1, 2), None, None, EvictionPolicyConfig(kind="morphkv"))
+            h2o_step(KvCacheState(1, 1, 2), None, 0, EvictionPolicyConfig(kind="morphkv"))
 
 
 class TestSnapKv:
@@ -255,7 +255,7 @@ class TestSnapKv:
         snapkv_policy(auto, policy)
         for layer in range(model.n_layers):
             for head in range(model.n_kv_heads):
-                scores = fuse(manual.windows[layer][head], "sum")
+                scores = fuse(manual, layer, head, "sum")
                 kept = select_retained(manual.positions(layer, head), scores, 3, 2)
                 manual.keep(layer, head, kept)
                 assert positions(auto, layer, head) == positions(manual, layer, head)
@@ -292,27 +292,22 @@ class TestDispatch:
         cfg = EvictionPolicyConfig(kind="full_attention", recent_window=2)
         cache = KvCacheState(1, 1, window_capacity=2)
         for pos in range(6):
-            policy_step(cache, uniform_step(cache, pos), cfg, pos)
+            policy_step(cache, uniform_step(cache, pos), cfg, pos, 0)
         assert cache.occupancy(0, 0) == 6
         assert cache.pop_eviction_events() == []
-
-    def test_make_policy_state_only_for_cumulative_policy(self):
-        model = ModelConfig()
-        assert make_policy_state(EvictionPolicyConfig(kind="h2o"), model, 4) is not None
-        assert make_policy_state(EvictionPolicyConfig(kind="morphkv"), model, 4) is None
-        assert make_policy_state(EvictionPolicyConfig(kind="snapkv"), model, 4) is None
 
     def test_unknown_kind_rejected(self):
         cache = KvCacheState(1, 1, window_capacity=2)
         bad = EvictionPolicyConfig(kind="morphkv")
         object.__setattr__(bad, "kind", "mystery")
         with pytest.raises(InvalidConfig):
-            policy_step(cache, None, bad, 0)
+            policy_step(cache, None, bad, 0, 0)
 
     def test_snapkv_decode_dispatch_records_only(self):
+        # The decoder records the rows; the dispatch itself leaves the store alone.
         cfg = EvictionPolicyConfig(kind="snapkv", recent_window=2, prefill_budget=2)
         cache = KvCacheState(1, 1, window_capacity=2)
         for pos in range(4):
-            policy_step(cache, uniform_step(cache, pos), cfg, pos)
+            policy_step(cache, uniform_step(cache, pos), cfg, pos, 0)
         assert cache.occupancy(0, 0) == 4
-        assert len(cache.windows[0][0]) == 2
+        assert cache.profile_rows(0, 0) == 2

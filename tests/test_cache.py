@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 import reference
 from morphkv import (
-    AttentionProfileWindow,
     KvCacheState,
     ModelConfig,
     aggregate_group_scores,
@@ -26,14 +25,14 @@ def entry(pos: int, token: int = 0, d: int = 2) -> tuple:
     return np.full(d, float(pos)), np.full(d, float(pos)), pos, token
 
 
-def window_of(rows, width: int, capacity: int | None = None) -> AttentionProfileWindow:
-    """A window ``width`` entries wide holding ``rows``, oldest first."""
-    w = AttentionProfileWindow(capacity or len(rows))
-    for _ in range(width):
-        w.pad_for_append()
+def window_of(rows, width: int, capacity: int | None = None) -> KvCacheState:
+    """A one-store cache ``width`` entries wide whose profile holds ``rows``, oldest first."""
+    cache = KvCacheState(1, 1, window_capacity=capacity or len(rows))
+    for pos in range(width):
+        cache.append(0, 0, *entry(pos))
     for row in rows:
-        w.record(row)
-    return w
+        cache.record(0, 0, row)
+    return cache
 
 
 class TestAggregation:
@@ -70,35 +69,35 @@ class TestAggregation:
 
 class TestWindow:
     def test_record_then_pad_appends_zero_column(self):
-        w = AttentionProfileWindow(3)
-        w.pad_for_append()
-        w.record([1.0])
-        w.pad_for_append()
-        np.testing.assert_array_equal(w.score_matrix(), [[1.0, 0.0]])
-        assert w.width == 2
+        cache = KvCacheState(1, 1, window_capacity=3)
+        cache.append(0, 0, *entry(0))
+        cache.record(0, 0, [1.0])
+        cache.append(0, 0, *entry(1))
+        np.testing.assert_array_equal(cache.score_matrix(0, 0), [[1.0, 0.0]])
+        assert cache.occupancy(0, 0) == 2
 
     def test_capacity_drops_oldest(self):
-        w = AttentionProfileWindow(2)
+        cache = KvCacheState(1, 1, window_capacity=2)
         for pos in range(4):
-            w.pad_for_append()
-            w.record(np.full(pos + 1, float(pos)))
-        assert len(w) == 2
-        np.testing.assert_array_equal(w.score_matrix(1)[:, 0], [2.0, 3.0])
+            cache.append(0, 0, *entry(pos))
+            cache.record(0, 0, np.full(pos + 1, float(pos)))
+        assert cache.profile_rows(0, 0) == 2
+        np.testing.assert_array_equal(cache.score_matrix(0, 0, 1)[:, 0], [2.0, 3.0])
 
     def test_keep_columns_realigns_rows(self):
-        w = AttentionProfileWindow(2)
+        cache = KvCacheState(1, 1, window_capacity=2)
         for pos in range(3):
-            w.pad_for_append()
-            w.record(np.arange(pos + 1, dtype=float))
-        w.keep_columns([0, 2])
-        assert w.width == 2
-        np.testing.assert_array_equal(w.score_matrix()[-1], [0.0, 2.0])
+            cache.append(0, 0, *entry(pos))
+            cache.record(0, 0, np.arange(pos + 1, dtype=float))
+        cache.keep(0, 0, [0, 2])
+        assert cache.occupancy(0, 0) == 2
+        np.testing.assert_array_equal(cache.score_matrix(0, 0)[-1], [0.0, 2.0])
 
     def test_record_rejects_misaligned_row(self):
-        w = AttentionProfileWindow(2)
-        w.pad_for_append()
+        cache = KvCacheState(1, 1, window_capacity=2)
+        cache.append(0, 0, *entry(0))
         with pytest.raises(InvalidShape):
-            w.record([0.5, 0.5])
+            cache.record(0, 0, [0.5, 0.5])
 
     def test_record_step_profiles_returns_aggregated_rows(self):
         cache = KvCacheState(1, 1, window_capacity=1)
@@ -107,19 +106,28 @@ class TestWindow:
         group = np.array([[0.25, 0.75], [0.5, 0.5]])
         aggregated = cache.record_step_profiles(SimpleNamespace(attn_rows=[[group]]))
         np.testing.assert_array_equal(aggregated[0][0], [0.75, 1.25])
-        np.testing.assert_array_equal(cache.windows[0][0].score_matrix(), [[0.75, 1.25]])
+        np.testing.assert_array_equal(cache.score_matrix(0, 0), [[0.75, 1.25]])
 
     def test_rejects_zero_capacity(self):
         with pytest.raises(InvalidConfig):
-            AttentionProfileWindow(0)
+            KvCacheState(1, 1, window_capacity=0)
 
     def test_recorded_row_is_copied(self):
-        w = AttentionProfileWindow(2)
-        w.pad_for_append()
+        cache = KvCacheState(1, 1, window_capacity=2)
+        cache.append(0, 0, *entry(0))
         src = np.array([0.7])
-        w.record(src)
+        cache.record(0, 0, src)
         src[0] = -1.0
-        assert w.score_matrix()[0, 0] == 0.7
+        assert cache.score_matrix(0, 0)[0, 0] == 0.7
+        assert cache.received(0, 0)[0] == 0.7
+
+    def test_score_matrix_is_a_c_contiguous_copy(self):
+        cache = window_of([[0.1, 0.2, 0.3], [0.4, 0.5, 0.6]], width=3, capacity=2)
+        for columns in (None, 1):
+            scores = cache.score_matrix(0, 0, columns)
+            assert scores.flags.c_contiguous
+        scores[0, 0] = 9.0
+        assert cache.score_matrix(0, 0)[0, 0] == 0.1
 
 
 class TestFusion:
@@ -129,23 +137,23 @@ class TestFusion:
         w = window_of(
             [[0.3, 0.05, 0.3, 0.2, 0.15], [0.3, 0.05, 0.25, 0.1, 0.3]], width=5
         )
-        np.testing.assert_allclose(fuse(w, "sum"), [0.6, 0.1, 0.55], atol=1e-12)
+        np.testing.assert_allclose(fuse(w, 0, 0, "sum"), [0.6, 0.1, 0.55], atol=1e-12)
 
     def test_max_fusion_golden(self):
         w = window_of(
             [[0.3, 0.05, 0.3, 0.2, 0.15], [0.2, 0.15, 0.25, 0.1, 0.3]], width=5
         )
-        np.testing.assert_allclose(fuse(w, "max"), [0.3, 0.15, 0.3], atol=1e-15)
+        np.testing.assert_allclose(fuse(w, 0, 0, "max"), [0.3, 0.15, 0.3], atol=1e-15)
 
     def test_no_distant_entries_gives_empty_scores(self):
         w = window_of([[0.5, 0.5]], width=2, capacity=2)
-        assert fuse(w, "sum").size == 0
+        assert fuse(w, 0, 0, "sum").size == 0
 
     def test_empty_window_raises(self):
-        w = AttentionProfileWindow(2)
-        w.pad_for_append()
+        w = KvCacheState(1, 1, window_capacity=2)
+        w.append(0, 0, *entry(0))
         with pytest.raises(EmptyWindow):
-            fuse(w, "sum")
+            fuse(w, 0, 0, "sum")
 
     def test_matches_loop_reference(self):
         rng = np.random.default_rng(21)
@@ -157,7 +165,7 @@ class TestFusion:
             distant = width - cap
             for kind in ("sum", "max"):
                 np.testing.assert_allclose(
-                    fuse(w, kind),
+                    fuse(w, 0, 0, kind),
                     reference.fuse_loops(rows, distant, kind),
                     atol=1e-12,
                 )
@@ -169,17 +177,17 @@ class TestFusion:
         width = cap + extra
         rows = np.random.default_rng(seed).uniform(size=(cap, width))
         w = window_of(rows, width)
-        assert np.all(fuse(w, "max") <= fuse(w, "sum") + 1e-15)
+        assert np.all(fuse(w, 0, 0, "max") <= fuse(w, 0, 0, "sum") + 1e-15)
 
 
 class TestCacheState:
     def test_append_pads_every_existing_row(self):
         cache = KvCacheState(1, 1, window_capacity=4)
         cache.append(0, 0, *entry(0))
-        cache.windows[0][0].record([1.0])
+        cache.record(0, 0, [1.0])
         cache.append(0, 0, *entry(1))
-        cache.windows[0][0].record([0.4, 0.6])
-        rows = cache.windows[0][0].score_matrix()
+        cache.record(0, 0, [0.4, 0.6])
+        rows = cache.score_matrix(0, 0)
         np.testing.assert_array_equal(rows[0], [1.0, 0.0])
         assert cache.occupancy(0, 0) == 2
         cache.validate()
@@ -243,18 +251,11 @@ class TestCacheState:
         cache = KvCacheState(1, 1, window_capacity=2)
         for pos in range(4):
             cache.append(0, 0, *entry(pos, token=pos))
-        cache.windows[0][0].record([0.1, 0.2, 0.3, 0.4])
+        cache.record(0, 0, [0.1, 0.2, 0.3, 0.4])
         snap = cache.snapshot()
         assert snap["window_capacity"] == 2
         assert snap["layers"][0][0]["entries"] == [[0, 0], [1, 1], [2, 2], [3, 3]]
         np.testing.assert_allclose(snap["layers"][0][0]["fused_scores"], [0.1, 0.2], atol=1e-15)
-
-    def test_validate_flags_misaligned_window(self):
-        cache = KvCacheState(1, 1, window_capacity=4)
-        cache.append(0, 0, *entry(0))
-        cache.windows[0][0].width = 5
-        with pytest.raises(InternalInvariantViolation):
-            cache.validate()
 
     def test_validate_flags_nonincreasing_positions(self):
         cache = KvCacheState(1, 1, window_capacity=4)
@@ -276,4 +277,8 @@ class TestCacheState:
         cache = KvCacheState.for_model(cfg, window_capacity=5)
         assert cache.n_layers == 3
         assert cache.n_kv_heads == 2
-        assert cache.windows[2][1].capacity == 5
+        assert cache.window_capacity == 5
+        for pos in range(7):
+            cache.append(2, 1, *entry(pos))
+            cache.record(2, 1, np.zeros(pos + 1))
+        assert cache.profile_rows(2, 1) == 5

@@ -45,6 +45,23 @@ decode_steps = 8
 """
 
 
+# Files the INI parser itself rejects, before any key is looked at.
+MALFORMED_INI = {
+    "duplicate_section": MORPH_INI + "\n[model]\nseed = 2\n",
+    "duplicate_option": MORPH_INI.replace("seed = 41", "seed = 41\nseed = 42"),
+    "missing_section_header": "seed = 41\n" + MORPH_INI,
+    "bad_interpolation": MORPH_INI.replace("random:6", "random:%6"),
+}
+
+
+def assert_one_error_line(capsys, needle: str = "") -> None:
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+    assert needle in lines[0]
+    assert captured.out == ""
+
+
 @pytest.fixture
 def morph_config(tmp_path):
     path = tmp_path / "morph.ini"
@@ -110,6 +127,20 @@ class TestRunCommand:
         assert "attention_snapshots" in lines[0]
         assert captured.out == ""
 
+    def test_profile_overhead_key_is_input_error(self, tmp_path, capsys):
+        # The option is gone; an old config naming it is bad input, not a crash.
+        path = tmp_path / "overhead.ini"
+        path.write_text(MORPH_INI + "profile_overhead = true\n")
+        assert main(["run", "--config", str(path)]) == 1
+        assert_one_error_line(capsys, "profile_overhead")
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_INI))
+    def test_malformed_ini_is_input_error(self, case, tmp_path, capsys):
+        path = tmp_path / "bad.ini"
+        path.write_text(MALFORMED_INI[case])
+        assert main(["run", "--config", str(path)]) == 1
+        assert_one_error_line(capsys)
+
     def test_missing_required_flag_exits_one(self):
         with pytest.raises(SystemExit) as exc:
             main(["run"])
@@ -135,6 +166,13 @@ class TestCompareCommand:
 
     def test_single_config_is_input_error(self, full_config, capsys):
         assert main(["compare", full_config]) == 1
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_INI))
+    def test_malformed_ini_is_input_error(self, case, full_config, tmp_path, capsys):
+        path = tmp_path / "bad.ini"
+        path.write_text(MALFORMED_INI[case])
+        assert main(["compare", full_config, str(path)]) == 1
+        assert_one_error_line(capsys)
 
     def test_out_dir(self, full_config, morph_config, tmp_path):
         out = tmp_path / "cmp"
@@ -197,6 +235,12 @@ class TestMetricsCommand:
         path = tmp_path / "trace.json"
         path.write_text(json.dumps({"schema": "wrong"}))
         assert main(["metrics", "--trace", str(path)]) == 1
+
+    def test_deeply_nested_trace_is_input_error(self, tmp_path, capsys):
+        path = tmp_path / "trace.json"
+        path.write_text("[" * 100_000)
+        assert main(["metrics", "--trace", str(path)]) == 1
+        assert_one_error_line(capsys)
 
 
 class TestInspectCommand:

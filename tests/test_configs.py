@@ -1,11 +1,16 @@
-"""Every shipped config runs to completion with per-step invariant checks on."""
+"""Every shipped config, the README's config block and random small valid
+configs load and run to completion with per-step invariant checks on."""
 
+import re
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from morphkv.harness import load_run_config, run
+from morphkv.config import FUSION_KINDS, POLICY_KINDS, EvictionPolicyConfig, ModelConfig
+from morphkv.harness import RunConfig, load_run_config, run
 
 CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.ini"))
 
@@ -19,3 +24,67 @@ def test_runs_under_debug_invariants(path):
     config = replace(load_run_config(str(path)), debug_invariants=True)
     result = run(config)
     assert len(result.trace.records) == config.decode_steps
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_config_block_loads(tmp_path):
+    # The documented block must stay a config the loader accepts.
+    text = README.read_text(encoding="utf-8")
+    blocks = re.findall(r"^```ini\n(.*?)^```", text, flags=re.DOTALL | re.MULTILINE)
+    assert len(blocks) == 1
+    path = tmp_path / "readme.ini"
+    path.write_text(blocks[0], encoding="utf-8")
+    config = load_run_config(str(path))
+    assert config.policy.prefill_fusion is None
+    assert (config.prompt_length, config.decode_steps) == (96, 200)
+
+
+@st.composite
+def small_configs(draw):
+    n_layers = draw(st.integers(1, 2))
+    n_kv_heads = draw(st.integers(1, 2))
+    model = ModelConfig(
+        n_layers=n_layers,
+        n_query_heads=n_kv_heads * draw(st.integers(1, 2)),
+        n_kv_heads=n_kv_heads,
+        head_dim=draw(st.sampled_from([2, 4])),
+        vocab_size=draw(st.integers(2, 32)),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+    kind = draw(st.sampled_from(POLICY_KINDS))
+    policy = EvictionPolicyConfig(
+        kind=kind,
+        distant_capacity=draw(st.integers(0, 6)),
+        recent_window=draw(st.integers(1, 6)),
+        fusion=draw(st.sampled_from(FUSION_KINDS)),
+        prefill_fusion=draw(st.sampled_from((None, *FUSION_KINDS))),
+        eviction_interval=draw(st.integers(1, 4)),
+        protected_layers=draw(st.integers(0, n_layers)),
+        sink_count=draw(st.integers(0, 4)),
+        prefill_budget=draw(st.integers(1 if kind == "snapkv" else 0, 8)),
+        compress_prefill=draw(st.booleans()),
+    )
+    return RunConfig(
+        model=model,
+        policy=policy,
+        prompt_length=draw(st.integers(1, 12)),
+        decode_steps=draw(st.integers(0, 12)),
+        debug_invariants=True,
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_configs())
+def test_random_small_configs_hold_invariants(config):
+    # ``debug_invariants`` checks positions, finiteness, the recent window and
+    # the expected occupancy stream after every step; any violation raises.
+    result = run(config)
+    assert len(result.trace.records) == config.decode_steps
+    snapshot = result.cache.snapshot(config.policy.fusion)
+    for layer, heads in enumerate(snapshot["layers"]):
+        for head, store in enumerate(heads):
+            occ = result.cache.occupancy(layer, head)
+            assert len(store["entries"]) == occ
+            assert len(store["fused_scores"]) == occ - min(config.policy.recent_window, occ)

@@ -30,6 +30,12 @@ def scripted_row(row, pos: int) -> SimpleNamespace:
     return SimpleNamespace(attn_rows=[[np.array([row])]], position=pos, token_id=0)
 
 
+def recorded(cache: KvCacheState, out: SimpleNamespace) -> SimpleNamespace:
+    """Record a scripted step's rows, as the decoder does before any policy runs."""
+    cache.record_step_profiles(out)
+    return out
+
+
 class TestSelectRetained:
     def test_keeps_top_distant_plus_recent(self):
         scores = [0.5, 0.1, 0.9, 0.3]
@@ -113,7 +119,7 @@ class TestMorphStep:
         ]
         for pos, row in enumerate(rows):
             cache.append(0, 0, *entry(pos, token=pos))
-            cache.windows[0][0].record(row)
+            cache.record(0, 0, row)
         return cache
 
     # One scripted decode trajectory, five steps. Entry names in comments
@@ -132,8 +138,8 @@ class TestMorphStep:
         # the 0.10 entry (position 0) is the unique eviction.
         cache = self.build_prompt_cache()
         cache.append(0, 0, *entry(4, token=4))
-        cache.windows[0][0].record(self.STEPS[0][0])
-        scores = fuse(cache.windows[0][0], "sum")
+        cache.record(0, 0, self.STEPS[0][0])
+        scores = fuse(cache, 0, 0, "sum")
         np.testing.assert_allclose(scores, [0.10, 0.60, 0.55], atol=1e-12)
         retained = select_retained(cache.positions(0, 0), scores, 2, 2)
         assert retained == [1, 2, 3, 4]
@@ -144,7 +150,7 @@ class TestMorphStep:
         evicted_positions = []
         for idx, (row, expected) in enumerate(self.STEPS):
             cache.append(0, 0, *entry(4 + idx, token=4 + idx))
-            morphkv_step(cache, scripted_row(row, 4 + idx), self.CFG, idx)
+            morphkv_step(cache, recorded(cache, scripted_row(row, 4 + idx)), self.CFG, idx)
             events = cache.pop_eviction_events()
             assert [e[2] for e in events] == [expected], f"step {idx}"
             evicted_positions.extend(events[0][2])
@@ -167,7 +173,8 @@ class TestMorphStep:
         for idx in range(5):
             cache.append(0, 0, *entry(4 + idx, token=4 + idx))
             width = cache.occupancy(0, 0)
-            morphkv_step(cache, scripted_row(np.full(width, 1.0 / width), 4 + idx), cfg, idx)
+            out = recorded(cache, scripted_row(np.full(width, 1.0 / width), 4 + idx))
+            morphkv_step(cache, out, cfg, idx)
             occupancies.append(cache.occupancy(0, 0))
         # Steps 0 and 3 trim back to budget; in between the store grows.
         assert occupancies == [4, 5, 6, 4, 5]
@@ -181,7 +188,7 @@ class TestMorphStep:
         for pos in range(4):
             for layer in range(2):
                 cache.append(layer, 0, *entry(pos))
-                cache.windows[layer][0].record(np.full(pos + 1, 1.0 / (pos + 1)))
+                cache.record(layer, 0, np.full(pos + 1, 1.0 / (pos + 1)))
         out = SimpleNamespace(
             attn_rows=[[np.array([np.full(5, 0.2)])], [np.array([np.full(5, 0.2)])]],
             position=4,
@@ -189,7 +196,7 @@ class TestMorphStep:
         )
         for layer in range(2):
             cache.append(layer, 0, *entry(4))
-        morphkv_step(cache, out, cfg, 0)
+        morphkv_step(cache, recorded(cache, out), cfg, 0)
         assert cache.occupancy(0, 0) == 5
         assert cache.occupancy(1, 0) == 2
 
@@ -201,14 +208,14 @@ class TestMorphStep:
             rows = [[1.0], [0.5, 0.5], [0.2, 0.3, 0.5], [0.05, 0.30, 0.40, 0.25]]
             for i, row in enumerate(rows):
                 cache.append(0, 0, *entry(shift + i, token=i))
-                cache.windows[0][0].record(row)
+                cache.record(0, 0, row)
             cache.append(0, 0, *entry(shift + 4, token=4))
             out = SimpleNamespace(
                 attn_rows=[[np.array([self.STEPS[0][0]])]],
                 position=shift + 4,
                 token_id=4,
             )
-            morphkv_step(cache, out, self.CFG, 0)
+            morphkv_step(cache, recorded(cache, out), self.CFG, 0)
             return [p - shift for _, _, dropped in cache.pop_eviction_events() for p in dropped]
 
         assert run(0) == run(1000) == [0]
@@ -223,7 +230,7 @@ class TestMorphStep:
         cache = KvCacheState(1, 1, window_capacity=2)
         cache.append(0, 0, *entry(0))
         out = SimpleNamespace(attn_rows=[[np.array([[1.0]])]], position=0, token_id=0)
-        morphkv_step(cache, out, self.CFG, 0)
+        morphkv_step(cache, recorded(cache, out), self.CFG, 0)
         assert cache.occupancy(0, 0) == 1
         assert cache.pop_eviction_events() == []
 
@@ -264,7 +271,7 @@ class TestPrefillCompress:
         prefill(w, prompt, manual)
         for layer in range(cfg.n_layers):
             for head in range(cfg.n_kv_heads):
-                scores = fuse(manual.windows[layer][head], "sum")
+                scores = fuse(manual, layer, head, "sum")
                 kept = select_retained(manual.positions(layer, head), scores, 2, 2)
                 manual.keep(layer, head, kept)
         prefill_compress(auto, policy)
@@ -291,7 +298,7 @@ class TestPrefillCompress:
             prefill(w, prompt, cache)
             ref = KvCacheState.for_model(cfg, window_capacity=policy.recent_window)
             prefill(w, prompt, ref)
-            scores = fuse(ref.windows[0][0], prefill_fusion or "sum")
+            scores = fuse(ref, 0, 0, prefill_fusion or "sum")
             kept = select_retained(ref.positions(0, 0), scores, 2, 2)
             prefill_compress(cache, policy)
             assert cache.positions(0, 0).tolist() == ref.positions(0, 0)[kept].tolist()

@@ -1,8 +1,8 @@
 """The array-backed store layout against a plain-list model of the same cache.
 
 Random ``append`` / ``record`` / ``keep`` sequences drive both; after every
-operation keys, values, positions, token ids, window rows (oldest first)
-and the eviction journal must agree bit for bit.
+operation keys, values, positions, token ids, profile rows (oldest first),
+received totals and the eviction journal must agree bit for bit.
 """
 
 from types import SimpleNamespace
@@ -21,33 +21,37 @@ GROUP = 2
 
 
 class ListCache:
-    """Entries and window rows kept as Python lists, one pair per store.
+    """Entries, window rows and received totals kept as Python lists, per store.
 
     An entry is a ``(key, value, position, token)`` tuple."""
 
     def __init__(self, n_layers, n_heads, capacity):
         self.capacity = capacity
         self.stores = {(l, h): [] for l in range(n_layers) for h in range(n_heads)}
-        self.windows = {key: [] for key in self.stores}
+        self.profiles = {key: [] for key in self.stores}
+        self.received = {key: [] for key in self.stores}
         self.journal = []
 
     def append(self, key, entry):
         self.stores[key].append(entry)
-        for row in self.windows[key]:
+        for row in self.profiles[key]:
             row.append(0.0)
+        self.received[key].append(0.0)
 
     def record(self, key, row):
-        window = self.windows[key]
-        window.append(list(row))
+        window = self.profiles[key]
+        window.append([float(x) for x in row])
         if len(window) > self.capacity:
             window.pop(0)
+        self.received[key] = [total + float(x) for total, x in zip(self.received[key], row)]
 
     def keep(self, key, retained):
         store = self.stores[key]
         evicted = [e[2] for i, e in enumerate(store) if i not in retained]
         if evicted:
             self.stores[key] = [store[i] for i in retained]
-            self.windows[key] = [[row[i] for i in retained] for row in self.windows[key]]
+            self.profiles[key] = [[row[i] for i in retained] for row in self.profiles[key]]
+            self.received[key] = [self.received[key][i] for i in retained]
             self.journal.append((key[0], key[1], evicted))
         return evicted
 
@@ -67,13 +71,14 @@ def assert_same(cache: KvCacheState, model: ListCache):
         assert bits(vals) == bits([e[1] for e in store])
         assert cache.positions(layer, head).tolist() == [e[2] for e in store]
         assert cache.token_ids(layer, head).tolist() == [e[3] for e in store]
-        window = cache.windows[layer][head]
-        assert window.width == n
-        want = model.windows[(layer, head)]
-        assert len(window) == len(want)
-        assert window.score_matrix().shape == (len(want), n)
-        for got, row in zip(window.score_matrix(), want):
+        want = model.profiles[(layer, head)]
+        assert cache.profile_rows(layer, head) == len(want)
+        scores = cache.score_matrix(layer, head)
+        assert scores.shape == (len(want), n)
+        assert scores.flags.c_contiguous
+        for got, row in zip(scores, want):
             assert bits(got) == bits(row)
+        assert bits(cache.received(layer, head)) == bits(model.received[(layer, head)])
 
 
 def pick(n_layers, n_heads, layer, head):
@@ -137,7 +142,7 @@ def test_matches_list_model(n_layers, n_heads, capacity, ops, seed):
                 model.append(key, entry)
         elif kind == "record":
             row = rng.uniform(size=n)
-            cache.windows[key[0]][key[1]].record(row)
+            cache.record(*key, row)
             model.record(key, row)
         elif kind == "record_all":
             grid = [
@@ -169,23 +174,50 @@ def test_growth_keeps_earlier_rows():
         cache.append(0, 0, np.full(2, float(pos)), np.full(2, -float(pos)), pos, pos)
     np.testing.assert_array_equal(cache.keys_matrix(0, 0)[:, 0], np.arange(total, dtype=float))
     np.testing.assert_array_equal(cache.values_matrix(0, 0)[:, 1], -np.arange(total, dtype=float))
-    assert cache.windows[0][0].width == total
+    assert cache.score_matrix(0, 0).shape == (0, total)
+    assert cache.received(0, 0).shape == (total,)
     cache.validate()
+
+
+def test_score_rows_stay_oldest_first_after_growth_and_keep():
+    # Rows recorded before, across and after a growth step and an eviction
+    # come back oldest first, and the ring keeps only the newest three.
+    cache = KvCacheState(1, 1, window_capacity=3)
+    model = ListCache(1, 1, 3)
+    total = INITIAL_ALLOC + 4
+    for pos in range(total):
+        cache.append(0, 0, np.zeros(2), np.zeros(2), pos, pos)
+        model.append((0, 0), (np.zeros(2), np.zeros(2), pos, pos))
+        if pos >= INITIAL_ALLOC - 3:
+            row = np.full(pos + 1, float(pos)) + np.arange(pos + 1) / 64
+            cache.record(0, 0, row)
+            model.record((0, 0), row)
+    retained = list(range(0, total, 3)) + [total - 1]
+    cache.keep(0, 0, retained)
+    model.keep((0, 0), retained)
+    scores = cache.score_matrix(0, 0)
+    # Entry 0 saw every row; the newest entry only the row of its own step.
+    assert scores[:, 0].tolist() == [float(total - 3), float(total - 2), float(total - 1)]
+    assert scores[:, -1].tolist() == [0.0, 0.0, float(total - 1) + (total - 1) / 64]
+    assert_same(cache, model)
 
 
 def test_keep_nothing_empties_store_and_window():
     cache = KvCacheState(1, 1, window_capacity=2)
     for pos in range(3):
         cache.append(0, 0, np.zeros(2), np.zeros(2), pos, 0)
-    cache.windows[0][0].record([0.2, 0.3, 0.5])
+    cache.record(0, 0, [0.2, 0.3, 0.5])
     assert cache.keep(0, 0, []) == [0, 1, 2]
     assert cache.occupancy(0, 0) == 0
     assert cache.keys_matrix(0, 0).shape[0] == 0
-    assert cache.windows[0][0].score_matrix().shape == (1, 0)
+    assert cache.score_matrix(0, 0).shape == (1, 0)
+    assert cache.received(0, 0).shape == (0,)
     cache.validate()
 
 
-@pytest.mark.parametrize("accessor", ["keys_matrix", "values_matrix", "positions", "token_ids"])
+@pytest.mark.parametrize(
+    "accessor", ["keys_matrix", "values_matrix", "positions", "token_ids", "received"]
+)
 def test_returned_views_are_read_only(accessor):
     cache = KvCacheState(1, 1, window_capacity=2)
     for pos in range(3):
