@@ -261,20 +261,11 @@ class KvCacheState:
         self._journal.append((layer, head, evicted))
         return evicted
 
-    def record_step_profiles(self, step_output) -> list[list[np.ndarray]]:
-        """Aggregate one step's group rows and record them into every store.
-
-        Returns the aggregated row per (layer, head).
-        """
-        aggregated: list[list[np.ndarray]] = []
+    def record_step_profiles(self, step_output) -> None:
+        """Aggregate one step's group rows and record them into every store."""
         for layer, stores in enumerate(self._stores):
-            layer_rows = []
             for head, store in enumerate(stores):
-                agg = aggregate_group_scores(step_output.attn_rows[layer][head])
-                store.record(agg)
-                layer_rows.append(agg)
-            aggregated.append(layer_rows)
-        return aggregated
+                store.record(aggregate_group_scores(step_output.attn_rows[layer][head]))
 
     def pop_eviction_events(self) -> list[tuple[int, int, list[int]]]:
         events, self._journal = self._journal, []

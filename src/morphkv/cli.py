@@ -32,19 +32,18 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _load(args) -> "RunConfig":
-    config = load_run_config(args.config)
+def _load(path: str, args) -> "RunConfig":
+    """The config at ``path`` with the ``--seed`` and ``--debug-invariants`` overrides."""
+    config = load_run_config(path)
     if args.seed is not None:
         config = replace(config, model=replace(config.model, seed=args.seed))
-    if getattr(args, "out", None) is not None:
-        config = replace(config, out_dir=args.out)
     if args.debug_invariants:
         config = replace(config, debug_invariants=True)
     return config
 
 
 def _cmd_run(args) -> int:
-    config = _load(args)
+    config = replace(_load(args.config, args), out_dir=args.out)
     result = run(config)
     trace = result.trace
     occ = trace.occupancy_totals()[-1] if trace.records else 0
@@ -59,13 +58,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    configs = [load_run_config(path) for path in args.configs]
-    if args.seed is not None:
-        configs = [
-            replace(c, model=replace(c.model, seed=args.seed)) for c in configs
-        ]
-    if args.debug_invariants:
-        configs = [replace(c, debug_invariants=True) for c in configs]
+    configs = [_load(path, args) for path in args.configs]
     report = compare(configs, teacher_forced=not args.free_running, out_dir=args.out)
     for col in report.columns:
         err = (
@@ -83,7 +76,7 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    config = _load(args)
+    config = _load(args.config, args)
     rows = oracle_regression(config, args.instances)
     text = render_regression_csv(rows)
     if args.out_file:
@@ -118,7 +111,7 @@ def _cmd_metrics(args) -> int:
 
 
 def _cmd_inspect(args) -> int:
-    config = _load(args)
+    config = _load(args.config, args)
     result = run(config)
     snapshot = result.cache.snapshot(config.policy.fusion)
     json.dump(snapshot, sys.stdout, sort_keys=True, indent=1)
@@ -181,6 +174,11 @@ def main(argv=None) -> int:
         return 2
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        # A config can ask for arrays no machine holds (a huge prompt or
+        # vocabulary); that is bad input, not a bug.
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
 
 

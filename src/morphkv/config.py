@@ -1,8 +1,15 @@
-"""Model and eviction-policy configuration."""
+"""Model and eviction-policy configuration.
+
+The dataclass fields are the one schema of the ``[model]`` and ``[policy]``
+config keys: :data:`FIELD_TYPES` says how an INI file and a trace's JSON
+hold each field, by its annotation.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from configparser import ConfigParser
+from dataclasses import dataclass, fields
+from typing import Callable, NamedTuple
 
 from .errors import InvalidConfig
 
@@ -21,6 +28,30 @@ FUSION_KINDS = ("sum", "max")
 # sharing storage across a KV-head group. This only changes byte accounting,
 # never which tokens are retained.
 ALL_HEADS_KINDS = frozenset({"snapkv", "h2o"})
+
+
+def is_int(value) -> bool:
+    """An integer JSON value; ``true`` and ``false`` load as bools, which are not."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+class FieldType(NamedTuple):
+    read: Callable  # (parser, section, key) -> value
+    check: Callable  # JSON value -> bool
+
+
+# Keyed by field annotation, a string since this module postpones evaluation.
+FIELD_TYPES = {
+    "int": FieldType(ConfigParser.getint, is_int),
+    "str": FieldType(ConfigParser.get, lambda v: isinstance(v, str)),
+    "bool": FieldType(ConfigParser.getboolean, lambda v: isinstance(v, bool)),
+    "str | None": FieldType(ConfigParser.get, lambda v: v is None or isinstance(v, str)),
+}
+
+
+def field_types(cls) -> dict[str, str]:
+    """Each field name of a config dataclass mapped to its annotation."""
+    return {f.name: f.type for f in fields(cls)}
 
 
 @dataclass(frozen=True)

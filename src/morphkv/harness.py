@@ -19,7 +19,7 @@ import numpy as np
 
 from .baselines import keep_window, policy_step, snapkv_policy
 from .cache import KvCacheState
-from .config import EvictionPolicyConfig, ModelConfig
+from .config import FIELD_TYPES, EvictionPolicyConfig, ModelConfig, field_types
 from .errors import (
     InstanceTooLarge,
     InternalInvariantViolation,
@@ -535,20 +535,14 @@ def check_regression_baseline(rows: list[RegressionRow], baseline_text: str) -> 
         )
 
 
-_MODEL_KEYS = {"n_layers", "n_query_heads", "n_kv_heads", "head_dim", "vocab_size", "seed"}
-_POLICY_INT_KEYS = {
-    "distant_capacity",
-    "recent_window",
-    "eviction_interval",
-    "protected_layers",
-    "sink_count",
-    "prefill_budget",
-}
+# ``[run]`` is not a dataclass: ``prompt`` sets ``prompt_length`` or
+# ``prompt_file``, and ``attention_snapshots`` and ``out_dir`` are for
+# callers only, so a config file cannot set them.
 _RUN_KEYS = {
-    "prompt",
-    "decode_steps",
-    "bytes_per_scalar",
-    "debug_invariants",
+    "prompt": "str",
+    "decode_steps": "int",
+    "bytes_per_scalar": "int",
+    "debug_invariants": "bool",
 }
 
 
@@ -573,44 +567,31 @@ def _parse_run_config(path: str) -> RunConfig:
     for section in parser.sections():
         if section not in ("model", "policy", "run"):
             raise InvalidConfig(f"unknown config section [{section}]")
-    model_kwargs = {}
-    if parser.has_section("model"):
-        for key in parser["model"]:
-            if key not in _MODEL_KEYS:
-                raise InvalidConfig(f"unknown model key {key!r}")
-            model_kwargs[key] = parser["model"].getint(key)
-    model = ModelConfig(**model_kwargs)
-    policy_kwargs = {}
-    if parser.has_section("policy"):
-        for key in parser["policy"]:
-            if key in _POLICY_INT_KEYS:
-                policy_kwargs[key] = parser["policy"].getint(key)
-            elif key in ("kind", "fusion", "prefill_fusion"):
-                policy_kwargs[key] = parser["policy"].get(key)
-            elif key == "compress_prefill":
-                policy_kwargs[key] = parser["policy"].getboolean(key)
-            else:
-                raise InvalidConfig(f"unknown policy key {key!r}")
-    policy = EvictionPolicyConfig(**policy_kwargs)
-    run_kwargs: dict = {}
-    if parser.has_section("run"):
-        section = parser["run"]
-        for key in section:
-            if key not in _RUN_KEYS:
-                raise InvalidConfig(f"unknown run key {key!r}")
-        if "prompt" in section:
-            spec = section.get("prompt").strip()
-            if spec.startswith("random:"):
-                run_kwargs["prompt_length"] = int(spec.split(":", 1)[1])
-            elif spec.startswith("file:"):
-                rel = spec.split(":", 1)[1]
-                run_kwargs["prompt_file"] = os.path.join(os.path.dirname(os.path.abspath(path)), rel)
-            else:
-                raise InvalidConfig(f"prompt must be 'random:N' or 'file:PATH', got {spec!r}")
-        if "decode_steps" in section:
-            run_kwargs["decode_steps"] = section.getint("decode_steps")
-        if "bytes_per_scalar" in section:
-            run_kwargs["bytes_per_scalar"] = section.getint("bytes_per_scalar")
-        if "debug_invariants" in section:
-            run_kwargs["debug_invariants"] = section.getboolean("debug_invariants")
+    model = ModelConfig(**_read_section(parser, "model", field_types(ModelConfig)))
+    policy = EvictionPolicyConfig(
+        **_read_section(parser, "policy", field_types(EvictionPolicyConfig))
+    )
+    run_kwargs = _read_section(parser, "run", _RUN_KEYS)
+    spec = run_kwargs.pop("prompt", None)
+    if spec is not None:
+        spec = spec.strip()
+        if spec.startswith("random:"):
+            run_kwargs["prompt_length"] = int(spec.split(":", 1)[1])
+        elif spec.startswith("file:"):
+            rel = spec.split(":", 1)[1]
+            run_kwargs["prompt_file"] = os.path.join(os.path.dirname(os.path.abspath(path)), rel)
+        else:
+            raise InvalidConfig(f"prompt must be 'random:N' or 'file:PATH', got {spec!r}")
     return RunConfig(model=model, policy=policy, **run_kwargs).validate()
+
+
+def _read_section(parser, name: str, types: dict[str, str]) -> dict:
+    """Every key of section ``name``, read by its annotation in ``types``."""
+    if not parser.has_section(name):
+        return {}
+    values = {}
+    for key in parser[name]:
+        if key not in types:
+            raise InvalidConfig(f"unknown {name} key {key!r}")
+        values[key] = FIELD_TYPES[types[key]].read(parser, name, key)
+    return values

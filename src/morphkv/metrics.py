@@ -18,6 +18,14 @@ def head_multiplier(policy: EvictionPolicyConfig, model: ModelConfig) -> int:
     return model.n_query_heads if policy.uses_all_heads() else model.n_kv_heads
 
 
+def _entry_bytes(copies: int, model: ModelConfig, bytes_per_scalar: int) -> int:
+    """Bytes of one entry held in ``copies`` stores: a key and a value
+    vector of ``head_dim`` scalars per copy, hence the 2."""
+    if bytes_per_scalar < 1:
+        raise InvalidParam("bytes_per_scalar must be >= 1")
+    return copies * model.head_dim * 2 * bytes_per_scalar
+
+
 def kv_bytes(
     policy: EvictionPolicyConfig,
     occupancy_trace,
@@ -27,13 +35,11 @@ def kv_bytes(
     """Bytes held per step for a uniform per-store occupancy stream.
 
     bytes = occupancy * heads * layers * head_dim * 2 * bytes_per_scalar,
-    where heads is the stored-head count for the policy and the 2 covers
-    the key and value vectors.
+    where heads is the stored-head count for the policy.
     """
-    if bytes_per_scalar < 1:
-        raise InvalidParam("bytes_per_scalar must be >= 1")
-    per_entry = head_multiplier(policy, model) * model.n_layers * model.head_dim * 2
-    return [int(occ) * per_entry * bytes_per_scalar for occ in occupancy_trace]
+    copies = head_multiplier(policy, model) * model.n_layers
+    per_entry = _entry_bytes(copies, model, bytes_per_scalar)
+    return [int(occ) * per_entry for occ in occupancy_trace]
 
 
 def kv_bytes_from_occupancies(
@@ -49,7 +55,7 @@ def kv_bytes_from_occupancies(
     """
     factor = model.group_size if policy.uses_all_heads() else 1
     total = sum(occ for layer in occupancies for occ in layer)
-    return total * factor * model.head_dim * 2 * bytes_per_scalar
+    return total * _entry_bytes(factor, model, bytes_per_scalar)
 
 
 def relative_cache_ratio(policy_bytes, full_bytes) -> list[float]:

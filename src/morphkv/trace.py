@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, fields
 
-from .config import EvictionPolicyConfig, ModelConfig
+from .config import FIELD_TYPES, EvictionPolicyConfig, ModelConfig, field_types, is_int
 from .errors import InvalidConfig, TraceMismatch
 
 TRACE_SCHEMA = "kv-eviction-trace-v1"
@@ -91,7 +91,7 @@ class StepTrace:
         if not (_is_int_list(prompt) and prompt) or not _in_vocab(prompt, model):
             raise TraceMismatch("trace prompt must be a non-empty list of in-vocabulary tokens")
         per_scalar = data["bytes_per_scalar"]
-        if not _is_int(per_scalar) or per_scalar < 1:
+        if not is_int(per_scalar) or per_scalar < 1:
             raise TraceMismatch("trace bytes_per_scalar must be an integer >= 1")
         _check_grid(data["prefill_evictions"], model, _is_int_list, "prefill_evictions")
         steps = data["steps"]
@@ -102,13 +102,13 @@ class StepTrace:
             if not isinstance(rec, dict):
                 raise TraceMismatch(f"{where} must be an object")
             _check_keys(rec, _RECORD_KEYS, where)
-            if not _is_int(rec["step"]) or rec["step"] != i:
+            if not is_int(rec["step"]) or rec["step"] != i:
                 raise TraceMismatch(f"{where} has step {rec['step']!r}, expected {i}")
-            if not _is_int(rec["token"]) or not _in_vocab([rec["token"]], model):
+            if not is_int(rec["token"]) or not _in_vocab([rec["token"]], model):
                 raise TraceMismatch(f"{where} token must be an in-vocabulary integer")
-            if not _is_int(rec["bytes"]) or rec["bytes"] < 0:
+            if not is_int(rec["bytes"]) or rec["bytes"] < 0:
                 raise TraceMismatch(f"{where} bytes must be a non-negative integer")
-            _check_grid(rec["occupancy"], model, _is_int, f"{where} occupancy")
+            _check_grid(rec["occupancy"], model, is_int, f"{where} occupancy")
             _check_grid(rec["evicted"], model, _is_int_list, f"{where} evicted")
         return cls(
             model=model,
@@ -126,22 +126,8 @@ _TRACE_KEYS = frozenset(
 _RECORD_KEYS = frozenset(f.name for f in fields(StepRecord))
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-# Field annotations of the config dataclasses (strings, since config.py
-# postpones evaluation), mapped to checks on the JSON value.
-_FIELD_CHECKS = {
-    "int": _is_int,
-    "str": lambda v: isinstance(v, str),
-    "bool": lambda v: isinstance(v, bool),
-    "str | None": lambda v: v is None or isinstance(v, str),
-}
-
-
 def _is_int_list(value) -> bool:
-    return isinstance(value, list) and all(_is_int(v) for v in value)
+    return isinstance(value, list) and all(is_int(v) for v in value)
 
 
 def _in_vocab(tokens, model: ModelConfig) -> bool:
@@ -159,10 +145,10 @@ def _check_keys(obj: dict, expected: frozenset, where: str) -> None:
 def _config_from(cls, raw, where: str):
     if not isinstance(raw, dict):
         raise TraceMismatch(f"trace {where} must be an object")
-    checks = {f.name: _FIELD_CHECKS[f.type] for f in fields(cls)}
-    _check_keys(raw, frozenset(checks), f"trace {where}")
+    types = field_types(cls)
+    _check_keys(raw, frozenset(types), f"trace {where}")
     for key, value in raw.items():
-        if not checks[key](value):
+        if not FIELD_TYPES[types[key]].check(value):
             raise TraceMismatch(f"trace {where} key {key!r} has the wrong type: {value!r}")
     return cls(**raw)
 

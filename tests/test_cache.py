@@ -99,14 +99,14 @@ class TestWindow:
         with pytest.raises(InvalidShape):
             cache.record(0, 0, [0.5, 0.5])
 
-    def test_record_step_profiles_returns_aggregated_rows(self):
+    def test_record_step_profiles_records_aggregated_rows(self):
         cache = KvCacheState(1, 1, window_capacity=1)
         cache.append(0, 0, *entry(0))
         cache.append(0, 0, *entry(1))
         group = np.array([[0.25, 0.75], [0.5, 0.5]])
-        aggregated = cache.record_step_profiles(SimpleNamespace(attn_rows=[[group]]))
-        np.testing.assert_array_equal(aggregated[0][0], [0.75, 1.25])
+        assert cache.record_step_profiles(SimpleNamespace(attn_rows=[[group]])) is None
         np.testing.assert_array_equal(cache.score_matrix(0, 0), [[0.75, 1.25]])
+        np.testing.assert_array_equal(cache.received(0, 0), [0.75, 1.25])
 
     def test_rejects_zero_capacity(self):
         with pytest.raises(InvalidConfig):

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from morphkv import cli
 from morphkv.cli import main
 
 MORPH_INI = """
@@ -52,6 +57,29 @@ MALFORMED_INI = {
     "missing_section_header": "seed = 41\n" + MORPH_INI,
     "bad_interpolation": MORPH_INI.replace("random:6", "random:%6"),
 }
+
+
+# Configs whose arrays no machine holds: a 10^11-token prompt, and a
+# 10^11-row embedding.
+UNALLOCATABLE_INI = {
+    "prompt": MORPH_INI.replace("random:6", "random:100000000000"),
+    "vocab_size": MORPH_INI.replace("vocab_size = 32", "vocab_size = 100000000000"),
+}
+
+# Runs ``main`` in a child whose address space is capped at 4 GiB, so an
+# oversized allocation fails at once instead of touching memory.
+CAPPED_MAIN = """
+import resource, sys
+_, hard = resource.getrlimit(resource.RLIMIT_AS)
+limit = 4 << 30
+if hard != resource.RLIM_INFINITY:
+    limit = min(limit, hard)
+resource.setrlimit(resource.RLIMIT_AS, (limit, hard))
+from morphkv.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def assert_one_error_line(capsys, needle: str = "") -> None:
@@ -141,6 +169,23 @@ class TestRunCommand:
         assert main(["run", "--config", str(path)]) == 1
         assert_one_error_line(capsys)
 
+    @pytest.mark.parametrize("case", sorted(UNALLOCATABLE_INI))
+    def test_unallocatable_config_is_input_error(self, case, tmp_path):
+        path = tmp_path / "huge.ini"
+        path.write_text(UNALLOCATABLE_INI[case])
+        pythonpath = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", CAPPED_MAIN, "run", "--config", str(path)],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env={**os.environ, "PYTHONPATH": pythonpath, "OPENBLAS_NUM_THREADS": "1"},
+        )
+        assert proc.returncode == 1, proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+        assert proc.stdout == ""
+
     def test_missing_required_flag_exits_one(self):
         with pytest.raises(SystemExit) as exc:
             main(["run"])
@@ -150,6 +195,40 @@ class TestRunCommand:
         with pytest.raises(SystemExit) as exc:
             main(["conquer"])
         assert exc.value.code == 1
+
+
+class TestOverrides:
+    # ``--seed`` and ``--debug-invariants`` reach every config a command
+    # loads; ``--out`` becomes a config's ``out_dir`` only under ``run``.
+    @pytest.mark.parametrize(
+        "command, target, sets_out_dir",
+        [
+            (["run", "--config", "{morph}", "--out", "{out}"], "run", True),
+            (["inspect", "--config", "{morph}"], "run", False),
+            (["oracle", "--config", "{morph}"], "oracle_regression", False),
+            (["compare", "{full}", "{morph}", "--out", "{out}"], "compare", False),
+        ],
+    )
+    def test_flags_reach_loaded_configs(
+        self, command, target, sets_out_dir, full_config, morph_config, tmp_path,
+        monkeypatch, capsys,
+    ):
+        seen = []
+
+        def capture(config, *args, **kwargs):
+            seen.append(config)
+            raise ValueError("captured")
+
+        monkeypatch.setattr(cli, target, capture)
+        paths = {"full": full_config, "morph": morph_config, "out": str(tmp_path / "out")}
+        argv = [arg.format(**paths) for arg in command]
+        assert main(argv + ["--seed", "77", "--debug-invariants"]) == 1
+        assert_one_error_line(capsys, "captured")
+        configs = seen[0] if isinstance(seen[0], list) else seen
+        assert len(configs) == (2 if target == "compare" else 1)
+        for config in configs:
+            assert config.model.seed == 77 and config.debug_invariants
+            assert config.out_dir == (paths["out"] if sets_out_dir else None)
 
 
 class TestCompareCommand:

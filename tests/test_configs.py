@@ -1,14 +1,17 @@
 """Every shipped config, the README's config block and random small valid
-configs load and run to completion with per-step invariant checks on."""
+configs load and run to completion with per-step invariant checks on, and
+every config field survives a trip through INI text."""
 
 import re
-from dataclasses import replace
+import tempfile
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from morphkv.cli import main
 from morphkv.config import FUSION_KINDS, POLICY_KINDS, EvictionPolicyConfig, ModelConfig
 from morphkv.harness import RunConfig, load_run_config, run
 
@@ -88,3 +91,46 @@ def test_random_small_configs_hold_invariants(config):
             occ = result.cache.occupancy(layer, head)
             assert len(store["entries"]) == occ
             assert len(store["fused_scores"]) == occ - min(config.policy.recent_window, occ)
+
+
+def ini_text(config: RunConfig) -> str:
+    """``config`` as a config file naming every model and policy field that is set."""
+
+    def text(value):
+        return str(value).lower() if isinstance(value, bool) else str(value)
+
+    lines = []
+    for section, obj in (("model", config.model), ("policy", config.policy)):
+        lines.append(f"[{section}]")
+        for f in fields(obj):
+            value = getattr(obj, f.name)
+            if value is not None:  # None is spelled by leaving the key out
+                lines.append(f"{f.name} = {text(value)}")
+    lines += [
+        "[run]",
+        f"prompt = random:{config.prompt_length}",
+        f"decode_steps = {config.decode_steps}",
+        f"bytes_per_scalar = {config.bytes_per_scalar}",
+        f"debug_invariants = {text(config.debug_invariants)}",
+    ]
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_configs(), st.integers(1, 16), st.booleans())
+def test_ini_round_trip(config, bytes_per_scalar, debug_invariants):
+    config = replace(config, bytes_per_scalar=bytes_per_scalar, debug_invariants=debug_invariants)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "run.ini"
+        path.write_text(ini_text(config), encoding="utf-8")
+        assert load_run_config(str(path)) == config
+
+
+@pytest.mark.parametrize("section", ["model", "policy", "run"])
+def test_unknown_key_is_input_error(section, tmp_path, capsys):
+    path = tmp_path / "unknown.ini"
+    path.write_text(f"[{section}]\nbogus = 1\n", encoding="utf-8")
+    assert main(["run", "--config", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: unknown {section} key 'bogus'\n"
+    assert captured.out == ""

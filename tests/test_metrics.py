@@ -74,6 +74,10 @@ class TestKvBytes:
         with pytest.raises(InvalidParam):
             kv_bytes(GROUPED, [1], ModelConfig(), bytes_per_scalar=0)
 
+    def test_grid_accounting_rejects_bad_scalar_width(self):
+        with pytest.raises(InvalidParam):
+            kv_bytes_from_occupancies([[1, 1]], ModelConfig(n_layers=1), GROUPED, 0)
+
 
 class TestCacheRatio:
     def test_elementwise_division(self):

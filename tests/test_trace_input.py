@@ -83,3 +83,19 @@ def test_occupancy_grid_shape_mismatch(trace_doc, tmp_path, capsys):
 
 def test_record_that_is_not_an_object(trace_doc, tmp_path, capsys):
     assert_input_error(dict(trace_doc, steps=[1, 2]), tmp_path, capsys)
+
+
+# One wrong JSON value per field annotation: a bool is no int, 0 is no bool,
+# and only ``str | None`` fields take null.
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        ("model", "n_layers", True),
+        ("policy", "kind", None),
+        ("policy", "compress_prefill", 0),
+        ("policy", "prefill_fusion", 1),
+    ],
+)
+def test_wrong_value_type_per_annotation(section, key, value, trace_doc, tmp_path, capsys):
+    doc = dict(trace_doc, **{section: dict(trace_doc[section], **{key: value})})
+    assert_input_error(doc, tmp_path, capsys)
