@@ -261,11 +261,11 @@ class KvCacheState:
         self._journal.append((layer, head, evicted))
         return evicted
 
-    def record_step_profiles(self, step_output) -> None:
-        """Aggregate one step's group rows and record them into every store."""
-        for layer, stores in enumerate(self._stores):
-            for head, store in enumerate(stores):
-                store.record(aggregate_group_scores(step_output.attn_rows[layer][head]))
+    def record_step_profiles(self, layer: int, group_rows) -> None:
+        """Aggregate one token's group rows at ``layer``, one stack per KV
+        head, and record them into that layer's stores."""
+        for store, rows in zip(self._stores[layer], group_rows, strict=True):
+            store.record(aggregate_group_scores(rows))
 
     def pop_eviction_events(self) -> list[tuple[int, int, list[int]]]:
         events, self._journal = self._journal, []

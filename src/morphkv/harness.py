@@ -564,6 +564,10 @@ def _parse_run_config(path: str) -> RunConfig:
     read = parser.read(path)
     if not read:
         raise InvalidConfig(f"cannot read config file {path}")
+    # configparser merges [DEFAULT] into every section and leaves it out of
+    # sections(), so its keys would be dropped or blamed on another section.
+    if parser.defaults():
+        raise InvalidConfig(f"unknown config section [{parser.default_section}]")
     for section in parser.sections():
         if section not in ("model", "policy", "run"):
             raise InvalidConfig(f"unknown config section [{section}]")

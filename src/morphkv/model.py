@@ -8,8 +8,10 @@ bit. Keys are cached after rotary encoding at their original absolute
 positions and are never re-rotated, which is what lets eviction leave
 survivors untouched.
 
-Each block is pre-norm: attention with a residual, then a single tanh MLP
-with a residual. Logits come from the tied embedding.
+Each layer is pre-norm: attention with a residual, then a single tanh MLP
+with a residual. Logits come from the tied embedding. Tokens run through
+the layers in blocks (the prompt) or one at a time (decoding) along one
+exact path.
 """
 
 from __future__ import annotations
@@ -25,6 +27,9 @@ from .errors import CacheNotEmpty, EmptyCache, InvalidShape, InvalidToken
 from .numerics import apply_rope, scaled_dot_attention
 
 MLP_MULT = 4
+# Prompt tokens per block forward. Bounds the block's activations; the
+# result does not depend on it (see the README's design notes).
+PREFILL_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -46,7 +51,8 @@ class DecoderWeights:
 
 @dataclass
 class StepOutput:
-    """Everything one token's forward pass exposes to the policy layer.
+    """Everything one token's forward pass exposes to the policy layer;
+    a block of tokens returns its last token's.
 
     ``attn_rows[layer][kv_head]`` holds one attention row per query head in
     the group, each spanning the store's entries at the end of the step
@@ -87,7 +93,8 @@ def init_model(config: ModelConfig) -> DecoderWeights:
 
 
 def _rms_norm(x: np.ndarray) -> np.ndarray:
-    return x / np.sqrt(np.mean(x * x) + 1e-8)
+    """Row-wise RMS norm over the last axis; each row's bits equal a 1-D call."""
+    return x / np.sqrt(np.add.reduce(x * x, axis=-1, keepdims=True) / x.shape[-1] + 1e-8)
 
 
 def _check_token(token: int, cfg: ModelConfig) -> int:
@@ -97,88 +104,100 @@ def _check_token(token: int, cfg: ModelConfig) -> int:
     return token
 
 
-def _forward_token(
+def _forward_block(
     weights: DecoderWeights,
-    token: int,
-    position: int,
+    tokens: list[int],
+    start: int,
     cache: KvCacheState,
 ) -> StepOutput:
+    """Run ``tokens`` at positions ``start, start + 1, ...`` through every layer.
+
+    Each layer's dense math covers the whole block at once as stacked
+    ``(T, 1, d) @ W`` matmuls, which numpy runs as one gemv per row, so
+    every row's bits equal a one-token pass. Then, token by token, each
+    store sees the one-token order: append, attend, record. Returns the
+    last token's output; logits are computed for that row only.
+    """
     cfg = weights.config
-    g = cfg.group_size
-    hd = cfg.head_dim
-    x = weights.embedding[token]
+    g, hd, n_q, n_kv = cfg.group_size, cfg.head_dim, cfg.n_query_heads, cfg.n_kv_heads
+    t = len(tokens)
+    positions = np.arange(start, start + t)
+    x = weights.embedding.take(tokens, axis=0)[:, None, :]
     all_rows: list[list[np.ndarray]] = []
     all_outs: list[list[np.ndarray]] = []
     all_queries: list[list[np.ndarray]] = []
-    for layer_idx, lw in enumerate(weights.layers):
+    for layer, lw in enumerate(weights.layers):
         xn = _rms_norm(x)
-        q = apply_rope((xn @ lw.w_q).reshape(cfg.n_query_heads, hd), position)
-        k = apply_rope((xn @ lw.w_k).reshape(cfg.n_kv_heads, hd), position)
-        v = (xn @ lw.w_v).reshape(cfg.n_kv_heads, hd)
-        # Append before attending: the new token attends to itself.
-        for head in range(cfg.n_kv_heads):
-            cache.append(layer_idx, head, k[head], v[head], position, token)
-        # One call per KV group: the group's query heads share the store.
-        layer_rows, layer_outs, layer_queries = [], [], []
-        for head in range(cfg.n_kv_heads):
-            group_q = q[head * g : (head + 1) * g]
-            rows, outs = scaled_dot_attention(
-                group_q, cache.keys_matrix(layer_idx, head), cache.values_matrix(layer_idx, head)
-            )
-            layer_rows.append(rows)
-            layer_outs.append(outs)
-            layer_queries.append(group_q)
-        x = x + np.concatenate(layer_outs, axis=None) @ lw.w_o
+        # Queries and keys share one rotation call; pairs never cross heads.
+        qk = np.concatenate([xn @ lw.w_q, xn @ lw.w_k], axis=-1).reshape(t, n_q + n_kv, hd)
+        qk = apply_rope(qk, positions)
+        q, k = qk[:, :n_q], qk[:, n_q:]
+        v = (xn @ lw.w_v).reshape(t, n_kv, hd)
+        outs = []
+        for i, token in enumerate(tokens):
+            # Append before attending: the new token attends to itself.
+            for head in range(n_kv):
+                cache.append(layer, head, k[i, head], v[i, head], start + i, token)
+            # One call per KV group: the group's query heads share the store.
+            rows = []
+            for head in range(n_kv):
+                row, out = scaled_dot_attention(
+                    q[i, head * g : (head + 1) * g],
+                    cache.keys_matrix(layer, head),
+                    cache.values_matrix(layer, head),
+                )
+                rows.append(row)
+                outs.append(out)
+            # The one writer of profile rows: recorded before the next token
+            # is appended and before any policy runs.
+            cache.record_step_profiles(layer, rows)
+        all_rows.append(rows)
+        all_outs.append(outs[-n_kv:])
+        all_queries.append([q[-1, head * g : (head + 1) * g] for head in range(n_kv)])
+        x = x + np.concatenate(outs, axis=None).reshape(t, 1, -1) @ lw.w_o
         x = x + np.tanh(_rms_norm(x) @ lw.w_in) @ lw.w_out
-        all_rows.append(layer_rows)
-        all_outs.append(layer_outs)
-        all_queries.append(layer_queries)
-    logits = _rms_norm(x) @ weights.embedding.T
-    step = StepOutput(
+    logits = _rms_norm(x[-1, 0]) @ weights.embedding.T
+    return StepOutput(
         logits=logits,
         attn_rows=all_rows,
         attn_outputs=all_outs,
         queries=all_queries,
-        position=position,
-        token_id=token,
+        position=start + t - 1,
+        token_id=tokens[-1],
     )
-    # The one writer of profile rows: every step records before any policy runs.
-    cache.record_step_profiles(step)
-    return step
 
 
 def prefill(weights: DecoderWeights, prompt, cache: KvCacheState) -> StepOutput:
-    """Run the prompt through an empty cache, one position at a time.
+    """Run the prompt through an empty cache in blocks of ``PREFILL_BLOCK``.
 
     Leaves one entry per prompt token in every store and records every
     position's aggregated attention rows, so the profiles end up holding
     the rows of the last ``window_capacity`` prompt positions that the
     one-shot prompt compression consumes. Returns the final position's
-    output.
+    output, bit-equal to feeding the prompt one token at a time.
     """
     tokens = [_check_token(t, weights.config) for t in prompt]
     if not tokens:
         raise InvalidShape("prompt must contain at least one token")
     if not cache.is_empty():
         raise CacheNotEmpty("prefill needs an empty cache")
-    out = None
-    for position, token in enumerate(tokens):
-        out = _forward_token(weights, token, position, cache)
+    for start in range(0, len(tokens), PREFILL_BLOCK):
+        out = _forward_block(weights, tokens[start : start + PREFILL_BLOCK], start, cache)
     return out
 
 
 def decode_step(weights: DecoderWeights, token: int, cache: KvCacheState) -> StepOutput:
     """Process one generated token against the (possibly evicted) cache.
 
-    Appends exactly one entry per store at the next absolute position and
-    records the step's aggregated attention rows into every store, as
-    prefill does, so the policy that runs next sees the step's row in
-    place. Policies never record.
+    A one-token block: appends exactly one entry per store at the next
+    absolute position and records the step's aggregated attention rows
+    into every store, as prefill does, so the policy that runs next sees
+    the step's row in place. Policies never record.
     """
-    if cache.is_empty() or cache.min_occupancy() == 0:
+    if cache.min_occupancy() == 0:
         raise EmptyCache("decode_step needs a prefilled cache in every store")
     token = _check_token(token, weights.config)
-    return _forward_token(weights, token, cache.next_position(), cache)
+    return _forward_block(weights, [token], cache.next_position(), cache)
 
 
 def greedy_token(logits: np.ndarray) -> int:

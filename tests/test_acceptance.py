@@ -165,7 +165,7 @@ def test_scripted_walkthrough_replay():
         cache.append(0, 0, np.zeros(2), np.zeros(2), pos, pos)
         out = SimpleNamespace(attn_rows=[[np.array([row])]], position=pos, token_id=pos)
         # The decoder records each step's rows before the policy runs.
-        cache.record_step_profiles(out)
+        cache.record_step_profiles(0, out.attn_rows[0])
         morphkv_step(cache, out, cfg, idx)
         evictions.extend(e[2] for e in cache.pop_eviction_events())
         assert cache.occupancy(0, 0) == 4

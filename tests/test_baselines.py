@@ -28,7 +28,7 @@ def decoded(cache: KvCacheState, pos: int, row: np.ndarray) -> SimpleNamespace:
     """Append an entry and record its step's row, as the decoder does."""
     cache.append(0, 0, *entry(pos))
     step = SimpleNamespace(attn_rows=[[np.array([row])]], position=pos, token_id=0)
-    cache.record_step_profiles(step)
+    cache.record_step_profiles(0, step.attn_rows[0])
     return step
 
 

@@ -1,5 +1,3 @@
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 from hypothesis import given
@@ -104,7 +102,7 @@ class TestWindow:
         cache.append(0, 0, *entry(0))
         cache.append(0, 0, *entry(1))
         group = np.array([[0.25, 0.75], [0.5, 0.5]])
-        assert cache.record_step_profiles(SimpleNamespace(attn_rows=[[group]])) is None
+        assert cache.record_step_profiles(0, [group]) is None
         np.testing.assert_array_equal(cache.score_matrix(0, 0), [[0.75, 1.25]])
         np.testing.assert_array_equal(cache.received(0, 0), [0.75, 1.25])
 

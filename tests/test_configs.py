@@ -134,3 +134,19 @@ def test_unknown_key_is_input_error(section, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err == f"error: unknown {section} key 'bogus'\n"
     assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["[DEFAULT]\nseed = 3\n", "[DEFAULT]\nseed = 3\n\n[policy]\nkind = morphkv\n"],
+    ids=["alone", "beside_policy"],
+)
+def test_default_section_is_input_error(text, tmp_path, capsys):
+    # configparser merges [DEFAULT] into every section: alone, its key was
+    # silently dropped; beside [policy], it was reported as a policy key.
+    path = tmp_path / "default.ini"
+    path.write_text(text, encoding="utf-8")
+    assert main(["run", "--config", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: unknown config section [DEFAULT]\n"
+    assert captured.out == ""

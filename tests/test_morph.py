@@ -32,7 +32,8 @@ def scripted_row(row, pos: int) -> SimpleNamespace:
 
 def recorded(cache: KvCacheState, out: SimpleNamespace) -> SimpleNamespace:
     """Record a scripted step's rows, as the decoder does before any policy runs."""
-    cache.record_step_profiles(out)
+    for layer, rows in enumerate(out.attn_rows):
+        cache.record_step_profiles(layer, rows)
     return out
 
 

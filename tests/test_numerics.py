@@ -8,9 +8,25 @@ from hypothesis import strategies as st
 import reference
 from morphkv import apply_rope, scaled_dot_attention, softmax
 from morphkv.errors import EmptyCache, InvalidParam, InvalidShape, NonFiniteInput
+from morphkv.numerics import ROPE_BASE
 
 finite = st.floats(min_value=-30.0, max_value=30.0, allow_nan=False)
 vectors = st.lists(finite, min_size=1, max_size=12)
+
+
+def int_position_rope(v: np.ndarray, position: int) -> np.ndarray:
+    """The int-position rotation as the decoder first computed it, op for op."""
+    half = v.shape[-1] // 2
+    angles = position * ROPE_BASE ** (-np.arange(half, dtype=np.float64) * 2.0 / v.shape[-1])
+    cos, sin = np.cos(angles), np.sin(angles)
+    out = np.empty_like(v)
+    out[..., 0::2] = v[..., 0::2] * cos - v[..., 1::2] * sin
+    out[..., 1::2] = v[..., 0::2] * sin + v[..., 1::2] * cos
+    return out
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
 class TestSoftmax:
@@ -168,3 +184,40 @@ class TestRope:
     def test_rejects_negative_position(self):
         with pytest.raises(InvalidParam):
             apply_rope(np.zeros(4), -1)
+
+    def test_int_position_bits_unchanged(self):
+        rng = np.random.default_rng(11)
+        for position in (0, 1, 2, 31, 32, 767, 100_000):
+            for shape in [(2,), (16,), (8, 16), (3, 5, 4)]:
+                v = rng.normal(size=shape)
+                assert same_bits(apply_rope(v, position), int_position_rope(v, position))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 40),
+        st.sampled_from([(), (1,), (3,), (10,)]),
+        st.sampled_from([2, 4, 8, 16]),
+        st.integers(0, 2**31 - 1),
+    )
+    def test_position_vector_rows_equal_single_calls(self, rows, heads, head_dim, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(rows, *heads, head_dim))
+        positions = rng.integers(0, 100_000, size=rows)
+        got = apply_rope(x, positions)
+        for i in range(rows):
+            assert same_bits(got[i], apply_rope(x[i], int(positions[i])))
+
+    @pytest.mark.parametrize("where", [0, 3, 7])
+    def test_position_vector_rejects_any_negative(self, where):
+        positions = np.arange(8)
+        positions[where] = -1
+        with pytest.raises(InvalidParam):
+            apply_rope(np.zeros((8, 2, 4)), positions)
+
+    @pytest.mark.parametrize(
+        "shape, positions",
+        [((4, 2, 4), np.arange(3)), ((4, 4), np.arange(4).reshape(2, 2)), ((4,), np.arange(4))],
+    )
+    def test_position_vector_must_match_leading_axis(self, shape, positions):
+        with pytest.raises(InvalidShape):
+            apply_rope(np.zeros(shape), positions)

@@ -5,8 +5,6 @@ operation keys, values, positions, token ids, profile rows (oldest first),
 received totals and the eviction journal must agree bit for bit.
 """
 
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -149,7 +147,8 @@ def test_matches_list_model(n_layers, n_heads, capacity, ops, seed):
                 [rng.uniform(size=(GROUP, len(model.stores[(l, h)]))) for h in range(n_heads)]
                 for l in range(n_layers)
             ]
-            cache.record_step_profiles(SimpleNamespace(attn_rows=grid))
+            for l, rows in enumerate(grid):
+                cache.record_step_profiles(l, rows)
             for (l, h) in model.stores:
                 group = grid[l][h]
                 model.record((l, h), [group[0][j] + group[1][j] for j in range(group.shape[1])])
