@@ -1,15 +1,15 @@
 """Desk-scale autoregressive attention runtime with pluggable KV eviction.
 
 The package is organized bottom up: `numerics` holds the shared float64
-primitives, `model` the deterministic toy decoder, `cache` the per
-(layer, KV head) stores with their attention profiles, `morph` the
-constant-size selective retention policy, `baselines` the comparison
-policies, `oracle` the exhaustive ground truth, `metrics` byte accounting
-and degeneration measures, `trace` the per-step trace and its JSON
-document, and `harness` the run loop and sweeps.
+primitives, `model` the deterministic toy decoder, `cache` the per-layer
+KV stores with their attention profiles, `morph` the constant-size
+selective retention policy, `baselines` the comparison policies,
+`oracle` the exhaustive ground truth, `metrics` byte accounting and
+degeneration measures, `trace` the per-step trace and its JSON document,
+and `harness` the run loop and sweeps.
 """
 
-from .cache import KvCacheState, aggregate_group_scores
+from .cache import KvCacheState
 from .config import EvictionPolicyConfig, ModelConfig
 from .harness import (
     CompareReport,
@@ -51,7 +51,6 @@ __all__ = [
     "StepOutput",
     "StepRecord",
     "StepTrace",
-    "aggregate_group_scores",
     "apply_rope",
     "compare",
     "decode_step",

@@ -6,8 +6,9 @@ one-shot call (``snapkv_policy`` here, ``prefill_compress`` for the
 selective policy). The decoder records every step's aggregated rows into
 the store profiles before any policy runs, in prefill and in decode, so
 cache snapshots stay comparable across policies. A step function only
-applies its own retention rule; it takes the step output to keep one
-signature but does not read it:
+applies its own retention rule, one layer at a time over all of its KV
+heads, which keeps every head of a layer at one occupancy; it takes the
+step output to keep one signature but does not read it:
 
 - ``scissorhands``: keep only the ``recent_window`` newest entries.
 - ``streamingllm``: additionally pin the first ``sink_count`` entries.
@@ -40,11 +41,11 @@ def keep_window(occ: int, sinks: int, recent: int) -> list[int]:
 
 def _window_step(cache: KvCacheState, sinks: int, recent: int) -> KvCacheState:
     for layer in range(cache.n_layers):
-        for head in range(cache.n_kv_heads):
-            occ = cache.occupancy(layer, head)
-            retained = keep_window(occ, sinks, recent)
-            if len(retained) < occ:
-                cache.keep(layer, head, retained)
+        occ = cache.occupancy(layer)
+        retained = keep_window(occ, sinks, recent)
+        if len(retained) < occ:
+            # Every KV head keeps the same indices.
+            cache.keep(layer, np.broadcast_to(retained, (cache.n_kv_heads, len(retained))))
     return cache
 
 
@@ -77,19 +78,20 @@ def h2o_step(
         raise InvalidConfig(f"h2o_step got policy kind {cfg.kind!r}")
     budget = cfg.cache_budget
     for layer in range(cache.n_layers):
-        for head in range(cache.n_kv_heads):
-            occ = cache.occupancy(layer, head)
-            # Positions increase with the index, so the decode entries are
-            # the suffix starting at the first position past the prompt.
-            # They did not exist during prefill, so their received totals
-            # count decode rows only.
-            first_decode = int(np.searchsorted(cache.positions(layer, head), prompt_length))
-            if occ - first_decode > budget:
-                recent_start = occ - min(cfg.recent_window, occ)
-                cum = cache.received(layer, head)
-                # argmin takes the first minimum: ties evict the oldest.
-                victim = first_decode + int(np.argmin(cum[first_decode:recent_start]))
-                cache.keep(layer, head, np.delete(np.arange(occ), victim))
+        occ = cache.occupancy(layer)
+        # Positions increase with the index, so the decode entries are the
+        # suffix starting at the first position past the prompt; every KV
+        # head holds the whole prompt, so the suffix starts at one index.
+        # Decode entries did not exist during prefill, so their received
+        # totals count decode rows only.
+        first_decode = int(np.searchsorted(cache.positions(layer)[0], prompt_length))
+        if occ - first_decode > budget:
+            recent_start = occ - min(cfg.recent_window, occ)
+            cum = cache.received(layer)[:, first_decode:recent_start]
+            # argmin takes the first minimum: ties evict the oldest.
+            victims = first_decode + np.argmin(cum, axis=1)
+            kept = np.arange(occ - 1)
+            cache.keep(layer, kept + (kept >= victims[:, None]))
     return cache
 
 
@@ -105,21 +107,16 @@ def snapkv_policy(cache: KvCacheState, cfg: EvictionPolicyConfig) -> KvCacheStat
         raise InvalidConfig(f"snapkv_policy got policy kind {cfg.kind!r}")
     budget = cfg.prefill_budget
     for layer in range(cache.n_layers):
-        for head in range(cache.n_kv_heads):
-            occ = cache.occupancy(layer, head)
-            if occ <= budget:
-                continue
-            if budget <= cfg.recent_window:
-                retained = list(range(occ - budget, occ))
-            else:
-                scores = fuse(cache, layer, head, "sum")
-                retained = select_retained(
-                    cache.positions(layer, head),
-                    scores,
-                    budget - cfg.recent_window,
-                    cfg.recent_window,
-                )
-            cache.keep(layer, head, retained)
+        occ = cache.occupancy(layer)
+        if occ <= budget:
+            continue
+        if budget <= cfg.recent_window:
+            newest = np.arange(occ - budget, occ)
+            retained = np.broadcast_to(newest, (cache.n_kv_heads, budget))
+        else:
+            scores = fuse(cache, layer, "sum")
+            retained = select_retained(scores, occ, budget - cfg.recent_window, cfg.recent_window)
+        cache.keep(layer, retained)
     return cache
 
 

@@ -1,35 +1,33 @@
-"""Per (layer, KV head) KV stores, each with its attention profile.
+"""Per-layer KV stores: one block per layer over its KV heads.
 
-Alignment is structural: a store keeps every per-entry array (keys,
-values, positions, token ids, received attention, profile) on one entry
-axis, so one append adds a row to each and one eviction compacts each
-with the same fancy index. The profile holds the newest
-``window_capacity`` aggregated attention rows as columns, one per ring
-slot; a new entry's profile row is zero (a token cannot have attended to
-entries created after it), and evicted entries leave with their rows.
-Received attention is the running total of every recorded row, prefill
-rows included. Scores are never renormalized after a deletion: they are
-only ever compared for ranking, and keeping the raw weights keeps dumps
-auditable.
+Every KV head of a layer holds the same number of entries at every step
+(the constant-occupancy contract), so a layer's stores share one entry
+count and one profile ring. Which entries each head holds may differ:
+after a ranked eviction two heads may retain different positions, which
+is why keys are cached post-rotation and positions are absolute.
 
-Stores evolve independently: after eviction two heads may retain different
-position sets, which is why keys are cached post-rotation and positions
-are absolute.
-
-Array layout: keys and values are row-major ``(alloc, head_dim)``,
-positions, token ids and received attention ``(alloc,)``, and the profile
-``(alloc, window_capacity)``; the leading ``n`` rows are the live entries
-in entry order. Allocations grow geometrically (by half again when full),
-so an append is one row write per array. Profile rows are always read
-back oldest first, as a C-contiguous copy, which is the order and layout
-:func:`morph.fuse` sums them in.
+Alignment is structural: every per-entry array (keys, values, positions,
+token ids, received attention, profile) has axes ``(head, entry, ...)``,
+so one append adds an entry to each and one ``(heads, kept)`` index
+compacts each. Keys and values are ``(heads, alloc, head_dim)``, so each
+head's live keys are a row-major ``(n, head_dim)`` block; allocations grow
+by half again when full. The profile ``(heads, alloc, window_capacity)``
+holds the newest aggregated attention rows as columns, one per ring slot,
+read back oldest first as a C-contiguous ``(heads, rows, columns)`` copy,
+the order and layout :func:`morph.fuse` sums them in. A new entry's
+profile row is zero (a token cannot have attended to entries created
+after it), and evicted entries leave with their rows. Received attention
+is the running total of every recorded row, prefill rows included. Scores
+are never renormalized after a deletion: they are only compared for
+ranking, and the raw weights keep dumps auditable.
 
 View lifetime: :meth:`KvCacheState.keys_matrix`, :meth:`values_matrix`,
 :meth:`positions`, :meth:`token_ids` and :meth:`received` return
-read-only views of the live rows, not copies. A view is valid until the
-next :meth:`append`, :meth:`record` or :meth:`keep` on that store; after
-that it may show stale or compacted rows. These views and
-:meth:`KvCacheState.score_matrix` are the only read paths.
+read-only ``(heads, n, ...)`` views of a layer's live entries, not copies.
+A view is valid until the next :meth:`append`, :meth:`record_step_profiles`
+or :meth:`keep` on that layer; after that it may show stale or compacted
+rows. These views and :meth:`KvCacheState.score_matrix` are the only read
+paths.
 """
 
 from __future__ import annotations
@@ -49,117 +47,97 @@ def _grown(alloc: int) -> int:
     return alloc + max(alloc // 2, INITIAL_ALLOC)
 
 
-def aggregate_group_scores(rows) -> np.ndarray:
-    """Sum the attention rows of the query heads sharing one KV head.
-
-    With one query head per KV head (plain multi-head attention) this is
-    the identity on the single row.
-    """
-    try:
-        arr = np.asarray(rows, dtype=np.float64)
-    except ValueError as exc:
-        raise InvalidShape("group rows must share one length") from exc
-    if arr.ndim != 2 or arr.shape[0] < 1:
-        raise InvalidShape("expected a non-empty stack of equal-length rows")
-    return arr.sum(axis=0)
-
-
-def _read_only(arr: np.ndarray) -> np.ndarray:
-    view = arr.view()
-    view.flags.writeable = False
-    return view
-
-
-# Order of a store's buffers, and their dtypes. Every buffer's first axis
-# is the entry axis, so one allocation and one fancy index serve them all.
+# Order of a store's buffers, and their dtypes. Every buffer's axes are
+# (head, entry, ...), so one allocation and one index serve them all.
 _KEYS, _VALUES, _POSITIONS, _TOKENS, _RECEIVED, _PROFILE = range(6)
 _DTYPES = (np.float64, np.float64, np.int64, np.int64, np.float64, np.float64)
 
 
-class _KvStore:
-    """One (layer, KV head) store with its attention profile.
+class _LayerStore:
+    """One layer's stores, one per KV head, with their attention profiles.
 
     ``buffers`` holds keys, values, positions, token ids, received
     attention and profile columns (in the order above) in preallocated
-    arrays whose first ``n`` rows are live; ``views`` holds read-only
+    arrays whose first ``n`` entries are live; ``views`` holds read-only
     views of the same memory. The profile has one column per ring slot:
-    ``_count`` slots are filled and ``_start`` is the oldest.
+    ``count`` slots are filled and ``start`` is the oldest.
     """
 
-    __slots__ = ("n", "capacity", "buffers", "views", "_start", "_count")
+    __slots__ = ("n", "heads", "capacity", "buffers", "views", "start", "count")
 
-    def __init__(self, capacity: int):
-        self.n = 0
-        self.capacity = capacity
-        self.buffers = ()
+    def __init__(self, heads: int, capacity: int):
+        self.n = self.start = self.count = 0
+        self.heads, self.capacity, self.buffers = heads, capacity, ()
         self._allocate(0, (0,))
-        self._start = 0
-        self._count = 0
 
     def _allocate(self, rows: int, row_shape: tuple) -> None:
-        shapes = [(rows, *row_shape)] * 2 + [(rows,)] * 3 + [(rows, self.capacity)]
+        h = self.heads
+        shapes = [(h, rows, *row_shape)] * 2 + [(h, rows)] * 3 + [(h, rows, self.capacity)]
         buffers = tuple(np.empty(shape, dtype) for shape, dtype in zip(shapes, _DTYPES))
         if self.n:
             for new, old in zip(buffers, self.buffers):
-                new[: self.n] = old[: self.n]
-        self.buffers = buffers
-        self.views = tuple(_read_only(buf) for buf in buffers)
+                new[:, : self.n] = old[:, : self.n]
+        self.buffers, self.views = buffers, tuple(buf.view() for buf in buffers)
+        for view in self.views:
+            view.flags.writeable = False
 
-    def append(self, key, value, position: int, token: int) -> None:
+    def append(self, keys, values, position: int, token: int) -> None:
         n = self.n
-        keys = self.buffers[_KEYS]
-        if n == len(keys):
+        buf = self.buffers[_KEYS]
+        if n == buf.shape[1]:
             # The first entry fixes the row shape.
-            self._allocate(_grown(n), np.shape(key) if n == 0 else keys.shape[1:])
-        keys, values, positions, tokens, received, profile = self.buffers
-        row_shape = keys.shape[1:]
-        if np.shape(key) != row_shape or np.shape(value) != row_shape:
-            raise InvalidShape(f"cache entries must be vectors of shape {row_shape}")
-        keys[n] = key
-        values[n] = value
-        positions[n] = position
-        tokens[n] = token
+            self._allocate(_grown(n), np.shape(keys)[1:] if n == 0 else buf.shape[2:])
+        k, v, positions, tokens, received, profile = self.buffers
+        shape = (self.heads, *k.shape[2:])
+        if np.shape(keys) != shape or np.shape(values) != shape:
+            raise InvalidShape(f"cache entries must be one vector per KV head, shape {shape}")
+        k[:, n], v[:, n], positions[:, n], tokens[:, n] = keys, values, position, token
         # A new entry has received no attention and is in no row held so far.
-        received[n] = 0.0
-        profile[n] = 0.0
+        received[:, n] = profile[:, n] = 0.0
         self.n = n + 1
 
     def live(self, which: int) -> np.ndarray:
-        """Read-only view of the live rows of one buffer."""
-        return self.views[which][: self.n]
+        """Read-only view of the live entries of one buffer."""
+        return self.views[which][:, : self.n]
 
-    def record(self, row: np.ndarray) -> None:
-        """Write one attention row into the next ring slot, overwriting the
-        oldest once the ring is full, and add it to the received totals."""
-        n = self.n
-        if row.shape != (n,):
-            raise InvalidShape(f"profile row has shape {row.shape} but the store holds {n} entries")
-        if self._count < self.capacity:
-            # The ring has never wrapped, so ``_start`` is still 0.
-            slot = self._count
-            self._count += 1
+    def record(self, rows: np.ndarray) -> None:
+        """Write one attention row per head into the next ring slot,
+        overwriting the oldest once the ring is full, and add the rows to
+        the received totals."""
+        if self.count < self.capacity:
+            # The ring has never wrapped, so ``start`` is still 0.
+            slot = self.count
+            self.count += 1
         else:
-            slot = self._start
-            self._start = (slot + 1) % self.capacity
-        self.buffers[_PROFILE][:n, slot] = row
-        self.buffers[_RECEIVED][:n] += row
+            slot = self.start
+            self.start = (slot + 1) % self.capacity
+        self.buffers[_PROFILE][:, : self.n, slot] = rows
+        self.buffers[_RECEIVED][:, : self.n] += rows
 
     def score_matrix(self, columns: int) -> np.ndarray:
-        order = (self._start + np.arange(self._count)) % self.capacity
-        return np.ascontiguousarray(self.buffers[_PROFILE][:columns, order].T)
+        order = (self.start + np.arange(self.count)) % self.capacity
+        rows = self.buffers[_PROFILE][:, :columns, order]
+        return np.ascontiguousarray(rows.transpose(0, 2, 1))
 
     def compact(self, idx: np.ndarray) -> None:
+        """Keep entries ``idx[h]`` of each head ``h``: one gather per buffer,
+        through each kept entry's row in the buffer's ``(heads * alloc)`` rows."""
+        heads, kept = idx.shape
+        alloc = self.buffers[_KEYS].shape[1]
+        rows = (idx + np.arange(0, heads * alloc, alloc)[:, None]).ravel()
         for buf in self.buffers:
-            buf[: idx.size] = buf[idx]
-        self.n = idx.size
+            flat = buf.reshape(heads * alloc, *buf.shape[2:])
+            buf[:, :kept] = flat[rows].reshape(heads, kept, *buf.shape[2:])
+        self.n = kept
 
 
 class KvCacheState:
-    """Array-backed stores with their attention profiles, one per (layer, KV head).
+    """Array-backed stores with their attention profiles, one block per layer.
 
-    Mutations go through :meth:`append`, :meth:`record` and :meth:`keep`.
-    Evictions are journaled; the run loop drains the journal once per step
-    via :meth:`pop_eviction_events`.
+    Mutations go through :meth:`append`, :meth:`record_step_profiles` and
+    :meth:`keep`, each acting on every KV head of one layer. Evictions are
+    journaled per (layer, KV head); the run loop drains the journal once
+    per step via :meth:`pop_eviction_events`.
     """
 
     def __init__(self, n_layers: int, n_kv_heads: int, window_capacity: int):
@@ -167,105 +145,112 @@ class KvCacheState:
             raise InvalidConfig("need at least one layer and one KV head")
         if window_capacity < 1:
             raise InvalidConfig("window capacity must be >= 1")
-        self.n_layers = n_layers
-        self.n_kv_heads = n_kv_heads
-        self.window_capacity = window_capacity
-        self._stores: list[list[_KvStore]] = [
-            [_KvStore(window_capacity) for _ in range(n_kv_heads)] for _ in range(n_layers)
-        ]
+        self.n_layers, self.n_kv_heads, self.window_capacity = n_layers, n_kv_heads, window_capacity
+        self._layers = [_LayerStore(n_kv_heads, window_capacity) for _ in range(n_layers)]
         self._journal: list[tuple[int, int, list[int]]] = []
 
     @classmethod
     def for_model(cls, model: ModelConfig, window_capacity: int) -> "KvCacheState":
         return cls(model.n_layers, model.n_kv_heads, window_capacity)
 
-    def occupancy(self, layer: int, head: int) -> int:
-        return self._stores[layer][head].n
+    def occupancy(self, layer: int) -> int:
+        """Entries each KV head of ``layer`` holds."""
+        return self._layers[layer].n
 
     def occupancies(self) -> list[list[int]]:
-        return [[store.n for store in layer] for layer in self._stores]
-
-    def total_entries(self) -> int:
-        return sum(store.n for layer in self._stores for store in layer)
+        return [[store.n] * self.n_kv_heads for store in self._layers]
 
     def is_empty(self) -> bool:
-        return self.total_entries() == 0
+        return all(store.n == 0 for store in self._layers)
 
     def min_occupancy(self) -> int:
-        return min(store.n for layer in self._stores for store in layer)
+        return min(store.n for store in self._layers)
 
     def next_position(self) -> int:
-        positions = self.positions(0, 0)
+        positions = self.positions(0)[0]
         return int(positions[-1]) + 1 if positions.size else 0
 
-    def append(self, layer: int, head: int, key, value, position: int, token: int) -> None:
-        """Add one entry: rotated key and value rows, absolute position, token id."""
-        self._stores[layer][head].append(key, value, position, token)
+    def append(self, layer: int, keys, values, position: int, token: int) -> None:
+        """Add one entry to every KV head of ``layer``: rotated key and value
+        rows ``(heads, head_dim)``, absolute position, token id."""
+        self._layers[layer].append(keys, values, position, token)
 
-    def keys_matrix(self, layer: int, head: int) -> np.ndarray:
-        return self._stores[layer][head].live(_KEYS)
+    def keys_matrix(self, layer: int) -> np.ndarray:
+        return self._layers[layer].live(_KEYS)
 
-    def values_matrix(self, layer: int, head: int) -> np.ndarray:
-        return self._stores[layer][head].live(_VALUES)
+    def values_matrix(self, layer: int) -> np.ndarray:
+        return self._layers[layer].live(_VALUES)
 
-    def positions(self, layer: int, head: int) -> np.ndarray:
-        """Absolute positions of the live entries, strictly increasing."""
-        return self._stores[layer][head].live(_POSITIONS)
+    def positions(self, layer: int) -> np.ndarray:
+        """Absolute positions of the live entries, strictly increasing per head."""
+        return self._layers[layer].live(_POSITIONS)
 
-    def token_ids(self, layer: int, head: int) -> np.ndarray:
-        return self._stores[layer][head].live(_TOKENS)
+    def token_ids(self, layer: int) -> np.ndarray:
+        return self._layers[layer].live(_TOKENS)
 
-    def received(self, layer: int, head: int) -> np.ndarray:
+    def received(self, layer: int) -> np.ndarray:
         """Total attention each live entry has received over every recorded row."""
-        return self._stores[layer][head].live(_RECEIVED)
+        return self._layers[layer].live(_RECEIVED)
 
-    def profile_rows(self, layer: int, head: int) -> int:
-        """Attention rows held in the store's profile, at most ``window_capacity``."""
-        return self._stores[layer][head]._count
+    def profile_rows(self, layer: int) -> int:
+        """Attention rows held in the layer's profiles, at most ``window_capacity``."""
+        return self._layers[layer].count
 
-    def score_matrix(self, layer: int, head: int, columns: int | None = None) -> np.ndarray:
-        """C-contiguous ``(rows, columns)`` copy of the profile's leading
-        columns (all live entries by default), oldest row first."""
-        store = self._stores[layer][head]
+    def score_matrix(self, layer: int, columns: int | None = None) -> np.ndarray:
+        """C-contiguous ``(heads, rows, columns)`` copy of the profiles'
+        leading columns (all live entries by default), oldest row first."""
+        store = self._layers[layer]
         return store.score_matrix(store.n if columns is None else columns)
 
-    def record(self, layer: int, head: int, row) -> None:
-        """Add one aggregated attention row over the store's live entries,
-        dropping the oldest row once ``window_capacity`` are held."""
-        self._stores[layer][head].record(np.asarray(row, dtype=np.float64))
+    def record_step_profiles(self, layer: int, group_rows) -> None:
+        """Record one token's attention at ``layer``: ``group_rows`` is
+        ``(heads, group, n)``, one row per query head over the live entries.
+        Each head's group rows are summed into one profile row, dropping the
+        oldest row once ``window_capacity`` are held."""
+        store = self._layers[layer]
+        try:
+            rows = np.asarray(group_rows, dtype=np.float64)
+        except ValueError as exc:
+            raise InvalidShape("group rows must share one length") from exc
+        if rows.ndim != 3 or rows.shape[1] < 1 or rows.shape[::2] != (store.heads, store.n):
+            raise InvalidShape(
+                f"profile rows have shape {rows.shape} but layer {layer} holds "
+                f"{store.n} entries in each of {store.heads} KV heads"
+            )
+        store.record(rows.sum(axis=1))
 
-    def keep(self, layer: int, head: int, retained) -> list[int]:
-        """Drop every entry not in ``retained`` (sorted, unique indices).
+    def keep(self, layer: int, retained) -> list[int]:
+        """Drop from each KV head of ``layer`` every entry not in its row of
+        ``retained`` (``(heads, kept)`` indices, each row sorted and unique).
 
-        Returns the absolute positions evicted and journals them.
+        Returns the absolute positions evicted, head by head, and journals
+        them per (layer, KV head).
         """
-        store = self._stores[layer][head]
-        idx = np.asarray(retained)
-        if idx.ndim != 1 or (
+        store, idx = self._layers[layer], np.asarray(retained)
+        n = store.n
+        if idx.ndim != 2 or idx.shape[0] != store.heads or (
             idx.size
             and (
                 idx.dtype.kind not in "iu"
-                or idx[0] < 0
-                or idx[-1] >= store.n
-                or bool(np.any(idx[1:] <= idx[:-1]))
+                or idx[:, 0].min() < 0
+                or idx[:, -1].max() >= n
+                or np.any(idx[:, 1:] <= idx[:, :-1])
             )
         ):
-            raise InvalidShape("retained indices must be sorted, unique, integer, and in range")
-        idx = idx.astype(np.intp, copy=False)
-        if idx.size == store.n:
+            raise InvalidShape(
+                "retained indices must be one sorted, unique, integer, in-range row per KV head"
+            )
+        if idx.shape[1] == n:
             return []
-        dropped = np.ones(store.n, dtype=bool)
-        dropped[idx] = False
-        evicted = store.live(_POSITIONS)[dropped].tolist()
+        idx = idx.astype(np.intp, copy=False)
+        dropped = np.ones((store.heads, n), dtype=bool)
+        dropped[np.arange(store.heads)[:, None], idx] = False
+        # Every head drops the same number of entries.
+        gone = store.live(_POSITIONS)[dropped].reshape(store.heads, -1).tolist()
+        for head, positions in enumerate(gone):
+            self._journal.append((layer, head, positions))
         store.compact(idx)
-        self._journal.append((layer, head, evicted))
-        return evicted
-
-    def record_step_profiles(self, layer: int, group_rows) -> None:
-        """Aggregate one token's group rows at ``layer``, one stack per KV
-        head, and record them into that layer's stores."""
-        for store, rows in zip(self._stores[layer], group_rows, strict=True):
-            store.record(aggregate_group_scores(rows))
+        return [p for positions in gone for p in positions]
 
     def pop_eviction_events(self) -> list[tuple[int, int, list[int]]]:
         events, self._journal = self._journal, []
@@ -278,26 +263,23 @@ class KvCacheState:
 
         layers = []
         for layer in range(self.n_layers):
-            heads = []
-            for head in range(self.n_kv_heads):
-                recorded = self.profile_rows(layer, head)
-                scores = fuse(self, layer, head, fusion).tolist() if recorded else []
-                pairs = np.stack([self.positions(layer, head), self.token_ids(layer, head)], axis=1)
-                heads.append({"entries": pairs.tolist(), "fused_scores": scores})
-            layers.append(heads)
+            pairs = np.stack([self.positions(layer), self.token_ids(layer)], axis=2).tolist()
+            recorded = self.profile_rows(layer)
+            scores = fuse(self, layer, fusion).tolist() if recorded else [[] for _ in pairs]
+            layers.append([{"entries": p, "fused_scores": s} for p, s in zip(pairs, scores)])
         return {"window_capacity": self.window_capacity, "layers": layers}
 
     def validate(self) -> None:
         """Debug-mode invariant sweep; raises on the first violation."""
         for layer in range(self.n_layers):
-            for head in range(self.n_kv_heads):
-                positions = self.positions(layer, head)
-                if np.any(positions[1:] <= positions[:-1]):
-                    raise InternalInvariantViolation(
-                        f"store ({layer},{head}) positions not strictly increasing"
-                    )
-                if not (
-                    np.isfinite(self.keys_matrix(layer, head)).all()
-                    and np.isfinite(self.values_matrix(layer, head)).all()
-                ):
-                    raise InternalInvariantViolation("non-finite cache entry")
+            positions = self.positions(layer)
+            bad = np.flatnonzero(np.any(positions[:, 1:] <= positions[:, :-1], axis=1))
+            if bad.size:
+                raise InternalInvariantViolation(
+                    f"store ({layer},{bad[0]}) positions not strictly increasing"
+                )
+            if not (
+                np.isfinite(self.keys_matrix(layer)).all()
+                and np.isfinite(self.values_matrix(layer)).all()
+            ):
+                raise InternalInvariantViolation("non-finite cache entry")

@@ -32,7 +32,7 @@ from .metrics import kv_bytes, kv_bytes_from_occupancies, relative_cache_ratio, 
 from .model import decode_step, greedy_token, init_model, prefill
 from .morph import fuse, prefill_compress, select_retained
 from .oracle import optimal_subset, shadow_error, subset_output_error
-from .trace import StepRecord, StepTrace
+from .trace import StepRecord, StepTrace, expected_occupancy_stream
 
 
 @dataclass(frozen=True)
@@ -87,51 +87,29 @@ def make_prompt(config: RunConfig) -> list[int]:
     return [int(t) for t in rng.integers(0, vocab, size=config.prompt_length)]
 
 
-def _expected_occupancy_stream(policy: EvictionPolicyConfig, prompt_len: int, steps: int) -> list[int]:
-    """Per-store occupancy a correct engine must show after each decode step."""
-    kind = policy.kind
-    budget = policy.cache_budget
-    out = []
-    if kind == "morphkv":
-        alive = min(prompt_len, budget) if policy.compress_prefill else prompt_len
-        for i in range(steps):
-            alive += 1
-            if i % policy.eviction_interval == 0 and alive > budget:
-                alive = budget
-            out.append(alive)
-        return out
-    for i in range(steps):
-        total = prompt_len + i + 1
-        if kind == "scissorhands":
-            out.append(min(total, policy.recent_window))
-        elif kind == "streamingllm":
-            out.append(min(total, policy.sink_count + policy.recent_window))
-        elif kind == "h2o":
-            out.append(prompt_len + min(i + 1, budget))
-        elif kind == "snapkv":
-            out.append(min(prompt_len, policy.prefill_budget) + i + 1)
-        else:
-            out.append(total)
-    return out
-
-
 def _debug_check(cache, policy, prompt_len, step_index, expected, events) -> None:
     cache.validate()
     for layer, head, positions in events:
-        live = cache.positions(layer, head)
+        live = cache.positions(layer)[head]
         recent = min(policy.recent_window, live.size)
         if recent and max(positions) >= live[-recent]:
             raise InternalInvariantViolation(
                 f"step {step_index}: evicted a recent-window position at ({layer},{head})"
             )
-    for layer, heads in enumerate(cache.occupancies()):
-        protected = policy.kind == "morphkv" and layer < policy.protected_layers
-        want = prompt_len + step_index + 1 if protected else expected
-        for head, occ in enumerate(heads):
-            if occ != want:
-                raise InternalInvariantViolation(
-                    f"step {step_index}: occupancy {occ} at ({layer},{head}), expected {want}"
-                )
+    for layer in range(cache.n_layers):
+        occ, want = cache.occupancy(layer), expected[layer][step_index]
+        if occ != want:
+            raise InternalInvariantViolation(
+                f"step {step_index}: occupancy {occ} at layer {layer}, expected {want}"
+            )
+
+
+def _eviction_grid(events, model: ModelConfig, shared: dict[int, int]) -> list[list[list[int]]]:
+    """Evicted positions per (layer, KV head), each position as its ``shared`` int."""
+    grid = [[[] for _ in range(model.n_kv_heads)] for _ in range(model.n_layers)]
+    for layer, head, positions in events:
+        grid[layer][head].extend([shared.setdefault(p, p) for p in positions])
+    return grid
 
 
 def run(config: RunConfig, forced_tokens=None) -> RunResult:
@@ -151,11 +129,10 @@ def run(config: RunConfig, forced_tokens=None) -> RunResult:
         snapkv_policy(cache, policy)
     elif policy.kind == "morphkv" and policy.compress_prefill:
         prefill_compress(cache, policy)
-    prefill_evictions: list[list[list[int]]] = [
-        [[] for _ in range(model_cfg.n_kv_heads)] for _ in range(model_cfg.n_layers)
-    ]
-    for layer, head, positions in cache.pop_eviction_events():
-        prefill_evictions[layer][head].extend(positions)
+    # The trace keeps every eviction of every store; one int object per
+    # evicted position, whichever stores evict it, keeps that list small.
+    shared: dict[int, int] = {}
+    prefill_evictions = _eviction_grid(cache.pop_eviction_events(), model_cfg, shared)
 
     if forced_tokens is not None:
         forced_tokens = [int(t) for t in forced_tokens]
@@ -164,12 +141,12 @@ def run(config: RunConfig, forced_tokens=None) -> RunResult:
                 f"forced token stream covers {len(forced_tokens)} of "
                 f"{config.decode_steps} decode steps"
             )
-    expected = _expected_occupancy_stream(policy, len(prompt), config.decode_steps)
+    expected = [
+        expected_occupancy_stream(policy, len(prompt), config.decode_steps, layer)
+        for layer in range(model_cfg.n_layers)
+    ]
     token = forced_tokens[0] if forced_tokens is not None else greedy_token(prefill_logits)
     records: list[StepRecord] = []
-    # The trace keeps every eviction of every store; one int object per
-    # evicted position, whichever stores evict it, keeps that list small.
-    shared: dict[int, int] = {}
     logits: list[np.ndarray] = []
     attn_outputs = [] if config.attention_snapshots else None
     attn_rows = [] if config.attention_snapshots else None
@@ -177,11 +154,7 @@ def run(config: RunConfig, forced_tokens=None) -> RunResult:
         out = decode_step(weights, token, cache)
         policy_step(cache, out, policy, i, len(prompt))
         events = cache.pop_eviction_events()
-        evicted = [
-            [[] for _ in range(model_cfg.n_kv_heads)] for _ in range(model_cfg.n_layers)
-        ]
-        for layer, head, positions in events:
-            evicted[layer][head].extend([shared.setdefault(p, p) for p in positions])
+        evicted = _eviction_grid(events, model_cfg, shared)
         occupancy = cache.occupancies()
         step_bytes = kv_bytes_from_occupancies(
             occupancy, model_cfg, policy, config.bytes_per_scalar
@@ -200,7 +173,7 @@ def run(config: RunConfig, forced_tokens=None) -> RunResult:
             attn_outputs.append(out.attn_outputs)
             attn_rows.append(out.attn_rows)
         if config.debug_invariants:
-            _debug_check(cache, policy, len(prompt), i, expected[i], events)
+            _debug_check(cache, policy, len(prompt), i, expected, events)
         if i + 1 < config.decode_steps:
             token = (
                 forced_tokens[i + 1]
@@ -463,12 +436,11 @@ def oracle_regression(config: RunConfig, instances: int) -> list[RegressionRow]:
         )
         result = run(inst)
         cache = result.cache
-        keys = cache.keys_matrix(0, 0)
-        vals = cache.values_matrix(0, 0)
+        keys = cache.keys_matrix(0)[0]
+        vals = cache.values_matrix(0)[0]
         query = result.last_output.queries[0][0][0]
         n = keys.shape[0]
         _, optimal_error = optimal_subset(query, keys, vals, budget, r)
-        live = cache.positions(0, 0)
         # Decode rows only: ``cache.received`` also counts the prefill rows,
         # which would change how this pick ranks the prompt entries.
         cumulative = np.zeros(n)
@@ -476,13 +448,13 @@ def oracle_regression(config: RunConfig, instances: int) -> list[RegressionRow]:
             row = step_rows[0][0][0]
             cumulative[: row.size] += row
         picks: dict[str, list[int]] = {
-            "morphkv_sum": select_retained(live, fuse(cache, 0, 0, "sum"), c, r),
-            "morphkv_max": select_retained(live, fuse(cache, 0, 0, "max"), c, r),
+            "morphkv_sum": select_retained(fuse(cache, 0, "sum"), n, c, r)[0].tolist(),
+            "morphkv_max": select_retained(fuse(cache, 0, "max"), n, c, r)[0].tolist(),
             "scissorhands": keep_window(n, 0, budget),
         }
         sinks = min(_REGRESSION_SINKS, budget - r)
         picks["streamingllm"] = keep_window(n, sinks, budget - sinks)
-        picks["h2o"] = select_retained(live, cumulative[: n - r], budget - r, r)
+        picks["h2o"] = select_retained(cumulative[None, : n - r], n, budget - r, r)[0].tolist()
         for policy_name in REGRESSION_POLICIES:
             err = subset_output_error(query, keys, vals, picks[policy_name])
             if err < optimal_error - 1e-12:

@@ -65,8 +65,6 @@ class StepOutput:
     attn_rows: list[list[np.ndarray]]
     attn_outputs: list[list[np.ndarray]]
     queries: list[list[np.ndarray]]
-    position: int
-    token_id: int
 
 
 def _layer_sizes(cfg: ModelConfig) -> list[tuple[int, int]]:
@@ -115,8 +113,8 @@ def _forward_block(
     Each layer's dense math covers the whole block at once as stacked
     ``(T, 1, d) @ W`` matmuls, which numpy runs as one gemv per row, so
     every row's bits equal a one-token pass. Then, token by token, each
-    store sees the one-token order: append, attend, record. Returns the
-    last token's output; logits are computed for that row only.
+    layer's stores see the one-token order: append, attend, record.
+    Returns the last token's output; logits are computed for that row only.
     """
     cfg = weights.config
     g, hd, n_q, n_kv = cfg.group_size, cfg.head_dim, cfg.n_query_heads, cfg.n_kv_heads
@@ -136,16 +134,13 @@ def _forward_block(
         outs = []
         for i, token in enumerate(tokens):
             # Append before attending: the new token attends to itself.
-            for head in range(n_kv):
-                cache.append(layer, head, k[i, head], v[i, head], start + i, token)
+            cache.append(layer, k[i], v[i], start + i, token)
+            keys, vals = cache.keys_matrix(layer), cache.values_matrix(layer)
             # One call per KV group: the group's query heads share the store.
             rows = []
             for head in range(n_kv):
-                row, out = scaled_dot_attention(
-                    q[i, head * g : (head + 1) * g],
-                    cache.keys_matrix(layer, head),
-                    cache.values_matrix(layer, head),
-                )
+                group = q[i, head * g : (head + 1) * g]
+                row, out = scaled_dot_attention(group, keys[head], vals[head])
                 rows.append(row)
                 outs.append(out)
             # The one writer of profile rows: recorded before the next token
@@ -157,14 +152,7 @@ def _forward_block(
         x = x + np.concatenate(outs, axis=None).reshape(t, 1, -1) @ lw.w_o
         x = x + np.tanh(_rms_norm(x) @ lw.w_in) @ lw.w_out
     logits = _rms_norm(x[-1, 0]) @ weights.embedding.T
-    return StepOutput(
-        logits=logits,
-        attn_rows=all_rows,
-        attn_outputs=all_outs,
-        queries=all_queries,
-        position=start + t - 1,
-        token_id=tokens[-1],
-    )
+    return StepOutput(logits=logits, attn_rows=all_rows, attn_outputs=all_outs, queries=all_queries)
 
 
 def prefill(weights: DecoderWeights, prompt, cache: KvCacheState) -> StepOutput:

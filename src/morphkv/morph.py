@@ -5,8 +5,10 @@ verbatim for local coherence, plus the ``distant_capacity`` older entries
 that the recent window attended to most strongly. Relevance of a distant
 entry is the fusion (sum or max) of its column across the windowed
 attention rows; ties rank the newer entry first, consistent with the
-recency bias of the forced window. Decisions are made independently per
-store, so different heads converge on different retained sets.
+recency bias of the forced window. Every step works on a whole layer at
+once: one fusion and one ranking give each KV head its own retained set,
+so different heads converge on different entries while every head of a
+layer keeps the same number.
 
 Eviction runs after the new token's entry and profile row are in place,
 so the newest token is always a window member when selection executes.
@@ -21,8 +23,9 @@ from .config import EvictionPolicyConfig
 from .errors import EmptyWindow, InvalidConfig, InvalidParam, InvalidShape
 
 
-def fuse(cache: KvCacheState, layer: int, head: int, fusion: str) -> np.ndarray:
-    """Combine one store's profile rows into one score per distant entry.
+def fuse(cache: KvCacheState, layer: int, fusion: str) -> np.ndarray:
+    """Combine each KV head's profile rows at ``layer`` into one score per
+    distant entry: a ``(heads, distant)`` array.
 
     The last ``min(window_capacity, occupancy)`` entries are the recent
     window and get no score: they are retained unconditionally, so only the
@@ -30,59 +33,57 @@ def fuse(cache: KvCacheState, layer: int, head: int, fusion: str) -> np.ndarray:
     are combined oldest first, as :meth:`KvCacheState.score_matrix` returns
     them.
     """
-    occ = cache.occupancy(layer, head)
+    occ = cache.occupancy(layer)
     distant = occ - min(cache.window_capacity, occ)
-    stacked = cache.score_matrix(layer, head, distant)
-    if stacked.shape[0] == 0:
+    stacked = cache.score_matrix(layer, distant)
+    if stacked.shape[1] == 0:
         raise EmptyWindow("cannot fuse an empty profile window")
-    if distant == 0:
-        return np.zeros(0, dtype=np.float64)
     if fusion == "sum":
-        return stacked.sum(axis=0)
+        return stacked.sum(axis=1)
     if fusion == "max":
-        return stacked.max(axis=0)
+        return stacked.max(axis=1)
     raise InvalidParam(f"unknown fusion {fusion!r}")
 
 
-def select_retained(entries, scores, distant_capacity: int, recent_window: int) -> list[int]:
-    """Indices to keep: the recent window plus the top-scoring distant entries.
+def select_retained(scores, occupancy: int, distant_capacity: int, recent_window: int) -> np.ndarray:
+    """Indices to keep out of ``occupancy`` entries, one row per KV head:
+    the recent window plus the top-scoring distant entries.
 
-    Only ``len(entries)`` is read, so the store's position array serves.
-    ``scores`` must align with the distant prefix of ``entries``. Returns
-    sorted indices, so entry order is preserved; equal scores favor the
-    larger index (the more recent entry). Size is
-    ``min(len(entries), distant_capacity + recent_window)``.
+    ``scores`` is ``(heads, distant)`` and must align with the distant
+    prefix of the entries. Returns ``(heads, kept)`` indices, each row
+    sorted, so entry order is preserved; equal scores favor the larger
+    index (the more recent entry). ``kept`` is
+    ``min(occupancy, distant_capacity + recent_window)``.
     """
     if distant_capacity < 0 or recent_window < 1:
         raise InvalidParam("need distant_capacity >= 0 and recent_window >= 1")
-    occ = len(entries)
-    recent = min(recent_window, occ)
-    distant_count = occ - recent
+    recent = min(recent_window, occupancy)
+    distant_count = occupancy - recent
     ranked = np.asarray(scores, dtype=np.float64)
-    if ranked.ndim != 1 or ranked.size != distant_count:
+    if ranked.ndim != 2 or ranked.shape[1] != distant_count:
         raise InvalidShape(
-            f"expected {distant_count} distant scores, got {ranked.size}"
+            f"expected {distant_count} distant scores per head, got shape {ranked.shape}"
         )
+    heads = ranked.shape[0]
     keep_distant = min(distant_capacity, distant_count)
-    # Ascending by (score, index): the last keep_distant rank highest. A
-    # mask puts them back in entry order without paging in np.sort.
-    order = np.lexsort((np.arange(distant_count), ranked))
-    kept = np.zeros(distant_count, dtype=bool)
-    kept[order[distant_count - keep_distant :]] = True
-    return np.flatnonzero(kept).tolist() + list(range(distant_count, occ))
+    # Ascending by (score, index) in each row: the last keep_distant rank
+    # highest. A mask puts them back in entry order without paging in np.sort.
+    index = np.broadcast_to(np.arange(distant_count), ranked.shape)
+    order = np.lexsort((index, ranked), axis=-1)
+    kept = np.zeros(ranked.shape, dtype=bool)
+    kept[np.arange(heads)[:, None], order[:, distant_count - keep_distant :]] = True
+    retained = np.empty((heads, keep_distant + recent), dtype=np.intp)
+    retained[:, :keep_distant] = np.nonzero(kept)[1].reshape(heads, keep_distant)
+    retained[:, keep_distant:] = np.arange(distant_count, occupancy)
+    return retained
 
 
-def _evict_store(
-    cache: KvCacheState, layer: int, head: int, fusion: str, cfg: EvictionPolicyConfig
-) -> None:
-    occ = cache.occupancy(layer, head)
+def _evict_layer(cache: KvCacheState, layer: int, fusion: str, cfg: EvictionPolicyConfig) -> None:
+    occ = cache.occupancy(layer)
     if occ <= cfg.cache_budget:
         return
-    scores = fuse(cache, layer, head, fusion)
-    retained = select_retained(
-        cache.positions(layer, head), scores, cfg.distant_capacity, cfg.recent_window
-    )
-    cache.keep(layer, head, retained)
+    scores = fuse(cache, layer, fusion)
+    cache.keep(layer, select_retained(scores, occ, cfg.distant_capacity, cfg.recent_window))
 
 
 def morphkv_step(
@@ -91,17 +92,16 @@ def morphkv_step(
     """One decode-step policy application.
 
     On steps whose index is a multiple of ``eviction_interval``, trims
-    every unprotected store that exceeds the budget back to exactly
-    ``distant_capacity + recent_window`` entries. The decoder has already
-    recorded the step's rows, so ``step_output`` is not read.
+    every unprotected layer that exceeds the budget back to exactly
+    ``distant_capacity + recent_window`` entries per KV head. The decoder
+    has already recorded the step's rows, so ``step_output`` is not read.
     """
     if cfg.kind != "morphkv":
         raise InvalidConfig(f"morphkv_step got policy kind {cfg.kind!r}")
     if step_index % cfg.eviction_interval:
         return cache
     for layer in range(cfg.protected_layers, cache.n_layers):
-        for head in range(cache.n_kv_heads):
-            _evict_store(cache, layer, head, cfg.fusion, cfg)
+        _evict_layer(cache, layer, cfg.fusion, cfg)
     return cache
 
 
@@ -115,6 +115,5 @@ def prefill_compress(cache: KvCacheState, cfg: EvictionPolicyConfig) -> KvCacheS
     if cfg.kind != "morphkv":
         raise InvalidConfig(f"prefill_compress got policy kind {cfg.kind!r}")
     for layer in range(cfg.protected_layers, cache.n_layers):
-        for head in range(cache.n_kv_heads):
-            _evict_store(cache, layer, head, cfg.effective_prefill_fusion, cfg)
+        _evict_layer(cache, layer, cfg.effective_prefill_fusion, cfg)
     return cache

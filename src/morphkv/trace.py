@@ -11,8 +11,37 @@ from dataclasses import asdict, dataclass, fields
 
 from .config import FIELD_TYPES, EvictionPolicyConfig, ModelConfig, field_types, is_int
 from .errors import InvalidConfig, TraceMismatch
+from .metrics import kv_bytes_from_occupancies
 
 TRACE_SCHEMA = "kv-eviction-trace-v1"
+
+
+def expected_occupancy_stream(
+    policy: EvictionPolicyConfig, prompt_len: int, steps: int, layer: int
+) -> list[int]:
+    """Per-store occupancy a correct engine must show at ``layer`` after
+    each decode step. Layers that morphkv protects never evict."""
+    kind = policy.kind
+    budget = policy.cache_budget
+    if kind == "morphkv" and layer >= policy.protected_layers:
+        alive = min(prompt_len, budget) if policy.compress_prefill else prompt_len
+        out = []
+        for i in range(steps):
+            alive += 1
+            if i % policy.eviction_interval == 0 and alive > budget:
+                alive = budget
+            out.append(alive)
+        return out
+    seen = [prompt_len + i + 1 for i in range(steps)]
+    if kind == "scissorhands":
+        return [min(total, policy.recent_window) for total in seen]
+    if kind == "streamingllm":
+        return [min(total, policy.sink_count + policy.recent_window) for total in seen]
+    if kind == "h2o":
+        return [prompt_len + min(i + 1, budget) for i in range(steps)]
+    if kind == "snapkv":
+        return [min(prompt_len, policy.prefill_budget) + i + 1 for i in range(steps)]
+    return seen
 
 
 @dataclass
@@ -72,8 +101,10 @@ class StepTrace:
 
         Raises :class:`TraceMismatch` for any document that :meth:`to_dict`
         could not have produced: a missing or unknown key, a wrong type, a
-        grid that does not match the model's (layer, KV head) shape, or
-        step records out of order.
+        grid that does not match the model's (layer, KV head) shape, step
+        records out of order, an occupancy the policy cannot reach, bytes
+        that do not match the occupancy, or an eviction count that does
+        not account for the occupancy change.
         """
         if not isinstance(data, dict):
             raise TraceMismatch("a trace must be a JSON object")
@@ -110,6 +141,7 @@ class StepTrace:
                 raise TraceMismatch(f"{where} bytes must be a non-negative integer")
             _check_grid(rec["occupancy"], model, is_int, f"{where} occupancy")
             _check_grid(rec["evicted"], model, _is_int_list, f"{where} evicted")
+        _check_accounting(data, model, policy)
         return cls(
             model=model,
             policy=policy,
@@ -169,3 +201,32 @@ def _check_grid(grid, model: ModelConfig, cell_ok, where: str) -> None:
         raise TraceMismatch(
             f"{where} must be a {model.n_layers} x {model.n_kv_heads} (layer, KV head) grid"
         )
+
+
+def _check_accounting(data: dict, model: ModelConfig, policy: EvictionPolicyConfig) -> None:
+    """Each record's occupancy grid against the policy's occupancy rule, its
+    eviction counts against the occupancy change, and its bytes against
+    the byte model."""
+    prompt_len, steps = len(data["prompt"]), data["steps"]
+    streams = [
+        expected_occupancy_stream(policy, prompt_len, len(steps), layer)
+        for layer in range(model.n_layers)
+    ]
+    before = [[prompt_len - len(p) for p in heads] for heads in data["prefill_evictions"]]
+    for i, rec in enumerate(steps):
+        occupancy, where = rec["occupancy"], f"step record {i}"
+        want = [[stream[i]] * model.n_kv_heads for stream in streams]
+        if occupancy != want:
+            raise TraceMismatch(
+                f"{where} occupancy {occupancy}, expected {want} under {policy.kind}"
+            )
+        counts = [[len(p) for p in heads] for heads in rec["evicted"]]
+        if counts != [[b + 1 - o for b, o in zip(*pair)] for pair in zip(before, occupancy)]:
+            raise TraceMismatch(
+                f"{where} evicts {counts} entries per store, "
+                f"but occupancy went from {before} to {occupancy}"
+            )
+        before = occupancy
+        size = kv_bytes_from_occupancies(occupancy, model, policy, data["bytes_per_scalar"])
+        if rec["bytes"] != size:
+            raise TraceMismatch(f"{where} bytes {rec['bytes']}, expected {size}")

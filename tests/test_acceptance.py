@@ -22,7 +22,6 @@ from morphkv import (
     KvCacheState,
     ModelConfig,
     RunConfig,
-    aggregate_group_scores,
     decode_step,
     fuse,
     greedy_token,
@@ -139,8 +138,8 @@ def test_scripted_walkthrough_replay():
         [0.05, 0.30, 0.40, 0.25],
     ]
     for pos, row in enumerate(prompt_rows):
-        cache.append(0, 0, np.zeros(2), np.zeros(2), pos, pos)
-        cache.record(0, 0, row)
+        cache.append(0, np.zeros((1, 2)), np.zeros((1, 2)), pos, pos)
+        cache.record_step_profiles(0, [[row]])
     decode_rows = [
         [0.05, 0.30, 0.15, 0.30, 0.20],
         [0.20, 0.05, 0.15, 0.25, 0.35],
@@ -151,26 +150,26 @@ def test_scripted_walkthrough_replay():
     # First step, decomposed: after the new entry and its row land, the
     # three distant entries carry fused scores 0.10, 0.60, 0.55, so the
     # 0.10 entry (position 0) must be the unique eviction.
-    cache.append(0, 0, np.zeros(2), np.zeros(2), 4, 4)
-    cache.record(0, 0, decode_rows[0])
-    first_scores = fuse(cache, 0, 0, "sum")
-    np.testing.assert_allclose(first_scores, [0.10, 0.60, 0.55], atol=1e-12)
-    retained = select_retained(cache.positions(0, 0), first_scores, 2, 2)
-    assert cache.keep(0, 0, retained) == [0]
+    cache.append(0, np.zeros((1, 2)), np.zeros((1, 2)), 4, 4)
+    cache.record_step_profiles(0, [[decode_rows[0]]])
+    first_scores = fuse(cache, 0, "sum")
+    np.testing.assert_allclose(first_scores, [[0.10, 0.60, 0.55]], atol=1e-12)
+    retained = select_retained(first_scores, cache.occupancy(0), 2, 2)
+    assert cache.keep(0, retained) == [0]
     cache.pop_eviction_events()
     # Remaining steps through the policy entry point.
     evictions = [[0]]
     for idx, row in enumerate(decode_rows[1:], start=1):
         pos = 4 + idx
-        cache.append(0, 0, np.zeros(2), np.zeros(2), pos, pos)
-        out = SimpleNamespace(attn_rows=[[np.array([row])]], position=pos, token_id=pos)
+        cache.append(0, np.zeros((1, 2)), np.zeros((1, 2)), pos, pos)
+        out = SimpleNamespace(attn_rows=[[np.array([row])]])
         # The decoder records each step's rows before the policy runs.
         cache.record_step_profiles(0, out.attn_rows[0])
         morphkv_step(cache, out, cfg, idx)
         evictions.extend(e[2] for e in cache.pop_eviction_events())
-        assert cache.occupancy(0, 0) == 4
+        assert cache.occupancy(0) == 4
     assert evictions == [[0], [2], [3], [5], [1]]
-    survivors = cache.positions(0, 0).tolist()
+    survivors = cache.positions(0)[0].tolist()
     assert survivors == [4, 6, 7, 8]
     # The entry appended at the first decode step (position 4) is now the
     # oldest survivor: it outlived every prompt entry and one younger
@@ -193,12 +192,12 @@ def test_fusion_matches_independent_recomputation():
         rows = rng.uniform(size=(capacity, width))
         cache = KvCacheState(1, 1, window_capacity=capacity)
         for pos in range(width):
-            cache.append(0, 0, np.zeros(2), np.zeros(2), pos, pos)
+            cache.append(0, np.zeros((1, 2)), np.zeros((1, 2)), pos, pos)
         for row in rows:
-            cache.record(0, 0, row)
+            cache.record_step_profiles(0, [[row]])
         distant = width - capacity
-        sum_scores = fuse(cache, 0, 0, "sum")
-        max_scores = fuse(cache, 0, 0, "max")
+        sum_scores = fuse(cache, 0, "sum")[0]
+        max_scores = fuse(cache, 0, "max")[0]
         np.testing.assert_allclose(
             sum_scores, reference.fuse_loops(rows, distant, "sum"), atol=1e-12
         )
@@ -232,8 +231,8 @@ def test_group_aggregation_consistency():
         replays = {}
         for layer in range(model.n_layers):
             for head in range(model.n_kv_heads):
-                live = cache.positions(layer, head).tolist()
-                rows = cache.score_matrix(layer, head)
+                live = cache.positions(layer)[head].tolist()
+                rows = cache.score_matrix(layer)[head]
                 replays[layer, head, True] = reference.RetentionReplay(
                     live, rows, 3, 2, aggregate=True
                 )
@@ -253,12 +252,21 @@ def test_group_aggregation_consistency():
                 engine[layer, head] = positions
             for layer in range(model.n_layers):
                 for head in range(model.n_kv_heads):
-                    agg = replays[layer, head, True].step(out.position, groups[layer][head])
-                    raw = replays[layer, head, False].step(out.position, groups[layer][head])
+                    agg = replays[layer, head, True].step(8 + i, groups[layer][head])
+                    raw = replays[layer, head, False].step(8 + i, groups[layer][head])
                     assert agg == raw == engine[layer, head], (seed, i, layer, head)
             token = greedy_token(out.logits)
-    # Part 2: with four query heads per KV head, the aggregated row must
-    # equal the explicit four-row sum to 1e-12 at every store and step.
+    # Part 2: with four query heads per KV head, the row a store records
+    # for a group must equal the explicit four-row sum to 1e-12 at every
+    # store and step.
+
+    def aggregated(group):
+        cache = KvCacheState(1, 1, window_capacity=1)
+        for pos in range(group.shape[1]):
+            cache.append(0, np.zeros((1, 2)), np.zeros((1, 2)), pos, pos)
+        cache.record_step_profiles(0, [group])
+        return cache.score_matrix(0)[0, 0]
+
     gqa = ModelConfig(n_layers=2, n_query_heads=8, n_kv_heads=2, head_dim=4, vocab_size=32, seed=3)
     assert gqa.group_size == 4
     result = run(
@@ -276,7 +284,7 @@ def test_group_aggregation_consistency():
             for group in layer_rows:
                 explicit = group[0] + group[1] + group[2] + group[3]
                 np.testing.assert_allclose(
-                    aggregate_group_scores(group), explicit, atol=1e-12
+                    aggregated(group), explicit, atol=1e-12
                 )
                 cells += 1
     print(

@@ -20,31 +20,36 @@ from morphkv.morph import fuse, select_retained
 
 
 def entry(pos: int) -> tuple:
-    """``KvCacheState.append`` arguments after (layer, head)."""
-    return np.zeros(2), np.zeros(2), pos, 0
+    """``KvCacheState.append`` arguments after the layer, for one KV head."""
+    return np.zeros((1, 2)), np.zeros((1, 2)), pos, 0
+
+
+def record(cache: KvCacheState, row) -> None:
+    """Record one row into layer 0's single KV head."""
+    cache.record_step_profiles(0, [[row]])
 
 
 def decoded(cache: KvCacheState, pos: int, row: np.ndarray) -> SimpleNamespace:
     """Append an entry and record its step's row, as the decoder does."""
-    cache.append(0, 0, *entry(pos))
-    step = SimpleNamespace(attn_rows=[[np.array([row])]], position=pos, token_id=0)
+    cache.append(0, *entry(pos))
+    step = SimpleNamespace(attn_rows=[[np.array([row])]])
     cache.record_step_profiles(0, step.attn_rows[0])
     return step
 
 
 def uniform_step(cache: KvCacheState, pos: int) -> SimpleNamespace:
-    occ = cache.occupancy(0, 0) + 1
+    occ = cache.occupancy(0) + 1
     return decoded(cache, pos, np.full(occ, 1.0 / occ))
 
 
 def one_hot_step(cache: KvCacheState, pos: int) -> SimpleNamespace:
-    row = np.zeros(cache.occupancy(0, 0) + 1)
+    row = np.zeros(cache.occupancy(0) + 1)
     row[-1] = 1.0
     return decoded(cache, pos, row)
 
 
 def positions(cache: KvCacheState, layer: int = 0, head: int = 0) -> list[int]:
-    return cache.positions(layer, head).tolist()
+    return cache.positions(layer)[head].tolist()
 
 
 class TestScissorhands:
@@ -53,25 +58,25 @@ class TestScissorhands:
     def test_keeps_only_newest_window(self):
         cache = KvCacheState(1, 1, window_capacity=4)
         for pos in range(6):
-            cache.append(0, 0, *entry(pos))
-            cache.record(0, 0, np.full(pos + 1, 1.0 / (pos + 1)))
+            cache.append(0, *entry(pos))
+            record(cache, np.full(pos + 1, 1.0 / (pos + 1)))
         for pos in range(6, 10):
             scissorhands_step(cache, uniform_step(cache, pos), self.CFG)
-            assert cache.occupancy(0, 0) == 4
+            assert cache.occupancy(0) == 4
         assert positions(cache) == [6, 7, 8, 9]
 
     def test_evicts_exactly_the_oldest(self):
         cache = KvCacheState(1, 1, window_capacity=4)
         for pos in range(4):
-            cache.append(0, 0, *entry(pos))
-            cache.record(0, 0, np.full(pos + 1, 1.0 / (pos + 1)))
+            cache.append(0, *entry(pos))
+            record(cache, np.full(pos + 1, 1.0 / (pos + 1)))
         scissorhands_step(cache, uniform_step(cache, 4), self.CFG)
         assert cache.pop_eviction_events() == [(0, 0, [0])]
 
     def test_below_window_no_eviction(self):
         cache = KvCacheState(1, 1, window_capacity=4)
-        cache.append(0, 0, *entry(0))
-        cache.record(0, 0, [1.0])
+        cache.append(0, *entry(0))
+        record(cache, [1.0])
         scissorhands_step(cache, uniform_step(cache, 1), self.CFG)
         assert cache.pop_eviction_events() == []
 
@@ -87,19 +92,19 @@ class TestStreamingLlm:
         cfg = EvictionPolicyConfig(kind="streamingllm", sink_count=2, recent_window=3)
         cache = KvCacheState(1, 1, window_capacity=3)
         for pos in range(5):
-            cache.append(0, 0, *entry(pos))
-            cache.record(0, 0, np.full(pos + 1, 1.0 / (pos + 1)))
+            cache.append(0, *entry(pos))
+            record(cache, np.full(pos + 1, 1.0 / (pos + 1)))
         for pos in range(5, 10):
             streamingllm_step(cache, uniform_step(cache, pos), cfg)
-            assert cache.occupancy(0, 0) == 5
+            assert cache.occupancy(0) == 5
         assert positions(cache) == [0, 1, 7, 8, 9]
 
     def test_zero_sinks_matches_scissorhands(self):
         def drive(step_fn, cfg):
             cache = KvCacheState(1, 1, window_capacity=3)
             for pos in range(5):
-                cache.append(0, 0, *entry(pos))
-                cache.record(0, 0, np.full(pos + 1, 1.0 / (pos + 1)))
+                cache.append(0, *entry(pos))
+                record(cache, np.full(pos + 1, 1.0 / (pos + 1)))
             events = []
             for pos in range(5, 11):
                 step_fn(cache, uniform_step(cache, pos), cfg)
@@ -119,8 +124,8 @@ class TestStreamingLlm:
     def test_short_store_entirely_pinned(self):
         cfg = EvictionPolicyConfig(kind="streamingllm", sink_count=4, recent_window=2)
         cache = KvCacheState(1, 1, window_capacity=2)
-        cache.append(0, 0, *entry(0))
-        cache.record(0, 0, [1.0])
+        cache.append(0, *entry(0))
+        record(cache, [1.0])
         streamingllm_step(cache, uniform_step(cache, 1), cfg)
         assert cache.pop_eviction_events() == []
         assert positions(cache) == [0, 1]
@@ -148,8 +153,8 @@ class TestH2o:
         cfg = EvictionPolicyConfig(kind="h2o", distant_capacity=1, recent_window=1)
         cache = KvCacheState(1, 1, window_capacity=1)
         for pos in range(3):
-            cache.append(0, 0, *entry(pos))
-            cache.record(0, 0, np.zeros(pos + 1))
+            cache.append(0, *entry(pos))
+            record(cache, np.zeros(pos + 1))
         events = []
         for pos in range(3, 7):
             h2o_step(cache, one_hot_step(cache, pos), 3, cfg)
@@ -255,11 +260,12 @@ class TestSnapKv:
         snapkv_policy(auto, policy)
         for layer in range(model.n_layers):
             for head in range(model.n_kv_heads):
-                scores = fuse(manual, layer, head, "sum")
-                kept = select_retained(manual.positions(layer, head), scores, 3, 2)
-                manual.keep(layer, head, kept)
-                assert positions(auto, layer, head) == positions(manual, layer, head)
-                assert len(positions(auto, layer, head)) == 5
+                # One head's rows of the layer-wide fuse and select.
+                scores = fuse(manual, layer, "sum")[head : head + 1]
+                kept = select_retained(scores, manual.occupancy(layer), 3, 2)[0]
+                want = manual.positions(layer)[head][kept].tolist()
+                assert positions(auto, layer, head) == want
+                assert len(want) == 5
 
     def test_budget_within_window_keeps_newest(self):
         model = ModelConfig(n_layers=1, n_query_heads=2, n_kv_heads=1, head_dim=4, vocab_size=32, seed=3)
@@ -293,7 +299,7 @@ class TestDispatch:
         cache = KvCacheState(1, 1, window_capacity=2)
         for pos in range(6):
             policy_step(cache, uniform_step(cache, pos), cfg, pos, 0)
-        assert cache.occupancy(0, 0) == 6
+        assert cache.occupancy(0) == 6
         assert cache.pop_eviction_events() == []
 
     def test_unknown_kind_rejected(self):
@@ -309,5 +315,5 @@ class TestDispatch:
         cache = KvCacheState(1, 1, window_capacity=2)
         for pos in range(4):
             policy_step(cache, uniform_step(cache, pos), cfg, pos, 0)
-        assert cache.occupancy(0, 0) == 4
-        assert cache.profile_rows(0, 0) == 2
+        assert cache.occupancy(0) == 4
+        assert cache.profile_rows(0) == 2

@@ -52,8 +52,8 @@ class TestQueryGroupStack:
         rng = np.random.default_rng(g)
         cache = KvCacheState(1, 1, window_capacity=2)
         for n in range(1, 2 * INITIAL_ALLOC + 6):
-            cache.append(0, 0, rng.normal(size=d), rng.normal(size=d), n - 1, 0)
-            keys, vals = cache.keys_matrix(0, 0), cache.values_matrix(0, 0)
+            cache.append(0, rng.normal(size=(1, d)), rng.normal(size=(1, d)), n - 1, 0)
+            keys, vals = cache.keys_matrix(0)[0], cache.values_matrix(0)[0]
             assert keys.base is not None  # a leading slice of the store's buffer
             q = rng.normal(size=(g, d)) * 3.0
             weights, out = scaled_dot_attention(q, keys, vals)
@@ -131,7 +131,7 @@ class TestDecoderGroups:
         out = decode_step(w, 5, cache)
         for layer in range(cfg.n_layers):
             for head in range(cfg.n_kv_heads):
-                keys, vals = cache.keys_matrix(layer, head), cache.values_matrix(layer, head)
+                keys, vals = cache.keys_matrix(layer)[head], cache.values_matrix(layer)[head]
                 for j in range(cfg.group_size):
                     row, single = single_query(out.queries[layer][head][j], keys, vals)
                     assert np.array_equal(out.attn_rows[layer][head][j], row)

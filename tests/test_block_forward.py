@@ -47,8 +47,6 @@ def tokenwise(weights, prompt, capacity):
 def assert_same_run(weights, prompt, capacity):
     got, got_cache = blockwise(weights, prompt, capacity)
     want, want_cache = tokenwise(weights, prompt, capacity)
-    last = (len(prompt) - 1, prompt[-1])
-    assert (got.position, got.token_id) == (want.position, want.token_id) == last
     assert same_bits(got.logits, want.logits)
     for field in ("attn_rows", "attn_outputs", "queries"):
         got_layers, want_layers = getattr(got, field), getattr(want, field)
@@ -58,11 +56,10 @@ def assert_same_run(weights, prompt, capacity):
             for a, b in zip(got_heads, want_heads):
                 assert same_bits(a, b), field
     for layer in range(weights.config.n_layers):
-        for head in range(weights.config.n_kv_heads):
-            for read in STORE_READS:
-                a = getattr(got_cache, read)(layer, head)
-                b = getattr(want_cache, read)(layer, head)
-                assert same_bits(a, b), (read, layer, head)
+        for read in STORE_READS:
+            a = getattr(got_cache, read)(layer)
+            b = getattr(want_cache, read)(layer)
+            assert same_bits(a, b), (read, layer)
 
 
 def make_prompt(cfg: ModelConfig, length: int, seed: int) -> list[int]:

@@ -7,7 +7,6 @@ import reference
 from morphkv import (
     KvCacheState,
     ModelConfig,
-    aggregate_group_scores,
     fuse,
 )
 from morphkv.errors import (
@@ -18,93 +17,107 @@ from morphkv.errors import (
 )
 
 
-def entry(pos: int, token: int = 0, d: int = 2) -> tuple:
-    """``KvCacheState.append`` arguments after (layer, head)."""
-    return np.full(d, float(pos)), np.full(d, float(pos)), pos, token
+def entry(pos: int, token: int = 0, d: int = 2, heads: int = 1) -> tuple:
+    """``KvCacheState.append`` arguments after the layer."""
+    return np.full((heads, d), float(pos)), np.full((heads, d), float(pos)), pos, token
+
+
+def record(cache: KvCacheState, row, layer: int = 0) -> None:
+    """Record one row into a one-head layer: a group of one query head."""
+    cache.record_step_profiles(layer, [[row]])
 
 
 def window_of(rows, width: int, capacity: int | None = None) -> KvCacheState:
     """A one-store cache ``width`` entries wide whose profile holds ``rows``, oldest first."""
     cache = KvCacheState(1, 1, window_capacity=capacity or len(rows))
     for pos in range(width):
-        cache.append(0, 0, *entry(pos))
+        cache.append(0, *entry(pos))
     for row in rows:
-        cache.record(0, 0, row)
+        record(cache, row)
     return cache
+
+
+def group_profile_row(rows, width: int | None = None) -> np.ndarray:
+    """The profile row a one-head store records for one group of query-head rows."""
+    cache = KvCacheState(1, 1, window_capacity=1)
+    for pos in range(len(rows[0]) if width is None else width):
+        cache.append(0, *entry(pos))
+    cache.record_step_profiles(0, [rows])
+    return cache.score_matrix(0)[0, 0]
 
 
 class TestAggregation:
     def test_two_rows_sum_elementwise(self):
         rows = [np.array([0.1, 0.2, 0.7]), np.array([0.3, 0.3, 0.4])]
-        np.testing.assert_allclose(aggregate_group_scores(rows), [0.4, 0.5, 1.1], atol=1e-15)
+        np.testing.assert_allclose(group_profile_row(rows), [0.4, 0.5, 1.1], atol=1e-15)
 
     def test_single_row_is_identity(self):
         row = np.array([0.25, 0.75])
-        np.testing.assert_array_equal(aggregate_group_scores([row]), row)
+        np.testing.assert_array_equal(group_profile_row([row]), row)
 
     def test_matches_loop_reference(self):
         rng = np.random.default_rng(13)
         rows = rng.uniform(size=(4, 6))
         expected = [sum(float(rows[j][k]) for j in range(4)) for k in range(6)]
-        np.testing.assert_allclose(aggregate_group_scores(rows), expected, atol=1e-12)
+        np.testing.assert_allclose(group_profile_row(rows), expected, atol=1e-12)
 
     def test_rejects_ragged_rows(self):
         with pytest.raises(InvalidShape):
-            aggregate_group_scores([np.array([0.5, 0.5]), np.array([1.0])])
+            group_profile_row([np.array([0.5, 0.5]), np.array([1.0])])
 
     def test_rejects_empty_stack(self):
         with pytest.raises(InvalidShape):
-            aggregate_group_scores(np.zeros((0, 3)))
+            group_profile_row(np.zeros((0, 3)), width=3)
 
     @given(st.integers(1, 6), st.integers(1, 8), st.integers(0, 2**32 - 1))
     def test_row_order_is_irrelevant(self, g, n, seed):
         rows = np.random.default_rng(seed).uniform(size=(g, n))
         flipped = rows[::-1]
         np.testing.assert_allclose(
-            aggregate_group_scores(rows), aggregate_group_scores(flipped), atol=1e-12
+            group_profile_row(rows), group_profile_row(flipped), atol=1e-12
         )
 
 
 class TestWindow:
     def test_record_then_pad_appends_zero_column(self):
         cache = KvCacheState(1, 1, window_capacity=3)
-        cache.append(0, 0, *entry(0))
-        cache.record(0, 0, [1.0])
-        cache.append(0, 0, *entry(1))
-        np.testing.assert_array_equal(cache.score_matrix(0, 0), [[1.0, 0.0]])
-        assert cache.occupancy(0, 0) == 2
+        cache.append(0, *entry(0))
+        record(cache, [1.0])
+        cache.append(0, *entry(1))
+        np.testing.assert_array_equal(cache.score_matrix(0)[0], [[1.0, 0.0]])
+        assert cache.occupancy(0) == 2
 
     def test_capacity_drops_oldest(self):
         cache = KvCacheState(1, 1, window_capacity=2)
         for pos in range(4):
-            cache.append(0, 0, *entry(pos))
-            cache.record(0, 0, np.full(pos + 1, float(pos)))
-        assert cache.profile_rows(0, 0) == 2
-        np.testing.assert_array_equal(cache.score_matrix(0, 0, 1)[:, 0], [2.0, 3.0])
+            cache.append(0, *entry(pos))
+            record(cache, np.full(pos + 1, float(pos)))
+        assert cache.profile_rows(0) == 2
+        np.testing.assert_array_equal(cache.score_matrix(0, 1)[0, :, 0], [2.0, 3.0])
 
     def test_keep_columns_realigns_rows(self):
         cache = KvCacheState(1, 1, window_capacity=2)
         for pos in range(3):
-            cache.append(0, 0, *entry(pos))
-            cache.record(0, 0, np.arange(pos + 1, dtype=float))
-        cache.keep(0, 0, [0, 2])
-        assert cache.occupancy(0, 0) == 2
-        np.testing.assert_array_equal(cache.score_matrix(0, 0)[-1], [0.0, 2.0])
+            cache.append(0, *entry(pos))
+            record(cache, np.arange(pos + 1, dtype=float))
+        cache.keep(0, [[0, 2]])
+        assert cache.occupancy(0) == 2
+        np.testing.assert_array_equal(cache.score_matrix(0)[0, -1], [0.0, 2.0])
 
     def test_record_rejects_misaligned_row(self):
         cache = KvCacheState(1, 1, window_capacity=2)
-        cache.append(0, 0, *entry(0))
+        cache.append(0, *entry(0))
         with pytest.raises(InvalidShape):
-            cache.record(0, 0, [0.5, 0.5])
+            record(cache, [0.5, 0.5])
 
     def test_record_step_profiles_records_aggregated_rows(self):
         cache = KvCacheState(1, 1, window_capacity=1)
-        cache.append(0, 0, *entry(0))
-        cache.append(0, 0, *entry(1))
+        cache.append(0, *entry(0))
+        cache.append(0, *entry(1))
         group = np.array([[0.25, 0.75], [0.5, 0.5]])
         assert cache.record_step_profiles(0, [group]) is None
-        np.testing.assert_array_equal(cache.score_matrix(0, 0), [[0.75, 1.25]])
-        np.testing.assert_array_equal(cache.received(0, 0), [0.75, 1.25])
+        np.testing.assert_array_equal(cache.score_matrix(0)[0], [[0.75, 1.25]])
+        np.testing.assert_array_equal(cache.received(0)[0], [0.75, 1.25])
 
     def test_rejects_zero_capacity(self):
         with pytest.raises(InvalidConfig):
@@ -112,20 +125,20 @@ class TestWindow:
 
     def test_recorded_row_is_copied(self):
         cache = KvCacheState(1, 1, window_capacity=2)
-        cache.append(0, 0, *entry(0))
+        cache.append(0, *entry(0))
         src = np.array([0.7])
-        cache.record(0, 0, src)
+        record(cache, src)
         src[0] = -1.0
-        assert cache.score_matrix(0, 0)[0, 0] == 0.7
-        assert cache.received(0, 0)[0] == 0.7
+        assert cache.score_matrix(0)[0, 0, 0] == 0.7
+        assert cache.received(0)[0, 0] == 0.7
 
     def test_score_matrix_is_a_c_contiguous_copy(self):
         cache = window_of([[0.1, 0.2, 0.3], [0.4, 0.5, 0.6]], width=3, capacity=2)
         for columns in (None, 1):
-            scores = cache.score_matrix(0, 0, columns)
+            scores = cache.score_matrix(0, columns)
             assert scores.flags.c_contiguous
-        scores[0, 0] = 9.0
-        assert cache.score_matrix(0, 0)[0, 0] == 0.1
+        scores[0, 0, 0] = 9.0
+        assert cache.score_matrix(0)[0, 0, 0] == 0.1
 
 
 class TestFusion:
@@ -135,23 +148,23 @@ class TestFusion:
         w = window_of(
             [[0.3, 0.05, 0.3, 0.2, 0.15], [0.3, 0.05, 0.25, 0.1, 0.3]], width=5
         )
-        np.testing.assert_allclose(fuse(w, 0, 0, "sum"), [0.6, 0.1, 0.55], atol=1e-12)
+        np.testing.assert_allclose(fuse(w, 0, "sum")[0], [0.6, 0.1, 0.55], atol=1e-12)
 
     def test_max_fusion_golden(self):
         w = window_of(
             [[0.3, 0.05, 0.3, 0.2, 0.15], [0.2, 0.15, 0.25, 0.1, 0.3]], width=5
         )
-        np.testing.assert_allclose(fuse(w, 0, 0, "max"), [0.3, 0.15, 0.3], atol=1e-15)
+        np.testing.assert_allclose(fuse(w, 0, "max")[0], [0.3, 0.15, 0.3], atol=1e-15)
 
     def test_no_distant_entries_gives_empty_scores(self):
         w = window_of([[0.5, 0.5]], width=2, capacity=2)
-        assert fuse(w, 0, 0, "sum").size == 0
+        assert fuse(w, 0, "sum").shape == (1, 0)
 
     def test_empty_window_raises(self):
         w = KvCacheState(1, 1, window_capacity=2)
-        w.append(0, 0, *entry(0))
+        w.append(0, *entry(0))
         with pytest.raises(EmptyWindow):
-            fuse(w, 0, 0, "sum")
+            fuse(w, 0, "sum")[0]
 
     def test_matches_loop_reference(self):
         rng = np.random.default_rng(21)
@@ -163,7 +176,7 @@ class TestFusion:
             distant = width - cap
             for kind in ("sum", "max"):
                 np.testing.assert_allclose(
-                    fuse(w, 0, 0, kind),
+                    fuse(w, 0, kind)[0],
                     reference.fuse_loops(rows, distant, kind),
                     atol=1e-12,
                 )
@@ -175,81 +188,82 @@ class TestFusion:
         width = cap + extra
         rows = np.random.default_rng(seed).uniform(size=(cap, width))
         w = window_of(rows, width)
-        assert np.all(fuse(w, 0, 0, "max") <= fuse(w, 0, 0, "sum") + 1e-15)
+        assert np.all(fuse(w, 0, "max")[0] <= fuse(w, 0, "sum")[0] + 1e-15)
 
 
 class TestCacheState:
     def test_append_pads_every_existing_row(self):
         cache = KvCacheState(1, 1, window_capacity=4)
-        cache.append(0, 0, *entry(0))
-        cache.record(0, 0, [1.0])
-        cache.append(0, 0, *entry(1))
-        cache.record(0, 0, [0.4, 0.6])
-        rows = cache.score_matrix(0, 0)
+        cache.append(0, *entry(0))
+        record(cache, [1.0])
+        cache.append(0, *entry(1))
+        record(cache, [0.4, 0.6])
+        rows = cache.score_matrix(0)[0]
         np.testing.assert_array_equal(rows[0], [1.0, 0.0])
-        assert cache.occupancy(0, 0) == 2
+        assert cache.occupancy(0) == 2
         cache.validate()
 
     def test_keep_returns_evicted_positions_and_journals(self):
         cache = KvCacheState(1, 1, window_capacity=4)
         for pos in range(4):
-            cache.append(0, 0, *entry(pos, token=pos + 10))
-        evicted = cache.keep(0, 0, [0, 2, 3])
+            cache.append(0, *entry(pos, token=pos + 10))
+        evicted = cache.keep(0, [[0, 2, 3]])
         assert evicted == [1]
-        assert cache.positions(0, 0).tolist() == [0, 2, 3]
-        assert cache.token_ids(0, 0).tolist() == [10, 12, 13]
+        assert cache.positions(0)[0].tolist() == [0, 2, 3]
+        assert cache.token_ids(0)[0].tolist() == [10, 12, 13]
         assert cache.pop_eviction_events() == [(0, 0, [1])]
         assert cache.pop_eviction_events() == []
 
     def test_keep_everything_is_a_noop(self):
         cache = KvCacheState(1, 1, window_capacity=4)
         for pos in range(3):
-            cache.append(0, 0, *entry(pos))
-        assert cache.keep(0, 0, [0, 1, 2]) == []
+            cache.append(0, *entry(pos))
+        assert cache.keep(0, [[0, 1, 2]]) == []
         assert cache.pop_eviction_events() == []
 
     def test_keep_rejects_unsorted_and_out_of_range(self):
         cache = KvCacheState(1, 1, window_capacity=4)
         for pos in range(3):
-            cache.append(0, 0, *entry(pos))
+            cache.append(0, *entry(pos))
         with pytest.raises(InvalidShape):
-            cache.keep(0, 0, [1, 0])
+            cache.keep(0, [[1, 0]])
         with pytest.raises(InvalidShape):
-            cache.keep(0, 0, [1, 1])
+            cache.keep(0, [[1, 1]])
         with pytest.raises(InvalidShape):
-            cache.keep(0, 0, [0, 3])
+            cache.keep(0, [[0, 3]])
 
     def test_stores_evolve_independently(self):
         cache = KvCacheState(2, 2, window_capacity=4)
         for pos in range(3):
             for layer in range(2):
-                for head in range(2):
-                    cache.append(layer, head, *entry(pos))
-        cache.keep(1, 0, [2])
-        assert cache.occupancy(0, 0) == 3
-        assert cache.occupancy(1, 0) == 1
-        assert cache.occupancies() == [[3, 3], [1, 3]]
+                cache.append(layer, *entry(pos, heads=2))
+        assert cache.keep(1, [[2], [0]]) == [0, 1, 1, 2]
+        assert cache.occupancy(0) == 3
+        assert cache.occupancy(1) == 1
+        assert cache.occupancies() == [[3, 3], [1, 1]]
+        assert cache.positions(1).tolist() == [[2], [0]]
+        assert cache.pop_eviction_events() == [(1, 0, [0, 1]), (1, 1, [1, 2])]
         cache.validate()
 
     def test_next_position_continues_after_eviction(self):
         cache = KvCacheState(1, 1, window_capacity=4)
         for pos in range(5):
-            cache.append(0, 0, *entry(pos))
-        cache.keep(0, 0, [3, 4])
+            cache.append(0, *entry(pos))
+        cache.keep(0, [[3, 4]])
         assert cache.next_position() == 5
 
     def test_keys_matrix_orders_rows_by_entry(self):
         cache = KvCacheState(1, 1, window_capacity=4)
         for pos in range(3):
-            cache.append(0, 0, *entry(pos))
-        np.testing.assert_array_equal(cache.keys_matrix(0, 0)[:, 0], [0.0, 1.0, 2.0])
-        np.testing.assert_array_equal(cache.values_matrix(0, 0)[:, 0], [0.0, 1.0, 2.0])
+            cache.append(0, *entry(pos))
+        np.testing.assert_array_equal(cache.keys_matrix(0)[0, :, 0], [0.0, 1.0, 2.0])
+        np.testing.assert_array_equal(cache.values_matrix(0)[0, :, 0], [0.0, 1.0, 2.0])
 
     def test_snapshot_reports_entries_and_scores(self):
         cache = KvCacheState(1, 1, window_capacity=2)
         for pos in range(4):
-            cache.append(0, 0, *entry(pos, token=pos))
-        cache.record(0, 0, [0.1, 0.2, 0.3, 0.4])
+            cache.append(0, *entry(pos, token=pos))
+        record(cache, [0.1, 0.2, 0.3, 0.4])
         snap = cache.snapshot()
         assert snap["window_capacity"] == 2
         assert snap["layers"][0][0]["entries"] == [[0, 0], [1, 1], [2, 2], [3, 3]]
@@ -257,16 +271,16 @@ class TestCacheState:
 
     def test_validate_flags_nonincreasing_positions(self):
         cache = KvCacheState(1, 1, window_capacity=4)
-        cache.append(0, 0, *entry(1))
-        cache.append(0, 0, *entry(1))
+        cache.append(0, *entry(1))
+        cache.append(0, *entry(1))
         with pytest.raises(InternalInvariantViolation):
             cache.validate()
 
     def test_validate_flags_nonfinite_entry(self):
         cache = KvCacheState(1, 1, window_capacity=4)
         key, value, pos, token = entry(0)
-        key[0] = np.nan
-        cache.append(0, 0, key, value, pos, token)
+        key[0, 0] = np.nan
+        cache.append(0, key, value, pos, token)
         with pytest.raises(InternalInvariantViolation):
             cache.validate()
 
@@ -277,6 +291,7 @@ class TestCacheState:
         assert cache.n_kv_heads == 2
         assert cache.window_capacity == 5
         for pos in range(7):
-            cache.append(2, 1, *entry(pos))
-            cache.record(2, 1, np.zeros(pos + 1))
-        assert cache.profile_rows(2, 1) == 5
+            cache.append(2, *entry(pos, heads=2))
+            cache.record_step_profiles(2, np.zeros((2, 2, pos + 1)))
+        assert cache.profile_rows(2) == 5
+        assert cache.score_matrix(2).shape == (2, 5, 7)

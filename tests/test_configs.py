@@ -88,7 +88,7 @@ def test_random_small_configs_hold_invariants(config):
     snapshot = result.cache.snapshot(config.policy.fusion)
     for layer, heads in enumerate(snapshot["layers"]):
         for head, store in enumerate(heads):
-            occ = result.cache.occupancy(layer, head)
+            occ = result.cache.occupancy(layer)
             assert len(store["entries"]) == occ
             assert len(store["fused_scores"]) == occ - min(config.policy.recent_window, occ)
 

@@ -6,7 +6,6 @@ from morphkv import (
     EvictionPolicyConfig,
     KvCacheState,
     ModelConfig,
-    aggregate_group_scores,
     decode_step,
     greedy_token,
     init_model,
@@ -84,8 +83,8 @@ class TestForward:
         w = init_model(TINY)
         cache = fresh_cache(TINY)
         out = prefill(w, [1, 2, 3], cache)
-        assert cache.occupancy(0, 0) == 3
-        assert out.position == 2
+        assert cache.occupancies() == [[3]] * TINY.n_layers
+        assert cache.positions(0).tolist() == [[0, 1, 2]] * TINY.n_kv_heads
         assert out.logits.shape == (TINY.vocab_size,)
 
     def test_decode_appends_one_entry_per_store(self):
@@ -93,11 +92,11 @@ class TestForward:
         w = init_model(cfg)
         cache = fresh_cache(cfg)
         prefill(w, [1, 2], cache)
-        out = decode_step(w, 5, cache)
-        assert out.position == 2
+        decode_step(w, 5, cache)
+        assert cache.occupancies() == [[3, 3], [3, 3]]
         for layer in range(cfg.n_layers):
-            for head in range(cfg.n_kv_heads):
-                assert cache.occupancy(layer, head) == 3
+            assert cache.positions(layer).tolist() == [[0, 1, 2], [0, 1, 2]]
+            assert cache.token_ids(layer).tolist() == [[1, 2, 5], [1, 2, 5]]
 
     def test_attention_rows_sum_to_one(self):
         cfg = ModelConfig(n_layers=2, n_query_heads=4, n_kv_heads=2, head_dim=4, vocab_size=32)
@@ -164,8 +163,8 @@ class TestForward:
 
     def test_single_query_group_reduces_to_plain_attention(self):
         # One query head per KV head: the recorded group rows must be the
-        # direct single-query attention over the store, and aggregation
-        # over the group must return that row unchanged.
+        # direct single-query attention over the store, and the profile
+        # must record that row unchanged.
         cfg = ModelConfig(n_layers=1, n_query_heads=2, n_kv_heads=2, head_dim=4, vocab_size=16, seed=4)
         assert cfg.group_size == 1
         w = init_model(cfg)
@@ -174,13 +173,11 @@ class TestForward:
         out = decode_step(w, 4, cache)
         for head in range(cfg.n_kv_heads):
             q = out.queries[0][head][0]
-            keys = cache.keys_matrix(0, head)
-            vals = cache.values_matrix(0, head)
+            keys = cache.keys_matrix(0)[head]
+            vals = cache.values_matrix(0)[head]
             row, _ = scaled_dot_attention(q, keys, vals)
             np.testing.assert_array_equal(out.attn_rows[0][head][0], row)
-            np.testing.assert_array_equal(
-                aggregate_group_scores(out.attn_rows[0][head]), row
-            )
+            np.testing.assert_array_equal(cache.score_matrix(0)[head, -1], row)
 
     def test_greedy_tie_takes_lowest_id(self):
         assert greedy_token(np.array([0.5, 0.9, 0.9])) == 1

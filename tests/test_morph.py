@@ -21,13 +21,23 @@ from morphkv.errors import InvalidConfig, InvalidParam, InvalidShape
 
 
 def entry(pos: int, token: int = 0) -> tuple:
-    """``KvCacheState.append`` arguments after (layer, head)."""
-    return np.zeros(2), np.zeros(2), pos, token
+    """``KvCacheState.append`` arguments after the layer, for one KV head."""
+    return np.zeros((1, 2)), np.zeros((1, 2)), pos, token
 
 
-def scripted_row(row, pos: int) -> SimpleNamespace:
+def record(cache: KvCacheState, row, layer: int = 0) -> None:
+    """Record one row into a one-head layer."""
+    cache.record_step_profiles(layer, [[row]])
+
+
+def select_one(occ: int, scores, distant_capacity: int, recent_window: int) -> list[int]:
+    """``select_retained`` over a single head's scores."""
+    return select_retained([scores], occ, distant_capacity, recent_window)[0].tolist()
+
+
+def scripted_row(row) -> SimpleNamespace:
     """A one-store step whose attention row is scripted, not computed."""
-    return SimpleNamespace(attn_rows=[[np.array([row])]], position=pos, token_id=0)
+    return SimpleNamespace(attn_rows=[[np.array([row])]])
 
 
 def recorded(cache: KvCacheState, out: SimpleNamespace) -> SimpleNamespace:
@@ -40,33 +50,33 @@ def recorded(cache: KvCacheState, out: SimpleNamespace) -> SimpleNamespace:
 class TestSelectRetained:
     def test_keeps_top_distant_plus_recent(self):
         scores = [0.5, 0.1, 0.9, 0.3]
-        assert select_retained(range(6), scores, 2, 2) == [0, 2, 4, 5]
+        assert select_one(6, scores, 2, 2) == [0, 2, 4, 5]
 
     def test_tie_prefers_newer_entry(self):
-        assert select_retained(range(4), [0.4, 0.4, 0.1], 1, 1) == [1, 3]
+        assert select_one(4, [0.4, 0.4, 0.1], 1, 1) == [1, 3]
 
     def test_exact_tie_sweep(self):
         # All-equal scores: the kept distant set is exactly the newest ones.
-        assert select_retained(range(7), [0.2] * 5, 3, 2) == [2, 3, 4, 5, 6]
+        assert select_one(7, [0.2] * 5, 3, 2) == [2, 3, 4, 5, 6]
 
     def test_zero_distant_capacity_keeps_only_recent(self):
-        assert select_retained(range(5), [9.0, 9.0, 9.0], 0, 2) == [3, 4]
+        assert select_one(5, [9.0, 9.0, 9.0], 0, 2) == [3, 4]
 
     def test_short_store_keeps_everything(self):
-        assert select_retained(range(3), [], 4, 4) == [0, 1, 2]
+        assert select_one(3, [], 4, 4) == [0, 1, 2]
 
     def test_capacity_beyond_distant_count_keeps_everything(self):
-        assert select_retained(range(4), [0.1, 0.2], 5, 2) == [0, 1, 2, 3]
+        assert select_one(4, [0.1, 0.2], 5, 2) == [0, 1, 2, 3]
 
     def test_rejects_misaligned_scores(self):
         with pytest.raises(InvalidShape):
-            select_retained(range(5), [0.1, 0.2], 2, 2)
+            select_one(5, [0.1, 0.2], 2, 2)
 
     def test_rejects_bad_params(self):
         with pytest.raises(InvalidParam):
-            select_retained(range(3), [0.1], -1, 2)
+            select_one(3, [0.1], -1, 2)
         with pytest.raises(InvalidParam):
-            select_retained(range(3), [0.1], 2, 0)
+            select_one(3, [0.1], 2, 0)
 
     @given(
         st.integers(1, 20),
@@ -78,7 +88,7 @@ class TestSelectRetained:
         rng = np.random.default_rng(seed)
         distant = max(0, occ - min(recent, occ))
         scores = rng.uniform(size=distant)
-        kept = select_retained(range(occ), scores, cap, recent)
+        kept = select_one(occ, scores, cap, recent)
         assert kept == sorted(set(kept))
         expected_size = occ if occ <= recent else min(occ, cap + recent)
         assert len(kept) == expected_size
@@ -97,7 +107,7 @@ class TestSelectRetained:
         scores = pool[:distant]
         order = sorted(range(distant), key=lambda k: (scores[k], k), reverse=True)
         want = sorted(order[: min(cap, distant)]) + list(range(distant, occ))
-        kept = select_retained(range(occ), scores, cap, recent)
+        kept = select_one(occ, scores, cap, recent)
         assert kept == want
         assert all(type(i) is int for i in kept)
 
@@ -119,8 +129,8 @@ class TestMorphStep:
             [0.05, 0.30, 0.40, 0.25],
         ]
         for pos, row in enumerate(rows):
-            cache.append(0, 0, *entry(pos, token=pos))
-            cache.record(0, 0, row)
+            cache.append(0, *entry(pos, token=pos))
+            record(cache, row)
         return cache
 
     # One scripted decode trajectory, five steps. Entry names in comments
@@ -138,26 +148,26 @@ class TestMorphStep:
         # three distant entries carry fused weights 0.10, 0.60, 0.55, so
         # the 0.10 entry (position 0) is the unique eviction.
         cache = self.build_prompt_cache()
-        cache.append(0, 0, *entry(4, token=4))
-        cache.record(0, 0, self.STEPS[0][0])
-        scores = fuse(cache, 0, 0, "sum")
-        np.testing.assert_allclose(scores, [0.10, 0.60, 0.55], atol=1e-12)
-        retained = select_retained(cache.positions(0, 0), scores, 2, 2)
-        assert retained == [1, 2, 3, 4]
-        assert cache.keep(0, 0, retained) == [0]
+        cache.append(0, *entry(4, token=4))
+        record(cache, self.STEPS[0][0])
+        scores = fuse(cache, 0, "sum")
+        np.testing.assert_allclose(scores, [[0.10, 0.60, 0.55]], atol=1e-12)
+        retained = select_retained(scores, cache.occupancy(0), 2, 2)
+        assert retained.tolist() == [[1, 2, 3, 4]]
+        assert cache.keep(0, retained) == [0]
 
     def test_scripted_trajectory_evictions(self):
         cache = self.build_prompt_cache()
         evicted_positions = []
         for idx, (row, expected) in enumerate(self.STEPS):
-            cache.append(0, 0, *entry(4 + idx, token=4 + idx))
-            morphkv_step(cache, recorded(cache, scripted_row(row, 4 + idx)), self.CFG, idx)
+            cache.append(0, *entry(4 + idx, token=4 + idx))
+            morphkv_step(cache, recorded(cache, scripted_row(row)), self.CFG, idx)
             events = cache.pop_eviction_events()
             assert [e[2] for e in events] == [expected], f"step {idx}"
             evicted_positions.extend(events[0][2])
-            assert cache.occupancy(0, 0) == 4
+            assert cache.occupancy(0) == 4
             cache.validate()
-        survivors = cache.positions(0, 0).tolist()
+        survivors = cache.positions(0)[0].tolist()
         assert survivors == [4, 6, 7, 8]
         # Position 4 entered at the first decode step, outlived every
         # prompt entry and two younger generated ones, and is still the
@@ -172,11 +182,11 @@ class TestMorphStep:
         cache = self.build_prompt_cache()
         occupancies = []
         for idx in range(5):
-            cache.append(0, 0, *entry(4 + idx, token=4 + idx))
-            width = cache.occupancy(0, 0)
-            out = recorded(cache, scripted_row(np.full(width, 1.0 / width), 4 + idx))
+            cache.append(0, *entry(4 + idx, token=4 + idx))
+            width = cache.occupancy(0)
+            out = recorded(cache, scripted_row(np.full(width, 1.0 / width)))
             morphkv_step(cache, out, cfg, idx)
-            occupancies.append(cache.occupancy(0, 0))
+            occupancies.append(cache.occupancy(0))
         # Steps 0 and 3 trim back to budget; in between the store grows.
         assert occupancies == [4, 5, 6, 4, 5]
 
@@ -188,18 +198,16 @@ class TestMorphStep:
         cache = KvCacheState(2, 1, window_capacity=1)
         for pos in range(4):
             for layer in range(2):
-                cache.append(layer, 0, *entry(pos))
-                cache.record(layer, 0, np.full(pos + 1, 1.0 / (pos + 1)))
+                cache.append(layer, *entry(pos))
+                record(cache, np.full(pos + 1, 1.0 / (pos + 1)), layer)
         out = SimpleNamespace(
-            attn_rows=[[np.array([np.full(5, 0.2)])], [np.array([np.full(5, 0.2)])]],
-            position=4,
-            token_id=0,
+            attn_rows=[[np.array([np.full(5, 0.2)])], [np.array([np.full(5, 0.2)])]]
         )
         for layer in range(2):
-            cache.append(layer, 0, *entry(4))
+            cache.append(layer, *entry(4))
         morphkv_step(cache, recorded(cache, out), cfg, 0)
-        assert cache.occupancy(0, 0) == 5
-        assert cache.occupancy(1, 0) == 2
+        assert cache.occupancy(0) == 5
+        assert cache.occupancy(1) == 2
 
     def test_position_shift_leaves_choice_unchanged(self):
         # Retention ranks profile columns, not absolute positions: the
@@ -208,14 +216,10 @@ class TestMorphStep:
             cache = KvCacheState(1, 1, window_capacity=2)
             rows = [[1.0], [0.5, 0.5], [0.2, 0.3, 0.5], [0.05, 0.30, 0.40, 0.25]]
             for i, row in enumerate(rows):
-                cache.append(0, 0, *entry(shift + i, token=i))
-                cache.record(0, 0, row)
-            cache.append(0, 0, *entry(shift + 4, token=4))
-            out = SimpleNamespace(
-                attn_rows=[[np.array([self.STEPS[0][0]])]],
-                position=shift + 4,
-                token_id=4,
-            )
+                cache.append(0, *entry(shift + i, token=i))
+                record(cache, row)
+            cache.append(0, *entry(shift + 4, token=4))
+            out = scripted_row(self.STEPS[0][0])
             morphkv_step(cache, recorded(cache, out), self.CFG, 0)
             return [p - shift for _, _, dropped in cache.pop_eviction_events() for p in dropped]
 
@@ -229,10 +233,10 @@ class TestMorphStep:
 
     def test_no_eviction_below_budget(self):
         cache = KvCacheState(1, 1, window_capacity=2)
-        cache.append(0, 0, *entry(0))
-        out = SimpleNamespace(attn_rows=[[np.array([[1.0]])]], position=0, token_id=0)
+        cache.append(0, *entry(0))
+        out = scripted_row([1.0])
         morphkv_step(cache, recorded(cache, out), self.CFG, 0)
-        assert cache.occupancy(0, 0) == 1
+        assert cache.occupancy(0) == 1
         assert cache.pop_eviction_events() == []
 
 
@@ -244,7 +248,7 @@ class TestPrefillCompress:
         cache = KvCacheState.for_model(cfg, window_capacity=policy.recent_window)
         prefill(w, [1, 2, 3], cache)
         prefill_compress(cache, policy)
-        assert cache.occupancy(0, 0) == 3
+        assert cache.occupancy(0) == 3
         assert cache.pop_eviction_events() == []
 
     def test_compresses_to_exact_budget(self):
@@ -254,9 +258,7 @@ class TestPrefillCompress:
         cache = KvCacheState.for_model(cfg, window_capacity=policy.recent_window)
         prefill(w, list(range(9)), cache)
         prefill_compress(cache, policy)
-        for layer in range(2):
-            for head in range(2):
-                assert cache.occupancy(layer, head) == 4
+        assert cache.occupancies() == [[4, 4], [4, 4]]
         cache.validate()
 
     def test_matches_manual_fuse_and_select(self):
@@ -271,14 +273,11 @@ class TestPrefillCompress:
         manual = KvCacheState.for_model(cfg, window_capacity=policy.recent_window)
         prefill(w, prompt, manual)
         for layer in range(cfg.n_layers):
-            for head in range(cfg.n_kv_heads):
-                scores = fuse(manual, layer, head, "sum")
-                kept = select_retained(manual.positions(layer, head), scores, 2, 2)
-                manual.keep(layer, head, kept)
+            scores = fuse(manual, layer, "sum")
+            manual.keep(layer, select_retained(scores, manual.occupancy(layer), 2, 2))
         prefill_compress(auto, policy)
         for layer in range(cfg.n_layers):
-            for head in range(cfg.n_kv_heads):
-                assert auto.positions(layer, head).tolist() == manual.positions(layer, head).tolist()
+            assert auto.positions(layer).tolist() == manual.positions(layer).tolist()
 
     def test_separate_prompt_fusion_rule(self):
         # A policy may rank the prompt with max fusion while decoding with
@@ -299,11 +298,11 @@ class TestPrefillCompress:
             prefill(w, prompt, cache)
             ref = KvCacheState.for_model(cfg, window_capacity=policy.recent_window)
             prefill(w, prompt, ref)
-            scores = fuse(ref, 0, 0, prefill_fusion or "sum")
-            kept = select_retained(ref.positions(0, 0), scores, 2, 2)
+            scores = fuse(ref, 0, prefill_fusion or "sum")
+            kept = select_retained(scores, ref.occupancy(0), 2, 2)[0]
             prefill_compress(cache, policy)
-            assert cache.positions(0, 0).tolist() == ref.positions(0, 0)[kept].tolist()
-            return tuple(cache.positions(0, 0).tolist())
+            assert cache.positions(0)[0].tolist() == ref.positions(0)[0][kept].tolist()
+            return tuple(cache.positions(0)[0].tolist())
 
         compress(None)
         compress("max")
@@ -327,9 +326,7 @@ class TestEngineIntegration:
             out = decode_step(w, token, cache)
             morphkv_step(cache, out, policy, idx)
             cache.validate()
-            for layer in range(cfg.n_layers):
-                for head in range(cfg.n_kv_heads):
-                    assert cache.occupancy(layer, head) == 5
+            assert cache.occupancies() == [[5, 5], [5, 5]]
             token = int(np.argmax(out.logits))
 
     def test_heads_diverge_under_pressure(self):
@@ -347,7 +344,7 @@ class TestEngineIntegration:
             morphkv_step(cache, out, policy, idx)
             token = int(np.argmax(out.logits))
         kept = {
-            (layer, head): tuple(cache.positions(layer, head).tolist())
+            (layer, head): tuple(cache.positions(layer)[head].tolist())
             for layer in range(2)
             for head in range(2)
         }

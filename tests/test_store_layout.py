@@ -1,8 +1,9 @@
 """The array-backed store layout against a plain-list model of the same cache.
 
-Random ``append`` / ``record`` / ``keep`` sequences drive both; after every
-operation keys, values, positions, token ids, profile rows (oldest first),
-received totals and the eviction journal must agree bit for bit.
+Random per-layer ``append`` / ``record_step_profiles`` / ``keep`` sequences
+drive both; after every operation keys, values, positions, token ids,
+profile rows (oldest first), received totals and the eviction journal must
+agree bit for bit.
 """
 
 import numpy as np
@@ -15,43 +16,56 @@ from morphkv.cache import INITIAL_ALLOC
 from morphkv.errors import InvalidShape
 
 HEAD_DIM = 3
-GROUP = 2
 
 
 class ListCache:
-    """Entries, window rows and received totals kept as Python lists, per store.
+    """Entries, window rows and received totals kept as Python lists, per
+    (layer, KV head) store, driven by the cache's per-layer operations.
 
     An entry is a ``(key, value, position, token)`` tuple."""
 
     def __init__(self, n_layers, n_heads, capacity):
         self.capacity = capacity
+        self.n_heads = n_heads
         self.stores = {(l, h): [] for l in range(n_layers) for h in range(n_heads)}
         self.profiles = {key: [] for key in self.stores}
         self.received = {key: [] for key in self.stores}
         self.journal = []
 
-    def append(self, key, entry):
-        self.stores[key].append(entry)
-        for row in self.profiles[key]:
-            row.append(0.0)
-        self.received[key].append(0.0)
+    def append(self, layer, keys, values, position, token):
+        for head in range(self.n_heads):
+            key = (layer, head)
+            self.stores[key].append((keys[head], values[head], position, token))
+            for row in self.profiles[key]:
+                row.append(0.0)
+            self.received[key].append(0.0)
 
-    def record(self, key, row):
-        window = self.profiles[key]
-        window.append([float(x) for x in row])
-        if len(window) > self.capacity:
-            window.pop(0)
-        self.received[key] = [total + float(x) for total, x in zip(self.received[key], row)]
+    def record(self, layer, groups):
+        for head, group in enumerate(groups):
+            key = (layer, head)
+            row = [sum(float(r[j]) for r in group) for j in range(len(self.stores[key]))]
+            window = self.profiles[key]
+            window.append(row)
+            if len(window) > self.capacity:
+                window.pop(0)
+            self.received[key] = [total + x for total, x in zip(self.received[key], row)]
 
-    def keep(self, key, retained):
-        store = self.stores[key]
-        evicted = [e[2] for i, e in enumerate(store) if i not in retained]
-        if evicted:
-            self.stores[key] = [store[i] for i in retained]
-            self.profiles[key] = [[row[i] for i in retained] for row in self.profiles[key]]
-            self.received[key] = [self.received[key][i] for i in retained]
-            self.journal.append((key[0], key[1], evicted))
-        return evicted
+    def keep(self, layer, retained):
+        out = []
+        for head, kept in enumerate(retained):
+            key = (layer, head)
+            store = self.stores[key]
+            evicted = [e[2] for i, e in enumerate(store) if i not in kept]
+            if evicted:
+                self.stores[key] = [store[i] for i in kept]
+                self.profiles[key] = [[row[i] for i in kept] for row in self.profiles[key]]
+                self.received[key] = [self.received[key][i] for i in kept]
+                self.journal.append((layer, head, evicted))
+            out.extend(evicted)
+        return out
+
+    def layer(self, layer, field):
+        return [[e[field] for e in self.stores[(layer, h)]] for h in range(self.n_heads)]
 
 
 def bits(values) -> bytes:
@@ -59,38 +73,32 @@ def bits(values) -> bytes:
 
 
 def assert_same(cache: KvCacheState, model: ListCache):
-    for (layer, head), store in model.stores.items():
-        n = len(store)
-        assert cache.occupancy(layer, head) == n
-        keys = cache.keys_matrix(layer, head)
-        vals = cache.values_matrix(layer, head)
-        assert keys.shape[0] == vals.shape[0] == n
-        assert bits(keys) == bits([e[0] for e in store])
-        assert bits(vals) == bits([e[1] for e in store])
-        assert cache.positions(layer, head).tolist() == [e[2] for e in store]
-        assert cache.token_ids(layer, head).tolist() == [e[3] for e in store]
-        want = model.profiles[(layer, head)]
-        assert cache.profile_rows(layer, head) == len(want)
-        scores = cache.score_matrix(layer, head)
-        assert scores.shape == (len(want), n)
+    for layer in range(cache.n_layers):
+        heads = [model.stores[(layer, h)] for h in range(model.n_heads)]
+        n = len(heads[0])
+        assert all(len(store) == n for store in heads)
+        assert cache.occupancy(layer) == n
+        keys, vals = cache.keys_matrix(layer), cache.values_matrix(layer)
+        assert keys.shape == vals.shape and keys.shape[:2] == (model.n_heads, n)
+        assert bits(keys) == bits(model.layer(layer, 0))
+        assert bits(vals) == bits(model.layer(layer, 1))
+        assert cache.positions(layer).tolist() == model.layer(layer, 2)
+        assert cache.token_ids(layer).tolist() == model.layer(layer, 3)
+        want = [model.profiles[(layer, h)] for h in range(model.n_heads)]
+        assert cache.profile_rows(layer) == len(want[0])
+        scores = cache.score_matrix(layer)
+        assert scores.shape == (model.n_heads, len(want[0]), n)
         assert scores.flags.c_contiguous
-        for got, row in zip(scores, want):
-            assert bits(got) == bits(row)
-        assert bits(cache.received(layer, head)) == bits(model.received[(layer, head)])
-
-
-def pick(n_layers, n_heads, layer, head):
-    return layer % n_layers, head % n_heads
+        assert bits(scores) == bits(want)
+        received = [model.received[(layer, h)] for h in range(model.n_heads)]
+        assert bits(cache.received(layer)) == bits(received)
 
 
 ops = st.lists(
     st.one_of(
-        st.tuples(st.just("append"), st.integers(0, 1), st.integers(0, 2), st.integers(1, 40)),
-        st.tuples(st.just("record"), st.integers(0, 1), st.integers(0, 2), st.just(0)),
-        st.tuples(st.just("record_all"), st.just(0), st.just(0), st.just(0)),
-        st.tuples(
-            st.just("keep"), st.integers(0, 1), st.integers(0, 2), st.sampled_from(["none", "all", "random"])
-        ),
+        st.tuples(st.just("append"), st.integers(0, 1), st.integers(1, 40)),
+        st.tuples(st.just("record"), st.integers(0, 1), st.integers(1, 3)),
+        st.tuples(st.just("keep"), st.integers(0, 1), st.sampled_from(["none", "all", "shared", "random"])),
     ),
     max_size=25,
 )
@@ -109,15 +117,16 @@ ops = st.lists(
     n_heads=2,
     capacity=3,
     ops=[
-        ("append", 1, 1, 2 * INITIAL_ALLOC + 5),
-        ("record", 1, 1, 0),
-        ("record", 1, 1, 0),
-        ("keep", 1, 1, "random"),
-        ("append", 1, 1, 3 * INITIAL_ALLOC),
-        ("record_all", 0, 0, 0),
-        ("keep", 1, 1, "none"),
-        ("append", 1, 1, 2),
-        ("record", 1, 1, 0),
+        ("append", 1, 2 * INITIAL_ALLOC + 5),
+        ("record", 1, 2),
+        ("record", 1, 1),
+        ("keep", 1, "random"),
+        ("append", 1, 3 * INITIAL_ALLOC),
+        ("record", 0, 3),
+        ("record", 1, 2),
+        ("keep", 1, "none"),
+        ("append", 1, 2),
+        ("record", 1, 2),
     ],
     seed=7,
 )
@@ -125,41 +134,34 @@ def test_matches_list_model(n_layers, n_heads, capacity, ops, seed):
     rng = np.random.default_rng(seed)
     cache = KvCacheState(n_layers, n_heads, window_capacity=capacity)
     model = ListCache(n_layers, n_heads, capacity)
-    next_pos = {key: 0 for key in model.stores}
-    for kind, a, b, arg in ops:
-        key = pick(n_layers, n_heads, a, b)
-        n = len(model.stores[key])
+    next_pos = [0] * n_layers
+    for kind, a, arg in ops:
+        layer = a % n_layers
+        n = cache.occupancy(layer)
         if kind == "append":
             for _ in range(arg):
-                pos = next_pos[key]
-                next_pos[key] = pos + 1 + int(rng.integers(0, 3))
-                entry = (
-                    rng.standard_normal(HEAD_DIM), rng.standard_normal(HEAD_DIM), pos, int(rng.integers(0, 50))
-                )
-                cache.append(*key, *entry)
-                model.append(key, entry)
+                pos = next_pos[layer]
+                next_pos[layer] = pos + 1 + int(rng.integers(0, 3))
+                keys = rng.standard_normal((n_heads, HEAD_DIM))
+                values = rng.standard_normal((n_heads, HEAD_DIM))
+                token = int(rng.integers(0, 50))
+                cache.append(layer, keys, values, pos, token)
+                model.append(layer, keys, values, pos, token)
         elif kind == "record":
-            row = rng.uniform(size=n)
-            cache.record(*key, row)
-            model.record(key, row)
-        elif kind == "record_all":
-            grid = [
-                [rng.uniform(size=(GROUP, len(model.stores[(l, h)]))) for h in range(n_heads)]
-                for l in range(n_layers)
-            ]
-            for l, rows in enumerate(grid):
-                cache.record_step_profiles(l, rows)
-            for (l, h) in model.stores:
-                group = grid[l][h]
-                model.record((l, h), [group[0][j] + group[1][j] for j in range(group.shape[1])])
+            groups = rng.uniform(size=(n_heads, arg, n))
+            cache.record_step_profiles(layer, groups)
+            model.record(layer, groups)
         else:
             if arg == "none":
-                retained = []
+                retained = np.zeros((n_heads, 0), dtype=np.int64)
             elif arg == "all":
-                retained = list(range(n))
+                retained = np.tile(np.arange(n), (n_heads, 1))
             else:
-                retained = sorted(int(i) for i in np.flatnonzero(rng.uniform(size=n) < 0.5))
-            assert cache.keep(*key, retained) == model.keep(key, retained)
+                k = int(rng.integers(0, n + 1))
+                rows = 1 if arg == "shared" else n_heads
+                picks = [np.sort(rng.choice(n, size=k, replace=False)) for _ in range(rows)]
+                retained = np.broadcast_to(np.array(picks).reshape(rows, k), (n_heads, k))
+            assert cache.keep(layer, retained) == model.keep(layer, retained.tolist())
         assert_same(cache, model)
     assert cache.pop_eviction_events() == model.journal
     assert cache.pop_eviction_events() == []
@@ -167,15 +169,20 @@ def test_matches_list_model(n_layers, n_heads, capacity, ops, seed):
 
 
 def test_growth_keeps_earlier_rows():
-    cache = KvCacheState(1, 1, window_capacity=2)
+    cache = KvCacheState(1, 2, window_capacity=2)
     total = 4 * INITIAL_ALLOC + 1
     for pos in range(total):
-        cache.append(0, 0, np.full(2, float(pos)), np.full(2, -float(pos)), pos, pos)
-    np.testing.assert_array_equal(cache.keys_matrix(0, 0)[:, 0], np.arange(total, dtype=float))
-    np.testing.assert_array_equal(cache.values_matrix(0, 0)[:, 1], -np.arange(total, dtype=float))
-    assert cache.score_matrix(0, 0).shape == (0, total)
-    assert cache.received(0, 0).shape == (total,)
+        cache.append(0, np.full((2, 2), float(pos)) + [[0], [1]], np.full((2, 2), -float(pos)), pos, pos)
+    expected = np.arange(total, dtype=float)
+    np.testing.assert_array_equal(cache.keys_matrix(0)[:, :, 0], [expected, expected + 1])
+    np.testing.assert_array_equal(cache.values_matrix(0)[:, :, 1], [-expected, -expected])
+    assert cache.score_matrix(0).shape == (2, 0, total)
+    assert cache.received(0).shape == (2, total)
     cache.validate()
+
+
+def one_head_entry(pos: int) -> tuple:
+    return np.zeros((1, 2)), np.zeros((1, 2)), pos, pos
 
 
 def test_score_rows_stay_oldest_first_after_growth_and_keep():
@@ -185,16 +192,16 @@ def test_score_rows_stay_oldest_first_after_growth_and_keep():
     model = ListCache(1, 1, 3)
     total = INITIAL_ALLOC + 4
     for pos in range(total):
-        cache.append(0, 0, np.zeros(2), np.zeros(2), pos, pos)
-        model.append((0, 0), (np.zeros(2), np.zeros(2), pos, pos))
+        cache.append(0, *one_head_entry(pos))
+        model.append(0, *one_head_entry(pos))
         if pos >= INITIAL_ALLOC - 3:
             row = np.full(pos + 1, float(pos)) + np.arange(pos + 1) / 64
-            cache.record(0, 0, row)
-            model.record((0, 0), row)
-    retained = list(range(0, total, 3)) + [total - 1]
-    cache.keep(0, 0, retained)
-    model.keep((0, 0), retained)
-    scores = cache.score_matrix(0, 0)
+            cache.record_step_profiles(0, [[row]])
+            model.record(0, [[row]])
+    retained = [list(range(0, total, 3)) + [total - 1]]
+    cache.keep(0, retained)
+    model.keep(0, retained)
+    scores = cache.score_matrix(0)[0]
     # Entry 0 saw every row; the newest entry only the row of its own step.
     assert scores[:, 0].tolist() == [float(total - 3), float(total - 2), float(total - 1)]
     assert scores[:, -1].tolist() == [0.0, 0.0, float(total - 1) + (total - 1) / 64]
@@ -204,13 +211,13 @@ def test_score_rows_stay_oldest_first_after_growth_and_keep():
 def test_keep_nothing_empties_store_and_window():
     cache = KvCacheState(1, 1, window_capacity=2)
     for pos in range(3):
-        cache.append(0, 0, np.zeros(2), np.zeros(2), pos, 0)
-    cache.record(0, 0, [0.2, 0.3, 0.5])
-    assert cache.keep(0, 0, []) == [0, 1, 2]
-    assert cache.occupancy(0, 0) == 0
-    assert cache.keys_matrix(0, 0).shape[0] == 0
-    assert cache.score_matrix(0, 0).shape == (1, 0)
-    assert cache.received(0, 0).shape == (0,)
+        cache.append(0, *one_head_entry(pos))
+    cache.record_step_profiles(0, [[[0.2, 0.3, 0.5]]])
+    assert cache.keep(0, [[]]) == [0, 1, 2]
+    assert cache.occupancy(0) == 0
+    assert cache.keys_matrix(0).shape == (1, 0, 2)
+    assert cache.score_matrix(0).shape == (1, 1, 0)
+    assert cache.received(0).shape == (1, 0)
     cache.validate()
 
 
@@ -218,23 +225,37 @@ def test_keep_nothing_empties_store_and_window():
     "accessor", ["keys_matrix", "values_matrix", "positions", "token_ids", "received"]
 )
 def test_returned_views_are_read_only(accessor):
-    cache = KvCacheState(1, 1, window_capacity=2)
+    cache = KvCacheState(1, 2, window_capacity=2)
     for pos in range(3):
-        cache.append(0, 0, np.ones(2), np.ones(2), pos, pos)
-    view = getattr(cache, accessor)(0, 0)
+        cache.append(0, np.ones((2, 2)), np.ones((2, 2)), pos, pos)
+    view = getattr(cache, accessor)(0)
     before = view.copy()
     with pytest.raises(ValueError):
         view[0] = 7
     with pytest.raises(ValueError):
         view += 1
-    np.testing.assert_array_equal(getattr(cache, accessor)(0, 0), before)
+    np.testing.assert_array_equal(getattr(cache, accessor)(0), before)
 
 
-@pytest.mark.parametrize("retained", [[0.0, 2.0], [False, True], ["0", "2"], [[0, 2]]])
+@pytest.mark.parametrize(
+    "retained",
+    [
+        [[0.0, 2.0], [0.0, 1.0]],
+        [[False, True], [True, False]],
+        [["0", "2"], ["0", "1"]],
+        [0, 2],
+        [[0, 2]],
+        [[0, 2], [2, 1]],
+        [[0, 2], [1, 3]],
+    ],
+)
 def test_keep_rejects_non_integer_indices(retained):
-    cache = KvCacheState(1, 1, window_capacity=2)
+    # Non-integer indices, one row for two heads, an unsorted row and an
+    # out-of-range index are all rejected before anything is evicted.
+    cache = KvCacheState(1, 2, window_capacity=2)
     for pos in range(3):
-        cache.append(0, 0, np.ones(2), np.ones(2), pos, pos)
+        cache.append(0, np.ones((2, 2)), np.ones((2, 2)), pos, pos)
     with pytest.raises(InvalidShape):
-        cache.keep(0, 0, retained)
-    assert cache.occupancy(0, 0) == 3
+        cache.keep(0, retained)
+    assert cache.occupancy(0) == 3
+    assert cache.pop_eviction_events() == []

@@ -1,12 +1,17 @@
 """Malformed trace documents are input errors: exit 1 with one ``error:`` line."""
 
+import copy
 import json
+from pathlib import Path
 
 import pytest
 
 from morphkv.cli import main
 from morphkv.errors import TraceMismatch
 from morphkv.harness import StepTrace
+
+DATA = Path(__file__).parent / "data"
+GOLDENS = ("trace_interval1.json", "trace_interval8.json")
 
 INI = """
 [model]
@@ -98,4 +103,49 @@ def test_record_that_is_not_an_object(trace_doc, tmp_path, capsys):
 )
 def test_wrong_value_type_per_annotation(section, key, value, trace_doc, tmp_path, capsys):
     doc = dict(trace_doc, **{section: dict(trace_doc[section], **{key: value})})
+    assert_input_error(doc, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("name", GOLDENS)
+def test_golden_traces_load(name, capsys):
+    doc = json.loads((DATA / name).read_text())
+    assert len(StepTrace.from_dict(doc).records) == len(doc["steps"])
+    assert main(["metrics", "--trace", str(DATA / name)]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_tampered_golden_occupancy_and_bytes(tmp_path, capsys):
+    # An occupancy no morphkv run can reach and a byte count that does not
+    # match any occupancy: the loader used to accept both and print them.
+    doc = json.loads((DATA / "trace_interval1.json").read_text())
+    doc["steps"][3]["occupancy"][0][0] = 999
+    doc["steps"][5]["bytes"] = 7
+    assert_input_error(doc, tmp_path, capsys)
+
+
+def test_occupancy_off_the_policy_stream(trace_doc, tmp_path, capsys):
+    doc = copy.deepcopy(trace_doc)
+    # Every step of this run trims back to the budget of 5; keep the bytes
+    # consistent so only the occupancy rule can reject the record.
+    rec = doc["steps"][-1]
+    rec["occupancy"][1] = [6, 6]
+    rec["bytes"] = rec["bytes"] // 20 * 22
+    rec["evicted"][1] = [[], []]
+    assert_input_error(doc, tmp_path, capsys)
+
+
+def test_bytes_differ_from_the_occupancy(trace_doc, tmp_path, capsys):
+    doc = copy.deepcopy(trace_doc)
+    doc["steps"][0]["bytes"] += 1
+    assert_input_error(doc, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("where", ["step", "prefill"])
+def test_eviction_count_must_match_the_occupancy_change(where, trace_doc, tmp_path, capsys):
+    doc = copy.deepcopy(trace_doc)
+    if where == "step":
+        doc["steps"][2]["evicted"][0][1].append(0)
+    else:
+        # One more prefill eviction leaves the first step one entry short.
+        doc["prefill_evictions"][1][0] = [0]
     assert_input_error(doc, tmp_path, capsys)
