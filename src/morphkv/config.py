@@ -90,6 +90,8 @@ class ModelConfig:
             raise InvalidConfig("head_dim must be even: rotary encoding rotates dimension pairs")
         if self.vocab_size < 2:
             raise InvalidConfig("vocab_size must be >= 2")
+        if max(self.d_model, self.vocab_size) >= 2**63:
+            raise InvalidConfig("n_query_heads * head_dim and vocab_size must be below 2**63")
         if not 0 <= self.seed < 2**64:
             raise InvalidConfig("seed must fit in an unsigned 64-bit integer")
         return self

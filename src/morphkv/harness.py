@@ -32,7 +32,7 @@ from .metrics import kv_bytes, kv_bytes_from_occupancies, relative_cache_ratio, 
 from .model import decode_step, greedy_token, init_model, prefill
 from .morph import fuse, prefill_compress, select_retained
 from .oracle import optimal_subset, shadow_error, subset_output_error
-from .trace import StepRecord, StepTrace, expected_occupancy_stream
+from .trace import StepAudit, StepRecord, StepTrace
 
 
 @dataclass(frozen=True)
@@ -87,23 +87,6 @@ def make_prompt(config: RunConfig) -> list[int]:
     return [int(t) for t in rng.integers(0, vocab, size=config.prompt_length)]
 
 
-def _debug_check(cache, policy, prompt_len, step_index, expected, events) -> None:
-    cache.validate()
-    for layer, head, positions in events:
-        live = cache.positions(layer)[head]
-        recent = min(policy.recent_window, live.size)
-        if recent and max(positions) >= live[-recent]:
-            raise InternalInvariantViolation(
-                f"step {step_index}: evicted a recent-window position at ({layer},{head})"
-            )
-    for layer in range(cache.n_layers):
-        occ, want = cache.occupancy(layer), expected[layer][step_index]
-        if occ != want:
-            raise InternalInvariantViolation(
-                f"step {step_index}: occupancy {occ} at layer {layer}, expected {want}"
-            )
-
-
 def _eviction_grid(events, model: ModelConfig, shared: dict[int, int]) -> list[list[list[int]]]:
     """Evicted positions per (layer, KV head), each position as its ``shared`` int."""
     grid = [[[] for _ in range(model.n_kv_heads)] for _ in range(model.n_layers)]
@@ -119,7 +102,8 @@ def run(config: RunConfig, forced_tokens=None) -> RunResult:
     own greedy choices; it must cover every decode step.
     """
     config.validate()
-    model_cfg, policy = config.model, config.policy
+    model_cfg, policy, steps = config.model, config.policy, config.decode_steps
+    per_scalar = config.bytes_per_scalar
     weights = init_model(model_cfg)
     cache = KvCacheState.for_model(model_cfg, policy.recent_window)
     prompt = make_prompt(config)
@@ -136,55 +120,50 @@ def run(config: RunConfig, forced_tokens=None) -> RunResult:
 
     if forced_tokens is not None:
         forced_tokens = [int(t) for t in forced_tokens]
-        if len(forced_tokens) < config.decode_steps:
+        if len(forced_tokens) < steps:
             raise TraceMismatch(
-                f"forced token stream covers {len(forced_tokens)} of "
-                f"{config.decode_steps} decode steps"
+                f"forced token stream covers {len(forced_tokens)} of {steps} decode steps"
             )
-    expected = [
-        expected_occupancy_stream(policy, len(prompt), config.decode_steps, layer)
-        for layer in range(model_cfg.n_layers)
-    ]
-    token = forced_tokens[0] if forced_tokens is not None else greedy_token(prefill_logits)
+    audit = None
     records: list[StepRecord] = []
     logits: list[np.ndarray] = []
     attn_outputs = [] if config.attention_snapshots else None
     attn_rows = [] if config.attention_snapshots else None
-    for i in range(config.decode_steps):
+    for i in range(steps):
+        token = forced_tokens[i] if forced_tokens is not None else greedy_token(out.logits)
         out = decode_step(weights, token, cache)
         policy_step(cache, out, policy, i, len(prompt))
-        events = cache.pop_eviction_events()
-        evicted = _eviction_grid(events, model_cfg, shared)
         occupancy = cache.occupancies()
-        step_bytes = kv_bytes_from_occupancies(
-            occupancy, model_cfg, policy, config.bytes_per_scalar
+        record = StepRecord(
+            step=i,
+            token=token,
+            occupancy=occupancy,
+            evicted=_eviction_grid(cache.pop_eviction_events(), model_cfg, shared),
+            bytes=kv_bytes_from_occupancies(occupancy, model_cfg, policy, per_scalar),
         )
-        records.append(
-            StepRecord(
-                step=i,
-                token=token,
-                occupancy=occupancy,
-                evicted=evicted,
-                bytes=step_bytes,
-            )
-        )
+        records.append(record)
         logits.append(out.logits)
         if config.attention_snapshots:
             attn_outputs.append(out.attn_outputs)
             attn_rows.append(out.attn_rows)
         if config.debug_invariants:
-            _debug_check(cache, policy, len(prompt), i, expected, events)
-        if i + 1 < config.decode_steps:
-            token = (
-                forced_tokens[i + 1]
-                if forced_tokens is not None
-                else greedy_token(out.logits)
-            )
+            cache.validate()
+            # A run's own trace failing its audit, prefill included, is a bug.
+            try:
+                if audit is None:
+                    audit = StepAudit(
+                        model_cfg, policy, per_scalar, len(prompt), prefill_evictions, steps
+                    )
+                audit.check(i, record.occupancy, record.evicted, record.bytes)
+            except TraceMismatch as exc:
+                raise InternalInvariantViolation(f"run trace fails its audit: {exc}") from exc
+            if any(cache.positions(n).tolist() != audit.live(n) for n in range(cache.n_layers)):
+                raise InternalInvariantViolation(f"step {i}: cache positions differ from the audit")
     trace = StepTrace(
         model=model_cfg,
         policy=policy,
         prompt=prompt,
-        bytes_per_scalar=config.bytes_per_scalar,
+        bytes_per_scalar=per_scalar,
         prefill_evictions=prefill_evictions,
         records=records,
     )
@@ -221,11 +200,8 @@ def render_metrics_csv(trace: StepTrace) -> str:
     )
     ratios = relative_cache_ratio(trace.byte_stream(), full) if trace.records else []
     lines = ["step,policy,occupancy,bytes,ratio"]
-    for rec, ratio in zip(trace.records, ratios):
-        occ = sum(o for layer in rec.occupancy for o in layer)
-        lines.append(
-            f"{rec.step},{trace.policy.kind},{occ},{rec.bytes},{_format_float(ratio)}"
-        )
+    for rec, occ, ratio in zip(trace.records, trace.occupancy_totals(), ratios):
+        lines.append(f"{rec.step},{trace.policy.kind},{occ},{rec.bytes},{_format_float(ratio)}")
     return "\n".join(lines) + "\n"
 
 
@@ -285,20 +261,16 @@ def compare(configs, teacher_forced: bool = True, out_dir: str | None = None, ng
             raise TraceMismatch("compare requires identical decode_steps")
         if cfg.bytes_per_scalar != base.bytes_per_scalar:
             raise TraceMismatch("compare requires identical bytes_per_scalar")
-    runs = []
     base_run = run(replace(base, attention_snapshots=teacher_forced, out_dir=None))
-    runs.append(base_run)
     forced = base_run.trace.consumed_tokens() if teacher_forced else None
-    for cfg in configs[1:]:
-        runs.append(
-            run(replace(cfg, attention_snapshots=teacher_forced, out_dir=None), forced_tokens=forced)
-        )
     full = full_attention_bytes(
         base.model, len(base_run.trace.prompt), base.decode_steps, base.bytes_per_scalar
     )
     seen: dict[str, int] = {}
-    columns = []
-    for result in runs:
+    columns, traces = [], []
+
+    def fold(result: RunResult) -> None:
+        """Fold a finished run into its column, keeping only its trace."""
         kind = result.trace.policy.kind
         seen[kind] = seen.get(kind, 0) + 1
         label = kind if seen[kind] == 1 else f"{kind}-{seen[kind]}"
@@ -323,6 +295,11 @@ def compare(configs, teacher_forced: bool = True, out_dir: str | None = None, ng
                 total_evictions=result.trace.total_evictions(),
             )
         )
+        traces.append(result.trace)
+
+    fold(base_run)
+    for cfg in configs[1:]:
+        fold(run(replace(cfg, attention_snapshots=teacher_forced, out_dir=None), forced))
     report = CompareReport(steps=base.decode_steps, teacher_forced=teacher_forced, columns=columns)
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
@@ -330,10 +307,10 @@ def compare(configs, teacher_forced: bool = True, out_dir: str | None = None, ng
             fh.write(render_compare_csv(report))
         with open(os.path.join(out_dir, "summary.csv"), "w", encoding="utf-8") as fh:
             fh.write(render_summary_csv(report))
-        for result, col in zip(runs, report.columns):
+        for trace, col in zip(traces, report.columns):
             path = os.path.join(out_dir, f"trace_{col.label}.json")
             with open(path, "w", encoding="utf-8") as fh:
-                json.dump(result.trace.to_dict(), fh, sort_keys=True, indent=1)
+                json.dump(trace.to_dict(), fh, sort_keys=True, indent=1)
                 fh.write("\n")
     return report
 

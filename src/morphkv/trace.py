@@ -3,10 +3,12 @@
 :meth:`StepTrace.to_dict` writes the ``trace.json`` a run leaves behind;
 :meth:`StepTrace.from_dict` reads one back and rejects, with
 :class:`TraceMismatch`, any document ``to_dict`` could not have produced.
+Both it and a run under ``debug_invariants`` check records by :class:`StepAudit`.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import asdict, dataclass, fields
 
 from .config import FIELD_TYPES, EvictionPolicyConfig, ModelConfig, field_types, is_int
@@ -42,6 +44,63 @@ def expected_occupancy_stream(
     if kind == "snapkv":
         return [min(prompt_len, policy.prefill_budget) + i + 1 for i in range(steps)]
     return seen
+
+
+def _evict(evicted: list[int], gone: list[int], size: int, recent: int, where: str) -> None:
+    """Add ``gone`` to a store's sorted ``evicted``: live positions, in ``range(size)``
+    and not evicted yet, other than the store's ``recent`` newest."""
+    window = min(recent, size - len(evicted))
+    for p in gone:
+        i = bisect_left(evicted, p)
+        if not 0 <= p < size or (i < len(evicted) and evicted[i] == p):
+            raise TraceMismatch(f"{where} evicts {p} twice or while it is not live")
+        # Live positions newer than p; the newest ``window`` are never evicted.
+        if size - 1 - p - (len(evicted) - i) < window:
+            raise TraceMismatch(f"{where} evicts {p}, one of its {window} newest positions")
+        evicted.insert(i, p)
+
+
+class StepAudit:
+    """Replays each store's evictions: its live positions are the ``size``
+    handed out so far less its ``evicted``. :meth:`check` raises
+    :class:`TraceMismatch` unless each store evicts distinct live positions
+    outside its ``recent_window`` newest (counted after the step's append),
+    its occupancy equals the replay and :func:`expected_occupancy_stream`,
+    and the bytes equal the byte model. Prefill evictions need only be
+    distinct prompt positions (snapkv may keep fewer than the window)."""
+
+    def __init__(self, model, policy, per_scalar, prompt_len, prefill_evictions, steps):
+        self.model, self.policy, self.per_scalar = model, policy, per_scalar
+        self.streams = [
+            expected_occupancy_stream(policy, prompt_len, steps, layer)
+            for layer in range(model.n_layers)
+        ]
+        self.size, self.evicted = prompt_len, [[[] for _ in heads] for heads in prefill_evictions]
+        for layer, heads in enumerate(prefill_evictions):
+            for head, (gone, dropped) in enumerate(zip(heads, self.evicted[layer])):
+                _evict(dropped, gone, prompt_len, 0, f"prefill store ({layer},{head})")
+
+    def check(self, step: int, occupancy, evicted, nbytes) -> None:
+        """Check record ``step``, the next in order, and replay its evictions."""
+        where = f"step record {step}"
+        self.size += 1
+        for layer, (stream, heads, occs) in enumerate(zip(self.streams, evicted, occupancy)):
+            for head, (gone, occ, dropped) in enumerate(zip(heads, occs, self.evicted[layer])):
+                store = f"{where} store ({layer},{head})"
+                _evict(dropped, gone, self.size, self.policy.recent_window, store)
+                if not occ == self.size - len(dropped) == stream[step]:
+                    raise TraceMismatch(
+                        f"{store} occupancy {occ}, but its evictions leave "
+                        f"{self.size - len(dropped)} and {self.policy.kind} keeps {stream[step]}"
+                    )
+        expected = kv_bytes_from_occupancies(occupancy, self.model, self.policy, self.per_scalar)
+        if nbytes != expected:
+            raise TraceMismatch(f"{where} bytes {nbytes}, expected {expected}")
+
+    def live(self, layer: int) -> list[list[int]]:
+        """Each KV head's replayed live positions at ``layer``, oldest first."""
+        drops = map(set, self.evicted[layer])
+        return [[p for p in range(self.size) if p not in drop] for drop in drops]
 
 
 @dataclass
@@ -102,9 +161,7 @@ class StepTrace:
         Raises :class:`TraceMismatch` for any document that :meth:`to_dict`
         could not have produced: a missing or unknown key, a wrong type, a
         grid that does not match the model's (layer, KV head) shape, step
-        records out of order, an occupancy the policy cannot reach, bytes
-        that do not match the occupancy, or an eviction count that does
-        not account for the occupancy change.
+        records out of order, or a record that fails its :class:`StepAudit`.
         """
         if not isinstance(data, dict):
             raise TraceMismatch("a trace must be a JSON object")
@@ -124,10 +181,11 @@ class StepTrace:
         per_scalar = data["bytes_per_scalar"]
         if not is_int(per_scalar) or per_scalar < 1:
             raise TraceMismatch("trace bytes_per_scalar must be an integer >= 1")
-        _check_grid(data["prefill_evictions"], model, _is_int_list, "prefill_evictions")
-        steps = data["steps"]
+        prefill, steps = data["prefill_evictions"], data["steps"]
+        _check_grid(prefill, model, _is_int_list, "prefill_evictions")
         if not isinstance(steps, list):
             raise TraceMismatch("trace steps must be a list")
+        audit = StepAudit(model, policy, per_scalar, len(prompt), prefill, len(steps))
         for i, rec in enumerate(steps):
             where = f"step record {i}"
             if not isinstance(rec, dict):
@@ -141,13 +199,13 @@ class StepTrace:
                 raise TraceMismatch(f"{where} bytes must be a non-negative integer")
             _check_grid(rec["occupancy"], model, is_int, f"{where} occupancy")
             _check_grid(rec["evicted"], model, _is_int_list, f"{where} evicted")
-        _check_accounting(data, model, policy)
+            audit.check(i, rec["occupancy"], rec["evicted"], rec["bytes"])
         return cls(
             model=model,
             policy=policy,
             prompt=list(prompt),
             bytes_per_scalar=per_scalar,
-            prefill_evictions=data["prefill_evictions"],
+            prefill_evictions=prefill,
             records=[StepRecord(**rec) for rec in steps],
         )
 
@@ -201,32 +259,3 @@ def _check_grid(grid, model: ModelConfig, cell_ok, where: str) -> None:
         raise TraceMismatch(
             f"{where} must be a {model.n_layers} x {model.n_kv_heads} (layer, KV head) grid"
         )
-
-
-def _check_accounting(data: dict, model: ModelConfig, policy: EvictionPolicyConfig) -> None:
-    """Each record's occupancy grid against the policy's occupancy rule, its
-    eviction counts against the occupancy change, and its bytes against
-    the byte model."""
-    prompt_len, steps = len(data["prompt"]), data["steps"]
-    streams = [
-        expected_occupancy_stream(policy, prompt_len, len(steps), layer)
-        for layer in range(model.n_layers)
-    ]
-    before = [[prompt_len - len(p) for p in heads] for heads in data["prefill_evictions"]]
-    for i, rec in enumerate(steps):
-        occupancy, where = rec["occupancy"], f"step record {i}"
-        want = [[stream[i]] * model.n_kv_heads for stream in streams]
-        if occupancy != want:
-            raise TraceMismatch(
-                f"{where} occupancy {occupancy}, expected {want} under {policy.kind}"
-            )
-        counts = [[len(p) for p in heads] for heads in rec["evicted"]]
-        if counts != [[b + 1 - o for b, o in zip(*pair)] for pair in zip(before, occupancy)]:
-            raise TraceMismatch(
-                f"{where} evicts {counts} entries per store, "
-                f"but occupancy went from {before} to {occupancy}"
-            )
-        before = occupancy
-        size = kv_bytes_from_occupancies(occupancy, model, policy, data["bytes_per_scalar"])
-        if rec["bytes"] != size:
-            raise TraceMismatch(f"{where} bytes {rec['bytes']}, expected {size}")

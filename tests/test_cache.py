@@ -269,13 +269,6 @@ class TestCacheState:
         assert snap["layers"][0][0]["entries"] == [[0, 0], [1, 1], [2, 2], [3, 3]]
         np.testing.assert_allclose(snap["layers"][0][0]["fused_scores"], [0.1, 0.2], atol=1e-15)
 
-    def test_validate_flags_nonincreasing_positions(self):
-        cache = KvCacheState(1, 1, window_capacity=4)
-        cache.append(0, *entry(1))
-        cache.append(0, *entry(1))
-        with pytest.raises(InternalInvariantViolation):
-            cache.validate()
-
     def test_validate_flags_nonfinite_entry(self):
         cache = KvCacheState(1, 1, window_capacity=4)
         key, value, pos, token = entry(0)

@@ -66,6 +66,21 @@ UNALLOCATABLE_INI = {
     "vocab_size": MORPH_INI.replace("vocab_size = 32", "vocab_size = 100000000000"),
 }
 
+# Model dimensions past numpy's signed 64-bit sizes (2**70): init_model used
+# to fail on them with a TypeError traceback.
+OVERSIZED_INI = """
+[model]
+n_layers = 1
+n_query_heads = {heads}
+n_kv_heads = 1
+head_dim = {head_dim}
+vocab_size = 16
+
+[run]
+prompt = random:4
+decode_steps = 2
+"""
+
 # Runs ``main`` in a child whose address space is capped at 4 GiB, so an
 # oversized allocation fails at once instead of touching memory.
 CAPPED_MAIN = """
@@ -185,6 +200,15 @@ class TestRunCommand:
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
         assert proc.stdout == ""
+
+    @pytest.mark.parametrize(
+        "heads, head_dim", [(1, 2**70), (2**70, 2)], ids=["head_dim", "n_query_heads"]
+    )
+    def test_oversized_model_dimensions_are_input_error(self, heads, head_dim, tmp_path, capsys):
+        path = tmp_path / "oversized.ini"
+        path.write_text(OVERSIZED_INI.format(heads=heads, head_dim=head_dim))
+        assert main(["run", "--config", str(path)]) == 1
+        assert_one_error_line(capsys, "2**63")
 
     def test_missing_required_flag_exits_one(self):
         with pytest.raises(SystemExit) as exc:

@@ -81,8 +81,8 @@ def small_configs(draw):
 @settings(max_examples=200, deadline=None)
 @given(small_configs())
 def test_random_small_configs_hold_invariants(config):
-    # ``debug_invariants`` checks positions, finiteness, the recent window and
-    # the expected occupancy stream after every step; any violation raises.
+    # ``debug_invariants`` holds every step to the trace audit and the cache's
+    # positions to the audit's replay; any violation raises.
     result = run(config)
     assert len(result.trace.records) == config.decode_steps
     snapshot = result.cache.snapshot(config.policy.fusion)

@@ -15,6 +15,7 @@ from morphkv import (
     oracle_regression,
     run,
 )
+from morphkv.cache import KvCacheState
 from morphkv.errors import (
     InstanceTooLarge,
     InternalInvariantViolation,
@@ -82,9 +83,9 @@ class TestRunDeterminism:
 
 
 class TestDebugInvariants:
-    # debug_invariants recomputes the occupancy a correct engine must
-    # show per step from the policy config alone and compares exactly,
-    # plus validates store/window alignment and recency protection.
+    # debug_invariants holds each step record to the trace audit (the
+    # policy's occupancy rule, the replayed evictions, recency protection,
+    # the byte model) and the cache's positions to the audit's replay.
     @pytest.mark.parametrize(
         "kind,kwargs",
         [
@@ -98,11 +99,40 @@ class TestDebugInvariants:
             ("h2o", dict(distant_capacity=2, recent_window=2)),
             ("snapkv", dict(recent_window=2, prefill_budget=4)),
             ("full_attention", dict()),
+            ("snapkv", dict(recent_window=4, prefill_budget=2)),
         ],
     )
     def test_engine_matches_analytic_occupancy(self, kind, kwargs):
         config = replace(small_run_config(kind, **kwargs), debug_invariants=True, decode_steps=10)
         run(config)  # raises InternalInvariantViolation on any drift
+
+    def test_lost_eviction_events_are_a_bug(self, monkeypatch):
+        # Every step of this run evicts; the journal drops the third step's
+        # events, so the trace records fewer evictions than the cache made.
+        pop, calls = KvCacheState.pop_eviction_events, []
+
+        def lossy(cache):
+            calls.append(pop(cache))
+            return [] if len(calls) == 4 else calls[-1]
+
+        monkeypatch.setattr(KvCacheState, "pop_eviction_events", lossy)
+        config = replace(small_run_config(), debug_invariants=True, decode_steps=10)
+        with pytest.raises(InternalInvariantViolation, match="step record 2"):
+            run(config)
+        assert calls[3]
+
+    def test_debug_run_flags_nonincreasing_positions(self, monkeypatch):
+        # Layer 1 files the third decode entry under its predecessor's
+        # position, so its positions stop increasing and leave the replay.
+        append = KvCacheState.append
+
+        def stale(cache, layer, keys, values, position, token):
+            append(cache, layer, keys, values, position - (layer == 1 and position == 8), token)
+
+        monkeypatch.setattr(KvCacheState, "append", stale)
+        config = replace(small_run_config("full_attention"), debug_invariants=True, decode_steps=4)
+        with pytest.raises(InternalInvariantViolation, match="step 2: cache positions"):
+            run(config)
 
 
 class TestPrompts:

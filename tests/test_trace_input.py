@@ -1,10 +1,14 @@
 """Malformed trace documents are input errors: exit 1 with one ``error:`` line."""
 
+import contextlib
 import copy
+import io
 import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from morphkv.cli import main
 from morphkv.errors import TraceMismatch
@@ -149,3 +153,153 @@ def test_eviction_count_must_match_the_occupancy_change(where, trace_doc, tmp_pa
         # One more prefill eviction leaves the first step one entry short.
         doc["prefill_evictions"][1][0] = [0]
     assert_input_error(doc, tmp_path, capsys)
+
+
+@pytest.fixture(scope="module")
+def snapkv_doc(tmp_path_factory):
+    # snapkv with prefill_budget <= recent_window keeps fewer prompt entries
+    # than the window, so its prefill evicts prompt positions that a decode
+    # step could not.
+    root = tmp_path_factory.mktemp("snapkv")
+    config = root / "snapkv.ini"
+    morphkv = "kind = morphkv\ndistant_capacity = 3\nrecent_window = 2\n"
+    config.write_text(INI.replace(morphkv, "kind = snapkv\nrecent_window = 4\nprefill_budget = 2\n"))
+    assert main(["run", "--config", str(config), "--out", str(root / "out")]) == 0
+    doc = json.loads((root / "out" / "trace.json").read_text())
+    assert doc["prefill_evictions"][0][0] == [0, 1, 2, 3]
+    return doc
+
+
+def test_prefill_evictions_inside_the_window_load(snapkv_doc, tmp_path):
+    path = tmp_path / "trace.json"
+    path.write_text(json.dumps(snapkv_doc))
+    assert main(["metrics", "--trace", str(path)]) == 0
+
+
+@pytest.mark.parametrize("position", [0, 6], ids=["duplicate", "not_a_prompt_position"])
+def test_prefill_evictions_must_be_distinct_prompt_positions(
+    position, snapkv_doc, tmp_path, capsys
+):
+    doc = copy.deepcopy(snapkv_doc)
+    doc["prefill_evictions"][0][0][1] = position
+    assert_input_error(doc, tmp_path, capsys)
+    with pytest.raises(TraceMismatch, match=r"prefill store \(0,0\)"):
+        StepTrace.from_dict(doc)
+
+
+# Each moves one evicted position of store (0,0) in trace_interval1.json to
+# one that store cannot evict, keeping every count: 16 prompt positions,
+# step 0 evicts [0, 2, 3, 6, 8, 9, 10, 11, 12] and appends 16, step 1 evicts
+# [5].
+UNEVICTABLE = {
+    "never_live": (0, 0, 10**9),
+    "own_new_position": (0, 0, 16),
+    "duplicate": (0, 1, 0),
+    "evicted_before": (1, 0, 0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNEVICTABLE))
+def test_golden_with_an_unevictable_position(case, tmp_path, capsys):
+    step, index, position = UNEVICTABLE[case]
+    doc = json.loads((DATA / "trace_interval1.json").read_text())
+    doc["steps"][step]["evicted"][0][0][index] = position
+    assert_input_error(doc, tmp_path, capsys)
+
+
+# Fuzzing: one mutation of a golden per example, fed through ``main``. The
+# expected verdicts come from the golden's own numbers, not from the audit.
+GOLDEN_TEXT = {name: (DATA / name).read_text() for name in GOLDENS}
+# Any JSON value a hand-edited trace might hold where another was written.
+JUNK = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(),
+    st.text(max_size=3),
+    st.lists(st.integers(-2, 40), max_size=3),
+    st.just({}),
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "trace.json"
+
+
+def _evictions(doc) -> list[tuple[int, int, int, int]]:
+    """(step, layer, head, index) of every evicted position in the records."""
+    return [
+        (rec["step"], layer, head, index)
+        for rec in doc["steps"]
+        for layer, heads in enumerate(rec["evicted"])
+        for head, cell in enumerate(heads)
+        for index in range(len(cell))
+    ]
+
+
+def _unevictable(doc, step: int, layer: int, head: int, index: int):
+    """Positions store (layer, head) cannot evict at ``step`` in place of its
+    ``index``-th eviction: never live, evicted already (by an earlier record
+    or by this one), or among the ``recent_window`` newest."""
+    prompt_len, recent = len(doc["prompt"]), doc["policy"]["recent_window"]
+    gone = doc["steps"][step]["evicted"][layer][head]
+    again = doc["prefill_evictions"][layer][head] + gone[:index] + gone[index + 1 :]
+    again += [p for rec in doc["steps"][:step] for p in rec["evicted"][layer][head]]
+    # Step s appends position prompt_len + s, which stays in the window,
+    # and so live, for the next ``recent`` steps.
+    newest = [prompt_len + step - j for j in range(min(recent, step + 1))]
+    choices = [
+        st.integers(max_value=-1),
+        st.integers(min_value=prompt_len + step + 1),
+        st.sampled_from(newest),
+    ]
+    if again:
+        choices.append(st.sampled_from(again))
+    return st.one_of(choices)
+
+
+def _slots(doc) -> list[tuple[object, object]]:
+    """Every (container, key) of a trace whose value a mutation may replace."""
+    slots = [(doc, key) for key in doc if key != "schema"]
+    slots += [(doc[section], key) for section in ("model", "policy") for key in doc[section]]
+    slots += [(doc["prompt"], i) for i in range(len(doc["prompt"]))]
+    grids = [doc["prefill_evictions"]]
+    for rec in doc["steps"]:
+        slots += [(rec, key) for key in rec]
+        grids += [rec["occupancy"], rec["evicted"]]
+    for grid in grids:
+        slots += [(heads, head) for heads in grid for head in range(len(heads))]
+    # Each evicted position, prefill ones included.
+    for grid in [doc["prefill_evictions"]] + [rec["evicted"] for rec in doc["steps"]]:
+        slots += [(cell, i) for heads in grid for cell in heads for i in range(len(cell))]
+    return slots
+
+
+@settings(max_examples=150, deadline=None)
+@given(name=st.sampled_from(GOLDENS), data=st.data())
+def test_fuzzed_golden_loads_or_is_an_input_error(name, data, fuzz_path):
+    doc = json.loads(GOLDEN_TEXT[name])
+    mutation = data.draw(st.sampled_from(["unevictable", "evicted", "occupancy", "bytes", "value"]))
+    if mutation in ("unevictable", "evicted"):
+        step, layer, head, index = data.draw(st.sampled_from(_evictions(doc)))
+        if mutation == "unevictable":
+            positions = _unevictable(doc, step, layer, head, index)
+        else:
+            positions = st.integers(-2, len(doc["prompt"]) + len(doc["steps"]) + 2)
+        doc["steps"][step]["evicted"][layer][head][index] = data.draw(positions)
+    elif mutation == "occupancy":
+        heads = data.draw(st.sampled_from([h for rec in doc["steps"] for h in rec["occupancy"]]))
+        heads[data.draw(st.integers(0, len(heads) - 1))] = data.draw(st.integers(-1, 50))
+    elif mutation == "bytes":
+        data.draw(st.sampled_from(doc["steps"]))["bytes"] = data.draw(st.integers(-1, 10**4))
+    else:
+        container, key = data.draw(st.sampled_from(_slots(doc)))
+        container[key] = data.draw(JUNK)
+    fuzz_path.write_text(json.dumps(doc))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["metrics", "--trace", str(fuzz_path)])
+    assert code in (0, 1) and "Traceback" not in err.getvalue(), err.getvalue()
+    if mutation == "unevictable":
+        assert code == 1
