@@ -13,6 +13,7 @@ from .cache import KvCacheState
 from .config import EvictionPolicyConfig, ModelConfig
 from .harness import (
     CompareReport,
+    Decoding,
     RunConfig,
     RunResult,
     compare,
@@ -33,7 +34,7 @@ from .model import (
 from .morph import fuse, morphkv_step, prefill_compress, select_retained
 from .baselines import h2o_step, scissorhands_step, snapkv_policy, streamingllm_step
 from .numerics import apply_rope, scaled_dot_attention, softmax
-from .oracle import ErrorRecord, optimal_subset, shadow_error
+from .oracle import optimal_subset, shadow_error
 from .trace import StepRecord, StepTrace
 
 __version__ = "0.1.0"
@@ -41,7 +42,7 @@ __version__ = "0.1.0"
 __all__ = [
     "CompareReport",
     "DecoderWeights",
-    "ErrorRecord",
+    "Decoding",
     "EvictionPolicyConfig",
     "KvCacheState",
     "ModelConfig",

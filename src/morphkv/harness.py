@@ -2,10 +2,12 @@
 
 A run is fully determined by its config: seeded weights, seeded or
 file-sourced prompt, greedy decoding, one policy application per decode
-step. Teacher forcing replays another run's token stream through a
-different policy so their caches are comparable step by step; free
-running lets each policy follow its own greedy trajectory, in which case
-only aggregate metrics are comparable.
+step. ``Decoding`` is one run stepped a token at a time; ``run`` steps it
+on its own greedy tokens. ``compare`` steps several runs in lockstep:
+teacher forcing feeds every run the reference's token, so their outputs
+are comparable step by step; free running lets each policy follow its
+own greedy trajectory, in which case only aggregate metrics are
+comparable.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .errors import (
     TraceMismatch,
 )
 from .metrics import kv_bytes, kv_bytes_from_occupancies, relative_cache_ratio, repetition_rate
-from .model import decode_step, greedy_token, init_model, prefill
+from .model import DecoderWeights, StepOutput, decode_step, greedy_token, init_model, prefill
 from .morph import fuse, prefill_compress, select_retained
 from .oracle import optimal_subset, shadow_error, subset_output_error
 from .trace import StepAudit, StepRecord, StepTrace
@@ -44,7 +46,6 @@ class RunConfig:
     decode_steps: int = 32
     bytes_per_scalar: int = 8
     debug_invariants: bool = False
-    attention_snapshots: bool = False
     out_dir: str | None = None
 
     def validate(self) -> "RunConfig":
@@ -66,9 +67,8 @@ class RunResult:
     cache: KvCacheState
     prefill_logits: np.ndarray
     logits: list[np.ndarray]
-    last_output: object
-    attn_outputs: list | None = None
-    attn_rows: list | None = None
+    # Not a field: perfbench's tracer.snapshot_bytes reads it and counts 0 for None.
+    attn_outputs = None
 
 
 def make_prompt(config: RunConfig) -> list[int]:
@@ -87,99 +87,108 @@ def make_prompt(config: RunConfig) -> list[int]:
     return [int(t) for t in rng.integers(0, vocab, size=config.prompt_length)]
 
 
-def _eviction_grid(events, model: ModelConfig, shared: dict[int, int]) -> list[list[list[int]]]:
-    """Evicted positions per (layer, KV head), each position as its ``shared`` int."""
-    grid = [[[] for _ in range(model.n_kv_heads)] for _ in range(model.n_layers)]
-    for layer, head, positions in events:
-        grid[layer][head].extend([shared.setdefault(p, p) for p in positions])
-    return grid
+class Decoding:
+    """One run stepped a token at a time over given weights.
 
-
-def run(config: RunConfig, forced_tokens=None) -> RunResult:
-    """Prefill, apply any one-shot prompt policy, then decode with eviction.
-
-    ``forced_tokens`` replays a given token stream instead of the model's
-    own greedy choices; it must cover every decode step.
+    The constructor prefills the prompt and applies any one-shot prompt
+    policy; ``out`` is the last ``StepOutput``. Each :meth:`step` decodes
+    one token, applies the policy and records the step; :meth:`result`
+    builds the run's result and writes ``out_dir``.
     """
-    config.validate()
-    model_cfg, policy, steps = config.model, config.policy, config.decode_steps
-    per_scalar = config.bytes_per_scalar
-    weights = init_model(model_cfg)
-    cache = KvCacheState.for_model(model_cfg, policy.recent_window)
-    prompt = make_prompt(config)
-    out = prefill(weights, prompt, cache)
-    prefill_logits = out.logits
-    if policy.kind == "snapkv":
-        snapkv_policy(cache, policy)
-    elif policy.kind == "morphkv" and policy.compress_prefill:
-        prefill_compress(cache, policy)
-    # The trace keeps every eviction of every store; one int object per
-    # evicted position, whichever stores evict it, keeps that list small.
-    shared: dict[int, int] = {}
-    prefill_evictions = _eviction_grid(cache.pop_eviction_events(), model_cfg, shared)
 
-    if forced_tokens is not None:
-        forced_tokens = [int(t) for t in forced_tokens]
-        if len(forced_tokens) < steps:
-            raise TraceMismatch(
-                f"forced token stream covers {len(forced_tokens)} of {steps} decode steps"
-            )
-    audit = None
-    records: list[StepRecord] = []
-    logits: list[np.ndarray] = []
-    attn_outputs = [] if config.attention_snapshots else None
-    attn_rows = [] if config.attention_snapshots else None
-    for i in range(steps):
-        token = forced_tokens[i] if forced_tokens is not None else greedy_token(out.logits)
-        out = decode_step(weights, token, cache)
-        policy_step(cache, out, policy, i, len(prompt))
+    def __init__(self, config: RunConfig, weights: DecoderWeights):
+        config.validate()
+        if weights.config != config.model:
+            raise InvalidParam("weights were drawn for another model config")
+        self.config, self.weights = config, weights
+        self.cache = KvCacheState.for_model(config.model, config.policy.recent_window)
+        self.prompt = make_prompt(config)
+        self.out = prefill(weights, self.prompt, self.cache)
+        self.prefill_logits = self.out.logits
+        if config.policy.kind == "snapkv":
+            snapkv_policy(self.cache, config.policy)
+        elif config.policy.kind == "morphkv" and config.policy.compress_prefill:
+            prefill_compress(self.cache, config.policy)
+        # The trace keeps every eviction of every store; one int object per
+        # evicted position, whichever stores evict it, keeps that list small.
+        self._shared: dict[int, int] = {}
+        self.prefill_evictions = self._evictions()
+        self.records: list[StepRecord] = []
+        self.logits: list[np.ndarray] = []
+        self._audit = None
+
+    def _evictions(self) -> list[list[list[int]]]:
+        """Evicted positions per (layer, KV head) since the last call."""
+        model = self.config.model
+        grid = [[[] for _ in range(model.n_kv_heads)] for _ in range(model.n_layers)]
+        for layer, head, positions in self.cache.pop_eviction_events():
+            grid[layer][head].extend([self._shared.setdefault(p, p) for p in positions])
+        return grid
+
+    def step(self, token: int) -> StepOutput:
+        """Decode ``token``, apply the policy and record the step."""
+        config, cache, i = self.config, self.cache, len(self.records)
+        if i == config.decode_steps:
+            raise InvalidParam(f"all {i} decode steps are done")
+        token = int(token)
+        self.out = decode_step(self.weights, token, cache)
+        policy_step(cache, self.out, config.policy, i, len(self.prompt))
         occupancy = cache.occupancies()
         record = StepRecord(
             step=i,
             token=token,
             occupancy=occupancy,
-            evicted=_eviction_grid(cache.pop_eviction_events(), model_cfg, shared),
-            bytes=kv_bytes_from_occupancies(occupancy, model_cfg, policy, per_scalar),
+            evicted=self._evictions(),
+            bytes=kv_bytes_from_occupancies(
+                occupancy, config.model, config.policy, config.bytes_per_scalar
+            ),
         )
-        records.append(record)
-        logits.append(out.logits)
-        if config.attention_snapshots:
-            attn_outputs.append(out.attn_outputs)
-            attn_rows.append(out.attn_rows)
+        self.records.append(record)
+        self.logits.append(self.out.logits)
         if config.debug_invariants:
             cache.validate()
             # A run's own trace failing its audit, prefill included, is a bug.
             try:
-                if audit is None:
-                    audit = StepAudit(
-                        model_cfg, policy, per_scalar, len(prompt), prefill_evictions, steps
+                if self._audit is None:
+                    self._audit = StepAudit(
+                        config.model,
+                        config.policy,
+                        config.bytes_per_scalar,
+                        len(self.prompt),
+                        self.prefill_evictions,
+                        config.decode_steps,
                     )
-                audit.check(i, record.occupancy, record.evicted, record.bytes)
+                self._audit.check(i, record.occupancy, record.evicted, record.bytes)
             except TraceMismatch as exc:
                 raise InternalInvariantViolation(f"run trace fails its audit: {exc}") from exc
-            if any(cache.positions(n).tolist() != audit.live(n) for n in range(cache.n_layers)):
+            live = self._audit.live
+            if any(cache.positions(n).tolist() != live(n) for n in range(cache.n_layers)):
                 raise InternalInvariantViolation(f"step {i}: cache positions differ from the audit")
-    trace = StepTrace(
-        model=model_cfg,
-        policy=policy,
-        prompt=prompt,
-        bytes_per_scalar=per_scalar,
-        prefill_evictions=prefill_evictions,
-        records=records,
-    )
-    result = RunResult(
-        config=config,
-        trace=trace,
-        cache=cache,
-        prefill_logits=prefill_logits,
-        logits=logits,
-        last_output=out,
-        attn_outputs=attn_outputs,
-        attn_rows=attn_rows,
-    )
-    if config.out_dir is not None:
-        write_run_outputs(result, config.out_dir)
-    return result
+        return self.out
+
+    def result(self) -> RunResult:
+        """The run so far as a ``RunResult``; writes ``out_dir`` if set."""
+        config = self.config
+        trace = StepTrace(
+            model=config.model,
+            policy=config.policy,
+            prompt=self.prompt,
+            bytes_per_scalar=config.bytes_per_scalar,
+            prefill_evictions=self.prefill_evictions,
+            records=self.records,
+        )
+        result = RunResult(config, trace, self.cache, self.prefill_logits, self.logits)
+        if config.out_dir is not None:
+            write_run_outputs(result, config.out_dir)
+        return result
+
+
+def run(config: RunConfig) -> RunResult:
+    """Prefill, apply any one-shot prompt policy, then decode greedily with eviction."""
+    decoding = Decoding(config.validate(), init_model(config.model))
+    for _ in range(config.decode_steps):
+        decoding.step(greedy_token(decoding.out.logits))
+    return decoding.result()
 
 
 def full_attention_bytes(
@@ -239,12 +248,13 @@ class CompareReport:
 
 
 def compare(configs, teacher_forced: bool = True, out_dir: str | None = None, ngram: int = 10) -> CompareReport:
-    """Run several policies over one model and align their step streams.
+    """Step several policies over one set of weights in lockstep.
 
     The first config is the reference: with teacher forcing (the default)
-    every other run replays its token stream, and per-step output errors
-    against it are reported. Free-running keeps each policy on its own
-    greedy trajectory and drops the error columns.
+    it picks each token greedily, every run consumes that token, and each
+    run's per-step output error against the reference is reported as the
+    outputs are produced. Free-running keeps each policy on its own greedy
+    trajectory and drops the error columns.
     """
     configs = list(configs)
     if len(configs) < 2:
@@ -261,45 +271,36 @@ def compare(configs, teacher_forced: bool = True, out_dir: str | None = None, ng
             raise TraceMismatch("compare requires identical decode_steps")
         if cfg.bytes_per_scalar != base.bytes_per_scalar:
             raise TraceMismatch("compare requires identical bytes_per_scalar")
-    base_run = run(replace(base, attention_snapshots=teacher_forced, out_dir=None))
-    forced = base_run.trace.consumed_tokens() if teacher_forced else None
+    weights = init_model(base.model)
+    runs = [Decoding(replace(cfg, out_dir=None), weights) for cfg in configs]
+    errors: list[list[list[float]]] = [[] for _ in runs]
+    for _ in range(base.decode_steps):
+        token = greedy_token(runs[0].out.logits)
+        for decoding, run_errors in zip(runs, errors):
+            decoding.step(token if teacher_forced else greedy_token(decoding.out.logits))
+            if teacher_forced:
+                run_errors.append(shadow_error(runs[0].out, decoding.out))
     full = full_attention_bytes(
-        base.model, len(base_run.trace.prompt), base.decode_steps, base.bytes_per_scalar
+        base.model, len(runs[0].prompt), base.decode_steps, base.bytes_per_scalar
     )
     seen: dict[str, int] = {}
-    columns, traces = [], []
-
-    def fold(result: RunResult) -> None:
-        """Fold a finished run into its column, keeping only its trace."""
-        kind = result.trace.policy.kind
+    columns, traces = [], [decoding.result().trace for decoding in runs]
+    for trace, per_step in zip(traces, errors):
+        kind = trace.policy.kind
         seen[kind] = seen.get(kind, 0) + 1
-        label = kind if seen[kind] == 1 else f"{kind}-{seen[kind]}"
-        errors_mean = errors_max = None
-        if teacher_forced:
-            records = shadow_error(base_run, result)
-            per_step: list[list[float]] = [[] for _ in range(base.decode_steps)]
-            for rec in records:
-                per_step[rec.step].append(rec.l2_error)
-            errors_mean = [float(np.mean(v)) for v in per_step]
-            errors_max = [float(np.max(v)) for v in per_step]
         columns.append(
             PolicyColumn(
-                label=label,
+                label=kind if seen[kind] == 1 else f"{kind}-{seen[kind]}",
                 kind=kind,
-                occupancy=result.trace.occupancy_totals(),
-                bytes=result.trace.byte_stream(),
-                ratio=relative_cache_ratio(result.trace.byte_stream(), full),
-                error_mean=errors_mean,
-                error_max=errors_max,
-                repetition=repetition_rate(result.trace.consumed_tokens(), ngram).repetition_rate,
-                total_evictions=result.trace.total_evictions(),
+                occupancy=trace.occupancy_totals(),
+                bytes=trace.byte_stream(),
+                ratio=relative_cache_ratio(trace.byte_stream(), full),
+                error_mean=[float(np.mean(v)) for v in per_step] if teacher_forced else None,
+                error_max=[float(np.max(v)) for v in per_step] if teacher_forced else None,
+                repetition=repetition_rate(trace.consumed_tokens(), ngram).repetition_rate,
+                total_evictions=trace.total_evictions(),
             )
         )
-        traces.append(result.trace)
-
-    fold(base_run)
-    for cfg in configs[1:]:
-        fold(run(replace(cfg, attention_snapshots=teacher_forced, out_dir=None), forced))
     report = CompareReport(steps=base.decode_steps, teacher_forced=teacher_forced, columns=columns)
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
@@ -407,23 +408,22 @@ def oracle_regression(config: RunConfig, instances: int) -> list[RegressionRow]:
             config,
             model=replace(model, seed=seed),
             policy=EvictionPolicyConfig(kind="full_attention", recent_window=r),
-            attention_snapshots=True,
             out_dir=None,
             debug_invariants=False,
         )
-        result = run(inst)
-        cache = result.cache
-        keys = cache.keys_matrix(0)[0]
-        vals = cache.values_matrix(0)[0]
-        query = result.last_output.queries[0][0][0]
-        n = keys.shape[0]
-        _, optimal_error = optimal_subset(query, keys, vals, budget, r)
+        decoding = Decoding(inst, init_model(inst.model))
         # Decode rows only: ``cache.received`` also counts the prefill rows,
         # which would change how this pick ranks the prompt entries.
-        cumulative = np.zeros(n)
-        for step_rows in result.attn_rows:
-            row = step_rows[0][0][0]
+        cumulative = np.zeros(len(decoding.prompt) + inst.decode_steps)
+        for _ in range(inst.decode_steps):
+            row = decoding.step(greedy_token(decoding.out.logits)).attn_rows[0][0][0]
             cumulative[: row.size] += row
+        cache = decoding.cache
+        keys = cache.keys_matrix(0)[0]
+        vals = cache.values_matrix(0)[0]
+        query = decoding.out.queries[0][0][0]
+        n = keys.shape[0]
+        _, optimal_error = optimal_subset(query, keys, vals, budget, r)
         picks: dict[str, list[int]] = {
             "morphkv_sum": select_retained(fuse(cache, 0, "sum"), n, c, r)[0].tolist(),
             "morphkv_max": select_retained(fuse(cache, 0, "max"), n, c, r)[0].tolist(),
@@ -485,8 +485,8 @@ def check_regression_baseline(rows: list[RegressionRow], baseline_text: str) -> 
 
 
 # ``[run]`` is not a dataclass: ``prompt`` sets ``prompt_length`` or
-# ``prompt_file``, and ``attention_snapshots`` and ``out_dir`` are for
-# callers only, so a config file cannot set them.
+# ``prompt_file``, and ``out_dir`` is for callers only, so a config file
+# cannot set it.
 _RUN_KEYS = {
     "prompt": "str",
     "decode_steps": "int",

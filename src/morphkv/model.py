@@ -57,8 +57,9 @@ class StepOutput:
     ``attn_rows[layer][kv_head]`` holds one attention row per query head in
     the group, each spanning the store's entries at the end of the step
     (the new token's own entry included). ``attn_outputs`` are the matching
-    pre-projection attention outputs, ``queries`` the rotated query
-    vectors; both are what the error oracle compares.
+    pre-projection attention outputs, which ``oracle.shadow_error`` compares
+    between lockstep runs; ``queries`` are the rotated query vectors, which
+    the oracle regression scores retained subsets against.
     """
 
     logits: np.ndarray
@@ -77,15 +78,24 @@ def init_model(config: ModelConfig) -> DecoderWeights:
 
     Entries are uniform on ``[-1/sqrt(d_model), 1/sqrt(d_model)]``, drawn
     in a fixed order (embedding, then per layer: q, k, v, o, MLP in, MLP
-    out) so the stream layout never shifts.
+    out) so the stream layout never shifts. Every layer's matrices are
+    C-contiguous views of one buffer allocated before any draw, so a layer
+    count no memory holds fails at once.
     """
     config.validate()
+    sizes = _layer_sizes(config)
+    buffer = np.empty(config.n_layers * sum(rows * cols for rows, cols in sizes))
     rng = np.random.default_rng(config.seed)
     scale = 1.0 / np.sqrt(config.d_model)
     embedding = rng.uniform(-scale, scale, size=(config.vocab_size, config.d_model))
-    layers = []
+    layers, offset = [], 0
     for _ in range(config.n_layers):
-        mats = [rng.uniform(-scale, scale, size=shape) for shape in _layer_sizes(config)]
+        mats = []
+        for rows, cols in sizes:
+            mat = buffer[offset : offset + rows * cols].reshape(rows, cols)
+            mat[...] = rng.uniform(-scale, scale, size=(rows, cols))
+            mats.append(mat)
+            offset += rows * cols
         layers.append(LayerWeights(*mats))
     return DecoderWeights(config=config, embedding=embedding, layers=tuple(layers))
 

@@ -2,20 +2,20 @@
 
 ``optimal_subset`` brute-forces the reduced cache that best preserves one
 query's attention output, which is the quantity every retention heuristic
-is trying to approximate. ``shadow_error`` streams the per-store output
-distance between a full-attention run and a policy run replaying the same
-tokens. Both are plain and exact: the enumeration scores a chunk of
-subsets per attention call, with bits equal to scoring them one by one.
+is trying to approximate. ``shadow_error`` gives the per-store output
+distance between two decode steps of the same token, one under full
+attention and one under a policy. Both are plain and exact: the
+enumeration scores a chunk of subsets per attention call, with bits equal
+to scoring them one by one.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyCache, InstanceTooLarge, InvalidParam, InvalidShape, TraceMismatch
+from .errors import EmptyCache, InstanceTooLarge, InvalidParam, InvalidShape
 from .numerics import scaled_dot_attention
 
 # Hard cap on enumeration: C(22, 11) ~ 705k subsets is the most a desk run
@@ -24,14 +24,6 @@ ENUMERATION_BOUND = 22
 # Subsets scored per attention call; bounds the gathered (chunk, budget, d)
 # key and value stacks.
 SUBSET_CHUNK = 4096
-
-
-@dataclass(frozen=True)
-class ErrorRecord:
-    step: int
-    layer: int
-    kv_head: int
-    l2_error: float
 
 
 def subset_output_error(query, keys, vals, indices) -> float:
@@ -91,32 +83,17 @@ def optimal_subset(
     return best_idx, best_err
 
 
-def shadow_error(full_run, policy_run) -> list[ErrorRecord]:
-    """Per (step, layer, KV head) output distance between two aligned runs.
+def shadow_error(full_out, policy_out) -> list[float]:
+    """Output distance per (layer, KV head), layer-major, between two steps.
 
-    Both runs must come from `harness.run` with attention snapshots
-    enabled, share model config and seed, and have consumed the same
-    tokens (the policy run teacher-forced from the full run). The error at
-    a step is the Frobenius distance between the group's pre-projection
+    Both are ``StepOutput``s of the same token over one model, the first
+    under full attention (``compare`` steps the runs in lockstep). Each
+    error is the Frobenius distance between the group's pre-projection
     attention outputs, so it is exactly zero when the policy retained
     everything the full run saw.
     """
-    ft, pt = full_run.trace, policy_run.trace
-    if ft.model != pt.model or ft.model.seed != pt.model.seed:
-        raise TraceMismatch("runs use different models or seeds")
-    if ft.prompt != pt.prompt:
-        raise TraceMismatch("runs consumed different prompts")
-    if ft.consumed_tokens() != pt.consumed_tokens():
-        raise TraceMismatch("policy run did not replay the full run's tokens")
-    if full_run.attn_outputs is None or policy_run.attn_outputs is None:
-        raise TraceMismatch("shadow_error needs runs with attention snapshots enabled")
-    records = []
-    for step, (full_step, policy_step) in enumerate(
-        zip(full_run.attn_outputs, policy_run.attn_outputs)
-    ):
-        for layer, (full_heads, policy_heads) in enumerate(zip(full_step, policy_step)):
-            for head, (fo, po) in enumerate(zip(full_heads, policy_heads)):
-                records.append(
-                    ErrorRecord(step, layer, head, float(np.linalg.norm(fo - po)))
-                )
-    return records
+    return [
+        float(np.linalg.norm(fo - po))
+        for full_heads, policy_heads in zip(full_out.attn_outputs, policy_out.attn_outputs)
+        for fo, po in zip(full_heads, policy_heads)
+    ]

@@ -18,6 +18,7 @@ import pytest
 
 import reference
 from morphkv import (
+    Decoding,
     EvictionPolicyConfig,
     KvCacheState,
     ModelConfig,
@@ -269,17 +270,18 @@ def test_group_aggregation_consistency():
 
     gqa = ModelConfig(n_layers=2, n_query_heads=8, n_kv_heads=2, head_dim=4, vocab_size=32, seed=3)
     assert gqa.group_size == 4
-    result = run(
+    decoding = Decoding(
         RunConfig(
             model=gqa,
             policy=EvictionPolicyConfig(kind="morphkv", distant_capacity=4, recent_window=3),
             prompt_length=6,
             decode_steps=8,
-            attention_snapshots=True,
-        )
+        ),
+        init_model(gqa),
     )
     cells = 0
-    for step_rows in result.attn_rows:
+    for _ in range(8):
+        step_rows = decoding.step(greedy_token(decoding.out.logits)).attn_rows
         for layer_rows in step_rows:
             for group in layer_rows:
                 explicit = group[0] + group[1] + group[2] + group[3]

@@ -4,11 +4,14 @@ import numpy as np
 import pytest
 
 from morphkv import (
+    Decoding,
     EvictionPolicyConfig,
     KvCacheState,
     ModelConfig,
     RunConfig,
+    greedy_token,
     h2o_step,
+    init_model,
     run,
     scissorhands_step,
     snapkv_policy,
@@ -167,27 +170,23 @@ class TestH2o:
             n_layers=1, n_query_heads=2, n_kv_heads=1, head_dim=4, vocab_size=32, seed=17
         )
         policy = EvictionPolicyConfig(kind="h2o", distant_capacity=2, recent_window=2)
-        config = RunConfig(
-            model=model,
-            policy=policy,
-            prompt_length=5,
-            decode_steps=steps,
-            attention_snapshots=True,
-        )
-        return config, run(config)
+        config = RunConfig(model=model, policy=policy, prompt_length=5, decode_steps=steps)
+        decoding = Decoding(config, init_model(model))
+        rows = [decoding.step(greedy_token(decoding.out.logits)).attn_rows for _ in range(steps)]
+        return rows, decoding.result()
 
     def test_matches_hand_replay(self):
         # Replay the recorded per-step rows through a pure-Python
         # cumulative-score tracker and demand the identical eviction
         # sequence and final retained set.
-        config, result = self.engine_run()
+        rows, result = self.engine_run()
         prompt_len = 5
         budget = 4
         recent = 2
         live = list(range(prompt_len))
         cum = [0.0] * prompt_len
         expected_events = []
-        for step, step_rows in enumerate(result.attn_rows):
+        for step, step_rows in enumerate(rows):
             live.append(prompt_len + step)
             cum.append(0.0)
             group = np.asarray(step_rows[0][0])

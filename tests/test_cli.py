@@ -59,11 +59,13 @@ MALFORMED_INI = {
 }
 
 
-# Configs whose arrays no machine holds: a 10^11-token prompt, and a
-# 10^11-row embedding.
+# Configs whose arrays no machine holds: a 10^11-token prompt, a 10^11-row
+# embedding, and 10^9 layers, whose weights were once drawn layer by layer
+# until memory ran out.
 UNALLOCATABLE_INI = {
     "prompt": MORPH_INI.replace("random:6", "random:100000000000"),
     "vocab_size": MORPH_INI.replace("vocab_size = 32", "vocab_size = 100000000000"),
+    "n_layers": MORPH_INI.replace("n_layers = 2", "n_layers = 1000000000"),
 }
 
 # Model dimensions past numpy's signed 64-bit sizes (2**70): init_model used
@@ -193,7 +195,7 @@ class TestRunCommand:
             [sys.executable, "-c", CAPPED_MAIN, "run", "--config", str(path)],
             capture_output=True,
             text=True,
-            timeout=120,
+            timeout=30,
             env={**os.environ, "PYTHONPATH": pythonpath, "OPENBLAS_NUM_THREADS": "1"},
         )
         assert proc.returncode == 1, proc.stderr

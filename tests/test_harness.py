@@ -6,11 +6,14 @@ import numpy as np
 import pytest
 
 from morphkv import (
+    Decoding,
     EvictionPolicyConfig,
     ModelConfig,
     RunConfig,
     StepTrace,
     compare,
+    greedy_token,
+    init_model,
     load_run_config,
     oracle_regression,
     run,
@@ -68,12 +71,17 @@ class TestRunDeterminism:
     def test_forced_tokens_replayed_verbatim(self):
         config = small_run_config()
         forced = [1, 2, 3, 4, 5, 6, 7, 8]
-        result = run(config, forced_tokens=forced)
-        assert result.trace.consumed_tokens() == forced
+        decoding = Decoding(config, init_model(config.model))
+        for token in forced:
+            decoding.step(token)
+        assert decoding.result().trace.consumed_tokens() == forced
+        with pytest.raises(InvalidParam, match="all 8 decode steps"):
+            decoding.step(1)
 
-    def test_short_forced_stream_rejected(self):
-        with pytest.raises(TraceMismatch):
-            run(small_run_config(), forced_tokens=[1, 2])
+    def test_decoding_rejects_weights_of_another_model(self):
+        config = small_run_config()
+        with pytest.raises(InvalidParam):
+            Decoding(config, init_model(replace(SMALL_MODEL, seed=42)))
 
     def test_zero_decode_steps_is_a_prefill_only_run(self):
         config = replace(small_run_config(), decode_steps=0)
@@ -263,6 +271,38 @@ class TestCompare:
         base, _, _ = self.configs()
         with pytest.raises(InvalidParam):
             compare([base])
+
+    def test_free_running_traces_equal_single_runs(self, tmp_path):
+        configs = self.configs()
+        report = compare(configs, teacher_forced=False, out_dir=str(tmp_path / "cmp"))
+        for cfg, col in zip(configs, report.columns):
+            run(replace(cfg, out_dir=str(tmp_path / col.label)))
+            written = (tmp_path / "cmp" / f"trace_{col.label}.json").read_bytes()
+            assert written == (tmp_path / col.label / "trace.json").read_bytes()
+
+    def test_teacher_forced_matches_hand_stepped_runs(self, tmp_path):
+        configs = self.configs()
+        report = compare(configs, out_dir=str(tmp_path))
+        weights = init_model(SMALL_MODEL)
+        runs = [Decoding(cfg, weights) for cfg in configs]
+        errors = [[] for _ in runs]
+        for _ in range(configs[0].decode_steps):
+            token = greedy_token(runs[0].out.logits)
+            outs = [decoding.step(token) for decoding in runs]
+            for out, run_errors in zip(outs, errors):
+                run_errors.append(
+                    np.mean(
+                        [
+                            np.linalg.norm(full - mine)
+                            for full_heads, heads in zip(outs[0].attn_outputs, out.attn_outputs)
+                            for full, mine in zip(full_heads, heads)
+                        ]
+                    )
+                )
+        for decoding, col, run_errors in zip(runs, report.columns, errors):
+            written = json.loads((tmp_path / f"trace_{col.label}.json").read_text())
+            assert written == decoding.result().trace.to_dict()
+            assert col.error_mean == run_errors
 
     def test_written_artifacts(self, tmp_path):
         base, morph, _ = self.configs()

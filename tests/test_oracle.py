@@ -1,18 +1,19 @@
 import itertools
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from morphkv import (
+    Decoding,
     EvictionPolicyConfig,
     ModelConfig,
     RunConfig,
+    greedy_token,
+    init_model,
     optimal_subset,
-    run,
     shadow_error,
 )
-from morphkv.errors import EmptyCache, InstanceTooLarge, InvalidParam, TraceMismatch
+from morphkv.errors import EmptyCache, InstanceTooLarge, InvalidParam
 from morphkv.numerics import scaled_dot_attention
 from morphkv.oracle import ENUMERATION_BOUND, subset_output_error
 
@@ -106,84 +107,55 @@ class TestOptimalSubset:
 class TestShadowError:
     MODEL = ModelConfig(n_layers=2, n_query_heads=4, n_kv_heads=2, head_dim=4, vocab_size=32, seed=31)
 
-    def runs(self, policy_kind="scissorhands", steps=6):
-        full_cfg = RunConfig(
-            model=self.MODEL,
-            policy=EvictionPolicyConfig(kind="full_attention", recent_window=4),
-            prompt_length=6,
-            decode_steps=steps,
-            attention_snapshots=True,
+    def lockstep(self, policy_kind="scissorhands", steps=6):
+        """Per-step (full, policy) outputs of one token stream, and the policy's trace."""
+        weights = init_model(self.MODEL)
+        full, policy = (
+            Decoding(
+                RunConfig(
+                    model=self.MODEL,
+                    policy=EvictionPolicyConfig(kind=kind, recent_window=4),
+                    prompt_length=6,
+                    decode_steps=steps,
+                ),
+                weights,
+            )
+            for kind in ("full_attention", policy_kind)
         )
-        full = run(full_cfg)
-        policy_cfg = RunConfig(
-            model=self.MODEL,
-            policy=EvictionPolicyConfig(kind=policy_kind, recent_window=4),
-            prompt_length=6,
-            decode_steps=steps,
-            attention_snapshots=True,
-        )
-        shadow = run(policy_cfg, forced_tokens=full.trace.consumed_tokens())
-        return full, shadow
+        pairs = []
+        for _ in range(steps):
+            token = greedy_token(full.out.logits)
+            pairs.append((full.step(token), policy.step(token)))
+        return pairs, policy.result().trace
 
     def test_self_comparison_is_exactly_zero(self):
-        full, _ = self.runs()
-        for rec in shadow_error(full, full):
-            assert rec.l2_error == 0.0
+        pairs, _ = self.lockstep()
+        for full_out, _ in pairs:
+            assert shadow_error(full_out, full_out) == [0.0] * 4
 
     def test_zero_until_first_eviction(self):
         # The window policy first evicts at the step that overflows it;
         # before that both runs hold identical caches, so every per-store
         # error must be exactly zero, and after it some error must appear.
-        full, shadow = self.runs()
-        first_evict = min(step for step, _, _, _ in shadow.trace.eviction_log())
-        records = shadow_error(full, shadow)
-        for rec in records:
-            if rec.step < first_evict:
-                assert rec.l2_error == 0.0
-        assert any(rec.l2_error > 0 for rec in records if rec.step >= first_evict)
+        pairs, trace = self.lockstep()
+        first_evict = min(step for step, _, _, _ in trace.eviction_log())
+        errors = [shadow_error(full_out, out) for full_out, out in pairs]
+        for step_errors in errors[:first_evict]:
+            assert step_errors == [0.0] * len(step_errors)
+        assert any(e > 0 for step_errors in errors[first_evict:] for e in step_errors)
 
     def test_matches_direct_snapshot_recomputation(self):
-        full, shadow = self.runs()
-        records = shadow_error(full, shadow)
-        by_key = {(r.step, r.layer, r.kv_head): r.l2_error for r in records}
-        for step in range(len(full.attn_outputs)):
+        pairs, _ = self.lockstep()
+        for full_out, out in pairs:
+            errors = iter(shadow_error(full_out, out))
             for layer in range(self.MODEL.n_layers):
                 for head in range(self.MODEL.n_kv_heads):
-                    diff = full.attn_outputs[step][layer][head] - shadow.attn_outputs[step][layer][head]
+                    diff = full_out.attn_outputs[layer][head] - out.attn_outputs[layer][head]
                     expected = float(np.sqrt((diff * diff).sum()))
-                    assert by_key[(step, layer, head)] == pytest.approx(expected, abs=1e-12)
+                    assert next(errors) == pytest.approx(expected, abs=1e-12)
 
     def test_record_grid_is_complete(self):
-        full, shadow = self.runs(steps=5)
-        records = shadow_error(full, shadow)
-        assert len(records) == 5 * self.MODEL.n_layers * self.MODEL.n_kv_heads
-
-    def test_rejects_different_seeds(self):
-        full, _ = self.runs()
-        other_cfg = replace(full.config, model=replace(self.MODEL, seed=99))
-        other = run(other_cfg)
-        with pytest.raises(TraceMismatch):
-            shadow_error(full, other)
-
-    def test_rejects_diverged_tokens(self):
-        full, _ = self.runs()
-        free = run(
-            RunConfig(
-                model=self.MODEL,
-                policy=EvictionPolicyConfig(kind="scissorhands", recent_window=2),
-                prompt_length=6,
-                decode_steps=6,
-                attention_snapshots=True,
-            )
-        )
-        if free.trace.consumed_tokens() == full.trace.consumed_tokens():
-            pytest.skip("free run happened to follow the reference trajectory")
-        with pytest.raises(TraceMismatch):
-            shadow_error(full, free)
-
-    def test_rejects_missing_snapshots(self):
-        full, shadow = self.runs()
-        plain = run(replace(shadow.config, attention_snapshots=False),
-                    forced_tokens=full.trace.consumed_tokens())
-        with pytest.raises(TraceMismatch):
-            shadow_error(full, plain)
+        pairs, _ = self.lockstep(steps=5)
+        assert len(pairs) == 5
+        for full_out, out in pairs:
+            assert len(shadow_error(full_out, out)) == self.MODEL.n_layers * self.MODEL.n_kv_heads
