@@ -27,7 +27,8 @@ read-only ``(heads, n, ...)`` views of a layer's live entries, not copies.
 A view is valid until the next :meth:`append`, :meth:`record_step_profiles`
 or :meth:`keep` on that layer; after that it may show stale or compacted
 rows. These views and :meth:`KvCacheState.score_matrix` are the only read
-paths.
+paths: the policies, the decoder and ``harness.snapshot`` all go through
+them, and nothing here knows how a policy ranks entries.
 """
 
 from __future__ import annotations
@@ -255,19 +256,6 @@ class KvCacheState:
     def pop_eviction_events(self) -> list[tuple[int, int, list[int]]]:
         events, self._journal = self._journal, []
         return events
-
-    def snapshot(self, fusion: str = "sum") -> dict:
-        """JSON-ready dump: retained (position, token) pairs per store plus
-        the current fused ranking scores over the distant entries."""
-        from .morph import fuse
-
-        layers = []
-        for layer in range(self.n_layers):
-            pairs = np.stack([self.positions(layer), self.token_ids(layer)], axis=2).tolist()
-            recorded = self.profile_rows(layer)
-            scores = fuse(self, layer, fusion).tolist() if recorded else [[] for _ in pairs]
-            layers.append([{"entries": p, "fused_scores": s} for p, s in zip(pairs, scores)])
-        return {"window_capacity": self.window_capacity, "layers": layers}
 
     def validate(self) -> None:
         """Debug-mode check that every live key and value is finite."""

@@ -21,7 +21,9 @@ from .harness import (
     render_metrics_csv,
     render_regression_csv,
     run,
+    snapshot,
     StepTrace,
+    write_run_outputs,
 )
 from .metrics import repetition_rate
 
@@ -43,8 +45,9 @@ def _load(path: str, args) -> "RunConfig":
 
 
 def _cmd_run(args) -> int:
-    config = replace(_load(args.config, args), out_dir=args.out)
-    result = run(config)
+    result = run(_load(args.config, args))
+    if args.out is not None:
+        write_run_outputs(result, args.out)
     trace = result.trace
     occ = trace.occupancy_totals()[-1] if trace.records else 0
     print(
@@ -52,8 +55,8 @@ def _cmd_run(args) -> int:
         f"final_occupancy={occ} final_bytes={trace.records[-1].bytes if trace.records else 0} "
         f"evictions={trace.total_evictions()}"
     )
-    if config.out_dir:
-        print(f"wrote trace.json, metrics.csv, snapshot.json to {config.out_dir}")
+    if args.out is not None:
+        print(f"wrote trace.json, metrics.csv, snapshot.json to {args.out}")
     return 0
 
 
@@ -112,9 +115,7 @@ def _cmd_metrics(args) -> int:
 
 def _cmd_inspect(args) -> int:
     config = _load(args.config, args)
-    result = run(config)
-    snapshot = result.cache.snapshot(config.policy.fusion)
-    json.dump(snapshot, sys.stdout, sort_keys=True, indent=1)
+    json.dump(snapshot(run(config).cache, config.policy.fusion), sys.stdout, sort_keys=True, indent=1)
     sys.stdout.write("\n")
     return 0
 

@@ -7,7 +7,9 @@ on its own greedy tokens. ``compare`` steps several runs in lockstep:
 teacher forcing feeds every run the reference's token, so their outputs
 are comparable step by step; free running lets each policy follow its
 own greedy trajectory, in which case only aggregate metrics are
-comparable.
+comparable. A config says what a run computes, never where its files go:
+``write_run_outputs`` writes a finished run's trace, metrics and cache
+``snapshot`` to a directory its caller names.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from __future__ import annotations
 import configparser
 import json
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -33,7 +35,7 @@ from .errors import (
 from .metrics import kv_bytes, kv_bytes_from_occupancies, relative_cache_ratio, repetition_rate
 from .model import DecoderWeights, StepOutput, decode_step, greedy_token, init_model, prefill
 from .morph import fuse, prefill_compress, select_retained
-from .oracle import optimal_subset, shadow_error, subset_output_error
+from .oracle import ENUMERATION_BOUND, optimal_subset, shadow_error, subset_output_error
 from .trace import StepAudit, StepRecord, StepTrace
 
 
@@ -46,7 +48,6 @@ class RunConfig:
     decode_steps: int = 32
     bytes_per_scalar: int = 8
     debug_invariants: bool = False
-    out_dir: str | None = None
 
     def validate(self) -> "RunConfig":
         self.model.validate()
@@ -90,10 +91,11 @@ def make_prompt(config: RunConfig) -> list[int]:
 class Decoding:
     """One run stepped a token at a time over given weights.
 
-    The constructor prefills the prompt and applies any one-shot prompt
-    policy; ``out`` is the last ``StepOutput``. Each :meth:`step` decodes
-    one token, applies the policy and records the step; :meth:`result`
-    builds the run's result and writes ``out_dir``.
+    The constructor prefills the prompt, applies any one-shot prompt
+    policy and starts ``trace`` with the prefill evictions; ``out`` is the
+    last ``StepOutput``. Each :meth:`step` decodes one token, applies the
+    policy and appends the step's record to ``trace.records``;
+    :meth:`result` returns the run so far as a ``RunResult``.
     """
 
     def __init__(self, config: RunConfig, weights: DecoderWeights):
@@ -112,8 +114,14 @@ class Decoding:
         # The trace keeps every eviction of every store; one int object per
         # evicted position, whichever stores evict it, keeps that list small.
         self._shared: dict[int, int] = {}
-        self.prefill_evictions = self._evictions()
-        self.records: list[StepRecord] = []
+        self.trace = StepTrace(
+            model=config.model,
+            policy=config.policy,
+            prompt=self.prompt,
+            bytes_per_scalar=config.bytes_per_scalar,
+            prefill_evictions=self._evictions(),
+            records=[],
+        )
         self.logits: list[np.ndarray] = []
         self._audit = None
 
@@ -127,7 +135,7 @@ class Decoding:
 
     def step(self, token: int) -> StepOutput:
         """Decode ``token``, apply the policy and record the step."""
-        config, cache, i = self.config, self.cache, len(self.records)
+        config, cache, i = self.config, self.cache, len(self.trace.records)
         if i == config.decode_steps:
             raise InvalidParam(f"all {i} decode steps are done")
         token = int(token)
@@ -143,7 +151,7 @@ class Decoding:
                 occupancy, config.model, config.policy, config.bytes_per_scalar
             ),
         )
-        self.records.append(record)
+        self.trace.records.append(record)
         self.logits.append(self.out.logits)
         if config.debug_invariants:
             cache.validate()
@@ -155,7 +163,7 @@ class Decoding:
                         config.policy,
                         config.bytes_per_scalar,
                         len(self.prompt),
-                        self.prefill_evictions,
+                        self.trace.prefill_evictions,
                         config.decode_steps,
                     )
                 self._audit.check(i, record.occupancy, record.evicted, record.bytes)
@@ -167,20 +175,8 @@ class Decoding:
         return self.out
 
     def result(self) -> RunResult:
-        """The run so far as a ``RunResult``; writes ``out_dir`` if set."""
-        config = self.config
-        trace = StepTrace(
-            model=config.model,
-            policy=config.policy,
-            prompt=self.prompt,
-            bytes_per_scalar=config.bytes_per_scalar,
-            prefill_evictions=self.prefill_evictions,
-            records=self.records,
-        )
-        result = RunResult(config, trace, self.cache, self.prefill_logits, self.logits)
-        if config.out_dir is not None:
-            write_run_outputs(result, config.out_dir)
-        return result
+        """The run so far as a ``RunResult``."""
+        return RunResult(self.config, self.trace, self.cache, self.prefill_logits, self.logits)
 
 
 def run(config: RunConfig) -> RunResult:
@@ -214,16 +210,28 @@ def render_metrics_csv(trace: StepTrace) -> str:
     return "\n".join(lines) + "\n"
 
 
+def snapshot(cache: KvCacheState, fusion: str) -> dict:
+    """JSON-ready dump of a cache: retained (position, token) pairs per
+    store plus the current fused ranking scores over the distant entries."""
+    layers = []
+    for layer in range(cache.n_layers):
+        pairs = np.stack([cache.positions(layer), cache.token_ids(layer)], axis=2).tolist()
+        recorded = cache.profile_rows(layer)
+        scores = fuse(cache, layer, fusion).tolist() if recorded else [[] for _ in pairs]
+        layers.append([{"entries": p, "fused_scores": s} for p, s in zip(pairs, scores)])
+    return {"window_capacity": cache.window_capacity, "layers": layers}
+
+
 def write_run_outputs(result: RunResult, out_dir: str) -> None:
+    """Write a run's ``trace.json``, ``metrics.csv`` and ``snapshot.json`` to ``out_dir``."""
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "trace.json"), "w", encoding="utf-8") as fh:
         json.dump(result.trace.to_dict(), fh, sort_keys=True, indent=1)
         fh.write("\n")
     with open(os.path.join(out_dir, "metrics.csv"), "w", encoding="utf-8") as fh:
         fh.write(render_metrics_csv(result.trace))
-    snapshot = result.cache.snapshot(result.config.policy.fusion)
     with open(os.path.join(out_dir, "snapshot.json"), "w", encoding="utf-8") as fh:
-        json.dump(snapshot, fh, sort_keys=True, indent=1)
+        json.dump(snapshot(result.cache, result.config.policy.fusion), fh, sort_keys=True, indent=1)
         fh.write("\n")
 
 
@@ -262,17 +270,14 @@ def compare(configs, teacher_forced: bool = True, out_dir: str | None = None, ng
     base = configs[0]
     if base.decode_steps < 1:
         raise InvalidParam("compare needs at least one decode step")
+    # Runs may differ only in their policy and in whether they audit themselves.
+    shared = [f.name for f in fields(RunConfig) if f.name not in ("policy", "debug_invariants")]
     for cfg in configs[1:]:
-        if cfg.model != base.model:
-            raise TraceMismatch("compare requires identical model configs")
-        if (cfg.prompt_length, cfg.prompt_file) != (base.prompt_length, base.prompt_file):
-            raise TraceMismatch("compare requires an identical prompt source")
-        if cfg.decode_steps != base.decode_steps:
-            raise TraceMismatch("compare requires identical decode_steps")
-        if cfg.bytes_per_scalar != base.bytes_per_scalar:
-            raise TraceMismatch("compare requires identical bytes_per_scalar")
+        differ = [name for name in shared if getattr(cfg, name) != getattr(base, name)]
+        if differ:
+            raise TraceMismatch(f"compare configs may differ only in [policy]; these differ: {', '.join(differ)}")
     weights = init_model(base.model)
-    runs = [Decoding(replace(cfg, out_dir=None), weights) for cfg in configs]
+    runs = [Decoding(cfg, weights) for cfg in configs]
     errors: list[list[list[float]]] = [[] for _ in runs]
     for _ in range(base.decode_steps):
         token = greedy_token(runs[0].out.logits)
@@ -391,10 +396,13 @@ def oracle_regression(config: RunConfig, instances: int) -> list[RegressionRow]:
         raise InvalidConfig("oracle regression takes the budget from a morphkv policy")
     if instances < 0:
         raise InvalidParam("instances must be >= 0")
-    final_occupancy = config.prompt_length + config.decode_steps
-    if final_occupancy > 22:
+    # A random prompt's length is known without drawing it, however large.
+    prompt_len = config.prompt_length if config.prompt_file is None else len(make_prompt(config))
+    final_occupancy = prompt_len + config.decode_steps
+    if final_occupancy > ENUMERATION_BOUND:
         raise InstanceTooLarge(
-            f"instance would hold {final_occupancy} entries; the enumeration bound is 22"
+            f"instance would hold {final_occupancy} entries; "
+            f"the enumeration bound is {ENUMERATION_BOUND}"
         )
     c = config.policy.distant_capacity
     r = config.policy.recent_window
@@ -408,7 +416,6 @@ def oracle_regression(config: RunConfig, instances: int) -> list[RegressionRow]:
             config,
             model=replace(model, seed=seed),
             policy=EvictionPolicyConfig(kind="full_attention", recent_window=r),
-            out_dir=None,
             debug_invariants=False,
         )
         decoding = Decoding(inst, init_model(inst.model))
@@ -485,8 +492,7 @@ def check_regression_baseline(rows: list[RegressionRow], baseline_text: str) -> 
 
 
 # ``[run]`` is not a dataclass: ``prompt`` sets ``prompt_length`` or
-# ``prompt_file``, and ``out_dir`` is for callers only, so a config file
-# cannot set it.
+# ``prompt_file``.
 _RUN_KEYS = {
     "prompt": "str",
     "decode_steps": "int",

@@ -3,7 +3,9 @@
 The memory model is exact arithmetic, not an estimate: an entry costs one
 key vector and one value vector per store that holds it. Grouped policies
 keep one store per KV head; policies that retain per query head pay the
-full head count for the same retained token set.
+full head count for the same retained token set. ``_entry_bytes`` states
+that cost once; ``kv_bytes`` and ``kv_bytes_from_occupancies`` only count
+the entries it applies to.
 """
 
 from __future__ import annotations
@@ -14,15 +16,13 @@ from .config import EvictionPolicyConfig, ModelConfig
 from .errors import EmptyTrace, InvalidParam, TraceMismatch
 
 
-def head_multiplier(policy: EvictionPolicyConfig, model: ModelConfig) -> int:
-    return model.n_query_heads if policy.uses_all_heads() else model.n_kv_heads
-
-
-def _entry_bytes(copies: int, model: ModelConfig, bytes_per_scalar: int) -> int:
-    """Bytes of one entry held in ``copies`` stores: a key and a value
-    vector of ``head_dim`` scalars per copy, hence the 2."""
+def _entry_bytes(policy: EvictionPolicyConfig, model: ModelConfig, bytes_per_scalar: int) -> int:
+    """Bytes of one entry in one (layer, KV head) store: a key and a value
+    vector of ``head_dim`` scalars, hence the 2, per stored copy. A policy
+    that retains per query head stores one copy per head of the group."""
     if bytes_per_scalar < 1:
         raise InvalidParam("bytes_per_scalar must be >= 1")
+    copies = model.group_size if policy.uses_all_heads() else 1
     return copies * model.head_dim * 2 * bytes_per_scalar
 
 
@@ -32,13 +32,10 @@ def kv_bytes(
     model: ModelConfig,
     bytes_per_scalar: int = 8,
 ) -> list[int]:
-    """Bytes held per step for a uniform per-store occupancy stream.
-
-    bytes = occupancy * heads * layers * head_dim * 2 * bytes_per_scalar,
-    where heads is the stored-head count for the policy.
-    """
-    copies = head_multiplier(policy, model) * model.n_layers
-    per_entry = _entry_bytes(copies, model, bytes_per_scalar)
+    """Bytes held per step for a uniform per-store occupancy stream: each
+    step, every (layer, KV head) store holds that step's occupancy."""
+    stores = model.n_layers * model.n_kv_heads
+    per_entry = stores * _entry_bytes(policy, model, bytes_per_scalar)
     return [int(occ) * per_entry for occ in occupancy_trace]
 
 
@@ -53,9 +50,8 @@ def kv_bytes_from_occupancies(
     Needed whenever stores diverge, e.g. when the first layers are
     protected from eviction while the rest are trimmed.
     """
-    factor = model.group_size if policy.uses_all_heads() else 1
     total = sum(occ for layer in occupancies for occ in layer)
-    return total * _entry_bytes(factor, model, bytes_per_scalar)
+    return total * _entry_bytes(policy, model, bytes_per_scalar)
 
 
 def relative_cache_ratio(policy_bytes, full_bytes) -> list[float]:

@@ -9,6 +9,7 @@ from morphkv import (
     ModelConfig,
     fuse,
 )
+from morphkv.harness import snapshot
 from morphkv.errors import (
     EmptyWindow,
     InternalInvariantViolation,
@@ -264,7 +265,7 @@ class TestCacheState:
         for pos in range(4):
             cache.append(0, *entry(pos, token=pos))
         record(cache, [0.1, 0.2, 0.3, 0.4])
-        snap = cache.snapshot()
+        snap = snapshot(cache, "sum")
         assert snap["window_capacity"] == 2
         assert snap["layers"][0][0]["entries"] == [[0, 0], [1, 1], [2, 2], [3, 3]]
         np.testing.assert_allclose(snap["layers"][0][0]["fused_scores"], [0.1, 0.2], atol=1e-15)

@@ -225,9 +225,9 @@ class TestRunCommand:
 
 class TestOverrides:
     # ``--seed`` and ``--debug-invariants`` reach every config a command
-    # loads; ``--out`` becomes a config's ``out_dir`` only under ``run``.
+    # loads; only ``run`` hands ``--out`` to ``write_run_outputs``.
     @pytest.mark.parametrize(
-        "command, target, sets_out_dir",
+        "command, target, writes_run_outputs",
         [
             (["run", "--config", "{morph}", "--out", "{out}"], "run", True),
             (["inspect", "--config", "{morph}"], "run", False),
@@ -236,16 +236,23 @@ class TestOverrides:
         ],
     )
     def test_flags_reach_loaded_configs(
-        self, command, target, sets_out_dir, full_config, morph_config, tmp_path,
+        self, command, target, writes_run_outputs, full_config, morph_config, tmp_path,
         monkeypatch, capsys,
     ):
-        seen = []
+        seen, written, result = [], [], object()
 
         def capture(config, *args, **kwargs):
             seen.append(config)
+            if writes_run_outputs:
+                return result
+            raise ValueError("captured")
+
+        def write(res, out_dir):
+            written.append((res, out_dir))
             raise ValueError("captured")
 
         monkeypatch.setattr(cli, target, capture)
+        monkeypatch.setattr(cli, "write_run_outputs", write)
         paths = {"full": full_config, "morph": morph_config, "out": str(tmp_path / "out")}
         argv = [arg.format(**paths) for arg in command]
         assert main(argv + ["--seed", "77", "--debug-invariants"]) == 1
@@ -254,7 +261,7 @@ class TestOverrides:
         assert len(configs) == (2 if target == "compare" else 1)
         for config in configs:
             assert config.model.seed == 77 and config.debug_invariants
-            assert config.out_dir == (paths["out"] if sets_out_dir else None)
+        assert written == ([(result, paths["out"])] if writes_run_outputs else [])
 
 
 class TestCompareCommand:

@@ -2,6 +2,8 @@
 configs load and run to completion with per-step invariant checks on, and
 every config field survives a trip through INI text."""
 
+import contextlib
+import io
 import re
 import tempfile
 from dataclasses import fields, replace
@@ -13,7 +15,7 @@ from hypothesis import strategies as st
 
 from morphkv.cli import main
 from morphkv.config import FUSION_KINDS, POLICY_KINDS, EvictionPolicyConfig, ModelConfig
-from morphkv.harness import RunConfig, load_run_config, run
+from morphkv.harness import _RUN_KEYS, RunConfig, load_run_config, run, snapshot
 
 CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.ini"))
 
@@ -85,8 +87,7 @@ def test_random_small_configs_hold_invariants(config):
     # positions to the audit's replay; any violation raises.
     result = run(config)
     assert len(result.trace.records) == config.decode_steps
-    snapshot = result.cache.snapshot(config.policy.fusion)
-    for layer, heads in enumerate(snapshot["layers"]):
+    for layer, heads in enumerate(snapshot(result.cache, config.policy.fusion)["layers"]):
         for head, store in enumerate(heads):
             occ = result.cache.occupancy(layer)
             assert len(store["entries"]) == occ
@@ -150,3 +151,59 @@ def test_default_section_is_input_error(text, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err == "error: unknown config section [DEFAULT]\n"
     assert captured.out == ""
+
+
+# The real section and key names, plus junk the loader must reject cleanly.
+INI_KEYS = {
+    "model": [f.name for f in fields(ModelConfig)],
+    "policy": [f.name for f in fields(EvictionPolicyConfig)],
+    "run": list(_RUN_KEYS),
+    "DEFAULT": ["seed", "kind"],
+    "bogus": ["bogus"],
+}
+
+
+def junk(max_size: int):
+    """One line of arbitrary latin-1 text."""
+    return st.text(st.characters(max_codepoint=255, exclude_characters="\n\r"), max_size=max_size)
+
+
+INI_VALUES = st.one_of(
+    st.integers(-(2**80), 2**80).map(str),
+    st.integers(-3, 40).map(str),
+    st.sampled_from([*POLICY_KINDS, *FUSION_KINDS, "true", "false", "yes", "off", "none"]),
+    st.sampled_from(
+        ["%(seed)s", "%(nope)s", "%", "%%", "random:", "random:-3", "random:0",
+         f"random:{2**70}", "random:x", "file:", "file:missing.txt", "zip:1", "1e999",
+         "nan", "0x10", "1_000", "\x00", "\xff\xfe", ""]
+    ),
+    junk(12),
+)
+INI_KEY_NAMES = sorted({key for keys in INI_KEYS.values() for key in keys})
+INI_LINES = st.one_of(
+    st.sampled_from(sorted(INI_KEYS)).map(lambda name: f"[{name}]"),
+    st.tuples(
+        st.one_of(st.sampled_from(INI_KEY_NAMES), junk(6)),
+        st.sampled_from([" = ", "=", ": "]),
+        INI_VALUES,
+    ).map("".join),
+    junk(12),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(INI_LINES, max_size=12), st.sampled_from(["utf-8", "latin-1"]))
+def test_hostile_ini_text_is_config_or_input_error(lines, encoding):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzz.ini"
+        path.write_bytes("\n".join(lines).encode(encoding))
+        try:
+            assert isinstance(load_run_config(str(path)), RunConfig)
+        except ValueError:
+            pass
+        # One config: compare rejects it before any run, or the load fails.
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()) as out:
+            assert main(["compare", str(path)]) == 1
+        assert out.getvalue() == ""
+        assert len(err.getvalue().splitlines()) == 1 and err.getvalue().startswith("error: ")

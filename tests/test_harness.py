@@ -1,5 +1,5 @@
 import json
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +35,7 @@ from morphkv.harness import (
     render_compare_csv,
     render_metrics_csv,
     render_regression_csv,
+    write_run_outputs,
 )
 
 SMALL_MODEL = ModelConfig(n_layers=2, n_query_heads=4, n_kv_heads=2, head_dim=4, vocab_size=32, seed=41)
@@ -183,8 +184,7 @@ class TestTraceIo:
 
     def test_run_outputs_written(self, tmp_path):
         out = tmp_path / "out"
-        config = replace(small_run_config(), out_dir=str(out))
-        run(config)
+        write_run_outputs(run(small_run_config()), str(out))
         trace = json.loads((out / "trace.json").read_text())
         assert trace["schema"] == "kv-eviction-trace-v1"
         snapshot = json.loads((out / "snapshot.json").read_text())
@@ -252,20 +252,27 @@ class TestCompare:
         header = render_compare_csv(report).splitlines()[0]
         assert "error" not in header
 
-    def test_rejects_model_mismatch(self):
-        base, morph, _ = self.configs()
-        with pytest.raises(TraceMismatch):
-            compare([base, replace(morph, model=replace(SMALL_MODEL, seed=5))])
+    # A value unlike the base config's for every field the runs must share.
+    OTHER_VALUES = {
+        "model": replace(SMALL_MODEL, seed=5),
+        "prompt_length": 7,
+        "prompt_file": "prompt.txt",
+        "decode_steps": 9,
+        "bytes_per_scalar": 2,
+    }
 
-    def test_rejects_prompt_mismatch(self):
+    @pytest.mark.parametrize(
+        "name", [f.name for f in fields(RunConfig) if f.name not in ("policy", "debug_invariants")]
+    )
+    def test_rejects_differing_field(self, name):
         base, morph, _ = self.configs()
-        with pytest.raises(TraceMismatch):
-            compare([base, replace(morph, prompt_length=7)])
+        with pytest.raises(TraceMismatch, match=f"these differ: {name}$"):
+            compare([base, replace(morph, **{name: self.OTHER_VALUES[name]})])
 
-    def test_rejects_step_mismatch(self):
+    def test_accepts_configs_differing_in_policy_and_audit(self):
         base, morph, _ = self.configs()
-        with pytest.raises(TraceMismatch):
-            compare([base, replace(morph, decode_steps=9)])
+        report = compare([base, replace(morph, debug_invariants=True)])
+        assert [col.kind for col in report.columns] == ["full_attention", "morphkv"]
 
     def test_rejects_single_config(self):
         base, _, _ = self.configs()
@@ -276,7 +283,7 @@ class TestCompare:
         configs = self.configs()
         report = compare(configs, teacher_forced=False, out_dir=str(tmp_path / "cmp"))
         for cfg, col in zip(configs, report.columns):
-            run(replace(cfg, out_dir=str(tmp_path / col.label)))
+            write_run_outputs(run(cfg), str(tmp_path / col.label))
             written = (tmp_path / "cmp" / f"trace_{col.label}.json").read_bytes()
             assert written == (tmp_path / col.label / "trace.json").read_bytes()
 
@@ -445,6 +452,29 @@ class TestOracleRegression:
     def test_rejects_uninformative_budget(self):
         with pytest.raises(InvalidConfig):
             oracle_regression(oracle_config(c=10, r=4), instances=1)
+
+    def test_file_prompt_bounds_by_its_own_length(self, tmp_path):
+        # A file prompt leaves ``prompt_length`` at its default of 16, which
+        # would count a 4-token prompt as 24 entries, over the bound of 22.
+        path = tmp_path / "prompt.txt"
+        path.write_text("1 2 3 4\n")
+        config = replace(oracle_config(), prompt_length=16, prompt_file=str(path))
+        rows = oracle_regression(config, instances=2)
+        assert len(rows) == 2 * 5
+
+    @pytest.mark.parametrize(
+        "tokens, decode_steps, error, message",
+        [(20, 8, InstanceTooLarge, "would hold 28 entries"), (1, 4, InvalidConfig, "budget")],
+        ids=["too_large", "uninformative"],
+    )
+    def test_file_prompt_length_reaches_the_checks(
+        self, tokens, decode_steps, error, message, tmp_path
+    ):
+        path = tmp_path / "prompt.txt"
+        path.write_text(" ".join(str(t) for t in range(tokens)) + "\n")
+        config = replace(oracle_config(decode_steps=decode_steps), prompt_file=str(path))
+        with pytest.raises(error, match=message):
+            oracle_regression(config, instances=1)
 
     def test_csv_layout(self):
         rows = oracle_regression(oracle_config(), instances=2)

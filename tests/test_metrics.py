@@ -12,7 +12,7 @@ from morphkv import (
     repetition_rate,
 )
 from morphkv.errors import EmptyTrace, InvalidParam, TraceMismatch
-from morphkv.metrics import head_multiplier, kv_bytes_from_occupancies
+from morphkv.metrics import kv_bytes_from_occupancies
 
 GROUPED = EvictionPolicyConfig(kind="morphkv")
 ALL_HEADS = EvictionPolicyConfig(kind="h2o")
@@ -43,8 +43,10 @@ class TestKvBytes:
         model = ModelConfig(n_layers=2, n_query_heads=8, n_kv_heads=2, head_dim=4)
         grouped = kv_bytes(GROUPED, [10], model)[0]
         all_heads = kv_bytes(ALL_HEADS, [10], model)[0]
-        assert head_multiplier(GROUPED, model) == 2
-        assert head_multiplier(ALL_HEADS, model) == 8
+        # A key and a value of 4 float64 scalars per stored head and layer:
+        # the 2 KV heads when grouped, all 8 query heads otherwise.
+        assert grouped == 10 * 2 * 2 * (4 * 2 * 8)
+        assert all_heads == 10 * 8 * 2 * (4 * 2 * 8)
         # Exactly the query/KV head ratio, as integers.
         assert all_heads * model.n_kv_heads == grouped * model.n_query_heads
         assert all_heads == grouped * 4
