@@ -12,7 +12,6 @@ and `harness` the run loop and sweeps.
 from .cache import KvCacheState
 from .config import EvictionPolicyConfig, ModelConfig
 from .harness import (
-    CompareReport,
     Decoding,
     RunConfig,
     RunResult,
@@ -40,7 +39,6 @@ from .trace import StepRecord, StepTrace
 __version__ = "0.1.0"
 
 __all__ = [
-    "CompareReport",
     "DecoderWeights",
     "Decoding",
     "EvictionPolicyConfig",

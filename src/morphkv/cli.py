@@ -13,6 +13,7 @@ from dataclasses import replace
 
 from . import errors
 from .harness import (
+    REPETITION_NGRAM,
     check_regression_baseline,
     compare,
     load_run_config,
@@ -23,6 +24,7 @@ from .harness import (
     run,
     snapshot,
     StepTrace,
+    write_compare_outputs,
     write_run_outputs,
 )
 from .metrics import repetition_rate
@@ -62,18 +64,20 @@ def _cmd_run(args) -> int:
 
 def _cmd_compare(args) -> int:
     configs = [_load(path, args) for path in args.configs]
-    report = compare(configs, teacher_forced=not args.free_running, out_dir=args.out)
-    for col in report.columns:
+    columns = compare(configs, teacher_forced=not args.free_running)
+    if args.out is not None:
+        write_compare_outputs(columns, args.out)
+    for col in columns:
         err = (
             f" mean_error={sum(col.error_mean) / len(col.error_mean):.6g}"
             if col.error_mean is not None
             else ""
         )
         print(
-            f"{col.label}: final_bytes={col.bytes[-1]} final_ratio={col.ratio[-1]:.4f} "
-            f"evictions={col.total_evictions} repetition={col.repetition:.4f}{err}"
+            f"{col.label}: final_bytes={col.trace.records[-1].bytes} final_ratio={col.ratio[-1]:.4f} "
+            f"evictions={col.trace.total_evictions()} repetition={col.repetition:.4f}{err}"
         )
-    if args.out:
+    if args.out is not None:
         print(f"wrote compare.csv, summary.csv, and per-policy traces to {args.out}")
     return 0
 
@@ -156,7 +160,7 @@ def build_parser() -> _Parser:
 
     p_met = sub.add_parser("metrics", help="recompute metrics from a saved trace")
     p_met.add_argument("--trace", required=True, help="trace.json from a previous run")
-    p_met.add_argument("--ngram", type=int, default=10)
+    p_met.add_argument("--ngram", type=int, default=REPETITION_NGRAM)
     p_met.set_defaults(func=_cmd_metrics)
 
     p_ins = sub.add_parser("inspect", help="run a config and dump the final cache snapshot")

@@ -7,9 +7,10 @@ on its own greedy tokens. ``compare`` steps several runs in lockstep:
 teacher forcing feeds every run the reference's token, so their outputs
 are comparable step by step; free running lets each policy follow its
 own greedy trajectory, in which case only aggregate metrics are
-comparable. A config says what a run computes, never where its files go:
-``write_run_outputs`` writes a finished run's trace, metrics and cache
-``snapshot`` to a directory its caller names.
+comparable. A computation never decides where its files go:
+``write_run_outputs`` (a run's trace, metrics and cache ``snapshot``) and
+``write_compare_outputs`` (a comparison's CSVs and traces) write to a
+directory their caller names.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import configparser
 import json
 import os
 from dataclasses import dataclass, field, fields, replace
+from itertools import zip_longest
 
 import numpy as np
 
@@ -63,11 +65,8 @@ class RunConfig:
 
 @dataclass
 class RunResult:
-    config: RunConfig
     trace: StepTrace
     cache: KvCacheState
-    prefill_logits: np.ndarray
-    logits: list[np.ndarray]
     # Not a field: perfbench's tracer.snapshot_bytes reads it and counts 0 for None.
     attn_outputs = None
 
@@ -95,7 +94,8 @@ class Decoding:
     policy and starts ``trace`` with the prefill evictions; ``out`` is the
     last ``StepOutput``. Each :meth:`step` decodes one token, applies the
     policy and appends the step's record to ``trace.records``;
-    :meth:`result` returns the run so far as a ``RunResult``.
+    :meth:`result` returns the run so far as a ``RunResult``. A debug run
+    audits the prefill and every step as they happen.
     """
 
     def __init__(self, config: RunConfig, weights: DecoderWeights):
@@ -106,7 +106,6 @@ class Decoding:
         self.cache = KvCacheState.for_model(config.model, config.policy.recent_window)
         self.prompt = make_prompt(config)
         self.out = prefill(weights, self.prompt, self.cache)
-        self.prefill_logits = self.out.logits
         if config.policy.kind == "snapkv":
             snapkv_policy(self.cache, config.policy)
         elif config.policy.kind == "morphkv" and config.policy.compress_prefill:
@@ -122,8 +121,8 @@ class Decoding:
             prefill_evictions=self._evictions(),
             records=[],
         )
-        self.logits: list[np.ndarray] = []
-        self._audit = None
+        if config.debug_invariants:
+            self._check("prefill")
 
     def _evictions(self) -> list[list[list[int]]]:
         """Evicted positions per (layer, KV head) since the last call."""
@@ -152,31 +151,33 @@ class Decoding:
             ),
         )
         self.trace.records.append(record)
-        self.logits.append(self.out.logits)
         if config.debug_invariants:
-            cache.validate()
-            # A run's own trace failing its audit, prefill included, is a bug.
-            try:
-                if self._audit is None:
-                    self._audit = StepAudit(
-                        config.model,
-                        config.policy,
-                        config.bytes_per_scalar,
-                        len(self.prompt),
-                        self.trace.prefill_evictions,
-                        config.decode_steps,
-                    )
-                self._audit.check(i, record.occupancy, record.evicted, record.bytes)
-            except TraceMismatch as exc:
-                raise InternalInvariantViolation(f"run trace fails its audit: {exc}") from exc
-            live = self._audit.live
-            if any(cache.positions(n).tolist() != live(n) for n in range(cache.n_layers)):
-                raise InternalInvariantViolation(f"step {i}: cache positions differ from the audit")
+            self._check(f"step {i}", record)
         return self.out
+
+    def _check(self, where: str, record: StepRecord | None = None) -> None:
+        """Check the cache, audit the prefill (no ``record``) or one step
+        record, and hold the cache's positions to the audit's replay."""
+        config, cache = self.config, self.cache
+        cache.validate()
+        # A run's own trace failing its audit, prefill included, is a bug.
+        try:
+            if record is None:
+                self._audit = StepAudit(
+                    config.model, config.policy, config.bytes_per_scalar, len(self.prompt),
+                    self.trace.prefill_evictions, config.decode_steps,
+                )
+            else:
+                self._audit.check(record.step, record.occupancy, record.evicted, record.bytes)
+        except TraceMismatch as exc:
+            raise InternalInvariantViolation(f"run trace fails its audit: {exc}") from exc
+        live = self._audit.live
+        if any(cache.positions(n).tolist() != live(n) for n in range(cache.n_layers)):
+            raise InternalInvariantViolation(f"{where}: cache positions differ from the audit")
 
     def result(self) -> RunResult:
         """The run so far as a ``RunResult``."""
-        return RunResult(self.config, self.trace, self.cache, self.prefill_logits, self.logits)
+        return RunResult(self.trace, self.cache)
 
 
 def run(config: RunConfig) -> RunResult:
@@ -199,13 +200,17 @@ def _format_float(x: float) -> str:
     return f"{x:.17g}"
 
 
-def render_metrics_csv(trace: StepTrace) -> str:
+def cache_ratios(trace: StepTrace) -> list[float]:
+    """Each step's bytes over full attention's at the same step."""
     full = full_attention_bytes(
         trace.model, len(trace.prompt), len(trace.records), trace.bytes_per_scalar
     )
-    ratios = relative_cache_ratio(trace.byte_stream(), full) if trace.records else []
+    return relative_cache_ratio(trace.byte_stream(), full) if trace.records else []
+
+
+def render_metrics_csv(trace: StepTrace) -> str:
     lines = ["step,policy,occupancy,bytes,ratio"]
-    for rec, occ, ratio in zip(trace.records, trace.occupancy_totals(), ratios):
+    for rec, occ, ratio in zip(trace.records, trace.occupancy_totals(), cache_ratios(trace)):
         lines.append(f"{rec.step},{trace.policy.kind},{occ},{rec.bytes},{_format_float(ratio)}")
     return "\n".join(lines) + "\n"
 
@@ -222,40 +227,38 @@ def snapshot(cache: KvCacheState, fusion: str) -> dict:
     return {"window_capacity": cache.window_capacity, "layers": layers}
 
 
+def _write(out_dir: str, name: str, content) -> None:
+    """Write ``content`` to ``out_dir/name``: a str as it is, anything else as JSON."""
+    with open(os.path.join(out_dir, name), "w", encoding="utf-8") as fh:
+        if isinstance(content, str):
+            fh.write(content)
+        else:
+            json.dump(content, fh, sort_keys=True, indent=1)
+            fh.write("\n")
+
+
 def write_run_outputs(result: RunResult, out_dir: str) -> None:
     """Write a run's ``trace.json``, ``metrics.csv`` and ``snapshot.json`` to ``out_dir``."""
     os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "trace.json"), "w", encoding="utf-8") as fh:
-        json.dump(result.trace.to_dict(), fh, sort_keys=True, indent=1)
-        fh.write("\n")
-    with open(os.path.join(out_dir, "metrics.csv"), "w", encoding="utf-8") as fh:
-        fh.write(render_metrics_csv(result.trace))
-    with open(os.path.join(out_dir, "snapshot.json"), "w", encoding="utf-8") as fh:
-        json.dump(snapshot(result.cache, result.config.policy.fusion), fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    _write(out_dir, "trace.json", result.trace.to_dict())
+    _write(out_dir, "metrics.csv", render_metrics_csv(result.trace))
+    _write(out_dir, "snapshot.json", snapshot(result.cache, result.trace.policy.fusion))
 
 
 @dataclass
 class PolicyColumn:
     label: str
-    kind: str
-    occupancy: list[int]
-    bytes: list[int]
+    trace: StepTrace
     ratio: list[float]
     error_mean: list[float] | None
     error_max: list[float] | None
     repetition: float
-    total_evictions: int
 
 
-@dataclass
-class CompareReport:
-    steps: int
-    teacher_forced: bool
-    columns: list[PolicyColumn]
+REPETITION_NGRAM = 10  # n-gram length of the repetition rate compare reports
 
 
-def compare(configs, teacher_forced: bool = True, out_dir: str | None = None, ngram: int = 10) -> CompareReport:
+def compare(configs, teacher_forced: bool = True) -> list[PolicyColumn]:
     """Step several policies over one set of weights in lockstep.
 
     The first config is the reference: with teacher forcing (the default)
@@ -285,84 +288,67 @@ def compare(configs, teacher_forced: bool = True, out_dir: str | None = None, ng
             decoding.step(token if teacher_forced else greedy_token(decoding.out.logits))
             if teacher_forced:
                 run_errors.append(shadow_error(runs[0].out, decoding.out))
-    full = full_attention_bytes(
-        base.model, len(runs[0].prompt), base.decode_steps, base.bytes_per_scalar
-    )
     seen: dict[str, int] = {}
-    columns, traces = [], [decoding.result().trace for decoding in runs]
-    for trace, per_step in zip(traces, errors):
+    columns = []
+    for trace, per_step in zip((decoding.trace for decoding in runs), errors):
         kind = trace.policy.kind
         seen[kind] = seen.get(kind, 0) + 1
         columns.append(
             PolicyColumn(
                 label=kind if seen[kind] == 1 else f"{kind}-{seen[kind]}",
-                kind=kind,
-                occupancy=trace.occupancy_totals(),
-                bytes=trace.byte_stream(),
-                ratio=relative_cache_ratio(trace.byte_stream(), full),
+                trace=trace,
+                ratio=cache_ratios(trace),
                 error_mean=[float(np.mean(v)) for v in per_step] if teacher_forced else None,
                 error_max=[float(np.max(v)) for v in per_step] if teacher_forced else None,
-                repetition=repetition_rate(trace.consumed_tokens(), ngram).repetition_rate,
-                total_evictions=trace.total_evictions(),
+                repetition=repetition_rate(trace.consumed_tokens(), REPETITION_NGRAM).repetition_rate,
             )
         )
-    report = CompareReport(steps=base.decode_steps, teacher_forced=teacher_forced, columns=columns)
-    if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-        with open(os.path.join(out_dir, "compare.csv"), "w", encoding="utf-8") as fh:
-            fh.write(render_compare_csv(report))
-        with open(os.path.join(out_dir, "summary.csv"), "w", encoding="utf-8") as fh:
-            fh.write(render_summary_csv(report))
-        for trace, col in zip(traces, report.columns):
-            path = os.path.join(out_dir, f"trace_{col.label}.json")
-            with open(path, "w", encoding="utf-8") as fh:
-                json.dump(trace.to_dict(), fh, sort_keys=True, indent=1)
-                fh.write("\n")
-    return report
+    return columns
 
 
-def render_compare_csv(report: CompareReport) -> str:
+def write_compare_outputs(columns: list[PolicyColumn], out_dir: str) -> None:
+    """Write ``compare.csv``, ``summary.csv`` and a ``trace_<label>.json`` per column to ``out_dir``."""
+    os.makedirs(out_dir, exist_ok=True)
+    _write(out_dir, "compare.csv", render_compare_csv(columns))
+    _write(out_dir, "summary.csv", render_summary_csv(columns))
+    for col in columns:
+        _write(out_dir, f"trace_{col.label}.json", col.trace.to_dict())
+
+
+def render_compare_csv(columns: list[PolicyColumn]) -> str:
     header = ["step"]
-    for col in report.columns:
+    for col in columns:
         header.extend([f"occupancy_{col.label}", f"bytes_{col.label}", f"ratio_{col.label}"])
         if col.error_mean is not None:
             header.append(f"error_{col.label}")
     lines = [",".join(header)]
-    for step in range(report.steps):
+    occupancies = [col.trace.occupancy_totals() for col in columns]
+    for step in range(len(columns[0].ratio)):
         row = [str(step)]
-        for col in report.columns:
-            row.extend(
-                [str(col.occupancy[step]), str(col.bytes[step]), _format_float(col.ratio[step])]
-            )
+        for col, occupancy in zip(columns, occupancies):
+            nbytes = str(col.trace.records[step].bytes)
+            row.extend([str(occupancy[step]), nbytes, _format_float(col.ratio[step])])
             if col.error_mean is not None:
                 row.append(_format_float(col.error_mean[step]))
         lines.append(",".join(row))
     return "\n".join(lines) + "\n"
 
 
-def render_summary_csv(report: CompareReport) -> str:
+def render_summary_csv(columns: list[PolicyColumn]) -> str:
     lines = ["label,kind,final_bytes,final_ratio,mean_error,max_error,evictions,repetition_rate"]
-    for col in report.columns:
-        mean_err = (
-            _format_float(float(np.mean(col.error_mean))) if col.error_mean is not None else ""
-        )
-        max_err = (
-            _format_float(float(np.max(col.error_max))) if col.error_max is not None else ""
-        )
-        lines.append(
-            ",".join(
-                [
-                    col.label,
-                    col.kind,
-                    str(col.bytes[-1]),
-                    _format_float(col.ratio[-1]),
-                    mean_err,
-                    max_err,
-                    str(col.total_evictions),
-                    _format_float(col.repetition),
-                ]
-            )
-        )
+    for col in columns:
+        trace, forced = col.trace, col.error_mean is not None
+        cells = [
+            col.label,
+            trace.policy.kind,
+            str(trace.records[-1].bytes),
+            _format_float(col.ratio[-1]),
+            _format_float(float(np.mean(col.error_mean))) if forced else "",
+            _format_float(float(np.max(col.error_max))) if forced else "",
+            str(trace.total_evictions()),
+            _format_float(col.repetition),
+        ]
+        lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
 
 
@@ -470,7 +456,9 @@ def check_regression_baseline(rows: list[RegressionRow], baseline_text: str) -> 
     """Fail if the sweep drifted from the committed baseline.
 
     Exact text equality catches any numeric drift; the mean bound states
-    the actual quality contract so the message names what regressed.
+    the actual quality contract so the message names what regressed. A
+    baseline whose header or ``(instance_seed, policy)`` rows differ from
+    the sweep's comes from another sweep, which is bad input, not drift.
     """
     current = render_regression_csv(rows)
     means = regression_means(rows)
@@ -478,17 +466,23 @@ def check_regression_baseline(rows: list[RegressionRow], baseline_text: str) -> 
         raise InternalInvariantViolation(
             "selective retention fell behind the recency baseline at equal budget"
         )
-    if current != baseline_text:
-        cur_lines = current.splitlines()
-        base_lines = baseline_text.splitlines()
-        for idx, (a, b) in enumerate(zip(cur_lines, base_lines)):
-            if a != b:
-                raise InternalInvariantViolation(
-                    f"regression line {idx} drifted: {a!r} != baseline {b!r}"
-                )
-        raise InternalInvariantViolation(
-            f"regression row count {len(cur_lines)} != baseline {len(base_lines)}"
-        )
+    if current == baseline_text:
+        return
+    cur_lines, base_lines = current.splitlines(), baseline_text.splitlines()
+
+    def layout(lines):
+        return lines[:1] + [",".join(line.split(",")[:2]) for line in lines[1:]]
+
+    for idx, (a, b) in enumerate(zip_longest(layout(cur_lines), layout(base_lines))):
+        if a != b:
+            a, b = ("missing" if x is None else repr(x) for x in (a, b))
+            raise InvalidParam(f"baseline is from another sweep: its line {idx} is {b}, the sweep's {a}")
+    for idx, (a, b) in enumerate(zip(cur_lines, base_lines)):
+        if a != b:
+            raise InternalInvariantViolation(
+                f"regression line {idx} drifted: {a!r} != baseline {b!r}"
+            )
+    raise InvalidParam("baseline differs from the sweep only in its line endings")
 
 
 # ``[run]`` is not a dataclass: ``prompt`` sets ``prompt_length`` or

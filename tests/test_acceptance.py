@@ -95,6 +95,15 @@ def test_constant_cache_size():
     )
 
 
+def greedy_logits(config):
+    """A greedy run's trace and its logits after prefill and after each decode step."""
+    decoding = Decoding(config, init_model(config.model))
+    logits = [decoding.out.logits]
+    for _ in range(config.decode_steps):
+        logits.append(decoding.step(greedy_token(decoding.out.logits)).logits)
+    return decoding.trace, logits
+
+
 @criterion
 def test_degenerate_full_equivalence():
     # With the budget at or above the final sequence length the selective
@@ -112,12 +121,11 @@ def test_degenerate_full_equivalence():
             base,
             policy=EvictionPolicyConfig(kind="morphkv", distant_capacity=10, recent_window=4),
         )
-        a = run(base)
-        b = run(morph)
-        assert b.trace.eviction_log() == []
-        assert a.trace.consumed_tokens() == b.trace.consumed_tokens()
-        np.testing.assert_array_equal(a.prefill_logits, b.prefill_logits)
-        for la, lb in zip(a.logits, b.logits):
+        a, a_logits = greedy_logits(base)
+        b, b_logits = greedy_logits(morph)
+        assert b.eviction_log() == []
+        assert a.consumed_tokens() == b.consumed_tokens()
+        for la, lb in zip(a_logits, b_logits, strict=True):
             np.testing.assert_array_equal(la, lb)
     print(
         "[PASS] degenerate equivalence: budget >= sequence length reproduced "
@@ -327,10 +335,10 @@ def test_policy_equivalence_lattice():
         decode_steps=10,
     )
     full = replace(protected, policy=EvictionPolicyConfig(kind="full_attention"))
-    a, b = run(protected), run(full)
-    assert a.trace.eviction_log() == b.trace.eviction_log() == []
-    assert a.trace.to_dict()["steps"] == b.trace.to_dict()["steps"]
-    for la, lb in zip(a.logits, b.logits):
+    (a, a_logits), (b, b_logits) = greedy_logits(protected), greedy_logits(full)
+    assert a.eviction_log() == b.eviction_log() == []
+    assert a.to_dict()["steps"] == b.to_dict()["steps"]
+    for la, lb in zip(a_logits, b_logits, strict=True):
         np.testing.assert_array_equal(la, lb)
 
     # An explicit every-step schedule equals the default schedule.

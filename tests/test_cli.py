@@ -327,6 +327,16 @@ class TestOracleCommand:
         ) == 2
         assert "invariant violation" in capsys.readouterr().err
 
+    def test_baseline_from_another_sweep_is_input_error(self, oracle_config_file, tmp_path, capsys):
+        empty = tmp_path / "empty.csv"
+        empty.write_text("")
+        tiny = SRC.parent / "configs" / "oracle_tiny.ini"
+        committed = SRC.parent / "tests" / "data" / "oracle_regression.csv"
+        for config, instances, baseline in [(oracle_config_file, 2, empty), (tiny, 0, committed)]:
+            argv = ["oracle", "--config", config, "--instances", instances, "--baseline", baseline]
+            assert main([str(a) for a in argv]) == 1
+            assert "baseline is from another sweep: its line" in capsys.readouterr().err
+
     def test_oversized_instance_is_input_error(self, tmp_path, capsys):
         path = tmp_path / "big.ini"
         path.write_text(ORACLE_INI.replace("prompt = random:6", "prompt = random:20"))

@@ -35,6 +35,7 @@ from morphkv.harness import (
     render_compare_csv,
     render_metrics_csv,
     render_regression_csv,
+    write_compare_outputs,
     write_run_outputs,
 )
 
@@ -60,8 +61,11 @@ class TestRunDeterminism:
         a = run(config)
         b = run(config)
         assert a.trace.to_dict() == b.trace.to_dict()
-        np.testing.assert_array_equal(a.prefill_logits, b.prefill_logits)
-        for la, lb in zip(a.logits, b.logits):
+        # Each stepping run draws its own weights, as ``run`` does.
+        stepped = [Decoding(config, init_model(config.model)) for _ in range(2)]
+        np.testing.assert_array_equal(stepped[0].out.logits, stepped[1].out.logits)
+        for token in a.trace.consumed_tokens():
+            la, lb = (decoding.step(token).logits for decoding in stepped)
             np.testing.assert_array_equal(la, lb)
 
     def test_seed_changes_trajectory(self):
@@ -86,9 +90,9 @@ class TestRunDeterminism:
 
     def test_zero_decode_steps_is_a_prefill_only_run(self):
         config = replace(small_run_config(), decode_steps=0)
-        result = run(config)
-        assert result.trace.records == []
-        assert result.prefill_logits.shape == (SMALL_MODEL.vocab_size,)
+        assert run(config).trace.records == []
+        decoding = Decoding(config, init_model(config.model))
+        assert decoding.out.logits.shape == (SMALL_MODEL.vocab_size,)
 
 
 class TestDebugInvariants:
@@ -129,6 +133,24 @@ class TestDebugInvariants:
         with pytest.raises(InternalInvariantViolation, match="step record 2"):
             run(config)
         assert calls[3]
+
+    def test_prefill_only_debug_run_audits_the_prefill(self, monkeypatch):
+        # With no decode step the prefill is all a debug run has to audit.
+        config = replace(
+            small_run_config("snapkv", recent_window=2, prefill_budget=4),
+            debug_invariants=True,
+            decode_steps=0,
+        )
+        run(config)
+        pop = KvCacheState.pop_eviction_events
+
+        def doubled(cache):
+            (layer, head, positions), *rest = pop(cache)
+            return [(layer, head, [*positions, positions[0]]), *rest]
+
+        monkeypatch.setattr(KvCacheState, "pop_eviction_events", doubled)
+        with pytest.raises(InternalInvariantViolation, match=r"prefill store \(0,0\) evicts \d+ twice"):
+            run(config)
 
     def test_debug_run_flags_nonincreasing_positions(self, monkeypatch):
         # Layer 1 files the third decode entry under its predecessor's
@@ -218,17 +240,17 @@ class TestCompare:
 
     def test_teacher_forced_report(self):
         base, morph, window = self.configs()
-        report = compare([base, morph, window])
-        assert report.teacher_forced
-        assert [col.kind for col in report.columns] == [
+        columns = compare([base, morph, window])
+        assert all(col.error_mean is not None for col in columns)
+        assert [col.trace.policy.kind for col in columns] == [
             "full_attention",
             "morphkv",
             "scissorhands",
         ]
-        full_col = report.columns[0]
+        full_col = columns[0]
         assert all(e == 0.0 for e in full_col.error_mean)
         assert all(r == 1.0 for r in full_col.ratio)
-        morph_col = report.columns[1]
+        morph_col = columns[1]
         assert morph_col.ratio[-1] < 1.0
         assert all(e >= 0.0 for e in morph_col.error_mean)
 
@@ -238,8 +260,8 @@ class TestCompare:
             base,
             policy=EvictionPolicyConfig(kind="morphkv", distant_capacity=3, recent_window=2, fusion="max"),
         )
-        report = compare([base, morph, morph_max])
-        assert [col.label for col in report.columns] == [
+        columns = compare([base, morph, morph_max])
+        assert [col.label for col in columns] == [
             "full_attention",
             "morphkv",
             "morphkv-2",
@@ -247,9 +269,9 @@ class TestCompare:
 
     def test_free_running_drops_error_columns(self):
         base, morph, _ = self.configs()
-        report = compare([base, morph], teacher_forced=False)
-        assert report.columns[0].error_mean is None
-        header = render_compare_csv(report).splitlines()[0]
+        columns = compare([base, morph], teacher_forced=False)
+        assert columns[0].error_mean is None
+        header = render_compare_csv(columns).splitlines()[0]
         assert "error" not in header
 
     # A value unlike the base config's for every field the runs must share.
@@ -271,8 +293,8 @@ class TestCompare:
 
     def test_accepts_configs_differing_in_policy_and_audit(self):
         base, morph, _ = self.configs()
-        report = compare([base, replace(morph, debug_invariants=True)])
-        assert [col.kind for col in report.columns] == ["full_attention", "morphkv"]
+        columns = compare([base, replace(morph, debug_invariants=True)])
+        assert [col.trace.policy.kind for col in columns] == ["full_attention", "morphkv"]
 
     def test_rejects_single_config(self):
         base, _, _ = self.configs()
@@ -281,15 +303,17 @@ class TestCompare:
 
     def test_free_running_traces_equal_single_runs(self, tmp_path):
         configs = self.configs()
-        report = compare(configs, teacher_forced=False, out_dir=str(tmp_path / "cmp"))
-        for cfg, col in zip(configs, report.columns):
+        columns = compare(configs, teacher_forced=False)
+        write_compare_outputs(columns, str(tmp_path / "cmp"))
+        for cfg, col in zip(configs, columns):
             write_run_outputs(run(cfg), str(tmp_path / col.label))
             written = (tmp_path / "cmp" / f"trace_{col.label}.json").read_bytes()
             assert written == (tmp_path / col.label / "trace.json").read_bytes()
 
     def test_teacher_forced_matches_hand_stepped_runs(self, tmp_path):
         configs = self.configs()
-        report = compare(configs, out_dir=str(tmp_path))
+        columns = compare(configs)
+        write_compare_outputs(columns, str(tmp_path))
         weights = init_model(SMALL_MODEL)
         runs = [Decoding(cfg, weights) for cfg in configs]
         errors = [[] for _ in runs]
@@ -306,14 +330,14 @@ class TestCompare:
                         ]
                     )
                 )
-        for decoding, col, run_errors in zip(runs, report.columns, errors):
+        for decoding, col, run_errors in zip(runs, columns, errors):
             written = json.loads((tmp_path / f"trace_{col.label}.json").read_text())
             assert written == decoding.result().trace.to_dict()
             assert col.error_mean == run_errors
 
     def test_written_artifacts(self, tmp_path):
         base, morph, _ = self.configs()
-        compare([base, morph], out_dir=str(tmp_path))
+        write_compare_outputs(compare([base, morph]), str(tmp_path))
         header = (tmp_path / "compare.csv").read_text().splitlines()[0]
         assert header.startswith("step,occupancy_full_attention,bytes_full_attention,")
         summary = (tmp_path / "summary.csv").read_text().splitlines()
@@ -496,11 +520,18 @@ class TestOracleRegression:
             check_regression_baseline(rows, drifted)
 
     def test_baseline_check_flags_row_count_change(self):
+        # A baseline with other rows is from another sweep: bad input, not a bug.
         rows = oracle_regression(oracle_config(), instances=4)
         text = render_regression_csv(rows)
         truncated = "\n".join(text.splitlines()[:-2]) + "\n"
-        with pytest.raises(InternalInvariantViolation):
+        with pytest.raises(InvalidParam, match="its line 19 is missing"):
             check_regression_baseline(rows, truncated)
+
+    def test_baseline_check_rejects_other_line_endings(self):
+        rows = oracle_regression(oracle_config(), instances=2)
+        crlf = render_regression_csv(rows).replace("\n", "\r\n")
+        with pytest.raises(InvalidParam, match="only in its line endings"):
+            check_regression_baseline(rows, crlf)
 
     def test_means_are_per_policy(self):
         rows = oracle_regression(oracle_config(), instances=6)
