@@ -154,6 +154,15 @@ class KvCacheState:
     def for_model(cls, model: ModelConfig, window_capacity: int) -> "KvCacheState":
         return cls(model.n_layers, model.n_kv_heads, window_capacity)
 
+    def matches(self, model: ModelConfig) -> bool:
+        """Whether the stores have ``model``'s layer and KV head counts and,
+        once an entry fixed it (0 before), its head dimension."""
+        return (
+            self.n_layers == model.n_layers
+            and self.n_kv_heads == model.n_kv_heads
+            and self._layers[0].buffers[_KEYS].shape[2] in (0, model.head_dim)
+        )
+
     def occupancy(self, layer: int) -> int:
         """Entries each KV head of ``layer`` holds."""
         return self._layers[layer].n

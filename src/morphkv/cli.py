@@ -22,6 +22,7 @@ from .harness import (
     render_metrics_csv,
     render_regression_csv,
     run,
+    RunConfig,
     snapshot,
     StepTrace,
     write_compare_outputs,
@@ -36,7 +37,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _load(path: str, args) -> "RunConfig":
+def _load(path: str, args) -> RunConfig:
     """The config at ``path`` with the ``--seed`` and ``--debug-invariants`` overrides."""
     config = load_run_config(path)
     if args.seed is not None:

@@ -3,11 +3,11 @@
 A run is fully determined by its config: seeded weights, seeded or
 file-sourced prompt, greedy decoding, one policy application per decode
 step. ``Decoding`` is one run stepped a token at a time; ``run`` steps it
-on its own greedy tokens. ``compare`` steps several runs in lockstep:
-teacher forcing feeds every run the reference's token, so their outputs
-are comparable step by step; free running lets each policy follow its
-own greedy trajectory, in which case only aggregate metrics are
-comparable. A computation never decides where its files go:
+on its own greedy tokens. ``compare`` steps several runs in lockstep, one
+forward for all of them per step: teacher forcing feeds every run the
+reference's token, so their outputs are comparable step by step; free
+running lets each policy follow its own greedy trajectory, in which case
+only aggregate metrics are comparable. A computation never decides where its files go:
 ``write_run_outputs`` (a run's trace, metrics and cache ``snapshot``) and
 ``write_compare_outputs`` (a comparison's CSVs and traces) write to a
 directory their caller names.
@@ -93,9 +93,11 @@ class Decoding:
     The constructor prefills the prompt, applies any one-shot prompt
     policy and starts ``trace`` with the prefill evictions; ``out`` is the
     last ``StepOutput``. Each :meth:`step` decodes one token, applies the
-    policy and appends the step's record to ``trace.records``;
-    :meth:`result` returns the run so far as a ``RunResult``. A debug run
-    audits the prefill and every step as they happen.
+    policy and appends the step's record to ``trace.records``; a lockstep
+    caller that ran the forward itself hands each run its output through
+    :meth:`finish_step`. :meth:`result` returns the run so far as a
+    ``RunResult``. A debug run audits the prefill and every step as they
+    happen.
     """
 
     def __init__(self, config: RunConfig, weights: DecoderWeights):
@@ -134,12 +136,17 @@ class Decoding:
 
     def step(self, token: int) -> StepOutput:
         """Decode ``token``, apply the policy and record the step."""
-        config, cache, i = self.config, self.cache, len(self.trace.records)
-        if i == config.decode_steps:
-            raise InvalidParam(f"all {i} decode steps are done")
+        if len(self.trace.records) == self.config.decode_steps:
+            raise InvalidParam(f"all {self.config.decode_steps} decode steps are done")
         token = int(token)
-        self.out = decode_step(self.weights, token, cache)
-        policy_step(cache, self.out, config.policy, i, len(self.prompt))
+        return self.finish_step(token, decode_step(self.weights, [token], [self.cache])[0])
+
+    def finish_step(self, token: int, out: StepOutput) -> StepOutput:
+        """Apply the policy after ``out``, this run's output of a forward of
+        ``token``, and record the step."""
+        config, cache, i = self.config, self.cache, len(self.trace.records)
+        self.out = out
+        policy_step(cache, out, config.policy, i, len(self.prompt))
         occupancy = cache.occupancies()
         record = StepRecord(
             step=i,
@@ -259,7 +266,8 @@ REPETITION_NGRAM = 10  # n-gram length of the repetition rate compare reports
 
 
 def compare(configs, teacher_forced: bool = True) -> list[PolicyColumn]:
-    """Step several policies over one set of weights in lockstep.
+    """Step several policies over one set of weights in lockstep, all runs
+    through one ``decode_step`` per step.
 
     The first config is the reference: with teacher forcing (the default)
     it picks each token greedily, every run consumes that token, and each
@@ -281,13 +289,19 @@ def compare(configs, teacher_forced: bool = True) -> list[PolicyColumn]:
             raise TraceMismatch(f"compare configs may differ only in [policy]; these differ: {', '.join(differ)}")
     weights = init_model(base.model)
     runs = [Decoding(cfg, weights) for cfg in configs]
+    caches = [decoding.cache for decoding in runs]
     errors: list[list[list[float]]] = [[] for _ in runs]
     for _ in range(base.decode_steps):
-        token = greedy_token(runs[0].out.logits)
-        for decoding, run_errors in zip(runs, errors):
-            decoding.step(token if teacher_forced else greedy_token(decoding.out.logits))
+        if teacher_forced:
+            tokens = [greedy_token(runs[0].out.logits)] * len(runs)
+        else:
+            tokens = [greedy_token(decoding.out.logits) for decoding in runs]
+        # One forward steps every run; each run then applies its own policy.
+        outs = decode_step(weights, tokens, caches)
+        for decoding, token, out, run_errors in zip(runs, tokens, outs, errors):
+            decoding.finish_step(token, out)
             if teacher_forced:
-                run_errors.append(shadow_error(runs[0].out, decoding.out))
+                run_errors.append(shadow_error(outs[0], out))
     seen: dict[str, int] = {}
     columns = []
     for trace, per_step in zip((decoding.trace for decoding in runs), errors):

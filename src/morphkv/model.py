@@ -9,9 +9,10 @@ positions and are never re-rotated, which is what lets eviction leave
 survivors untouched.
 
 Each layer is pre-norm: attention with a residual, then a single tanh MLP
-with a residual. Logits come from the tied embedding. Tokens run through
-the layers in blocks (the prompt) or one at a time (decoding) along one
-exact path.
+with a residual. Logits come from the tied embedding. One exact forward
+runs rows, each owned by a (cache, position) pair, through the layers: the
+prompt as blocks of rows of one cache, a decode step as one row per
+cache, so lockstep runs share each layer's dense math.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 
 from .cache import KvCacheState
 from .config import ModelConfig
-from .errors import CacheNotEmpty, EmptyCache, InvalidShape, InvalidToken
+from .errors import CacheNotEmpty, EmptyCache, InvalidParam, InvalidShape, InvalidToken
 from .numerics import apply_rope, scaled_dot_attention
 
 MLP_MULT = 4
@@ -51,8 +52,8 @@ class DecoderWeights:
 
 @dataclass
 class StepOutput:
-    """Everything one token's forward pass exposes to the policy layer;
-    a block of tokens returns its last token's.
+    """Everything a forward exposes to the policy layer about one cache:
+    the outputs of that cache's last row. A forward returns one per cache.
 
     ``attn_rows[layer][kv_head]`` holds one attention row per query head in
     the group, each spanning the store's entries at the end of the step
@@ -112,39 +113,43 @@ def _check_token(token: int, cfg: ModelConfig) -> int:
     return token
 
 
-def _forward_block(
+def _forward(
     weights: DecoderWeights,
     tokens: list[int],
-    start: int,
-    cache: KvCacheState,
-) -> StepOutput:
-    """Run ``tokens`` at positions ``start, start + 1, ...`` through every layer.
+    positions: list[int],
+    caches: list[KvCacheState],
+) -> list[StepOutput]:
+    """Run ``tokens[i]`` at ``positions[i]`` through every layer, as rows
+    of ``caches``: every row into the one cache (a prompt block), or row
+    ``i`` into ``caches[i]`` (a decode step of one or more caches).
 
-    Each layer's dense math covers the whole block at once as stacked
-    ``(T, 1, d) @ W`` matmuls, which numpy runs as one gemv per row, so
-    every row's bits equal a one-token pass. Then, token by token, each
-    layer's stores see the one-token order: append, attend, record.
-    Returns the last token's output; logits are computed for that row only.
+    Each layer's dense math covers every row at once as stacked
+    ``(R, 1, d) @ W`` matmuls, which numpy runs as one gemv per row, so
+    every row's bits equal a one-row pass. Then, row by row, each layer's
+    stores see the one-token order: append, attend, record. Returns one
+    output per cache, that of its last row; logits are computed for those
+    rows only.
     """
     cfg = weights.config
     g, hd, n_q, n_kv = cfg.group_size, cfg.head_dim, cfg.n_query_heads, cfg.n_kv_heads
     t = len(tokens)
-    positions = np.arange(start, start + t)
+    # The last len(caches) rows are the caches' last rows, in cache order.
+    first_out = t - len(caches)
+    row_caches = caches if first_out == 0 else caches * t
+    outputs = [StepOutput(None, [], [], []) for _ in caches]
+    rope_positions = np.array(positions)
     x = weights.embedding.take(tokens, axis=0)[:, None, :]
-    all_rows: list[list[np.ndarray]] = []
-    all_outs: list[list[np.ndarray]] = []
-    all_queries: list[list[np.ndarray]] = []
     for layer, lw in enumerate(weights.layers):
         xn = _rms_norm(x)
         # Queries and keys share one rotation call; pairs never cross heads.
         qk = np.concatenate([xn @ lw.w_q, xn @ lw.w_k], axis=-1).reshape(t, n_q + n_kv, hd)
-        qk = apply_rope(qk, positions)
+        qk = apply_rope(qk, rope_positions)
         q, k = qk[:, :n_q], qk[:, n_q:]
         v = (xn @ lw.w_v).reshape(t, n_kv, hd)
         outs = []
-        for i, token in enumerate(tokens):
+        for i, cache in enumerate(row_caches):
             # Append before attending: the new token attends to itself.
-            cache.append(layer, k[i], v[i], start + i, token)
+            cache.append(layer, k[i], v[i], positions[i], tokens[i])
             keys, vals = cache.keys_matrix(layer), cache.values_matrix(layer)
             # One call per KV group: the group's query heads share the store.
             rows = []
@@ -156,13 +161,17 @@ def _forward_block(
             # The one writer of profile rows: recorded before the next token
             # is appended and before any policy runs.
             cache.record_step_profiles(layer, rows)
-        all_rows.append(rows)
-        all_outs.append(outs[-n_kv:])
-        all_queries.append([q[-1, head * g : (head + 1) * g] for head in range(n_kv)])
+            if i >= first_out:
+                output = outputs[i - first_out]
+                output.attn_rows.append(rows)
+                output.attn_outputs.append(outs[-n_kv:])
+                output.queries.append([q[i, head * g : (head + 1) * g] for head in range(n_kv)])
         x = x + np.concatenate(outs, axis=None).reshape(t, 1, -1) @ lw.w_o
         x = x + np.tanh(_rms_norm(x) @ lw.w_in) @ lw.w_out
-    logits = _rms_norm(x[-1, 0]) @ weights.embedding.T
-    return StepOutput(logits=logits, attn_rows=all_rows, attn_outputs=all_outs, queries=all_queries)
+    logits = _rms_norm(x[first_out:]) @ weights.embedding.T
+    for output, row_logits in zip(outputs, logits):
+        output.logits = row_logits[0]
+    return outputs
 
 
 def prefill(weights: DecoderWeights, prompt, cache: KvCacheState) -> StepOutput:
@@ -177,25 +186,43 @@ def prefill(weights: DecoderWeights, prompt, cache: KvCacheState) -> StepOutput:
     tokens = [_check_token(t, weights.config) for t in prompt]
     if not tokens:
         raise InvalidShape("prompt must contain at least one token")
+    if not cache.matches(weights.config):
+        raise InvalidShape("cache is shaped for another model")
     if not cache.is_empty():
         raise CacheNotEmpty("prefill needs an empty cache")
     for start in range(0, len(tokens), PREFILL_BLOCK):
-        out = _forward_block(weights, tokens[start : start + PREFILL_BLOCK], start, cache)
+        block = tokens[start : start + PREFILL_BLOCK]
+        positions = list(range(start, start + len(block)))
+        (out,) = _forward(weights, block, positions, [cache])
     return out
 
 
-def decode_step(weights: DecoderWeights, token: int, cache: KvCacheState) -> StepOutput:
-    """Process one generated token against the (possibly evicted) cache.
+def decode_step(weights: DecoderWeights, tokens, caches) -> list[StepOutput]:
+    """Process one generated token per cache, all caches in one forward.
 
-    A one-token block: appends exactly one entry per store at the next
-    absolute position and records the step's aggregated attention rows
-    into every store, as prefill does, so the policy that runs next sees
-    the step's row in place. Policies never record.
+    ``tokens[i]`` goes into ``caches[i]``, each at that cache's next
+    absolute position, so caches at different positions and under
+    different policies step together; one cache is the one-row case.
+    Appends exactly one entry per store and records the step's aggregated
+    attention rows into every store, as prefill does, so the policy that
+    runs next sees the step's row in place. Policies never record.
+    Returns one output per cache, each bit-equal to stepping that cache
+    alone. Every input is checked before any cache changes.
     """
-    if cache.min_occupancy() == 0:
-        raise EmptyCache("decode_step needs a prefilled cache in every store")
-    token = _check_token(token, weights.config)
-    return _forward_block(weights, [token], cache.next_position(), cache)
+    cfg = weights.config
+    n = len(caches)
+    if not n or len(tokens) != n:
+        raise InvalidShape(f"decode_step needs one token per cache, got {len(tokens)} for {n}")
+    if n > 1 and len(set(map(id, caches))) != n:
+        raise InvalidParam("decode_step got the same cache twice")
+    positions = []
+    for cache in caches:
+        if not cache.matches(cfg):
+            raise InvalidShape("cache is shaped for another model")
+        if cache.min_occupancy() == 0:
+            raise EmptyCache("decode_step needs a prefilled cache in every store")
+        positions.append(cache.next_position())
+    return _forward(weights, [_check_token(token, cfg) for token in tokens], positions, caches)
 
 
 def greedy_token(logits: np.ndarray) -> int:

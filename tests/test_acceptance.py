@@ -250,7 +250,7 @@ def test_group_aggregation_consistency():
                 )
         token = greedy_token(out.logits)
         for i in range(8):
-            out = decode_step(weights, token, cache)
+            (out,) = decode_step(weights, [token], [cache])
             groups = [
                 [np.array(out.attn_rows[layer][head]) for head in range(model.n_kv_heads)]
                 for layer in range(model.n_layers)

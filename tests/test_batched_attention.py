@@ -128,7 +128,7 @@ class TestDecoderGroups:
         w = init_model(cfg)
         cache = KvCacheState.for_model(cfg, 2)
         prefill(w, [3, 1, 4, 1, 5, 9, 2, 6], cache)
-        out = decode_step(w, 5, cache)
+        (out,) = decode_step(w, [5], [cache])
         for layer in range(cfg.n_layers):
             for head in range(cfg.n_kv_heads):
                 keys, vals = cache.keys_matrix(layer)[head], cache.values_matrix(layer)[head]

@@ -1,20 +1,34 @@
-"""A prompt block returns the bits of feeding its tokens one at a time.
+"""Rows of a forward return the bits of running each row on its own.
 
-``prefill`` runs the prompt in blocks of ``PREFILL_BLOCK`` tokens, each
-layer's dense math as stacked ``(T, 1, d) @ W`` matmuls; ``decode_step``
-is the one-token block. Both are exact only because numpy runs a stacked
+One forward runs rows, each owned by a (cache, position) pair: ``prefill``
+runs the prompt as blocks of ``PREFILL_BLOCK`` rows of one cache,
+``decode_step`` runs one row per cache, one cache alone or many in
+lockstep. Each layer's dense math is stacked ``(R, 1, d) @ W`` matmuls
+over every row. That is exact only because numpy runs a stacked
 unit-axis matmul as one gemv per row and the norms, rotations and
-activations are row-wise, so every comparison here is on the raw bits
-of every store array and every returned array, never a tolerance. A 2-D
+activations are row-wise, so every comparison here is on the raw bits of
+every store array and every returned array, never a tolerance. A 2-D
 gemm in place of any stacked matmul sums in another order and fails.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from morphkv import KvCacheState, ModelConfig, decode_step, init_model, prefill
+from morphkv import (
+    Decoding,
+    EvictionPolicyConfig,
+    KvCacheState,
+    ModelConfig,
+    RunConfig,
+    decode_step,
+    greedy_token,
+    init_model,
+    prefill,
+)
 from morphkv.model import PREFILL_BLOCK
 
 B = PREFILL_BLOCK
@@ -40,26 +54,35 @@ def tokenwise(weights, prompt, capacity):
     cache = KvCacheState.for_model(weights.config, capacity)
     out = prefill(weights, prompt[:1], cache)
     for token in prompt[1:]:
-        out = decode_step(weights, token, cache)
+        (out,) = decode_step(weights, [token], [cache])
     return out, cache
+
+
+def assert_same_output(got, want, cfg: ModelConfig):
+    assert same_bits(got.logits, want.logits)
+    for field in ("attn_rows", "attn_outputs", "queries"):
+        got_layers, want_layers = getattr(got, field), getattr(want, field)
+        assert len(got_layers) == len(want_layers) == cfg.n_layers
+        for got_heads, want_heads in zip(got_layers, want_layers):
+            assert len(got_heads) == len(want_heads) == cfg.n_kv_heads
+            for a, b in zip(got_heads, want_heads):
+                assert same_bits(a, b), field
+
+
+def assert_same_stores(got_cache, want_cache):
+    assert got_cache.profile_rows(0) == want_cache.profile_rows(0)
+    for layer in range(got_cache.n_layers):
+        for read in STORE_READS:
+            a = getattr(got_cache, read)(layer)
+            b = getattr(want_cache, read)(layer)
+            assert same_bits(a, b), (read, layer)
 
 
 def assert_same_run(weights, prompt, capacity):
     got, got_cache = blockwise(weights, prompt, capacity)
     want, want_cache = tokenwise(weights, prompt, capacity)
-    assert same_bits(got.logits, want.logits)
-    for field in ("attn_rows", "attn_outputs", "queries"):
-        got_layers, want_layers = getattr(got, field), getattr(want, field)
-        assert len(got_layers) == len(want_layers) == weights.config.n_layers
-        for got_heads, want_heads in zip(got_layers, want_layers):
-            assert len(got_heads) == len(want_heads) == weights.config.n_kv_heads
-            for a, b in zip(got_heads, want_heads):
-                assert same_bits(a, b), field
-    for layer in range(weights.config.n_layers):
-        for read in STORE_READS:
-            a = getattr(got_cache, read)(layer)
-            b = getattr(want_cache, read)(layer)
-            assert same_bits(a, b), (read, layer)
+    assert_same_output(got, want, weights.config)
+    assert_same_stores(got_cache, want_cache)
 
 
 def make_prompt(cfg: ModelConfig, length: int, seed: int) -> list[int]:
@@ -97,3 +120,89 @@ def test_block_equals_token_by_token(
         seed=seed,
     )
     assert_same_run(init_model(cfg), make_prompt(cfg, length, seed), capacity)
+
+
+# Policies of every kind of store update, at budgets that keep the runs'
+# occupancies apart: no eviction, ranked eviction on every layer and on the
+# last layer only, cumulative ranking, prompt reduction and a window.
+LOCKSTEP_POLICIES = (
+    EvictionPolicyConfig(kind="full_attention", recent_window=2),
+    EvictionPolicyConfig(kind="morphkv", distant_capacity=3, recent_window=2),
+    EvictionPolicyConfig(kind="morphkv", distant_capacity=2, recent_window=3, protected_layers=1),
+    EvictionPolicyConfig(kind="h2o", distant_capacity=2, recent_window=2),
+    EvictionPolicyConfig(kind="snapkv", recent_window=2, prefill_budget=5),
+    EvictionPolicyConfig(kind="streamingllm", distant_capacity=4, recent_window=2, sink_count=1),
+)
+LOCKSTEP_MODEL = ModelConfig(n_layers=2, n_query_heads=4, n_kv_heads=2, head_dim=8, vocab_size=40, seed=7)
+
+
+def assert_lockstep_equals_alone(model, policies, prompt_lengths, steps, teacher_forced):
+    """Step runs through one ``decode_step`` per step and, beside them, each
+    run on its own; every output and every store read must match on bits."""
+    weights = init_model(model)
+    configs = [
+        RunConfig(model=model, policy=policy, prompt_length=length, decode_steps=steps)
+        for policy, length in zip(policies, prompt_lengths)
+    ]
+    lockstep = [Decoding(cfg, weights) for cfg in configs]
+    alone = [Decoding(cfg, weights) for cfg in configs]
+    caches = [run.cache for run in lockstep]
+    for _ in range(steps):
+        if teacher_forced:
+            tokens = [greedy_token(lockstep[0].out.logits)] * len(lockstep)
+        else:
+            tokens = [greedy_token(run.out.logits) for run in lockstep]
+        outs = decode_step(weights, tokens, caches)
+        assert len(outs) == len(lockstep)
+        for run, single, token, out in zip(lockstep, alone, tokens, outs):
+            run.finish_step(token, out)
+            assert_same_output(out, single.step(token), model)
+            assert_same_stores(run.cache, single.cache)
+    for run, single in zip(lockstep, alone):
+        assert run.trace.to_dict() == single.trace.to_dict()
+    return lockstep
+
+
+@pytest.mark.parametrize("teacher_forced", [True, False], ids=["teacher_forced", "free_running"])
+def test_lockstep_equals_each_run_alone(teacher_forced):
+    runs = assert_lockstep_equals_alone(
+        LOCKSTEP_MODEL, LOCKSTEP_POLICIES, [9] * len(LOCKSTEP_POLICIES), 8, teacher_forced
+    )
+    # The runs really did hold different entry counts while stepping together.
+    assert len({str(run.cache.occupancies()) for run in runs}) > 2
+    if not teacher_forced:
+        assert len({tuple(run.trace.consumed_tokens()) for run in runs}) > 1
+
+
+@pytest.mark.parametrize("teacher_forced", [True, False], ids=["teacher_forced", "free_running"])
+def test_lockstep_rows_at_differing_positions(teacher_forced):
+    lengths = [1, 6, B + 3, 11, 2, B]
+    runs = assert_lockstep_equals_alone(LOCKSTEP_MODEL, LOCKSTEP_POLICIES, lengths, 5, teacher_forced)
+    assert len({run.cache.next_position() for run in runs}) == len(runs)
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    n_layers=st.integers(1, 3),
+    n_kv_heads=st.integers(1, 2),
+    group=st.integers(1, 3),
+    head_dim=st.sampled_from([2, 4, 8]),
+    picks=st.lists(st.sampled_from(range(len(LOCKSTEP_POLICIES))), min_size=1, max_size=5),
+    lengths=st.lists(st.integers(1, 2 * B), min_size=5, max_size=5),
+    teacher_forced=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_lockstep_any_shape(n_layers, n_kv_heads, group, head_dim, picks, lengths, teacher_forced, seed):
+    model = ModelConfig(
+        n_layers=n_layers,
+        n_query_heads=n_kv_heads * group,
+        n_kv_heads=n_kv_heads,
+        head_dim=head_dim,
+        vocab_size=32,
+        seed=seed,
+    )
+    policies = [LOCKSTEP_POLICIES[i] for i in picks]
+    policies = [
+        replace(p, protected_layers=min(p.protected_layers, n_layers)) for p in policies
+    ]
+    assert_lockstep_equals_alone(model, policies, lengths, 4, teacher_forced)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,14 @@ from morphkv import (
     scaled_dot_attention,
     weights_checksum,
 )
-from morphkv.errors import CacheNotEmpty, EmptyCache, InvalidConfig, InvalidShape, InvalidToken
+from morphkv.errors import (
+    CacheNotEmpty,
+    EmptyCache,
+    InvalidConfig,
+    InvalidParam,
+    InvalidShape,
+    InvalidToken,
+)
 from morphkv.model import MLP_MULT
 
 # Frozen at first computation; any drift means the weight stream layout
@@ -92,7 +101,7 @@ class TestForward:
         w = init_model(cfg)
         cache = fresh_cache(cfg)
         prefill(w, [1, 2], cache)
-        decode_step(w, 5, cache)
+        decode_step(w, [5], [cache])
         assert cache.occupancies() == [[3, 3], [3, 3]]
         for layer in range(cfg.n_layers):
             assert cache.positions(layer).tolist() == [[0, 1, 2], [0, 1, 2]]
@@ -112,7 +121,7 @@ class TestForward:
         w = init_model(TINY)
         cache = fresh_cache(TINY)
         prefill(w, [1], cache)
-        out = decode_step(w, 2, cache)
+        (out,) = decode_step(w, [2], [cache])
         # The appended entry is the last column of the row; its weight is live.
         assert out.attn_rows[0][0].shape[1] == 2
         assert np.all(out.attn_rows[0][0][:, -1] > 0)
@@ -140,7 +149,7 @@ class TestForward:
             for _ in range(steps):
                 nxt = greedy_token(step_logits[-1])
                 tokens.append(nxt)
-                step_logits.append(decode_step(w, nxt, cache).logits)
+                step_logits.append(decode_step(w, [nxt], [cache])[0].logits)
             ref_logits, _ = reference.full_forward(w, tokens)
             np.testing.assert_allclose(step_logits[0], ref_logits[len(prompt) - 1], atol=1e-7)
             for i in range(steps):
@@ -170,7 +179,7 @@ class TestForward:
         w = init_model(cfg)
         cache = fresh_cache(cfg)
         prefill(w, [1, 2, 3], cache)
-        out = decode_step(w, 4, cache)
+        (out,) = decode_step(w, [4], [cache])
         for head in range(cfg.n_kv_heads):
             q = out.queries[0][head][0]
             keys = cache.keys_matrix(0)[head]
@@ -203,5 +212,58 @@ class TestForward:
     def test_decode_rejects_empty_cache(self):
         w = init_model(TINY)
         with pytest.raises(EmptyCache):
-            decode_step(w, 1, fresh_cache(TINY))
+            decode_step(w, [1], [fresh_cache(TINY)])
 
+
+
+class TestDecodeStepInput:
+    """Every bad lockstep call fails before any cache changes."""
+
+    CFG = ModelConfig(n_layers=2, n_query_heads=2, n_kv_heads=1, head_dim=4, vocab_size=16, seed=9)
+
+    def prefilled(self, cfg=CFG, prompt=(1, 2, 3)) -> KvCacheState:
+        cache = fresh_cache(cfg, capacity=2)
+        prefill(init_model(cfg), list(prompt), cache)
+        return cache
+
+    @staticmethod
+    def state(cache: KvCacheState) -> list:
+        reads = ("keys_matrix", "values_matrix", "positions", "token_ids", "received", "score_matrix")
+        return [
+            np.array(getattr(cache, read)(layer)) for layer in range(cache.n_layers) for read in reads
+        ]
+
+    def assert_rejected(self, error, tokens, caches, match=None):
+        before = [self.state(cache) for cache in caches]
+        with pytest.raises(error, match=match):
+            decode_step(init_model(self.CFG), tokens, caches)
+        for cache, arrays in zip(caches, before):
+            for got, want in zip(self.state(cache), arrays):
+                np.testing.assert_array_equal(got, want)
+
+    def test_same_cache_twice(self):
+        cache = self.prefilled()
+        self.assert_rejected(InvalidParam, [1, 2, 3], [self.prefilled(), cache, cache], "same cache")
+
+    def test_token_and_cache_counts_differ(self):
+        self.assert_rejected(InvalidShape, [1, 2], [self.prefilled()], "got 2 for 1")
+        self.assert_rejected(InvalidShape, [1], [self.prefilled(), self.prefilled()])
+
+    def test_no_caches(self):
+        self.assert_rejected(InvalidShape, [], [], "got 0 for 0")
+
+    @pytest.mark.parametrize(
+        "other",
+        [dict(n_layers=3), dict(n_query_heads=4, n_kv_heads=2), dict(head_dim=8)],
+        ids=["layers", "kv_heads", "head_dim"],
+    )
+    def test_cache_shaped_for_another_model(self, other):
+        foreign = self.prefilled(replace(self.CFG, **other))
+        self.assert_rejected(InvalidShape, [1, 2], [self.prefilled(), foreign], "another model")
+
+    def test_empty_cache(self):
+        self.assert_rejected(EmptyCache, [1, 2], [self.prefilled(), fresh_cache(self.CFG)])
+
+    def test_out_of_vocab_token(self):
+        tokens = [1, self.CFG.vocab_size]
+        self.assert_rejected(InvalidToken, tokens, [self.prefilled(), self.prefilled()])

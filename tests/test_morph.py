@@ -323,7 +323,7 @@ class TestEngineIntegration:
         prefill_compress(cache, policy)
         token = int(np.argmax(out.logits))
         for idx in range(10):
-            out = decode_step(w, token, cache)
+            (out,) = decode_step(w, [token], [cache])
             morphkv_step(cache, out, policy, idx)
             cache.validate()
             assert cache.occupancies() == [[5, 5], [5, 5]]
@@ -340,7 +340,7 @@ class TestEngineIntegration:
         prefill_compress(cache, policy)
         token = int(np.argmax(out.logits))
         for idx in range(10):
-            out = decode_step(w, token, cache)
+            (out,) = decode_step(w, [token], [cache])
             morphkv_step(cache, out, policy, idx)
             token = int(np.argmax(out.logits))
         kept = {
