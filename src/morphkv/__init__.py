@@ -1,8 +1,8 @@
 """Desk-scale autoregressive attention runtime with pluggable KV eviction.
 
 The package is organized bottom up: `numerics` holds the shared float64
-primitives, `model` the deterministic toy decoder, `cache` the per-layer
-KV stores with their attention profiles, `morph` the constant-size
+primitives, `model` the deterministic toy decoder, `cache` the cache-wide
+KV block with its attention profiles, `morph` the constant-size
 selective retention policy, `baselines` the comparison policies,
 `oracle` the exhaustive ground truth, `metrics` byte accounting and
 degeneration measures, `trace` the per-step trace and its JSON document,

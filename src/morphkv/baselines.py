@@ -6,9 +6,9 @@ one-shot call (``snapkv_policy`` here, ``prefill_compress`` for the
 selective policy). The decoder records every step's aggregated rows into
 the store profiles before any policy runs, in prefill and in decode, so
 cache snapshots stay comparable across policies. A step function only
-applies its own retention rule, one layer at a time over all of its KV
-heads, which keeps every head of a layer at one occupancy; it takes the
-step output to keep one signature but does not read it:
+applies its own retention rule, with one ``keep`` over every layer and KV
+head, which keeps every store at one occupancy; it takes the step output
+to keep one signature but does not read it:
 
 - ``scissorhands``: keep only the ``recent_window`` newest entries.
 - ``streamingllm``: additionally pin the first ``sink_count`` entries.
@@ -40,12 +40,11 @@ def keep_window(occ: int, sinks: int, recent: int) -> list[int]:
 
 
 def _window_step(cache: KvCacheState, sinks: int, recent: int) -> KvCacheState:
-    for layer in range(cache.n_layers):
-        occ = cache.occupancy(layer)
-        retained = keep_window(occ, sinks, recent)
-        if len(retained) < occ:
-            # Every KV head keeps the same indices.
-            cache.keep(layer, np.broadcast_to(retained, (cache.n_kv_heads, len(retained))))
+    occ = cache.occupancy(range(cache.n_layers))
+    retained = keep_window(occ, sinks, recent)
+    if len(retained) < occ:
+        # Every store keeps the same indices.
+        cache.keep(0, np.broadcast_to(retained, (cache.n_layers, cache.n_kv_heads, len(retained))))
     return cache
 
 
@@ -76,22 +75,21 @@ def h2o_step(
     """Cumulative heavy hitters over decode entries; the prompt is immortal."""
     if cfg.kind != "h2o":
         raise InvalidConfig(f"h2o_step got policy kind {cfg.kind!r}")
-    budget = cfg.cache_budget
-    for layer in range(cache.n_layers):
-        occ = cache.occupancy(layer)
-        # Positions increase with the index, so the decode entries are the
-        # suffix starting at the first position past the prompt; every KV
-        # head holds the whole prompt, so the suffix starts at one index.
-        # Decode entries did not exist during prefill, so their received
-        # totals count decode rows only.
-        first_decode = int(np.searchsorted(cache.positions(layer)[0], prompt_length))
-        if occ - first_decode > budget:
-            recent_start = occ - min(cfg.recent_window, occ)
-            cum = cache.received(layer)[:, first_decode:recent_start]
-            # argmin takes the first minimum: ties evict the oldest.
-            victims = first_decode + np.argmin(cum, axis=1)
-            kept = np.arange(occ - 1)
-            cache.keep(layer, kept + (kept >= victims[:, None]))
+    layers = range(cache.n_layers)
+    occ = cache.occupancy(layers)
+    # Positions increase with the index, so the decode entries are the
+    # suffix starting at the first position past the prompt; every store
+    # holds the whole prompt, so the suffix starts at one index in all.
+    # Decode entries did not exist during prefill, so their received
+    # totals count decode rows only.
+    first_decode = int(np.searchsorted(cache.positions(0)[0], prompt_length))
+    if occ - first_decode > cfg.cache_budget:
+        recent_start = occ - min(cfg.recent_window, occ)
+        cum = cache.received(layers)[..., first_decode:recent_start]
+        # argmin takes the first minimum: ties evict the oldest.
+        victims = first_decode + np.argmin(cum, axis=-1)
+        kept = np.arange(occ - 1)
+        cache.keep(0, kept + (kept >= victims[..., None]))
     return cache
 
 
@@ -105,18 +103,17 @@ def snapkv_policy(cache: KvCacheState, cfg: EvictionPolicyConfig) -> KvCacheStat
     """
     if cfg.kind != "snapkv":
         raise InvalidConfig(f"snapkv_policy got policy kind {cfg.kind!r}")
-    budget = cfg.prefill_budget
-    for layer in range(cache.n_layers):
-        occ = cache.occupancy(layer)
-        if occ <= budget:
-            continue
-        if budget <= cfg.recent_window:
-            newest = np.arange(occ - budget, occ)
-            retained = np.broadcast_to(newest, (cache.n_kv_heads, budget))
-        else:
-            scores = fuse(cache, layer, "sum")
-            retained = select_retained(scores, occ, budget - cfg.recent_window, cfg.recent_window)
-        cache.keep(layer, retained)
+    budget, layers = cfg.prefill_budget, range(cache.n_layers)
+    occ = cache.occupancy(layers)
+    if occ <= budget:
+        return cache
+    if budget <= cfg.recent_window:
+        newest = np.arange(occ - budget, occ)
+        retained = np.broadcast_to(newest, (cache.n_layers, cache.n_kv_heads, budget))
+    else:
+        scores = fuse(cache, layers, "sum")
+        retained = select_retained(scores, occ, budget - cfg.recent_window, cfg.recent_window)
+    cache.keep(0, retained)
     return cache
 
 

@@ -28,7 +28,7 @@ from .harness import (
     write_compare_outputs,
     write_run_outputs,
 )
-from .metrics import repetition_rate
+from .metrics import kv_bytes_from_occupancies, repetition_rate
 
 
 class _Parser(argparse.ArgumentParser):
@@ -52,10 +52,11 @@ def _cmd_run(args) -> int:
     if args.out is not None:
         write_run_outputs(result, args.out)
     trace = result.trace
-    occ = trace.occupancy_totals()[-1] if trace.records else 0
+    occupancy = result.cache.occupancies()
+    nbytes = kv_bytes_from_occupancies(occupancy, trace.model, trace.policy, trace.bytes_per_scalar)
     print(
         f"policy={trace.policy.kind} steps={len(trace.records)} "
-        f"final_occupancy={occ} final_bytes={trace.records[-1].bytes if trace.records else 0} "
+        f"final_occupancy={sum(map(sum, occupancy))} final_bytes={nbytes} "
         f"evictions={trace.total_evictions()}"
     )
     if args.out is not None:

@@ -5,10 +5,11 @@ verbatim for local coherence, plus the ``distant_capacity`` older entries
 that the recent window attended to most strongly. Relevance of a distant
 entry is the fusion (sum or max) of its column across the windowed
 attention rows; ties rank the newer entry first, consistent with the
-recency bias of the forced window. Every step works on a whole layer at
-once: one fusion and one ranking give each KV head its own retained set,
-so different heads converge on different entries while every head of a
-layer keeps the same number.
+recency bias of the forced window. Every step works on the whole stack of
+unprotected layers at once: one fusion, one ranking and one compaction
+give each (layer, KV head) store its own retained set, so different heads
+converge on different entries while every store of the stack keeps the
+same number.
 
 Eviction runs after the new token's entry and profile row are in place,
 so the newest token is always a window member when selection executes.
@@ -23,9 +24,10 @@ from .config import EvictionPolicyConfig
 from .errors import EmptyWindow, InvalidConfig, InvalidParam, InvalidShape
 
 
-def fuse(cache: KvCacheState, layer: int, fusion: str) -> np.ndarray:
-    """Combine each KV head's profile rows at ``layer`` into one score per
-    distant entry: a ``(heads, distant)`` array.
+def fuse(cache: KvCacheState, layers: int | range, fusion: str) -> np.ndarray:
+    """Combine each KV head's profile rows at ``layers`` into one score per
+    distant entry: ``(heads, distant)`` for one layer, ``(layers, heads,
+    distant)`` for a stack of layers with one occupancy and ring state.
 
     The last ``min(window_capacity, occupancy)`` entries are the recent
     window and get no score: they are retained unconditionally, so only the
@@ -33,57 +35,54 @@ def fuse(cache: KvCacheState, layer: int, fusion: str) -> np.ndarray:
     are combined oldest first, as :meth:`KvCacheState.score_matrix` returns
     them.
     """
-    occ = cache.occupancy(layer)
+    occ = cache.occupancy(layers)
     distant = occ - min(cache.window_capacity, occ)
-    stacked = cache.score_matrix(layer, distant)
-    if stacked.shape[1] == 0:
+    stacked = cache.score_matrix(layers, distant)
+    if stacked.shape[-2] == 0:
         raise EmptyWindow("cannot fuse an empty profile window")
     if fusion == "sum":
-        return stacked.sum(axis=1)
+        return stacked.sum(axis=-2)
     if fusion == "max":
-        return stacked.max(axis=1)
+        return stacked.max(axis=-2)
     raise InvalidParam(f"unknown fusion {fusion!r}")
 
 
 def select_retained(scores, occupancy: int, distant_capacity: int, recent_window: int) -> np.ndarray:
-    """Indices to keep out of ``occupancy`` entries, one row per KV head:
+    """Indices to keep out of ``occupancy`` entries, one row per store:
     the recent window plus the top-scoring distant entries.
 
-    ``scores`` is ``(heads, distant)`` and must align with the distant
-    prefix of the entries. Returns ``(heads, kept)`` indices, each row
-    sorted, so entry order is preserved; equal scores favor the larger
-    index (the more recent entry). ``kept`` is
-    ``min(occupancy, distant_capacity + recent_window)``.
+    ``scores`` is ``(..., distant)`` over any leading axes, such as
+    :func:`fuse`'s, and must align with the distant prefix of the entries.
+    Returns ``(..., kept)`` indices, each row sorted, so entry order is
+    preserved; equal scores favor the larger index (the more recent
+    entry). ``kept`` is ``min(occupancy, distant_capacity + recent_window)``.
     """
     if distant_capacity < 0 or recent_window < 1:
         raise InvalidParam("need distant_capacity >= 0 and recent_window >= 1")
     recent = min(recent_window, occupancy)
     distant_count = occupancy - recent
     ranked = np.asarray(scores, dtype=np.float64)
-    if ranked.ndim != 2 or ranked.shape[1] != distant_count:
+    if ranked.ndim < 1 or ranked.shape[-1] != distant_count:
         raise InvalidShape(
-            f"expected {distant_count} distant scores per head, got shape {ranked.shape}"
+            f"expected {distant_count} distant scores per store, got shape {ranked.shape}"
         )
-    heads = ranked.shape[0]
     keep_distant = min(distant_capacity, distant_count)
-    # Ascending by (score, index) in each row: the last keep_distant rank
-    # highest. A mask puts them back in entry order without paging in np.sort.
-    index = np.broadcast_to(np.arange(distant_count), ranked.shape)
-    order = np.lexsort((index, ranked), axis=-1)
-    kept = np.zeros(ranked.shape, dtype=bool)
-    kept[np.arange(heads)[:, None], order[:, distant_count - keep_distant :]] = True
-    retained = np.empty((heads, keep_distant + recent), dtype=np.intp)
-    retained[:, :keep_distant] = np.nonzero(kept)[1].reshape(heads, keep_distant)
-    retained[:, keep_distant:] = np.arange(distant_count, occupancy)
+    # A stable ascending sort ranks each row by (score, index), so of equal
+    # scores the older ranks lower; the last keep_distant rank highest, and
+    # sorting them puts them back in entry order.
+    order = np.argsort(ranked, axis=-1, kind="stable")
+    retained = np.empty((*ranked.shape[:-1], keep_distant + recent), dtype=np.intp)
+    retained[..., :keep_distant] = order[..., distant_count - keep_distant :]
+    retained[..., :keep_distant].sort(axis=-1)
+    retained[..., keep_distant:] = np.arange(distant_count, occupancy)
     return retained
 
 
-def _evict_layer(cache: KvCacheState, layer: int, fusion: str, cfg: EvictionPolicyConfig) -> None:
-    occ = cache.occupancy(layer)
-    if occ <= cfg.cache_budget:
+def _evict(cache: KvCacheState, layers: range, fusion: str, cfg: EvictionPolicyConfig) -> None:
+    if not layers or (occ := cache.occupancy(layers)) <= cfg.cache_budget:
         return
-    scores = fuse(cache, layer, fusion)
-    cache.keep(layer, select_retained(scores, occ, cfg.distant_capacity, cfg.recent_window))
+    scores = fuse(cache, layers, fusion)
+    cache.keep(layers.start, select_retained(scores, occ, cfg.distant_capacity, cfg.recent_window))
 
 
 def morphkv_step(
@@ -100,8 +99,7 @@ def morphkv_step(
         raise InvalidConfig(f"morphkv_step got policy kind {cfg.kind!r}")
     if step_index % cfg.eviction_interval:
         return cache
-    for layer in range(cfg.protected_layers, cache.n_layers):
-        _evict_layer(cache, layer, cfg.fusion, cfg)
+    _evict(cache, range(cfg.protected_layers, cache.n_layers), cfg.fusion, cfg)
     return cache
 
 
@@ -114,6 +112,5 @@ def prefill_compress(cache: KvCacheState, cfg: EvictionPolicyConfig) -> KvCacheS
     """
     if cfg.kind != "morphkv":
         raise InvalidConfig(f"prefill_compress got policy kind {cfg.kind!r}")
-    for layer in range(cfg.protected_layers, cache.n_layers):
-        _evict_layer(cache, layer, cfg.effective_prefill_fusion, cfg)
+    _evict(cache, range(cfg.protected_layers, cache.n_layers), cfg.effective_prefill_fusion, cfg)
     return cache

@@ -144,6 +144,8 @@ class StepTrace:
         return prefill + sum(len(p) for _, _, _, p in self.eviction_log())
 
     def to_dict(self) -> dict:
+        """The ``trace.json`` document. It shares the trace's lists, not copies:
+        ``prefill_evictions`` and each step's occupancy and eviction grids."""
         return {
             "schema": TRACE_SCHEMA,
             "model": asdict(self.model),
@@ -151,7 +153,7 @@ class StepTrace:
             "prompt": list(self.prompt),
             "bytes_per_scalar": self.bytes_per_scalar,
             "prefill_evictions": self.prefill_evictions,
-            "steps": [asdict(rec) for rec in self.records],
+            "steps": [dict(vars(rec)) for rec in self.records],
         }
 
     @classmethod

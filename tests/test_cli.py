@@ -135,6 +135,24 @@ class TestRunCommand:
         assert "policy=morphkv" in out
         assert "final_occupancy=" in out
 
+    def test_summary_reads_the_final_cache(self, morph_config, tmp_path, capsys):
+        # A prefill-only run has no step record: its summary still counts
+        # the compressed prompt, 2 layers x 2 KV heads x 5 entries of
+        # 2 x 4 scalars of 8 bytes.
+        path = tmp_path / "prefill_only.ini"
+        path.write_text(
+            MORPH_INI.replace("random:6", "random:9")
+            .replace("decode_steps = 8", "decode_steps = 0")
+            .replace("recent_window = 2", "recent_window = 2\ncompress_prefill = true")
+        )
+        assert main(["run", "--config", str(path)]) == 0
+        assert "steps=0 final_occupancy=20 final_bytes=1280 evictions=16" in capsys.readouterr().out
+        # With steps, the summary repeats the last record.
+        assert main(["run", "--config", morph_config, "--out", str(tmp_path / "run")]) == 0
+        last = json.loads((tmp_path / "run" / "trace.json").read_text())["steps"][-1]
+        occupancy = sum(map(sum, last["occupancy"]))
+        assert f"final_occupancy={occupancy} final_bytes={last['bytes']} " in capsys.readouterr().out
+
     def test_out_dir_writes_artifacts(self, morph_config, tmp_path, capsys):
         out = tmp_path / "artifacts"
         assert main(["run", "--config", morph_config, "--out", str(out)]) == 0

@@ -111,6 +111,29 @@ class TestSelectRetained:
         assert kept == want
         assert all(type(i) is int for i in kept)
 
+    @given(
+        st.lists(st.integers(1, 3), min_size=0, max_size=3),
+        st.integers(1, 40),
+        st.integers(0, 12),
+        st.integers(1, 6),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_stable_sort_matches_lexsort_over_leading_axes(self, lead, occ, cap, recent, seed):
+        # One stable argsort per row ranks as a lexsort by (score, index)
+        # did, over any leading (layer, head) axes, on rows dense with ties
+        # and with 0.0 against -0.0.
+        rng = np.random.default_rng(seed)
+        distant = occ - min(recent, occ)
+        scores = rng.choice([0.0, -0.0, 0.5, 1.0], size=(*lead, distant))
+        kept = select_retained(scores, occ, cap, recent)
+        keep_distant = min(cap, distant)
+        assert kept.shape == (*lead, keep_distant + min(recent, occ))
+        rows = int(np.prod(lead))
+        for row, got in zip(scores.reshape(rows, distant), kept.reshape(rows, -1)):
+            order = np.lexsort((np.arange(distant), row))
+            want = sorted(order[distant - keep_distant :].tolist()) + list(range(distant, occ))
+            assert got.tolist() == want
+
 
 class TestMorphStep:
     CFG = EvictionPolicyConfig(kind="morphkv", distant_capacity=2, recent_window=2, fusion="sum")
