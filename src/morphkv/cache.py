@@ -19,8 +19,11 @@ columns, one per ring slot, read back oldest first as a C-contiguous
 them in. A new entry's profile row is zero (a token cannot have attended
 to entries created after it), and evicted entries leave with their rows.
 Received attention is the running total of every recorded row, prefill
-rows included. Scores are never renormalized after a deletion: they are
-only compared for ranking, and the raw weights keep dumps auditable.
+rows included, so only the profile depends on the ring's capacity: a copy
+re-windowed to a smaller ring, or to any ring before this one has wrapped,
+keeps the newest rows and is what a cache of that capacity would hold.
+Scores are never renormalized after a deletion: they are only compared for
+ranking, and the raw weights keep dumps auditable.
 
 Stacks: the forward appends and records layer by layer, but a policy acts
 between forwards on a ``range`` of consecutive layers that share one
@@ -44,7 +47,7 @@ from __future__ import annotations
 import numpy as np
 
 from .config import ModelConfig
-from .errors import InternalInvariantViolation, InvalidConfig, InvalidShape
+from .errors import InternalInvariantViolation, InvalidConfig, InvalidParam, InvalidShape
 
 # Rows (store entries) allocated at first use.
 INITIAL_ALLOC = 16
@@ -100,9 +103,34 @@ class KvCacheState:
             if live:
                 buf[:, :, :live] = buffers[which][:, :, :live]
             buffers[which] = buf
-        self._buffers, self._views = tuple(buffers.values()), tuple(buf.view() for buf in buffers.values())
+        self._install(buffers.values())
+
+    def _install(self, buffers) -> None:
+        self._buffers = tuple(buffers)
+        self._views = tuple(buf.view() for buf in self._buffers)
         for view in self._views:
             view.flags.writeable = False
+
+    def copy(self, window_capacity: int) -> "KvCacheState":
+        """An independent copy, journal empty, at this cache's allocation,
+        whose rings hold each layer's newest ``min(profile_rows,
+        window_capacity)`` rows, oldest in slot 0. A full ring may have
+        dropped rows, so it cannot give more: :class:`InvalidParam`."""
+        if window_capacity > self.window_capacity and self.window_capacity in self._count:
+            raise InvalidParam(
+                f"a full profile ring of {self.window_capacity} rows cannot give "
+                f"{window_capacity}: it may have dropped the older rows"
+            )
+        twin = KvCacheState(self.n_layers, self.n_kv_heads, window_capacity)
+        *per_entry, profile = self._buffers
+        new_profile = np.empty((*profile.shape[:3], window_capacity))
+        for layer, (start, count) in enumerate(zip(self._start, self._count)):
+            kept = min(count, window_capacity)
+            order = (start + np.arange(count - kept, count)) % self.window_capacity
+            new_profile[layer, :, :, :kept] = profile[layer].take(order, axis=-1)
+        twin._install([buf.copy() for buf in per_entry] + [new_profile])
+        twin._n, twin._count = list(self._n), [min(count, window_capacity) for count in self._count]
+        return twin
 
     def _live(self, which: int, layer: int) -> np.ndarray:
         return self._views[which][layer, :, : self._n[layer]]

@@ -3,11 +3,13 @@
 A run is fully determined by its config: seeded weights, seeded or
 file-sourced prompt, greedy decoding, one policy application per decode
 step. ``Decoding`` is one run stepped a token at a time; ``run`` steps it
-on its own greedy tokens. ``compare`` steps several runs in lockstep, one
-forward for all of them per step: teacher forcing feeds every run the
-reference's token, so their outputs are comparable step by step; free
-running lets each policy follow its own greedy trajectory, in which case
-only aggregate metrics are comparable. A computation never decides where its files go:
+on its own greedy tokens. ``compare`` prefills the shared prompt once,
+hands each run a copy of that cache re-windowed to its profile ring, and
+steps the runs in lockstep, one forward for all of them per step: teacher
+forcing feeds every run the reference's token, so their outputs are
+comparable step by step; free running lets each policy follow its own
+greedy trajectory, in which case only aggregate metrics are comparable. A
+computation never decides where its files go:
 ``write_run_outputs`` (a run's trace, metrics and cache ``snapshot``) and
 ``write_compare_outputs`` (a comparison's CSVs and traces) write to a
 directory their caller names.
@@ -31,6 +33,7 @@ from .errors import (
     InternalInvariantViolation,
     InvalidConfig,
     InvalidParam,
+    InvalidShape,
     InvalidToken,
     TraceMismatch,
 )
@@ -90,9 +93,11 @@ def make_prompt(config: RunConfig) -> list[int]:
 class Decoding:
     """One run stepped a token at a time over given weights.
 
-    The constructor prefills the prompt, applies any one-shot prompt
-    policy and starts ``trace`` with the prefill evictions; ``out`` is the
-    last ``StepOutput``. Each :meth:`step` decodes one token, applies the
+    The constructor prefills the prompt, or takes ``prefilled``, a cache
+    already holding exactly the prompt at the run's ``recent_window`` and
+    the prefill's output; then it applies any one-shot prompt policy and
+    starts ``trace`` with the prefill evictions; ``out`` is the last
+    ``StepOutput``. Each :meth:`step` decodes one token, applies the
     policy and appends the step's record to ``trace.records``; a lockstep
     caller that ran the forward itself hands each run its output through
     :meth:`finish_step`. :meth:`result` returns the run so far as a
@@ -100,14 +105,23 @@ class Decoding:
     happen.
     """
 
-    def __init__(self, config: RunConfig, weights: DecoderWeights):
+    def __init__(
+        self,
+        config: RunConfig,
+        weights: DecoderWeights,
+        prefilled: tuple[KvCacheState, StepOutput] | None = None,
+    ):
         config.validate()
         if weights.config != config.model:
             raise InvalidParam("weights were drawn for another model config")
         self.config, self.weights = config, weights
-        self.cache = KvCacheState.for_model(config.model, config.policy.recent_window)
         self.prompt = make_prompt(config)
-        self.out = prefill(weights, self.prompt, self.cache)
+        if prefilled is None:
+            self.cache = KvCacheState.for_model(config.model, config.policy.recent_window)
+            self.out = prefill(weights, self.prompt, self.cache)
+        else:
+            self.cache, self.out = prefilled
+            self._check_prefilled()
         if config.policy.kind == "snapkv":
             snapkv_policy(self.cache, config.policy)
         elif config.policy.kind == "morphkv" and config.policy.compress_prefill:
@@ -125,6 +139,26 @@ class Decoding:
         )
         if config.debug_invariants:
             self._check("prefill")
+
+    def _check_prefilled(self) -> None:
+        """Refuse a handed-over cache that a prefill of this run's prompt
+        into a cache of its own would not have left."""
+        cache, model, window = self.cache, self.config.model, self.config.policy.recent_window
+        if not cache.matches(model):
+            raise InvalidShape("prefilled cache is shaped for another model")
+        if cache.window_capacity != window:
+            raise InvalidParam(
+                f"prefilled cache profiles {cache.window_capacity} rows; the run's recent_window is {window}"
+            )
+        n = len(self.prompt)
+        for layer in range(cache.n_layers):
+            if (
+                cache.occupancy(layer) != n
+                or cache.profile_rows(layer) != min(n, window)
+                or (cache.positions(layer) != np.arange(n)).any()
+                or (cache.token_ids(layer) != self.prompt).any()
+            ):
+                raise InvalidParam(f"prefilled cache does not hold the run's {n}-token prompt at layer {layer}")
 
     def _evictions(self) -> list[list[list[int]]]:
         """Evicted positions per (layer, KV head) since the last call."""
@@ -269,6 +303,11 @@ def compare(configs, teacher_forced: bool = True) -> list[PolicyColumn]:
     """Step several policies over one set of weights in lockstep, all runs
     through one ``decode_step`` per step.
 
+    One ``prefill`` of the shared prompt, at the largest ``recent_window``,
+    serves every run: each run starts from a ``KvCacheState.copy`` at its
+    own window, bit-equal to a prefill of its own, and then applies its
+    own one-shot prompt policy.
+
     The first config is the reference: with teacher forcing (the default)
     it picks each token greedily, every run consumes that token, and each
     run's per-step output error against the reference is reported as the
@@ -288,8 +327,13 @@ def compare(configs, teacher_forced: bool = True) -> list[PolicyColumn]:
         if differ:
             raise TraceMismatch(f"compare configs may differ only in [policy]; these differ: {', '.join(differ)}")
     weights = init_model(base.model)
-    runs = [Decoding(cfg, weights) for cfg in configs]
-    caches = [decoding.cache for decoding in runs]
+    # Every copy is made before any run's prompt policy changes the source.
+    windows = [cfg.validate().policy.recent_window for cfg in configs]
+    owner = windows.index(max(windows))
+    source = KvCacheState.for_model(base.model, windows[owner])
+    out = prefill(weights, make_prompt(base), source)
+    caches = [source if i == owner else source.copy(window) for i, window in enumerate(windows)]
+    runs = [Decoding(cfg, weights, (cache, out)) for cfg, cache in zip(configs, caches)]
     errors: list[list[list[float]]] = [[] for _ in runs]
     for _ in range(base.decode_steps):
         if teacher_forced:

@@ -1,21 +1,28 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
 from morphkv import (
+    EvictionPolicyConfig,
     KvCacheState,
     ModelConfig,
+    decode_step,
     fuse,
+    init_model,
+    morphkv_step,
+    prefill,
 )
 from morphkv.harness import snapshot
 from morphkv.errors import (
     EmptyWindow,
     InternalInvariantViolation,
     InvalidConfig,
+    InvalidParam,
     InvalidShape,
 )
+from morphkv.model import PREFILL_BLOCK
 
 
 def entry(pos: int, token: int = 0, d: int = 2, heads: int = 1) -> tuple:
@@ -289,3 +296,114 @@ class TestCacheState:
             cache.record_step_profiles(2, np.zeros((2, 2, pos + 1)))
         assert cache.profile_rows(2) == 5
         assert cache.score_matrix(2).shape == (2, 5, 7)
+
+
+def cache_bits(cache: KvCacheState) -> list:
+    """Every observable fact of a cache as raw bytes and ints, layer by layer."""
+    facts = []
+    for layer in range(cache.n_layers):
+        facts.append((cache.occupancy(layer), cache.profile_rows(layer)))
+        for view in (cache.keys_matrix, cache.values_matrix, cache.positions, cache.token_ids, cache.received):
+            facts.append(view(layer).tobytes())
+        facts.append(cache.score_matrix(layer).tobytes())
+    return facts
+
+
+def prefilled(weights, prompt, window: int) -> KvCacheState:
+    cache = KvCacheState.for_model(weights.config, window)
+    prefill(weights, prompt, cache)
+    return cache
+
+
+class TestCopy:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        layers=st.integers(1, 4),
+        kv_heads=st.integers(1, 3),
+        group=st.integers(1, 2),
+        source_window=st.integers(1, 40),
+        data=st.data(),
+    )
+    def test_copy_equals_a_native_prefill(self, layers, kv_heads, group, source_window, data):
+        # Prompt lengths at the block edges and at the source ring's
+        # capacity, so rings that have and have not wrapped both occur.
+        edges = [PREFILL_BLOCK + d for d in (-1, 0, 1)] + [source_window + d for d in (-1, 0, 1, 9)]
+        length = data.draw(st.sampled_from([n for n in edges if n >= 1]), label="prompt length")
+        window = data.draw(
+            st.sampled_from([w for w in {source_window + d for d in (-3, -1, 0, 1, 5)} if w >= 1]),
+            label="target window",
+        )
+        model = ModelConfig(
+            n_layers=layers, n_query_heads=kv_heads * group, n_kv_heads=kv_heads,
+            head_dim=4, vocab_size=32, seed=length + window,
+        )
+        weights = init_model(model)
+        prompt = np.random.default_rng(window).integers(0, 32, length).tolist()
+        source = prefilled(weights, prompt, source_window)
+        before = cache_bits(source)
+        if window > source_window and length >= source_window:
+            # A full ring cannot say which older rows it dropped.
+            with pytest.raises(InvalidParam):
+                source.copy(window)
+            assert cache_bits(source) == before
+            return
+        native = prefilled(weights, prompt, window)
+        for fusion in ("sum", "max"):
+            twin = source.copy(window)
+            assert twin.window_capacity == window
+            assert cache_bits(twin) == cache_bits(native)
+            assert cache_bits(source) == before
+            # Stepping the copy and a native cache evicts the same entries.
+            policy = EvictionPolicyConfig(kind="morphkv", distant_capacity=2, recent_window=window, fusion=fusion)
+            stepped = prefilled(weights, prompt, window)
+            for step in range(3):
+                token = (7 * step + 3) % 32
+                for cache in (twin, stepped):
+                    (out,) = decode_step(weights, [token], [cache])
+                    morphkv_step(cache, out, policy, step)
+                assert twin.pop_eviction_events() == stepped.pop_eviction_events()
+                assert cache_bits(twin) == cache_bits(stepped)
+        assert cache_bits(source) == before
+
+    def test_copy_shares_no_memory_and_evolves_alone(self):
+        weights = init_model(ModelConfig(n_layers=2, n_query_heads=4, n_kv_heads=2, head_dim=4, vocab_size=32))
+        source = prefilled(weights, list(range(20)), 8)
+        twin = source.copy(4)
+        for mine, theirs in zip(twin._buffers, source._buffers):
+            assert not np.shares_memory(mine, theirs)
+        source_bits = cache_bits(source)
+        twin.keep(0, np.broadcast_to(np.arange(16, 20), (1, 2, 4)))
+        assert cache_bits(source) == source_bits
+        assert source.pop_eviction_events() == []
+        assert twin.pop_eviction_events() == [(0, 0, list(range(16))), (0, 1, list(range(16)))]
+        twin_bits = cache_bits(twin)
+        source.keep(1, np.broadcast_to(np.arange(10, 20), (1, 2, 10)))
+        assert cache_bits(twin) == twin_bits
+        assert twin.pop_eviction_events() == []
+        assert [event[:2] for event in source.pop_eviction_events()] == [(1, 0), (1, 1)]
+
+    def test_journal_starts_empty(self):
+        cache = KvCacheState(1, 1, window_capacity=4)
+        for pos in range(3):
+            cache.append(0, *entry(pos))
+        cache.keep(0, [[1, 2]])
+        twin = cache.copy(4)
+        assert twin.pop_eviction_events() == []
+        assert cache.pop_eviction_events() == [(0, 0, [0])]
+
+    def test_refused_copy_changes_nothing(self):
+        cache = window_of([[0.1, 0.2, 0.7]], 3, capacity=1)
+        before = cache_bits(cache)
+        with pytest.raises(InvalidParam, match="full profile ring of 1 rows"):
+            cache.copy(2)
+        with pytest.raises(InvalidConfig):
+            cache.copy(0)
+        assert cache_bits(cache) == before
+
+    def test_unwrapped_ring_grows_into_a_wider_one(self):
+        rows = [[0.5, 0.5, 0.0], [0.2, 0.3, 0.5]]
+        twin = window_of(rows, 3, capacity=3).copy(6)
+        assert twin.profile_rows(0) == 2
+        np.testing.assert_array_equal(twin.score_matrix(0)[0], rows)
+        record(twin, [0.1, 0.1, 0.8])
+        np.testing.assert_array_equal(twin.score_matrix(0)[0], rows + [[0.1, 0.1, 0.8]])

@@ -7,23 +7,26 @@ import pytest
 
 from morphkv import (
     Decoding,
+    KvCacheState,
     EvictionPolicyConfig,
     ModelConfig,
     RunConfig,
     StepTrace,
     compare,
     greedy_token,
+    harness,
     init_model,
     load_run_config,
     oracle_regression,
+    prefill,
     run,
 )
-from morphkv.cache import KvCacheState
 from morphkv.errors import (
     InstanceTooLarge,
     InternalInvariantViolation,
     InvalidConfig,
     InvalidParam,
+    InvalidShape,
     InvalidToken,
     TraceMismatch,
 )
@@ -233,13 +236,37 @@ class TestTraceIo:
 
 class TestCompare:
     def configs(self):
-        base = small_run_config("full_attention")
+        # The prompt is longer than every window, so every profile ring has
+        # wrapped when the runs' caches are made from the one prefill.
+        base = replace(small_run_config("full_attention"), prompt_length=10)
         morph = replace(base, policy=EvictionPolicyConfig(kind="morphkv", distant_capacity=3, recent_window=2))
         window = replace(base, policy=EvictionPolicyConfig(kind="scissorhands", recent_window=5))
-        return base, morph, window
+        snap = replace(base, policy=EvictionPolicyConfig(kind="snapkv", prefill_budget=5, recent_window=3))
+        compressed = replace(
+            base,
+            policy=EvictionPolicyConfig(
+                kind="morphkv", distant_capacity=2, recent_window=4, prefill_fusion="max", compress_prefill=True
+            ),
+        )
+        return base, morph, window, snap, compressed
+
+    @pytest.mark.parametrize("teacher_forced", [True, False])
+    def test_prefills_the_shared_prompt_once(self, monkeypatch, teacher_forced):
+        calls = []
+
+        def counted(*args):
+            calls.append(len(args[1]))
+            return prefill(*args)
+
+        monkeypatch.setattr(harness, "prefill", counted)
+        columns = compare(self.configs(), teacher_forced=teacher_forced)
+        assert calls == [10]
+        # Both one-shot prompt policies evicted from their own caches only.
+        assert [col.trace.total_evictions() > 0 for col in columns[3:]] == [True, True]
+        assert columns[0].trace.total_evictions() == 0
 
     def test_teacher_forced_report(self):
-        base, morph, window = self.configs()
+        base, morph, window, *_ = self.configs()
         columns = compare([base, morph, window])
         assert all(col.error_mean is not None for col in columns)
         assert [col.trace.policy.kind for col in columns] == [
@@ -255,7 +282,7 @@ class TestCompare:
         assert all(e >= 0.0 for e in morph_col.error_mean)
 
     def test_duplicate_kind_labels_are_numbered(self):
-        base, morph, _ = self.configs()
+        base, morph, *_ = self.configs()
         morph_max = replace(
             base,
             policy=EvictionPolicyConfig(kind="morphkv", distant_capacity=3, recent_window=2, fusion="max"),
@@ -268,7 +295,7 @@ class TestCompare:
         ]
 
     def test_free_running_drops_error_columns(self):
-        base, morph, _ = self.configs()
+        base, morph, *_ = self.configs()
         columns = compare([base, morph], teacher_forced=False)
         assert columns[0].error_mean is None
         header = render_compare_csv(columns).splitlines()[0]
@@ -287,17 +314,17 @@ class TestCompare:
         "name", [f.name for f in fields(RunConfig) if f.name not in ("policy", "debug_invariants")]
     )
     def test_rejects_differing_field(self, name):
-        base, morph, _ = self.configs()
+        base, morph, *_ = self.configs()
         with pytest.raises(TraceMismatch, match=f"these differ: {name}$"):
             compare([base, replace(morph, **{name: self.OTHER_VALUES[name]})])
 
     def test_accepts_configs_differing_in_policy_and_audit(self):
-        base, morph, _ = self.configs()
+        base, morph, *_ = self.configs()
         columns = compare([base, replace(morph, debug_invariants=True)])
         assert [col.trace.policy.kind for col in columns] == ["full_attention", "morphkv"]
 
     def test_rejects_single_config(self):
-        base, _, _ = self.configs()
+        base, *_ = self.configs()
         with pytest.raises(InvalidParam):
             compare([base])
 
@@ -336,7 +363,7 @@ class TestCompare:
             assert col.error_mean == run_errors
 
     def test_written_artifacts(self, tmp_path):
-        base, morph, _ = self.configs()
+        base, morph, *_ = self.configs()
         write_compare_outputs(compare([base, morph]), str(tmp_path))
         header = (tmp_path / "compare.csv").read_text().splitlines()[0]
         assert header.startswith("step,occupancy_full_attention,bytes_full_attention,")
@@ -344,6 +371,69 @@ class TestCompare:
         assert summary[0].startswith("label,kind,final_bytes,final_ratio")
         assert (tmp_path / "trace_full_attention.json").exists()
         assert (tmp_path / "trace_morphkv.json").exists()
+
+
+class TestPrefilledHandOver:
+    """``Decoding`` takes a prefilled cache only if its own prefill would
+    have left that cache: same model, same window, the run's prompt."""
+
+    def handed(self, config, weights, cache=None):
+        if cache is None:
+            cache = KvCacheState.for_model(config.model, config.policy.recent_window)
+        out = prefill(weights, make_prompt(config), cache) if cache.is_empty() else None
+        return Decoding(config, weights, (cache, out))
+
+    def test_equals_a_run_that_prefills_itself(self):
+        config = small_run_config(compress_prefill=True, distant_capacity=1)
+        weights = init_model(config.model)
+        handed, own = self.handed(config, weights), Decoding(config, weights)
+        for _ in range(config.decode_steps):
+            handed.step(greedy_token(handed.out.logits))
+            own.step(greedy_token(own.out.logits))
+        assert handed.result().trace.to_dict() == own.result().trace.to_dict()
+
+    def test_rejects_cache_of_another_model(self):
+        config = small_run_config()
+        other = replace(SMALL_MODEL, n_kv_heads=1)
+        cache = KvCacheState.for_model(other, config.policy.recent_window)
+        prefill(init_model(other), make_prompt(config), cache)
+        with pytest.raises(InvalidShape, match="another model"):
+            self.handed(config, init_model(config.model), cache)
+
+    @pytest.mark.parametrize("window", [1, 3])
+    def test_rejects_cache_of_another_window(self, window):
+        config = small_run_config(recent_window=2)
+        cache = KvCacheState.for_model(config.model, window)
+        with pytest.raises(InvalidParam, match="recent_window is 2"):
+            self.handed(config, init_model(config.model), cache)
+
+    def test_rejects_another_prompt(self):
+        config = small_run_config()
+        weights = init_model(config.model)
+        cache = KvCacheState.for_model(config.model, config.policy.recent_window)
+        prefill(weights, [t ^ 1 for t in make_prompt(config)], cache)
+        with pytest.raises(InvalidParam, match="does not hold the run's 6-token prompt"):
+            self.handed(config, weights, cache)
+
+    def test_rejects_evicted_or_extra_entries(self):
+        config = small_run_config()
+        weights = init_model(config.model)
+        cache = KvCacheState.for_model(config.model, config.policy.recent_window)
+        prefill(weights, make_prompt(config) + [0], cache)
+        with pytest.raises(InvalidParam, match="does not hold"):
+            self.handed(config, weights, cache)
+        cache.keep(0, np.broadcast_to(np.arange(1, 7), (2, 2, 6)))
+        with pytest.raises(InvalidParam, match="does not hold"):
+            self.handed(config, weights, cache)
+
+    def test_rejects_a_profile_with_rows_the_prefill_never_recorded(self):
+        config = small_run_config(recent_window=8)
+        weights = init_model(config.model)
+        cache = KvCacheState.for_model(config.model, 8)
+        prefill(weights, make_prompt(config), cache)
+        cache.record_step_profiles(1, np.zeros((2, 2, 6)))
+        with pytest.raises(InvalidParam, match="at layer 1"):
+            self.handed(config, weights, cache)
 
 
 class TestConfigFiles:
