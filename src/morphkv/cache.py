@@ -10,13 +10,14 @@ Alignment is structural: every per-entry array (keys, values, positions,
 token ids, received attention, profile) has axes ``(layer, head, entry,
 ...)``, so one append adds an entry to each head of a layer and one
 ``(layers, heads, kept)`` index compacts a stack of layers. Keys and values
-are ``(layers, heads, alloc, head_dim)``, so each head's live keys are a
-row-major ``(n, head_dim)`` block; all layers share the allocation, which
-grows by half again when a layer fills it. The profile ``(layers, heads,
-alloc, window_capacity)`` holds the newest aggregated attention rows as
-columns, one per ring slot, read back oldest first as a C-contiguous
-``(..., rows, columns)`` copy, the order and layout :func:`morph.fuse` sums
-them in. A new entry's profile row is zero (a token cannot have attended
+are ``(layers, heads, capacity, head_dim)``, so each head's live keys are a
+row-major ``(n, head_dim)`` block. Every buffer is allocated once, at the
+``capacity`` its run sizes it to (the most entries any store of the run
+will hold), and never grows: an append into a full layer is a bug. The
+profile ``(layers, heads, capacity, window_capacity)`` holds the newest
+aggregated attention rows as columns, one per ring slot, read back oldest
+first as a C-contiguous ``(..., rows, columns)`` copy, the order and layout
+:func:`morph.fuse` sums them in. A new entry's profile row is zero (a token cannot have attended
 to entries created after it), and evicted entries leave with their rows.
 Received attention is the running total of every recorded row, prefill
 rows included, so only the profile depends on the ring's capacity: a copy
@@ -49,16 +50,6 @@ import numpy as np
 from .config import ModelConfig
 from .errors import InternalInvariantViolation, InvalidConfig, InvalidParam, InvalidShape
 
-# Rows (store entries) allocated at first use.
-INITIAL_ALLOC = 16
-
-
-def _grown(alloc: int) -> int:
-    """Next allocation: 1.5x, which bounds the slack a constant-size store
-    carries at one growth step past its budget."""
-    return alloc + max(alloc // 2, INITIAL_ALLOC)
-
-
 # Order of the cache's buffers, and their dtypes. Every buffer's axes are
 # (layer, head, entry, ...), so one allocation and one index serve them all.
 _KEYS, _VALUES, _POSITIONS, _TOKENS, _RECEIVED, _PROFILE = range(6)
@@ -66,9 +57,10 @@ _DTYPES = (np.float64, np.float64, np.int64, np.int64, np.float64, np.float64)
 
 
 class KvCacheState:
-    """Array-backed stores with their attention profiles, one block for the
-    whole cache: layer ``l``'s first ``_n[l]`` entries are live, and its
-    profile ring holds ``_count[l]`` rows, the oldest in slot ``_start[l]``.
+    """Array-backed stores with their attention profiles, one block of
+    ``capacity`` entries per store for the whole cache: layer ``l``'s first
+    ``_n[l]`` entries are live, and its profile ring holds ``_count[l]``
+    rows, the oldest in slot ``_start[l]``.
 
     :meth:`append` and :meth:`record_step_profiles` act on every KV head of
     one layer, :meth:`keep` on every KV head of a stack. Evictions are
@@ -76,59 +68,46 @@ class KvCacheState:
     per step via :meth:`pop_eviction_events`.
     """
 
-    def __init__(self, n_layers: int, n_kv_heads: int, window_capacity: int):
-        if n_layers < 1 or n_kv_heads < 1:
-            raise InvalidConfig("need at least one layer and one KV head")
-        if window_capacity < 1:
-            raise InvalidConfig("window capacity must be >= 1")
-        self.n_layers, self.n_kv_heads, self.window_capacity = n_layers, n_kv_heads, window_capacity
+    def __init__(self, n_layers: int, n_kv_heads: int, head_dim: int, window_capacity: int, capacity: int):
+        if min(n_layers, n_kv_heads, head_dim, window_capacity, capacity) < 1:
+            raise InvalidConfig("a cache needs at least one layer, KV head, head dimension, ring slot and entry")
+        self.n_layers, self.n_kv_heads, self.head_dim = n_layers, n_kv_heads, head_dim
+        self.window_capacity, self.capacity = window_capacity, capacity
         self._n, self._start, self._count = [0] * n_layers, [0] * n_layers, [0] * n_layers
-        self._buffers: tuple[np.ndarray, ...] = ()
-        self._allocate(0, (0,))
-        self._journal: list[tuple[int, int, list[int]]] = []
-
-    @classmethod
-    def for_model(cls, model: ModelConfig, window_capacity: int) -> "KvCacheState":
-        return cls(model.n_layers, model.n_kv_heads, window_capacity)
-
-    def _allocate(self, rows: int, row_shape: tuple) -> None:
-        """Regrow every buffer to ``rows`` entries per store. Each old buffer
-        goes before the next new one is made, unless a caller holds a view."""
-        lh = (self.n_layers, self.n_kv_heads)
-        shapes = [(*lh, rows, *row_shape)] * 2 + [(*lh, rows)] * 3 + [(*lh, rows, self.window_capacity)]
-        buffers, live = dict(enumerate(self._buffers)), max(self._n)
-        self._buffers = self._views = ()
-        for which, (shape, dtype) in enumerate(zip(shapes, _DTYPES)):
-            buf = np.empty(shape, dtype)
-            if live:
-                buf[:, :, :live] = buffers[which][:, :, :live]
-            buffers[which] = buf
-        self._install(buffers.values())
-
-    def _install(self, buffers) -> None:
-        self._buffers = tuple(buffers)
+        lhc = (n_layers, n_kv_heads, capacity)
+        shapes = [(*lhc, head_dim)] * 2 + [lhc] * 3 + [(*lhc, window_capacity)]
+        self._buffers = tuple(np.empty(shape, dtype) for shape, dtype in zip(shapes, _DTYPES))
         self._views = tuple(buf.view() for buf in self._buffers)
         for view in self._views:
             view.flags.writeable = False
+        self._journal: list[tuple[int, int, list[int]]] = []
 
-    def copy(self, window_capacity: int) -> "KvCacheState":
-        """An independent copy, journal empty, at this cache's allocation,
-        whose rings hold each layer's newest ``min(profile_rows,
-        window_capacity)`` rows, oldest in slot 0. A full ring may have
-        dropped rows, so it cannot give more: :class:`InvalidParam`."""
+    @classmethod
+    def for_model(cls, model: ModelConfig, window_capacity: int, capacity: int) -> "KvCacheState":
+        return cls(model.n_layers, model.n_kv_heads, model.head_dim, window_capacity, capacity)
+
+    def copy(self, window_capacity: int, capacity: int) -> "KvCacheState":
+        """An independent copy, journal empty, of ``capacity`` entries per
+        store holding this cache's live entries, whose rings hold each
+        layer's newest ``min(profile_rows, window_capacity)`` rows, oldest
+        in slot 0. A capacity below the live entries, or a wider ring than a
+        full one (which may have dropped rows), is :class:`InvalidParam`."""
+        live = max(self._n)
+        if capacity < live:
+            raise InvalidParam(f"a copy of {capacity} entries per store cannot hold {live}")
         if window_capacity > self.window_capacity and self.window_capacity in self._count:
             raise InvalidParam(
                 f"a full profile ring of {self.window_capacity} rows cannot give "
                 f"{window_capacity}: it may have dropped the older rows"
             )
-        twin = KvCacheState(self.n_layers, self.n_kv_heads, window_capacity)
-        *per_entry, profile = self._buffers
-        new_profile = np.empty((*profile.shape[:3], window_capacity))
+        twin = KvCacheState(self.n_layers, self.n_kv_heads, self.head_dim, window_capacity, capacity)
+        for mine, its in zip(self._buffers[:_PROFILE], twin._buffers):
+            its[:, :, :live] = mine[:, :, :live]
+        profile = self._buffers[_PROFILE][:, :, :live]
         for layer, (start, count) in enumerate(zip(self._start, self._count)):
             kept = min(count, window_capacity)
             order = (start + np.arange(count - kept, count)) % self.window_capacity
-            new_profile[layer, :, :, :kept] = profile[layer].take(order, axis=-1)
-        twin._install([buf.copy() for buf in per_entry] + [new_profile])
+            twin._buffers[_PROFILE][layer, :, :live, :kept] = profile[layer].take(order, axis=-1)
         twin._n, twin._count = list(self._n), [min(count, window_capacity) for count in self._count]
         return twin
 
@@ -147,12 +126,9 @@ class KvCacheState:
         return (layers if stack is not layers else slice(first, stop)), first
 
     def matches(self, model: ModelConfig) -> bool:
-        """Whether the stores have ``model``'s layer and KV head counts and,
-        once an entry fixed it (0 before), its head dimension."""
-        return (
-            self.n_layers == model.n_layers
-            and self.n_kv_heads == model.n_kv_heads
-            and self._buffers[_KEYS].shape[3] in (0, model.head_dim)
+        """Whether the stores have ``model``'s layer, KV head and head dimension counts."""
+        return (self.n_layers, self.n_kv_heads, self.head_dim) == (
+            model.n_layers, model.n_kv_heads, model.head_dim
         )
 
     def occupancy(self, layers: int | range) -> int:
@@ -174,15 +150,14 @@ class KvCacheState:
 
     def append(self, layer: int, keys, values, position: int, token: int) -> None:
         """Add one entry to every KV head of ``layer``: rotated key and value
-        rows ``(heads, head_dim)``, absolute position, token id."""
-        n, allocated = self._n[layer], self._buffers[_KEYS].shape
-        if n == allocated[2]:
-            # The first entry fixes the row shape.
-            self._allocate(_grown(n), np.shape(keys)[1:] if n == 0 else allocated[3:])
-        k, v, positions, tokens, received, profile = self._buffers
-        shape = (self.n_kv_heads, *k.shape[3:])
+        rows ``(heads, head_dim)``, absolute position, token id. A full
+        layer means the run was sized wrong: :class:`InternalInvariantViolation`."""
+        n, shape = self._n[layer], (self.n_kv_heads, self.head_dim)
         if np.shape(keys) != shape or np.shape(values) != shape:
             raise InvalidShape(f"cache entries must be one vector per KV head, shape {shape}")
+        if n == self.capacity:
+            raise InternalInvariantViolation(f"layer {layer} is full: its stores hold all {n} entries")
+        k, v, positions, tokens, received, profile = self._buffers
         k[layer, :, n], v[layer, :, n] = keys, values
         positions[layer, :, n], tokens[layer, :, n] = position, token
         # A new entry has received no attention and is in no row held so far.
@@ -274,7 +249,7 @@ class KvCacheState:
         kept, first, stop = idx.shape[2], layers.start, layers.stop
         if kept == n:
             return []
-        stores, alloc = len(idx) * heads, self._buffers[_KEYS].shape[2]
+        stores, alloc = len(idx) * heads, self.capacity
         idx = idx.astype(np.intp, copy=False).reshape(stores, kept)
         dropped = np.ones((stores, n), dtype=bool)
         dropped[np.arange(stores)[:, None], idx] = False

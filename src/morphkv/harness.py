@@ -41,7 +41,7 @@ from .metrics import kv_bytes, kv_bytes_from_occupancies, relative_cache_ratio, 
 from .model import DecoderWeights, StepOutput, decode_step, greedy_token, init_model, prefill
 from .morph import fuse, prefill_compress, select_retained
 from .oracle import ENUMERATION_BOUND, optimal_subset, shadow_error, subset_output_error
-from .trace import StepAudit, StepRecord, StepTrace
+from .trace import StepAudit, StepRecord, StepTrace, peak_occupancy
 
 
 @dataclass(frozen=True)
@@ -93,7 +93,8 @@ def make_prompt(config: RunConfig) -> list[int]:
 class Decoding:
     """One run stepped a token at a time over given weights.
 
-    The constructor prefills the prompt, or takes ``prefilled``, a cache
+    The constructor prefills the prompt into a cache sized at the run's
+    peak occupancy, or takes ``prefilled``, a cache of at least that size
     already holding exactly the prompt at the run's ``recent_window`` and
     the prefill's output; then it applies any one-shot prompt policy and
     starts ``trace`` with the prefill evictions; ``out`` is the last
@@ -116,12 +117,13 @@ class Decoding:
             raise InvalidParam("weights were drawn for another model config")
         self.config, self.weights = config, weights
         self.prompt = make_prompt(config)
+        capacity = peak_occupancy(config.policy, len(self.prompt), config.decode_steps, config.model.n_layers)
         if prefilled is None:
-            self.cache = KvCacheState.for_model(config.model, config.policy.recent_window)
+            self.cache = KvCacheState.for_model(config.model, config.policy.recent_window, capacity)
             self.out = prefill(weights, self.prompt, self.cache)
         else:
             self.cache, self.out = prefilled
-            self._check_prefilled()
+            self._check_prefilled(capacity)
         if config.policy.kind == "snapkv":
             snapkv_policy(self.cache, config.policy)
         elif config.policy.kind == "morphkv" and config.policy.compress_prefill:
@@ -140,12 +142,15 @@ class Decoding:
         if config.debug_invariants:
             self._check("prefill")
 
-    def _check_prefilled(self) -> None:
+    def _check_prefilled(self, capacity: int) -> None:
         """Refuse a handed-over cache that a prefill of this run's prompt
-        into a cache of its own would not have left."""
+        into a cache of its own would not have left, or that cannot hold
+        the run's ``capacity`` entries per store."""
         cache, model, window = self.cache, self.config.model, self.config.policy.recent_window
         if not cache.matches(model):
             raise InvalidShape("prefilled cache is shaped for another model")
+        if cache.capacity < capacity:
+            raise InvalidParam(f"prefilled cache holds {cache.capacity} entries per store; run needs {capacity}")
         if cache.window_capacity != window:
             raise InvalidParam(
                 f"prefilled cache profiles {cache.window_capacity} rows; the run's recent_window is {window}"
@@ -305,8 +310,8 @@ def compare(configs, teacher_forced: bool = True) -> list[PolicyColumn]:
 
     One ``prefill`` of the shared prompt, at the largest ``recent_window``,
     serves every run: each run starts from a ``KvCacheState.copy`` at its
-    own window, bit-equal to a prefill of its own, and then applies its
-    own one-shot prompt policy.
+    own window and peak occupancy, bit-equal to a prefill of its own, and
+    then applies its own one-shot prompt policy.
 
     The first config is the reference: with teacher forcing (the default)
     it picks each token greedily, every run consumes that token, and each
@@ -327,12 +332,14 @@ def compare(configs, teacher_forced: bool = True) -> list[PolicyColumn]:
         if differ:
             raise TraceMismatch(f"compare configs may differ only in [policy]; these differ: {', '.join(differ)}")
     weights = init_model(base.model)
+    prompt = make_prompt(base)
     # Every copy is made before any run's prompt policy changes the source.
     windows = [cfg.validate().policy.recent_window for cfg in configs]
+    sizes = [peak_occupancy(cfg.policy, len(prompt), cfg.decode_steps, cfg.model.n_layers) for cfg in configs]
     owner = windows.index(max(windows))
-    source = KvCacheState.for_model(base.model, windows[owner])
-    out = prefill(weights, make_prompt(base), source)
-    caches = [source if i == owner else source.copy(window) for i, window in enumerate(windows)]
+    source = KvCacheState.for_model(base.model, windows[owner], sizes[owner])
+    out = prefill(weights, prompt, source)
+    caches = [source if i == owner else source.copy(*shape) for i, shape in enumerate(zip(windows, sizes))]
     runs = [Decoding(cfg, weights, (cache, out)) for cfg, cache in zip(configs, caches)]
     errors: list[list[list[float]]] = [[] for _ in runs]
     for _ in range(base.decode_steps):

@@ -9,7 +9,9 @@ Both it and a run under ``debug_invariants`` check records by :class:`StepAudit`
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections.abc import Iterator
 from dataclasses import asdict, dataclass, fields
+from itertools import islice
 
 from .config import FIELD_TYPES, EvictionPolicyConfig, ModelConfig, field_types, is_int
 from .errors import InvalidConfig, TraceMismatch
@@ -20,30 +22,44 @@ TRACE_SCHEMA = "kv-eviction-trace-v1"
 
 def expected_occupancy_stream(
     policy: EvictionPolicyConfig, prompt_len: int, steps: int, layer: int
-) -> list[int]:
-    """Per-store occupancy a correct engine must show at ``layer`` after
-    each decode step. Layers that morphkv protects never evict."""
+) -> Iterator[int]:
+    """Per-store occupancy a correct engine must show at ``layer``: after
+    the one-shot prompt policy, then after each decode step. Layers that
+    morphkv protects never evict."""
     kind = policy.kind
     budget = policy.cache_budget
     if kind == "morphkv" and layer >= policy.protected_layers:
         alive = min(prompt_len, budget) if policy.compress_prefill else prompt_len
-        out = []
+        yield alive
         for i in range(steps):
             alive += 1
             if i % policy.eviction_interval == 0 and alive > budget:
                 alive = budget
-            out.append(alive)
-        return out
-    seen = [prompt_len + i + 1 for i in range(steps)]
-    if kind == "scissorhands":
-        return [min(total, policy.recent_window) for total in seen]
-    if kind == "streamingllm":
-        return [min(total, policy.sink_count + policy.recent_window) for total in seen]
-    if kind == "h2o":
-        return [prompt_len + min(i + 1, budget) for i in range(steps)]
-    if kind == "snapkv":
-        return [min(prompt_len, policy.prefill_budget) + i + 1 for i in range(steps)]
-    return seen
+            yield alive
+        return
+    kept = min(prompt_len, policy.prefill_budget) if kind == "snapkv" else prompt_len
+    yield kept
+    for added in range(1, steps + 1):
+        if kind == "scissorhands":
+            yield min(prompt_len + added, policy.recent_window)
+        elif kind == "streamingllm":
+            yield min(prompt_len + added, policy.sink_count + policy.recent_window)
+        elif kind == "h2o":
+            yield prompt_len + min(added, budget)
+        else:
+            yield kept + added
+
+
+def peak_occupancy(policy: EvictionPolicyConfig, prompt_len: int, steps: int, n_layers: int) -> int:
+    """The most entries any store of a run holds: the prompt, or a step's
+    count after its append and before its eviction, one more than the
+    prompt policy or the step before left."""
+    before_append = (
+        occ
+        for layer in range(n_layers)
+        for occ in islice(expected_occupancy_stream(policy, prompt_len, steps, layer), steps)
+    )
+    return max(prompt_len, 1 + max(before_append, default=0))
 
 
 def _evict(evicted: list[int], gone: list[int], size: int, recent: int, where: str) -> None:
@@ -71,8 +87,9 @@ class StepAudit:
 
     def __init__(self, model, policy, per_scalar, prompt_len, prefill_evictions, steps):
         self.model, self.policy, self.per_scalar = model, policy, per_scalar
+        # Each layer's occupancy after each step, past the prompt policy's.
         self.streams = [
-            expected_occupancy_stream(policy, prompt_len, steps, layer)
+            list(islice(expected_occupancy_stream(policy, prompt_len, steps, layer), 1, None))
             for layer in range(model.n_layers)
         ]
         self.size, self.evicted = prompt_len, [[[] for _ in heads] for heads in prefill_evictions]

@@ -139,7 +139,8 @@ def test_scripted_walkthrough_replay():
     # Four prompt entries, then five decode steps whose attention rows
     # are chosen so the eviction order is forced.
     cfg = EvictionPolicyConfig(kind="morphkv", distant_capacity=2, recent_window=2)
-    cache = KvCacheState(1, 1, window_capacity=2)
+    # Four prompt entries plus each step's new one before it evicts.
+    cache = KvCacheState(1, 1, 2, window_capacity=2, capacity=5)
     prompt_rows = [
         [1.0],
         [0.5, 0.5],
@@ -199,7 +200,7 @@ def test_fusion_matches_independent_recomputation():
         capacity = int(rng.integers(1, 7))
         width = int(rng.integers(capacity, capacity + 11))
         rows = rng.uniform(size=(capacity, width))
-        cache = KvCacheState(1, 1, window_capacity=capacity)
+        cache = KvCacheState(1, 1, 2, window_capacity=capacity, capacity=width)
         for pos in range(width):
             cache.append(0, np.zeros((1, 2)), np.zeros((1, 2)), pos, pos)
         for row in rows:
@@ -234,7 +235,8 @@ def test_group_aggregation_consistency():
     for seed in range(10):
         model = replace(mha, seed=seed)
         weights = init_model(model)
-        cache = KvCacheState.for_model(model, policy.recent_window)
+        # The 8-token prompt plus each step's new entry before it evicts.
+        cache = KvCacheState.for_model(model, policy.recent_window, 9)
         prompt = list(np.random.default_rng([seed, 1]).integers(0, 32, size=8))
         out = prefill(weights, [int(t) for t in prompt], cache)
         replays = {}
@@ -270,7 +272,7 @@ def test_group_aggregation_consistency():
     # store and step.
 
     def aggregated(group):
-        cache = KvCacheState(1, 1, window_capacity=1)
+        cache = KvCacheState(1, 1, 2, window_capacity=1, capacity=group.shape[1])
         for pos in range(group.shape[1]):
             cache.append(0, np.zeros((1, 2)), np.zeros((1, 2)), pos, pos)
         cache.record_step_profiles(0, [group])

@@ -59,7 +59,7 @@ class TestScissorhands:
     CFG = EvictionPolicyConfig(kind="scissorhands", recent_window=4)
 
     def test_keeps_only_newest_window(self):
-        cache = KvCacheState(1, 1, window_capacity=4)
+        cache = KvCacheState(1, 1, 2, window_capacity=4, capacity=7)
         for pos in range(6):
             cache.append(0, *entry(pos))
             record(cache, np.full(pos + 1, 1.0 / (pos + 1)))
@@ -69,7 +69,7 @@ class TestScissorhands:
         assert positions(cache) == [6, 7, 8, 9]
 
     def test_evicts_exactly_the_oldest(self):
-        cache = KvCacheState(1, 1, window_capacity=4)
+        cache = KvCacheState(1, 1, 2, window_capacity=4, capacity=5)
         for pos in range(4):
             cache.append(0, *entry(pos))
             record(cache, np.full(pos + 1, 1.0 / (pos + 1)))
@@ -77,7 +77,7 @@ class TestScissorhands:
         assert cache.pop_eviction_events() == [(0, 0, [0])]
 
     def test_below_window_no_eviction(self):
-        cache = KvCacheState(1, 1, window_capacity=4)
+        cache = KvCacheState(1, 1, 2, window_capacity=4, capacity=2)
         cache.append(0, *entry(0))
         record(cache, [1.0])
         scissorhands_step(cache, uniform_step(cache, 1), self.CFG)
@@ -86,14 +86,14 @@ class TestScissorhands:
     def test_kind_guard(self):
         with pytest.raises(InvalidConfig):
             scissorhands_step(
-                KvCacheState(1, 1, 2), None, EvictionPolicyConfig(kind="morphkv")
+                KvCacheState(1, 1, 2, 2, 1), None, EvictionPolicyConfig(kind="morphkv")
             )
 
 
 class TestStreamingLlm:
     def test_pins_first_entries_plus_window(self):
         cfg = EvictionPolicyConfig(kind="streamingllm", sink_count=2, recent_window=3)
-        cache = KvCacheState(1, 1, window_capacity=3)
+        cache = KvCacheState(1, 1, 2, window_capacity=3, capacity=6)
         for pos in range(5):
             cache.append(0, *entry(pos))
             record(cache, np.full(pos + 1, 1.0 / (pos + 1)))
@@ -104,7 +104,7 @@ class TestStreamingLlm:
 
     def test_zero_sinks_matches_scissorhands(self):
         def drive(step_fn, cfg):
-            cache = KvCacheState(1, 1, window_capacity=3)
+            cache = KvCacheState(1, 1, 2, window_capacity=3, capacity=6)
             for pos in range(5):
                 cache.append(0, *entry(pos))
                 record(cache, np.full(pos + 1, 1.0 / (pos + 1)))
@@ -126,7 +126,7 @@ class TestStreamingLlm:
 
     def test_short_store_entirely_pinned(self):
         cfg = EvictionPolicyConfig(kind="streamingllm", sink_count=4, recent_window=2)
-        cache = KvCacheState(1, 1, window_capacity=2)
+        cache = KvCacheState(1, 1, 2, window_capacity=2, capacity=2)
         cache.append(0, *entry(0))
         record(cache, [1.0])
         streamingllm_step(cache, uniform_step(cache, 1), cfg)
@@ -143,7 +143,7 @@ class TestStreamingLlm:
     def test_kind_guard(self):
         with pytest.raises(InvalidConfig):
             streamingllm_step(
-                KvCacheState(1, 1, 2), None, EvictionPolicyConfig(kind="scissorhands")
+                KvCacheState(1, 1, 2, 2, 1), None, EvictionPolicyConfig(kind="scissorhands")
             )
 
 
@@ -154,7 +154,8 @@ class TestH2o:
         # rule must fall back to age: the oldest non-recent decode entry
         # goes first, and prompt entries are never candidates at all.
         cfg = EvictionPolicyConfig(kind="h2o", distant_capacity=1, recent_window=1)
-        cache = KvCacheState(1, 1, window_capacity=1)
+        # Three prompt entries and three decode entries before an eviction.
+        cache = KvCacheState(1, 1, 2, window_capacity=1, capacity=6)
         for pos in range(3):
             cache.append(0, *entry(pos))
             record(cache, np.zeros(pos + 1))
@@ -226,7 +227,7 @@ class TestH2o:
 
     def test_kind_guard(self):
         with pytest.raises(InvalidConfig):
-            h2o_step(KvCacheState(1, 1, 2), None, 0, EvictionPolicyConfig(kind="morphkv"))
+            h2o_step(KvCacheState(1, 1, 2, 2, 1), None, 0, EvictionPolicyConfig(kind="morphkv"))
 
 
 class TestSnapKv:
@@ -252,9 +253,9 @@ class TestSnapKv:
         model = self.model()
         policy = EvictionPolicyConfig(kind="snapkv", recent_window=2, prefill_budget=5)
         w = init_model(model)
-        auto = Cache.for_model(model, policy.recent_window)
+        auto = Cache.for_model(model, policy.recent_window, 12)
         prefill(w, list(range(12)), auto)
-        manual = Cache.for_model(model, policy.recent_window)
+        manual = Cache.for_model(model, policy.recent_window, 12)
         prefill(w, list(range(12)), manual)
         snapkv_policy(auto, policy)
         for layer in range(model.n_layers):
@@ -271,7 +272,7 @@ class TestSnapKv:
         policy = EvictionPolicyConfig(kind="snapkv", recent_window=4, prefill_budget=2)
         from morphkv import init_model, prefill
 
-        cache = KvCacheState.for_model(model, policy.recent_window)
+        cache = KvCacheState.for_model(model, policy.recent_window, 8)
         prefill(init_model(model), list(range(8)), cache)
         snapkv_policy(cache, policy)
         assert positions(cache) == [6, 7]
@@ -281,7 +282,7 @@ class TestSnapKv:
         policy = EvictionPolicyConfig(kind="snapkv", recent_window=2, prefill_budget=8)
         from morphkv import init_model, prefill
 
-        cache = KvCacheState.for_model(model, policy.recent_window)
+        cache = KvCacheState.for_model(model, policy.recent_window, 5)
         prefill(init_model(model), list(range(5)), cache)
         snapkv_policy(cache, policy)
         assert positions(cache) == [0, 1, 2, 3, 4]
@@ -289,20 +290,20 @@ class TestSnapKv:
 
     def test_kind_guard(self):
         with pytest.raises(InvalidConfig):
-            snapkv_policy(KvCacheState(1, 1, 2), EvictionPolicyConfig(kind="h2o"))
+            snapkv_policy(KvCacheState(1, 1, 2, 2, 1), EvictionPolicyConfig(kind="h2o"))
 
 
 class TestDispatch:
     def test_full_attention_never_evicts(self):
         cfg = EvictionPolicyConfig(kind="full_attention", recent_window=2)
-        cache = KvCacheState(1, 1, window_capacity=2)
+        cache = KvCacheState(1, 1, 2, window_capacity=2, capacity=6)
         for pos in range(6):
             policy_step(cache, uniform_step(cache, pos), cfg, pos, 0)
         assert cache.occupancy(0) == 6
         assert cache.pop_eviction_events() == []
 
     def test_unknown_kind_rejected(self):
-        cache = KvCacheState(1, 1, window_capacity=2)
+        cache = KvCacheState(1, 1, 2, window_capacity=2, capacity=1)
         bad = EvictionPolicyConfig(kind="morphkv")
         object.__setattr__(bad, "kind", "mystery")
         with pytest.raises(InvalidConfig):
@@ -311,7 +312,7 @@ class TestDispatch:
     def test_snapkv_decode_dispatch_records_only(self):
         # The decoder records the rows; the dispatch itself leaves the store alone.
         cfg = EvictionPolicyConfig(kind="snapkv", recent_window=2, prefill_budget=2)
-        cache = KvCacheState(1, 1, window_capacity=2)
+        cache = KvCacheState(1, 1, 2, window_capacity=2, capacity=4)
         for pos in range(4):
             policy_step(cache, uniform_step(cache, pos), cfg, pos, 0)
         assert cache.occupancy(0) == 4

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from morphkv import ModelConfig, decode_step, init_model, optimal_subset, prefill
-from morphkv.cache import INITIAL_ALLOC, KvCacheState
+from morphkv.cache import KvCacheState
 from morphkv.errors import EmptyCache, InvalidShape, NonFiniteInput
 from morphkv.numerics import scaled_dot_attention, softmax
 from morphkv.oracle import SUBSET_CHUNK
@@ -50,8 +50,8 @@ class TestQueryGroupStack:
     def test_group_over_store_view_equals_single_calls(self, g):
         d = 8
         rng = np.random.default_rng(g)
-        cache = KvCacheState(1, 1, window_capacity=2)
-        for n in range(1, 2 * INITIAL_ALLOC + 6):
+        cache = KvCacheState(1, 1, d, window_capacity=2, capacity=37)
+        for n in range(1, 38):
             cache.append(0, rng.normal(size=(1, d)), rng.normal(size=(1, d)), n - 1, 0)
             keys, vals = cache.keys_matrix(0)[0], cache.values_matrix(0)[0]
             assert keys.base is not None  # a leading slice of the store's buffer
@@ -126,7 +126,7 @@ class TestDecoderGroups:
     def test_step_rows_and_outputs_equal_per_head_calls(self):
         cfg = ModelConfig(n_layers=2, n_query_heads=8, n_kv_heads=2, head_dim=4, vocab_size=32, seed=9)
         w = init_model(cfg)
-        cache = KvCacheState.for_model(cfg, 2)
+        cache = KvCacheState.for_model(cfg, 2, 9)
         prefill(w, [3, 1, 4, 1, 5, 9, 2, 6], cache)
         (out,) = decode_step(w, [5], [cache])
         for layer in range(cfg.n_layers):

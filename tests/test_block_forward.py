@@ -46,12 +46,12 @@ def same_bits(a, b) -> bool:
 
 
 def blockwise(weights, prompt, capacity):
-    cache = KvCacheState.for_model(weights.config, capacity)
+    cache = KvCacheState.for_model(weights.config, capacity, len(prompt))
     return prefill(weights, prompt, cache), cache
 
 
 def tokenwise(weights, prompt, capacity):
-    cache = KvCacheState.for_model(weights.config, capacity)
+    cache = KvCacheState.for_model(weights.config, capacity, len(prompt))
     out = prefill(weights, prompt[:1], cache)
     for token in prompt[1:]:
         (out,) = decode_step(weights, [token], [cache])

@@ -1,3 +1,6 @@
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,12 +8,16 @@ from hypothesis import strategies as st
 
 import reference
 from morphkv import (
+    Decoding,
     EvictionPolicyConfig,
     KvCacheState,
     ModelConfig,
+    RunConfig,
     decode_step,
     fuse,
+    greedy_token,
     init_model,
+    load_run_config,
     morphkv_step,
     prefill,
 )
@@ -23,6 +30,9 @@ from morphkv.errors import (
     InvalidShape,
 )
 from morphkv.model import PREFILL_BLOCK
+from morphkv.trace import peak_occupancy
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def entry(pos: int, token: int = 0, d: int = 2, heads: int = 1) -> tuple:
@@ -37,7 +47,7 @@ def record(cache: KvCacheState, row, layer: int = 0) -> None:
 
 def window_of(rows, width: int, capacity: int | None = None) -> KvCacheState:
     """A one-store cache ``width`` entries wide whose profile holds ``rows``, oldest first."""
-    cache = KvCacheState(1, 1, window_capacity=capacity or len(rows))
+    cache = KvCacheState(1, 1, 2, window_capacity=capacity or len(rows), capacity=width)
     for pos in range(width):
         cache.append(0, *entry(pos))
     for row in rows:
@@ -47,8 +57,9 @@ def window_of(rows, width: int, capacity: int | None = None) -> KvCacheState:
 
 def group_profile_row(rows, width: int | None = None) -> np.ndarray:
     """The profile row a one-head store records for one group of query-head rows."""
-    cache = KvCacheState(1, 1, window_capacity=1)
-    for pos in range(len(rows[0]) if width is None else width):
+    width = len(rows[0]) if width is None else width
+    cache = KvCacheState(1, 1, 2, window_capacity=1, capacity=width)
+    for pos in range(width):
         cache.append(0, *entry(pos))
     cache.record_step_profiles(0, [rows])
     return cache.score_matrix(0)[0, 0]
@@ -88,7 +99,7 @@ class TestAggregation:
 
 class TestWindow:
     def test_record_then_pad_appends_zero_column(self):
-        cache = KvCacheState(1, 1, window_capacity=3)
+        cache = KvCacheState(1, 1, 2, window_capacity=3, capacity=2)
         cache.append(0, *entry(0))
         record(cache, [1.0])
         cache.append(0, *entry(1))
@@ -96,7 +107,7 @@ class TestWindow:
         assert cache.occupancy(0) == 2
 
     def test_capacity_drops_oldest(self):
-        cache = KvCacheState(1, 1, window_capacity=2)
+        cache = KvCacheState(1, 1, 2, window_capacity=2, capacity=4)
         for pos in range(4):
             cache.append(0, *entry(pos))
             record(cache, np.full(pos + 1, float(pos)))
@@ -104,7 +115,7 @@ class TestWindow:
         np.testing.assert_array_equal(cache.score_matrix(0, 1)[0, :, 0], [2.0, 3.0])
 
     def test_keep_columns_realigns_rows(self):
-        cache = KvCacheState(1, 1, window_capacity=2)
+        cache = KvCacheState(1, 1, 2, window_capacity=2, capacity=3)
         for pos in range(3):
             cache.append(0, *entry(pos))
             record(cache, np.arange(pos + 1, dtype=float))
@@ -113,13 +124,13 @@ class TestWindow:
         np.testing.assert_array_equal(cache.score_matrix(0)[0, -1], [0.0, 2.0])
 
     def test_record_rejects_misaligned_row(self):
-        cache = KvCacheState(1, 1, window_capacity=2)
+        cache = KvCacheState(1, 1, 2, window_capacity=2, capacity=1)
         cache.append(0, *entry(0))
         with pytest.raises(InvalidShape):
             record(cache, [0.5, 0.5])
 
     def test_record_step_profiles_records_aggregated_rows(self):
-        cache = KvCacheState(1, 1, window_capacity=1)
+        cache = KvCacheState(1, 1, 2, window_capacity=1, capacity=2)
         cache.append(0, *entry(0))
         cache.append(0, *entry(1))
         group = np.array([[0.25, 0.75], [0.5, 0.5]])
@@ -129,10 +140,12 @@ class TestWindow:
 
     def test_rejects_zero_capacity(self):
         with pytest.raises(InvalidConfig):
-            KvCacheState(1, 1, window_capacity=0)
+            KvCacheState(1, 1, 2, window_capacity=0, capacity=1)
+        with pytest.raises(InvalidConfig):
+            KvCacheState(1, 1, 2, window_capacity=1, capacity=0)
 
     def test_recorded_row_is_copied(self):
-        cache = KvCacheState(1, 1, window_capacity=2)
+        cache = KvCacheState(1, 1, 2, window_capacity=2, capacity=1)
         cache.append(0, *entry(0))
         src = np.array([0.7])
         record(cache, src)
@@ -169,7 +182,7 @@ class TestFusion:
         assert fuse(w, 0, "sum").shape == (1, 0)
 
     def test_empty_window_raises(self):
-        w = KvCacheState(1, 1, window_capacity=2)
+        w = KvCacheState(1, 1, 2, window_capacity=2, capacity=1)
         w.append(0, *entry(0))
         with pytest.raises(EmptyWindow):
             fuse(w, 0, "sum")[0]
@@ -201,7 +214,7 @@ class TestFusion:
 
 class TestCacheState:
     def test_append_pads_every_existing_row(self):
-        cache = KvCacheState(1, 1, window_capacity=4)
+        cache = KvCacheState(1, 1, 2, window_capacity=4, capacity=2)
         cache.append(0, *entry(0))
         record(cache, [1.0])
         cache.append(0, *entry(1))
@@ -212,7 +225,7 @@ class TestCacheState:
         cache.validate()
 
     def test_keep_returns_evicted_positions_and_journals(self):
-        cache = KvCacheState(1, 1, window_capacity=4)
+        cache = KvCacheState(1, 1, 2, window_capacity=4, capacity=4)
         for pos in range(4):
             cache.append(0, *entry(pos, token=pos + 10))
         evicted = cache.keep(0, [[0, 2, 3]])
@@ -223,14 +236,14 @@ class TestCacheState:
         assert cache.pop_eviction_events() == []
 
     def test_keep_everything_is_a_noop(self):
-        cache = KvCacheState(1, 1, window_capacity=4)
+        cache = KvCacheState(1, 1, 2, window_capacity=4, capacity=3)
         for pos in range(3):
             cache.append(0, *entry(pos))
         assert cache.keep(0, [[0, 1, 2]]) == []
         assert cache.pop_eviction_events() == []
 
     def test_keep_rejects_unsorted_and_out_of_range(self):
-        cache = KvCacheState(1, 1, window_capacity=4)
+        cache = KvCacheState(1, 1, 2, window_capacity=4, capacity=3)
         for pos in range(3):
             cache.append(0, *entry(pos))
         with pytest.raises(InvalidShape):
@@ -241,7 +254,7 @@ class TestCacheState:
             cache.keep(0, [[0, 3]])
 
     def test_stores_evolve_independently(self):
-        cache = KvCacheState(2, 2, window_capacity=4)
+        cache = KvCacheState(2, 2, 2, window_capacity=4, capacity=3)
         for pos in range(3):
             for layer in range(2):
                 cache.append(layer, *entry(pos, heads=2))
@@ -254,21 +267,21 @@ class TestCacheState:
         cache.validate()
 
     def test_next_position_continues_after_eviction(self):
-        cache = KvCacheState(1, 1, window_capacity=4)
+        cache = KvCacheState(1, 1, 2, window_capacity=4, capacity=5)
         for pos in range(5):
             cache.append(0, *entry(pos))
         cache.keep(0, [[3, 4]])
         assert cache.next_position() == 5
 
     def test_keys_matrix_orders_rows_by_entry(self):
-        cache = KvCacheState(1, 1, window_capacity=4)
+        cache = KvCacheState(1, 1, 2, window_capacity=4, capacity=3)
         for pos in range(3):
             cache.append(0, *entry(pos))
         np.testing.assert_array_equal(cache.keys_matrix(0)[0, :, 0], [0.0, 1.0, 2.0])
         np.testing.assert_array_equal(cache.values_matrix(0)[0, :, 0], [0.0, 1.0, 2.0])
 
     def test_snapshot_reports_entries_and_scores(self):
-        cache = KvCacheState(1, 1, window_capacity=2)
+        cache = KvCacheState(1, 1, 2, window_capacity=2, capacity=4)
         for pos in range(4):
             cache.append(0, *entry(pos, token=pos))
         record(cache, [0.1, 0.2, 0.3, 0.4])
@@ -278,7 +291,7 @@ class TestCacheState:
         np.testing.assert_allclose(snap["layers"][0][0]["fused_scores"], [0.1, 0.2], atol=1e-15)
 
     def test_validate_flags_nonfinite_entry(self):
-        cache = KvCacheState(1, 1, window_capacity=4)
+        cache = KvCacheState(1, 1, 2, window_capacity=4, capacity=1)
         key, value, pos, token = entry(0)
         key[0, 0] = np.nan
         cache.append(0, key, value, pos, token)
@@ -286,11 +299,13 @@ class TestCacheState:
             cache.validate()
 
     def test_for_model_matches_config(self):
-        cfg = ModelConfig(n_layers=3, n_query_heads=4, n_kv_heads=2)
-        cache = KvCacheState.for_model(cfg, window_capacity=5)
+        cfg = ModelConfig(n_layers=3, n_query_heads=4, n_kv_heads=2, head_dim=2)
+        cache = KvCacheState.for_model(cfg, window_capacity=5, capacity=7)
         assert cache.n_layers == 3
         assert cache.n_kv_heads == 2
+        assert cache.head_dim == 2
         assert cache.window_capacity == 5
+        assert cache.capacity == 7
         for pos in range(7):
             cache.append(2, *entry(pos, heads=2))
             cache.record_step_profiles(2, np.zeros((2, 2, pos + 1)))
@@ -309,8 +324,8 @@ def cache_bits(cache: KvCacheState) -> list:
     return facts
 
 
-def prefilled(weights, prompt, window: int) -> KvCacheState:
-    cache = KvCacheState.for_model(weights.config, window)
+def prefilled(weights, prompt, window: int, capacity: int | None = None) -> KvCacheState:
+    cache = KvCacheState.for_model(weights.config, window, capacity or len(prompt))
     prefill(weights, prompt, cache)
     return cache
 
@@ -344,18 +359,19 @@ class TestCopy:
         if window > source_window and length >= source_window:
             # A full ring cannot say which older rows it dropped.
             with pytest.raises(InvalidParam):
-                source.copy(window)
+                source.copy(window, length)
             assert cache_bits(source) == before
             return
         native = prefilled(weights, prompt, window)
         for fusion in ("sum", "max"):
-            twin = source.copy(window)
-            assert twin.window_capacity == window
+            policy = EvictionPolicyConfig(kind="morphkv", distant_capacity=2, recent_window=window, fusion=fusion)
+            size = peak_occupancy(policy, length, 3, layers)
+            twin = source.copy(window, size)
+            assert (twin.window_capacity, twin.capacity) == (window, size)
             assert cache_bits(twin) == cache_bits(native)
             assert cache_bits(source) == before
             # Stepping the copy and a native cache evicts the same entries.
-            policy = EvictionPolicyConfig(kind="morphkv", distant_capacity=2, recent_window=window, fusion=fusion)
-            stepped = prefilled(weights, prompt, window)
+            stepped = prefilled(weights, prompt, window, size)
             for step in range(3):
                 token = (7 * step + 3) % 32
                 for cache in (twin, stepped):
@@ -368,7 +384,7 @@ class TestCopy:
     def test_copy_shares_no_memory_and_evolves_alone(self):
         weights = init_model(ModelConfig(n_layers=2, n_query_heads=4, n_kv_heads=2, head_dim=4, vocab_size=32))
         source = prefilled(weights, list(range(20)), 8)
-        twin = source.copy(4)
+        twin = source.copy(4, 20)
         for mine, theirs in zip(twin._buffers, source._buffers):
             assert not np.shares_memory(mine, theirs)
         source_bits = cache_bits(source)
@@ -383,11 +399,11 @@ class TestCopy:
         assert [event[:2] for event in source.pop_eviction_events()] == [(1, 0), (1, 1)]
 
     def test_journal_starts_empty(self):
-        cache = KvCacheState(1, 1, window_capacity=4)
+        cache = KvCacheState(1, 1, 2, window_capacity=4, capacity=3)
         for pos in range(3):
             cache.append(0, *entry(pos))
         cache.keep(0, [[1, 2]])
-        twin = cache.copy(4)
+        twin = cache.copy(4, 2)
         assert twin.pop_eviction_events() == []
         assert cache.pop_eviction_events() == [(0, 0, [0])]
 
@@ -395,15 +411,96 @@ class TestCopy:
         cache = window_of([[0.1, 0.2, 0.7]], 3, capacity=1)
         before = cache_bits(cache)
         with pytest.raises(InvalidParam, match="full profile ring of 1 rows"):
-            cache.copy(2)
+            cache.copy(2, 3)
         with pytest.raises(InvalidConfig):
-            cache.copy(0)
+            cache.copy(0, 3)
         assert cache_bits(cache) == before
+
+    def test_copy_below_the_live_count_is_refused_before_allocating(self, monkeypatch):
+        cache = window_of([[0.1, 0.2, 0.7]], 3, capacity=1)
+        before = cache_bits(cache)
+
+        def allocated(*args):
+            raise AssertionError("copy allocated a cache it then refused")
+
+        monkeypatch.setattr(KvCacheState, "__init__", allocated)
+        with pytest.raises(InvalidParam, match="2 entries per store cannot hold 3"):
+            cache.copy(1, 2)
+        assert cache_bits(cache) == before
+
+    def test_a_full_copy_refuses_an_append_and_changes_nothing(self):
+        source = window_of([[0.1, 0.2, 0.7]], 3, capacity=1)
+        twin = source.copy(1, 3)
+        before = cache_bits(twin), [buf.tobytes() for buf in twin._buffers]
+        with pytest.raises(InternalInvariantViolation, match="layer 0 is full"):
+            twin.append(0, *entry(3))
+        assert (cache_bits(twin), [buf.tobytes() for buf in twin._buffers]) == before
+        # The larger source copy has room for it.
+        source.copy(1, 4).append(0, *entry(3))
 
     def test_unwrapped_ring_grows_into_a_wider_one(self):
         rows = [[0.5, 0.5, 0.0], [0.2, 0.3, 0.5]]
-        twin = window_of(rows, 3, capacity=3).copy(6)
+        twin = window_of(rows, 3, capacity=3).copy(6, 3)
         assert twin.profile_rows(0) == 2
         np.testing.assert_array_equal(twin.score_matrix(0)[0], rows)
         record(twin, [0.1, 0.1, 0.8])
         np.testing.assert_array_equal(twin.score_matrix(0)[0], rows + [[0.1, 0.1, 0.8]])
+
+
+POLICY_KINDS = ("morphkv", "h2o", "snapkv", "scissorhands", "streamingllm", "full_attention")
+
+
+@st.composite
+def tiny_runs(draw) -> RunConfig:
+    """A tiny model and any policy kind, with every option that changes occupancy."""
+    layers, kv_heads = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    model = ModelConfig(
+        n_layers=layers, n_query_heads=kv_heads * draw(st.integers(1, 2)), n_kv_heads=kv_heads,
+        head_dim=2, vocab_size=16, seed=draw(st.integers(0, 99)),
+    )
+    kind = draw(st.sampled_from(POLICY_KINDS))
+    policy = dict(kind=kind, distant_capacity=draw(st.integers(0, 6)), recent_window=draw(st.integers(1, 6)))
+    if kind == "morphkv":
+        policy.update(
+            protected_layers=draw(st.integers(0, layers)),
+            eviction_interval=draw(st.integers(1, 4)),
+            compress_prefill=draw(st.booleans()),
+        )
+    elif kind == "streamingllm":
+        policy["sink_count"] = draw(st.integers(0, 3))
+    elif kind == "snapkv":
+        policy["prefill_budget"] = draw(st.integers(1, 24))
+    return RunConfig(
+        model=model,
+        policy=EvictionPolicyConfig(**policy),
+        prompt_length=draw(st.integers(1, 24)),
+        decode_steps=draw(st.integers(0, 24)),
+    )
+
+
+class TestRunSize:
+    """A run's cache is allocated once, at exactly its peak occupancy."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(config=tiny_runs())
+    def test_capacity_is_the_peak_occupancy(self, config):
+        decoding = Decoding(config, init_model(config.model))
+        cache = decoding.cache
+        peak = len(decoding.prompt)
+        for _ in range(config.decode_steps):
+            token = greedy_token(decoding.out.logits)
+            (out,) = decode_step(decoding.weights, [token], [cache])
+            # After the step's append, before its eviction.
+            peak = max(peak, *(n for heads in cache.occupancies() for n in heads))
+            decoding.finish_step(token, out)
+        assert decoding.cache is cache
+        assert cache.capacity == peak
+
+    @pytest.mark.parametrize("decode_steps", [256, 1024])
+    def test_a_morphkv_run_is_sized_by_its_budget_not_its_length(self, decode_steps):
+        # Prompt 64 under a budget of 48 + 16 at interval 1: each step holds
+        # one entry past the budget until it evicts.
+        desk = load_run_config(str(CONFIGS / "morphkv.ini"))
+        config = replace(desk, prompt_length=64, decode_steps=decode_steps)
+        assert config.policy.cache_budget == 64 and config.policy.eviction_interval == 1
+        assert Decoding(config, init_model(config.model)).cache.capacity == 65

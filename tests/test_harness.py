@@ -13,6 +13,7 @@ from morphkv import (
     RunConfig,
     StepTrace,
     compare,
+    decode_step,
     greedy_token,
     harness,
     init_model,
@@ -41,6 +42,7 @@ from morphkv.harness import (
     write_compare_outputs,
     write_run_outputs,
 )
+from morphkv.trace import peak_occupancy
 
 SMALL_MODEL = ModelConfig(n_layers=2, n_query_heads=4, n_kv_heads=2, head_dim=4, vocab_size=32, seed=41)
 
@@ -56,6 +58,11 @@ def small_run_config(kind="morphkv", **policy_kwargs) -> RunConfig:
         prompt_length=6,
         decode_steps=8,
     )
+
+
+def run_size(config: RunConfig) -> int:
+    """The entries per store a run of ``config`` holds at its peak."""
+    return peak_occupancy(config.policy, len(make_prompt(config)), config.decode_steps, config.model.n_layers)
 
 
 class TestRunDeterminism:
@@ -265,6 +272,24 @@ class TestCompare:
         assert [col.trace.total_evictions() > 0 for col in columns[3:]] == [True, True]
         assert columns[0].trace.total_evictions() == 0
 
+    def test_each_run_steps_a_cache_of_its_own_peak(self, monkeypatch):
+        capacities = []
+
+        def recorded(weights, tokens, caches):
+            capacities.append([cache.capacity for cache in caches])
+            return decode_step(weights, tokens, caches)
+
+        monkeypatch.setattr(harness, "decode_step", recorded)
+        configs = self.configs()
+        compare(configs)
+        # Full attention holds the 10-token prompt and all 8 steps; snapkv
+        # its 5-entry prompt budget and the steps; scissorhands, which owns
+        # the prefill, and morphkv one entry past the prompt; compressed
+        # morphkv only the prompt.
+        sizes = [18, 11, 11, 13, 10]
+        assert [run_size(cfg) for cfg in configs] == sizes
+        assert capacities == [sizes] * 8
+
     def test_teacher_forced_report(self):
         base, morph, window, *_ = self.configs()
         columns = compare([base, morph, window])
@@ -379,7 +404,7 @@ class TestPrefilledHandOver:
 
     def handed(self, config, weights, cache=None):
         if cache is None:
-            cache = KvCacheState.for_model(config.model, config.policy.recent_window)
+            cache = KvCacheState.for_model(config.model, config.policy.recent_window, run_size(config))
         out = prefill(weights, make_prompt(config), cache) if cache.is_empty() else None
         return Decoding(config, weights, (cache, out))
 
@@ -395,7 +420,7 @@ class TestPrefilledHandOver:
     def test_rejects_cache_of_another_model(self):
         config = small_run_config()
         other = replace(SMALL_MODEL, n_kv_heads=1)
-        cache = KvCacheState.for_model(other, config.policy.recent_window)
+        cache = KvCacheState.for_model(other, config.policy.recent_window, run_size(config))
         prefill(init_model(other), make_prompt(config), cache)
         with pytest.raises(InvalidShape, match="another model"):
             self.handed(config, init_model(config.model), cache)
@@ -403,14 +428,14 @@ class TestPrefilledHandOver:
     @pytest.mark.parametrize("window", [1, 3])
     def test_rejects_cache_of_another_window(self, window):
         config = small_run_config(recent_window=2)
-        cache = KvCacheState.for_model(config.model, window)
+        cache = KvCacheState.for_model(config.model, window, run_size(config))
         with pytest.raises(InvalidParam, match="recent_window is 2"):
             self.handed(config, init_model(config.model), cache)
 
     def test_rejects_another_prompt(self):
         config = small_run_config()
         weights = init_model(config.model)
-        cache = KvCacheState.for_model(config.model, config.policy.recent_window)
+        cache = KvCacheState.for_model(config.model, config.policy.recent_window, run_size(config))
         prefill(weights, [t ^ 1 for t in make_prompt(config)], cache)
         with pytest.raises(InvalidParam, match="does not hold the run's 6-token prompt"):
             self.handed(config, weights, cache)
@@ -418,7 +443,8 @@ class TestPrefilledHandOver:
     def test_rejects_evicted_or_extra_entries(self):
         config = small_run_config()
         weights = init_model(config.model)
-        cache = KvCacheState.for_model(config.model, config.policy.recent_window)
+        # The run's peak is one past its 6-token prompt: room for one extra entry.
+        cache = KvCacheState.for_model(config.model, config.policy.recent_window, run_size(config))
         prefill(weights, make_prompt(config) + [0], cache)
         with pytest.raises(InvalidParam, match="does not hold"):
             self.handed(config, weights, cache)
@@ -429,11 +455,28 @@ class TestPrefilledHandOver:
     def test_rejects_a_profile_with_rows_the_prefill_never_recorded(self):
         config = small_run_config(recent_window=8)
         weights = init_model(config.model)
-        cache = KvCacheState.for_model(config.model, 8)
+        cache = KvCacheState.for_model(config.model, 8, run_size(config))
         prefill(weights, make_prompt(config), cache)
         cache.record_step_profiles(1, np.zeros((2, 2, 6)))
         with pytest.raises(InvalidParam, match="at layer 1"):
             self.handed(config, weights, cache)
+
+    def test_rejects_a_cache_below_the_run_peak(self):
+        config = small_run_config()
+        size = run_size(config)
+        assert size == len(make_prompt(config)) + 1
+        # The prompt fits, but the run's first step would not.
+        cache = KvCacheState.for_model(config.model, config.policy.recent_window, size - 1)
+        with pytest.raises(InvalidParam, match=f"holds {size - 1} entries per store; run needs {size}"):
+            self.handed(config, init_model(config.model), cache)
+
+    def test_takes_a_larger_cache(self):
+        config = small_run_config()
+        cache = KvCacheState.for_model(config.model, config.policy.recent_window, run_size(config) + 5)
+        handed = self.handed(config, init_model(config.model), cache)
+        for _ in range(config.decode_steps):
+            handed.step(greedy_token(handed.out.logits))
+        assert handed.result().trace.to_dict() == run(config).trace.to_dict()
 
 
 class TestConfigFiles:

@@ -8,7 +8,7 @@ in their arithmetic: one store per head, one ``(rows, n)`` C-contiguous
 profile copy fused along axis 0, one ``lexsort`` per head, one ``argmin``
 per head and one fancy-index compaction per head. Random runs drive both
 through the same appends and recorded rows, with more heads than one,
-occupancies past ``INITIAL_ALLOC``, a wrapped profile ring, tied scores and
+occupancies up to 40 entries, a wrapped profile ring, tied scores and
 signed zeros, and must agree on the raw bits of every array and on the
 eviction journal. The policies' layer stacks (one fuse, one ranking and
 one keep over several layers) are held the same way to the per-layer
@@ -24,9 +24,9 @@ from hypothesis import strategies as st
 
 from morphkv import EvictionPolicyConfig, KvCacheState, morph
 from morphkv.baselines import h2o_step, keep_window, scissorhands_step, snapkv_policy, streamingllm_step
-from morphkv.cache import INITIAL_ALLOC
 from morphkv.errors import InvalidShape
 from morphkv.morph import fuse, morphkv_step, prefill_compress, select_retained
+from morphkv.trace import peak_occupancy
 
 HEAD_DIM = 2
 TIED = np.array([0.0, -0.0, 0.25, 0.5, 1.0])
@@ -152,7 +152,7 @@ class Driver:
     def __init__(self, heads, group, capacity, alloc, ties, seed):
         self.rng = np.random.default_rng(seed)
         self.heads, self.group, self.ties = heads, group, ties
-        self.cache = KvCacheState(1, heads, capacity)
+        self.cache = KvCacheState(1, heads, HEAD_DIM, capacity, alloc)
         self.stores = [HeadStore(capacity, alloc) for _ in range(heads)]
         self.journal = []
         self.position = 0
@@ -228,16 +228,16 @@ POLICIES = st.one_of(
 @given(
     heads=st.integers(1, 4),
     group=st.integers(1, 3),
-    prompt=st.integers(1, 2 * INITIAL_ALLOC + 8),
+    prompt=st.integers(1, 40),
     steps=st.integers(0, 24),
     cfg=POLICIES,
     ties=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_policies_match_per_head_loops(heads, group, prompt, steps, cfg, ties, seed):
-    # The profile ring is the recent window, as in a run, so a prompt longer
-    # than the window wraps it.
-    run = Driver(heads, group, cfg.recent_window, prompt + steps + 1, ties, seed)
+    # The profile ring is the recent window and the allocation the peak
+    # occupancy, as in a run, so a prompt longer than the window wraps it.
+    run = Driver(heads, group, cfg.recent_window, peak_occupancy(cfg, prompt, steps, 1), ties, seed)
     for _ in range(prompt):
         run.token()
     run.assert_same()
@@ -271,14 +271,15 @@ def test_policies_match_per_head_loops(heads, group, prompt, steps, cfg, ties, s
 @given(
     heads=st.integers(1, 4),
     capacity=st.integers(1, 5),
-    sizes=st.lists(st.integers(1, 2 * INITIAL_ALLOC + 8), min_size=1, max_size=4),
+    sizes=st.lists(st.integers(1, 40), min_size=1, max_size=4),
     ties=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_keep_matches_per_head_compaction(heads, capacity, sizes, ties, seed):
     # Rounds of appends, each followed by a keep that gives every head its
     # own random subset, so the heads' position sets diverge.
-    run = Driver(heads, 2, capacity, sum(sizes) + 1, ties, seed)
+    # Allocated for every append, as if no keep evicted anything.
+    run = Driver(heads, 2, capacity, sum(sizes), ties, seed)
     for size in sizes:
         for _ in range(size):
             run.token()
@@ -357,10 +358,10 @@ class StackDriver:
     forward does, to a cache under the shipped policy and to one under the
     per-layer reference."""
 
-    def __init__(self, layers, heads, group, capacity, ties, seed):
+    def __init__(self, layers, heads, group, capacity, alloc, ties, seed):
         self.rng = np.random.default_rng(seed)
         self.heads, self.group, self.ties = heads, group, ties
-        self.caches = [KvCacheState(layers, heads, capacity) for _ in range(2)]
+        self.caches = [KvCacheState(layers, heads, HEAD_DIM, capacity, alloc) for _ in range(2)]
         self.position = 0
 
     def token(self):
@@ -404,7 +405,7 @@ class StackDriver:
     heads=st.integers(1, 3),
     group=st.integers(1, 2),
     protected=st.integers(0, 4),
-    prompt=st.integers(1, INITIAL_ALLOC + 8),
+    prompt=st.integers(1, 24),
     steps=st.integers(0, 16),
     cfg=POLICIES,
     ties=st.booleans(),
@@ -413,7 +414,8 @@ class StackDriver:
 def test_stack_policies_match_per_layer_loops(layers, heads, group, protected, prompt, steps, cfg, ties, seed):
     if cfg.kind == "morphkv":
         cfg = replace(cfg, protected_layers=min(protected, layers))
-    run = StackDriver(layers, heads, group, cfg.recent_window, ties, seed)
+    alloc = peak_occupancy(cfg, prompt, steps, layers)
+    run = StackDriver(layers, heads, group, cfg.recent_window, alloc, ties, seed)
     shipped, reference = run.caches
     for _ in range(prompt):
         run.token()
@@ -432,9 +434,10 @@ def test_stack_policies_match_per_layer_loops(layers, heads, group, protected, p
         run.assert_same()
 
 
-def stacked_cache(layers=3, heads=2, entries=6, capacity=3):
-    """A cache whose layers all hold ``entries`` entries and one ring state."""
-    cache = KvCacheState(layers, heads, capacity)
+def stacked_cache(layers=3, heads=2, entries=6, capacity=3, room=0):
+    """A cache whose layers all hold ``entries`` entries and one ring state,
+    with ``room`` for more."""
+    cache = KvCacheState(layers, heads, HEAD_DIM, capacity, entries + room)
     rng = np.random.default_rng(layers * 100 + entries)
     for position in range(entries):
         for layer in range(layers):
@@ -488,7 +491,7 @@ def test_keep_rejects_a_malformed_stack_before_any_change(first, retained):
 def test_stack_of_unequal_layers_is_rejected_before_any_change(differ):
     # Layer 1 runs one entry or one profile row ahead of the others, as
     # inside a forward; layer 0 alone is still a valid stack.
-    cache = stacked_cache(entries=7)
+    cache = stacked_cache(entries=7, room=1)
     if differ == "occupancy":
         cache.append(1, *np.zeros((2, 2, HEAD_DIM)), 7, 7)
     else:

@@ -34,8 +34,8 @@ TINY_CHECKSUM = "cae49ac1201bb2746209600646041b8c2109bc3a200087ff3a6094084357362
 TINY = ModelConfig(n_layers=1, n_query_heads=2, n_kv_heads=1, head_dim=4, vocab_size=16, seed=123)
 
 
-def fresh_cache(cfg: ModelConfig, capacity: int = 8) -> KvCacheState:
-    return KvCacheState(cfg.n_layers, cfg.n_kv_heads, window_capacity=capacity)
+def fresh_cache(cfg: ModelConfig, entries: int, window: int = 8) -> KvCacheState:
+    return KvCacheState.for_model(cfg, window, entries)
 
 
 class TestInit:
@@ -90,7 +90,7 @@ class TestInit:
 class TestForward:
     def test_prefill_populates_every_store(self):
         w = init_model(TINY)
-        cache = fresh_cache(TINY)
+        cache = fresh_cache(TINY, 3)
         out = prefill(w, [1, 2, 3], cache)
         assert cache.occupancies() == [[3]] * TINY.n_layers
         assert cache.positions(0).tolist() == [[0, 1, 2]] * TINY.n_kv_heads
@@ -99,7 +99,7 @@ class TestForward:
     def test_decode_appends_one_entry_per_store(self):
         cfg = ModelConfig(n_layers=2, n_query_heads=4, n_kv_heads=2, head_dim=4, vocab_size=32)
         w = init_model(cfg)
-        cache = fresh_cache(cfg)
+        cache = fresh_cache(cfg, 3)
         prefill(w, [1, 2], cache)
         decode_step(w, [5], [cache])
         assert cache.occupancies() == [[3, 3], [3, 3]]
@@ -110,7 +110,7 @@ class TestForward:
     def test_attention_rows_sum_to_one(self):
         cfg = ModelConfig(n_layers=2, n_query_heads=4, n_kv_heads=2, head_dim=4, vocab_size=32)
         w = init_model(cfg)
-        cache = fresh_cache(cfg)
+        cache = fresh_cache(cfg, 5)
         out = prefill(w, [3, 1, 4, 1, 5], cache)
         for layer_rows in out.attn_rows:
             for group in layer_rows:
@@ -119,7 +119,7 @@ class TestForward:
 
     def test_new_token_attends_to_itself(self):
         w = init_model(TINY)
-        cache = fresh_cache(TINY)
+        cache = fresh_cache(TINY, 2)
         prefill(w, [1], cache)
         (out,) = decode_step(w, [2], [cache])
         # The appended entry is the last column of the row; its weight is live.
@@ -140,9 +140,9 @@ class TestForward:
         for pair in range(20):
             cfg = ModelConfig(seed=int(rng.integers(0, 2**31)), **shapes[pair % len(shapes)])
             w = init_model(cfg)
-            cache = fresh_cache(cfg, capacity=4)
             prompt = [int(t) for t in rng.integers(0, cfg.vocab_size, size=int(rng.integers(2, 7)))]
             steps = int(rng.integers(3, 9))
+            cache = fresh_cache(cfg, len(prompt) + steps, window=4)
             out = prefill(w, prompt, cache)
             step_logits = [out.logits]
             tokens = list(prompt)
@@ -160,7 +160,7 @@ class TestForward:
     def test_reference_rows_match_recorded_rows(self):
         cfg = ModelConfig(n_layers=2, n_query_heads=4, n_kv_heads=2, head_dim=4, vocab_size=32, seed=9)
         w = init_model(cfg)
-        cache = fresh_cache(cfg, capacity=8)
+        cache = fresh_cache(cfg, 5)
         tokens = [7, 3, 11, 2, 19]
         out = prefill(w, tokens, cache)
         _, ref_rows = reference.full_forward(w, tokens)
@@ -177,7 +177,7 @@ class TestForward:
         cfg = ModelConfig(n_layers=1, n_query_heads=2, n_kv_heads=2, head_dim=4, vocab_size=16, seed=4)
         assert cfg.group_size == 1
         w = init_model(cfg)
-        cache = fresh_cache(cfg)
+        cache = fresh_cache(cfg, 4)
         prefill(w, [1, 2, 3], cache)
         (out,) = decode_step(w, [4], [cache])
         for head in range(cfg.n_kv_heads):
@@ -194,7 +194,7 @@ class TestForward:
 
     def test_prefill_rejects_nonempty_cache(self):
         w = init_model(TINY)
-        cache = fresh_cache(TINY)
+        cache = fresh_cache(TINY, 1)
         prefill(w, [1], cache)
         with pytest.raises(CacheNotEmpty):
             prefill(w, [2], cache)
@@ -202,17 +202,17 @@ class TestForward:
     def test_prefill_rejects_empty_prompt(self):
         w = init_model(TINY)
         with pytest.raises(InvalidShape):
-            prefill(w, [], fresh_cache(TINY))
+            prefill(w, [], fresh_cache(TINY, 1))
 
     def test_rejects_out_of_vocab_token(self):
         w = init_model(TINY)
         with pytest.raises(InvalidToken):
-            prefill(w, [TINY.vocab_size], fresh_cache(TINY))
+            prefill(w, [TINY.vocab_size], fresh_cache(TINY, 1))
 
     def test_decode_rejects_empty_cache(self):
         w = init_model(TINY)
         with pytest.raises(EmptyCache):
-            decode_step(w, [1], [fresh_cache(TINY)])
+            decode_step(w, [1], [fresh_cache(TINY, 1)])
 
 
 
@@ -222,7 +222,8 @@ class TestDecodeStepInput:
     CFG = ModelConfig(n_layers=2, n_query_heads=2, n_kv_heads=1, head_dim=4, vocab_size=16, seed=9)
 
     def prefilled(self, cfg=CFG, prompt=(1, 2, 3)) -> KvCacheState:
-        cache = fresh_cache(cfg, capacity=2)
+        # Room for the one step each test attempts.
+        cache = fresh_cache(cfg, len(prompt) + 1, window=2)
         prefill(init_model(cfg), list(prompt), cache)
         return cache
 
@@ -262,7 +263,7 @@ class TestDecodeStepInput:
         self.assert_rejected(InvalidShape, [1, 2], [self.prefilled(), foreign], "another model")
 
     def test_empty_cache(self):
-        self.assert_rejected(EmptyCache, [1, 2], [self.prefilled(), fresh_cache(self.CFG)])
+        self.assert_rejected(EmptyCache, [1, 2], [self.prefilled(), fresh_cache(self.CFG, 1)])
 
     def test_out_of_vocab_token(self):
         tokens = [1, self.CFG.vocab_size]

@@ -138,13 +138,14 @@ class TestSelectRetained:
 class TestMorphStep:
     CFG = EvictionPolicyConfig(kind="morphkv", distant_capacity=2, recent_window=2, fusion="sum")
 
-    def build_prompt_cache(self) -> KvCacheState:
-        """Four prompt entries with scripted attention rows.
+    def build_prompt_cache(self, capacity: int = 5) -> KvCacheState:
+        """Four prompt entries with scripted attention rows, in a store of
+        ``capacity`` entries: by default the prompt and one step's entry.
 
         Rows sum to 1 and are recorded the way prefill records them: each
         position's row spans the store at that moment.
         """
-        cache = KvCacheState(1, 1, window_capacity=2)
+        cache = KvCacheState(1, 1, 2, window_capacity=2, capacity=capacity)
         rows = [
             [1.0],
             [0.5, 0.5],
@@ -202,7 +203,8 @@ class TestMorphStep:
         cfg = EvictionPolicyConfig(
             kind="morphkv", distant_capacity=2, recent_window=2, eviction_interval=3
         )
-        cache = self.build_prompt_cache()
+        # Step 2 appends the third entry past the budget before step 3 trims.
+        cache = self.build_prompt_cache(capacity=7)
         occupancies = []
         for idx in range(5):
             cache.append(0, *entry(4 + idx, token=4 + idx))
@@ -218,7 +220,7 @@ class TestMorphStep:
             kind="morphkv", distant_capacity=1, recent_window=1, protected_layers=1
         )
         cfg.validate(n_layers=2)
-        cache = KvCacheState(2, 1, window_capacity=1)
+        cache = KvCacheState(2, 1, 2, window_capacity=1, capacity=5)
         for pos in range(4):
             for layer in range(2):
                 cache.append(layer, *entry(pos))
@@ -236,7 +238,7 @@ class TestMorphStep:
         # Retention ranks profile columns, not absolute positions: the
         # same rows under shifted positions evict the same entry offsets.
         def run(shift):
-            cache = KvCacheState(1, 1, window_capacity=2)
+            cache = KvCacheState(1, 1, 2, window_capacity=2, capacity=5)
             rows = [[1.0], [0.5, 0.5], [0.2, 0.3, 0.5], [0.05, 0.30, 0.40, 0.25]]
             for i, row in enumerate(rows):
                 cache.append(0, *entry(shift + i, token=i))
@@ -249,13 +251,13 @@ class TestMorphStep:
         assert run(0) == run(1000) == [0]
 
     def test_rejects_foreign_policy_kind(self):
-        cache = KvCacheState(1, 1, window_capacity=2)
+        cache = KvCacheState(1, 1, 2, window_capacity=2, capacity=1)
         cfg = EvictionPolicyConfig(kind="scissorhands", recent_window=2)
         with pytest.raises(InvalidConfig):
             morphkv_step(cache, None, cfg, 0)
 
     def test_no_eviction_below_budget(self):
-        cache = KvCacheState(1, 1, window_capacity=2)
+        cache = KvCacheState(1, 1, 2, window_capacity=2, capacity=1)
         cache.append(0, *entry(0))
         out = scripted_row([1.0])
         morphkv_step(cache, recorded(cache, out), self.CFG, 0)
@@ -268,7 +270,7 @@ class TestPrefillCompress:
         cfg = ModelConfig(n_layers=1, n_query_heads=2, n_kv_heads=1, head_dim=4, vocab_size=16, seed=5)
         policy = EvictionPolicyConfig(kind="morphkv", distant_capacity=4, recent_window=4)
         w = init_model(cfg)
-        cache = KvCacheState.for_model(cfg, window_capacity=policy.recent_window)
+        cache = KvCacheState.for_model(cfg, window_capacity=policy.recent_window, capacity=3)
         prefill(w, [1, 2, 3], cache)
         prefill_compress(cache, policy)
         assert cache.occupancy(0) == 3
@@ -278,7 +280,7 @@ class TestPrefillCompress:
         cfg = ModelConfig(n_layers=2, n_query_heads=4, n_kv_heads=2, head_dim=4, vocab_size=32, seed=6)
         policy = EvictionPolicyConfig(kind="morphkv", distant_capacity=2, recent_window=2)
         w = init_model(cfg)
-        cache = KvCacheState.for_model(cfg, window_capacity=policy.recent_window)
+        cache = KvCacheState.for_model(cfg, window_capacity=policy.recent_window, capacity=9)
         prefill(w, list(range(9)), cache)
         prefill_compress(cache, policy)
         assert cache.occupancies() == [[4, 4], [4, 4]]
@@ -291,9 +293,9 @@ class TestPrefillCompress:
         policy = EvictionPolicyConfig(kind="morphkv", distant_capacity=2, recent_window=2)
         w = init_model(cfg)
         prompt = list(range(9))
-        auto = KvCacheState.for_model(cfg, window_capacity=policy.recent_window)
+        auto = KvCacheState.for_model(cfg, window_capacity=policy.recent_window, capacity=9)
         prefill(w, prompt, auto)
-        manual = KvCacheState.for_model(cfg, window_capacity=policy.recent_window)
+        manual = KvCacheState.for_model(cfg, window_capacity=policy.recent_window, capacity=9)
         prefill(w, prompt, manual)
         for layer in range(cfg.n_layers):
             scores = fuse(manual, layer, "sum")
@@ -317,9 +319,9 @@ class TestPrefillCompress:
                 fusion="sum",
                 prefill_fusion=prefill_fusion,
             )
-            cache = KvCacheState.for_model(cfg, window_capacity=policy.recent_window)
+            cache = KvCacheState.for_model(cfg, window_capacity=policy.recent_window, capacity=12)
             prefill(w, prompt, cache)
-            ref = KvCacheState.for_model(cfg, window_capacity=policy.recent_window)
+            ref = KvCacheState.for_model(cfg, window_capacity=policy.recent_window, capacity=12)
             prefill(w, prompt, ref)
             scores = fuse(ref, 0, prefill_fusion or "sum")
             kept = select_retained(scores, ref.occupancy(0), 2, 2)[0]
@@ -331,7 +333,7 @@ class TestPrefillCompress:
         compress("max")
 
     def test_rejects_foreign_policy_kind(self):
-        cache = KvCacheState(1, 1, window_capacity=2)
+        cache = KvCacheState(1, 1, 2, window_capacity=2, capacity=1)
         with pytest.raises(InvalidConfig):
             prefill_compress(cache, EvictionPolicyConfig(kind="h2o"))
 
@@ -341,7 +343,7 @@ class TestEngineIntegration:
         cfg = ModelConfig(n_layers=2, n_query_heads=4, n_kv_heads=2, head_dim=4, vocab_size=32, seed=8)
         policy = EvictionPolicyConfig(kind="morphkv", distant_capacity=3, recent_window=2)
         w = init_model(cfg)
-        cache = KvCacheState.for_model(cfg, window_capacity=policy.recent_window)
+        cache = KvCacheState.for_model(cfg, window_capacity=policy.recent_window, capacity=8)
         out = prefill(w, list(range(8)), cache)
         prefill_compress(cache, policy)
         token = int(np.argmax(out.logits))
@@ -358,7 +360,7 @@ class TestEngineIntegration:
         cfg = ModelConfig(n_layers=2, n_query_heads=4, n_kv_heads=2, head_dim=4, vocab_size=32, seed=8)
         policy = EvictionPolicyConfig(kind="morphkv", distant_capacity=3, recent_window=2)
         w = init_model(cfg)
-        cache = KvCacheState.for_model(cfg, window_capacity=policy.recent_window)
+        cache = KvCacheState.for_model(cfg, window_capacity=policy.recent_window, capacity=8)
         out = prefill(w, list(range(8)), cache)
         prefill_compress(cache, policy)
         token = int(np.argmax(out.logits))

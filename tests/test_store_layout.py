@@ -12,8 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from morphkv import KvCacheState
-from morphkv.cache import INITIAL_ALLOC
-from morphkv.errors import InvalidShape
+from morphkv.errors import InternalInvariantViolation, InvalidShape
 
 HEAD_DIM = 3
 
@@ -117,11 +116,11 @@ ops = st.lists(
     n_heads=2,
     capacity=3,
     ops=[
-        ("append", 1, 2 * INITIAL_ALLOC + 5),
+        ("append", 1, 37),
         ("record", 1, 2),
         ("record", 1, 1),
         ("keep", 1, "random"),
-        ("append", 1, 3 * INITIAL_ALLOC),
+        ("append", 1, 48),
         ("record", 0, 3),
         ("record", 1, 2),
         ("keep", 1, "none"),
@@ -132,7 +131,12 @@ ops = st.lists(
 )
 def test_matches_list_model(n_layers, n_heads, capacity, ops, seed):
     rng = np.random.default_rng(seed)
-    cache = KvCacheState(n_layers, n_heads, window_capacity=capacity)
+    # Room for every append, as if no keep evicted anything.
+    appends = [0] * n_layers
+    for kind, a, arg in ops:
+        if kind == "append":
+            appends[a % n_layers] += arg
+    cache = KvCacheState(n_layers, n_heads, HEAD_DIM, window_capacity=capacity, capacity=max(1, *appends))
     model = ListCache(n_layers, n_heads, capacity)
     next_pos = [0] * n_layers
     for kind, a, arg in ops:
@@ -168,11 +172,13 @@ def test_matches_list_model(n_layers, n_heads, capacity, ops, seed):
     cache.validate()
 
 
-def test_growth_keeps_earlier_rows():
-    cache = KvCacheState(1, 2, window_capacity=2)
-    total = 4 * INITIAL_ALLOC + 1
+def test_a_full_cache_keeps_every_row():
+    total = 65
+    cache = KvCacheState(1, 2, 2, window_capacity=2, capacity=total)
     for pos in range(total):
         cache.append(0, np.full((2, 2), float(pos)) + [[0], [1]], np.full((2, 2), -float(pos)), pos, pos)
+    with pytest.raises(InternalInvariantViolation):
+        cache.append(0, np.zeros((2, 2)), np.zeros((2, 2)), total, total)
     expected = np.arange(total, dtype=float)
     np.testing.assert_array_equal(cache.keys_matrix(0)[:, :, 0], [expected, expected + 1])
     np.testing.assert_array_equal(cache.values_matrix(0)[:, :, 1], [-expected, -expected])
@@ -185,16 +191,16 @@ def one_head_entry(pos: int) -> tuple:
     return np.zeros((1, 2)), np.zeros((1, 2)), pos, pos
 
 
-def test_score_rows_stay_oldest_first_after_growth_and_keep():
-    # Rows recorded before, across and after a growth step and an eviction
-    # come back oldest first, and the ring keeps only the newest three.
-    cache = KvCacheState(1, 1, window_capacity=3)
+def test_score_rows_stay_oldest_first_across_a_wrap_and_keep():
+    # Rows recorded before and after the ring wraps and an eviction come
+    # back oldest first, and the ring keeps only the newest three.
+    total = 20
+    cache = KvCacheState(1, 1, 2, window_capacity=3, capacity=total)
     model = ListCache(1, 1, 3)
-    total = INITIAL_ALLOC + 4
     for pos in range(total):
         cache.append(0, *one_head_entry(pos))
         model.append(0, *one_head_entry(pos))
-        if pos >= INITIAL_ALLOC - 3:
+        if pos >= 13:
             row = np.full(pos + 1, float(pos)) + np.arange(pos + 1) / 64
             cache.record_step_profiles(0, [[row]])
             model.record(0, [[row]])
@@ -209,7 +215,7 @@ def test_score_rows_stay_oldest_first_after_growth_and_keep():
 
 
 def test_keep_nothing_empties_store_and_window():
-    cache = KvCacheState(1, 1, window_capacity=2)
+    cache = KvCacheState(1, 1, 2, window_capacity=2, capacity=3)
     for pos in range(3):
         cache.append(0, *one_head_entry(pos))
     cache.record_step_profiles(0, [[[0.2, 0.3, 0.5]]])
@@ -225,7 +231,7 @@ def test_keep_nothing_empties_store_and_window():
     "accessor", ["keys_matrix", "values_matrix", "positions", "token_ids", "received"]
 )
 def test_returned_views_are_read_only(accessor):
-    cache = KvCacheState(1, 2, window_capacity=2)
+    cache = KvCacheState(1, 2, 2, window_capacity=2, capacity=3)
     for pos in range(3):
         cache.append(0, np.ones((2, 2)), np.ones((2, 2)), pos, pos)
     view = getattr(cache, accessor)(0)
@@ -252,7 +258,7 @@ def test_returned_views_are_read_only(accessor):
 def test_keep_rejects_non_integer_indices(retained):
     # Non-integer indices, one row for two heads, an unsorted row and an
     # out-of-range index are all rejected before anything is evicted.
-    cache = KvCacheState(1, 2, window_capacity=2)
+    cache = KvCacheState(1, 2, 2, window_capacity=2, capacity=3)
     for pos in range(3):
         cache.append(0, np.ones((2, 2)), np.ones((2, 2)), pos, pos)
     with pytest.raises(InvalidShape):
