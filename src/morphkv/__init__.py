@@ -19,6 +19,8 @@ from .harness import (
     load_run_config,
     oracle_regression,
     run,
+    start_runs,
+    step_runs,
 )
 from .metrics import RepetitionReport, kv_bytes, relative_cache_ratio, repetition_rate
 from .model import (
@@ -73,6 +75,8 @@ __all__ = [
     "shadow_error",
     "snapkv_policy",
     "softmax",
+    "start_runs",
+    "step_runs",
     "streamingllm_step",
     "weights_checksum",
 ]

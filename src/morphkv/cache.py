@@ -138,11 +138,11 @@ class KvCacheState:
     def occupancies(self) -> list[list[int]]:
         return [[n] * self.n_kv_heads for n in self._n]
 
-    def is_empty(self) -> bool:
-        return not any(self._n)
-
     def min_occupancy(self) -> int:
         return min(self._n)
+
+    def max_occupancy(self) -> int:
+        return max(self._n)
 
     def next_position(self) -> int:
         positions = self.positions(0)[0]

@@ -2,10 +2,10 @@
 
 A run is fully determined by its config: seeded weights, seeded or
 file-sourced prompt, greedy decoding, one policy application per decode
-step. ``Decoding`` is one run stepped a token at a time; ``run`` steps it
-on its own greedy tokens. ``compare`` prefills the shared prompt once,
-hands each run a copy of that cache re-windowed to its profile ring, and
-steps the runs in lockstep, one forward for all of them per step: teacher
+step. ``start_runs`` starts every run: it prefills the shared prompt once
+and gives each run a copy re-windowed to its profile ring. ``step_runs``
+steps runs, one forward for all of them per step. ``run`` steps one run
+on its own greedy tokens; ``compare`` steps several in lockstep: teacher
 forcing feeds every run the reference's token, so their outputs are
 comparable step by step; free running lets each policy follow its own
 greedy trajectory, in which case only aggregate metrics are comparable. A
@@ -33,7 +33,6 @@ from .errors import (
     InternalInvariantViolation,
     InvalidConfig,
     InvalidParam,
-    InvalidShape,
     InvalidToken,
     TraceMismatch,
 )
@@ -91,79 +90,35 @@ def make_prompt(config: RunConfig) -> list[int]:
 
 
 class Decoding:
-    """One run stepped a token at a time over given weights.
+    """One run of a :func:`start_runs` call, stepped by :func:`step_runs`.
 
-    The constructor prefills the prompt into a cache sized at the run's
-    peak occupancy, or takes ``prefilled``, a cache of at least that size
-    already holding exactly the prompt at the run's ``recent_window`` and
-    the prefill's output; then it applies any one-shot prompt policy and
-    starts ``trace`` with the prefill evictions; ``out`` is the last
-    ``StepOutput``. Each :meth:`step` decodes one token, applies the
-    policy and appends the step's record to ``trace.records``; a lockstep
-    caller that ran the forward itself hands each run its output through
-    :meth:`finish_step`. :meth:`result` returns the run so far as a
-    ``RunResult``. A debug run audits the prefill and every step as they
-    happen.
+    The constructor takes the run's prompt, its cache holding that prompt
+    and the prefill's output ``out``, the last ``StepOutput``; it applies
+    any one-shot prompt policy and starts ``trace`` with the prefill
+    evictions. A debug run audits the prefill and every step as they happen.
     """
 
     def __init__(
-        self,
-        config: RunConfig,
-        weights: DecoderWeights,
-        prefilled: tuple[KvCacheState, StepOutput] | None = None,
+        self, config: RunConfig, weights: DecoderWeights, prompt: list[int], cache: KvCacheState, out: StepOutput
     ):
-        config.validate()
-        if weights.config != config.model:
-            raise InvalidParam("weights were drawn for another model config")
-        self.config, self.weights = config, weights
-        self.prompt = make_prompt(config)
-        capacity = peak_occupancy(config.policy, len(self.prompt), config.decode_steps, config.model.n_layers)
-        if prefilled is None:
-            self.cache = KvCacheState.for_model(config.model, config.policy.recent_window, capacity)
-            self.out = prefill(weights, self.prompt, self.cache)
-        else:
-            self.cache, self.out = prefilled
-            self._check_prefilled(capacity)
+        self.config, self.weights, self.prompt, self.cache, self.out = config, weights, prompt, cache, out
         if config.policy.kind == "snapkv":
-            snapkv_policy(self.cache, config.policy)
+            snapkv_policy(cache, config.policy)
         elif config.policy.kind == "morphkv" and config.policy.compress_prefill:
-            prefill_compress(self.cache, config.policy)
+            prefill_compress(cache, config.policy)
         # The trace keeps every eviction of every store; one int object per
         # evicted position, whichever stores evict it, keeps that list small.
         self._shared: dict[int, int] = {}
         self.trace = StepTrace(
             model=config.model,
             policy=config.policy,
-            prompt=self.prompt,
+            prompt=prompt,
             bytes_per_scalar=config.bytes_per_scalar,
             prefill_evictions=self._evictions(),
             records=[],
         )
         if config.debug_invariants:
             self._check("prefill")
-
-    def _check_prefilled(self, capacity: int) -> None:
-        """Refuse a handed-over cache that a prefill of this run's prompt
-        into a cache of its own would not have left, or that cannot hold
-        the run's ``capacity`` entries per store."""
-        cache, model, window = self.cache, self.config.model, self.config.policy.recent_window
-        if not cache.matches(model):
-            raise InvalidShape("prefilled cache is shaped for another model")
-        if cache.capacity < capacity:
-            raise InvalidParam(f"prefilled cache holds {cache.capacity} entries per store; run needs {capacity}")
-        if cache.window_capacity != window:
-            raise InvalidParam(
-                f"prefilled cache profiles {cache.window_capacity} rows; the run's recent_window is {window}"
-            )
-        n = len(self.prompt)
-        for layer in range(cache.n_layers):
-            if (
-                cache.occupancy(layer) != n
-                or cache.profile_rows(layer) != min(n, window)
-                or (cache.positions(layer) != np.arange(n)).any()
-                or (cache.token_ids(layer) != self.prompt).any()
-            ):
-                raise InvalidParam(f"prefilled cache does not hold the run's {n}-token prompt at layer {layer}")
 
     def _evictions(self) -> list[list[list[int]]]:
         """Evicted positions per (layer, KV head) since the last call."""
@@ -173,14 +128,7 @@ class Decoding:
             grid[layer][head].extend([self._shared.setdefault(p, p) for p in positions])
         return grid
 
-    def step(self, token: int) -> StepOutput:
-        """Decode ``token``, apply the policy and record the step."""
-        if len(self.trace.records) == self.config.decode_steps:
-            raise InvalidParam(f"all {self.config.decode_steps} decode steps are done")
-        token = int(token)
-        return self.finish_step(token, decode_step(self.weights, [token], [self.cache])[0])
-
-    def finish_step(self, token: int, out: StepOutput) -> StepOutput:
+    def _finish_step(self, token: int, out: StepOutput) -> None:
         """Apply the policy after ``out``, this run's output of a forward of
         ``token``, and record the step."""
         config, cache, i = self.config, self.cache, len(self.trace.records)
@@ -199,7 +147,6 @@ class Decoding:
         self.trace.records.append(record)
         if config.debug_invariants:
             self._check(f"step {i}", record)
-        return self.out
 
     def _check(self, where: str, record: StepRecord | None = None) -> None:
         """Check the cache, audit the prefill (no ``record``) or one step
@@ -226,11 +173,60 @@ class Decoding:
         return RunResult(self.trace, self.cache)
 
 
+def start_runs(configs, weights: DecoderWeights) -> list[Decoding]:
+    """Start one run per config over ``weights``; the configs may differ
+    only in their policy and in whether they audit themselves.
+
+    One ``prefill`` of the shared prompt, at the largest ``recent_window``,
+    serves every run: each run starts from a ``KvCacheState.copy`` at its
+    own window and peak occupancy, bit-equal to a prefill of its own, and
+    then applies its own one-shot prompt policy.
+    """
+    configs = [cfg.validate() for cfg in configs]
+    if not configs:
+        raise InvalidParam("start_runs needs at least one config")
+    base = configs[0]
+    shared = [f.name for f in fields(RunConfig) if f.name not in ("policy", "debug_invariants")]
+    for cfg in configs[1:]:
+        differ = [name for name in shared if getattr(cfg, name) != getattr(base, name)]
+        if differ:
+            raise TraceMismatch(f"compare configs may differ only in [policy]; these differ: {', '.join(differ)}")
+    if weights.config != base.model:
+        raise InvalidParam("weights were drawn for another model config")
+    prompt = make_prompt(base)
+    windows = [cfg.policy.recent_window for cfg in configs]
+    sizes = [peak_occupancy(cfg.policy, len(prompt), cfg.decode_steps, cfg.model.n_layers) for cfg in configs]
+    owner = windows.index(max(windows))
+    source = KvCacheState.for_model(base.model, windows[owner], sizes[owner])
+    out = prefill(weights, prompt, source)
+    # Every copy is made before any run's prompt policy changes the source.
+    caches = [source if i == owner else source.copy(*shape) for i, shape in enumerate(zip(windows, sizes))]
+    return [Decoding(cfg, weights, prompt, cache, out) for cfg, cache in zip(configs, caches)]
+
+
+def step_runs(runs: list[Decoding], tokens) -> list[StepOutput]:
+    """Decode ``tokens[i]`` in ``runs[i]``, all runs, from any
+    :func:`start_runs` calls over one weights object, through one
+    ``decode_step``; then apply each run's policy, record its step and
+    return its output. A finished run, runs over other weights or a bad
+    ``decode_step`` input is refused before any cache changes.
+    """
+    if len({id(decoding.weights) for decoding in runs}) != 1:
+        raise InvalidParam("step_runs needs one or more runs over one weights object")
+    for decoding in runs:
+        if len(decoding.trace.records) == decoding.config.decode_steps:
+            raise InvalidParam(f"all {decoding.config.decode_steps} decode steps are done")
+    outs = decode_step(runs[0].weights, tokens, [decoding.cache for decoding in runs])
+    for decoding, token, out in zip(runs, tokens, outs):
+        decoding._finish_step(int(token), out)
+    return outs
+
+
 def run(config: RunConfig) -> RunResult:
     """Prefill, apply any one-shot prompt policy, then decode greedily with eviction."""
-    decoding = Decoding(config.validate(), init_model(config.model))
+    (decoding,) = start_runs([config], init_model(config.validate().model))
     for _ in range(config.decode_steps):
-        decoding.step(greedy_token(decoding.out.logits))
+        step_runs([decoding], [greedy_token(decoding.out.logits)])
     return decoding.result()
 
 
@@ -305,13 +301,8 @@ REPETITION_NGRAM = 10  # n-gram length of the repetition rate compare reports
 
 
 def compare(configs, teacher_forced: bool = True) -> list[PolicyColumn]:
-    """Step several policies over one set of weights in lockstep, all runs
-    through one ``decode_step`` per step.
-
-    One ``prefill`` of the shared prompt, at the largest ``recent_window``,
-    serves every run: each run starts from a ``KvCacheState.copy`` at its
-    own window and peak occupancy, bit-equal to a prefill of its own, and
-    then applies its own one-shot prompt policy.
+    """Step several policies over one set of weights in lockstep: the runs
+    of one :func:`start_runs`, through one :func:`step_runs` per step.
 
     The first config is the reference: with teacher forcing (the default)
     it picks each token greedily, every run consumes that token, and each
@@ -325,33 +316,16 @@ def compare(configs, teacher_forced: bool = True) -> list[PolicyColumn]:
     base = configs[0]
     if base.decode_steps < 1:
         raise InvalidParam("compare needs at least one decode step")
-    # Runs may differ only in their policy and in whether they audit themselves.
-    shared = [f.name for f in fields(RunConfig) if f.name not in ("policy", "debug_invariants")]
-    for cfg in configs[1:]:
-        differ = [name for name in shared if getattr(cfg, name) != getattr(base, name)]
-        if differ:
-            raise TraceMismatch(f"compare configs may differ only in [policy]; these differ: {', '.join(differ)}")
-    weights = init_model(base.model)
-    prompt = make_prompt(base)
-    # Every copy is made before any run's prompt policy changes the source.
-    windows = [cfg.validate().policy.recent_window for cfg in configs]
-    sizes = [peak_occupancy(cfg.policy, len(prompt), cfg.decode_steps, cfg.model.n_layers) for cfg in configs]
-    owner = windows.index(max(windows))
-    source = KvCacheState.for_model(base.model, windows[owner], sizes[owner])
-    out = prefill(weights, prompt, source)
-    caches = [source if i == owner else source.copy(*shape) for i, shape in enumerate(zip(windows, sizes))]
-    runs = [Decoding(cfg, weights, (cache, out)) for cfg, cache in zip(configs, caches)]
+    runs = start_runs(configs, init_model(base.model))
     errors: list[list[list[float]]] = [[] for _ in runs]
     for _ in range(base.decode_steps):
         if teacher_forced:
             tokens = [greedy_token(runs[0].out.logits)] * len(runs)
         else:
             tokens = [greedy_token(decoding.out.logits) for decoding in runs]
-        # One forward steps every run; each run then applies its own policy.
-        outs = decode_step(weights, tokens, caches)
-        for decoding, token, out, run_errors in zip(runs, tokens, outs, errors):
-            decoding.finish_step(token, out)
-            if teacher_forced:
+        outs = step_runs(runs, tokens)
+        if teacher_forced:
+            for out, run_errors in zip(outs, errors):
                 run_errors.append(shadow_error(outs[0], out))
     seen: dict[str, int] = {}
     columns = []
@@ -469,12 +443,12 @@ def oracle_regression(config: RunConfig, instances: int) -> list[RegressionRow]:
             policy=EvictionPolicyConfig(kind="full_attention", recent_window=r),
             debug_invariants=False,
         )
-        decoding = Decoding(inst, init_model(inst.model))
+        (decoding,) = start_runs([inst], init_model(inst.model))
         # Decode rows only: ``cache.received`` also counts the prefill rows,
         # which would change how this pick ranks the prompt entries.
         cumulative = np.zeros(len(decoding.prompt) + inst.decode_steps)
         for _ in range(inst.decode_steps):
-            row = decoding.step(greedy_token(decoding.out.logits)).attn_rows[0][0][0]
+            row = step_runs([decoding], [greedy_token(decoding.out.logits)])[0].attn_rows[0][0][0]
             cumulative[: row.size] += row
         cache = decoding.cache
         keys = cache.keys_matrix(0)[0]

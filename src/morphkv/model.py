@@ -24,7 +24,7 @@ import numpy as np
 
 from .cache import KvCacheState
 from .config import ModelConfig
-from .errors import CacheNotEmpty, EmptyCache, InvalidParam, InvalidShape, InvalidToken
+from .errors import CacheNotEmpty, EmptyCache, InternalInvariantViolation, InvalidParam, InvalidShape, InvalidToken
 from .numerics import apply_rope, scaled_dot_attention
 
 MLP_MULT = 4
@@ -188,7 +188,7 @@ def prefill(weights: DecoderWeights, prompt, cache: KvCacheState) -> StepOutput:
         raise InvalidShape("prompt must contain at least one token")
     if not cache.matches(weights.config):
         raise InvalidShape("cache is shaped for another model")
-    if not cache.is_empty():
+    if cache.max_occupancy():
         raise CacheNotEmpty("prefill needs an empty cache")
     for start in range(0, len(tokens), PREFILL_BLOCK):
         block = tokens[start : start + PREFILL_BLOCK]
@@ -207,7 +207,7 @@ def decode_step(weights: DecoderWeights, tokens, caches) -> list[StepOutput]:
     attention rows into every store, as prefill does, so the policy that
     runs next sees the step's row in place. Policies never record.
     Returns one output per cache, each bit-equal to stepping that cache
-    alone. Every input is checked before any cache changes.
+    alone. Every input, a full cache included, is checked before any cache changes.
     """
     cfg = weights.config
     n = len(caches)
@@ -220,7 +220,9 @@ def decode_step(weights: DecoderWeights, tokens, caches) -> list[StepOutput]:
         if not cache.matches(cfg):
             raise InvalidShape("cache is shaped for another model")
         if cache.min_occupancy() == 0:
-            raise EmptyCache("decode_step needs a prefilled cache in every store")
+            raise EmptyCache("decode_step needs a prompt in every store of every cache")
+        if cache.max_occupancy() == cache.capacity:
+            raise InternalInvariantViolation("decode_step got a full cache: its run was sized too small")
         positions.append(cache.next_position())
     return _forward(weights, [_check_token(token, cfg) for token in tokens], positions, caches)
 

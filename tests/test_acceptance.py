@@ -18,7 +18,6 @@ import pytest
 
 import reference
 from morphkv import (
-    Decoding,
     EvictionPolicyConfig,
     KvCacheState,
     ModelConfig,
@@ -35,6 +34,8 @@ from morphkv import (
     repetition_rate,
     run,
     select_retained,
+    start_runs,
+    step_runs,
 )
 from morphkv.harness import regression_means, render_regression_csv
 
@@ -97,10 +98,10 @@ def test_constant_cache_size():
 
 def greedy_logits(config):
     """A greedy run's trace and its logits after prefill and after each decode step."""
-    decoding = Decoding(config, init_model(config.model))
+    (decoding,) = start_runs([config], init_model(config.model))
     logits = [decoding.out.logits]
     for _ in range(config.decode_steps):
-        logits.append(decoding.step(greedy_token(decoding.out.logits)).logits)
+        logits.append(step_runs([decoding], [greedy_token(decoding.out.logits)])[0].logits)
     return decoding.trace, logits
 
 
@@ -280,18 +281,20 @@ def test_group_aggregation_consistency():
 
     gqa = ModelConfig(n_layers=2, n_query_heads=8, n_kv_heads=2, head_dim=4, vocab_size=32, seed=3)
     assert gqa.group_size == 4
-    decoding = Decoding(
-        RunConfig(
-            model=gqa,
-            policy=EvictionPolicyConfig(kind="morphkv", distant_capacity=4, recent_window=3),
-            prompt_length=6,
-            decode_steps=8,
-        ),
+    (decoding,) = start_runs(
+        [
+            RunConfig(
+                model=gqa,
+                policy=EvictionPolicyConfig(kind="morphkv", distant_capacity=4, recent_window=3),
+                prompt_length=6,
+                decode_steps=8,
+            )
+        ],
         init_model(gqa),
     )
     cells = 0
     for _ in range(8):
-        step_rows = decoding.step(greedy_token(decoding.out.logits)).attn_rows
+        step_rows = step_runs([decoding], [greedy_token(decoding.out.logits)])[0].attn_rows
         for layer_rows in step_rows:
             for group in layer_rows:
                 explicit = group[0] + group[1] + group[2] + group[3]

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from morphkv import (
-    Decoding,
     EvictionPolicyConfig,
     KvCacheState,
     ModelConfig,
@@ -15,6 +14,8 @@ from morphkv import (
     run,
     scissorhands_step,
     snapkv_policy,
+    start_runs,
+    step_runs,
     streamingllm_step,
 )
 from morphkv.baselines import keep_window, policy_step
@@ -172,8 +173,8 @@ class TestH2o:
         )
         policy = EvictionPolicyConfig(kind="h2o", distant_capacity=2, recent_window=2)
         config = RunConfig(model=model, policy=policy, prompt_length=5, decode_steps=steps)
-        decoding = Decoding(config, init_model(model))
-        rows = [decoding.step(greedy_token(decoding.out.logits)).attn_rows for _ in range(steps)]
+        (decoding,) = start_runs([config], init_model(model))
+        rows = [step_runs([decoding], [greedy_token(decoding.out.logits)])[0].attn_rows for _ in range(steps)]
         return rows, decoding.result()
 
     def test_matches_hand_replay(self):

@@ -19,7 +19,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from morphkv import (
-    Decoding,
     EvictionPolicyConfig,
     KvCacheState,
     ModelConfig,
@@ -28,6 +27,8 @@ from morphkv import (
     greedy_token,
     init_model,
     prefill,
+    start_runs,
+    step_runs,
 )
 from morphkv.model import PREFILL_BLOCK
 
@@ -137,26 +138,25 @@ LOCKSTEP_MODEL = ModelConfig(n_layers=2, n_query_heads=4, n_kv_heads=2, head_dim
 
 
 def assert_lockstep_equals_alone(model, policies, prompt_lengths, steps, teacher_forced):
-    """Step runs through one ``decode_step`` per step and, beside them, each
-    run on its own; every output and every store read must match on bits."""
+    """Step runs, each from a ``start_runs`` of its own over one weights
+    object, through one ``step_runs`` per step and, beside them, each run on
+    its own; every output and every store read must match on bits."""
     weights = init_model(model)
     configs = [
         RunConfig(model=model, policy=policy, prompt_length=length, decode_steps=steps)
         for policy, length in zip(policies, prompt_lengths)
     ]
-    lockstep = [Decoding(cfg, weights) for cfg in configs]
-    alone = [Decoding(cfg, weights) for cfg in configs]
-    caches = [run.cache for run in lockstep]
+    lockstep = [start_runs([cfg], weights)[0] for cfg in configs]
+    alone = [start_runs([cfg], weights)[0] for cfg in configs]
     for _ in range(steps):
         if teacher_forced:
             tokens = [greedy_token(lockstep[0].out.logits)] * len(lockstep)
         else:
             tokens = [greedy_token(run.out.logits) for run in lockstep]
-        outs = decode_step(weights, tokens, caches)
+        outs = step_runs(lockstep, tokens)
         assert len(outs) == len(lockstep)
         for run, single, token, out in zip(lockstep, alone, tokens, outs):
-            run.finish_step(token, out)
-            assert_same_output(out, single.step(token), model)
+            assert_same_output(out, step_runs([single], [token])[0], model)
             assert_same_stores(run.cache, single.cache)
     for run, single in zip(lockstep, alone):
         assert run.trace.to_dict() == single.trace.to_dict()

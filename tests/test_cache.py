@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 import reference
 from morphkv import (
-    Decoding,
     EvictionPolicyConfig,
     KvCacheState,
     ModelConfig,
@@ -16,10 +15,13 @@ from morphkv import (
     decode_step,
     fuse,
     greedy_token,
+    harness,
     init_model,
     load_run_config,
     morphkv_step,
     prefill,
+    start_runs,
+    step_runs,
 )
 from morphkv.harness import snapshot
 from morphkv.errors import (
@@ -484,15 +486,22 @@ class TestRunSize:
     @settings(max_examples=60, deadline=None)
     @given(config=tiny_runs())
     def test_capacity_is_the_peak_occupancy(self, config):
-        decoding = Decoding(config, init_model(config.model))
+        (decoding,) = start_runs([config], init_model(config.model))
         cache = decoding.cache
-        peak = len(decoding.prompt)
-        for _ in range(config.decode_steps):
-            token = greedy_token(decoding.out.logits)
-            (out,) = decode_step(decoding.weights, [token], [cache])
+        peaks = [len(decoding.prompt)]
+
+        def counted(stepped, *args):
             # After the step's append, before its eviction.
-            peak = max(peak, *(n for heads in cache.occupancies() for n in heads))
-            decoding.finish_step(token, out)
+            peaks.extend(n for heads in stepped.occupancies() for n in heads)
+            return policy_step(stepped, *args)
+
+        policy_step = harness.policy_step
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(harness, "policy_step", counted)
+            for _ in range(config.decode_steps):
+                step_runs([decoding], [greedy_token(decoding.out.logits)])
+        assert len(peaks) == 1 + config.decode_steps * config.model.n_layers * config.model.n_kv_heads
+        peak = max(peaks)
         assert decoding.cache is cache
         assert cache.capacity == peak
 
@@ -503,4 +512,4 @@ class TestRunSize:
         desk = load_run_config(str(CONFIGS / "morphkv.ini"))
         config = replace(desk, prompt_length=64, decode_steps=decode_steps)
         assert config.policy.cache_budget == 64 and config.policy.eviction_interval == 1
-        assert Decoding(config, init_model(config.model)).cache.capacity == 65
+        assert start_runs([config], init_model(config.model))[0].cache.capacity == 65

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from morphkv import (
-    Decoding,
     KvCacheState,
     EvictionPolicyConfig,
     ModelConfig,
@@ -21,13 +20,14 @@ from morphkv import (
     oracle_regression,
     prefill,
     run,
+    start_runs,
+    step_runs,
 )
 from morphkv.errors import (
     InstanceTooLarge,
     InternalInvariantViolation,
     InvalidConfig,
     InvalidParam,
-    InvalidShape,
     InvalidToken,
     TraceMismatch,
 )
@@ -65,6 +65,20 @@ def run_size(config: RunConfig) -> int:
     return peak_occupancy(config.policy, len(make_prompt(config)), config.decode_steps, config.model.n_layers)
 
 
+def raw_bits(decoding) -> list:
+    """Every byte of a run's cache buffers, its entry counts and ring state,
+    and its step count."""
+    cache = decoding.cache
+    state = [list(cache._n), list(cache._start), list(cache._count), len(decoding.trace.records)]
+    return [buf.tobytes() for buf in cache._buffers] + state
+
+
+def live_bits(cache: KvCacheState) -> list:
+    """The bytes of every read of each layer's live entries and profiles."""
+    reads = (cache.keys_matrix, cache.values_matrix, cache.positions, cache.token_ids, cache.received)
+    return [read(layer).tobytes() for layer in range(cache.n_layers) for read in (*reads, cache.score_matrix)]
+
+
 class TestRunDeterminism:
     def test_identical_reruns_bit_for_bit(self):
         config = small_run_config()
@@ -72,10 +86,10 @@ class TestRunDeterminism:
         b = run(config)
         assert a.trace.to_dict() == b.trace.to_dict()
         # Each stepping run draws its own weights, as ``run`` does.
-        stepped = [Decoding(config, init_model(config.model)) for _ in range(2)]
+        stepped = [start_runs([config], init_model(config.model))[0] for _ in range(2)]
         np.testing.assert_array_equal(stepped[0].out.logits, stepped[1].out.logits)
         for token in a.trace.consumed_tokens():
-            la, lb = (decoding.step(token).logits for decoding in stepped)
+            la, lb = (step_runs([decoding], [token])[0].logits for decoding in stepped)
             np.testing.assert_array_equal(la, lb)
 
     def test_seed_changes_trajectory(self):
@@ -86,22 +100,22 @@ class TestRunDeterminism:
     def test_forced_tokens_replayed_verbatim(self):
         config = small_run_config()
         forced = [1, 2, 3, 4, 5, 6, 7, 8]
-        decoding = Decoding(config, init_model(config.model))
+        (decoding,) = start_runs([config], init_model(config.model))
         for token in forced:
-            decoding.step(token)
+            step_runs([decoding], [token])
         assert decoding.result().trace.consumed_tokens() == forced
         with pytest.raises(InvalidParam, match="all 8 decode steps"):
-            decoding.step(1)
+            step_runs([decoding], [1])
 
     def test_decoding_rejects_weights_of_another_model(self):
         config = small_run_config()
-        with pytest.raises(InvalidParam):
-            Decoding(config, init_model(replace(SMALL_MODEL, seed=42)))
+        with pytest.raises(InvalidParam, match="another model config"):
+            start_runs([config], init_model(replace(SMALL_MODEL, seed=42)))
 
     def test_zero_decode_steps_is_a_prefill_only_run(self):
         config = replace(small_run_config(), decode_steps=0)
         assert run(config).trace.records == []
-        decoding = Decoding(config, init_model(config.model))
+        (decoding,) = start_runs([config], init_model(config.model))
         assert decoding.out.logits.shape == (SMALL_MODEL.vocab_size,)
 
 
@@ -367,11 +381,11 @@ class TestCompare:
         columns = compare(configs)
         write_compare_outputs(columns, str(tmp_path))
         weights = init_model(SMALL_MODEL)
-        runs = [Decoding(cfg, weights) for cfg in configs]
+        runs = [start_runs([cfg], weights)[0] for cfg in configs]
         errors = [[] for _ in runs]
         for _ in range(configs[0].decode_steps):
             token = greedy_token(runs[0].out.logits)
-            outs = [decoding.step(token) for decoding in runs]
+            outs = [step_runs([decoding], [token])[0] for decoding in runs]
             for out, run_errors in zip(outs, errors):
                 run_errors.append(
                     np.mean(
@@ -398,85 +412,91 @@ class TestCompare:
         assert (tmp_path / "trace_morphkv.json").exists()
 
 
-class TestPrefilledHandOver:
-    """``Decoding`` takes a prefilled cache only if its own prefill would
-    have left that cache: same model, same window, the run's prompt."""
+class TestStepRuns:
+    """``step_runs`` steps every run or none: each refused call leaves every
+    run's cache and trace as they were."""
 
-    def handed(self, config, weights, cache=None):
-        if cache is None:
-            cache = KvCacheState.for_model(config.model, config.policy.recent_window, run_size(config))
-        out = prefill(weights, make_prompt(config), cache) if cache.is_empty() else None
-        return Decoding(config, weights, (cache, out))
+    def assert_refused(self, error, runs, match):
+        before = [raw_bits(decoding) for decoding in runs]
+        with pytest.raises(error, match=match):
+            step_runs(runs, [1] * len(runs))
+        assert [raw_bits(decoding) for decoding in runs] == before
+
+    def test_a_run_with_no_steps_left(self):
+        config = small_run_config()
+        weights = init_model(config.model)
+        live = start_runs([config], weights)
+        # The finished run's cache has room: only its step count refuses it.
+        (done,) = start_runs([replace(config, decode_steps=1)], weights)
+        step_runs([done], [1])
+        assert done.cache.max_occupancy() < done.cache.capacity
+        self.assert_refused(InvalidParam, live + [done], "all 1 decode steps are done")
+
+    def test_runs_over_two_weights_objects(self):
+        config = small_run_config()
+        runs = [start_runs([config], init_model(config.model))[0] for _ in range(2)]
+        self.assert_refused(InvalidParam, runs, "one weights object")
+
+    def test_one_run_listed_twice(self):
+        config = small_run_config()
+        weights = init_model(config.model)
+        (other,), (twice,) = start_runs([config], weights), start_runs([config], weights)
+        self.assert_refused(InvalidParam, [other, twice, twice], "same cache twice")
+
+    def test_no_runs(self):
+        with pytest.raises(InvalidParam, match="one or more runs"):
+            step_runs([], [])
+        with pytest.raises(InvalidParam, match="at least one config"):
+            start_runs([], init_model(SMALL_MODEL))
+
+    @pytest.mark.parametrize("teacher_forced", [True, False])
+    def test_runs_of_two_starts_step_together_as_alone(self, teacher_forced):
+        # Different prompt lengths put the runs' rows at different positions.
+        configs = [replace(small_run_config(), prompt_length=6), replace(small_run_config("h2o"), prompt_length=11)]
+        weights = init_model(SMALL_MODEL)
+        together = [start_runs([cfg], weights)[0] for cfg in configs]
+        alone = [start_runs([cfg], weights)[0] for cfg in configs]
+        for _ in range(configs[0].decode_steps):
+            if teacher_forced:
+                tokens = [greedy_token(together[0].out.logits)] * 2
+            else:
+                tokens = [greedy_token(decoding.out.logits) for decoding in together]
+            outs = step_runs(together, tokens)
+            for decoding, single, token, out in zip(together, alone, tokens, outs):
+                assert out is decoding.out
+                np.testing.assert_array_equal(out.logits, step_runs([single], [token])[0].logits)
+                assert live_bits(decoding.cache) == live_bits(single.cache)
+        for decoding, single in zip(together, alone):
+            assert decoding.result().trace.to_dict() == single.result().trace.to_dict()
+
+
+class TestPrefilledHandOver:
+    """``start_runs`` prefills once and hands every run but the one with the
+    largest window a copy of that cache, at its own window and peak."""
 
     def test_equals_a_run_that_prefills_itself(self):
         config = small_run_config(compress_prefill=True, distant_capacity=1)
+        wider = replace(config, policy=replace(config.policy, recent_window=5))
         weights = init_model(config.model)
-        handed, own = self.handed(config, weights), Decoding(config, weights)
-        for _ in range(config.decode_steps):
-            handed.step(greedy_token(handed.out.logits))
-            own.step(greedy_token(own.out.logits))
+        handed, _ = start_runs([config, wider], weights)
+        (own,) = start_runs([config], weights)
+        assert handed.cache.window_capacity == own.cache.window_capacity == 2
+        for decoding in (handed, own):
+            for _ in range(config.decode_steps):
+                step_runs([decoding], [greedy_token(decoding.out.logits)])
         assert handed.result().trace.to_dict() == own.result().trace.to_dict()
 
-    def test_rejects_cache_of_another_model(self):
-        config = small_run_config()
-        other = replace(SMALL_MODEL, n_kv_heads=1)
-        cache = KvCacheState.for_model(other, config.policy.recent_window, run_size(config))
-        prefill(init_model(other), make_prompt(config), cache)
-        with pytest.raises(InvalidShape, match="another model"):
-            self.handed(config, init_model(config.model), cache)
-
-    @pytest.mark.parametrize("window", [1, 3])
-    def test_rejects_cache_of_another_window(self, window):
-        config = small_run_config(recent_window=2)
-        cache = KvCacheState.for_model(config.model, window, run_size(config))
-        with pytest.raises(InvalidParam, match="recent_window is 2"):
-            self.handed(config, init_model(config.model), cache)
-
-    def test_rejects_another_prompt(self):
-        config = small_run_config()
-        weights = init_model(config.model)
-        cache = KvCacheState.for_model(config.model, config.policy.recent_window, run_size(config))
-        prefill(weights, [t ^ 1 for t in make_prompt(config)], cache)
-        with pytest.raises(InvalidParam, match="does not hold the run's 6-token prompt"):
-            self.handed(config, weights, cache)
-
-    def test_rejects_evicted_or_extra_entries(self):
-        config = small_run_config()
-        weights = init_model(config.model)
-        # The run's peak is one past its 6-token prompt: room for one extra entry.
-        cache = KvCacheState.for_model(config.model, config.policy.recent_window, run_size(config))
-        prefill(weights, make_prompt(config) + [0], cache)
-        with pytest.raises(InvalidParam, match="does not hold"):
-            self.handed(config, weights, cache)
-        cache.keep(0, np.broadcast_to(np.arange(1, 7), (2, 2, 6)))
-        with pytest.raises(InvalidParam, match="does not hold"):
-            self.handed(config, weights, cache)
-
-    def test_rejects_a_profile_with_rows_the_prefill_never_recorded(self):
-        config = small_run_config(recent_window=8)
-        weights = init_model(config.model)
-        cache = KvCacheState.for_model(config.model, 8, run_size(config))
-        prefill(weights, make_prompt(config), cache)
-        cache.record_step_profiles(1, np.zeros((2, 2, 6)))
-        with pytest.raises(InvalidParam, match="at layer 1"):
-            self.handed(config, weights, cache)
-
-    def test_rejects_a_cache_below_the_run_peak(self):
+    def test_rejects_a_cache_below_the_run_peak(self, monkeypatch):
         config = small_run_config()
         size = run_size(config)
         assert size == len(make_prompt(config)) + 1
-        # The prompt fits, but the run's first step would not.
-        cache = KvCacheState.for_model(config.model, config.policy.recent_window, size - 1)
-        with pytest.raises(InvalidParam, match=f"holds {size - 1} entries per store; run needs {size}"):
-            self.handed(config, init_model(config.model), cache)
-
-    def test_takes_a_larger_cache(self):
-        config = small_run_config()
-        cache = KvCacheState.for_model(config.model, config.policy.recent_window, run_size(config) + 5)
-        handed = self.handed(config, init_model(config.model), cache)
-        for _ in range(config.decode_steps):
-            handed.step(greedy_token(handed.out.logits))
-        assert handed.result().trace.to_dict() == run(config).trace.to_dict()
+        # The prompt fits, but the run's first step would not: a sizing bug.
+        monkeypatch.setattr(harness, "peak_occupancy", lambda *args: size - 1)
+        (decoding,) = start_runs([config], init_model(config.model))
+        before = raw_bits(decoding)
+        with pytest.raises(InternalInvariantViolation, match="full cache"):
+            step_runs([decoding], [greedy_token(decoding.out.logits)])
+        assert raw_bits(decoding) == before
 
 
 class TestConfigFiles:

@@ -18,6 +18,7 @@ from morphkv import (
 from morphkv.errors import (
     CacheNotEmpty,
     EmptyCache,
+    InternalInvariantViolation,
     InvalidConfig,
     InvalidParam,
     InvalidShape,
@@ -229,18 +230,14 @@ class TestDecodeStepInput:
 
     @staticmethod
     def state(cache: KvCacheState) -> list:
-        reads = ("keys_matrix", "values_matrix", "positions", "token_ids", "received", "score_matrix")
-        return [
-            np.array(getattr(cache, read)(layer)) for layer in range(cache.n_layers) for read in reads
-        ]
+        """Every byte of the cache's buffers, its entry counts and ring state."""
+        return [buf.tobytes() for buf in cache._buffers] + [list(cache._n), list(cache._start), list(cache._count)]
 
     def assert_rejected(self, error, tokens, caches, match=None):
         before = [self.state(cache) for cache in caches]
         with pytest.raises(error, match=match):
             decode_step(init_model(self.CFG), tokens, caches)
-        for cache, arrays in zip(caches, before):
-            for got, want in zip(self.state(cache), arrays):
-                np.testing.assert_array_equal(got, want)
+        assert [self.state(cache) for cache in caches] == before
 
     def test_same_cache_twice(self):
         cache = self.prefilled()
@@ -264,6 +261,12 @@ class TestDecodeStepInput:
 
     def test_empty_cache(self):
         self.assert_rejected(EmptyCache, [1, 2], [self.prefilled(), fresh_cache(self.CFG, 1)])
+
+    def test_full_cache(self):
+        # A cache with no room for the step's entry was sized wrong: a bug.
+        full = fresh_cache(self.CFG, 3, window=2)
+        prefill(init_model(self.CFG), [1, 2, 3], full)
+        self.assert_rejected(InternalInvariantViolation, [1, 2], [self.prefilled(), full], "full cache")
 
     def test_out_of_vocab_token(self):
         tokens = [1, self.CFG.vocab_size]

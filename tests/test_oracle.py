@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from morphkv import (
-    Decoding,
     EvictionPolicyConfig,
     ModelConfig,
     RunConfig,
@@ -12,6 +11,8 @@ from morphkv import (
     init_model,
     optimal_subset,
     shadow_error,
+    start_runs,
+    step_runs,
 )
 from morphkv.errors import EmptyCache, InstanceTooLarge, InvalidParam
 from morphkv.numerics import scaled_dot_attention
@@ -111,21 +112,23 @@ class TestShadowError:
         """Per-step (full, policy) outputs of one token stream, and the policy's trace."""
         weights = init_model(self.MODEL)
         full, policy = (
-            Decoding(
-                RunConfig(
-                    model=self.MODEL,
-                    policy=EvictionPolicyConfig(kind=kind, recent_window=4),
-                    prompt_length=6,
-                    decode_steps=steps,
-                ),
+            start_runs(
+                [
+                    RunConfig(
+                        model=self.MODEL,
+                        policy=EvictionPolicyConfig(kind=kind, recent_window=4),
+                        prompt_length=6,
+                        decode_steps=steps,
+                    )
+                ],
                 weights,
-            )
+            )[0]
             for kind in ("full_attention", policy_kind)
         )
         pairs = []
         for _ in range(steps):
             token = greedy_token(full.out.logits)
-            pairs.append((full.step(token), policy.step(token)))
+            pairs.append((step_runs([full], [token])[0], step_runs([policy], [token])[0]))
         return pairs, policy.result().trace
 
     def test_self_comparison_is_exactly_zero(self):
