@@ -15,20 +15,22 @@ row-major ``(n, head_dim)`` block. Every buffer is allocated once, at the
 ``capacity`` its run sizes it to (the most entries any store of the run
 will hold), and never grows: an append into a full layer is a bug. The
 profile ``(layers, heads, capacity, window_capacity)`` holds the newest
-aggregated attention rows as columns, one per ring slot, read back oldest
-first as a C-contiguous ``(..., rows, columns)`` copy, the order and layout
-:func:`morph.fuse` sums them in. A new entry's profile row is zero (a token cannot have attended
+aggregated attention rows as columns, a layer's ``r``-th recorded row in
+ring slot ``r % window_capacity``, read back oldest first as a C-contiguous
+``(..., rows, columns)`` copy, the order and layout :func:`morph.fuse` sums
+them in. A new entry's profile row is zero (a token cannot have attended
 to entries created after it), and evicted entries leave with their rows.
 Received attention is the running total of every recorded row, prefill
 rows included, so only the profile depends on the ring's capacity: a copy
 re-windowed to a smaller ring, or to any ring before this one has wrapped,
-keeps the newest rows and is what a cache of that capacity would hold.
+keeps the newest rows in their slots at its capacity and is slot for slot
+what a cache of that capacity would hold.
 Scores are never renormalized after a deletion: they are only compared for
 ranking, and the raw weights keep dumps auditable.
 
 Stacks: the forward appends and records layer by layer, but a policy acts
 between forwards on a ``range`` of consecutive layers that share one
-occupancy and ring state. :meth:`KvCacheState.occupancy`, :meth:`received`
+occupancy and recorded-row count. :meth:`KvCacheState.occupancy`, :meth:`received`
 and :meth:`score_matrix` take such a range, or one layer as an int, which
 drops the layer axis as numpy indexing does; they and :meth:`keep` raise
 :class:`InvalidShape` for a stack whose layers differ.
@@ -59,8 +61,8 @@ _DTYPES = (np.float64, np.float64, np.int64, np.int64, np.float64, np.float64)
 class KvCacheState:
     """Array-backed stores with their attention profiles, one block of
     ``capacity`` entries per store for the whole cache: layer ``l``'s first
-    ``_n[l]`` entries are live, and its profile ring holds ``_count[l]``
-    rows, the oldest in slot ``_start[l]``.
+    ``_n[l]`` entries are live, and it has recorded ``_recorded[l]`` profile
+    rows, of which its ring holds the newest ``window_capacity``.
 
     :meth:`append` and :meth:`record_step_profiles` act on every KV head of
     one layer, :meth:`keep` on every KV head of a stack. Evictions are
@@ -73,7 +75,7 @@ class KvCacheState:
             raise InvalidConfig("a cache needs at least one layer, KV head, head dimension, ring slot and entry")
         self.n_layers, self.n_kv_heads, self.head_dim = n_layers, n_kv_heads, head_dim
         self.window_capacity, self.capacity = window_capacity, capacity
-        self._n, self._start, self._count = [0] * n_layers, [0] * n_layers, [0] * n_layers
+        self._n, self._recorded = [0] * n_layers, [0] * n_layers
         lhc = (n_layers, n_kv_heads, capacity)
         shapes = [(*lhc, head_dim)] * 2 + [lhc] * 3 + [(*lhc, window_capacity)]
         self._buffers = tuple(np.empty(shape, dtype) for shape, dtype in zip(shapes, _DTYPES))
@@ -89,13 +91,14 @@ class KvCacheState:
     def copy(self, window_capacity: int, capacity: int) -> "KvCacheState":
         """An independent copy, journal empty, of ``capacity`` entries per
         store holding this cache's live entries, whose rings hold each
-        layer's newest ``min(profile_rows, window_capacity)`` rows, oldest
-        in slot 0. A capacity below the live entries, or a wider ring than a
-        full one (which may have dropped rows), is :class:`InvalidParam`."""
+        layer's newest ``min(profile_rows, window_capacity)`` rows, each in
+        its slot at the new capacity. A capacity below the live entries, or
+        a wider ring than a full one (which may have dropped rows), is
+        :class:`InvalidParam`."""
         live = max(self._n)
         if capacity < live:
             raise InvalidParam(f"a copy of {capacity} entries per store cannot hold {live}")
-        if window_capacity > self.window_capacity and self.window_capacity in self._count:
+        if window_capacity > self.window_capacity and max(self._recorded) >= self.window_capacity:
             raise InvalidParam(
                 f"a full profile ring of {self.window_capacity} rows cannot give "
                 f"{window_capacity}: it may have dropped the older rows"
@@ -103,12 +106,11 @@ class KvCacheState:
         twin = KvCacheState(self.n_layers, self.n_kv_heads, self.head_dim, window_capacity, capacity)
         for mine, its in zip(self._buffers[:_PROFILE], twin._buffers):
             its[:, :, :live] = mine[:, :, :live]
-        profile = self._buffers[_PROFILE][:, :, :live]
-        for layer, (start, count) in enumerate(zip(self._start, self._count)):
-            kept = min(count, window_capacity)
-            order = (start + np.arange(count - kept, count)) % self.window_capacity
-            twin._buffers[_PROFILE][layer, :, :live, :kept] = profile[layer].take(order, axis=-1)
-        twin._n, twin._count = list(self._n), [min(count, window_capacity) for count in self._count]
+        mine, its = self._buffers[_PROFILE][:, :, :live], twin._buffers[_PROFILE][:, :, :live]
+        for layer, recorded in enumerate(self._recorded):
+            rows = np.arange(recorded - min(recorded, window_capacity), recorded)
+            its[layer][..., rows % window_capacity] = mine[layer][..., rows % self.window_capacity]
+        twin._n, twin._recorded = list(self._n), list(self._recorded)
         return twin
 
     def _live(self, which: int, layer: int) -> np.ndarray:
@@ -120,9 +122,9 @@ class KvCacheState:
         if not (stack and stack.step == 1 and 0 <= stack.start and stack.stop <= self.n_layers):
             raise InvalidShape(f"{layers!r} is not a stack of consecutive layers in 0..{self.n_layers - 1}")
         first, stop = stack.start, stack.stop
-        for state in (self._n, self._start, self._count):
+        for state in (self._n, self._recorded):
             if state[first:stop].count(state[first]) != stop - first:
-                raise InvalidShape(f"layers {first}..{stop - 1} differ in occupancy or profile ring state")
+                raise InvalidShape(f"layers {first}..{stop - 1} differ in occupancy or recorded profile rows")
         return (layers if stack is not layers else slice(first, stop)), first
 
     def matches(self, model: ModelConfig) -> bool:
@@ -184,13 +186,14 @@ class KvCacheState:
 
     def profile_rows(self, layer: int) -> int:
         """Attention rows held in the layer's profiles, at most ``window_capacity``."""
-        return self._count[layer]
+        return min(self._recorded[layer], self.window_capacity)
 
     def score_matrix(self, layers: int | range, columns: int | None = None) -> np.ndarray:
         """C-contiguous ``(..., heads, rows, columns)`` copy of the profiles'
         leading columns (all live entries by default), oldest row first."""
         index, first = self._stack(layers)
-        order = (self._start[first] + np.arange(self._count[first])) % self.window_capacity
+        recorded = self._recorded[first]
+        order = np.arange(recorded - self.profile_rows(first), recorded) % self.window_capacity
         end = self._n[first] if columns is None else columns
         # ``take`` writes a new C-contiguous array in its output's axis order.
         return self._buffers[_PROFILE][index, :, :end].swapaxes(-1, -2).take(order, axis=-2)
@@ -210,16 +213,10 @@ class KvCacheState:
                 f"profile rows have shape {rows.shape} but layer {layer} holds "
                 f"{n} entries in each of {heads} KV heads"
             )
-        count = self._count[layer]
-        if count < self.window_capacity:
-            # The ring has never wrapped, so its start is still 0.
-            slot, self._count[layer] = count, count + 1
-        else:
-            slot = self._start[layer]
-            self._start[layer] = (slot + 1) % self.window_capacity
         summed = rows.sum(axis=1)
-        self._buffers[_PROFILE][layer, :, :n, slot] = summed
+        self._buffers[_PROFILE][layer, :, :n, self._recorded[layer] % self.window_capacity] = summed
         self._buffers[_RECEIVED][layer, :, :n] += summed
+        self._recorded[layer] += 1
 
     def keep(self, first_layer: int, retained) -> list[int]:
         """Drop from each KV head of the ``len(retained)`` layers from

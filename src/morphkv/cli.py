@@ -130,8 +130,11 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="morphkv", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, out_flag=True):
-        p.add_argument("--config", required=True, help="run config file")
+    def add_common(p, out_flag=True, many_configs=False):
+        if many_configs:
+            p.add_argument("configs", nargs="+", help="two or more run config files")
+        else:
+            p.add_argument("--config", required=True, help="run config file")
         p.add_argument("--seed", type=int, default=None, help="override the model seed")
         p.add_argument("--debug-invariants", action="store_true", help="check invariants every step")
         if out_flag:
@@ -142,10 +145,7 @@ def build_parser() -> _Parser:
     p_run.set_defaults(func=_cmd_run)
 
     p_cmp = sub.add_parser("compare", help="align several policies over one model")
-    p_cmp.add_argument("configs", nargs="+", help="two or more run config files")
-    p_cmp.add_argument("--seed", type=int, default=None)
-    p_cmp.add_argument("--debug-invariants", action="store_true")
-    p_cmp.add_argument("--out", default=None, help="directory for output files")
+    add_common(p_cmp, many_configs=True)
     p_cmp.add_argument(
         "--free-running",
         action="store_true",
@@ -155,14 +155,14 @@ def build_parser() -> _Parser:
 
     p_orc = sub.add_parser("oracle", help="score retention rules against the exhaustive optimum")
     add_common(p_orc, out_flag=False)
-    p_orc.add_argument("--instances", type=int, default=200)
+    p_orc.add_argument("--instances", type=int, default=200, help="seeded instances to score")
     p_orc.add_argument("--out-file", default=None, help="write the regression CSV here")
     p_orc.add_argument("--baseline", default=None, help="committed CSV to compare against")
     p_orc.set_defaults(func=_cmd_oracle)
 
     p_met = sub.add_parser("metrics", help="recompute metrics from a saved trace")
     p_met.add_argument("--trace", required=True, help="trace.json from a previous run")
-    p_met.add_argument("--ngram", type=int, default=REPETITION_NGRAM)
+    p_met.add_argument("--ngram", type=int, default=REPETITION_NGRAM, help="n-gram length of the repetition rate")
     p_met.set_defaults(func=_cmd_metrics)
 
     p_ins = sub.add_parser("inspect", help="run a config and dump the final cache snapshot")

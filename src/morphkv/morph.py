@@ -27,7 +27,7 @@ from .errors import EmptyWindow, InvalidConfig, InvalidParam, InvalidShape
 def fuse(cache: KvCacheState, layers: int | range, fusion: str) -> np.ndarray:
     """Combine each KV head's profile rows at ``layers`` into one score per
     distant entry: ``(heads, distant)`` for one layer, ``(layers, heads,
-    distant)`` for a stack of layers with one occupancy and ring state.
+    distant)`` for a stack of layers with one occupancy and recorded-row count.
 
     The last ``min(window_capacity, occupancy)`` entries are the recent
     window and get no score: they are retained unconditionally, so only the

@@ -23,6 +23,7 @@ from morphkv import (
     start_runs,
     step_runs,
 )
+from morphkv.cache import _PROFILE
 from morphkv.harness import snapshot
 from morphkv.errors import (
     EmptyWindow,
@@ -326,6 +327,15 @@ def cache_bits(cache: KvCacheState) -> list:
     return facts
 
 
+def ring_slot_bits(cache: KvCacheState, recorded: int) -> list:
+    """Each layer's raw profile bits over its live entries in the native
+    slot ``r % window_capacity`` of every held row ``r`` of ``recorded``."""
+    window = cache.window_capacity
+    slots = np.arange(recorded - min(recorded, window), recorded) % window
+    profile = cache._buffers[_PROFILE]
+    return [profile[layer, :, : cache.occupancy(layer)][..., slots].tobytes() for layer in range(cache.n_layers)]
+
+
 def prefilled(weights, prompt, window: int, capacity: int | None = None) -> KvCacheState:
     cache = KvCacheState.for_model(weights.config, window, capacity or len(prompt))
     prefill(weights, prompt, cache)
@@ -371,6 +381,8 @@ class TestCopy:
             twin = source.copy(window, size)
             assert (twin.window_capacity, twin.capacity) == (window, size)
             assert cache_bits(twin) == cache_bits(native)
+            # Slot for slot too: the prefill records one row per prompt token.
+            assert ring_slot_bits(twin, length) == ring_slot_bits(native, length)
             assert cache_bits(source) == before
             # Stepping the copy and a native cache evicts the same entries.
             stepped = prefilled(weights, prompt, window, size)
@@ -381,6 +393,7 @@ class TestCopy:
                     morphkv_step(cache, out, policy, step)
                 assert twin.pop_eviction_events() == stepped.pop_eviction_events()
                 assert cache_bits(twin) == cache_bits(stepped)
+                assert ring_slot_bits(twin, length + step + 1) == ring_slot_bits(stepped, length + step + 1)
         assert cache_bits(source) == before
 
     def test_copy_shares_no_memory_and_evolves_alone(self):

@@ -297,6 +297,14 @@ class TestCompareCommand:
     def test_single_config_is_input_error(self, full_config, capsys):
         assert main(["compare", full_config]) == 1
 
+    def test_help_describes_the_shared_flags(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["compare", "-h"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert "override the model seed" in out
+        assert "check invariants every step" in out
+
     @pytest.mark.parametrize("case", sorted(MALFORMED_INI))
     def test_malformed_ini_is_input_error(self, case, full_config, tmp_path, capsys):
         path = tmp_path / "bad.ini"

@@ -66,10 +66,10 @@ def run_size(config: RunConfig) -> int:
 
 
 def raw_bits(decoding) -> list:
-    """Every byte of a run's cache buffers, its entry counts and ring state,
-    and its step count."""
+    """Every byte of a run's cache buffers, its entry and recorded-row
+    counts, and its step count."""
     cache = decoding.cache
-    state = [list(cache._n), list(cache._start), list(cache._count), len(decoding.trace.records)]
+    state = [list(cache._n), list(cache._recorded), len(decoding.trace.records)]
     return [buf.tobytes() for buf in cache._buffers] + state
 
 

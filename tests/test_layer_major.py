@@ -435,8 +435,8 @@ def test_stack_policies_match_per_layer_loops(layers, heads, group, protected, p
 
 
 def stacked_cache(layers=3, heads=2, entries=6, capacity=3, room=0):
-    """A cache whose layers all hold ``entries`` entries and one ring state,
-    with ``room`` for more."""
+    """A cache whose layers all hold ``entries`` entries and ``entries``
+    recorded profile rows, with ``room`` for more."""
     cache = KvCacheState(layers, heads, HEAD_DIM, capacity, entries + room)
     rng = np.random.default_rng(layers * 100 + entries)
     for position in range(entries):
@@ -487,14 +487,17 @@ def test_keep_rejects_a_malformed_stack_before_any_change(first, retained):
     assert_rejected_unchanged(cache, lambda: cache.keep(first, retained))
 
 
-@pytest.mark.parametrize("differ", ["occupancy", "ring"])
+@pytest.mark.parametrize("differ", ["occupancy", "ring", "lap"])
 def test_stack_of_unequal_layers_is_rejected_before_any_change(differ):
     # Layer 1 runs one entry or one profile row ahead of the others, as
-    # inside a forward; layer 0 alone is still a valid stack.
+    # inside a forward, or a whole lap of its 3-slot ring ahead, so that its
+    # oldest row sits in the same slot as theirs but holds another row;
+    # layer 0 alone is still a valid stack.
     cache = stacked_cache(entries=7, room=1)
     if differ == "occupancy":
         cache.append(1, *np.zeros((2, 2, HEAD_DIM)), 7, 7)
-    else:
+    rows_ahead = {"occupancy": 0, "ring": 1, "lap": cache.window_capacity}[differ]
+    for _ in range(rows_ahead):
         cache.record_step_profiles(1, np.ones((2, 1, 7)))
     stack = range(3)
     kept = np.broadcast_to(np.arange(1, 7), (3, 2, 6))

@@ -230,8 +230,8 @@ class TestDecodeStepInput:
 
     @staticmethod
     def state(cache: KvCacheState) -> list:
-        """Every byte of the cache's buffers, its entry counts and ring state."""
-        return [buf.tobytes() for buf in cache._buffers] + [list(cache._n), list(cache._start), list(cache._count)]
+        """Every byte of the cache's buffers, its entry and recorded-row counts."""
+        return [buf.tobytes() for buf in cache._buffers] + [list(cache._n), list(cache._recorded)]
 
     def assert_rejected(self, error, tokens, caches, match=None):
         before = [self.state(cache) for cache in caches]
