@@ -108,12 +108,9 @@ def snapkv_policy(cache: KvCacheState, cfg: EvictionPolicyConfig) -> KvCacheStat
     if occ <= budget:
         return cache
     if budget <= cfg.recent_window:
-        newest = np.arange(occ - budget, occ)
-        retained = np.broadcast_to(newest, (cache.n_layers, cache.n_kv_heads, budget))
-    else:
-        scores = fuse(cache, layers, "sum")
-        retained = select_retained(scores, occ, budget - cfg.recent_window, cfg.recent_window)
-    cache.keep(0, retained)
+        return _window_step(cache, 0, budget)
+    scores = fuse(cache, layers, "sum")
+    cache.keep(0, select_retained(scores, occ, budget - cfg.recent_window, cfg.recent_window))
     return cache
 
 

@@ -84,22 +84,19 @@ def apply_rope(v, position) -> np.ndarray:
     Pair ``(2i, 2i+1)`` is rotated by ``position * ROPE_BASE**(-2i/d)``
     radians. Position 0 is the identity and the 2-norm is preserved.
     Accepts a single vector or a stack of row vectors; the last axis is
-    the head dimension. ``position`` is an int, or a 1-D integer array
+    the head dimension. ``position`` is an int, or a 1-D sequence of ints
     holding one position per index of the leading axis; each row then
     gets the bits of a single-position call.
     """
     x = np.asarray(v, dtype=np.float64)
+    pos = np.asarray(position)
     if x.ndim == 0 or x.shape[-1] % 2:
         raise InvalidShape("rotary encoding needs an even head dimension")
-    if isinstance(position, np.ndarray) and position.ndim:
-        if position.ndim != 1 or x.ndim < 2 or len(position) != len(x):
-            raise InvalidShape("a position vector must match the leading axis")
-        if position.min(initial=0) < 0:
-            raise InvalidParam("position must be >= 0")
-        position = position.reshape((-1,) + (1,) * (x.ndim - 1))
-    elif position < 0:
+    if pos.ndim and (pos.ndim > 1 or x.ndim < 2 or len(pos) != len(x)):
+        raise InvalidShape("a position vector must match the leading axis")
+    if pos.min(initial=0) < 0:
         raise InvalidParam("position must be >= 0")
-    angles = position * _inv_freq(x.shape[-1])
+    angles = pos.reshape((-1,) + (1,) * (x.ndim - 1)) * _inv_freq(x.shape[-1])
     cos, sin = np.cos(angles), np.sin(angles)
     even, odd = x[..., 0::2], x[..., 1::2]
     out = np.empty_like(x)

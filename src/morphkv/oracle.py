@@ -26,14 +26,24 @@ ENUMERATION_BOUND = 22
 SUBSET_CHUNK = 4096
 
 
+def _subset_errors(query, keys, vals, subsets) -> list[float]:
+    """Output distance from full attention of each subset in ``subsets``, a
+    ``(count, size)`` stack of sorted index rows, gathered into one attention call."""
+    _, full_out = scaled_dot_attention(query, keys, vals)
+    _, sub_out = scaled_dot_attention(query, np.take(keys, subsets, axis=0), np.take(vals, subsets, axis=0))
+    return _distances(full_out, sub_out)
+
+
+def _distances(full, outputs) -> list[float]:
+    """L2 distance of each output in the stack ``outputs`` from ``full``: the
+    square root of one BLAS dot of the raveled difference, numpy's 2-norm."""
+    diffs = (full - outputs).reshape(len(outputs), 1, -1)
+    return np.sqrt(np.matmul(diffs, diffs.transpose(0, 2, 1))[:, 0, 0]).tolist()
+
+
 def subset_output_error(query, keys, vals, indices) -> float:
     """L2 distance between full attention output and the subset's output."""
-    keys = np.asarray(keys, dtype=np.float64)
-    vals = np.asarray(vals, dtype=np.float64)
-    idx = np.asarray(sorted(indices), dtype=np.intp)
-    _, full_out = scaled_dot_attention(query, keys, vals)
-    _, sub_out = scaled_dot_attention(query, keys[idx], vals[idx])
-    return float(np.linalg.norm(full_out - sub_out))
+    return _subset_errors(query, keys, vals, np.array([sorted(indices)], dtype=np.intp))[0]
 
 
 def optimal_subset(
@@ -51,8 +61,8 @@ def optimal_subset(
     enumerated, mirroring the retention rule every policy here obeys; pass
     ``False`` to search over all subsets. Ties keep the first subset in
     lexicographic enumeration order, so results are reproducible. Subsets
-    are scored ``SUBSET_CHUNK`` at a time; each error is the square root of
-    the stacked ``diff @ diff``, the bits ``np.linalg.norm`` gives.
+    are scored ``SUBSET_CHUNK`` at a time, with the bits
+    ``subset_output_error`` gives each one.
     """
     keys = np.asarray(keys, dtype=np.float64)
     vals = np.asarray(vals, dtype=np.float64)
@@ -65,21 +75,15 @@ def optimal_subset(
         raise InstanceTooLarge(f"{n} entries exceeds the enumeration bound {ENUMERATION_BOUND}")
     if not 1 <= budget <= n:
         raise InvalidParam(f"budget must be in [1, {n}]")
-    _, full_out = scaled_dot_attention(query, keys, vals)
     forced = tuple(range(n - min(recent_window, budget), n)) if force_recent else ()
     combos = itertools.combinations(range(n - len(forced)), budget - len(forced))
-    best_idx: tuple[int, ...] | None = None
-    best_err = np.inf
+    winners = []
     while chunk := [combo + forced for combo in itertools.islice(combos, SUBSET_CHUNK)]:
-        sel = np.array(chunk, dtype=np.intp)
-        _, sub_out = scaled_dot_attention(query, keys[sel], vals[sel])
-        diff = full_out - sub_out
-        errs = np.sqrt(np.matmul(diff[:, None, :], diff[:, :, None])[:, 0, 0])
+        errs = _subset_errors(query, keys, vals, np.array(chunk, dtype=np.intp))
         j = int(np.argmin(errs))
-        if errs[j] < best_err:
-            best_err = float(errs[j])
-            best_idx = chunk[j]
-    assert best_idx is not None
+        winners.append((errs[j], chunk[j]))
+    # Equal errors keep the subset enumerated first, which is the smaller tuple.
+    best_err, best_idx = min(winners)
     return best_idx, best_err
 
 
@@ -92,8 +96,4 @@ def shadow_error(full_out, policy_out) -> list[float]:
     attention outputs, so it is exactly zero when the policy retained
     everything the full run saw.
     """
-    return [
-        float(np.linalg.norm(fo - po))
-        for full_heads, policy_heads in zip(full_out.attn_outputs, policy_out.attn_outputs)
-        for fo, po in zip(full_heads, policy_heads)
-    ]
+    return _distances(np.concatenate(full_out.attn_outputs), np.concatenate(policy_out.attn_outputs))

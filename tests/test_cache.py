@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
+from cache_state import raw_state
 from morphkv import (
     EvictionPolicyConfig,
     KvCacheState,
@@ -238,6 +239,17 @@ class TestCacheState:
         assert cache.pop_eviction_events() == [(0, 0, [1])]
         assert cache.pop_eviction_events() == []
 
+    def test_raw_state_sees_an_undrained_journal(self):
+        # A refused call that journals an eviction must show even when it
+        # moves no entry, so the fingerprint covers the journal.
+        cache = KvCacheState(1, 1, 2, window_capacity=4, capacity=3)
+        for pos in range(3):
+            cache.append(0, *entry(pos))
+        cache.keep(0, [[1, 2]])
+        journaled = raw_state(cache)
+        cache.pop_eviction_events()
+        assert raw_state(cache) != journaled
+
     def test_keep_everything_is_a_noop(self):
         cache = KvCacheState(1, 1, 2, window_capacity=4, capacity=3)
         for pos in range(3):
@@ -446,10 +458,10 @@ class TestCopy:
     def test_a_full_copy_refuses_an_append_and_changes_nothing(self):
         source = window_of([[0.1, 0.2, 0.7]], 3, capacity=1)
         twin = source.copy(1, 3)
-        before = cache_bits(twin), [buf.tobytes() for buf in twin._buffers]
+        before = cache_bits(twin), raw_state(twin)
         with pytest.raises(InternalInvariantViolation, match="layer 0 is full"):
             twin.append(0, *entry(3))
-        assert (cache_bits(twin), [buf.tobytes() for buf in twin._buffers]) == before
+        assert (cache_bits(twin), raw_state(twin)) == before
         # The larger source copy has room for it.
         source.copy(1, 4).append(0, *entry(3))
 

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from cache_state import raw_state
 from morphkv import (
     KvCacheState,
     EvictionPolicyConfig,
@@ -66,11 +67,8 @@ def run_size(config: RunConfig) -> int:
 
 
 def raw_bits(decoding) -> list:
-    """Every byte of a run's cache buffers, its entry and recorded-row
-    counts, and its step count."""
-    cache = decoding.cache
-    state = [list(cache._n), list(cache._recorded), len(decoding.trace.records)]
-    return [buf.tobytes() for buf in cache._buffers] + state
+    """A run's whole cache state and its step count."""
+    return raw_state(decoding.cache) + [len(decoding.trace.records)]
 
 
 def live_bits(cache: KvCacheState) -> list:
@@ -470,8 +468,8 @@ class TestStepRuns:
             assert decoding.result().trace.to_dict() == single.result().trace.to_dict()
 
 
-class TestPrefilledHandOver:
-    """``start_runs`` prefills once and hands every run but the one with the
+class TestStartRunsCopies:
+    """``start_runs`` prefills once and gives every run but the one with the
     largest window a copy of that cache, at its own window and peak."""
 
     def test_equals_a_run_that_prefills_itself(self):
@@ -610,7 +608,14 @@ class TestOracleRegression:
     def test_no_policy_beats_the_optimum(self):
         rows = oracle_regression(oracle_config(), instances=8)
         for row in rows:
-            assert row.error >= row.optimal_error - 1e-12
+            assert row.error >= row.optimal_error
+
+    def test_a_pick_at_the_optimum_scores_exactly_its_error(self):
+        # Instance 164's h2o pick is the optimum, and a pick shares the
+        # enumeration's arithmetic, so the two errors are the same bits.
+        config = replace(oracle_config(), model=replace(ORACLE_MODEL, seed=164))
+        rows = {row.policy: row for row in oracle_regression(config, instances=1)}
+        assert rows["h2o"].error == rows["h2o"].optimal_error
 
     def test_deterministic_rerun(self):
         a = render_regression_csv(oracle_regression(oracle_config(), instances=4))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import reference
+from cache_state import raw_state
 from morphkv import (
     EvictionPolicyConfig,
     KvCacheState,
@@ -228,16 +229,11 @@ class TestDecodeStepInput:
         prefill(init_model(cfg), list(prompt), cache)
         return cache
 
-    @staticmethod
-    def state(cache: KvCacheState) -> list:
-        """Every byte of the cache's buffers, its entry and recorded-row counts."""
-        return [buf.tobytes() for buf in cache._buffers] + [list(cache._n), list(cache._recorded)]
-
     def assert_rejected(self, error, tokens, caches, match=None):
-        before = [self.state(cache) for cache in caches]
+        before = [raw_state(cache) for cache in caches]
         with pytest.raises(error, match=match):
             decode_step(init_model(self.CFG), tokens, caches)
-        assert [self.state(cache) for cache in caches] == before
+        assert [raw_state(cache) for cache in caches] == before
 
     def test_same_cache_twice(self):
         cache = self.prefilled()

@@ -207,6 +207,10 @@ class TestRope:
         for i in range(rows):
             assert same_bits(got[i], apply_rope(x[i], int(positions[i])))
 
+    def test_position_list_equals_position_array(self):
+        x = np.random.default_rng(13).normal(size=(2, 3, 8))
+        assert same_bits(apply_rope(x, [1, 2]), apply_rope(x, np.array([1, 2])))
+
     @pytest.mark.parametrize("where", [0, 3, 7])
     def test_position_vector_rejects_any_negative(self, where):
         positions = np.arange(8)
@@ -216,7 +220,12 @@ class TestRope:
 
     @pytest.mark.parametrize(
         "shape, positions",
-        [((4, 2, 4), np.arange(3)), ((4, 4), np.arange(4).reshape(2, 2)), ((4,), np.arange(4))],
+        [
+            ((4, 2, 4), np.arange(3)),
+            ((4, 2, 4), [1, 2]),
+            ((4, 4), np.arange(4).reshape(2, 2)),
+            ((4,), np.arange(4)),
+        ],
     )
     def test_position_vector_must_match_leading_axis(self, shape, positions):
         with pytest.raises(InvalidShape):

@@ -58,7 +58,16 @@ class TestOptimalSubset:
         forced = (7, 8)
         for combo in itertools.combinations(range(7), budget - 2):
             err = subset_output_error(q, keys, vals, combo + forced)
-            assert best <= err + 1e-15
+            assert best <= err
+
+    @pytest.mark.parametrize("force_recent", [True, False])
+    def test_rescoring_the_optimum_gives_its_error_bit_for_bit(self, force_recent):
+        # A policy's pick is scored by subset_output_error and compared
+        # with the enumerated optimum with no tolerance.
+        for seed in range(10):
+            q, keys, vals = instance(seed, n=9)
+            idx, err = optimal_subset(q, keys, vals, 4, 2, force_recent=force_recent)
+            assert subset_output_error(q, keys, vals, idx) == err
 
     def test_forced_recent_tail_is_always_included(self):
         q, keys, vals = instance(5, n=10)
@@ -70,7 +79,7 @@ class TestOptimalSubset:
             q, keys, vals = instance(seed, n=9)
             _, constrained = optimal_subset(q, keys, vals, 4, 2, force_recent=True)
             _, free = optimal_subset(q, keys, vals, 4, 2, force_recent=False)
-            assert free <= constrained + 1e-15
+            assert free <= constrained
 
     def test_unconstrained_can_strictly_win(self):
         # Across seeds the free search must sometimes beat the pinned
