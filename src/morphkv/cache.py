@@ -7,8 +7,8 @@ after a ranked eviction two heads may retain different positions, which
 is why keys are cached post-rotation and positions are absolute.
 
 Alignment is structural: every per-entry array (keys, values, positions,
-token ids, received attention, profile) has axes ``(layer, head, entry,
-...)``, so one append adds an entry to each head of a layer and one
+received attention, profile) has axes ``(layer, head, entry, ...)``, so
+one append adds an entry to each head of a layer and one
 ``(layers, heads, kept)`` index compacts a stack of layers. Keys and values
 are ``(layers, heads, capacity, head_dim)``, so each head's live keys are a
 row-major ``(n, head_dim)`` block. Every buffer is allocated once, at the
@@ -26,7 +26,8 @@ re-windowed to a smaller ring, or to any ring before this one has wrapped,
 keeps the newest rows in their slots at its capacity and is slot for slot
 what a cache of that capacity would hold.
 Scores are never renormalized after a deletion: they are only compared for
-ranking, and the raw weights keep dumps auditable.
+ranking, and the raw weights keep dumps auditable. Tokens are not cached:
+the run's trace holds them, and an entry's position indexes its token.
 
 Stacks: the forward appends and records layer by layer, but a policy acts
 between forwards on a ``range`` of consecutive layers that share one
@@ -36,13 +37,12 @@ drops the layer axis as numpy indexing does; they and :meth:`keep` raise
 :class:`InvalidShape` for a stack whose layers differ.
 
 View lifetime: :meth:`KvCacheState.keys_matrix`, :meth:`values_matrix`,
-:meth:`positions`, :meth:`token_ids` and :meth:`received` return
-read-only views of live entries, not copies. A view is valid until the
-next :meth:`append`, :meth:`record_step_profiles` or :meth:`keep`; after
-that it may show stale or compacted rows. These views and
-:meth:`KvCacheState.score_matrix` are the only read paths: the policies,
-the decoder and ``harness.snapshot`` all go through them, and nothing here
-knows how a policy ranks entries.
+:meth:`positions` and :meth:`received` return read-only views of live
+entries, not copies. A view is valid until the next :meth:`append`,
+:meth:`record_step_profiles` or :meth:`keep`; after that it may show stale
+or compacted rows. These views and :meth:`KvCacheState.score_matrix` are
+the only read paths: the policies, the decoder and ``harness.snapshot``
+all go through them, and nothing here knows how a policy ranks entries.
 """
 
 from __future__ import annotations
@@ -54,8 +54,8 @@ from .errors import InternalInvariantViolation, InvalidConfig, InvalidParam, Inv
 
 # Order of the cache's buffers, and their dtypes. Every buffer's axes are
 # (layer, head, entry, ...), so one allocation and one index serve them all.
-_KEYS, _VALUES, _POSITIONS, _TOKENS, _RECEIVED, _PROFILE = range(6)
-_DTYPES = (np.float64, np.float64, np.int64, np.int64, np.float64, np.float64)
+_KEYS, _VALUES, _POSITIONS, _RECEIVED, _PROFILE = range(5)
+_DTYPES = (np.float64, np.float64, np.int64, np.float64, np.float64)
 
 
 class KvCacheState:
@@ -77,7 +77,7 @@ class KvCacheState:
         self.window_capacity, self.capacity = window_capacity, capacity
         self._n, self._recorded = [0] * n_layers, [0] * n_layers
         lhc = (n_layers, n_kv_heads, capacity)
-        shapes = [(*lhc, head_dim)] * 2 + [lhc] * 3 + [(*lhc, window_capacity)]
+        shapes = [(*lhc, head_dim)] * 2 + [lhc] * 2 + [(*lhc, window_capacity)]
         self._buffers = tuple(np.empty(shape, dtype) for shape, dtype in zip(shapes, _DTYPES))
         self._views = tuple(buf.view() for buf in self._buffers)
         for view in self._views:
@@ -150,18 +150,17 @@ class KvCacheState:
         positions = self.positions(0)[0]
         return int(positions[-1]) + 1 if positions.size else 0
 
-    def append(self, layer: int, keys, values, position: int, token: int) -> None:
+    def append(self, layer: int, keys, values, position: int) -> None:
         """Add one entry to every KV head of ``layer``: rotated key and value
-        rows ``(heads, head_dim)``, absolute position, token id. A full
+        rows ``(heads, head_dim)`` and the entry's absolute position. A full
         layer means the run was sized wrong: :class:`InternalInvariantViolation`."""
         n, shape = self._n[layer], (self.n_kv_heads, self.head_dim)
         if np.shape(keys) != shape or np.shape(values) != shape:
             raise InvalidShape(f"cache entries must be one vector per KV head, shape {shape}")
         if n == self.capacity:
             raise InternalInvariantViolation(f"layer {layer} is full: its stores hold all {n} entries")
-        k, v, positions, tokens, received, profile = self._buffers
-        k[layer, :, n], v[layer, :, n] = keys, values
-        positions[layer, :, n], tokens[layer, :, n] = position, token
+        k, v, positions, received, profile = self._buffers
+        k[layer, :, n], v[layer, :, n], positions[layer, :, n] = keys, values, position
         # A new entry has received no attention and is in no row held so far.
         received[layer, :, n] = profile[layer, :, n] = 0.0
         self._n[layer] = n + 1
@@ -175,9 +174,6 @@ class KvCacheState:
     def positions(self, layer: int) -> np.ndarray:
         """Absolute positions of the live entries, strictly increasing per head."""
         return self._live(_POSITIONS, layer)
-
-    def token_ids(self, layer: int) -> np.ndarray:
-        return self._live(_TOKENS, layer)
 
     def received(self, layers: int | range) -> np.ndarray:
         """Total attention each live entry has received over every recorded row."""

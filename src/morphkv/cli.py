@@ -120,8 +120,7 @@ def _cmd_metrics(args) -> int:
 
 
 def _cmd_inspect(args) -> int:
-    config = _load(args.config, args)
-    json.dump(snapshot(run(config).cache, config.policy.fusion), sys.stdout, sort_keys=True, indent=1)
+    json.dump(snapshot(run(_load(args.config, args))), sys.stdout, sort_keys=True, indent=1)
     sys.stdout.write("\n")
     return 0
 

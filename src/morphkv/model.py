@@ -149,7 +149,7 @@ def _forward(
         outs = []
         for i, cache in enumerate(row_caches):
             # Append before attending: the new token attends to itself.
-            cache.append(layer, k[i], v[i], positions[i], tokens[i])
+            cache.append(layer, k[i], v[i], positions[i])
             keys, vals = cache.keys_matrix(layer), cache.values_matrix(layer)
             # One call per KV group: the group's query heads share the store.
             rows = []

@@ -149,7 +149,7 @@ def test_scripted_walkthrough_replay():
         [0.05, 0.30, 0.40, 0.25],
     ]
     for pos, row in enumerate(prompt_rows):
-        cache.append(0, np.zeros((1, 2)), np.zeros((1, 2)), pos, pos)
+        cache.append(0, np.zeros((1, 2)), np.zeros((1, 2)), pos)
         cache.record_step_profiles(0, [[row]])
     decode_rows = [
         [0.05, 0.30, 0.15, 0.30, 0.20],
@@ -161,7 +161,7 @@ def test_scripted_walkthrough_replay():
     # First step, decomposed: after the new entry and its row land, the
     # three distant entries carry fused scores 0.10, 0.60, 0.55, so the
     # 0.10 entry (position 0) must be the unique eviction.
-    cache.append(0, np.zeros((1, 2)), np.zeros((1, 2)), 4, 4)
+    cache.append(0, np.zeros((1, 2)), np.zeros((1, 2)), 4)
     cache.record_step_profiles(0, [[decode_rows[0]]])
     first_scores = fuse(cache, 0, "sum")
     np.testing.assert_allclose(first_scores, [[0.10, 0.60, 0.55]], atol=1e-12)
@@ -172,7 +172,7 @@ def test_scripted_walkthrough_replay():
     evictions = [[0]]
     for idx, row in enumerate(decode_rows[1:], start=1):
         pos = 4 + idx
-        cache.append(0, np.zeros((1, 2)), np.zeros((1, 2)), pos, pos)
+        cache.append(0, np.zeros((1, 2)), np.zeros((1, 2)), pos)
         out = SimpleNamespace(attn_rows=[[np.array([row])]])
         # The decoder records each step's rows before the policy runs.
         cache.record_step_profiles(0, out.attn_rows[0])
@@ -203,7 +203,7 @@ def test_fusion_matches_independent_recomputation():
         rows = rng.uniform(size=(capacity, width))
         cache = KvCacheState(1, 1, 2, window_capacity=capacity, capacity=width)
         for pos in range(width):
-            cache.append(0, np.zeros((1, 2)), np.zeros((1, 2)), pos, pos)
+            cache.append(0, np.zeros((1, 2)), np.zeros((1, 2)), pos)
         for row in rows:
             cache.record_step_profiles(0, [[row]])
         distant = width - capacity
@@ -275,7 +275,7 @@ def test_group_aggregation_consistency():
     def aggregated(group):
         cache = KvCacheState(1, 1, 2, window_capacity=1, capacity=group.shape[1])
         for pos in range(group.shape[1]):
-            cache.append(0, np.zeros((1, 2)), np.zeros((1, 2)), pos, pos)
+            cache.append(0, np.zeros((1, 2)), np.zeros((1, 2)), pos)
         cache.record_step_profiles(0, [group])
         return cache.score_matrix(0)[0, 0]
 

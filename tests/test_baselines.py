@@ -25,7 +25,7 @@ from morphkv.morph import fuse, select_retained
 
 def entry(pos: int) -> tuple:
     """``KvCacheState.append`` arguments after the layer, for one KV head."""
-    return np.zeros((1, 2)), np.zeros((1, 2)), pos, 0
+    return np.zeros((1, 2)), np.zeros((1, 2)), pos
 
 
 def record(cache: KvCacheState, row) -> None:

@@ -52,7 +52,7 @@ class TestQueryGroupStack:
         rng = np.random.default_rng(g)
         cache = KvCacheState(1, 1, d, window_capacity=2, capacity=37)
         for n in range(1, 38):
-            cache.append(0, rng.normal(size=(1, d)), rng.normal(size=(1, d)), n - 1, 0)
+            cache.append(0, rng.normal(size=(1, d)), rng.normal(size=(1, d)), n - 1)
             keys, vals = cache.keys_matrix(0)[0], cache.values_matrix(0)[0]
             assert keys.base is not None  # a leading slice of the store's buffer
             q = rng.normal(size=(g, d)) * 3.0

@@ -36,7 +36,7 @@ B = PREFILL_BLOCK
 # Around and across block boundaries: one token, a partial block, one
 # full block, one token past it, two blocks and one more, three blocks.
 LENGTHS = (1, B - 1, B, B + 1, 2 * B + 1, 3 * B)
-STORE_READS = ("keys_matrix", "values_matrix", "positions", "token_ids", "received", "score_matrix")
+STORE_READS = ("keys_matrix", "values_matrix", "positions", "received", "score_matrix")
 
 
 def same_bits(a, b) -> bool:

@@ -39,9 +39,9 @@ from morphkv.trace import peak_occupancy
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
-def entry(pos: int, token: int = 0, d: int = 2, heads: int = 1) -> tuple:
+def entry(pos: int, d: int = 2, heads: int = 1) -> tuple:
     """``KvCacheState.append`` arguments after the layer."""
-    return np.full((heads, d), float(pos)), np.full((heads, d), float(pos)), pos, token
+    return np.full((heads, d), float(pos)), np.full((heads, d), float(pos)), pos
 
 
 def record(cache: KvCacheState, row, layer: int = 0) -> None:
@@ -231,11 +231,10 @@ class TestCacheState:
     def test_keep_returns_evicted_positions_and_journals(self):
         cache = KvCacheState(1, 1, 2, window_capacity=4, capacity=4)
         for pos in range(4):
-            cache.append(0, *entry(pos, token=pos + 10))
+            cache.append(0, *entry(pos))
         evicted = cache.keep(0, [[0, 2, 3]])
         assert evicted == [1]
         assert cache.positions(0)[0].tolist() == [0, 2, 3]
-        assert cache.token_ids(0)[0].tolist() == [10, 12, 13]
         assert cache.pop_eviction_events() == [(0, 0, [1])]
         assert cache.pop_eviction_events() == []
 
@@ -295,21 +294,35 @@ class TestCacheState:
         np.testing.assert_array_equal(cache.keys_matrix(0)[0, :, 0], [0.0, 1.0, 2.0])
         np.testing.assert_array_equal(cache.values_matrix(0)[0, :, 0], [0.0, 1.0, 2.0])
 
-    def test_snapshot_reports_entries_and_scores(self):
-        cache = KvCacheState(1, 1, 2, window_capacity=2, capacity=4)
-        for pos in range(4):
-            cache.append(0, *entry(pos, token=pos))
-        record(cache, [0.1, 0.2, 0.3, 0.4])
-        snap = snapshot(cache, "sum")
+    def test_snapshot_reports_entries_and_scores(self, tmp_path):
+        # The prompt's tokens are known and the run evicts, so its heads hold
+        # different positions; each entry's token must be the trace's token
+        # at that entry's position.
+        prompt = tmp_path / "prompt.txt"
+        prompt.write_text("7 3 9 3 1 4", encoding="utf-8")
+        config = RunConfig(
+            model=ModelConfig(n_layers=2, n_query_heads=2, n_kv_heads=2, head_dim=4, vocab_size=32, seed=1),
+            policy=EvictionPolicyConfig(kind="morphkv", distant_capacity=2, recent_window=2),
+            prompt_file=str(prompt),
+            decode_steps=5,
+        )
+        result = harness.run(config)
+        tokens = [7, 3, 9, 3, 1, 4] + result.trace.consumed_tokens()
+        snap = snapshot(result)
         assert snap["window_capacity"] == 2
-        assert snap["layers"][0][0]["entries"] == [[0, 0], [1, 1], [2, 2], [3, 3]]
-        np.testing.assert_allclose(snap["layers"][0][0]["fused_scores"], [0.1, 0.2], atol=1e-15)
+        assert result.trace.total_evictions()
+        for layer, heads in enumerate(snap["layers"]):
+            scores = fuse(result.cache, layer, "sum")
+            for head, store in enumerate(heads):
+                positions = result.cache.positions(layer)[head].tolist()
+                assert store["entries"] == [[pos, tokens[pos]] for pos in positions]
+                assert store["fused_scores"] == scores[head].tolist()
 
     def test_validate_flags_nonfinite_entry(self):
         cache = KvCacheState(1, 1, 2, window_capacity=4, capacity=1)
-        key, value, pos, token = entry(0)
+        key, value, pos = entry(0)
         key[0, 0] = np.nan
-        cache.append(0, key, value, pos, token)
+        cache.append(0, key, value, pos)
         with pytest.raises(InternalInvariantViolation):
             cache.validate()
 
@@ -333,7 +346,7 @@ def cache_bits(cache: KvCacheState) -> list:
     facts = []
     for layer in range(cache.n_layers):
         facts.append((cache.occupancy(layer), cache.profile_rows(layer)))
-        for view in (cache.keys_matrix, cache.values_matrix, cache.positions, cache.token_ids, cache.received):
+        for view in (cache.keys_matrix, cache.values_matrix, cache.positions, cache.received):
             facts.append(view(layer).tobytes())
         facts.append(cache.score_matrix(layer).tobytes())
     return facts
@@ -513,7 +526,7 @@ class TestRunSize:
     def test_capacity_is_the_peak_occupancy(self, config):
         (decoding,) = start_runs([config], init_model(config.model))
         cache = decoding.cache
-        peaks = [len(decoding.prompt)]
+        peaks = [len(decoding.trace.prompt)]
 
         def counted(stepped, *args):
             # After the step's append, before its eviction.

@@ -8,6 +8,7 @@ import pytest
 
 from morphkv import cli
 from morphkv.cli import main
+from morphkv.trace import StepAudit
 
 MORPH_INI = """
 [model]
@@ -325,6 +326,22 @@ class TestOracleCommand:
         out = capsys.readouterr().out
         assert out.startswith("instance_seed,policy,error,optimal_error")
         assert "mean_error[morphkv_sum]" in out
+
+    def test_debug_invariants_audits_every_instance(self, oracle_config_file, monkeypatch, capsys):
+        # Each instance is a run of its own, audited step by step when asked.
+        checked = []
+        check = StepAudit.check
+
+        def counted(audit, step, *args):
+            checked.append(step)
+            return check(audit, step, *args)
+
+        monkeypatch.setattr(StepAudit, "check", counted)
+        argv = ["oracle", "--config", oracle_config_file, "--instances", "3"]
+        assert main(argv) == 0
+        assert checked == []
+        assert main(argv + ["--debug-invariants"]) == 0
+        assert checked == list(range(8)) * 3
 
     def test_out_file_and_matching_baseline(self, oracle_config_file, tmp_path, capsys):
         csv_path = tmp_path / "sweep.csv"

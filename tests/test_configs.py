@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from morphkv.cli import main
 from morphkv.config import FUSION_KINDS, POLICY_KINDS, EvictionPolicyConfig, ModelConfig
-from morphkv.harness import _RUN_KEYS, RunConfig, load_run_config, run, snapshot
+from morphkv.harness import _RUN_KEYS, RunConfig, load_run_config, make_prompt, run, snapshot
 
 CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.ini"))
 
@@ -87,10 +87,14 @@ def test_random_small_configs_hold_invariants(config):
     # positions to the audit's replay; any violation raises.
     result = run(config)
     assert len(result.trace.records) == config.decode_steps
-    for layer, heads in enumerate(snapshot(result.cache, config.policy.fusion)["layers"]):
+    # Every head's entries, diverged or trimmed at prefill, carry the token
+    # the run consumed at their position.
+    tokens = make_prompt(config) + result.trace.consumed_tokens()
+    for layer, heads in enumerate(snapshot(result)["layers"]):
         for head, store in enumerate(heads):
             occ = result.cache.occupancy(layer)
             assert len(store["entries"]) == occ
+            assert all(tok == tokens[pos] for pos, tok in store["entries"])
             assert len(store["fused_scores"]) == occ - min(config.policy.recent_window, occ)
 
 

@@ -73,7 +73,7 @@ def raw_bits(decoding) -> list:
 
 def live_bits(cache: KvCacheState) -> list:
     """The bytes of every read of each layer's live entries and profiles."""
-    reads = (cache.keys_matrix, cache.values_matrix, cache.positions, cache.token_ids, cache.received)
+    reads = (cache.keys_matrix, cache.values_matrix, cache.positions, cache.received)
     return [read(layer).tobytes() for layer in range(cache.n_layers) for read in (*reads, cache.score_matrix)]
 
 
@@ -179,8 +179,8 @@ class TestDebugInvariants:
         # position, so its positions stop increasing and leave the replay.
         append = KvCacheState.append
 
-        def stale(cache, layer, keys, values, position, token):
-            append(cache, layer, keys, values, position - (layer == 1 and position == 8), token)
+        def stale(cache, layer, keys, values, position):
+            append(cache, layer, keys, values, position - (layer == 1 and position == 8))
 
         monkeypatch.setattr(KvCacheState, "append", stale)
         config = replace(small_run_config("full_attention"), debug_invariants=True, decode_steps=4)

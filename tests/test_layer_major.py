@@ -40,17 +40,15 @@ class HeadStore:
         self.keys = np.empty((alloc, HEAD_DIM))
         self.values = np.empty((alloc, HEAD_DIM))
         self.positions = np.empty(alloc, dtype=np.int64)
-        self.tokens = np.empty(alloc, dtype=np.int64)
         self.received = np.empty(alloc)
         self.profile = np.empty((alloc, capacity))
 
     def buffers(self):
-        return (self.keys, self.values, self.positions, self.tokens, self.received, self.profile)
+        return (self.keys, self.values, self.positions, self.received, self.profile)
 
-    def append(self, key, value, position, token):
+    def append(self, key, value, position):
         n = self.n
-        self.keys[n], self.values[n] = key, value
-        self.positions[n], self.tokens[n] = position, token
+        self.keys[n], self.values[n], self.positions[n] = key, value, position
         self.received[n] = 0.0
         self.profile[n] = 0.0
         self.n = n + 1
@@ -136,7 +134,7 @@ def same_bits(a, b) -> bool:
 
 def assert_same_state(cache, stores, journal):
     assert cache.occupancies() == [[store.n for store in stores]]
-    reads = (cache.keys_matrix, cache.values_matrix, cache.positions, cache.token_ids, cache.received)
+    reads = (cache.keys_matrix, cache.values_matrix, cache.positions, cache.received)
     for head, store in enumerate(stores):
         for read, buf in zip(reads, store.buffers()):
             assert same_bits(read(0)[head], buf[: store.n]), (read.__name__, head)
@@ -166,10 +164,9 @@ class Driver:
     def token(self):
         keys = self.rng.standard_normal((self.heads, HEAD_DIM))
         values = self.rng.standard_normal((self.heads, HEAD_DIM))
-        token = int(self.rng.integers(0, 100))
-        self.cache.append(0, keys, values, self.position, token)
+        self.cache.append(0, keys, values, self.position)
         for head, store in enumerate(self.stores):
-            store.append(keys[head], values[head], self.position, token)
+            store.append(keys[head], values[head], self.position)
         self.position += 1
         rows = self.rows(self.cache.occupancy(0))
         self.cache.record_step_profiles(0, rows)
@@ -349,7 +346,7 @@ def shipped_policy(cache, cfg, prompt_len, step):
 
 
 def layer_reads(cache, layer):
-    reads = (cache.keys_matrix, cache.values_matrix, cache.positions, cache.token_ids, cache.received)
+    reads = (cache.keys_matrix, cache.values_matrix, cache.positions, cache.received)
     return [read(layer) for read in reads] + [cache.score_matrix(layer)]
 
 
@@ -367,11 +364,10 @@ class StackDriver:
     def token(self):
         for layer in range(self.caches[0].n_layers):
             keys, values = self.rng.standard_normal((2, self.heads, HEAD_DIM))
-            token = int(self.rng.integers(0, 100))
             shape = (self.heads, self.group, self.caches[0].occupancy(layer) + 1)
             rows = self.rng.choice(TIED, size=shape) if self.ties else self.rng.uniform(size=shape)
             for cache in self.caches:
-                cache.append(layer, keys, values, self.position, token)
+                cache.append(layer, keys, values, self.position)
                 cache.record_step_profiles(layer, rows)
         self.position += 1
 
@@ -441,7 +437,7 @@ def stacked_cache(layers=3, heads=2, entries=6, capacity=3, room=0):
     rng = np.random.default_rng(layers * 100 + entries)
     for position in range(entries):
         for layer in range(layers):
-            cache.append(layer, *rng.standard_normal((2, heads, HEAD_DIM)), position, position)
+            cache.append(layer, *rng.standard_normal((2, heads, HEAD_DIM)), position)
             cache.record_step_profiles(layer, rng.uniform(size=(heads, 1, position + 1)))
     return cache
 
@@ -495,7 +491,7 @@ def test_stack_of_unequal_layers_is_rejected_before_any_change(differ):
     # layer 0 alone is still a valid stack.
     cache = stacked_cache(entries=7, room=1)
     if differ == "occupancy":
-        cache.append(1, *np.zeros((2, 2, HEAD_DIM)), 7, 7)
+        cache.append(1, *np.zeros((2, 2, HEAD_DIM)), 7)
     rows_ahead = {"occupancy": 0, "ring": 1, "lap": cache.window_capacity}[differ]
     for _ in range(rows_ahead):
         cache.record_step_profiles(1, np.ones((2, 1, 7)))

@@ -107,7 +107,6 @@ class TestForward:
         assert cache.occupancies() == [[3, 3], [3, 3]]
         for layer in range(cfg.n_layers):
             assert cache.positions(layer).tolist() == [[0, 1, 2], [0, 1, 2]]
-            assert cache.token_ids(layer).tolist() == [[1, 2, 5], [1, 2, 5]]
 
     def test_attention_rows_sum_to_one(self):
         cfg = ModelConfig(n_layers=2, n_query_heads=4, n_kv_heads=2, head_dim=4, vocab_size=32)

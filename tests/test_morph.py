@@ -20,9 +20,9 @@ from morphkv import (
 from morphkv.errors import InvalidConfig, InvalidParam, InvalidShape
 
 
-def entry(pos: int, token: int = 0) -> tuple:
+def entry(pos: int) -> tuple:
     """``KvCacheState.append`` arguments after the layer, for one KV head."""
-    return np.zeros((1, 2)), np.zeros((1, 2)), pos, token
+    return np.zeros((1, 2)), np.zeros((1, 2)), pos
 
 
 def record(cache: KvCacheState, row, layer: int = 0) -> None:
@@ -153,7 +153,7 @@ class TestMorphStep:
             [0.05, 0.30, 0.40, 0.25],
         ]
         for pos, row in enumerate(rows):
-            cache.append(0, *entry(pos, token=pos))
+            cache.append(0, *entry(pos))
             record(cache, row)
         return cache
 
@@ -172,7 +172,7 @@ class TestMorphStep:
         # three distant entries carry fused weights 0.10, 0.60, 0.55, so
         # the 0.10 entry (position 0) is the unique eviction.
         cache = self.build_prompt_cache()
-        cache.append(0, *entry(4, token=4))
+        cache.append(0, *entry(4))
         record(cache, self.STEPS[0][0])
         scores = fuse(cache, 0, "sum")
         np.testing.assert_allclose(scores, [[0.10, 0.60, 0.55]], atol=1e-12)
@@ -184,7 +184,7 @@ class TestMorphStep:
         cache = self.build_prompt_cache()
         evicted_positions = []
         for idx, (row, expected) in enumerate(self.STEPS):
-            cache.append(0, *entry(4 + idx, token=4 + idx))
+            cache.append(0, *entry(4 + idx))
             morphkv_step(cache, recorded(cache, scripted_row(row)), self.CFG, idx)
             events = cache.pop_eviction_events()
             assert [e[2] for e in events] == [expected], f"step {idx}"
@@ -207,7 +207,7 @@ class TestMorphStep:
         cache = self.build_prompt_cache(capacity=7)
         occupancies = []
         for idx in range(5):
-            cache.append(0, *entry(4 + idx, token=4 + idx))
+            cache.append(0, *entry(4 + idx))
             width = cache.occupancy(0)
             out = recorded(cache, scripted_row(np.full(width, 1.0 / width)))
             morphkv_step(cache, out, cfg, idx)
@@ -241,9 +241,9 @@ class TestMorphStep:
             cache = KvCacheState(1, 1, 2, window_capacity=2, capacity=5)
             rows = [[1.0], [0.5, 0.5], [0.2, 0.3, 0.5], [0.05, 0.30, 0.40, 0.25]]
             for i, row in enumerate(rows):
-                cache.append(0, *entry(shift + i, token=i))
+                cache.append(0, *entry(shift + i))
                 record(cache, row)
-            cache.append(0, *entry(shift + 4, token=4))
+            cache.append(0, *entry(shift + 4))
             out = scripted_row(self.STEPS[0][0])
             morphkv_step(cache, recorded(cache, out), self.CFG, 0)
             return [p - shift for _, _, dropped in cache.pop_eviction_events() for p in dropped]

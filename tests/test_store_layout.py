@@ -1,9 +1,9 @@
 """The array-backed store layout against a plain-list model of the same cache.
 
 Random per-layer ``append`` / ``record_step_profiles`` / ``keep`` sequences
-drive both; after every operation keys, values, positions, token ids,
-profile rows (oldest first), received totals and the eviction journal must
-agree bit for bit.
+drive both; after every operation keys, values, positions, profile rows
+(oldest first), received totals and the eviction journal must agree bit
+for bit.
 """
 
 import numpy as np
@@ -21,7 +21,7 @@ class ListCache:
     """Entries, window rows and received totals kept as Python lists, per
     (layer, KV head) store, driven by the cache's per-layer operations.
 
-    An entry is a ``(key, value, position, token)`` tuple."""
+    An entry is a ``(key, value, position)`` tuple."""
 
     def __init__(self, n_layers, n_heads, capacity):
         self.capacity = capacity
@@ -31,10 +31,10 @@ class ListCache:
         self.received = {key: [] for key in self.stores}
         self.journal = []
 
-    def append(self, layer, keys, values, position, token):
+    def append(self, layer, keys, values, position):
         for head in range(self.n_heads):
             key = (layer, head)
-            self.stores[key].append((keys[head], values[head], position, token))
+            self.stores[key].append((keys[head], values[head], position))
             for row in self.profiles[key]:
                 row.append(0.0)
             self.received[key].append(0.0)
@@ -82,7 +82,6 @@ def assert_same(cache: KvCacheState, model: ListCache):
         assert bits(keys) == bits(model.layer(layer, 0))
         assert bits(vals) == bits(model.layer(layer, 1))
         assert cache.positions(layer).tolist() == model.layer(layer, 2)
-        assert cache.token_ids(layer).tolist() == model.layer(layer, 3)
         want = [model.profiles[(layer, h)] for h in range(model.n_heads)]
         assert cache.profile_rows(layer) == len(want[0])
         scores = cache.score_matrix(layer)
@@ -148,9 +147,8 @@ def test_matches_list_model(n_layers, n_heads, capacity, ops, seed):
                 next_pos[layer] = pos + 1 + int(rng.integers(0, 3))
                 keys = rng.standard_normal((n_heads, HEAD_DIM))
                 values = rng.standard_normal((n_heads, HEAD_DIM))
-                token = int(rng.integers(0, 50))
-                cache.append(layer, keys, values, pos, token)
-                model.append(layer, keys, values, pos, token)
+                cache.append(layer, keys, values, pos)
+                model.append(layer, keys, values, pos)
         elif kind == "record":
             groups = rng.uniform(size=(n_heads, arg, n))
             cache.record_step_profiles(layer, groups)
@@ -176,9 +174,9 @@ def test_a_full_cache_keeps_every_row():
     total = 65
     cache = KvCacheState(1, 2, 2, window_capacity=2, capacity=total)
     for pos in range(total):
-        cache.append(0, np.full((2, 2), float(pos)) + [[0], [1]], np.full((2, 2), -float(pos)), pos, pos)
+        cache.append(0, np.full((2, 2), float(pos)) + [[0], [1]], np.full((2, 2), -float(pos)), pos)
     with pytest.raises(InternalInvariantViolation):
-        cache.append(0, np.zeros((2, 2)), np.zeros((2, 2)), total, total)
+        cache.append(0, np.zeros((2, 2)), np.zeros((2, 2)), total)
     expected = np.arange(total, dtype=float)
     np.testing.assert_array_equal(cache.keys_matrix(0)[:, :, 0], [expected, expected + 1])
     np.testing.assert_array_equal(cache.values_matrix(0)[:, :, 1], [-expected, -expected])
@@ -188,7 +186,7 @@ def test_a_full_cache_keeps_every_row():
 
 
 def one_head_entry(pos: int) -> tuple:
-    return np.zeros((1, 2)), np.zeros((1, 2)), pos, pos
+    return np.zeros((1, 2)), np.zeros((1, 2)), pos
 
 
 def test_score_rows_stay_oldest_first_across_a_wrap_and_keep():
@@ -228,12 +226,12 @@ def test_keep_nothing_empties_store_and_window():
 
 
 @pytest.mark.parametrize(
-    "accessor", ["keys_matrix", "values_matrix", "positions", "token_ids", "received"]
+    "accessor", ["keys_matrix", "values_matrix", "positions", "received"]
 )
 def test_returned_views_are_read_only(accessor):
     cache = KvCacheState(1, 2, 2, window_capacity=2, capacity=3)
     for pos in range(3):
-        cache.append(0, np.ones((2, 2)), np.ones((2, 2)), pos, pos)
+        cache.append(0, np.ones((2, 2)), np.ones((2, 2)), pos)
     view = getattr(cache, accessor)(0)
     before = view.copy()
     with pytest.raises(ValueError):
@@ -260,7 +258,7 @@ def test_keep_rejects_non_integer_indices(retained):
     # out-of-range index are all rejected before anything is evicted.
     cache = KvCacheState(1, 2, 2, window_capacity=2, capacity=3)
     for pos in range(3):
-        cache.append(0, np.ones((2, 2)), np.ones((2, 2)), pos, pos)
+        cache.append(0, np.ones((2, 2)), np.ones((2, 2)), pos)
     with pytest.raises(InvalidShape):
         cache.keep(0, retained)
     assert cache.occupancy(0) == 3

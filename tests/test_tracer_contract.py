@@ -12,6 +12,7 @@ environment variables on import.
 
 import ast
 import importlib.util
+import os
 import subprocess
 import sys
 from dataclasses import replace
@@ -94,7 +95,12 @@ def test_names_the_runner_uses_outside_the_tracer():
         capture_output=True,
         text=True,
         timeout=60,
-        env={"PYTHONPATH": str(SRC), "OPENBLAS_NUM_THREADS": "1"},
+        # A caller that writes no bytecode must get none from this child either.
+        env={
+            "PYTHONPATH": str(SRC),
+            "OPENBLAS_NUM_THREADS": "1",
+            "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE", ""),
+        },
     )
     assert proc.returncode == 0, proc.stderr
     assert {f"morphkv.{name}" for name in mk_modules} <= set(proc.stdout.split())
