@@ -420,9 +420,9 @@ def oracle_regression(config: RunConfig, instances: int) -> list[RegressionRow]:
     budget, and the output error of each choice is recorded next to the
     enumerated optimum. The ``h2o`` pick ranks every distant entry, prompt
     included, once by cumulative decode attention; it is not ``h2o_step``.
-    Every pick keeps the forced recent tail and is scored by the
-    enumeration's arithmetic, so one below the optimum, which would mean
-    the oracle itself is wrong, raises.
+    Every pick keeps the forced recent tail, and the five are scored as one
+    stack by the enumeration's arithmetic, so one below the optimum, which
+    would mean the oracle itself is wrong, raises.
     """
     config.validate()
     model = config.model
@@ -474,8 +474,8 @@ def oracle_regression(config: RunConfig, instances: int) -> list[RegressionRow]:
         sinks = min(_REGRESSION_SINKS, budget - r)
         picks["streamingllm"] = keep_window(n, sinks, budget - sinks)
         picks["h2o"] = select_retained(cumulative[None, : n - r], n, budget - r, r)[0].tolist()
-        for policy_name in REGRESSION_POLICIES:
-            err = subset_output_error(query, keys, vals, picks[policy_name])
+        errors = subset_output_error(query, keys, vals, [picks[name] for name in REGRESSION_POLICIES])
+        for policy_name, err in zip(REGRESSION_POLICIES, errors):
             if err < optimal_error:
                 raise InternalInvariantViolation(
                     f"instance {seed}: {policy_name} beat the exhaustive optimum"

@@ -2,16 +2,22 @@
 
 ``optimal_subset`` brute-forces the reduced cache that best preserves one
 query's attention output, which is the quantity every retention heuristic
-is trying to approximate. ``shadow_error`` gives the per-store output
+is trying to approximate. ``subset_output_error`` scores a stack of
+equal-sized picks, such as the regression's five policy picks, with the
+enumeration's own arithmetic. ``shadow_error`` gives the per-store output
 distance between two decode steps of the same token, one under full
-attention and one under a policy. Both are plain and exact: the
-enumeration scores a chunk of subsets per attention call, with bits equal
-to scoring them one by one.
+attention and one under a policy. All are plain and exact: a stack of
+subsets is scored in one attention call, with bits equal to scoring them
+one by one. The enumeration reads its subsets from one read-only int8
+index table per ``(entries, budget)`` shape, built once in
+``itertools.combinations`` order and cached.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 
 import numpy as np
 
@@ -24,6 +30,20 @@ ENUMERATION_BOUND = 22
 # Subsets scored per attention call; bounds the gathered (chunk, budget, d)
 # key and value stacks.
 SUBSET_CHUNK = 4096
+# Index tables kept: each holds C(m, r) * r int8 entries, at most
+# C(22, 11) * 11 bytes (about 7.8 MB) at ENUMERATION_BOUND.
+TABLE_CACHE_SIZE = 4
+
+
+@functools.lru_cache(maxsize=TABLE_CACHE_SIZE)
+def _combination_table(m: int, r: int) -> np.ndarray:
+    """Every ``r``-subset of ``range(m)`` in ``itertools.combinations`` order,
+    as a read-only ``(C(m, r), r)`` int8 array."""
+    count = math.comb(m, r)
+    flat = itertools.chain.from_iterable(itertools.combinations(range(m), r))
+    table = np.fromiter(flat, dtype=np.int8, count=count * r).reshape(count, r)
+    table.flags.writeable = False
+    return table
 
 
 def _subset_errors(query, keys, vals, subsets) -> list[float]:
@@ -41,9 +61,29 @@ def _distances(full, outputs) -> list[float]:
     return np.sqrt(np.matmul(diffs, diffs.transpose(0, 2, 1))[:, 0, 0]).tolist()
 
 
-def subset_output_error(query, keys, vals, indices) -> float:
-    """L2 distance between full attention output and the subset's output."""
-    return _subset_errors(query, keys, vals, np.array([sorted(indices)], dtype=np.intp))[0]
+def subset_output_error(query, keys, vals, picks) -> list[float]:
+    """L2 distance between full attention output and each pick's output.
+
+    ``picks`` is a stack of equal-sized index lists, in any order within a
+    pick, all scored in one attention call; each error has the bits that
+    pick scored alone, or enumerated by ``optimal_subset``, gets. A stack
+    that is empty or ragged, or a pick with an index outside the entries or
+    a repeated index, is an ``InvalidShape``, raised before any attention.
+    """
+    message = f"picks must be a non-empty stack of equal-sized, non-empty index lists, distinct in [0, {len(keys)})"
+    try:
+        subsets = np.sort(np.array(picks, dtype=np.intp), axis=-1)
+    except ValueError as exc:
+        raise InvalidShape(message) from exc
+    if (
+        subsets.ndim != 2
+        or subsets.size == 0
+        or subsets[:, 0].min() < 0
+        or subsets[:, -1].max() >= len(keys)
+        or (subsets[:, 1:] == subsets[:, :-1]).any()
+    ):
+        raise InvalidShape(message)
+    return _subset_errors(query, keys, vals, subsets)
 
 
 def optimal_subset(
@@ -75,16 +115,23 @@ def optimal_subset(
         raise InstanceTooLarge(f"{n} entries exceeds the enumeration bound {ENUMERATION_BOUND}")
     if not 1 <= budget <= n:
         raise InvalidParam(f"budget must be in [1, {n}]")
-    forced = tuple(range(n - min(recent_window, budget), n)) if force_recent else ()
-    combos = itertools.combinations(range(n - len(forced)), budget - len(forced))
+    if recent_window < 0:
+        raise InvalidParam("recent_window must be >= 0")
+    forced = min(recent_window, budget) if force_recent else 0
+    free = budget - forced
+    table = _combination_table(n - forced, free)
+    chunk = np.empty((min(SUBSET_CHUNK, len(table)), budget), dtype=np.intp)
+    chunk[:, free:] = np.arange(n - forced, n)
     winners = []
-    while chunk := [combo + forced for combo in itertools.islice(combos, SUBSET_CHUNK)]:
-        errs = _subset_errors(query, keys, vals, np.array(chunk, dtype=np.intp))
-        j = int(np.argmin(errs))
-        winners.append((errs[j], chunk[j]))
-    # Equal errors keep the subset enumerated first, which is the smaller tuple.
-    best_err, best_idx = min(winners)
-    return best_idx, best_err
+    for start in range(0, len(table), SUBSET_CHUNK):
+        rows = table[start : start + SUBSET_CHUNK]
+        chunk[: len(rows), :free] = rows
+        errs = _subset_errors(query, keys, vals, chunk[: len(rows)])
+        j = errs.index(min(errs))
+        winners.append((errs[j], start + j))
+    # Equal errors keep the subset enumerated first.
+    best_err, best_row = min(winners)
+    return tuple(table[best_row].tolist()) + tuple(range(n - forced, n)), best_err
 
 
 def shadow_error(full_out, policy_out) -> list[float]:

@@ -1,4 +1,7 @@
 import itertools
+import math
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,14 +12,19 @@ from morphkv import (
     RunConfig,
     greedy_token,
     init_model,
+    load_run_config,
     optimal_subset,
+    oracle_regression,
     shadow_error,
     start_runs,
     step_runs,
 )
-from morphkv.errors import EmptyCache, InstanceTooLarge, InvalidParam
+from morphkv import harness, oracle
+from morphkv.errors import EmptyCache, InstanceTooLarge, InvalidParam, InvalidShape
 from morphkv.numerics import scaled_dot_attention
-from morphkv.oracle import ENUMERATION_BOUND, subset_output_error
+from morphkv.oracle import ENUMERATION_BOUND, TABLE_CACHE_SIZE, _combination_table, subset_output_error
+
+ORACLE_TINY = Path(__file__).resolve().parents[1] / "configs" / "oracle_tiny.ini"
 
 
 def instance(seed: int, n: int = 8, d: int = 4):
@@ -27,12 +35,12 @@ def instance(seed: int, n: int = 8, d: int = 4):
 class TestSubsetError:
     def test_full_subset_has_zero_error(self):
         q, keys, vals = instance(0)
-        assert subset_output_error(q, keys, vals, range(8)) == 0.0
+        assert subset_output_error(q, keys, vals, [range(8)]) == [0.0]
 
     def test_index_order_is_irrelevant(self):
         q, keys, vals = instance(1)
-        assert subset_output_error(q, keys, vals, [5, 1, 3]) == subset_output_error(
-            q, keys, vals, [1, 3, 5]
+        assert subset_output_error(q, keys, vals, [[5, 1, 3]]) == subset_output_error(
+            q, keys, vals, [[1, 3, 5]]
         )
 
     def test_matches_direct_recomputation(self):
@@ -41,7 +49,70 @@ class TestSubsetError:
         _, full_out = scaled_dot_attention(q, keys, vals)
         _, sub_out = scaled_dot_attention(q, keys[idx], vals[idx])
         expected = float(np.sqrt(((full_out - sub_out) ** 2).sum()))
-        assert subset_output_error(q, keys, vals, idx) == pytest.approx(expected, abs=1e-15)
+        assert subset_output_error(q, keys, vals, [idx])[0] == pytest.approx(expected, abs=1e-15)
+
+
+class TestPickStack:
+    def test_each_pick_in_a_stack_scores_as_alone(self):
+        rng = np.random.default_rng(40)
+        for seed in range(30):
+            n = int(rng.integers(2, 12))
+            q, keys, vals = instance(seed, n=n, d=int(rng.integers(1, 9)))
+            size = int(rng.integers(1, n + 1))
+            picks = [rng.permutation(n)[:size].tolist() for _ in range(int(rng.integers(1, 7)))]
+            stacked = subset_output_error(q, keys, vals, picks)
+            assert stacked == [subset_output_error(q, keys, vals, [pick])[0] for pick in picks]
+
+    def test_regression_rows_equal_one_pick_calls(self, monkeypatch):
+        config = load_run_config(str(ORACLE_TINY))
+
+        def sweep():
+            seeded = (replace(config, model=replace(config.model, seed=seed)) for seed in (100, 137, 250))
+            return [row for c in seeded for row in oracle_regression(c, 2)]
+
+        stacked = sweep()
+        monkeypatch.setattr(
+            harness,
+            "subset_output_error",
+            lambda q, keys, vals, picks: [subset_output_error(q, keys, vals, [p])[0] for p in picks],
+        )
+        assert sweep() == stacked
+
+    @pytest.mark.parametrize(
+        "picks",
+        [[[0, 8]], [[-1, 2]], [[1, 1]], [[0, 1], [2, 3, 4]], [], [[]], [1, 2]],
+        ids=["index-past-end", "negative-index", "repeated-index", "ragged", "empty-stack", "empty-pick", "flat"],
+    )
+    def test_non_subsets_refused_before_any_attention(self, picks, monkeypatch):
+        q, keys, vals = instance(9)
+        calls = []
+        monkeypatch.setattr(oracle, "scaled_dot_attention", lambda *a: calls.append(a))
+        with pytest.raises(InvalidShape):
+            subset_output_error(q, keys, vals, picks)
+        assert calls == []
+
+
+class TestCombinationTable:
+    @pytest.mark.parametrize("m, r", [(0, 0), (1, 0), (5, 0), (1, 1), (5, 5), (6, 2), (9, 4), (16, 6)])
+    def test_rows_follow_itertools_order(self, m, r):
+        table = _combination_table(m, r)
+        assert table.dtype == np.int8
+        assert table.shape == (math.comb(m, r), r)
+        assert [tuple(row) for row in table.tolist()] == list(itertools.combinations(range(m), r))
+
+    def test_read_only_and_shared(self):
+        table = _combination_table(8, 3)
+        with pytest.raises(ValueError):
+            table[0, 0] = 5
+        assert _combination_table(8, 3) is table
+
+    def test_worst_case_size(self):
+        # Stated from the counts, never built: every index fits int8 and the
+        # largest table at the enumeration bound is r * C(22, r) bytes.
+        assert ENUMERATION_BOUND <= np.iinfo(np.int8).max
+        worst = max(math.comb(ENUMERATION_BOUND, r) * r for r in range(ENUMERATION_BOUND + 1))
+        assert worst == math.comb(22, 11) * 11 == 7_759_752
+        assert TABLE_CACHE_SIZE * worst < 32 * 2**20
 
 
 class TestOptimalSubset:
@@ -57,7 +128,7 @@ class TestOptimalSubset:
         _, best = optimal_subset(q, keys, vals, budget, recent)
         forced = (7, 8)
         for combo in itertools.combinations(range(7), budget - 2):
-            err = subset_output_error(q, keys, vals, combo + forced)
+            (err,) = subset_output_error(q, keys, vals, [combo + forced])
             assert best <= err
 
     @pytest.mark.parametrize("force_recent", [True, False])
@@ -67,7 +138,7 @@ class TestOptimalSubset:
         for seed in range(10):
             q, keys, vals = instance(seed, n=9)
             idx, err = optimal_subset(q, keys, vals, 4, 2, force_recent=force_recent)
-            assert subset_output_error(q, keys, vals, idx) == err
+            assert subset_output_error(q, keys, vals, [idx]) == [err]
 
     def test_forced_recent_tail_is_always_included(self):
         q, keys, vals = instance(5, n=10)
@@ -112,6 +183,8 @@ class TestOptimalSubset:
             optimal_subset(q, keys, vals, 0, 1)
         with pytest.raises(InvalidParam):
             optimal_subset(q, keys, vals, 9, 1)
+        with pytest.raises(InvalidParam):
+            optimal_subset(q, keys, vals, 4, -1)
 
 
 class TestShadowError:
