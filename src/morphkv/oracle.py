@@ -10,7 +10,7 @@ attention and one under a policy. All are plain and exact: a stack of
 subsets is scored in one attention call, with bits equal to scoring them
 one by one. The enumeration reads its subsets from one read-only int8
 index table per ``(entries, budget)`` shape, built once in
-``itertools.combinations`` order and cached.
+``itertools.combinations`` order and kept while the shape repeats.
 """
 
 from __future__ import annotations
@@ -30,12 +30,12 @@ ENUMERATION_BOUND = 22
 # Subsets scored per attention call; bounds the gathered (chunk, budget, d)
 # key and value stacks.
 SUBSET_CHUNK = 4096
-# Index tables kept: each holds C(m, r) * r int8 entries, at most
-# C(22, 11) * 11 bytes (about 7.8 MB) at ENUMERATION_BOUND.
-TABLE_CACHE_SIZE = 4
 
 
-@functools.lru_cache(maxsize=TABLE_CACHE_SIZE)
+# A sweep enumerates one (entries, budget) shape for every instance, so only
+# the last table is kept: C(m, r) * r int8 entries, at most C(22, 11) * 11
+# bytes (about 7.8 MB) at ENUMERATION_BOUND.
+@functools.lru_cache(maxsize=1)
 def _combination_table(m: int, r: int) -> np.ndarray:
     """Every ``r``-subset of ``range(m)`` in ``itertools.combinations`` order,
     as a read-only ``(C(m, r), r)`` int8 array."""

@@ -215,7 +215,9 @@ class TestRunCommand:
             capture_output=True,
             text=True,
             timeout=30,
-            env={**os.environ, "PYTHONPATH": pythonpath, "OPENBLAS_NUM_THREADS": "1"},
+            # The child writes no bytecode into the source tree, whatever the
+            # caller's environment says.
+            env={**os.environ, "PYTHONPATH": pythonpath, "OPENBLAS_NUM_THREADS": "1", "PYTHONDONTWRITEBYTECODE": "1"},
         )
         assert proc.returncode == 1, proc.stderr
         lines = proc.stderr.splitlines()

@@ -22,7 +22,7 @@ from morphkv import (
 from morphkv import harness, oracle
 from morphkv.errors import EmptyCache, InstanceTooLarge, InvalidParam, InvalidShape
 from morphkv.numerics import scaled_dot_attention
-from morphkv.oracle import ENUMERATION_BOUND, TABLE_CACHE_SIZE, _combination_table, subset_output_error
+from morphkv.oracle import ENUMERATION_BOUND, _combination_table, subset_output_error
 
 ORACLE_TINY = Path(__file__).resolve().parents[1] / "configs" / "oracle_tiny.ini"
 
@@ -108,11 +108,11 @@ class TestCombinationTable:
 
     def test_worst_case_size(self):
         # Stated from the counts, never built: every index fits int8 and the
-        # largest table at the enumeration bound is r * C(22, r) bytes.
+        # one table kept, at the enumeration bound, is at most r * C(22, r)
+        # bytes.
         assert ENUMERATION_BOUND <= np.iinfo(np.int8).max
         worst = max(math.comb(ENUMERATION_BOUND, r) * r for r in range(ENUMERATION_BOUND + 1))
         assert worst == math.comb(22, 11) * 11 == 7_759_752
-        assert TABLE_CACHE_SIZE * worst < 32 * 2**20
 
 
 class TestOptimalSubset:
