@@ -4,12 +4,14 @@ A run is fully determined by its config: seeded weights, seeded or
 file-sourced prompt, greedy decoding, one policy application per decode
 step. ``start_runs`` starts every run: it prefills the shared prompt once
 and gives each run a copy re-windowed to its profile ring. ``step_runs``
-steps runs, one forward for all of them per step. ``run`` steps one run
-on its own greedy tokens; ``compare`` steps several in lockstep: teacher
-forcing feeds every run the reference's token, so their outputs are
-comparable step by step; free running lets each policy follow its own
-greedy trajectory, in which case only aggregate metrics are comparable. A
-computation never decides where its files go:
+steps runs, one forward for all of them per step, over one weights object
+or over several seeds of one model shape (the oracle regression's lockstep
+chunks of instances). ``run`` steps one run on its own greedy tokens;
+``compare`` steps several in lockstep: teacher forcing feeds every run the
+reference's token, so their outputs are comparable step by step; free
+running lets each policy follow its own greedy trajectory, in which case
+only aggregate metrics are comparable. A computation never decides where
+its files go:
 ``write_run_outputs`` (a run's trace, metrics and cache ``snapshot``) and
 ``write_compare_outputs`` (a comparison's CSVs and traces) write to a
 directory their caller names.
@@ -39,7 +41,7 @@ from .errors import (
 from .metrics import kv_bytes, kv_bytes_from_occupancies, relative_cache_ratio, repetition_rate
 from .model import DecoderWeights, StepOutput, decode_step, greedy_token, init_model, prefill
 from .morph import fuse, prefill_compress, select_retained
-from .oracle import ENUMERATION_BOUND, optimal_subset, shadow_error, subset_output_error
+from .oracle import ENUMERATION_BOUND, INSTANCE_CHUNK, optimal_subset, shadow_error, subset_output_error
 from .trace import StepAudit, StepRecord, StepTrace, peak_occupancy
 
 
@@ -211,17 +213,18 @@ def start_runs(configs, weights: DecoderWeights) -> list[Decoding]:
 
 def step_runs(runs: list[Decoding], tokens) -> list[StepOutput]:
     """Decode ``tokens[i]`` in ``runs[i]``, all runs, from any
-    :func:`start_runs` calls over one weights object, through one
-    ``decode_step``; then apply each run's policy, record its step and
-    return its output. A finished run, runs over other weights or a bad
-    ``decode_step`` input is refused before any cache changes.
+    :func:`start_runs` calls over weights of one model shape (one weights
+    object, or several seeds of one shape), through one ``decode_step``;
+    then apply each run's policy, record its step and return its output.
+    A finished run, runs over another model shape or a bad ``decode_step``
+    input is refused before any cache changes.
     """
-    if len({id(decoding.weights) for decoding in runs}) != 1:
-        raise InvalidParam("step_runs needs one or more runs over one weights object")
+    if not runs:
+        raise InvalidParam("step_runs needs one or more runs")
     for decoding in runs:
         if len(decoding.trace.records) == decoding.config.decode_steps:
             raise InvalidParam(f"all {decoding.config.decode_steps} decode steps are done")
-    outs = decode_step(runs[0].weights, tokens, [decoding.cache for decoding in runs])
+    outs = decode_step([decoding.weights for decoding in runs], tokens, [decoding.cache for decoding in runs])
     for decoding, token, out in zip(runs, tokens, outs):
         decoding._finish_step(int(token), out)
     return outs
@@ -422,7 +425,10 @@ def oracle_regression(config: RunConfig, instances: int) -> list[RegressionRow]:
     included, once by cumulative decode attention; it is not ``h2o_step``.
     Every pick keeps the forced recent tail, and the five are scored as one
     stack by the enumeration's arithmetic, so one below the optimum, which
-    would mean the oracle itself is wrong, raises.
+    would mean the oracle itself is wrong, raises. Each instance is started
+    (weights, prompt, prefill) on its own; ``INSTANCE_CHUNK`` of them at a
+    time then step in lockstep, one ``step_runs`` per decode step, which
+    leaves every instance's bits as if it were stepped alone.
     """
     config.validate()
     model = config.model
@@ -445,42 +451,44 @@ def oracle_regression(config: RunConfig, instances: int) -> list[RegressionRow]:
     budget = c + r
     if budget >= final_occupancy:
         raise InvalidConfig("budget must be below the final occupancy to be informative")
+    sinks = min(_REGRESSION_SINKS, budget - r)
     rows: list[RegressionRow] = []
-    for i in range(instances):
-        seed = model.seed + i
-        inst = replace(
-            config,
-            model=replace(model, seed=seed),
-            policy=EvictionPolicyConfig(kind="full_attention", recent_window=r),
-        )
-        (decoding,) = start_runs([inst], init_model(inst.model))
+    policy = EvictionPolicyConfig(kind="full_attention", recent_window=r)
+    for first in range(0, instances, INSTANCE_CHUNK):
+        seeds = range(model.seed + first, model.seed + min(first + INSTANCE_CHUNK, instances))
+        runs = []
+        for seed in seeds:
+            inst = replace(config, model=replace(model, seed=seed), policy=policy)
+            runs.extend(start_runs([inst], init_model(inst.model)))
         # Decode rows only: ``cache.received`` also counts the prefill rows,
         # which would change how this pick ranks the prompt entries.
-        cumulative = np.zeros(len(decoding.trace.prompt) + inst.decode_steps)
-        for _ in range(inst.decode_steps):
-            row = step_runs([decoding], [greedy_token(decoding.out.logits)])[0].attn_rows[0][0][0]
-            cumulative[: row.size] += row
-        cache = decoding.cache
-        keys = cache.keys_matrix(0)[0]
-        vals = cache.values_matrix(0)[0]
-        query = decoding.out.queries[0][0][0]
-        n = keys.shape[0]
-        _, optimal_error = optimal_subset(query, keys, vals, budget, r)
-        picks: dict[str, list[int]] = {
-            "morphkv_sum": select_retained(fuse(cache, 0, "sum"), n, c, r)[0].tolist(),
-            "morphkv_max": select_retained(fuse(cache, 0, "max"), n, c, r)[0].tolist(),
-            "scissorhands": keep_window(n, 0, budget),
-        }
-        sinks = min(_REGRESSION_SINKS, budget - r)
-        picks["streamingllm"] = keep_window(n, sinks, budget - sinks)
-        picks["h2o"] = select_retained(cumulative[None, : n - r], n, budget - r, r)[0].tolist()
-        errors = subset_output_error(query, keys, vals, [picks[name] for name in REGRESSION_POLICIES])
-        for policy_name, err in zip(REGRESSION_POLICIES, errors):
-            if err < optimal_error:
-                raise InternalInvariantViolation(
-                    f"instance {seed}: {policy_name} beat the exhaustive optimum"
-                )
-            rows.append(RegressionRow(seed, policy_name, err, optimal_error))
+        cumulative = np.zeros((len(runs), final_occupancy))
+        for _ in range(config.decode_steps):
+            outs = step_runs(runs, [greedy_token(decoding.out.logits) for decoding in runs])
+            for total, out in zip(cumulative, outs):
+                row = out.attn_rows[0][0][0]
+                total[: row.size] += row
+        for seed, decoding, total in zip(seeds, runs, cumulative):
+            cache = decoding.cache
+            keys = cache.keys_matrix(0)[0]
+            vals = cache.values_matrix(0)[0]
+            query = decoding.out.queries[0][0][0]
+            n = keys.shape[0]
+            _, optimal_error = optimal_subset(query, keys, vals, budget, r)
+            picks: dict[str, list[int]] = {
+                "morphkv_sum": select_retained(fuse(cache, 0, "sum"), n, c, r)[0].tolist(),
+                "morphkv_max": select_retained(fuse(cache, 0, "max"), n, c, r)[0].tolist(),
+                "scissorhands": keep_window(n, 0, budget),
+            }
+            picks["streamingllm"] = keep_window(n, sinks, budget - sinks)
+            picks["h2o"] = select_retained(total[None, : n - r], n, budget - r, r)[0].tolist()
+            errors = subset_output_error(query, keys, vals, [picks[name] for name in REGRESSION_POLICIES])
+            for policy_name, err in zip(REGRESSION_POLICIES, errors):
+                if err < optimal_error:
+                    raise InternalInvariantViolation(
+                        f"instance {seed}: {policy_name} beat the exhaustive optimum"
+                    )
+                rows.append(RegressionRow(seed, policy_name, err, optimal_error))
     return rows
 
 

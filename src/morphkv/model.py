@@ -12,13 +12,17 @@ Each layer is pre-norm: attention with a residual, then a single tanh MLP
 with a residual. Logits come from the tied embedding. One exact forward
 runs rows, each owned by a (cache, position) pair, through the layers: the
 prompt as blocks of rows of one cache, a decode step as one row per
-cache, so lockstep runs share each layer's dense math.
+cache, so lockstep runs share each layer's dense math. Lockstep caches may
+share one weights object or each have their own of one model shape
+(configs equal but for ``seed``); then every matrix is stacked along the
+row axis and each row multiplies its own slice.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -43,7 +47,8 @@ class LayerWeights:
     w_out: np.ndarray
 
 
-@dataclass(frozen=True)
+# Compared and hashed by identity, so ``_stacked`` caches a stack per tuple of objects.
+@dataclass(frozen=True, eq=False)
 class DecoderWeights:
     config: ModelConfig
     embedding: np.ndarray
@@ -124,8 +129,9 @@ def _forward(
     ``i`` into ``caches[i]`` (a decode step of one or more caches).
 
     Each layer's dense math covers every row at once as stacked
-    ``(R, 1, d) @ W`` matmuls, which numpy runs as one gemv per row, so
-    every row's bits equal a one-row pass. Then, row by row, each layer's
+    ``(R, 1, d) @ W`` matmuls, ``W`` one matrix or one ``(R, d, e)`` stack
+    per row, which numpy runs as one gemv per row, so every row's bits
+    equal a one-row pass. Then, row by row, each layer's
     stores see the one-token order: append, attend, record. Returns one
     output per cache, that of its last row; logits are computed for those
     rows only.
@@ -138,7 +144,9 @@ def _forward(
     row_caches = caches if first_out == 0 else caches * t
     outputs = [StepOutput(None, [], [], []) for _ in caches]
     rope_positions = np.array(positions)
-    x = weights.embedding.take(tokens, axis=0)[:, None, :]
+    emb = weights.embedding
+    # One embedding for every row, or a stack of one per row (see _stacked).
+    x = (emb.take(tokens, axis=0) if emb.ndim == 2 else emb[np.arange(t), tokens])[:, None, :]
     for layer, lw in enumerate(weights.layers):
         xn = _rms_norm(x)
         # Queries and keys share one rotation call; pairs never cross heads.
@@ -168,7 +176,7 @@ def _forward(
                 output.queries.append([q[i, head * g : (head + 1) * g] for head in range(n_kv)])
         x = x + np.concatenate(outs, axis=None).reshape(t, 1, -1) @ lw.w_o
         x = x + np.tanh(_rms_norm(x) @ lw.w_in) @ lw.w_out
-    logits = _rms_norm(x[first_out:]) @ weights.embedding.T
+    logits = _rms_norm(x[first_out:]) @ np.swapaxes(emb, -1, -2)
     for output, row_logits in zip(outputs, logits):
         output.logits = row_logits[0]
     return outputs
@@ -197,24 +205,48 @@ def prefill(weights: DecoderWeights, prompt, cache: KvCacheState) -> StepOutput:
     return out
 
 
-def decode_step(weights: DecoderWeights, tokens, caches) -> list[StepOutput]:
+@functools.lru_cache(maxsize=1)
+def _stacked(weights: tuple[DecoderWeights, ...]) -> DecoderWeights:
+    """One weights object whose every array stacks those of ``weights``
+    along a new first axis, so row ``i`` of a forward multiplies
+    ``weights[i]``'s. Lockstep runs step one list of weights many times,
+    so the last stack is kept while its objects repeat."""
+    arrays = [np.stack(group) for group in zip(*map(_weight_arrays, weights))]
+    layers = tuple(LayerWeights(*arrays[i : i + 6]) for i in range(1, len(arrays), 6))
+    return DecoderWeights(weights[0].config, arrays[0], layers)
+
+
+def decode_step(weights, tokens, caches) -> list[StepOutput]:
     """Process one generated token per cache, all caches in one forward.
 
     ``tokens[i]`` goes into ``caches[i]``, each at that cache's next
     absolute position, so caches at different positions and under
     different policies step together; one cache is the one-row case.
+    ``weights`` is one weights object for every cache or a list of one per
+    cache, drawn for configs equal but for ``seed``.
     Appends exactly one entry per store and records the step's aggregated
     attention rows into every store, as prefill does, so the policy that
     runs next sees the step's row in place. Policies never record.
     Returns one output per cache, each bit-equal to stepping that cache
     alone. Every input, a full cache included, is checked before any cache changes.
     """
-    cfg = weights.config
     n = len(caches)
     if not n or len(tokens) != n:
         raise InvalidShape(f"decode_step needs one token per cache, got {len(tokens)} for {n}")
     if n > 1 and len(set(map(id, caches))) != n:
         raise InvalidParam("decode_step got the same cache twice")
+    if not isinstance(weights, DecoderWeights):
+        weights = tuple(weights)
+        if len(weights) != n:
+            raise InvalidShape(f"decode_step needs one weights object per cache, got {len(weights)} for {n}")
+        shared = weights[0]
+        if any(w is not shared for w in weights):
+            cfg = shared.config
+            if any(replace(w.config, seed=cfg.seed) != cfg for w in weights):
+                raise InvalidParam("decode_step needs weights of one model shape: configs equal but for their seed")
+            shared = _stacked(weights)
+        weights = shared
+    cfg = weights.config
     positions = []
     for cache in caches:
         if not cache.matches(cfg):

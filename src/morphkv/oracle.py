@@ -30,6 +30,9 @@ ENUMERATION_BOUND = 22
 # Subsets scored per attention call; bounds the gathered (chunk, budget, d)
 # key and value stacks.
 SUBSET_CHUNK = 4096
+# Regression instances stepped in lockstep; bounds how many runs, and how
+# many stacked copies of their weights, are live at once.
+INSTANCE_CHUNK = 20
 
 
 # A sweep enumerates one (entries, budget) shape for every instance, so only

@@ -3,8 +3,9 @@
 One forward runs rows, each owned by a (cache, position) pair: ``prefill``
 runs the prompt as blocks of ``PREFILL_BLOCK`` rows of one cache,
 ``decode_step`` runs one row per cache, one cache alone or many in
-lockstep. Each layer's dense math is stacked ``(R, 1, d) @ W`` matmuls
-over every row. That is exact only because numpy runs a stacked
+lockstep, over one weights object or one per cache. Each layer's dense
+math is stacked ``(R, 1, d) @ W`` matmuls over every row, ``W`` one
+matrix or a stack of one per row. That is exact only because numpy runs a stacked
 unit-axis matmul as one gemv per row and the norms, rotations and
 activations are row-wise, so every comparison here is on the raw bits of
 every store array and every returned array, never a tolerance. A 2-D
@@ -137,17 +138,20 @@ LOCKSTEP_POLICIES = (
 LOCKSTEP_MODEL = ModelConfig(n_layers=2, n_query_heads=4, n_kv_heads=2, head_dim=8, vocab_size=40, seed=7)
 
 
-def assert_lockstep_equals_alone(model, policies, prompt_lengths, steps, teacher_forced):
-    """Step runs, each from a ``start_runs`` of its own over one weights
-    object, through one ``step_runs`` per step and, beside them, each run on
-    its own; every output and every store read must match on bits."""
-    weights = init_model(model)
+def assert_lockstep_equals_alone(model, policies, prompt_lengths, steps, teacher_forced, seeds=None):
+    """Step runs, each from a ``start_runs`` of its own over the weights of
+    its seed (``model.seed`` for every run by default; one weights object
+    per distinct seed), through one ``step_runs`` per step and, beside
+    them, each run on its own; every output and every store read must
+    match on bits."""
+    seeds = seeds or [model.seed] * len(policies)
+    weights = {seed: init_model(replace(model, seed=seed)) for seed in seeds}
     configs = [
-        RunConfig(model=model, policy=policy, prompt_length=length, decode_steps=steps)
-        for policy, length in zip(policies, prompt_lengths)
+        RunConfig(model=replace(model, seed=seed), policy=policy, prompt_length=length, decode_steps=steps)
+        for policy, length, seed in zip(policies, prompt_lengths, seeds)
     ]
-    lockstep = [start_runs([cfg], weights)[0] for cfg in configs]
-    alone = [start_runs([cfg], weights)[0] for cfg in configs]
+    lockstep = [start_runs([cfg], weights[cfg.model.seed])[0] for cfg in configs]
+    alone = [start_runs([cfg], weights[cfg.model.seed])[0] for cfg in configs]
     for _ in range(steps):
         if teacher_forced:
             tokens = [greedy_token(lockstep[0].out.logits)] * len(lockstep)
@@ -206,3 +210,54 @@ def test_lockstep_any_shape(n_layers, n_kv_heads, group, head_dim, picks, length
         replace(p, protected_layers=min(p.protected_layers, n_layers)) for p in policies
     ]
     assert_lockstep_equals_alone(model, policies, lengths, 4, teacher_forced)
+
+
+# Runs over weights of one shape but several seeds step through stacked
+# matrices, one slice per row, with the bits of each run stepped alone.
+# Repeated seeds share one weights object among the stacked ones.
+LOCKSTEP_SEEDS = (7, 8, 9, 7, 10, 8)
+
+
+@pytest.mark.parametrize("teacher_forced", [True, False], ids=["teacher_forced", "free_running"])
+@pytest.mark.parametrize("lengths", [[9] * 6, [1, 6, B + 3, 11, 2, B]], ids=["equal_positions", "differing_positions"])
+def test_lockstep_over_seeds_equals_each_run_alone(lengths, teacher_forced):
+    runs = assert_lockstep_equals_alone(
+        LOCKSTEP_MODEL, LOCKSTEP_POLICIES, lengths, 6, teacher_forced, seeds=LOCKSTEP_SEEDS
+    )
+    if not teacher_forced:
+        assert len({tuple(run.trace.consumed_tokens()) for run in runs}) > 2
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    n_layers=st.integers(1, 3),
+    n_kv_heads=st.integers(1, 2),
+    group=st.integers(1, 3),
+    head_dim=st.sampled_from([2, 4, 8]),
+    vocab=st.integers(2, 48),
+    seeds=st.lists(st.integers(0, 2**32 - 1), min_size=2, max_size=4, unique=True),
+    share=st.booleans(),
+    picks=st.lists(st.sampled_from(range(len(LOCKSTEP_POLICIES))), min_size=5, max_size=5),
+    lengths=st.lists(st.integers(1, 2 * B), min_size=5, max_size=5),
+    equal_positions=st.booleans(),
+    teacher_forced=st.booleans(),
+)
+def test_lockstep_over_seeds_any_shape(
+    n_layers, n_kv_heads, group, head_dim, vocab, seeds, share, picks, lengths, equal_positions, teacher_forced
+):
+    model = ModelConfig(
+        n_layers=n_layers,
+        n_query_heads=n_kv_heads * group,
+        n_kv_heads=n_kv_heads,
+        head_dim=head_dim,
+        vocab_size=vocab,
+        seed=seeds[0],
+    )
+    # One more run over the first seed's weights object, when ``share``.
+    seeds = seeds + seeds[:1] if share else seeds
+    policies = [
+        replace(LOCKSTEP_POLICIES[i], protected_layers=min(LOCKSTEP_POLICIES[i].protected_layers, n_layers))
+        for i in picks[: len(seeds)]
+    ]
+    lengths = [lengths[0]] * len(seeds) if equal_positions else lengths[: len(seeds)]
+    assert_lockstep_equals_alone(model, policies, lengths, 4, teacher_forced, seeds=seeds)

@@ -330,20 +330,22 @@ class TestOracleCommand:
         assert "mean_error[morphkv_sum]" in out
 
     def test_debug_invariants_audits_every_instance(self, oracle_config_file, monkeypatch, capsys):
-        # Each instance is a run of its own, audited step by step when asked.
-        checked = []
+        # Each instance is a run of its own, audited step by step when asked;
+        # lockstep interleaves the instances, so steps are kept per audit
+        # object (held here, so no two audits can share a key).
+        checked: dict[StepAudit, list[int]] = {}
         check = StepAudit.check
 
         def counted(audit, step, *args):
-            checked.append(step)
+            checked.setdefault(audit, []).append(step)
             return check(audit, step, *args)
 
         monkeypatch.setattr(StepAudit, "check", counted)
         argv = ["oracle", "--config", oracle_config_file, "--instances", "3"]
         assert main(argv) == 0
-        assert checked == []
+        assert checked == {}
         assert main(argv + ["--debug-invariants"]) == 0
-        assert checked == list(range(8)) * 3
+        assert list(checked.values()) == [list(range(8))] * 3
 
     def test_out_file_and_matching_baseline(self, oracle_config_file, tmp_path, capsys):
         csv_path = tmp_path / "sweep.csv"

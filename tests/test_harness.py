@@ -430,10 +430,36 @@ class TestStepRuns:
         assert done.cache.max_occupancy() < done.cache.capacity
         self.assert_refused(InvalidParam, live + [done], "all 1 decode steps are done")
 
-    def test_runs_over_two_weights_objects(self):
+    def test_runs_over_two_seeds_step_together_as_alone(self):
+        # Each run has weights of its own; the shape is the one thing shared.
+        configs = [replace(small_run_config(kind), model=replace(SMALL_MODEL, seed=seed))
+                   for kind, seed in (("morphkv", 41), ("h2o", 42), ("morphkv", 43))]
+        together = [start_runs([cfg], init_model(cfg.model))[0] for cfg in configs]
+        alone = [start_runs([cfg], init_model(cfg.model))[0] for cfg in configs]
+        for _ in range(configs[0].decode_steps):
+            tokens = [greedy_token(decoding.out.logits) for decoding in together]
+            outs = step_runs(together, tokens)
+            for decoding, single, token, out in zip(together, alone, tokens, outs):
+                np.testing.assert_array_equal(out.logits, step_runs([single], [token])[0].logits)
+                assert live_bits(decoding.cache) == live_bits(single.cache)
+        for decoding, single in zip(together, alone):
+            assert decoding.result().trace.to_dict() == single.result().trace.to_dict()
+        assert len({tuple(decoding.trace.consumed_tokens()) for decoding in together}) == 3
+
+    # Another vocabulary, layer count, KV head count or head size at the same
+    # d_model, or another d_model: numpy would fail to stack the first and
+    # the caches would not match the others.
+    @pytest.mark.parametrize(
+        "other",
+        [dict(vocab_size=33), dict(n_layers=3), dict(n_kv_heads=1), dict(n_kv_heads=4),
+         dict(n_query_heads=8, head_dim=2), dict(n_query_heads=8, n_kv_heads=4)],
+        ids=["vocab", "layers", "fewer_kv_heads", "more_kv_heads", "head_dim", "d_model"],
+    )
+    def test_runs_over_another_model_shape(self, other):
         config = small_run_config()
-        runs = [start_runs([config], init_model(config.model))[0] for _ in range(2)]
-        self.assert_refused(InvalidParam, runs, "one weights object")
+        foreign = replace(config, model=replace(SMALL_MODEL, seed=42, **other))
+        runs = [start_runs([cfg], init_model(cfg.model))[0] for cfg in (config, foreign, config)]
+        self.assert_refused(InvalidParam, runs, "one model shape")
 
     def test_one_run_listed_twice(self):
         config = small_run_config()

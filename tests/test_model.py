@@ -245,6 +245,13 @@ class TestDecodeStepInput:
     def test_no_caches(self):
         self.assert_rejected(InvalidShape, [], [], "got 0 for 0")
 
+    def test_weights_and_cache_counts_differ(self):
+        caches = [self.prefilled(), self.prefilled()]
+        before = [raw_state(cache) for cache in caches]
+        with pytest.raises(InvalidShape, match="one weights object per cache"):
+            decode_step([init_model(self.CFG)], [1, 2], caches)
+        assert [raw_state(cache) for cache in caches] == before
+
     @pytest.mark.parametrize(
         "other",
         [dict(n_layers=3), dict(n_query_heads=4, n_kv_heads=2), dict(head_dim=8)],

@@ -92,6 +92,32 @@ class TestPickStack:
         assert calls == []
 
 
+class TestInstanceChunks:
+    """The regression steps its instances in lockstep chunks of
+    ``INSTANCE_CHUNK``; its rows do not depend on the chunk."""
+
+    def test_rows_equal_under_any_chunk(self, monkeypatch):
+        config = load_run_config(str(ORACLE_TINY))
+        step = harness.step_runs
+        sweeps = {}
+
+        def counted(runs, tokens):
+            sizes.append(len(runs))
+            return step(runs, tokens)
+
+        monkeypatch.setattr(harness, "step_runs", counted)
+        for chunk in (1, 7, 64):
+            sizes = []
+            monkeypatch.setattr(harness, "INSTANCE_CHUNK", chunk)
+            sweeps[chunk] = oracle_regression(config, 15)
+            # oracle_tiny decodes 8 steps: one step_runs per step and chunk,
+            # of 7, 7 and then 1 runs when the chunk is 7.
+            assert sizes == [n for n in (min(chunk, 15 - first) for first in range(0, 15, chunk)) for _ in range(8)]
+            assert oracle_regression(config, 0) == []
+        assert sweeps[1] == sweeps[7] == sweeps[64]
+        assert [row.instance_seed for row in sweeps[1]] == [seed for seed in range(100, 115) for _ in range(5)]
+
+
 class TestCombinationTable:
     @pytest.mark.parametrize("m, r", [(0, 0), (1, 0), (5, 0), (1, 1), (5, 5), (6, 2), (9, 4), (16, 6)])
     def test_rows_follow_itertools_order(self, m, r):
