@@ -3,10 +3,11 @@
 A run is fully determined by its config: seeded weights, seeded or
 file-sourced prompt, greedy decoding, one policy application per decode
 step. ``start_runs`` starts every run: it prefills the shared prompt once
-and gives each run a copy re-windowed to its profile ring. ``step_runs``
-steps runs, one forward for all of them per step, over one weights object
-or over several seeds of one model shape (the oracle regression's lockstep
-chunks of instances). ``run`` steps one run on its own greedy tokens;
+and gives each run a copy re-windowed to its profile ring, or, over
+several seeds of one model shape (the oracle regression's lockstep chunks
+of instances), prefills every seed's prompt in the same forwards.
+``step_runs`` steps runs, one forward for all of them per step, over one
+weights object or over several seeds of one shape. ``run`` steps one run on its own greedy tokens;
 ``compare`` steps several in lockstep: teacher forcing feeds every run the
 reference's token, so their outputs are comparable step by step; free
 running lets each policy follow its own greedy trajectory, in which case
@@ -35,6 +36,7 @@ from .errors import (
     InternalInvariantViolation,
     InvalidConfig,
     InvalidParam,
+    InvalidShape,
     InvalidToken,
     TraceMismatch,
 )
@@ -180,35 +182,55 @@ class Decoding:
         return RunResult(self.trace, self.cache)
 
 
-def start_runs(configs, weights: DecoderWeights) -> list[Decoding]:
-    """Start one run per config over ``weights``; the configs may differ
-    only in their policy and in whether they audit themselves.
+def start_runs(configs, weights) -> list[Decoding]:
+    """Start one run per config over ``weights``: one weights object for
+    every run, or a list of one per config. The configs may differ only in
+    their policy, in whether they audit themselves and, between runs over
+    different weights objects, in the model seed.
 
-    One ``prefill`` of the shared prompt, at the largest ``recent_window``,
-    serves every run: each run starts from a ``KvCacheState.copy`` at its
-    own window and peak occupancy, bit-equal to a prefill of its own, and
-    then applies its own one-shot prompt policy.
+    Runs over one weights object share one prompt: one ``prefill`` of it,
+    at the largest ``recent_window`` among them, serves them all, each run
+    starting from a ``KvCacheState.copy`` at its own window and peak
+    occupancy, bit-equal to a prefill of its own. The distinct weights
+    objects' prompts, of one length, prefill together in that one
+    ``prefill`` call, one forward per block for all of them. Each run then
+    applies its own one-shot prompt policy. Every input is checked before
+    any cache exists.
     """
     configs = [cfg.validate() for cfg in configs]
     if not configs:
         raise InvalidParam("start_runs needs at least one config")
+    single = isinstance(weights, DecoderWeights)
+    weights = [weights] * len(configs) if single else list(weights)
+    if len(weights) != len(configs):
+        raise InvalidShape(f"start_runs needs one weights object per config, got {len(weights)} for {len(configs)}")
     base = configs[0]
     shared = [f.name for f in fields(RunConfig) if f.name not in ("policy", "debug_invariants")]
     for cfg in configs[1:]:
-        differ = [name for name in shared if getattr(cfg, name) != getattr(base, name)]
+        ref = base if single else replace(base, model=replace(base.model, seed=cfg.model.seed))
+        differ = [name for name in shared if getattr(cfg, name) != getattr(ref, name)]
         if differ:
             raise TraceMismatch(f"compare configs may differ only in [policy]; these differ: {', '.join(differ)}")
-    if weights.config != base.model:
+    if any(w.config != cfg.model for w, cfg in zip(weights, configs)):
         raise InvalidParam("weights were drawn for another model config")
-    prompt = make_prompt(base)
+    # Runs over one weights object form a group; its run with the largest
+    # window owns the group's prefill and the others get copies of its cache.
+    groups: dict[int, list[int]] = {}
+    for i, w in enumerate(weights):
+        groups.setdefault(id(w), []).append(i)
     windows = [cfg.policy.recent_window for cfg in configs]
-    sizes = [peak_occupancy(cfg.policy, len(prompt), cfg.decode_steps, cfg.model.n_layers) for cfg in configs]
-    owner = windows.index(max(windows))
-    source = KvCacheState.for_model(base.model, windows[owner], sizes[owner])
-    out = prefill(weights, prompt, source)
-    # Every copy is made before any run's prompt policy changes the source.
-    caches = [source if i == owner else source.copy(*shape) for i, shape in enumerate(zip(windows, sizes))]
-    return [Decoding(cfg, weights, prompt, cache, out) for cfg, cache in zip(configs, caches)]
+    owners = [max(group, key=windows.__getitem__) for group in groups.values()]
+    prompts = [make_prompt(configs[i]) for i in owners]
+    sizes = [peak_occupancy(cfg.policy, len(prompts[0]), cfg.decode_steps, cfg.model.n_layers) for cfg in configs]
+    sources = [KvCacheState.for_model(base.model, windows[i], sizes[i]) for i in owners]
+    outs = prefill([weights[i] for i in owners], prompts, sources)
+    runs = [None] * len(configs)
+    for group, owner, prompt, source, out in zip(groups.values(), owners, prompts, sources, outs):
+        # Every copy is made before any run's prompt policy changes the source.
+        caches = {i: source if i == owner else source.copy(windows[i], sizes[i]) for i in group}
+        for i, cache in caches.items():
+            runs[i] = Decoding(configs[i], weights[i], prompt, cache, out)
+    return runs
 
 
 def step_runs(runs: list[Decoding], tokens) -> list[StepOutput]:
@@ -425,10 +447,12 @@ def oracle_regression(config: RunConfig, instances: int) -> list[RegressionRow]:
     included, once by cumulative decode attention; it is not ``h2o_step``.
     Every pick keeps the forced recent tail, and the five are scored as one
     stack by the enumeration's arithmetic, so one below the optimum, which
-    would mean the oracle itself is wrong, raises. Each instance is started
-    (weights, prompt, prefill) on its own; ``INSTANCE_CHUNK`` of them at a
-    time then step in lockstep, one ``step_runs`` per decode step, which
-    leaves every instance's bits as if it were stepped alone.
+    would mean the oracle itself is wrong, raises. ``INSTANCE_CHUNK``
+    instances at a time run in lockstep: one ``start_runs`` over their
+    seeded weights, which prefills all their prompts in one forward per
+    block, then one ``step_runs`` per decode step. That leaves every
+    instance's bits as if it were started and stepped alone. A seed range
+    past ``2**64 - 1`` is refused before any instance starts.
     """
     config.validate()
     model = config.model
@@ -438,6 +462,8 @@ def oracle_regression(config: RunConfig, instances: int) -> list[RegressionRow]:
         raise InvalidConfig("oracle regression takes the budget from a morphkv policy")
     if instances < 0:
         raise InvalidParam("instances must be >= 0")
+    if model.seed + instances > 2**64:
+        raise InvalidConfig(f"instance seeds {model.seed} to {model.seed + instances - 1} pass 2**64 - 1")
     # A random prompt's length is known without drawing it, however large.
     prompt_len = config.prompt_length if config.prompt_file is None else len(make_prompt(config))
     final_occupancy = prompt_len + config.decode_steps
@@ -456,10 +482,8 @@ def oracle_regression(config: RunConfig, instances: int) -> list[RegressionRow]:
     policy = EvictionPolicyConfig(kind="full_attention", recent_window=r)
     for first in range(0, instances, INSTANCE_CHUNK):
         seeds = range(model.seed + first, model.seed + min(first + INSTANCE_CHUNK, instances))
-        runs = []
-        for seed in seeds:
-            inst = replace(config, model=replace(model, seed=seed), policy=policy)
-            runs.extend(start_runs([inst], init_model(inst.model)))
+        configs = [replace(config, model=replace(model, seed=seed), policy=policy) for seed in seeds]
+        runs = start_runs(configs, [init_model(inst.model) for inst in configs])
         # Decode rows only: ``cache.received`` also counts the prefill rows,
         # which would change how this pick ranks the prompt entries.
         cumulative = np.zeros((len(runs), final_occupancy))
@@ -489,6 +513,8 @@ def oracle_regression(config: RunConfig, instances: int) -> list[RegressionRow]:
                         f"instance {seed}: {policy_name} beat the exhaustive optimum"
                     )
                 rows.append(RegressionRow(seed, policy_name, err, optimal_error))
+        # Freed before the next chunk starts, so two chunks are never live.
+        del runs
     return rows
 
 

@@ -10,12 +10,14 @@ survivors untouched.
 
 Each layer is pre-norm: attention with a residual, then a single tanh MLP
 with a residual. Logits come from the tied embedding. One exact forward
-runs rows, each owned by a (cache, position) pair, through the layers: the
-prompt as blocks of rows of one cache, a decode step as one row per
-cache, so lockstep runs share each layer's dense math. Lockstep caches may
-share one weights object or each have their own of one model shape
-(configs equal but for ``seed``); then every matrix is stacked along the
-row axis and each row multiplies its own slice.
+runs rows, each owned by a (cache, position) pair, through the layers.
+Rows are ordered position-major, so row ``r`` of ``C`` caches belongs to
+``caches[r % C]``: prompt blocks of one cache or of several caches at
+once, a decode step as one row per cache, so lockstep runs share each
+layer's dense math. The caches may share one weights object or each have
+their own of one model shape (configs equal but for ``seed``); then every
+matrix is stacked along a new first axis, one slice per cache, which that
+cache's rows multiply.
 """
 
 from __future__ import annotations
@@ -84,26 +86,24 @@ def init_model(config: ModelConfig) -> DecoderWeights:
 
     Entries are uniform on ``[-1/sqrt(d_model), 1/sqrt(d_model)]``, drawn
     in a fixed order (embedding, then per layer: q, k, v, o, MLP in, MLP
-    out) so the stream layout never shifts. Every layer's matrices are
-    C-contiguous views of one buffer allocated before any draw, so a layer
-    count no memory holds fails at once.
+    out) so the stream layout never shifts. All of them come from one
+    draw, of which every matrix is a C-contiguous view, so a model no
+    memory holds fails at its one allocation, before any draw.
     """
     config.validate()
     sizes = _layer_sizes(config)
-    buffer = np.empty(config.n_layers * sum(rows * cols for rows, cols in sizes))
+    vocab, d = config.vocab_size, config.d_model
     rng = np.random.default_rng(config.seed)
-    scale = 1.0 / np.sqrt(config.d_model)
-    embedding = rng.uniform(-scale, scale, size=(config.vocab_size, config.d_model))
-    layers, offset = [], 0
+    scale = 1.0 / np.sqrt(d)
+    draws = rng.uniform(-scale, scale, size=vocab * d + config.n_layers * sum(rows * cols for rows, cols in sizes))
+    layers, offset = [], vocab * d
     for _ in range(config.n_layers):
         mats = []
         for rows, cols in sizes:
-            mat = buffer[offset : offset + rows * cols].reshape(rows, cols)
-            mat[...] = rng.uniform(-scale, scale, size=(rows, cols))
-            mats.append(mat)
+            mats.append(draws[offset : offset + rows * cols].reshape(rows, cols))
             offset += rows * cols
         layers.append(LayerWeights(*mats))
-    return DecoderWeights(config=config, embedding=embedding, layers=tuple(layers))
+    return DecoderWeights(config=config, embedding=draws[: vocab * d].reshape(vocab, d), layers=tuple(layers))
 
 
 def _rms_norm(x: np.ndarray) -> np.ndarray:
@@ -124,29 +124,30 @@ def _forward(
     positions: list[int],
     caches: list[KvCacheState],
 ) -> list[StepOutput]:
-    """Run ``tokens[i]`` at ``positions[i]`` through every layer, as rows
-    of ``caches``: every row into the one cache (a prompt block), or row
-    ``i`` into ``caches[i]`` (a decode step of one or more caches).
+    """Run ``tokens[r]`` at ``positions[r]`` through every layer as a row
+    of ``caches[r % C]``, ``C = len(caches)``. Rows are ordered
+    position-major: ``b`` positions of every cache, so a prompt block of
+    one cache is ``C = 1`` and a decode step is ``b = 1``.
 
     Each layer's dense math covers every row at once as stacked
-    ``(R, 1, d) @ W`` matmuls, ``W`` one matrix or one ``(R, d, e)`` stack
-    per row, which numpy runs as one gemv per row, so every row's bits
-    equal a one-row pass. Then, row by row, each layer's
-    stores see the one-token order: append, attend, record. Returns one
-    output per cache, that of its last row; logits are computed for those
-    rows only.
+    ``(b, C, 1, d) @ W`` matmuls, ``W`` one matrix or one ``(C, d, e)``
+    stack of one per cache (see ``_stacked``), which numpy runs as one gemv
+    per row, so every row's bits equal a one-row pass. Then, row by row,
+    each layer's stores see the one-token order: append, attend, record.
+    Returns one output per cache, that of its last row; logits are
+    computed for those rows only.
     """
     cfg = weights.config
     g, hd, n_q, n_kv = cfg.group_size, cfg.head_dim, cfg.n_query_heads, cfg.n_kv_heads
-    t = len(tokens)
-    # The last len(caches) rows are the caches' last rows, in cache order.
-    first_out = t - len(caches)
-    row_caches = caches if first_out == 0 else caches * t
+    c, t = len(caches), len(tokens)
+    # The last C rows are the caches' last rows, in cache order.
+    first_out = t - c
     outputs = [StepOutput(None, [], [], []) for _ in caches]
     rope_positions = np.array(positions)
     emb = weights.embedding
-    # One embedding for every row, or a stack of one per row (see _stacked).
-    x = (emb.take(tokens, axis=0) if emb.ndim == 2 else emb[np.arange(t), tokens])[:, None, :]
+    # One embedding for every row, or a stack of one per cache.
+    x = emb.take(tokens, axis=0) if emb.ndim == 2 else emb[np.arange(t) % c, tokens]
+    x = x.reshape(t // c, c, 1, -1)
     for layer, lw in enumerate(weights.layers):
         xn = _rms_norm(x)
         # Queries and keys share one rotation call; pairs never cross heads.
@@ -155,65 +156,102 @@ def _forward(
         q, k = qk[:, :n_q], qk[:, n_q:]
         v = (xn @ lw.w_v).reshape(t, n_kv, hd)
         outs = []
-        for i, cache in enumerate(row_caches):
+        for r in range(t):
+            cache = caches[r % c]
             # Append before attending: the new token attends to itself.
-            cache.append(layer, k[i], v[i], positions[i])
+            cache.append(layer, k[r], v[r], positions[r])
             keys, vals = cache.keys_matrix(layer), cache.values_matrix(layer)
             # One call per KV group: the group's query heads share the store.
             rows = []
             for head in range(n_kv):
-                group = q[i, head * g : (head + 1) * g]
+                group = q[r, head * g : (head + 1) * g]
                 row, out = scaled_dot_attention(group, keys[head], vals[head])
                 rows.append(row)
                 outs.append(out)
             # The one writer of profile rows: recorded before the next token
             # is appended and before any policy runs.
             cache.record_step_profiles(layer, rows)
-            if i >= first_out:
-                output = outputs[i - first_out]
+            if r >= first_out:
+                output = outputs[r % c]
                 output.attn_rows.append(rows)
                 output.attn_outputs.append(outs[-n_kv:])
-                output.queries.append([q[i, head * g : (head + 1) * g] for head in range(n_kv)])
-        x = x + np.concatenate(outs, axis=None).reshape(t, 1, -1) @ lw.w_o
+                output.queries.append([q[r, head * g : (head + 1) * g] for head in range(n_kv)])
+        x = x + np.concatenate(outs, axis=None).reshape(x.shape) @ lw.w_o
         x = x + np.tanh(_rms_norm(x) @ lw.w_in) @ lw.w_out
-    logits = _rms_norm(x[first_out:]) @ np.swapaxes(emb, -1, -2)
+    logits = _rms_norm(x[-1]) @ np.swapaxes(emb, -1, -2)
     for output, row_logits in zip(outputs, logits):
         output.logits = row_logits[0]
     return outputs
 
 
-def prefill(weights: DecoderWeights, prompt, cache: KvCacheState) -> StepOutput:
-    """Run the prompt through an empty cache in blocks of ``PREFILL_BLOCK``.
+def prefill(weights, prompt, cache):
+    """Run a prompt through an empty cache in blocks of ``PREFILL_BLOCK``
+    positions and return the final position's output.
 
-    Leaves one entry per prompt token in every store and records every
-    position's aggregated attention rows, so the profiles end up holding
-    the rows of the last ``window_capacity`` prompt positions that the
-    one-shot prompt compression consumes. Returns the final position's
-    output, bit-equal to feeding the prompt one token at a time.
+    Given lists, ``prompt`` one prompt per cache, all of one length, and
+    ``cache`` the caches, every cache fills in the same forwards, one per
+    block, whose rows are the block's positions of every cache (see
+    ``_forward``); ``weights`` is then one weights object for every cache
+    or a list of one per cache, as ``decode_step`` takes them, and the
+    result is one output per cache. Leaves one entry per prompt token in
+    every store and records every position's aggregated attention rows, so
+    the profiles end up holding the rows of the last ``window_capacity``
+    prompt positions that the one-shot prompt compression consumes. Each
+    output is bit-equal to feeding its cache's prompt alone, one token at
+    a time. Every input is checked before any cache changes.
     """
-    tokens = [_check_token(t, weights.config) for t in prompt]
-    if not tokens:
+    one = isinstance(cache, KvCacheState)
+    prompts, caches = ([prompt], [cache]) if one else (list(prompt), list(cache))
+    weights = _lockstep_weights(weights, prompts, caches, "prefill", "prompt")
+    prompts = [[_check_token(t, weights.config) for t in tokens] for tokens in prompts]
+    length = len(prompts[0])
+    if not length:
         raise InvalidShape("prompt must contain at least one token")
-    if not cache.matches(weights.config):
-        raise InvalidShape("cache is shaped for another model")
-    if cache.max_occupancy():
+    if any(len(tokens) != length for tokens in prompts):
+        raise InvalidShape("prefill needs prompts of one length")
+    if any(each.max_occupancy() for each in caches):
         raise CacheNotEmpty("prefill needs an empty cache")
-    for start in range(0, len(tokens), PREFILL_BLOCK):
-        block = tokens[start : start + PREFILL_BLOCK]
-        positions = list(range(start, start + len(block)))
-        (out,) = _forward(weights, block, positions, [cache])
-    return out
+    for start in range(0, length, PREFILL_BLOCK):
+        block = range(start, min(start + PREFILL_BLOCK, length))
+        rows = [tokens[i] for i in block for tokens in prompts]
+        outs = _forward(weights, rows, [i for i in block for _ in caches], caches)
+    return outs[0] if one else outs
 
 
 @functools.lru_cache(maxsize=1)
 def _stacked(weights: tuple[DecoderWeights, ...]) -> DecoderWeights:
     """One weights object whose every array stacks those of ``weights``
-    along a new first axis, so row ``i`` of a forward multiplies
-    ``weights[i]``'s. Lockstep runs step one list of weights many times,
-    so the last stack is kept while its objects repeat."""
+    along a new first axis, so the rows of ``caches[i]`` in a forward
+    multiply ``weights[i]``'s. The weights must be of one model shape,
+    configs equal but for ``seed``; that is checked here, so once per
+    stack and before any cache changes. Lockstep runs step one list of
+    weights many times, so the last stack is kept while its objects repeat."""
+    cfg = weights[0].config
+    if any(replace(w.config, seed=cfg.seed) != cfg for w in weights):
+        raise InvalidParam("lockstep needs weights of one model shape: configs equal but for their seed")
     arrays = [np.stack(group) for group in zip(*map(_weight_arrays, weights))]
     layers = tuple(LayerWeights(*arrays[i : i + 6]) for i in range(1, len(arrays), 6))
-    return DecoderWeights(weights[0].config, arrays[0], layers)
+    return DecoderWeights(cfg, arrays[0], layers)
+
+
+def _lockstep_weights(weights, inputs, caches, caller: str, what: str) -> DecoderWeights:
+    """Check a forward's per-cache input: one ``what`` per cache, no cache
+    twice, every cache shaped for the model. Returns the one weights
+    object the forward runs on: ``weights`` itself, or the stack of a list
+    of one per cache (its one object when every entry is the same)."""
+    n = len(caches)
+    if not n or len(inputs) != n:
+        raise InvalidShape(f"{caller} needs one {what} per cache, got {len(inputs)} for {n}")
+    if n > 1 and len(set(map(id, caches))) != n:
+        raise InvalidParam(f"{caller} got the same cache twice")
+    if not isinstance(weights, DecoderWeights):
+        weights = tuple(weights)
+        if len(weights) != n:
+            raise InvalidShape(f"{caller} needs one weights object per cache, got {len(weights)} for {n}")
+        weights = weights[0] if all(w is weights[0] for w in weights) else _stacked(weights)
+    if not all(cache.matches(weights.config) for cache in caches):
+        raise InvalidShape("cache is shaped for another model")
+    return weights
 
 
 def decode_step(weights, tokens, caches) -> list[StepOutput]:
@@ -230,33 +268,15 @@ def decode_step(weights, tokens, caches) -> list[StepOutput]:
     Returns one output per cache, each bit-equal to stepping that cache
     alone. Every input, a full cache included, is checked before any cache changes.
     """
-    n = len(caches)
-    if not n or len(tokens) != n:
-        raise InvalidShape(f"decode_step needs one token per cache, got {len(tokens)} for {n}")
-    if n > 1 and len(set(map(id, caches))) != n:
-        raise InvalidParam("decode_step got the same cache twice")
-    if not isinstance(weights, DecoderWeights):
-        weights = tuple(weights)
-        if len(weights) != n:
-            raise InvalidShape(f"decode_step needs one weights object per cache, got {len(weights)} for {n}")
-        shared = weights[0]
-        if any(w is not shared for w in weights):
-            cfg = shared.config
-            if any(replace(w.config, seed=cfg.seed) != cfg for w in weights):
-                raise InvalidParam("decode_step needs weights of one model shape: configs equal but for their seed")
-            shared = _stacked(weights)
-        weights = shared
-    cfg = weights.config
+    weights = _lockstep_weights(weights, tokens, caches, "decode_step", "token")
     positions = []
     for cache in caches:
-        if not cache.matches(cfg):
-            raise InvalidShape("cache is shaped for another model")
         if cache.min_occupancy() == 0:
             raise EmptyCache("decode_step needs a prompt in every store of every cache")
         if cache.max_occupancy() == cache.capacity:
             raise InternalInvariantViolation("decode_step got a full cache: its run was sized too small")
         positions.append(cache.next_position())
-    return _forward(weights, [_check_token(token, cfg) for token in tokens], positions, caches)
+    return _forward(weights, [_check_token(token, weights.config) for token in tokens], positions, caches)
 
 
 def greedy_token(logits: np.ndarray) -> int:

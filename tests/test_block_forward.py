@@ -1,11 +1,13 @@
 """Rows of a forward return the bits of running each row on its own.
 
-One forward runs rows, each owned by a (cache, position) pair: ``prefill``
-runs the prompt as blocks of ``PREFILL_BLOCK`` rows of one cache,
-``decode_step`` runs one row per cache, one cache alone or many in
-lockstep, over one weights object or one per cache. Each layer's dense
-math is stacked ``(R, 1, d) @ W`` matmuls over every row, ``W`` one
-matrix or a stack of one per row. That is exact only because numpy runs a stacked
+One forward runs rows, each owned by a (cache, position) pair, row ``r``
+of ``C`` caches belonging to ``caches[r % C]``: ``prefill`` runs blocks of
+``PREFILL_BLOCK`` positions of one cache, or of several caches at once
+(``start_runs`` over several seeds), ``decode_step`` runs one row per
+cache, one cache alone or many in lockstep, over one weights object or
+one per cache. Each layer's dense math is stacked ``(b, C, 1, d) @ W``
+matmuls over every row, ``W`` one matrix or a ``(C, d, e)`` stack of one
+per cache. That is exact only because numpy runs a stacked
 unit-axis matmul as one gemv per row and the norms, rotations and
 activations are row-wise, so every comparison here is on the raw bits of
 every store array and every returned array, never a tolerance. A 2-D
@@ -138,20 +140,38 @@ LOCKSTEP_POLICIES = (
 LOCKSTEP_MODEL = ModelConfig(n_layers=2, n_query_heads=4, n_kv_heads=2, head_dim=8, vocab_size=40, seed=7)
 
 
-def assert_lockstep_equals_alone(model, policies, prompt_lengths, steps, teacher_forced, seeds=None):
-    """Step runs, each from a ``start_runs`` of its own over the weights of
-    its seed (``model.seed`` for every run by default; one weights object
-    per distinct seed), through one ``step_runs`` per step and, beside
-    them, each run on its own; every output and every store read must
-    match on bits."""
+def assert_lockstep_equals_alone(
+    model, policies, prompt_lengths, steps, teacher_forced, seeds=None, together=False, prompt_file=None
+):
+    """Step runs over the weights of their seeds (``model.seed`` for every
+    run by default; one weights object per distinct seed) through one
+    ``step_runs`` per step and, beside them, each run started and stepped
+    on its own; every output, the prefill's included, and every store read
+    must match on bits. The lockstep runs start each in a ``start_runs``
+    of its own or, with ``together``, all in one ``start_runs`` over the
+    list of their weights objects, which prefills the distinct objects'
+    prompts (of one length, or read from ``prompt_file``) in the same
+    forwards and gives the runs of a repeated seed copies."""
     seeds = seeds or [model.seed] * len(policies)
     weights = {seed: init_model(replace(model, seed=seed)) for seed in seeds}
     configs = [
-        RunConfig(model=replace(model, seed=seed), policy=policy, prompt_length=length, decode_steps=steps)
+        RunConfig(
+            model=replace(model, seed=seed),
+            policy=policy,
+            prompt_length=length,
+            prompt_file=prompt_file,
+            decode_steps=steps,
+        )
         for policy, length, seed in zip(policies, prompt_lengths, seeds)
     ]
-    lockstep = [start_runs([cfg], weights[cfg.model.seed])[0] for cfg in configs]
+    if together:
+        lockstep = start_runs(configs, [weights[cfg.model.seed] for cfg in configs])
+    else:
+        lockstep = [start_runs([cfg], weights[cfg.model.seed])[0] for cfg in configs]
     alone = [start_runs([cfg], weights[cfg.model.seed])[0] for cfg in configs]
+    for run, single in zip(lockstep, alone):
+        assert_same_output(run.out, single.out, model)
+        assert_same_stores(run.cache, single.cache)
     for _ in range(steps):
         if teacher_forced:
             tokens = [greedy_token(lockstep[0].out.logits)] * len(lockstep)
@@ -228,6 +248,27 @@ def test_lockstep_over_seeds_equals_each_run_alone(lengths, teacher_forced):
         assert len({tuple(run.trace.consumed_tokens()) for run in runs}) > 2
 
 
+@pytest.mark.parametrize("teacher_forced", [True, False], ids=["teacher_forced", "free_running"])
+@pytest.mark.parametrize("prompt", ["random", "file"])
+def test_lockstep_start_over_seeds_equals_each_run_alone(prompt, teacher_forced, tmp_path):
+    # One start_runs over the six runs: seeds 7, 8, 9 and 10 prefill
+    # together, two blocks of rows over four caches, and the second run of
+    # seeds 7 and 8 gets a copy of that seed's cache.
+    prompt_file = None
+    if prompt == "file":
+        path = tmp_path / "prompt.txt"
+        path.write_text(" ".join(map(str, make_prompt(LOCKSTEP_MODEL, B + 3, seed=3))))
+        prompt_file = str(path)
+    runs = assert_lockstep_equals_alone(
+        LOCKSTEP_MODEL, LOCKSTEP_POLICIES, [B + 3] * 6, 6, teacher_forced,
+        seeds=LOCKSTEP_SEEDS, together=True, prompt_file=prompt_file,
+    )
+    prompts = {tuple(run.trace.prompt) for run in runs}
+    assert len(prompts) == (1 if prompt == "file" else 4)
+    if not teacher_forced:
+        assert len({tuple(run.trace.consumed_tokens()) for run in runs}) > 2
+
+
 @settings(max_examples=15, deadline=None)
 @given(
     n_layers=st.integers(1, 3),
@@ -240,10 +281,13 @@ def test_lockstep_over_seeds_equals_each_run_alone(lengths, teacher_forced):
     picks=st.lists(st.sampled_from(range(len(LOCKSTEP_POLICIES))), min_size=5, max_size=5),
     lengths=st.lists(st.integers(1, 2 * B), min_size=5, max_size=5),
     equal_positions=st.booleans(),
+    together=st.booleans(),
+    file_prompt=st.booleans(),
     teacher_forced=st.booleans(),
 )
 def test_lockstep_over_seeds_any_shape(
-    n_layers, n_kv_heads, group, head_dim, vocab, seeds, share, picks, lengths, equal_positions, teacher_forced
+    n_layers, n_kv_heads, group, head_dim, vocab, seeds, share, picks, lengths, equal_positions, together,
+    file_prompt, teacher_forced, tmp_path_factory,
 ):
     model = ModelConfig(
         n_layers=n_layers,
@@ -259,5 +303,15 @@ def test_lockstep_over_seeds_any_shape(
         replace(LOCKSTEP_POLICIES[i], protected_layers=min(LOCKSTEP_POLICIES[i].protected_layers, n_layers))
         for i in picks[: len(seeds)]
     ]
-    lengths = [lengths[0]] * len(seeds) if equal_positions else lengths[: len(seeds)]
-    assert_lockstep_equals_alone(model, policies, lengths, 4, teacher_forced, seeds=seeds)
+    # Runs started together share their prompt length; a file prompt is
+    # the same for every run.
+    prompt_file = None
+    if file_prompt:
+        path = tmp_path_factory.mktemp("prompt") / "prompt.txt"
+        path.write_text(" ".join(map(str, make_prompt(model, lengths[0], seeds[0]))))
+        prompt_file = str(path)
+    equal = equal_positions or together or file_prompt
+    lengths = [lengths[0]] * len(seeds) if equal else lengths[: len(seeds)]
+    assert_lockstep_equals_alone(
+        model, policies, lengths, 4, teacher_forced, seeds=seeds, together=together, prompt_file=prompt_file
+    )

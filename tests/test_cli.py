@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from morphkv import cli
+from morphkv import cli, harness
 from morphkv.cli import main
 from morphkv.trace import StepAudit
 
@@ -383,6 +383,23 @@ class TestOracleCommand:
             argv = ["oracle", "--config", config, "--instances", instances, "--baseline", baseline]
             assert main([str(a) for a in argv]) == 1
             assert "baseline is from another sweep: its line" in capsys.readouterr().err
+
+    def test_seed_range_past_64_bits_is_input_error(self, oracle_config_file, monkeypatch, capsys):
+        # Seeds 2**64 - 2 up to 2**64 + 2: the third instance's seed does not
+        # fit, so no instance may start.
+        draw = harness.init_model
+
+        def refuse(config):
+            raise AssertionError(f"instance {config.seed} was started")
+
+        monkeypatch.setattr(harness, "init_model", refuse)
+        argv = ["oracle", "--config", oracle_config_file, "--instances", "5"]
+        assert main(argv + ["--seed", str(2**64 - 2)]) == 1
+        assert_one_error_line(capsys, "instance seeds 18446744073709551614 to 18446744073709551618 pass 2**64 - 1")
+        # A range ending at 2**64 - 1 runs.
+        monkeypatch.setattr(harness, "init_model", draw)
+        assert main(argv + ["--seed", str(2**64 - 5)]) == 0
+        assert capsys.readouterr().out.count(f"{2**64 - 1},") == 5
 
     def test_oversized_instance_is_input_error(self, tmp_path, capsys):
         path = tmp_path / "big.ini"

@@ -29,6 +29,7 @@ from morphkv.errors import (
     InternalInvariantViolation,
     InvalidConfig,
     InvalidParam,
+    InvalidShape,
     InvalidToken,
     TraceMismatch,
 )
@@ -274,12 +275,13 @@ class TestCompare:
         calls = []
 
         def counted(*args):
-            calls.append(len(args[1]))
+            calls.append([len(prompt) for prompt in args[1]])
             return prefill(*args)
 
         monkeypatch.setattr(harness, "prefill", counted)
         columns = compare(self.configs(), teacher_forced=teacher_forced)
-        assert calls == [10]
+        # One call, for the one prompt all the runs share.
+        assert calls == [[10]]
         # Both one-shot prompt policies evicted from their own caches only.
         assert [col.trace.total_evictions() > 0 for col in columns[3:]] == [True, True]
         assert columns[0].trace.total_evictions() == 0
@@ -492,6 +494,79 @@ class TestStepRuns:
                 assert live_bits(decoding.cache) == live_bits(single.cache)
         for decoding, single in zip(together, alone):
             assert decoding.result().trace.to_dict() == single.result().trace.to_dict()
+
+
+class TestStartRunsOverSeeds:
+    """``start_runs`` over a list of weights objects prefills the distinct
+    objects' prompts in one ``prefill`` call and refuses bad input before
+    any cache exists."""
+
+    def configs(self):
+        seeded = [(41, "morphkv", 2), (42, "h2o", 2), (41, "scissorhands", 4), (43, "morphkv", 3)]
+        return [
+            replace(small_run_config(kind, recent_window=window), model=replace(SMALL_MODEL, seed=seed))
+            for seed, kind, window in seeded
+        ]
+
+    def test_one_prefill_for_every_seed(self, monkeypatch):
+        configs = self.configs()
+        weights = {seed: init_model(replace(SMALL_MODEL, seed=seed)) for seed in (41, 42, 43)}
+        calls = []
+
+        def counted(*args):
+            calls.append([len(prompt) for prompt in args[1]])
+            return prefill(*args)
+
+        monkeypatch.setattr(harness, "prefill", counted)
+        together = start_runs(configs, [weights[cfg.model.seed] for cfg in configs])
+        # Seeds 41, 42 and 43 in one call; the second run of seed 41 gets a
+        # copy, at its wider window, of the first one's cache.
+        assert calls == [[6, 6, 6]]
+        assert together[0].cache.window_capacity == 2 and together[2].cache.window_capacity == 4
+        for cfg, decoding in zip(configs, together):
+            (single,) = start_runs([cfg], weights[cfg.model.seed])
+            assert decoding.trace.prompt == single.trace.prompt
+            assert decoding.out.logits.tobytes() == single.out.logits.tobytes()
+            assert live_bits(decoding.cache) == live_bits(single.cache)
+            assert decoding.cache.capacity == single.cache.capacity
+            assert decoding.cache.window_capacity == single.cache.window_capacity
+        assert len({tuple(decoding.trace.prompt) for decoding in together}) == 3
+
+    @pytest.fixture
+    def no_cache(self, monkeypatch):
+        """Fails the test if ``start_runs`` makes any cache."""
+
+        def refuse(*args):
+            raise AssertionError("a cache was made before the input was refused")
+
+        monkeypatch.setattr(harness.KvCacheState, "for_model", refuse)
+
+    @pytest.mark.parametrize(
+        "case, error, match",
+        [
+            ("too_few_weights", InvalidShape, "one weights object per config, got 3 for 4"),
+            ("another_shape", InvalidParam, "another model config"),
+            ("another_seed", InvalidParam, "another model config"),
+            ("another_prompt", TraceMismatch, "these differ: prompt_length$"),
+            ("one_object_two_seeds", TraceMismatch, "these differ: model$"),
+        ],
+    )
+    def test_refused_before_any_cache(self, case, error, match, no_cache):
+        configs = self.configs()
+        weights = [init_model(cfg.model) for cfg in configs]
+        if case == "too_few_weights":
+            weights = weights[:3]
+        elif case == "another_shape":
+            weights[1] = init_model(replace(configs[1].model, n_layers=3))
+        elif case == "another_seed":
+            weights[1] = init_model(replace(configs[1].model, seed=99))
+        elif case == "another_prompt":
+            configs[3] = replace(configs[3], prompt_length=7)
+        else:
+            # One weights object for every run: their seeds must agree too.
+            weights = weights[0]
+        with pytest.raises(error, match=match):
+            start_runs(configs, weights)
 
 
 class TestStartRunsCopies:

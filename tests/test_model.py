@@ -273,3 +273,58 @@ class TestDecodeStepInput:
     def test_out_of_vocab_token(self):
         tokens = [1, self.CFG.vocab_size]
         self.assert_rejected(InvalidToken, tokens, [self.prefilled(), self.prefilled()])
+
+
+class TestPrefillInput:
+    """Every bad prefill over several caches fails before any cache changes."""
+
+    CFG = TestDecodeStepInput.CFG
+
+    def weights(self, seed=9, **other):
+        return init_model(replace(self.CFG, seed=seed, **other))
+
+    @pytest.mark.parametrize(
+        "case, error, match",
+        [
+            ("prompt_lengths", InvalidShape, "prompts of one length"),
+            ("prompt_count", InvalidShape, "one prompt per cache, got 3 for 2"),
+            ("same_cache", InvalidParam, "same cache twice"),
+            ("weights_count", InvalidShape, "one weights object per cache, got 3 for 2"),
+            ("weights_shape", InvalidParam, "one model shape"),
+            ("token", InvalidToken, None),
+            ("not_empty", CacheNotEmpty, None),
+        ],
+    )
+    def test_refused(self, case, error, match):
+        caches = [fresh_cache(self.CFG, 4), fresh_cache(self.CFG, 4)]
+        weights, prompts = [self.weights(9), self.weights(10)], [[1, 2, 3], [4, 5, 6]]
+        if case == "prompt_lengths":
+            prompts[1] = [4, 5]
+        elif case == "prompt_count":
+            prompts.append([7, 8, 9])
+        elif case == "same_cache":
+            caches[1] = caches[0]
+        elif case == "weights_count":
+            weights.append(self.weights(11))
+        elif case == "weights_shape":
+            weights[1] = self.weights(10, head_dim=2, n_query_heads=4, n_kv_heads=2)
+        elif case == "token":
+            prompts[1] = [4, self.CFG.vocab_size, 6]
+        else:
+            prefill(weights[1], [4], caches[1])
+        before = [raw_state(cache) for cache in caches]
+        with pytest.raises(error, match=match):
+            prefill(weights, prompts, caches)
+        assert [raw_state(cache) for cache in caches] == before
+
+    def test_one_weights_object_for_every_cache(self):
+        # Two prompts over one weights object fill as two prefills of their own.
+        w = self.weights()
+        caches = [fresh_cache(self.CFG, 3), fresh_cache(self.CFG, 3)]
+        outs = prefill(w, [[1, 2, 3], [3, 2, 1]], caches)
+        for prompt, cache, out in zip(([1, 2, 3], [3, 2, 1]), caches, outs):
+            alone = fresh_cache(self.CFG, 3)
+            np.testing.assert_array_equal(prefill(w, prompt, alone).logits, out.logits)
+            for layer in range(self.CFG.n_layers):
+                np.testing.assert_array_equal(cache.keys_matrix(layer), alone.keys_matrix(layer))
+                np.testing.assert_array_equal(cache.score_matrix(layer), alone.score_matrix(layer))

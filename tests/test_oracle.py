@@ -19,7 +19,7 @@ from morphkv import (
     start_runs,
     step_runs,
 )
-from morphkv import harness, oracle
+from morphkv import harness, model, oracle
 from morphkv.errors import EmptyCache, InstanceTooLarge, InvalidParam, InvalidShape
 from morphkv.numerics import scaled_dot_attention
 from morphkv.oracle import ENUMERATION_BOUND, _combination_table, subset_output_error
@@ -93,26 +93,41 @@ class TestPickStack:
 
 
 class TestInstanceChunks:
-    """The regression steps its instances in lockstep chunks of
+    """The regression starts and steps its instances in lockstep chunks of
     ``INSTANCE_CHUNK``; its rows do not depend on the chunk."""
 
     def test_rows_equal_under_any_chunk(self, monkeypatch):
         config = load_run_config(str(ORACLE_TINY))
-        step = harness.step_runs
+        step, start, forward = harness.step_runs, harness.prefill, model._forward
         sweeps = {}
 
         def counted(runs, tokens):
             sizes.append(len(runs))
             return step(runs, tokens)
 
+        def prefilled(weights, prompts, caches):
+            prefills.append(len(caches))
+            return start(weights, prompts, caches)
+
+        def forwarded(weights, tokens, positions, caches):
+            rows.append(len(tokens))
+            return forward(weights, tokens, positions, caches)
+
         monkeypatch.setattr(harness, "step_runs", counted)
+        monkeypatch.setattr(harness, "prefill", prefilled)
+        monkeypatch.setattr(model, "_forward", forwarded)
         for chunk in (1, 7, 64):
-            sizes = []
+            sizes, prefills, rows = [], [], []
             monkeypatch.setattr(harness, "INSTANCE_CHUNK", chunk)
             sweeps[chunk] = oracle_regression(config, 15)
-            # oracle_tiny decodes 8 steps: one step_runs per step and chunk,
-            # of 7, 7 and then 1 runs when the chunk is 7.
-            assert sizes == [n for n in (min(chunk, 15 - first) for first in range(0, 15, chunk)) for _ in range(8)]
+            # oracle_tiny prefills 6 tokens, one block, and decodes 8 steps.
+            # Per chunk, of 7, 7 and then 1 instances when the chunk is 7:
+            # one prefill of every instance's prompt in one forward of 6
+            # rows per instance, then one step_runs and one forward per step.
+            chunks = [min(chunk, 15 - first) for first in range(0, 15, chunk)]
+            assert prefills == chunks
+            assert sizes == [n for n in chunks for _ in range(8)]
+            assert rows == [r for n in chunks for r in [6 * n] + [n] * 8]
             assert oracle_regression(config, 0) == []
         assert sweeps[1] == sweeps[7] == sweeps[64]
         assert [row.instance_seed for row in sweeps[1]] == [seed for seed in range(100, 115) for _ in range(5)]
