@@ -70,11 +70,7 @@ def _cmd_compare(args) -> int:
     if args.out is not None:
         write_compare_outputs(columns, args.out)
     for col in columns:
-        err = (
-            f" mean_error={sum(col.error_mean) / len(col.error_mean):.6g}"
-            if col.error_mean is not None
-            else ""
-        )
+        err = f" mean_error={col.mean_error:.6g}" if col.error_mean is not None else ""
         print(
             f"{col.label}: final_bytes={col.trace.records[-1].bytes} final_ratio={col.ratio[-1]:.4f} "
             f"evictions={col.trace.total_evictions()} repetition={col.repetition:.4f}{err}"

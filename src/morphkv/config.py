@@ -74,6 +74,11 @@ class ModelConfig:
     def group_size(self) -> int:
         return self.n_query_heads // self.n_kv_heads
 
+    def same_shape(self, other: "ModelConfig") -> bool:
+        """Equal to ``other`` but perhaps for ``seed``: weights drawn for
+        the two step in one lockstep forward."""
+        return all(getattr(self, f.name) == getattr(other, f.name) for f in fields(self) if f.name != "seed")
+
     def validate(self) -> "ModelConfig":
         if self.n_layers < 1:
             raise InvalidConfig("n_layers must be >= 1")

@@ -2,13 +2,14 @@
 
 A run is fully determined by its config: seeded weights, seeded or
 file-sourced prompt, greedy decoding, one policy application per decode
-step. ``start_runs`` starts every run: it prefills the shared prompt once
-and gives each run a copy re-windowed to its profile ring, or, over
-several seeds of one model shape (the oracle regression's lockstep chunks
-of instances), prefills every seed's prompt in the same forwards.
-``step_runs`` steps runs, one forward for all of them per step, over one
-weights object or over several seeds of one shape. ``run`` steps one run on its own greedy tokens;
-``compare`` steps several in lockstep: teacher forcing feeds every run the
+step. ``start_runs`` starts runs over one weights object per run: those
+over one object share its prompt, prefilled once, each from a copy
+re-windowed to its profile ring, and the prompts of several objects of
+one model shape (the oracle regression's lockstep chunks of instances)
+prefill in the same forwards. ``step_runs`` steps runs, one forward for
+all of them per step. ``run`` starts ``[w]`` and steps it on its own
+greedy tokens; ``compare`` starts ``[w] * len(configs)`` and steps them
+in lockstep: teacher forcing feeds every run the
 reference's token, so their outputs are comparable step by step; free
 running lets each policy follow its own greedy trajectory, in which case
 only aggregate metrics are comparable. A computation never decides where
@@ -183,44 +184,46 @@ class Decoding:
 
 
 def start_runs(configs, weights) -> list[Decoding]:
-    """Start one run per config over ``weights``: one weights object for
-    every run, or a list of one per config. The configs may differ only in
-    their policy, in whether they audit themselves and, between runs over
-    different weights objects, in the model seed.
+    """Start one run per config over ``weights``, one weights object per
+    config. The configs may differ only in their policy, in whether they
+    audit themselves and, between runs over different weights objects, in
+    the model seed: runs over one object share its model, seed included.
 
     Runs over one weights object share one prompt: one ``prefill`` of it,
     at the largest ``recent_window`` among them, serves them all, each run
     starting from a ``KvCacheState.copy`` at its own window and peak
     occupancy, bit-equal to a prefill of its own. The distinct weights
-    objects' prompts, of one length, prefill together in that one
-    ``prefill`` call, one forward per block for all of them. Each run then
-    applies its own one-shot prompt policy. Every input is checked before
-    any cache exists.
+    objects' prompts (random ones drawn per seed, a file read once) prefill
+    together in that one ``prefill`` call, one forward per block for all of
+    them. Each run then applies its own one-shot prompt policy. Every input
+    is checked before any cache exists.
     """
-    configs = [cfg.validate() for cfg in configs]
+    configs, weights = [cfg.validate() for cfg in configs], list(weights)
     if not configs:
         raise InvalidParam("start_runs needs at least one config")
-    single = isinstance(weights, DecoderWeights)
-    weights = [weights] * len(configs) if single else list(weights)
     if len(weights) != len(configs):
         raise InvalidShape(f"start_runs needs one weights object per config, got {len(weights)} for {len(configs)}")
+    # Runs over one weights object form a group and share its model; its run
+    # with the largest window owns the prefill and the others copy its cache.
+    groups: dict[int, list[int]] = {}
+    for i, w in enumerate(weights):
+        groups.setdefault(id(w), []).append(i)
     base = configs[0]
-    shared = [f.name for f in fields(RunConfig) if f.name not in ("policy", "debug_invariants")]
-    for cfg in configs[1:]:
-        ref = base if single else replace(base, model=replace(base.model, seed=cfg.model.seed))
-        differ = [name for name in shared if getattr(cfg, name) != getattr(ref, name)]
+    shared = [f.name for f in fields(RunConfig) if f.name not in ("model", "policy", "debug_invariants")]
+    for cfg, w in zip(configs, weights):
+        differ = [name for name in shared if getattr(cfg, name) != getattr(base, name)]
+        if cfg.model != configs[groups[id(w)][0]].model or not cfg.model.same_shape(base.model):
+            differ.insert(0, "model")
         if differ:
             raise TraceMismatch(f"compare configs may differ only in [policy]; these differ: {', '.join(differ)}")
     if any(w.config != cfg.model for w, cfg in zip(weights, configs)):
         raise InvalidParam("weights were drawn for another model config")
-    # Runs over one weights object form a group; its run with the largest
-    # window owns the group's prefill and the others get copies of its cache.
-    groups: dict[int, list[int]] = {}
-    for i, w in enumerate(weights):
-        groups.setdefault(id(w), []).append(i)
     windows = [cfg.policy.recent_window for cfg in configs]
     owners = [max(group, key=windows.__getitem__) for group in groups.values()]
-    prompts = [make_prompt(configs[i]) for i in owners]
+    if base.prompt_file is None:
+        prompts = [make_prompt(configs[i]) for i in owners]
+    else:
+        prompts = [make_prompt(base)] * len(owners)
     sizes = [peak_occupancy(cfg.policy, len(prompts[0]), cfg.decode_steps, cfg.model.n_layers) for cfg in configs]
     sources = [KvCacheState.for_model(base.model, windows[i], sizes[i]) for i in owners]
     outs = prefill([weights[i] for i in owners], prompts, sources)
@@ -254,7 +257,7 @@ def step_runs(runs: list[Decoding], tokens) -> list[StepOutput]:
 
 def run(config: RunConfig) -> RunResult:
     """Prefill, apply any one-shot prompt policy, then decode greedily with eviction."""
-    (decoding,) = start_runs([config], init_model(config.validate().model))
+    (decoding,) = start_runs([config], [init_model(config.validate().model)])
     for _ in range(config.decode_steps):
         step_runs([decoding], [greedy_token(decoding.out.logits)])
     return decoding.result()
@@ -329,6 +332,11 @@ class PolicyColumn:
     error_max: list[float] | None
     repetition: float
 
+    @property
+    def mean_error(self) -> float:
+        """The mean per-step error that ``summary.csv`` holds and ``compare`` prints."""
+        return float(np.mean(self.error_mean))
+
 
 REPETITION_NGRAM = 10  # n-gram length of the repetition rate compare reports
 
@@ -349,7 +357,7 @@ def compare(configs, teacher_forced: bool = True) -> list[PolicyColumn]:
     base = configs[0]
     if base.decode_steps < 1:
         raise InvalidParam("compare needs at least one decode step")
-    runs = start_runs(configs, init_model(base.model))
+    runs = start_runs(configs, [init_model(base.model)] * len(configs))
     errors: list[list[list[float]]] = [[] for _ in runs]
     for _ in range(base.decode_steps):
         if teacher_forced:
@@ -415,7 +423,7 @@ def render_summary_csv(columns: list[PolicyColumn]) -> str:
             trace.policy.kind,
             str(trace.records[-1].bytes),
             _format_float(col.ratio[-1]),
-            _format_float(float(np.mean(col.error_mean))) if forced else "",
+            _format_float(col.mean_error) if forced else "",
             _format_float(float(np.max(col.error_max))) if forced else "",
             str(trace.total_evictions()),
             _format_float(col.repetition),

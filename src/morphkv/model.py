@@ -14,17 +14,17 @@ runs rows, each owned by a (cache, position) pair, through the layers.
 Rows are ordered position-major, so row ``r`` of ``C`` caches belongs to
 ``caches[r % C]``: prompt blocks of one cache or of several caches at
 once, a decode step as one row per cache, so lockstep runs share each
-layer's dense math. The caches may share one weights object or each have
-their own of one model shape (configs equal but for ``seed``); then every
-matrix is stacked along a new first axis, one slice per cache, which that
-cache's rows multiply.
+layer's dense math. ``prefill`` and ``decode_step`` take one weights
+object per cache: one object repeated, or objects of one model shape
+(``ModelConfig.same_shape``), whose every matrix is then stacked along a
+new first axis, one slice per cache, which that cache's rows multiply.
 """
 
 from __future__ import annotations
 
 import functools
 import hashlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -184,24 +184,21 @@ def _forward(
     return outputs
 
 
-def prefill(weights, prompt, cache):
-    """Run a prompt through an empty cache in blocks of ``PREFILL_BLOCK``
-    positions and return the final position's output.
+def prefill(weights, prompts, caches) -> list[StepOutput]:
+    """Run one prompt per cache through the empty ``caches`` in blocks of
+    ``PREFILL_BLOCK`` positions and return each cache's final output.
 
-    Given lists, ``prompt`` one prompt per cache, all of one length, and
-    ``cache`` the caches, every cache fills in the same forwards, one per
-    block, whose rows are the block's positions of every cache (see
-    ``_forward``); ``weights`` is then one weights object for every cache
-    or a list of one per cache, as ``decode_step`` takes them, and the
-    result is one output per cache. Leaves one entry per prompt token in
+    ``weights`` holds one weights object per cache, as ``decode_step``
+    takes them, and the prompts are of one length: every cache fills in the
+    same forwards, one per block, whose rows are the block's positions of
+    every cache (see ``_forward``). Leaves one entry per prompt token in
     every store and records every position's aggregated attention rows, so
     the profiles end up holding the rows of the last ``window_capacity``
     prompt positions that the one-shot prompt compression consumes. Each
     output is bit-equal to feeding its cache's prompt alone, one token at
-    a time. Every input is checked before any cache changes.
+    a time. Every input, a cache too small for its prompt included, is
+    checked before any cache changes.
     """
-    one = isinstance(cache, KvCacheState)
-    prompts, caches = ([prompt], [cache]) if one else (list(prompt), list(cache))
     weights = _lockstep_weights(weights, prompts, caches, "prefill", "prompt")
     prompts = [[_check_token(t, weights.config) for t in tokens] for tokens in prompts]
     length = len(prompts[0])
@@ -211,23 +208,24 @@ def prefill(weights, prompt, cache):
         raise InvalidShape("prefill needs prompts of one length")
     if any(each.max_occupancy() for each in caches):
         raise CacheNotEmpty("prefill needs an empty cache")
+    _check_room(caches, length, "prefill")
     for start in range(0, length, PREFILL_BLOCK):
         block = range(start, min(start + PREFILL_BLOCK, length))
         rows = [tokens[i] for i in block for tokens in prompts]
         outs = _forward(weights, rows, [i for i in block for _ in caches], caches)
-    return outs[0] if one else outs
+    return outs
 
 
 @functools.lru_cache(maxsize=1)
 def _stacked(weights: tuple[DecoderWeights, ...]) -> DecoderWeights:
     """One weights object whose every array stacks those of ``weights``
     along a new first axis, so the rows of ``caches[i]`` in a forward
-    multiply ``weights[i]``'s. The weights must be of one model shape,
-    configs equal but for ``seed``; that is checked here, so once per
-    stack and before any cache changes. Lockstep runs step one list of
-    weights many times, so the last stack is kept while its objects repeat."""
+    multiply ``weights[i]``'s. The weights must be of one model shape
+    (``ModelConfig.same_shape``); that is checked here, so once per stack
+    and before any cache changes. Lockstep runs step one list of weights
+    many times, so the last stack is kept while its objects repeat."""
     cfg = weights[0].config
-    if any(replace(w.config, seed=cfg.seed) != cfg for w in weights):
+    if not all(w.config.same_shape(cfg) for w in weights):
         raise InvalidParam("lockstep needs weights of one model shape: configs equal but for their seed")
     arrays = [np.stack(group) for group in zip(*map(_weight_arrays, weights))]
     layers = tuple(LayerWeights(*arrays[i : i + 6]) for i in range(1, len(arrays), 6))
@@ -235,23 +233,29 @@ def _stacked(weights: tuple[DecoderWeights, ...]) -> DecoderWeights:
 
 
 def _lockstep_weights(weights, inputs, caches, caller: str, what: str) -> DecoderWeights:
-    """Check a forward's per-cache input: one ``what`` per cache, no cache
-    twice, every cache shaped for the model. Returns the one weights
-    object the forward runs on: ``weights`` itself, or the stack of a list
-    of one per cache (its one object when every entry is the same)."""
-    n = len(caches)
+    """Check a forward's per-cache input: one ``what`` and one weights
+    object per cache, no cache twice, every cache shaped for the model.
+    Returns the one weights object the forward runs on: the list's one
+    object when every entry is the same, else the stack of them."""
+    weights, n = tuple(weights), len(caches)
     if not n or len(inputs) != n:
         raise InvalidShape(f"{caller} needs one {what} per cache, got {len(inputs)} for {n}")
     if n > 1 and len(set(map(id, caches))) != n:
         raise InvalidParam(f"{caller} got the same cache twice")
-    if not isinstance(weights, DecoderWeights):
-        weights = tuple(weights)
-        if len(weights) != n:
-            raise InvalidShape(f"{caller} needs one weights object per cache, got {len(weights)} for {n}")
-        weights = weights[0] if all(w is weights[0] for w in weights) else _stacked(weights)
+    if len(weights) != n:
+        raise InvalidShape(f"{caller} needs one weights object per cache, got {len(weights)} for {n}")
+    weights = weights[0] if all(w is weights[0] for w in weights) else _stacked(weights)
     if not all(cache.matches(weights.config) for cache in caches):
         raise InvalidShape("cache is shaped for another model")
     return weights
+
+
+def _check_room(caches, rows: int, caller: str) -> None:
+    """The room rule of both entries: a forward of ``rows`` positions adds
+    as many entries to every store; a run sized too small for them is a bug."""
+    for cache in caches:
+        if (free := cache.capacity - cache.max_occupancy()) < rows:
+            raise InternalInvariantViolation(f"{caller} adds {rows} to a store with {free} free: a run sized too small")
 
 
 def decode_step(weights, tokens, caches) -> list[StepOutput]:
@@ -260,23 +264,20 @@ def decode_step(weights, tokens, caches) -> list[StepOutput]:
     ``tokens[i]`` goes into ``caches[i]``, each at that cache's next
     absolute position, so caches at different positions and under
     different policies step together; one cache is the one-row case.
-    ``weights`` is one weights object for every cache or a list of one per
-    cache, drawn for configs equal but for ``seed``.
-    Appends exactly one entry per store and records the step's aggregated
-    attention rows into every store, as prefill does, so the policy that
-    runs next sees the step's row in place. Policies never record.
-    Returns one output per cache, each bit-equal to stepping that cache
-    alone. Every input, a full cache included, is checked before any cache changes.
+    ``weights`` holds one weights object per cache, as ``prefill`` takes
+    them. Appends exactly one entry per store and records the step's
+    aggregated attention rows into every store, as prefill does, so the
+    policy that runs next sees the step's row in place. Policies never
+    record. Returns one output per cache, each bit-equal to stepping that
+    cache alone. Every input, a full cache included, is checked before any
+    cache changes.
     """
     weights = _lockstep_weights(weights, tokens, caches, "decode_step", "token")
-    positions = []
-    for cache in caches:
-        if cache.min_occupancy() == 0:
-            raise EmptyCache("decode_step needs a prompt in every store of every cache")
-        if cache.max_occupancy() == cache.capacity:
-            raise InternalInvariantViolation("decode_step got a full cache: its run was sized too small")
-        positions.append(cache.next_position())
-    return _forward(weights, [_check_token(token, weights.config) for token in tokens], positions, caches)
+    if any(cache.min_occupancy() == 0 for cache in caches):
+        raise EmptyCache("decode_step needs a prompt in every store of every cache")
+    _check_room(caches, 1, "decode_step")
+    tokens = [_check_token(token, weights.config) for token in tokens]
+    return _forward(weights, tokens, [cache.next_position() for cache in caches], caches)
 
 
 def greedy_token(logits: np.ndarray) -> int:

@@ -98,7 +98,7 @@ def test_constant_cache_size():
 
 def greedy_logits(config):
     """A greedy run's trace and its logits after prefill and after each decode step."""
-    (decoding,) = start_runs([config], init_model(config.model))
+    (decoding,) = start_runs([config], [init_model(config.model)])
     logits = [decoding.out.logits]
     for _ in range(config.decode_steps):
         logits.append(step_runs([decoding], [greedy_token(decoding.out.logits)])[0].logits)
@@ -239,7 +239,7 @@ def test_group_aggregation_consistency():
         # The 8-token prompt plus each step's new entry before it evicts.
         cache = KvCacheState.for_model(model, policy.recent_window, 9)
         prompt = list(np.random.default_rng([seed, 1]).integers(0, 32, size=8))
-        out = prefill(weights, [int(t) for t in prompt], cache)
+        (out,) = prefill([weights], [[int(t) for t in prompt]], [cache])
         replays = {}
         for layer in range(model.n_layers):
             for head in range(model.n_kv_heads):
@@ -253,7 +253,7 @@ def test_group_aggregation_consistency():
                 )
         token = greedy_token(out.logits)
         for i in range(8):
-            (out,) = decode_step(weights, [token], [cache])
+            (out,) = decode_step([weights], [token], [cache])
             groups = [
                 [np.array(out.attn_rows[layer][head]) for head in range(model.n_kv_heads)]
                 for layer in range(model.n_layers)
@@ -290,7 +290,7 @@ def test_group_aggregation_consistency():
                 decode_steps=8,
             )
         ],
-        init_model(gqa),
+        [init_model(gqa)],
     )
     cells = 0
     for _ in range(8):

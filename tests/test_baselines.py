@@ -173,7 +173,7 @@ class TestH2o:
         )
         policy = EvictionPolicyConfig(kind="h2o", distant_capacity=2, recent_window=2)
         config = RunConfig(model=model, policy=policy, prompt_length=5, decode_steps=steps)
-        (decoding,) = start_runs([config], init_model(model))
+        (decoding,) = start_runs([config], [init_model(model)])
         rows = [step_runs([decoding], [greedy_token(decoding.out.logits)])[0].attn_rows for _ in range(steps)]
         return rows, decoding.result()
 
@@ -255,9 +255,9 @@ class TestSnapKv:
         policy = EvictionPolicyConfig(kind="snapkv", recent_window=2, prefill_budget=5)
         w = init_model(model)
         auto = Cache.for_model(model, policy.recent_window, 12)
-        prefill(w, list(range(12)), auto)
+        prefill([w], [list(range(12))], [auto])
         manual = Cache.for_model(model, policy.recent_window, 12)
-        prefill(w, list(range(12)), manual)
+        prefill([w], [list(range(12))], [manual])
         snapkv_policy(auto, policy)
         for layer in range(model.n_layers):
             for head in range(model.n_kv_heads):
@@ -274,7 +274,7 @@ class TestSnapKv:
         from morphkv import init_model, prefill
 
         cache = KvCacheState.for_model(model, policy.recent_window, 8)
-        prefill(init_model(model), list(range(8)), cache)
+        prefill([init_model(model)], [list(range(8))], [cache])
         snapkv_policy(cache, policy)
         assert positions(cache) == [6, 7]
 
@@ -284,7 +284,7 @@ class TestSnapKv:
         from morphkv import init_model, prefill
 
         cache = KvCacheState.for_model(model, policy.recent_window, 5)
-        prefill(init_model(model), list(range(5)), cache)
+        prefill([init_model(model)], [list(range(5))], [cache])
         snapkv_policy(cache, policy)
         assert positions(cache) == [0, 1, 2, 3, 4]
         assert cache.pop_eviction_events() == []

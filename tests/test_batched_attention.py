@@ -127,8 +127,8 @@ class TestDecoderGroups:
         cfg = ModelConfig(n_layers=2, n_query_heads=8, n_kv_heads=2, head_dim=4, vocab_size=32, seed=9)
         w = init_model(cfg)
         cache = KvCacheState.for_model(cfg, 2, 9)
-        prefill(w, [3, 1, 4, 1, 5, 9, 2, 6], cache)
-        (out,) = decode_step(w, [5], [cache])
+        prefill([w], [[3, 1, 4, 1, 5, 9, 2, 6]], [cache])
+        (out,) = decode_step([w], [5], [cache])
         for layer in range(cfg.n_layers):
             for head in range(cfg.n_kv_heads):
                 keys, vals = cache.keys_matrix(layer)[head], cache.values_matrix(layer)[head]

@@ -51,14 +51,15 @@ def same_bits(a, b) -> bool:
 
 def blockwise(weights, prompt, capacity):
     cache = KvCacheState.for_model(weights.config, capacity, len(prompt))
-    return prefill(weights, prompt, cache), cache
+    (out,) = prefill([weights], [prompt], [cache])
+    return out, cache
 
 
 def tokenwise(weights, prompt, capacity):
     cache = KvCacheState.for_model(weights.config, capacity, len(prompt))
-    out = prefill(weights, prompt[:1], cache)
+    (out,) = prefill([weights], [prompt[:1]], [cache])
     for token in prompt[1:]:
-        (out,) = decode_step(weights, [token], [cache])
+        (out,) = decode_step([weights], [token], [cache])
     return out, cache
 
 
@@ -167,8 +168,8 @@ def assert_lockstep_equals_alone(
     if together:
         lockstep = start_runs(configs, [weights[cfg.model.seed] for cfg in configs])
     else:
-        lockstep = [start_runs([cfg], weights[cfg.model.seed])[0] for cfg in configs]
-    alone = [start_runs([cfg], weights[cfg.model.seed])[0] for cfg in configs]
+        lockstep = [start_runs([cfg], [weights[cfg.model.seed]])[0] for cfg in configs]
+    alone = [start_runs([cfg], [weights[cfg.model.seed]])[0] for cfg in configs]
     for run, single in zip(lockstep, alone):
         assert_same_output(run.out, single.out, model)
         assert_same_stores(run.cache, single.cache)

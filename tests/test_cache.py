@@ -363,7 +363,7 @@ def ring_slot_bits(cache: KvCacheState, recorded: int) -> list:
 
 def prefilled(weights, prompt, window: int, capacity: int | None = None) -> KvCacheState:
     cache = KvCacheState.for_model(weights.config, window, capacity or len(prompt))
-    prefill(weights, prompt, cache)
+    prefill([weights], [prompt], [cache])
     return cache
 
 
@@ -414,7 +414,7 @@ class TestCopy:
             for step in range(3):
                 token = (7 * step + 3) % 32
                 for cache in (twin, stepped):
-                    (out,) = decode_step(weights, [token], [cache])
+                    (out,) = decode_step([weights], [token], [cache])
                     morphkv_step(cache, out, policy, step)
                 assert twin.pop_eviction_events() == stepped.pop_eviction_events()
                 assert cache_bits(twin) == cache_bits(stepped)
@@ -524,7 +524,7 @@ class TestRunSize:
     @settings(max_examples=60, deadline=None)
     @given(config=tiny_runs())
     def test_capacity_is_the_peak_occupancy(self, config):
-        (decoding,) = start_runs([config], init_model(config.model))
+        (decoding,) = start_runs([config], [init_model(config.model)])
         cache = decoding.cache
         peaks = [len(decoding.trace.prompt)]
 
@@ -550,4 +550,4 @@ class TestRunSize:
         desk = load_run_config(str(CONFIGS / "morphkv.ini"))
         config = replace(desk, prompt_length=64, decode_steps=decode_steps)
         assert config.policy.cache_budget == 64 and config.policy.eviction_interval == 1
-        assert start_runs([config], init_model(config.model))[0].cache.capacity == 65
+        assert start_runs([config], [init_model(config.model)])[0].cache.capacity == 65

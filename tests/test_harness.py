@@ -1,4 +1,5 @@
 import json
+import math
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -85,7 +86,7 @@ class TestRunDeterminism:
         b = run(config)
         assert a.trace.to_dict() == b.trace.to_dict()
         # Each stepping run draws its own weights, as ``run`` does.
-        stepped = [start_runs([config], init_model(config.model))[0] for _ in range(2)]
+        stepped = [start_runs([config], [init_model(config.model)])[0] for _ in range(2)]
         np.testing.assert_array_equal(stepped[0].out.logits, stepped[1].out.logits)
         for token in a.trace.consumed_tokens():
             la, lb = (step_runs([decoding], [token])[0].logits for decoding in stepped)
@@ -99,7 +100,7 @@ class TestRunDeterminism:
     def test_forced_tokens_replayed_verbatim(self):
         config = small_run_config()
         forced = [1, 2, 3, 4, 5, 6, 7, 8]
-        (decoding,) = start_runs([config], init_model(config.model))
+        (decoding,) = start_runs([config], [init_model(config.model)])
         for token in forced:
             step_runs([decoding], [token])
         assert decoding.result().trace.consumed_tokens() == forced
@@ -109,12 +110,12 @@ class TestRunDeterminism:
     def test_decoding_rejects_weights_of_another_model(self):
         config = small_run_config()
         with pytest.raises(InvalidParam, match="another model config"):
-            start_runs([config], init_model(replace(SMALL_MODEL, seed=42)))
+            start_runs([config], [init_model(replace(SMALL_MODEL, seed=42))])
 
     def test_zero_decode_steps_is_a_prefill_only_run(self):
         config = replace(small_run_config(), decode_steps=0)
         assert run(config).trace.records == []
-        (decoding,) = start_runs([config], init_model(config.model))
+        (decoding,) = start_runs([config], [init_model(config.model)])
         assert decoding.out.logits.shape == (SMALL_MODEL.vocab_size,)
 
 
@@ -381,7 +382,7 @@ class TestCompare:
         columns = compare(configs)
         write_compare_outputs(columns, str(tmp_path))
         weights = init_model(SMALL_MODEL)
-        runs = [start_runs([cfg], weights)[0] for cfg in configs]
+        runs = [start_runs([cfg], [weights])[0] for cfg in configs]
         errors = [[] for _ in runs]
         for _ in range(configs[0].decode_steps):
             token = greedy_token(runs[0].out.logits)
@@ -425,9 +426,9 @@ class TestStepRuns:
     def test_a_run_with_no_steps_left(self):
         config = small_run_config()
         weights = init_model(config.model)
-        live = start_runs([config], weights)
+        live = start_runs([config], [weights])
         # The finished run's cache has room: only its step count refuses it.
-        (done,) = start_runs([replace(config, decode_steps=1)], weights)
+        (done,) = start_runs([replace(config, decode_steps=1)], [weights])
         step_runs([done], [1])
         assert done.cache.max_occupancy() < done.cache.capacity
         self.assert_refused(InvalidParam, live + [done], "all 1 decode steps are done")
@@ -436,8 +437,8 @@ class TestStepRuns:
         # Each run has weights of its own; the shape is the one thing shared.
         configs = [replace(small_run_config(kind), model=replace(SMALL_MODEL, seed=seed))
                    for kind, seed in (("morphkv", 41), ("h2o", 42), ("morphkv", 43))]
-        together = [start_runs([cfg], init_model(cfg.model))[0] for cfg in configs]
-        alone = [start_runs([cfg], init_model(cfg.model))[0] for cfg in configs]
+        together = [start_runs([cfg], [init_model(cfg.model)])[0] for cfg in configs]
+        alone = [start_runs([cfg], [init_model(cfg.model)])[0] for cfg in configs]
         for _ in range(configs[0].decode_steps):
             tokens = [greedy_token(decoding.out.logits) for decoding in together]
             outs = step_runs(together, tokens)
@@ -460,28 +461,28 @@ class TestStepRuns:
     def test_runs_over_another_model_shape(self, other):
         config = small_run_config()
         foreign = replace(config, model=replace(SMALL_MODEL, seed=42, **other))
-        runs = [start_runs([cfg], init_model(cfg.model))[0] for cfg in (config, foreign, config)]
+        runs = [start_runs([cfg], [init_model(cfg.model)])[0] for cfg in (config, foreign, config)]
         self.assert_refused(InvalidParam, runs, "one model shape")
 
     def test_one_run_listed_twice(self):
         config = small_run_config()
         weights = init_model(config.model)
-        (other,), (twice,) = start_runs([config], weights), start_runs([config], weights)
+        (other,), (twice,) = start_runs([config], [weights]), start_runs([config], [weights])
         self.assert_refused(InvalidParam, [other, twice, twice], "same cache twice")
 
     def test_no_runs(self):
         with pytest.raises(InvalidParam, match="one or more runs"):
             step_runs([], [])
         with pytest.raises(InvalidParam, match="at least one config"):
-            start_runs([], init_model(SMALL_MODEL))
+            start_runs([], [])
 
     @pytest.mark.parametrize("teacher_forced", [True, False])
     def test_runs_of_two_starts_step_together_as_alone(self, teacher_forced):
         # Different prompt lengths put the runs' rows at different positions.
         configs = [replace(small_run_config(), prompt_length=6), replace(small_run_config("h2o"), prompt_length=11)]
         weights = init_model(SMALL_MODEL)
-        together = [start_runs([cfg], weights)[0] for cfg in configs]
-        alone = [start_runs([cfg], weights)[0] for cfg in configs]
+        together = [start_runs([cfg], [weights])[0] for cfg in configs]
+        alone = [start_runs([cfg], [weights])[0] for cfg in configs]
         for _ in range(configs[0].decode_steps):
             if teacher_forced:
                 tokens = [greedy_token(together[0].out.logits)] * 2
@@ -524,7 +525,7 @@ class TestStartRunsOverSeeds:
         assert calls == [[6, 6, 6]]
         assert together[0].cache.window_capacity == 2 and together[2].cache.window_capacity == 4
         for cfg, decoding in zip(configs, together):
-            (single,) = start_runs([cfg], weights[cfg.model.seed])
+            (single,) = start_runs([cfg], [weights[cfg.model.seed]])
             assert decoding.trace.prompt == single.trace.prompt
             assert decoding.out.logits.tobytes() == single.out.logits.tobytes()
             assert live_bits(decoding.cache) == live_bits(single.cache)
@@ -564,9 +565,17 @@ class TestStartRunsOverSeeds:
             configs[3] = replace(configs[3], prompt_length=7)
         else:
             # One weights object for every run: their seeds must agree too.
-            weights = weights[0]
+            weights = [weights[0]] * len(configs)
         with pytest.raises(error, match=match):
             start_runs(configs, weights)
+
+    def test_runs_over_one_object_share_its_seed(self, no_cache):
+        # Two configs differing only in seed cannot share one weights object.
+        a = small_run_config()
+        b = replace(a, model=replace(SMALL_MODEL, seed=SMALL_MODEL.seed + 1))
+        w = init_model(a.model)
+        with pytest.raises(TraceMismatch, match="these differ: model$"):
+            start_runs([a, b], [w, w])
 
 
 class TestStartRunsCopies:
@@ -577,8 +586,8 @@ class TestStartRunsCopies:
         config = small_run_config(compress_prefill=True, distant_capacity=1)
         wider = replace(config, policy=replace(config.policy, recent_window=5))
         weights = init_model(config.model)
-        handed, _ = start_runs([config, wider], weights)
-        (own,) = start_runs([config], weights)
+        handed, _ = start_runs([config, wider], [weights] * 2)
+        (own,) = start_runs([config], [weights])
         assert handed.cache.window_capacity == own.cache.window_capacity == 2
         for decoding in (handed, own):
             for _ in range(config.decode_steps):
@@ -591,9 +600,9 @@ class TestStartRunsCopies:
         assert size == len(make_prompt(config)) + 1
         # The prompt fits, but the run's first step would not: a sizing bug.
         monkeypatch.setattr(harness, "peak_occupancy", lambda *args: size - 1)
-        (decoding,) = start_runs([config], init_model(config.model))
+        (decoding,) = start_runs([config], [init_model(config.model)])
         before = raw_bits(decoding)
-        with pytest.raises(InternalInvariantViolation, match="full cache"):
+        with pytest.raises(InternalInvariantViolation, match="adds 1 to a store with 0 free"):
             step_runs([decoding], [greedy_token(decoding.out.logits)])
         assert raw_bits(decoding) == before
 
@@ -744,6 +753,25 @@ class TestOracleRegression:
         config = replace(oracle_config(), prompt_length=16, prompt_file=str(path))
         rows = oracle_regression(config, instances=2)
         assert len(rows) == 2 * 5
+
+    def test_file_prompt_read_once_per_start(self, monkeypatch, tmp_path):
+        # One read for the length check, then one per lockstep chunk's start.
+        path = tmp_path / "prompt.txt"
+        path.write_text("5 1 4 1 5 9\n")
+        config = replace(oracle_config(), prompt_file=str(path))
+        opens, sweeps = [], {}
+
+        def counted(file, *args, **kwargs):
+            opens.append(file)
+            return open(file, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "open", counted, raising=False)
+        for chunk in (1, harness.INSTANCE_CHUNK):
+            monkeypatch.setattr(harness, "INSTANCE_CHUNK", chunk)
+            opens.clear()
+            sweeps[chunk] = oracle_regression(config, instances=25)
+            assert opens == [str(path)] * (1 + math.ceil(25 / chunk))
+        assert len(sweeps) == 2 and sweeps[1] == sweeps[chunk]
 
     @pytest.mark.parametrize(
         "tokens, decode_steps, error, message",

@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -88,12 +88,19 @@ class TestInit:
         with pytest.raises(InvalidConfig):
             ModelConfig(head_dim=5).validate()
 
+    def test_same_shape_allows_only_another_seed(self):
+        assert TINY.same_shape(TINY) and TINY.same_shape(replace(TINY, seed=TINY.seed + 1))
+        for f in fields(ModelConfig):
+            if f.name != "seed":
+                other = replace(TINY, **{f.name: 2 * getattr(TINY, f.name)})
+                assert not TINY.same_shape(other) and not other.same_shape(TINY), f.name
+
 
 class TestForward:
     def test_prefill_populates_every_store(self):
         w = init_model(TINY)
         cache = fresh_cache(TINY, 3)
-        out = prefill(w, [1, 2, 3], cache)
+        (out,) = prefill([w], [[1, 2, 3]], [cache])
         assert cache.occupancies() == [[3]] * TINY.n_layers
         assert cache.positions(0).tolist() == [[0, 1, 2]] * TINY.n_kv_heads
         assert out.logits.shape == (TINY.vocab_size,)
@@ -102,8 +109,8 @@ class TestForward:
         cfg = ModelConfig(n_layers=2, n_query_heads=4, n_kv_heads=2, head_dim=4, vocab_size=32)
         w = init_model(cfg)
         cache = fresh_cache(cfg, 3)
-        prefill(w, [1, 2], cache)
-        decode_step(w, [5], [cache])
+        prefill([w], [[1, 2]], [cache])
+        decode_step([w], [5], [cache])
         assert cache.occupancies() == [[3, 3], [3, 3]]
         for layer in range(cfg.n_layers):
             assert cache.positions(layer).tolist() == [[0, 1, 2], [0, 1, 2]]
@@ -112,7 +119,7 @@ class TestForward:
         cfg = ModelConfig(n_layers=2, n_query_heads=4, n_kv_heads=2, head_dim=4, vocab_size=32)
         w = init_model(cfg)
         cache = fresh_cache(cfg, 5)
-        out = prefill(w, [3, 1, 4, 1, 5], cache)
+        (out,) = prefill([w], [[3, 1, 4, 1, 5]], [cache])
         for layer_rows in out.attn_rows:
             for group in layer_rows:
                 assert group.shape == (cfg.group_size, 5)
@@ -121,8 +128,8 @@ class TestForward:
     def test_new_token_attends_to_itself(self):
         w = init_model(TINY)
         cache = fresh_cache(TINY, 2)
-        prefill(w, [1], cache)
-        (out,) = decode_step(w, [2], [cache])
+        prefill([w], [[1]], [cache])
+        (out,) = decode_step([w], [2], [cache])
         # The appended entry is the last column of the row; its weight is live.
         assert out.attn_rows[0][0].shape[1] == 2
         assert np.all(out.attn_rows[0][0][:, -1] > 0)
@@ -144,13 +151,13 @@ class TestForward:
             prompt = [int(t) for t in rng.integers(0, cfg.vocab_size, size=int(rng.integers(2, 7)))]
             steps = int(rng.integers(3, 9))
             cache = fresh_cache(cfg, len(prompt) + steps, window=4)
-            out = prefill(w, prompt, cache)
+            (out,) = prefill([w], [prompt], [cache])
             step_logits = [out.logits]
             tokens = list(prompt)
             for _ in range(steps):
                 nxt = greedy_token(step_logits[-1])
                 tokens.append(nxt)
-                step_logits.append(decode_step(w, [nxt], [cache])[0].logits)
+                step_logits.append(decode_step([w], [nxt], [cache])[0].logits)
             ref_logits, _ = reference.full_forward(w, tokens)
             np.testing.assert_allclose(step_logits[0], ref_logits[len(prompt) - 1], atol=1e-7)
             for i in range(steps):
@@ -163,7 +170,7 @@ class TestForward:
         w = init_model(cfg)
         cache = fresh_cache(cfg, 5)
         tokens = [7, 3, 11, 2, 19]
-        out = prefill(w, tokens, cache)
+        (out,) = prefill([w], [tokens], [cache])
         _, ref_rows = reference.full_forward(w, tokens)
         for layer in range(cfg.n_layers):
             for head in range(cfg.n_kv_heads):
@@ -179,8 +186,8 @@ class TestForward:
         assert cfg.group_size == 1
         w = init_model(cfg)
         cache = fresh_cache(cfg, 4)
-        prefill(w, [1, 2, 3], cache)
-        (out,) = decode_step(w, [4], [cache])
+        prefill([w], [[1, 2, 3]], [cache])
+        (out,) = decode_step([w], [4], [cache])
         for head in range(cfg.n_kv_heads):
             q = out.queries[0][head][0]
             keys = cache.keys_matrix(0)[head]
@@ -196,24 +203,24 @@ class TestForward:
     def test_prefill_rejects_nonempty_cache(self):
         w = init_model(TINY)
         cache = fresh_cache(TINY, 1)
-        prefill(w, [1], cache)
+        prefill([w], [[1]], [cache])
         with pytest.raises(CacheNotEmpty):
-            prefill(w, [2], cache)
+            prefill([w], [[2]], [cache])
 
     def test_prefill_rejects_empty_prompt(self):
         w = init_model(TINY)
         with pytest.raises(InvalidShape):
-            prefill(w, [], fresh_cache(TINY, 1))
+            prefill([w], [[]], [fresh_cache(TINY, 1)])
 
     def test_rejects_out_of_vocab_token(self):
         w = init_model(TINY)
         with pytest.raises(InvalidToken):
-            prefill(w, [TINY.vocab_size], fresh_cache(TINY, 1))
+            prefill([w], [[TINY.vocab_size]], [fresh_cache(TINY, 1)])
 
     def test_decode_rejects_empty_cache(self):
         w = init_model(TINY)
         with pytest.raises(EmptyCache):
-            decode_step(w, [1], [fresh_cache(TINY, 1)])
+            decode_step([w], [1], [fresh_cache(TINY, 1)])
 
 
 
@@ -225,13 +232,13 @@ class TestDecodeStepInput:
     def prefilled(self, cfg=CFG, prompt=(1, 2, 3)) -> KvCacheState:
         # Room for the one step each test attempts.
         cache = fresh_cache(cfg, len(prompt) + 1, window=2)
-        prefill(init_model(cfg), list(prompt), cache)
+        prefill([init_model(cfg)], [list(prompt)], [cache])
         return cache
 
-    def assert_rejected(self, error, tokens, caches, match=None):
+    def assert_rejected(self, error, tokens, caches, match=None, weights=None):
         before = [raw_state(cache) for cache in caches]
         with pytest.raises(error, match=match):
-            decode_step(init_model(self.CFG), tokens, caches)
+            decode_step([init_model(self.CFG)] * len(caches) if weights is None else weights, tokens, caches)
         assert [raw_state(cache) for cache in caches] == before
 
     def test_same_cache_twice(self):
@@ -267,8 +274,12 @@ class TestDecodeStepInput:
     def test_full_cache(self):
         # A cache with no room for the step's entry was sized wrong: a bug.
         full = fresh_cache(self.CFG, 3, window=2)
-        prefill(init_model(self.CFG), [1, 2, 3], full)
-        self.assert_rejected(InternalInvariantViolation, [1, 2], [self.prefilled(), full], "full cache")
+        prefill([init_model(self.CFG)], [[1, 2, 3]], [full])
+        self.assert_rejected(InternalInvariantViolation, [1, 2], [self.prefilled(), full], "adds 1 to a store with 0 free")
+
+    def test_bare_weights_object(self):
+        # One weights object per cache: a bare object is not such a list.
+        self.assert_rejected(TypeError, [1], [self.prefilled()], weights=init_model(self.CFG))
 
     def test_out_of_vocab_token(self):
         tokens = [1, self.CFG.vocab_size]
@@ -293,6 +304,8 @@ class TestPrefillInput:
             ("weights_shape", InvalidParam, "one model shape"),
             ("token", InvalidToken, None),
             ("not_empty", CacheNotEmpty, None),
+            ("too_small", InternalInvariantViolation, "adds 3 to a store with 2 free"),
+            ("bare_weights", TypeError, "not iterable"),
         ],
     )
     def test_refused(self, case, error, match):
@@ -310,8 +323,12 @@ class TestPrefillInput:
             weights[1] = self.weights(10, head_dim=2, n_query_heads=4, n_kv_heads=2)
         elif case == "token":
             prompts[1] = [4, self.CFG.vocab_size, 6]
+        elif case == "too_small":
+            caches[1] = fresh_cache(self.CFG, 2)
+        elif case == "bare_weights":
+            weights = weights[0]
         else:
-            prefill(weights[1], [4], caches[1])
+            prefill([weights[1]], [[4]], [caches[1]])
         before = [raw_state(cache) for cache in caches]
         with pytest.raises(error, match=match):
             prefill(weights, prompts, caches)
@@ -321,10 +338,10 @@ class TestPrefillInput:
         # Two prompts over one weights object fill as two prefills of their own.
         w = self.weights()
         caches = [fresh_cache(self.CFG, 3), fresh_cache(self.CFG, 3)]
-        outs = prefill(w, [[1, 2, 3], [3, 2, 1]], caches)
+        outs = prefill([w, w], [[1, 2, 3], [3, 2, 1]], caches)
         for prompt, cache, out in zip(([1, 2, 3], [3, 2, 1]), caches, outs):
             alone = fresh_cache(self.CFG, 3)
-            np.testing.assert_array_equal(prefill(w, prompt, alone).logits, out.logits)
+            np.testing.assert_array_equal(prefill([w], [prompt], [alone])[0].logits, out.logits)
             for layer in range(self.CFG.n_layers):
                 np.testing.assert_array_equal(cache.keys_matrix(layer), alone.keys_matrix(layer))
                 np.testing.assert_array_equal(cache.score_matrix(layer), alone.score_matrix(layer))

@@ -271,7 +271,7 @@ class TestPrefillCompress:
         policy = EvictionPolicyConfig(kind="morphkv", distant_capacity=4, recent_window=4)
         w = init_model(cfg)
         cache = KvCacheState.for_model(cfg, window_capacity=policy.recent_window, capacity=3)
-        prefill(w, [1, 2, 3], cache)
+        prefill([w], [[1, 2, 3]], [cache])
         prefill_compress(cache, policy)
         assert cache.occupancy(0) == 3
         assert cache.pop_eviction_events() == []
@@ -281,7 +281,7 @@ class TestPrefillCompress:
         policy = EvictionPolicyConfig(kind="morphkv", distant_capacity=2, recent_window=2)
         w = init_model(cfg)
         cache = KvCacheState.for_model(cfg, window_capacity=policy.recent_window, capacity=9)
-        prefill(w, list(range(9)), cache)
+        prefill([w], [list(range(9))], [cache])
         prefill_compress(cache, policy)
         assert cache.occupancies() == [[4, 4], [4, 4]]
         cache.validate()
@@ -294,9 +294,9 @@ class TestPrefillCompress:
         w = init_model(cfg)
         prompt = list(range(9))
         auto = KvCacheState.for_model(cfg, window_capacity=policy.recent_window, capacity=9)
-        prefill(w, prompt, auto)
+        prefill([w], [prompt], [auto])
         manual = KvCacheState.for_model(cfg, window_capacity=policy.recent_window, capacity=9)
-        prefill(w, prompt, manual)
+        prefill([w], [prompt], [manual])
         for layer in range(cfg.n_layers):
             scores = fuse(manual, layer, "sum")
             manual.keep(layer, select_retained(scores, manual.occupancy(layer), 2, 2))
@@ -320,9 +320,9 @@ class TestPrefillCompress:
                 prefill_fusion=prefill_fusion,
             )
             cache = KvCacheState.for_model(cfg, window_capacity=policy.recent_window, capacity=12)
-            prefill(w, prompt, cache)
+            prefill([w], [prompt], [cache])
             ref = KvCacheState.for_model(cfg, window_capacity=policy.recent_window, capacity=12)
-            prefill(w, prompt, ref)
+            prefill([w], [prompt], [ref])
             scores = fuse(ref, 0, prefill_fusion or "sum")
             kept = select_retained(scores, ref.occupancy(0), 2, 2)[0]
             prefill_compress(cache, policy)
@@ -344,11 +344,11 @@ class TestEngineIntegration:
         policy = EvictionPolicyConfig(kind="morphkv", distant_capacity=3, recent_window=2)
         w = init_model(cfg)
         cache = KvCacheState.for_model(cfg, window_capacity=policy.recent_window, capacity=8)
-        out = prefill(w, list(range(8)), cache)
+        (out,) = prefill([w], [list(range(8))], [cache])
         prefill_compress(cache, policy)
         token = int(np.argmax(out.logits))
         for idx in range(10):
-            (out,) = decode_step(w, [token], [cache])
+            (out,) = decode_step([w], [token], [cache])
             morphkv_step(cache, out, policy, idx)
             cache.validate()
             assert cache.occupancies() == [[5, 5], [5, 5]]
@@ -361,11 +361,11 @@ class TestEngineIntegration:
         policy = EvictionPolicyConfig(kind="morphkv", distant_capacity=3, recent_window=2)
         w = init_model(cfg)
         cache = KvCacheState.for_model(cfg, window_capacity=policy.recent_window, capacity=8)
-        out = prefill(w, list(range(8)), cache)
+        (out,) = prefill([w], [list(range(8))], [cache])
         prefill_compress(cache, policy)
         token = int(np.argmax(out.logits))
         for idx in range(10):
-            (out,) = decode_step(w, [token], [cache])
+            (out,) = decode_step([w], [token], [cache])
             morphkv_step(cache, out, policy, idx)
             token = int(np.argmax(out.logits))
         kept = {

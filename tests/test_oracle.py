@@ -244,7 +244,7 @@ class TestShadowError:
                         decode_steps=steps,
                     )
                 ],
-                weights,
+                [weights],
             )[0]
             for kind in ("full_attention", policy_kind)
         )
