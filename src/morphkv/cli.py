@@ -52,7 +52,7 @@ def _cmd_run(args) -> int:
     if args.out is not None:
         write_run_outputs(result, args.out)
     trace = result.trace
-    occupancy = result.cache.occupancies()
+    occupancy = result.occupancies()
     nbytes = kv_bytes_from_occupancies(occupancy, trace.model, trace.policy, trace.bytes_per_scalar)
     print(
         f"policy={trace.policy.kind} steps={len(trace.records)} "

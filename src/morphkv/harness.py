@@ -72,15 +72,26 @@ class RunConfig:
 
 @dataclass
 class RunResult:
-    """A finished run's trace and cache. It holds no weights on purpose:
-    perfbench keeps one pass's result while the next pass runs, and keeping
-    the ``Decoding`` instead raised ``long_prompt``'s peak RSS from about 55
-    to 61 MiB."""
+    """A run's trace and what :func:`snapshot` reads of its final cache:
+    the ring capacity and, per layer, each store's retained positions
+    ``(heads, entries)`` and fused distant scores ``(heads, distant)``,
+    arrays that own their memory. It holds no weights and no cache on
+    purpose: perfbench keeps one pass's result while the next pass runs,
+    and keeping the ``Decoding`` instead raised ``long_prompt``'s peak RSS
+    from about 55 to 61 MiB, and keeping its ``KvCacheState`` (keys, values,
+    profile and received totals) held it at about 55.5 MiB, against about
+    52.6 MiB with these arrays alone."""
 
     trace: StepTrace
-    cache: KvCacheState
+    window_capacity: int
+    positions: list[np.ndarray]
+    fused_scores: list[np.ndarray]
     # Not a field: perfbench's tracer.snapshot_bytes reads it and counts 0 for None.
     attn_outputs = None
+
+    def occupancies(self) -> list[list[int]]:
+        """Entries per (layer, KV head), as ``KvCacheState.occupancies``."""
+        return [[p.shape[1]] * p.shape[0] for p in self.positions]
 
 
 def make_prompt(config: RunConfig) -> list[int]:
@@ -179,8 +190,15 @@ class Decoding:
             raise InternalInvariantViolation(f"{where}: cache positions differ from the audit")
 
     def result(self) -> RunResult:
-        """The run so far as a ``RunResult``."""
-        return RunResult(self.trace, self.cache)
+        """The run so far as a ``RunResult``, which later steps leave as it is."""
+        cache, fusion = self.cache, self.config.policy.fusion
+        layers = range(cache.n_layers)
+        return RunResult(
+            replace(self.trace, records=list(self.trace.records)),
+            cache.window_capacity,
+            [cache.positions(layer).copy() for layer in layers],
+            [fuse(cache, layer, fusion) for layer in layers],
+        )
 
 
 def start_runs(configs, weights) -> list[Decoding]:
@@ -291,18 +309,16 @@ def render_metrics_csv(trace: StepTrace) -> str:
 
 
 def snapshot(result: RunResult) -> dict:
-    """JSON-ready dump of a run's cache: retained (position, token) pairs
-    per store, the tokens read from the trace, plus the current fused
-    ranking scores over the distant entries."""
-    cache, trace = result.cache, result.trace
+    """JSON-ready dump of a run's cache as ``result`` keeps it: retained
+    (position, token) pairs per store, the tokens read from the trace,
+    plus the fused ranking scores over the distant entries."""
+    trace = result.trace
     tokens = np.array(trace.prompt + trace.consumed_tokens())
     layers = []
-    for layer in range(cache.n_layers):
-        positions = cache.positions(layer)
+    for positions, scores in zip(result.positions, result.fused_scores):
         pairs = np.stack([positions, tokens[positions]], axis=2).tolist()
-        scores = fuse(cache, layer, trace.policy.fusion).tolist()
-        layers.append([{"entries": p, "fused_scores": s} for p, s in zip(pairs, scores)])
-    return {"window_capacity": cache.window_capacity, "layers": layers}
+        layers.append([{"entries": p, "fused_scores": s} for p, s in zip(pairs, scores.tolist())])
+    return {"window_capacity": result.window_capacity, "layers": layers}
 
 
 def _write(out_dir: str, name: str, content) -> None:
@@ -553,7 +569,7 @@ def check_regression_baseline(rows: list[RegressionRow], baseline_text: str) -> 
     """
     current = render_regression_csv(rows)
     means = regression_means(rows)
-    if means.get("morphkv_sum", 0.0) > means.get("scissorhands", np.inf) + 1e-12:
+    if means.get("morphkv_sum", 0.0) > means.get("scissorhands", np.inf):
         raise InternalInvariantViolation(
             "selective retention fell behind the recency baseline at equal budget"
         )

@@ -359,6 +359,7 @@ def test_policy_equivalence_lattice():
     )
 
 
+@pytest.mark.float_golden
 @criterion
 def test_exhaustive_oracle_dominance():
     started = time.monotonic()
@@ -368,9 +369,9 @@ def test_exhaustive_oracle_dominance():
     committed = (DATA / "oracle_regression.csv").read_text()
     assert text == committed
     means = regression_means(rows)
-    assert means["morphkv_sum"] <= means["scissorhands"] + 1e-12
+    assert means["morphkv_sum"] <= means["scissorhands"]
     for row in rows:
-        assert row.error >= row.optimal_error - 1e-12
+        assert row.error >= row.optimal_error
     elapsed = time.monotonic() - started
     assert elapsed < 300.0
     print(

@@ -207,7 +207,7 @@ class TestH2o:
             for pos in dropped
         ]
         assert got_events == expected_events
-        assert positions(result.cache) == live
+        assert result.positions[0][0].tolist() == live
 
     def test_prompt_entries_are_immortal(self):
         _, result = self.engine_run(steps=12)
@@ -215,7 +215,7 @@ class TestH2o:
             pos for _, _, _, dropped in result.trace.eviction_log() for pos in dropped
         }
         assert all(pos >= 5 for pos in evicted)
-        assert positions(result.cache)[:5] == [0, 1, 2, 3, 4]
+        assert result.positions[0][0].tolist()[:5] == [0, 1, 2, 3, 4]
 
     def test_occupancy_is_prompt_plus_capped_decode(self):
         _, result = self.engine_run(steps=12)

@@ -312,9 +312,9 @@ class TestCacheState:
         assert snap["window_capacity"] == 2
         assert result.trace.total_evictions()
         for layer, heads in enumerate(snap["layers"]):
-            scores = fuse(result.cache, layer, "sum")
+            scores = result.fused_scores[layer]
             for head, store in enumerate(heads):
-                positions = result.cache.positions(layer)[head].tolist()
+                positions = result.positions[layer][head].tolist()
                 assert store["entries"] == [[pos, tokens[pos]] for pos in positions]
                 assert store["fused_scores"] == scores[head].tolist()
 

@@ -374,6 +374,23 @@ class TestOracleCommand:
         ) == 2
         assert "invariant violation" in capsys.readouterr().err
 
+    def test_recency_baseline_is_held_without_slack(self, oracle_config_file, monkeypatch, tmp_path, capsys):
+        # The sweep's picks are scored exactly, so a selective mean 5e-13
+        # above the recency baseline's is a regression, not rounding.
+        def rows(ahead):
+            return [
+                harness.RegressionRow(100, "morphkv_sum", 0.5 + ahead, 0.25),
+                harness.RegressionRow(100, "scissorhands", 0.5, 0.25),
+            ]
+
+        baseline = tmp_path / "sweep.csv"
+        argv = ["oracle", "--config", oracle_config_file, "--instances", "1", "--baseline", str(baseline)]
+        for ahead, code in ((0.0, 0), (5e-13, 2)):
+            monkeypatch.setattr(cli, "oracle_regression", lambda config, instances, ahead=ahead: rows(ahead))
+            baseline.write_text(harness.render_regression_csv(rows(ahead)))
+            assert main(argv) == code
+        assert "fell behind the recency baseline" in capsys.readouterr().err
+
     def test_baseline_from_another_sweep_is_input_error(self, oracle_config_file, tmp_path, capsys):
         empty = tmp_path / "empty.csv"
         empty.write_text("")

@@ -92,7 +92,7 @@ def test_random_small_configs_hold_invariants(config):
     tokens = make_prompt(config) + result.trace.consumed_tokens()
     for layer, heads in enumerate(snapshot(result)["layers"]):
         for head, store in enumerate(heads):
-            occ = result.cache.occupancy(layer)
+            occ = result.occupancies()[layer][head]
             assert len(store["entries"]) == occ
             assert all(tok == tokens[pos] for pos, tok in store["entries"])
             assert len(store["fused_scores"]) == occ - min(config.policy.recent_window, occ)

@@ -1,5 +1,7 @@
+import gc
 import json
 import math
+import weakref
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -15,6 +17,7 @@ from morphkv import (
     StepTrace,
     compare,
     decode_step,
+    fuse,
     greedy_token,
     harness,
     init_model,
@@ -117,6 +120,45 @@ class TestRunDeterminism:
         assert run(config).trace.records == []
         (decoding,) = start_runs([config], [init_model(config.model)])
         assert decoding.out.logits.shape == (SMALL_MODEL.vocab_size,)
+
+
+class TestRunResult:
+    def stepped(self, steps: int):
+        config = small_run_config()
+        (decoding,) = start_runs([config], [init_model(config.model)])
+        for _ in range(steps):
+            step_runs([decoding], [greedy_token(decoding.out.logits)])
+        return decoding
+
+    def test_a_result_frees_its_runs_cache(self):
+        decoding = self.stepped(3)
+        result = decoding.result()
+        cache = weakref.ref(decoding.cache)
+        # Keys, values, positions, received totals and profiles: a view kept
+        # by the result would keep its buffer alive without the cache.
+        buffers = [weakref.ref(buf) for buf in decoding.cache._buffers]
+        del decoding
+        gc.collect()
+        assert cache() is None
+        assert all(buf() is None for buf in buffers)
+        assert len(result.trace.records) == 3
+        assert len(harness.snapshot(result)["layers"]) == SMALL_MODEL.n_layers
+
+    def test_a_result_taken_mid_run_stays_as_taken(self):
+        decoding = self.stepped(3)
+        result, cache = decoding.result(), decoding.cache
+        for layer in range(cache.n_layers):
+            np.testing.assert_array_equal(result.positions[layer], cache.positions(layer))
+            np.testing.assert_array_equal(result.fused_scores[layer], fuse(cache, layer, "sum"))
+        assert result.window_capacity == cache.window_capacity
+        occupancies, snapshot = result.occupancies(), harness.snapshot(result)
+        assert occupancies == cache.occupancies()
+        for _ in range(5):
+            step_runs([decoding], [greedy_token(decoding.out.logits)])
+        assert harness.snapshot(decoding.result()) != snapshot
+        assert harness.snapshot(result) == snapshot
+        assert result.occupancies() == occupancies
+        assert len(result.trace.records) == 3
 
 
 class TestDebugInvariants:
