@@ -12,11 +12,11 @@ to keep one signature but does not read it:
 
 - ``scissorhands``: keep only the ``recent_window`` newest entries.
 - ``streamingllm``: additionally pin the first ``sink_count`` entries.
-- ``h2o``: never touch prompt entries; rank decode entries by the total
-  attention they have received so far (the store's received totals) and
-  evict the weakest non-recent one whenever more than
-  ``distant_capacity + recent_window`` decode entries are live. Ties
-  evict the oldest.
+- ``h2o``: never touch prompt entries (every store must hold the whole
+  prompt); rank decode entries by their received totals through
+  ``select_retained`` and evict the weakest non-recent one whenever more
+  than ``distant_capacity + recent_window`` decode entries are live. Ties
+  evict the oldest, as in every ranking.
 - ``snapkv``: one-shot prompt reduction, then keep every decode entry.
 - ``full_attention``: keep everything.
 """
@@ -72,24 +72,21 @@ def h2o_step(
     prompt_length: int,
     cfg: EvictionPolicyConfig,
 ) -> KvCacheState:
-    """Cumulative heavy hitters over decode entries; the prompt is immortal."""
+    """Cumulative heavy hitters over decode entries; the prompt is immortal.
+    Every store must hold the whole prompt, so its decode entries are the
+    indices ``prompt_length..occ``; ``select_retained`` keeps all but one
+    of the non-recent ones, so one entry per store goes per call."""
     if cfg.kind != "h2o":
         raise InvalidConfig(f"h2o_step got policy kind {cfg.kind!r}")
     layers = range(cache.n_layers)
     occ = cache.occupancy(layers)
-    # Positions increase with the index, so the decode entries are the
-    # suffix starting at the first position past the prompt; every store
-    # holds the whole prompt, so the suffix starts at one index in all.
-    # Decode entries did not exist during prefill, so their received
-    # totals count decode rows only.
-    first_decode = int(np.searchsorted(cache.positions(0)[0], prompt_length))
-    if occ - first_decode > cfg.cache_budget:
-        recent_start = occ - min(cfg.recent_window, occ)
-        cum = cache.received(layers)[..., first_decode:recent_start]
-        # argmin takes the first minimum: ties evict the oldest.
-        victims = first_decode + np.argmin(cum, axis=-1)
-        kept = np.arange(occ - 1)
-        cache.keep(0, kept + (kept >= victims[..., None]))
+    if occ - prompt_length > cfg.cache_budget:
+        # Decode entries did not exist during prefill, so their received
+        # totals count decode rows only.
+        received = cache.received(layers)[..., prompt_length : occ - min(cfg.recent_window, occ)]
+        kept = select_retained(received, occ - prompt_length, received.shape[-1] - 1, cfg.recent_window)
+        prompt = np.broadcast_to(np.arange(prompt_length), (*kept.shape[:-1], prompt_length))
+        cache.keep(0, np.concatenate([prompt, prompt_length + kept], axis=-1))
     return cache
 
 

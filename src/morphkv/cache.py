@@ -186,11 +186,14 @@ class KvCacheState:
 
     def score_matrix(self, layers: int | range, columns: int | None = None) -> np.ndarray:
         """C-contiguous ``(..., heads, rows, columns)`` copy of the profiles'
-        leading columns (all live entries by default), oldest row first."""
+        leading columns (all live entries by default), oldest row first.
+        ``columns`` outside ``0..occupancy`` is :class:`InvalidShape`."""
         index, first = self._stack(layers)
-        recorded = self._recorded[first]
+        recorded, n = self._recorded[first], self._n[first]
+        end = n if columns is None else columns
+        if not 0 <= end <= n:
+            raise InvalidShape(f"{end} profile columns asked of stores holding {n} entries")
         order = np.arange(recorded - self.profile_rows(first), recorded) % self.window_capacity
-        end = self._n[first] if columns is None else columns
         # ``take`` writes a new C-contiguous array in its output's axis order.
         return self._buffers[_PROFILE][index, :, :end].swapaxes(-1, -2).take(order, axis=-2)
 

@@ -73,17 +73,15 @@ class RunConfig:
 @dataclass
 class RunResult:
     """A run's trace and what :func:`snapshot` reads of its final cache:
-    the ring capacity and, per layer, each store's retained positions
-    ``(heads, entries)`` and fused distant scores ``(heads, distant)``,
-    arrays that own their memory. It holds no weights and no cache on
-    purpose: perfbench keeps one pass's result while the next pass runs,
-    and keeping the ``Decoding`` instead raised ``long_prompt``'s peak RSS
-    from about 55 to 61 MiB, and keeping its ``KvCacheState`` (keys, values,
-    profile and received totals) held it at about 55.5 MiB, against about
-    52.6 MiB with these arrays alone."""
+    per layer, each store's retained positions ``(heads, entries)`` and
+    fused distant scores ``(heads, distant)``, arrays that own their memory.
+    It holds no weights and no cache on purpose: perfbench keeps one pass's
+    result while the next pass runs, and keeping the ``Decoding`` instead
+    raised ``long_prompt``'s peak RSS from about 55 to 61 MiB, and keeping
+    its ``KvCacheState`` (keys, values, profile and received totals) held it
+    at about 55.5 MiB, against about 52.6 MiB with these arrays alone."""
 
     trace: StepTrace
-    window_capacity: int
     positions: list[np.ndarray]
     fused_scores: list[np.ndarray]
     # Not a field: perfbench's tracer.snapshot_bytes reads it and counts 0 for None.
@@ -195,7 +193,6 @@ class Decoding:
         layers = range(cache.n_layers)
         return RunResult(
             replace(self.trace, records=list(self.trace.records)),
-            cache.window_capacity,
             [cache.positions(layer).copy() for layer in layers],
             [fuse(cache, layer, fusion) for layer in layers],
         )
@@ -311,14 +308,15 @@ def render_metrics_csv(trace: StepTrace) -> str:
 def snapshot(result: RunResult) -> dict:
     """JSON-ready dump of a run's cache as ``result`` keeps it: retained
     (position, token) pairs per store, the tokens read from the trace,
-    plus the fused ranking scores over the distant entries."""
+    plus the fused ranking scores over the distant entries. Every run's
+    ring holds its policy's ``recent_window`` rows."""
     trace = result.trace
     tokens = np.array(trace.prompt + trace.consumed_tokens())
     layers = []
     for positions, scores in zip(result.positions, result.fused_scores):
         pairs = np.stack([positions, tokens[positions]], axis=2).tolist()
         layers.append([{"entries": p, "fused_scores": s} for p, s in zip(pairs, scores.tolist())])
-    return {"window_capacity": result.window_capacity, "layers": layers}
+    return {"window_capacity": trace.policy.recent_window, "layers": layers}
 
 
 def _write(out_dir: str, name: str, content) -> None:

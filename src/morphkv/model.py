@@ -59,8 +59,9 @@ class DecoderWeights:
 
 @dataclass
 class StepOutput:
-    """Everything a forward exposes to the policy layer about one cache:
-    the outputs of that cache's last row. A forward returns one per cache.
+    """The outputs of one cache's last row; a forward returns one per cache.
+    No policy reads them: the ``logits`` choose the next token, and the
+    rest serves compare's shadow error and the oracle regression.
 
     ``attn_rows[layer][kv_head]`` holds one attention row per query head in
     the group, each spanning the store's entries at the end of the step

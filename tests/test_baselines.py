@@ -167,6 +167,39 @@ class TestH2o:
         assert events == [(0, 0, [3]), (0, 0, [4])]
         assert positions(cache) == [0, 1, 2, 5, 6]
 
+    def test_tied_stack_evicts_one_per_store_per_call(self):
+        # Two prompt entries, then four decode entries against a budget of
+        # two, in 2 layers x 2 KV heads. The received totals of the three
+        # non-recent decode entries hold only 0.25 and 0.5, so they tie
+        # within each store and across stores; the prompt and the recent
+        # entry hold 0.0, the lowest of all, and must survive regardless.
+        cfg = EvictionPolicyConfig(kind="h2o", distant_capacity=1, recent_window=1)
+        non_recent = [
+            [[0.5, 0.25, 0.25], [0.25, 0.25, 0.25]],
+            [[0.25, 0.5, 0.25], [0.25, 0.25, 0.5]],
+        ]
+        cache = KvCacheState(2, 2, 2, window_capacity=1, capacity=6)
+        for layer, heads in enumerate(non_recent):
+            for pos in range(6):
+                cache.append(layer, np.zeros((2, 2)), np.zeros((2, 2)), pos)
+            cache.record_step_profiles(layer, [[[0.0, 0.0, *totals, 0.0]] for totals in heads])
+        # Each call drops the oldest of its store's lowest totals, one per store.
+        expected = [
+            [(0, 0, [3]), (0, 1, [2]), (1, 0, [2]), (1, 1, [2])],
+            [(0, 0, [4]), (0, 1, [3]), (1, 0, [4]), (1, 1, [3])],
+            [],
+        ]
+        for events in expected:
+            h2o_step(cache, None, 2, cfg)
+            assert cache.pop_eviction_events() == events
+        assert cache.occupancies() == [[4, 4], [4, 4]]
+        assert [positions(cache, layer, head) for layer in range(2) for head in range(2)] == [
+            [0, 1, 2, 5],
+            [0, 1, 4, 5],
+            [0, 1, 3, 5],
+            [0, 1, 4, 5],
+        ]
+
     def engine_run(self, steps=10):
         model = ModelConfig(
             n_layers=1, n_query_heads=2, n_kv_heads=1, head_dim=4, vocab_size=32, seed=17

@@ -165,6 +165,18 @@ class TestWindow:
         scores[0, 0, 0] = 9.0
         assert cache.score_matrix(0)[0, 0, 0] == 0.1
 
+    def test_score_matrix_refuses_columns_past_the_live_entries(self):
+        # One live entry in room for four: the slots past it hold nothing
+        # the store owns, and a negative count would slice from the end.
+        cache = KvCacheState(1, 1, 2, window_capacity=2, capacity=4)
+        cache.append(0, *entry(0))
+        record(cache, [0.5])
+        for columns in (2, 3, -1):
+            with pytest.raises(InvalidShape):
+                cache.score_matrix(0, columns)
+        assert cache.score_matrix(0, 0).shape == (1, 1, 0)
+        np.testing.assert_array_equal(cache.score_matrix(0, 1), [[[0.5]]])
+
 
 class TestFusion:
     def test_sum_fusion_golden(self):

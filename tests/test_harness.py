@@ -150,8 +150,8 @@ class TestRunResult:
         for layer in range(cache.n_layers):
             np.testing.assert_array_equal(result.positions[layer], cache.positions(layer))
             np.testing.assert_array_equal(result.fused_scores[layer], fuse(cache, layer, "sum"))
-        assert result.window_capacity == cache.window_capacity
         occupancies, snapshot = result.occupancies(), harness.snapshot(result)
+        assert snapshot["window_capacity"] == cache.window_capacity
         assert occupancies == cache.occupancies()
         for _ in range(5):
             step_runs([decoding], [greedy_token(decoding.out.logits)])
