@@ -66,8 +66,9 @@ class KvCacheState:
 
     :meth:`append` and :meth:`record_step_profiles` act on every KV head of
     one layer, :meth:`keep` on every KV head of a stack. Evictions are
-    journaled per (layer, KV head); the run loop drains the journal once
-    per step via :meth:`pop_eviction_events`.
+    journaled as a ``[layer][kv_head]`` grid of position lists, the shape a
+    trace records them in; the run loop drains it once per step via
+    :meth:`pop_evictions`.
     """
 
     def __init__(self, n_layers: int, n_kv_heads: int, head_dim: int, window_capacity: int, capacity: int):
@@ -82,7 +83,10 @@ class KvCacheState:
         self._views = tuple(buf.view() for buf in self._buffers)
         for view in self._views:
             view.flags.writeable = False
-        self._journal: list[tuple[int, int, list[int]]] = []
+        self._journal = self._empty_journal()
+
+    def _empty_journal(self) -> list[list[list[int]]]:
+        return [[[] for _ in range(self.n_kv_heads)] for _ in range(self.n_layers)]
 
     @classmethod
     def for_model(cls, model: ModelConfig, window_capacity: int, capacity: int) -> "KvCacheState":
@@ -243,8 +247,6 @@ class KvCacheState:
                 "retained indices must be one sorted, unique, integer, in-range row per KV head"
             )
         kept, first, stop = idx.shape[2], layers.start, layers.stop
-        if kept == n:
-            return []
         stores, alloc = len(idx) * heads, self.capacity
         idx = idx.astype(np.intp, copy=False).reshape(stores, kept)
         dropped = np.ones((stores, n), dtype=bool)
@@ -253,7 +255,7 @@ class KvCacheState:
         positions = self._views[_POSITIONS][first:stop, :, :n].reshape(stores, n)
         gone = positions[dropped].reshape(stores, -1).tolist()
         for store, evicted in enumerate(gone):
-            self._journal.append((first + store // heads, store % heads, evicted))
+            self._journal[first + store // heads][store % heads].extend(evicted)
         # One gather per buffer, through each kept entry's row in the stack's
         # (stores * alloc) rows.
         rows = (idx + np.arange(0, stores * alloc, alloc)[:, None]).ravel()
@@ -264,9 +266,11 @@ class KvCacheState:
         self._n[first:stop] = [kept] * len(layers)
         return [p for evicted in gone for p in evicted]
 
-    def pop_eviction_events(self) -> list[tuple[int, int, list[int]]]:
-        events, self._journal = self._journal, []
-        return events
+    def pop_evictions(self) -> list[list[list[int]]]:
+        """The positions each (layer, KV head) evicted since the last call,
+        as a ``[layer][kv_head]`` grid that later evictions leave unchanged."""
+        evictions, self._journal = self._journal, self._empty_journal()
+        return evictions
 
     def validate(self) -> None:
         """Debug-mode check that every live key and value is finite."""

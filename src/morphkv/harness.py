@@ -125,27 +125,16 @@ class Decoding:
             snapkv_policy(cache, config.policy)
         elif config.policy.kind == "morphkv" and config.policy.compress_prefill:
             prefill_compress(cache, config.policy)
-        # The trace keeps every eviction of every store; one int object per
-        # evicted position, whichever stores evict it, keeps that list small.
-        self._shared: dict[int, int] = {}
         self.trace = StepTrace(
             model=config.model,
             policy=config.policy,
             prompt=prompt,
             bytes_per_scalar=config.bytes_per_scalar,
-            prefill_evictions=self._evictions(),
+            prefill_evictions=cache.pop_evictions(),
             records=[],
         )
         if config.debug_invariants:
             self._check("prefill")
-
-    def _evictions(self) -> list[list[list[int]]]:
-        """Evicted positions per (layer, KV head) since the last call."""
-        model = self.config.model
-        grid = [[[] for _ in range(model.n_kv_heads)] for _ in range(model.n_layers)]
-        for layer, head, positions in self.cache.pop_eviction_events():
-            grid[layer][head].extend([self._shared.setdefault(p, p) for p in positions])
-        return grid
 
     def _finish_step(self, token: int, out: StepOutput) -> None:
         """Apply the policy after ``out``, this run's output of a forward of
@@ -158,7 +147,7 @@ class Decoding:
             step=i,
             token=token,
             occupancy=occupancy,
-            evicted=self._evictions(),
+            evicted=cache.pop_evictions(),
             bytes=kv_bytes_from_occupancies(
                 occupancy, config.model, config.policy, config.bytes_per_scalar
             ),

@@ -167,7 +167,7 @@ def test_scripted_walkthrough_replay():
     np.testing.assert_allclose(first_scores, [[0.10, 0.60, 0.55]], atol=1e-12)
     retained = select_retained(first_scores, cache.occupancy(0), 2, 2)
     assert cache.keep(0, retained) == [0]
-    cache.pop_eviction_events()
+    cache.pop_evictions()
     # Remaining steps through the policy entry point.
     evictions = [[0]]
     for idx, row in enumerate(decode_rows[1:], start=1):
@@ -177,7 +177,8 @@ def test_scripted_walkthrough_replay():
         # The decoder records each step's rows before the policy runs.
         cache.record_step_profiles(0, out.attn_rows[0])
         morphkv_step(cache, out, cfg, idx)
-        evictions.extend(e[2] for e in cache.pop_eviction_events())
+        [[evicted]] = cache.pop_evictions()
+        evictions.append(evicted)
         assert cache.occupancy(0) == 4
     assert evictions == [[0], [2], [3], [5], [1]]
     survivors = cache.positions(0)[0].tolist()
@@ -259,14 +260,12 @@ def test_group_aggregation_consistency():
                 for layer in range(model.n_layers)
             ]
             morphkv_step(cache, out, policy, i)
-            engine = {(l, h): [] for l in range(2) for h in range(2)}
-            for layer, head, positions in cache.pop_eviction_events():
-                engine[layer, head] = positions
+            engine = cache.pop_evictions()
             for layer in range(model.n_layers):
                 for head in range(model.n_kv_heads):
                     agg = replays[layer, head, True].step(8 + i, groups[layer][head])
                     raw = replays[layer, head, False].step(8 + i, groups[layer][head])
-                    assert agg == raw == engine[layer, head], (seed, i, layer, head)
+                    assert agg == raw == engine[layer][head], (seed, i, layer, head)
             token = greedy_token(out.logits)
     # Part 2: with four query heads per KV head, the row a store records
     # for a group must equal the explicit four-row sum to 1e-12 at every

@@ -3,6 +3,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from cache_state import no_evictions
 from morphkv import (
     EvictionPolicyConfig,
     KvCacheState,
@@ -75,14 +76,14 @@ class TestScissorhands:
             cache.append(0, *entry(pos))
             record(cache, np.full(pos + 1, 1.0 / (pos + 1)))
         scissorhands_step(cache, uniform_step(cache, 4), self.CFG)
-        assert cache.pop_eviction_events() == [(0, 0, [0])]
+        assert cache.pop_evictions() == [[[0]]]
 
     def test_below_window_no_eviction(self):
         cache = KvCacheState(1, 1, 2, window_capacity=4, capacity=2)
         cache.append(0, *entry(0))
         record(cache, [1.0])
         scissorhands_step(cache, uniform_step(cache, 1), self.CFG)
-        assert cache.pop_eviction_events() == []
+        assert cache.pop_evictions() == no_evictions(cache)
 
     def test_kind_guard(self):
         with pytest.raises(InvalidConfig):
@@ -112,7 +113,7 @@ class TestStreamingLlm:
             events = []
             for pos in range(5, 11):
                 step_fn(cache, uniform_step(cache, pos), cfg)
-                events.extend(cache.pop_eviction_events())
+                events.append(cache.pop_evictions())
             return positions(cache), events
 
         streaming = drive(
@@ -131,7 +132,7 @@ class TestStreamingLlm:
         cache.append(0, *entry(0))
         record(cache, [1.0])
         streamingllm_step(cache, uniform_step(cache, 1), cfg)
-        assert cache.pop_eviction_events() == []
+        assert cache.pop_evictions() == no_evictions(cache)
         assert positions(cache) == [0, 1]
 
     def test_keep_window_indices(self):
@@ -163,8 +164,8 @@ class TestH2o:
         events = []
         for pos in range(3, 7):
             h2o_step(cache, one_hot_step(cache, pos), 3, cfg)
-            events.extend(cache.pop_eviction_events())
-        assert events == [(0, 0, [3]), (0, 0, [4])]
+            events.append(cache.pop_evictions())
+        assert events == [[[[]]], [[[]]], [[[3]]], [[[4]]]]
         assert positions(cache) == [0, 1, 2, 5, 6]
 
     def test_tied_stack_evicts_one_per_store_per_call(self):
@@ -185,13 +186,13 @@ class TestH2o:
             cache.record_step_profiles(layer, [[[0.0, 0.0, *totals, 0.0]] for totals in heads])
         # Each call drops the oldest of its store's lowest totals, one per store.
         expected = [
-            [(0, 0, [3]), (0, 1, [2]), (1, 0, [2]), (1, 1, [2])],
-            [(0, 0, [4]), (0, 1, [3]), (1, 0, [4]), (1, 1, [3])],
-            [],
+            [[[3], [2]], [[2], [2]]],
+            [[[4], [3]], [[4], [3]]],
+            no_evictions(cache),
         ]
-        for events in expected:
+        for evictions in expected:
             h2o_step(cache, None, 2, cfg)
-            assert cache.pop_eviction_events() == events
+            assert cache.pop_evictions() == evictions
         assert cache.occupancies() == [[4, 4], [4, 4]]
         assert [positions(cache, layer, head) for layer in range(2) for head in range(2)] == [
             [0, 1, 2, 5],
@@ -320,7 +321,7 @@ class TestSnapKv:
         prefill([init_model(model)], [list(range(5))], [cache])
         snapkv_policy(cache, policy)
         assert positions(cache) == [0, 1, 2, 3, 4]
-        assert cache.pop_eviction_events() == []
+        assert cache.pop_evictions() == no_evictions(cache)
 
     def test_kind_guard(self):
         with pytest.raises(InvalidConfig):
@@ -334,7 +335,7 @@ class TestDispatch:
         for pos in range(6):
             policy_step(cache, uniform_step(cache, pos), cfg, pos, 0)
         assert cache.occupancy(0) == 6
-        assert cache.pop_eviction_events() == []
+        assert cache.pop_evictions() == no_evictions(cache)
 
     def test_unknown_kind_rejected(self):
         cache = KvCacheState(1, 1, 2, window_capacity=2, capacity=1)

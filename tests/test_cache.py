@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
-from cache_state import raw_state
+from cache_state import no_evictions, raw_state
 from morphkv import (
     EvictionPolicyConfig,
     KvCacheState,
@@ -247,8 +247,8 @@ class TestCacheState:
         evicted = cache.keep(0, [[0, 2, 3]])
         assert evicted == [1]
         assert cache.positions(0)[0].tolist() == [0, 2, 3]
-        assert cache.pop_eviction_events() == [(0, 0, [1])]
-        assert cache.pop_eviction_events() == []
+        assert cache.pop_evictions() == [[[1]]]
+        assert cache.pop_evictions() == no_evictions(cache)
 
     def test_raw_state_sees_an_undrained_journal(self):
         # A refused call that journals an eviction must show even when it
@@ -258,15 +258,17 @@ class TestCacheState:
             cache.append(0, *entry(pos))
         cache.keep(0, [[1, 2]])
         journaled = raw_state(cache)
-        cache.pop_eviction_events()
+        cache.pop_evictions()
         assert raw_state(cache) != journaled
 
     def test_keep_everything_is_a_noop(self):
         cache = KvCacheState(1, 1, 2, window_capacity=4, capacity=3)
         for pos in range(3):
             cache.append(0, *entry(pos))
+        before = raw_state(cache)
         assert cache.keep(0, [[0, 1, 2]]) == []
-        assert cache.pop_eviction_events() == []
+        assert raw_state(cache) == before
+        assert cache.pop_evictions() == no_evictions(cache)
 
     def test_keep_rejects_unsorted_and_out_of_range(self):
         cache = KvCacheState(1, 1, 2, window_capacity=4, capacity=3)
@@ -289,7 +291,7 @@ class TestCacheState:
         assert cache.occupancy(1) == 1
         assert cache.occupancies() == [[3, 3], [1, 1]]
         assert cache.positions(1).tolist() == [[2], [0]]
-        assert cache.pop_eviction_events() == [(1, 0, [0, 1]), (1, 1, [1, 2])]
+        assert cache.pop_evictions() == [[[], []], [[0, 1], [1, 2]]]
         cache.validate()
 
     def test_next_position_continues_after_eviction(self):
@@ -428,7 +430,7 @@ class TestCopy:
                 for cache in (twin, stepped):
                     (out,) = decode_step([weights], [token], [cache])
                     morphkv_step(cache, out, policy, step)
-                assert twin.pop_eviction_events() == stepped.pop_eviction_events()
+                assert twin.pop_evictions() == stepped.pop_evictions()
                 assert cache_bits(twin) == cache_bits(stepped)
                 assert ring_slot_bits(twin, length + step + 1) == ring_slot_bits(stepped, length + step + 1)
         assert cache_bits(source) == before
@@ -442,13 +444,13 @@ class TestCopy:
         source_bits = cache_bits(source)
         twin.keep(0, np.broadcast_to(np.arange(16, 20), (1, 2, 4)))
         assert cache_bits(source) == source_bits
-        assert source.pop_eviction_events() == []
-        assert twin.pop_eviction_events() == [(0, 0, list(range(16))), (0, 1, list(range(16)))]
+        assert source.pop_evictions() == no_evictions(source)
+        assert twin.pop_evictions() == [[list(range(16))] * 2, [[], []]]
         twin_bits = cache_bits(twin)
         source.keep(1, np.broadcast_to(np.arange(10, 20), (1, 2, 10)))
         assert cache_bits(twin) == twin_bits
-        assert twin.pop_eviction_events() == []
-        assert [event[:2] for event in source.pop_eviction_events()] == [(1, 0), (1, 1)]
+        assert twin.pop_evictions() == no_evictions(twin)
+        assert source.pop_evictions() == [[[], []], [list(range(10))] * 2]
 
     def test_journal_starts_empty(self):
         cache = KvCacheState(1, 1, 2, window_capacity=4, capacity=3)
@@ -456,8 +458,29 @@ class TestCopy:
             cache.append(0, *entry(pos))
         cache.keep(0, [[1, 2]])
         twin = cache.copy(4, 2)
-        assert twin.pop_eviction_events() == []
-        assert cache.pop_eviction_events() == [(0, 0, [0])]
+        assert twin.pop_evictions() == no_evictions(twin)
+        assert cache.pop_evictions() == [[[0]]]
+
+    def test_popped_grid_is_never_aliased(self):
+        # A popped grid is a recorded step: later evictions, of this cache
+        # or of a copy, must not reach it, nor one copy's grid the other's.
+        cache = KvCacheState(2, 2, 2, window_capacity=4, capacity=5)
+        for pos in range(5):
+            for layer in range(2):
+                cache.append(layer, *entry(pos, heads=2))
+        cache.keep(0, [[[1, 2, 3, 4], [0, 2, 3, 4]], [[0, 1, 2, 4], [0, 1, 3, 4]]])
+        popped = cache.pop_evictions()
+        assert popped == [[[0], [1]], [[3], [2]]]
+        twin = cache.copy(4, 5)
+        assert twin.pop_evictions() == no_evictions(twin)
+        cache.keep(0, [[[1, 2, 3], [1, 2, 3]], [[0, 1, 3], [0, 1, 3]]])
+        assert popped == [[[0], [1]], [[3], [2]]]
+        assert twin.pop_evictions() == no_evictions(twin)
+        twin.keep(0, [[[0, 1, 2], [0, 1, 2]], [[0, 1, 2], [0, 1, 2]]])
+        assert cache.pop_evictions() == [[[1], [0]], [[2], [3]]]
+        assert twin.pop_evictions() == [[[4], [4]], [[4], [4]]]
+        assert popped == [[[0], [1]], [[3], [2]]]
+        assert cache.pop_evictions() == no_evictions(cache)
 
     def test_refused_copy_changes_nothing(self):
         cache = window_of([[0.1, 0.2, 0.7]], 3, capacity=1)

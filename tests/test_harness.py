@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cache_state import raw_state
+from cache_state import no_evictions, raw_state
 from morphkv import (
     KvCacheState,
     EvictionPolicyConfig,
@@ -188,17 +188,17 @@ class TestDebugInvariants:
     def test_lost_eviction_events_are_a_bug(self, monkeypatch):
         # Every step of this run evicts; the journal drops the third step's
         # events, so the trace records fewer evictions than the cache made.
-        pop, calls = KvCacheState.pop_eviction_events, []
+        pop, calls = KvCacheState.pop_evictions, []
 
         def lossy(cache):
             calls.append(pop(cache))
-            return [] if len(calls) == 4 else calls[-1]
+            return no_evictions(cache) if len(calls) == 4 else calls[-1]
 
-        monkeypatch.setattr(KvCacheState, "pop_eviction_events", lossy)
+        monkeypatch.setattr(KvCacheState, "pop_evictions", lossy)
         config = replace(small_run_config(), debug_invariants=True, decode_steps=10)
         with pytest.raises(InternalInvariantViolation, match="step record 2"):
             run(config)
-        assert calls[3]
+        assert any(evicted for heads in calls[3] for evicted in heads)
 
     def test_prefill_only_debug_run_audits_the_prefill(self, monkeypatch):
         # With no decode step the prefill is all a debug run has to audit.
@@ -208,13 +208,14 @@ class TestDebugInvariants:
             decode_steps=0,
         )
         run(config)
-        pop = KvCacheState.pop_eviction_events
+        pop = KvCacheState.pop_evictions
 
         def doubled(cache):
-            (layer, head, positions), *rest = pop(cache)
-            return [(layer, head, [*positions, positions[0]]), *rest]
+            evictions = pop(cache)
+            evictions[0][0].append(evictions[0][0][0])
+            return evictions
 
-        monkeypatch.setattr(KvCacheState, "pop_eviction_events", doubled)
+        monkeypatch.setattr(KvCacheState, "pop_evictions", doubled)
         with pytest.raises(InternalInvariantViolation, match=r"prefill store \(0,0\) evicts \d+ twice"):
             run(config)
 

@@ -22,6 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cache_state import no_evictions
 from morphkv import EvictionPolicyConfig, KvCacheState, morph
 from morphkv.baselines import h2o_step, keep_window, scissorhands_step, snapkv_policy, streamingllm_step
 from morphkv.errors import InvalidShape
@@ -78,7 +79,7 @@ class HeadStore:
         for buf in self.buffers():
             buf[: idx.size] = buf[idx]
         self.n = idx.size
-        journal.append((0, head, evicted))
+        journal[head].extend(evicted)
         return evicted
 
 
@@ -139,8 +140,9 @@ def assert_same_state(cache, stores, journal):
         for read, buf in zip(reads, store.buffers()):
             assert same_bits(read(0)[head], buf[: store.n]), (read.__name__, head)
         assert same_bits(cache.score_matrix(0)[head], store.score_matrix(store.n)), head
-    assert cache.pop_eviction_events() == journal
-    journal.clear()
+    assert cache.pop_evictions() == [journal]
+    for evicted in journal:
+        evicted.clear()
 
 
 class Driver:
@@ -152,7 +154,7 @@ class Driver:
         self.heads, self.group, self.ties = heads, group, ties
         self.cache = KvCacheState(1, heads, HEAD_DIM, capacity, alloc)
         self.stores = [HeadStore(capacity, alloc) for _ in range(heads)]
-        self.journal = []
+        self.journal = [[] for _ in range(heads)]
         self.position = 0
 
     def rows(self, n):
@@ -388,7 +390,7 @@ class StackDriver:
     def assert_same(self):
         shipped, reference = self.caches
         assert shipped.occupancies() == reference.occupancies()
-        assert shipped.pop_eviction_events() == reference.pop_eviction_events()
+        assert shipped.pop_evictions() == reference.pop_evictions()
         for layer in range(shipped.n_layers):
             assert shipped.profile_rows(layer) == reference.profile_rows(layer)
             for got, want in zip(layer_reads(shipped, layer), layer_reads(reference, layer)):
@@ -455,7 +457,7 @@ def assert_rejected_unchanged(cache, call):
     after = full_state(cache)
     assert len(before) == len(after)
     assert all(same_bits(a, b) if isinstance(a, np.ndarray) else a == b for a, b in zip(before, after))
-    assert cache.pop_eviction_events() == []
+    assert cache.pop_evictions() == no_evictions(cache)
 
 
 KEEP_FIRST_FOUR = np.broadcast_to(np.arange(4), (3, 2, 4))

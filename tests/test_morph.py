@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from cache_state import no_evictions
 from morphkv import (
     EvictionPolicyConfig,
     KvCacheState,
@@ -186,9 +187,9 @@ class TestMorphStep:
         for idx, (row, expected) in enumerate(self.STEPS):
             cache.append(0, *entry(4 + idx))
             morphkv_step(cache, recorded(cache, scripted_row(row)), self.CFG, idx)
-            events = cache.pop_eviction_events()
-            assert [e[2] for e in events] == [expected], f"step {idx}"
-            evicted_positions.extend(events[0][2])
+            evictions = cache.pop_evictions()
+            assert evictions == [[expected]], f"step {idx}"
+            evicted_positions.extend(evictions[0][0])
             assert cache.occupancy(0) == 4
             cache.validate()
         survivors = cache.positions(0)[0].tolist()
@@ -246,7 +247,7 @@ class TestMorphStep:
             cache.append(0, *entry(shift + 4))
             out = scripted_row(self.STEPS[0][0])
             morphkv_step(cache, recorded(cache, out), self.CFG, 0)
-            return [p - shift for _, _, dropped in cache.pop_eviction_events() for p in dropped]
+            return [p - shift for p in cache.pop_evictions()[0][0]]
 
         assert run(0) == run(1000) == [0]
 
@@ -262,7 +263,7 @@ class TestMorphStep:
         out = scripted_row([1.0])
         morphkv_step(cache, recorded(cache, out), self.CFG, 0)
         assert cache.occupancy(0) == 1
-        assert cache.pop_eviction_events() == []
+        assert cache.pop_evictions() == no_evictions(cache)
 
 
 class TestPrefillCompress:
@@ -274,7 +275,7 @@ class TestPrefillCompress:
         prefill([w], [[1, 2, 3]], [cache])
         prefill_compress(cache, policy)
         assert cache.occupancy(0) == 3
-        assert cache.pop_eviction_events() == []
+        assert cache.pop_evictions() == no_evictions(cache)
 
     def test_compresses_to_exact_budget(self):
         cfg = ModelConfig(n_layers=2, n_query_heads=4, n_kv_heads=2, head_dim=4, vocab_size=32, seed=6)

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cache_state import no_evictions
 from morphkv import KvCacheState
 from morphkv.errors import InternalInvariantViolation, InvalidShape
 
@@ -29,7 +30,7 @@ class ListCache:
         self.stores = {(l, h): [] for l in range(n_layers) for h in range(n_heads)}
         self.profiles = {key: [] for key in self.stores}
         self.received = {key: [] for key in self.stores}
-        self.journal = []
+        self.journal = [[[] for _ in range(n_heads)] for _ in range(n_layers)]
 
     def append(self, layer, keys, values, position):
         for head in range(self.n_heads):
@@ -59,7 +60,7 @@ class ListCache:
                 self.stores[key] = [store[i] for i in kept]
                 self.profiles[key] = [[row[i] for i in kept] for row in self.profiles[key]]
                 self.received[key] = [self.received[key][i] for i in kept]
-                self.journal.append((layer, head, evicted))
+                self.journal[layer][head].extend(evicted)
             out.extend(evicted)
         return out
 
@@ -165,8 +166,8 @@ def test_matches_list_model(n_layers, n_heads, capacity, ops, seed):
                 retained = np.broadcast_to(np.array(picks).reshape(rows, k), (n_heads, k))
             assert cache.keep(layer, retained) == model.keep(layer, retained.tolist())
         assert_same(cache, model)
-    assert cache.pop_eviction_events() == model.journal
-    assert cache.pop_eviction_events() == []
+    assert cache.pop_evictions() == model.journal
+    assert cache.pop_evictions() == no_evictions(cache)
     cache.validate()
 
 
@@ -262,4 +263,4 @@ def test_keep_rejects_non_integer_indices(retained):
     with pytest.raises(InvalidShape):
         cache.keep(0, retained)
     assert cache.occupancy(0) == 3
-    assert cache.pop_eviction_events() == []
+    assert cache.pop_evictions() == no_evictions(cache)
