@@ -10,10 +10,9 @@ and `harness` the run loop and sweeps.
 """
 
 from .cache import KvCacheState
-from .config import EvictionPolicyConfig, ModelConfig
+from .config import EvictionPolicyConfig, ModelConfig, RunConfig
 from .harness import (
     Decoding,
-    RunConfig,
     RunResult,
     compare,
     load_run_config,

@@ -1,4 +1,4 @@
-"""Model and eviction-policy configuration.
+"""Model, eviction-policy and run configs, each checking itself when made.
 
 The dataclass fields are the one schema of the ``[model]`` and ``[policy]``
 config keys: :data:`FIELD_TYPES` says how an INI file and a trace's JSON
@@ -8,7 +8,7 @@ hold each field, by its annotation.
 from __future__ import annotations
 
 from configparser import ConfigParser
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from typing import Callable, NamedTuple
 
 from .errors import InvalidConfig
@@ -79,7 +79,7 @@ class ModelConfig:
         the two step in one lockstep forward."""
         return all(getattr(self, f.name) == getattr(other, f.name) for f in fields(self) if f.name != "seed")
 
-    def validate(self) -> "ModelConfig":
+    def __post_init__(self):
         if self.n_layers < 1:
             raise InvalidConfig("n_layers must be >= 1")
         if self.n_kv_heads < 1:
@@ -94,7 +94,6 @@ class ModelConfig:
             raise InvalidConfig("n_query_heads * head_dim and vocab_size must be below 2**63")
         if not 0 <= self.seed < 2**64:
             raise InvalidConfig("seed must fit in an unsigned 64-bit integer")
-        return self
 
 
 @dataclass(frozen=True)
@@ -134,7 +133,7 @@ class EvictionPolicyConfig:
     def effective_prefill_fusion(self) -> str:
         return self.fusion if self.prefill_fusion is None else self.prefill_fusion
 
-    def validate(self, n_layers: int | None = None) -> "EvictionPolicyConfig":
+    def __post_init__(self):
         if self.kind not in POLICY_KINDS:
             raise InvalidConfig(f"unknown policy kind {self.kind!r}")
         if self.distant_capacity < 0:
@@ -149,12 +148,34 @@ class EvictionPolicyConfig:
             raise InvalidConfig("eviction_interval must be >= 1")
         if self.protected_layers < 0:
             raise InvalidConfig("protected_layers must be >= 0")
-        if n_layers is not None and self.protected_layers > n_layers:
-            raise InvalidConfig("protected_layers exceeds n_layers")
         if self.sink_count < 0:
             raise InvalidConfig("sink_count must be >= 0")
         if self.kind == "snapkv" and self.prefill_budget < 1:
             raise InvalidConfig("snapkv needs prefill_budget >= 1")
         if self.prefill_budget < 0:
             raise InvalidConfig("prefill_budget must be >= 0")
-        return self
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    """A model, a policy and the run that drives them. Its two parts check
+    themselves; it adds the one rule over the pair: ``protected_layers``
+    must not exceed ``n_layers``."""
+
+    model: ModelConfig = field(default_factory=ModelConfig)
+    policy: EvictionPolicyConfig = field(default_factory=EvictionPolicyConfig)
+    prompt_length: int = 16
+    prompt_file: str | None = None
+    decode_steps: int = 32
+    bytes_per_scalar: int = 8
+    debug_invariants: bool = False
+
+    def __post_init__(self):
+        if self.policy.protected_layers > self.model.n_layers:
+            raise InvalidConfig("protected_layers exceeds n_layers")
+        if self.prompt_file is None and self.prompt_length < 1:
+            raise InvalidConfig("prompt_length must be >= 1")
+        if self.decode_steps < 0:
+            raise InvalidConfig("decode_steps must be >= 0")
+        if self.bytes_per_scalar < 1:
+            raise InvalidConfig("bytes_per_scalar must be >= 1")

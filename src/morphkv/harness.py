@@ -1,4 +1,4 @@
-"""Run configuration, the decode loop, comparisons, and regression sweeps.
+"""Config parsing, the decode loop, comparisons, and regression sweeps.
 
 A run is fully determined by its config: seeded weights, seeded or
 file-sourced prompt, greedy decoding, one policy application per decode
@@ -24,14 +24,14 @@ from __future__ import annotations
 import configparser
 import json
 import os
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from itertools import zip_longest
 
 import numpy as np
 
 from .baselines import keep_window, policy_step, snapkv_policy
 from .cache import KvCacheState
-from .config import FIELD_TYPES, EvictionPolicyConfig, ModelConfig, field_types
+from .config import FIELD_TYPES, EvictionPolicyConfig, ModelConfig, RunConfig, field_types
 from .errors import (
     InstanceTooLarge,
     InternalInvariantViolation,
@@ -46,28 +46,6 @@ from .model import DecoderWeights, StepOutput, decode_step, greedy_token, init_m
 from .morph import fuse, prefill_compress, select_retained
 from .oracle import ENUMERATION_BOUND, INSTANCE_CHUNK, optimal_subset, shadow_error, subset_output_error
 from .trace import StepAudit, StepRecord, StepTrace, peak_occupancy
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    model: ModelConfig = field(default_factory=ModelConfig)
-    policy: EvictionPolicyConfig = field(default_factory=EvictionPolicyConfig)
-    prompt_length: int = 16
-    prompt_file: str | None = None
-    decode_steps: int = 32
-    bytes_per_scalar: int = 8
-    debug_invariants: bool = False
-
-    def validate(self) -> "RunConfig":
-        self.model.validate()
-        self.policy.validate(self.model.n_layers)
-        if self.prompt_file is None and self.prompt_length < 1:
-            raise InvalidConfig("prompt_length must be >= 1")
-        if self.decode_steps < 0:
-            raise InvalidConfig("decode_steps must be >= 0")
-        if self.bytes_per_scalar < 1:
-            raise InvalidConfig("bytes_per_scalar must be >= 1")
-        return self
 
 
 @dataclass
@@ -202,7 +180,7 @@ def start_runs(configs, weights) -> list[Decoding]:
     them. Each run then applies its own one-shot prompt policy. Every input
     is checked before any cache exists.
     """
-    configs, weights = [cfg.validate() for cfg in configs], list(weights)
+    configs, weights = list(configs), list(weights)
     if not configs:
         raise InvalidParam("start_runs needs at least one config")
     if len(weights) != len(configs):
@@ -261,7 +239,7 @@ def step_runs(runs: list[Decoding], tokens) -> list[StepOutput]:
 
 def run(config: RunConfig) -> RunResult:
     """Prefill, apply any one-shot prompt policy, then decode greedily with eviction."""
-    (decoding,) = start_runs([config], [init_model(config.validate().model)])
+    (decoding,) = start_runs([config], [init_model(config.model)])
     for _ in range(config.decode_steps):
         step_runs([decoding], [greedy_token(decoding.out.logits)])
     return decoding.result()
@@ -465,7 +443,6 @@ def oracle_regression(config: RunConfig, instances: int) -> list[RegressionRow]:
     instance's bits as if it were started and stepped alone. A seed range
     past ``2**64 - 1`` is refused before any instance starts.
     """
-    config.validate()
     model = config.model
     if model.n_layers != 1 or model.n_query_heads != 1 or model.n_kv_heads != 1:
         raise InvalidConfig("oracle regression needs a single-layer, single-head model")
@@ -594,7 +571,8 @@ def load_run_config(path: str) -> RunConfig:
 
     Whatever the INI parser rejects (a duplicate section or option, a
     missing section header, a bad interpolation) is an ``InvalidConfig``
-    with a one-line message.
+    with a one-line message; a value its field's reader refuses is one
+    that names its section and key.
     """
     try:
         return _parse_run_config(path)
@@ -622,14 +600,18 @@ def _parse_run_config(path: str) -> RunConfig:
     spec = run_kwargs.pop("prompt", None)
     if spec is not None:
         spec = spec.strip()
+        bad = InvalidConfig(f"prompt must be 'random:N' or 'file:PATH', got {spec!r}")
         if spec.startswith("random:"):
-            run_kwargs["prompt_length"] = int(spec.split(":", 1)[1])
+            try:
+                run_kwargs["prompt_length"] = int(spec.split(":", 1)[1])
+            except ValueError:
+                raise bad from None
         elif spec.startswith("file:"):
             rel = spec.split(":", 1)[1]
             run_kwargs["prompt_file"] = os.path.join(os.path.dirname(os.path.abspath(path)), rel)
         else:
-            raise InvalidConfig(f"prompt must be 'random:N' or 'file:PATH', got {spec!r}")
-    return RunConfig(model=model, policy=policy, **run_kwargs).validate()
+            raise bad
+    return RunConfig(model=model, policy=policy, **run_kwargs)
 
 
 def _read_section(parser, name: str, types: dict[str, str]) -> dict:
@@ -640,5 +622,8 @@ def _read_section(parser, name: str, types: dict[str, str]) -> dict:
     for key in parser[name]:
         if key not in types:
             raise InvalidConfig(f"unknown {name} key {key!r}")
-        values[key] = FIELD_TYPES[types[key]].read(parser, name, key)
+        try:
+            values[key] = FIELD_TYPES[types[key]].read(parser, name, key)
+        except ValueError as exc:
+            raise InvalidConfig(f"[{name}] {key}: {exc}") from exc
     return values

@@ -91,7 +91,6 @@ def init_model(config: ModelConfig) -> DecoderWeights:
     draw, of which every matrix is a C-contiguous view, so a model no
     memory holds fails at its one allocation, before any draw.
     """
-    config.validate()
     sizes = _layer_sizes(config)
     vocab, d = config.vocab_size, config.d_model
     rng = np.random.default_rng(config.seed)

@@ -13,7 +13,7 @@ from collections.abc import Iterator
 from dataclasses import asdict, dataclass, fields
 from itertools import islice
 
-from .config import FIELD_TYPES, EvictionPolicyConfig, ModelConfig, field_types, is_int
+from .config import FIELD_TYPES, EvictionPolicyConfig, ModelConfig, RunConfig, field_types, is_int
 from .errors import InvalidConfig, TraceMismatch
 from .metrics import kv_bytes_from_occupancies
 
@@ -179,19 +179,19 @@ class StepTrace:
 
         Raises :class:`TraceMismatch` for any document that :meth:`to_dict`
         could not have produced: a missing or unknown key, a wrong type, a
-        grid that does not match the model's (layer, KV head) shape, step
-        records out of order, or a record that fails its :class:`StepAudit`.
+        config value its dataclass refuses, a grid that does not match the
+        model's (layer, KV head) shape, step records out of order, or a
+        record that fails its :class:`StepAudit`.
         """
         if not isinstance(data, dict):
             raise TraceMismatch("a trace must be a JSON object")
         if data.get("schema") != TRACE_SCHEMA:
             raise TraceMismatch(f"unknown trace schema {data.get('schema')!r}")
         _check_keys(data, _TRACE_KEYS, "trace")
-        model = _config_from(ModelConfig, data["model"], "model")
-        policy = _config_from(EvictionPolicyConfig, data["policy"], "policy")
         try:
-            model.validate()
-            policy.validate(model.n_layers)
+            model = _config_from(ModelConfig, data["model"], "model")
+            policy = _config_from(EvictionPolicyConfig, data["policy"], "policy")
+            RunConfig(model=model, policy=policy)
         except InvalidConfig as exc:
             raise TraceMismatch(f"trace config is invalid: {exc}") from exc
         prompt = data["prompt"]

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from morphkv.cli import main
 from morphkv.config import FUSION_KINDS, POLICY_KINDS, EvictionPolicyConfig, ModelConfig
+from morphkv.errors import InvalidConfig
 from morphkv.harness import _RUN_KEYS, RunConfig, load_run_config, make_prompt, run, snapshot
 
 CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.ini"))
@@ -139,6 +140,79 @@ def test_unknown_key_is_input_error(section, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err == f"error: unknown {section} key 'bogus'\n"
     assert captured.out == ""
+
+
+# A value its field's reader refuses names the section and key it sits
+# under; a ``random:`` count that is no integer is a bad prompt spec.
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("[model]\nn_layers = abc\n", "[model] n_layers: invalid literal for int() with base 10: 'abc'"),
+        ("[run]\ndebug_invariants = maybe\n", "[run] debug_invariants: Not a boolean: maybe"),
+        ("[run]\nprompt = random:abc\n", "prompt must be 'random:N' or 'file:PATH', got 'random:abc'"),
+    ],
+    ids=["int", "bool", "prompt"],
+)
+def test_bad_value_names_its_section_and_key(text, message, tmp_path, capsys):
+    path = tmp_path / "bad_value.ini"
+    path.write_text(text, encoding="utf-8")
+    assert main(["run", "--config", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+
+
+# Every check of the three config classes, with the message it raises. Each
+# config checks itself when made, by its constructor or ``replace``.
+VALID = {cls: cls() for cls in (ModelConfig, EvictionPolicyConfig, RunConfig)}
+INVALID = [
+    (ModelConfig, {"n_layers": 0}, "n_layers must be >= 1"),
+    (ModelConfig, {"n_kv_heads": 0}, "n_kv_heads must be >= 1"),
+    (ModelConfig, {"n_query_heads": 0}, "n_query_heads must be a positive multiple of n_kv_heads"),
+    (ModelConfig, {"n_query_heads": 3}, "n_query_heads must be a positive multiple of n_kv_heads"),
+    (ModelConfig, {"head_dim": 0}, "head_dim must be even: rotary encoding rotates dimension pairs"),
+    (ModelConfig, {"head_dim": 5}, "head_dim must be even: rotary encoding rotates dimension pairs"),
+    (ModelConfig, {"vocab_size": 1}, "vocab_size must be >= 2"),
+    (
+        ModelConfig,
+        {"n_query_heads": 2**62, "n_kv_heads": 1, "head_dim": 2},
+        "n_query_heads * head_dim and vocab_size must be below 2**63",
+    ),
+    (ModelConfig, {"vocab_size": 2**63}, "n_query_heads * head_dim and vocab_size must be below 2**63"),
+    (ModelConfig, {"seed": -1}, "seed must fit in an unsigned 64-bit integer"),
+    (ModelConfig, {"seed": 2**64}, "seed must fit in an unsigned 64-bit integer"),
+    (EvictionPolicyConfig, {"kind": "lru"}, "unknown policy kind 'lru'"),
+    (EvictionPolicyConfig, {"distant_capacity": -1}, "distant_capacity must be >= 0"),
+    (EvictionPolicyConfig, {"recent_window": 0}, "recent_window must be >= 1"),
+    (EvictionPolicyConfig, {"fusion": "mean"}, "unknown fusion 'mean'"),
+    (EvictionPolicyConfig, {"prefill_fusion": "mean"}, "unknown prefill fusion 'mean'"),
+    (EvictionPolicyConfig, {"eviction_interval": 0}, "eviction_interval must be >= 1"),
+    (EvictionPolicyConfig, {"protected_layers": -1}, "protected_layers must be >= 0"),
+    (EvictionPolicyConfig, {"sink_count": -1}, "sink_count must be >= 0"),
+    (EvictionPolicyConfig, {"kind": "snapkv"}, "snapkv needs prefill_budget >= 1"),
+    (EvictionPolicyConfig, {"prefill_budget": -1}, "prefill_budget must be >= 0"),
+    (RunConfig, {"policy": EvictionPolicyConfig(protected_layers=5)}, "protected_layers exceeds n_layers"),
+    (RunConfig, {"prompt_length": 0}, "prompt_length must be >= 1"),
+    (RunConfig, {"decode_steps": -1}, "decode_steps must be >= 0"),
+    (RunConfig, {"bytes_per_scalar": 0}, "bytes_per_scalar must be >= 1"),
+]
+
+
+@pytest.mark.parametrize("how", ["constructor", "replace"])
+@pytest.mark.parametrize(
+    "cls, changes, message", INVALID, ids=[f"{cls.__name__}-{'-'.join(changes)}" for cls, changes, _ in INVALID]
+)
+def test_invalid_config_cannot_be_made(how, cls, changes, message):
+    with pytest.raises(InvalidConfig) as exc:
+        if how == "constructor":
+            cls(**changes)
+        else:
+            replace(VALID[cls], **changes)
+    assert str(exc.value) == message
+
+
+def test_a_prompt_file_needs_no_prompt_length():
+    assert RunConfig(prompt_length=0, prompt_file="prompt.txt").prompt_length == 0
 
 
 @pytest.mark.parametrize(

@@ -82,11 +82,11 @@ class TestInit:
 
     def test_rejects_indivisible_grouping(self):
         with pytest.raises(InvalidConfig):
-            ModelConfig(n_query_heads=3, n_kv_heads=2).validate()
+            ModelConfig(n_query_heads=3, n_kv_heads=2)
 
     def test_rejects_odd_head_dim(self):
         with pytest.raises(InvalidConfig):
-            ModelConfig(head_dim=5).validate()
+            ModelConfig(head_dim=5)
 
     def test_same_shape_allows_only_another_seed(self):
         assert TINY.same_shape(TINY) and TINY.same_shape(replace(TINY, seed=TINY.seed + 1))

@@ -10,6 +10,7 @@ from morphkv import (
     EvictionPolicyConfig,
     KvCacheState,
     ModelConfig,
+    RunConfig,
     decode_step,
     fuse,
     init_model,
@@ -220,7 +221,8 @@ class TestMorphStep:
         cfg = EvictionPolicyConfig(
             kind="morphkv", distant_capacity=1, recent_window=1, protected_layers=1
         )
-        cfg.validate(n_layers=2)
+        # The shape of the cache below: two layers of one KV head.
+        RunConfig(model=ModelConfig(n_layers=2, n_query_heads=1, n_kv_heads=1, head_dim=2), policy=cfg)
         cache = KvCacheState(2, 1, 2, window_capacity=1, capacity=5)
         for pos in range(4):
             for layer in range(2):

@@ -110,6 +110,25 @@ def test_wrong_value_type_per_annotation(section, key, value, trace_doc, tmp_pat
     assert_input_error(doc, tmp_path, capsys)
 
 
+# A well-typed config value its dataclass refuses: the model's own rule, the
+# rule over the model and policy pair, and a policy kind's own rule.
+@pytest.mark.parametrize(
+    "doc_name, section, key, value, message",
+    [
+        ("trace_doc", "model", "n_layers", 0, "n_layers must be >= 1"),
+        ("trace_doc", "policy", "protected_layers", 3, "protected_layers exceeds n_layers"),
+        ("snapkv_doc", "policy", "prefill_budget", 0, "snapkv needs prefill_budget >= 1"),
+    ],
+    ids=["model", "pair", "policy"],
+)
+def test_invalid_config_value(doc_name, section, key, value, message, request, tmp_path, capsys):
+    base = request.getfixturevalue(doc_name)
+    doc = dict(base, **{section: dict(base[section], **{key: value})})
+    assert_input_error(doc, tmp_path, capsys)
+    with pytest.raises(TraceMismatch, match=f"^trace config is invalid: {message}$"):
+        StepTrace.from_dict(doc)
+
+
 @pytest.mark.parametrize("name", GOLDENS)
 def test_golden_traces_load(name, capsys):
     doc = json.loads((DATA / name).read_text())
