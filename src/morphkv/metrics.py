@@ -23,9 +23,9 @@ ALL_HEADS_KINDS = frozenset({"snapkv", "h2o"})
 def _entry_bytes(policy: EvictionPolicyConfig, model: ModelConfig, bytes_per_scalar: int) -> int:
     """Bytes of one entry in one (layer, KV head) store: a key and a value
     vector of ``head_dim`` scalars, hence the 2, per stored copy. A policy
-    that retains per query head stores one copy per head of the group."""
-    if bytes_per_scalar < 1:
-        raise InvalidParam("bytes_per_scalar must be >= 1")
+    that retains per query head stores one copy per head of the group.
+    ``bytes_per_scalar`` is trusted: ``RunConfig`` and, for a trace read
+    back, ``StepTrace.from_dict`` refuse a width below 1."""
     copies = model.group_size if policy.kind in ALL_HEADS_KINDS else 1
     return copies * model.head_dim * 2 * bytes_per_scalar
 

@@ -23,7 +23,6 @@ new first axis, one slice per cache, which that cache's rows multiply.
 from __future__ import annotations
 
 import functools
-import hashlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -290,10 +289,3 @@ def _weight_arrays(weights: DecoderWeights) -> list[np.ndarray]:
     for lw in weights.layers:
         arrays.extend([lw.w_q, lw.w_k, lw.w_v, lw.w_o, lw.w_in, lw.w_out])
     return arrays
-
-
-def weights_checksum(weights: DecoderWeights) -> str:
-    digest = hashlib.sha256()
-    for arr in _weight_arrays(weights):
-        digest.update(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-    return digest.hexdigest()

@@ -21,7 +21,7 @@ import numpy as np
 
 from .cache import KvCacheState
 from .config import EvictionPolicyConfig
-from .errors import EmptyWindow, InvalidConfig, InvalidParam, InvalidShape
+from .errors import EmptyWindow, InvalidParam, InvalidShape
 
 
 def fuse(cache: KvCacheState, layers: int | range, fusion: str) -> np.ndarray:
@@ -95,8 +95,6 @@ def morphkv_step(
     ``distant_capacity + recent_window`` entries per KV head. The decoder
     has already recorded the step's rows, so ``step_output`` is not read.
     """
-    if cfg.kind != "morphkv":
-        raise InvalidConfig(f"morphkv_step got policy kind {cfg.kind!r}")
     if step_index % cfg.eviction_interval:
         return cache
     _evict(cache, range(cfg.protected_layers, cache.n_layers), cfg.fusion, cfg)
@@ -110,7 +108,5 @@ def prefill_compress(cache: KvCacheState, cfg: EvictionPolicyConfig) -> KvCacheS
     ``recent_window`` prompt positions; fewer if the prompt is shorter,
     which is not an error). A prompt already within budget is untouched.
     """
-    if cfg.kind != "morphkv":
-        raise InvalidConfig(f"prefill_compress got policy kind {cfg.kind!r}")
     _evict(cache, range(cfg.protected_layers, cache.n_layers), cfg.effective_prefill_fusion, cfg)
     return cache

@@ -19,21 +19,14 @@ from .errors import EmptyCache, InvalidParam, InvalidShape, NonFiniteInput
 ROPE_BASE = 10000.0
 
 
-def softmax(logits) -> np.ndarray:
-    """Numerically stable softmax over a 1-D array of finite logits.
+def _softmax_rows(x: np.ndarray) -> np.ndarray:
+    """Numerically stable softmax of every row along the last axis; rows
+    must be non-empty and every logit finite.
 
     The max is subtracted before exponentiating, so adding a constant to
-    every logit leaves the output unchanged and large logits cannot
-    overflow. Entries are positive and sum to 1.
+    every logit leaves a row unchanged and large logits cannot overflow.
+    Entries are positive and each row sums to 1.
     """
-    x = np.asarray(logits, dtype=np.float64)
-    if x.ndim != 1 or x.size == 0:
-        raise InvalidShape("softmax expects a non-empty 1-D array")
-    return _softmax_rows(x)
-
-
-def _softmax_rows(x: np.ndarray) -> np.ndarray:
-    """`softmax` of every row along the last axis; rows must be non-empty."""
     if not np.isfinite(x).all():
         raise NonFiniteInput("softmax input must be finite")
     weights = np.exp(x - x.max(axis=-1, keepdims=True))

@@ -95,17 +95,15 @@ def optimal_subset(
     vals,
     budget: int,
     recent_window: int,
-    force_recent: bool = True,
 ) -> tuple[tuple[int, ...], float]:
     """Exhaustively find the budget-sized entry subset closest to full output.
 
-    With ``force_recent`` (the default) the last ``min(recent_window,
-    budget)`` entries are pinned and only the distant complement is
-    enumerated, mirroring the retention rule every policy here obeys; pass
-    ``False`` to search over all subsets. Ties keep the first subset in
-    lexicographic enumeration order, so results are reproducible. Subsets
-    are scored ``SUBSET_CHUNK`` at a time, with the bits
-    ``subset_output_error`` gives each one.
+    The last ``min(recent_window, budget)`` entries are pinned and only the
+    distant complement is enumerated, mirroring the retention rule every
+    policy here obeys; ``recent_window = 0`` searches over all subsets.
+    Ties keep the first subset in lexicographic enumeration order, so
+    results are reproducible. Subsets are scored ``SUBSET_CHUNK`` at a
+    time, with the bits ``subset_output_error`` gives each one.
     """
     keys = np.asarray(keys, dtype=np.float64)
     vals = np.asarray(vals, dtype=np.float64)
@@ -120,7 +118,7 @@ def optimal_subset(
         raise InvalidParam(f"budget must be in [1, {n}]")
     if recent_window < 0:
         raise InvalidParam("recent_window must be >= 0")
-    forced = min(recent_window, budget) if force_recent else 0
+    forced = min(recent_window, budget)
     free = budget - forced
     table = _combination_table(n - forced, free)
     chunk = np.empty((min(SUBSET_CHUNK, len(table)), budget), dtype=np.intp)

@@ -19,25 +19,19 @@ import pytest
 import reference
 from morphkv import (
     EvictionPolicyConfig,
-    KvCacheState,
     ModelConfig,
     RunConfig,
-    decode_step,
-    fuse,
-    greedy_token,
-    init_model,
-    kv_bytes,
     load_run_config,
-    morphkv_step,
     oracle_regression,
-    prefill,
-    repetition_rate,
     run,
-    select_retained,
     start_runs,
     step_runs,
 )
+from morphkv.cache import KvCacheState
 from morphkv.harness import regression_means, render_regression_csv
+from morphkv.metrics import kv_bytes, repetition_rate
+from morphkv.model import decode_step, greedy_token, init_model, prefill
+from morphkv.morph import fuse, morphkv_step, select_retained
 
 REPO = Path(__file__).resolve().parent.parent
 DATA = Path(__file__).resolve().parent / "data"

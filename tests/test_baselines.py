@@ -1,26 +1,19 @@
 from types import SimpleNamespace
 
 import numpy as np
-import pytest
 
 from cache_state import no_evictions
-from morphkv import (
-    EvictionPolicyConfig,
-    KvCacheState,
-    ModelConfig,
-    RunConfig,
-    greedy_token,
+from morphkv import EvictionPolicyConfig, ModelConfig, RunConfig, run, start_runs, step_runs
+from morphkv.baselines import (
     h2o_step,
-    init_model,
-    run,
+    keep_window,
+    policy_step,
     scissorhands_step,
     snapkv_policy,
-    start_runs,
-    step_runs,
     streamingllm_step,
 )
-from morphkv.baselines import keep_window, policy_step
-from morphkv.errors import InvalidConfig
+from morphkv.cache import KvCacheState
+from morphkv.model import greedy_token, init_model, prefill
 from morphkv.morph import fuse, select_retained
 
 
@@ -85,12 +78,6 @@ class TestScissorhands:
         scissorhands_step(cache, uniform_step(cache, 1), self.CFG)
         assert cache.pop_evictions() == no_evictions(cache)
 
-    def test_kind_guard(self):
-        with pytest.raises(InvalidConfig):
-            scissorhands_step(
-                KvCacheState(1, 1, 2, 2, 1), None, EvictionPolicyConfig(kind="morphkv")
-            )
-
 
 class TestStreamingLlm:
     def test_pins_first_entries_plus_window(self):
@@ -141,12 +128,6 @@ class TestStreamingLlm:
         # A store no longer than sinks plus window is kept whole.
         assert keep_window(4, 2, 3) == [0, 1, 2, 3]
         assert keep_window(1, 4, 2) == [0]
-
-    def test_kind_guard(self):
-        with pytest.raises(InvalidConfig):
-            streamingllm_step(
-                KvCacheState(1, 1, 2, 2, 1), None, EvictionPolicyConfig(kind="scissorhands")
-            )
 
 
 class TestH2o:
@@ -260,10 +241,6 @@ class TestH2o:
         _, result = self.engine_run(steps=4)
         assert result.trace.eviction_log() == []
 
-    def test_kind_guard(self):
-        with pytest.raises(InvalidConfig):
-            h2o_step(KvCacheState(1, 1, 2, 2, 1), None, 0, EvictionPolicyConfig(kind="morphkv"))
-
 
 class TestSnapKv:
     def model(self):
@@ -282,15 +259,12 @@ class TestSnapKv:
         assert result.trace.eviction_log() == []
 
     def test_matches_manual_selection(self):
-        from morphkv import KvCacheState as Cache
-        from morphkv import init_model, prefill
-
         model = self.model()
         policy = EvictionPolicyConfig(kind="snapkv", recent_window=2, prefill_budget=5)
         w = init_model(model)
-        auto = Cache.for_model(model, policy.recent_window, 12)
+        auto = KvCacheState.for_model(model, policy.recent_window, 12)
         prefill([w], [list(range(12))], [auto])
-        manual = Cache.for_model(model, policy.recent_window, 12)
+        manual = KvCacheState.for_model(model, policy.recent_window, 12)
         prefill([w], [list(range(12))], [manual])
         snapkv_policy(auto, policy)
         for layer in range(model.n_layers):
@@ -305,8 +279,6 @@ class TestSnapKv:
     def test_budget_within_window_keeps_newest(self):
         model = ModelConfig(n_layers=1, n_query_heads=2, n_kv_heads=1, head_dim=4, vocab_size=32, seed=3)
         policy = EvictionPolicyConfig(kind="snapkv", recent_window=4, prefill_budget=2)
-        from morphkv import init_model, prefill
-
         cache = KvCacheState.for_model(model, policy.recent_window, 8)
         prefill([init_model(model)], [list(range(8))], [cache])
         snapkv_policy(cache, policy)
@@ -315,17 +287,11 @@ class TestSnapKv:
     def test_prompt_within_budget_untouched(self):
         model = ModelConfig(n_layers=1, n_query_heads=2, n_kv_heads=1, head_dim=4, vocab_size=32, seed=3)
         policy = EvictionPolicyConfig(kind="snapkv", recent_window=2, prefill_budget=8)
-        from morphkv import init_model, prefill
-
         cache = KvCacheState.for_model(model, policy.recent_window, 5)
         prefill([init_model(model)], [list(range(5))], [cache])
         snapkv_policy(cache, policy)
         assert positions(cache) == [0, 1, 2, 3, 4]
         assert cache.pop_evictions() == no_evictions(cache)
-
-    def test_kind_guard(self):
-        with pytest.raises(InvalidConfig):
-            snapkv_policy(KvCacheState(1, 1, 2, 2, 1), EvictionPolicyConfig(kind="h2o"))
 
 
 class TestDispatch:
@@ -336,13 +302,6 @@ class TestDispatch:
             policy_step(cache, uniform_step(cache, pos), cfg, pos, 0)
         assert cache.occupancy(0) == 6
         assert cache.pop_evictions() == no_evictions(cache)
-
-    def test_unknown_kind_rejected(self):
-        cache = KvCacheState(1, 1, 2, window_capacity=2, capacity=1)
-        bad = EvictionPolicyConfig(kind="morphkv")
-        object.__setattr__(bad, "kind", "mystery")
-        with pytest.raises(InvalidConfig):
-            policy_step(cache, None, bad, 0, 0)
 
     def test_snapkv_decode_dispatch_records_only(self):
         # The decoder records the rows; the dispatch itself leaves the store alone.

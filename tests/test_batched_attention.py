@@ -12,24 +12,25 @@ import math
 import numpy as np
 import pytest
 
-from morphkv import ModelConfig, decode_step, init_model, optimal_subset, prefill
+from morphkv import ModelConfig
 from morphkv.cache import KvCacheState
 from morphkv.errors import EmptyCache, InvalidShape, NonFiniteInput
-from morphkv.numerics import scaled_dot_attention, softmax
-from morphkv.oracle import SUBSET_CHUNK
+from morphkv.model import decode_step, init_model, prefill
+from morphkv.numerics import _softmax_rows, scaled_dot_attention
+from morphkv.oracle import SUBSET_CHUNK, optimal_subset
 
 
 def single_query(q, keys, vals):
     """The one-query, 2-D attention every batched slice must reproduce."""
-    weights = softmax(keys @ q / np.sqrt(q.shape[0]))
+    weights = _softmax_rows(keys @ q / np.sqrt(q.shape[0]))
     return weights, weights @ vals
 
 
-def loop_optimal_subset(query, keys, vals, budget, recent_window, force_recent=True):
+def loop_optimal_subset(query, keys, vals, budget, recent_window):
     """The per-subset enumeration the chunked oracle replaced."""
     n = keys.shape[0]
     _, full_out = single_query(query, keys, vals)
-    forced = tuple(range(n - min(recent_window, budget), n)) if force_recent else ()
+    forced = tuple(range(n - min(recent_window, budget), n))
     best_idx, best_err = None, np.inf
     for combo in itertools.combinations(range(n - len(forced)), budget - len(forced)):
         idx = combo + forced
@@ -140,7 +141,7 @@ class TestDecoderGroups:
 
 class TestChunkedOracle:
     @pytest.mark.parametrize(
-        "seed, n, budget, recent, force",
+        "seed, n, budget, recent, pinned",
         [
             (0, 8, 4, 2, True),
             (1, 8, 4, 2, False),
@@ -152,22 +153,25 @@ class TestChunkedOracle:
             (7, 16, 6, 2, False),
         ],
     )
-    def test_equals_per_subset_loop(self, seed, n, budget, recent, force):
+    def test_equals_per_subset_loop(self, seed, n, budget, recent, pinned):
+        # An unpinned case searches every subset: the search with no window.
+        window = recent if pinned else 0
         rng = np.random.default_rng(seed)
         q, keys, vals = rng.normal(size=8), rng.normal(size=(n, 8)), rng.normal(size=(n, 8))
-        got_idx, got_err = optimal_subset(q, keys, vals, budget, recent, force_recent=force)
-        want_idx, want_err = loop_optimal_subset(q, keys, vals, budget, recent, force)
+        got_idx, got_err = optimal_subset(q, keys, vals, budget, window)
+        want_idx, want_err = loop_optimal_subset(q, keys, vals, budget, window)
         assert got_idx == want_idx
         assert same_bits(got_err, want_err)
 
     def test_cases_reach_past_one_chunk(self):
-        # n=18, budget 8, recent 2 forced and n=16, budget 6 unforced: C(16, 6) each.
+        # n=18, budget 8, recent 2 pinned and n=16, budget 6 unpinned: C(16, 6) each.
         assert math.comb(16, 6) > SUBSET_CHUNK
 
-    @pytest.mark.parametrize("n, budget, recent, force", [(9, 4, 2, True), (18, 8, 2, True), (16, 6, 2, False)])
-    def test_all_ties_keep_first_lexicographic_subset(self, n, budget, recent, force):
+    @pytest.mark.parametrize("n, budget, recent, pinned", [(9, 4, 2, True), (18, 8, 2, True), (16, 6, 2, False)])
+    def test_all_ties_keep_first_lexicographic_subset(self, n, budget, recent, pinned):
         keys = np.ones((n, 4))
         vals = np.tile([0.5, -1.0, 2.0, 0.25], (n, 1))
-        idx, _ = optimal_subset(np.ones(4), keys, vals, budget, recent, force_recent=force)
-        forced = min(recent, budget) if force else 0
+        window = recent if pinned else 0
+        idx, _ = optimal_subset(np.ones(4), keys, vals, budget, window)
+        forced = min(window, budget)
         assert idx == tuple(range(budget - forced)) + tuple(range(n - forced, n))

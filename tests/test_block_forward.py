@@ -21,19 +21,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from morphkv import (
-    EvictionPolicyConfig,
-    KvCacheState,
-    ModelConfig,
-    RunConfig,
-    decode_step,
-    greedy_token,
-    init_model,
-    prefill,
-    start_runs,
-    step_runs,
-)
-from morphkv.model import PREFILL_BLOCK
+from morphkv import EvictionPolicyConfig, ModelConfig, RunConfig, start_runs, step_runs
+from morphkv.cache import KvCacheState
+from morphkv.model import PREFILL_BLOCK, decode_step, greedy_token, init_model, prefill
 
 B = PREFILL_BLOCK
 # Around and across block boundaries: one token, a partial block, one

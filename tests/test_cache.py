@@ -10,21 +10,14 @@ import reference
 from cache_state import no_evictions, raw_state
 from morphkv import (
     EvictionPolicyConfig,
-    KvCacheState,
     ModelConfig,
     RunConfig,
-    decode_step,
-    fuse,
-    greedy_token,
     harness,
-    init_model,
     load_run_config,
-    morphkv_step,
-    prefill,
     start_runs,
     step_runs,
 )
-from morphkv.cache import _PROFILE
+from morphkv.cache import _PROFILE, KvCacheState
 from morphkv.harness import snapshot
 from morphkv.errors import (
     EmptyWindow,
@@ -33,7 +26,8 @@ from morphkv.errors import (
     InvalidParam,
     InvalidShape,
 )
-from morphkv.model import PREFILL_BLOCK
+from morphkv.model import PREFILL_BLOCK, decode_step, greedy_token, init_model, prefill
+from morphkv.morph import fuse, morphkv_step
 from morphkv.trace import peak_occupancy
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"

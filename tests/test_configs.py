@@ -215,6 +215,12 @@ def test_a_prompt_file_needs_no_prompt_length():
     assert RunConfig(prompt_length=0, prompt_file="prompt.txt").prompt_length == 0
 
 
+def test_one_byte_scalars_are_valid():
+    # The width rule's edge, which the byte model trusts the config to hold.
+    assert RunConfig(bytes_per_scalar=1).bytes_per_scalar == 1
+    assert replace(VALID[RunConfig], bytes_per_scalar=1).bytes_per_scalar == 1
+
+
 @pytest.mark.parametrize(
     "text",
     ["[DEFAULT]\nseed = 3\n", "[DEFAULT]\nseed = 3\n\n[policy]\nkind = morphkv\n"],

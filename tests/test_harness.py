@@ -10,24 +10,19 @@ import pytest
 
 from cache_state import no_evictions, raw_state
 from morphkv import (
-    KvCacheState,
     EvictionPolicyConfig,
     ModelConfig,
     RunConfig,
     StepTrace,
     compare,
-    decode_step,
-    fuse,
-    greedy_token,
     harness,
-    init_model,
     load_run_config,
     oracle_regression,
-    prefill,
     run,
     start_runs,
     step_runs,
 )
+from morphkv.cache import KvCacheState
 from morphkv.errors import (
     InstanceTooLarge,
     InternalInvariantViolation,
@@ -48,6 +43,8 @@ from morphkv.harness import (
     write_compare_outputs,
     write_run_outputs,
 )
+from morphkv.model import decode_step, greedy_token, init_model, prefill
+from morphkv.morph import fuse
 from morphkv.trace import peak_occupancy
 
 SMALL_MODEL = ModelConfig(n_layers=2, n_query_heads=4, n_kv_heads=2, head_dim=4, vocab_size=32, seed=41)

@@ -1,5 +1,6 @@
 """Every name a package module imports is used there or listed in ``__all__``,
-and every annotation in the package resolves.
+every annotation in the package resolves, and the package exports exactly
+the public names the README lists.
 
 A removal that leaves its import behind fails here instead of lingering
 as a dependency nothing needs. A name used only in a string annotation
@@ -11,6 +12,7 @@ import ast
 import importlib
 import inspect
 import pkgutil
+import re
 import typing
 from pathlib import Path
 
@@ -18,7 +20,21 @@ import pytest
 
 import morphkv
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "morphkv"
+REPO = Path(__file__).resolve().parent.parent
+SRC = REPO / "src" / "morphkv"
+PUBLIC = [
+    "EvictionPolicyConfig",
+    "ModelConfig",
+    "RunConfig",
+    "RunResult",
+    "StepTrace",
+    "compare",
+    "load_run_config",
+    "oracle_regression",
+    "run",
+    "start_runs",
+    "step_runs",
+]
 
 
 def annotations(tree: ast.AST):
@@ -112,3 +128,15 @@ def test_every_annotation_resolves(name):
         except NameError as exc:
             unresolved.append(f"{qualname}: {exc}")
     assert unresolved == []
+
+
+def test_package_exports_exactly_the_public_names():
+    assert sorted(morphkv.__all__) == PUBLIC
+    assert all(hasattr(morphkv, name) for name in PUBLIC)
+
+
+def test_readme_lists_exactly_the_exports():
+    readme = (REPO / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Python API\n", 1)[1].split("\n## ", 1)[0]
+    listed = re.findall(r"^- `(\w+)`", section, flags=re.MULTILINE)
+    assert sorted(listed) == sorted(morphkv.__all__)

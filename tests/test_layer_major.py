@@ -23,7 +23,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cache_state import no_evictions
-from morphkv import EvictionPolicyConfig, KvCacheState, morph
+from morphkv import EvictionPolicyConfig, morph
+from morphkv.cache import KvCacheState
 from morphkv.baselines import h2o_step, keep_window, scissorhands_step, snapkv_policy, streamingllm_step
 from morphkv.errors import InvalidShape
 from morphkv.morph import fuse, morphkv_step, prefill_compress, select_retained

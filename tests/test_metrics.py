@@ -4,15 +4,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import reference
-from morphkv import (
-    EvictionPolicyConfig,
-    ModelConfig,
-    kv_bytes,
-    relative_cache_ratio,
-    repetition_rate,
-)
+from morphkv import EvictionPolicyConfig, ModelConfig
 from morphkv.errors import EmptyTrace, InvalidParam, TraceMismatch
-from morphkv.metrics import kv_bytes_from_occupancies
+from morphkv.metrics import kv_bytes, kv_bytes_from_occupancies, relative_cache_ratio, repetition_rate
 
 GROUPED = EvictionPolicyConfig(kind="morphkv")
 ALL_HEADS = EvictionPolicyConfig(kind="h2o")
@@ -71,14 +65,6 @@ class TestKvBytes:
         per_scalar = 8
         expected = (7 + 7 + 3 + 4) * 8 * 2 * per_scalar
         assert kv_bytes_from_occupancies(occupancies, model, GROUPED) == expected
-
-    def test_rejects_bad_scalar_width(self):
-        with pytest.raises(InvalidParam):
-            kv_bytes(GROUPED, [1], ModelConfig(), bytes_per_scalar=0)
-
-    def test_grid_accounting_rejects_bad_scalar_width(self):
-        with pytest.raises(InvalidParam):
-            kv_bytes_from_occupancies([[1, 1]], ModelConfig(n_layers=1), GROUPED, 0)
 
 
 class TestCacheRatio:

@@ -1,3 +1,4 @@
+import hashlib
 from dataclasses import fields, replace
 
 import numpy as np
@@ -5,17 +6,8 @@ import pytest
 
 import reference
 from cache_state import raw_state
-from morphkv import (
-    EvictionPolicyConfig,
-    KvCacheState,
-    ModelConfig,
-    decode_step,
-    greedy_token,
-    init_model,
-    prefill,
-    scaled_dot_attention,
-    weights_checksum,
-)
+from morphkv import ModelConfig
+from morphkv.cache import KvCacheState
 from morphkv.errors import (
     CacheNotEmpty,
     EmptyCache,
@@ -25,7 +17,8 @@ from morphkv.errors import (
     InvalidShape,
     InvalidToken,
 )
-from morphkv.model import MLP_MULT
+from morphkv.model import MLP_MULT, decode_step, greedy_token, init_model, prefill
+from morphkv.numerics import scaled_dot_attention
 
 # Frozen at first computation; any drift means the weight stream layout
 # or the draw order changed, which silently invalidates every other
@@ -34,6 +27,18 @@ DEFAULT_CHECKSUM = "62053e08c70ef70340cbfb24fc898528df171dba7eae5f11148949ff91a4
 TINY_CHECKSUM = "cae49ac1201bb2746209600646041b8c2109bc3a200087ff3a60940843573622"
 
 TINY = ModelConfig(n_layers=1, n_query_heads=2, n_kv_heads=1, head_dim=4, vocab_size=16, seed=123)
+
+
+def weights_checksum(weights) -> str:
+    """SHA-256 over the embedding, then each layer's six matrices, as
+    little-endian float64 in C order."""
+    digest = hashlib.sha256()
+    arrays = [weights.embedding]
+    for lw in weights.layers:
+        arrays.extend([lw.w_q, lw.w_k, lw.w_v, lw.w_o, lw.w_in, lw.w_out])
+    for arr in arrays:
+        digest.update(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+    return digest.hexdigest()
 
 
 def fresh_cache(cfg: ModelConfig, entries: int, window: int = 8) -> KvCacheState:

@@ -6,20 +6,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cache_state import no_evictions
-from morphkv import (
-    EvictionPolicyConfig,
-    KvCacheState,
-    ModelConfig,
-    RunConfig,
-    decode_step,
-    fuse,
-    init_model,
-    morphkv_step,
-    prefill,
-    prefill_compress,
-    select_retained,
-)
-from morphkv.errors import InvalidConfig, InvalidParam, InvalidShape
+from morphkv import EvictionPolicyConfig, ModelConfig, RunConfig
+from morphkv.cache import KvCacheState
+from morphkv.errors import InvalidParam, InvalidShape
+from morphkv.model import decode_step, init_model, prefill
+from morphkv.morph import fuse, morphkv_step, prefill_compress, select_retained
 
 
 def entry(pos: int) -> tuple:
@@ -253,12 +244,6 @@ class TestMorphStep:
 
         assert run(0) == run(1000) == [0]
 
-    def test_rejects_foreign_policy_kind(self):
-        cache = KvCacheState(1, 1, 2, window_capacity=2, capacity=1)
-        cfg = EvictionPolicyConfig(kind="scissorhands", recent_window=2)
-        with pytest.raises(InvalidConfig):
-            morphkv_step(cache, None, cfg, 0)
-
     def test_no_eviction_below_budget(self):
         cache = KvCacheState(1, 1, 2, window_capacity=2, capacity=1)
         cache.append(0, *entry(0))
@@ -334,11 +319,6 @@ class TestPrefillCompress:
 
         compress(None)
         compress("max")
-
-    def test_rejects_foreign_policy_kind(self):
-        cache = KvCacheState(1, 1, 2, window_capacity=2, capacity=1)
-        with pytest.raises(InvalidConfig):
-            prefill_compress(cache, EvictionPolicyConfig(kind="h2o"))
 
 
 class TestEngineIntegration:

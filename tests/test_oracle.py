@@ -10,19 +10,22 @@ from morphkv import (
     EvictionPolicyConfig,
     ModelConfig,
     RunConfig,
-    greedy_token,
-    init_model,
     load_run_config,
-    optimal_subset,
     oracle_regression,
-    shadow_error,
     start_runs,
     step_runs,
 )
 from morphkv import harness, model, oracle
 from morphkv.errors import EmptyCache, InstanceTooLarge, InvalidParam, InvalidShape
+from morphkv.model import greedy_token, init_model
 from morphkv.numerics import scaled_dot_attention
-from morphkv.oracle import ENUMERATION_BOUND, _combination_table, subset_output_error
+from morphkv.oracle import (
+    ENUMERATION_BOUND,
+    _combination_table,
+    optimal_subset,
+    shadow_error,
+    subset_output_error,
+)
 
 ORACLE_TINY = Path(__file__).resolve().parents[1] / "configs" / "oracle_tiny.ini"
 
@@ -172,14 +175,26 @@ class TestOptimalSubset:
             (err,) = subset_output_error(q, keys, vals, [combo + forced])
             assert best <= err
 
-    @pytest.mark.parametrize("force_recent", [True, False])
-    def test_rescoring_the_optimum_gives_its_error_bit_for_bit(self, force_recent):
+    @pytest.mark.parametrize("pinned", [True, False])
+    def test_rescoring_the_optimum_gives_its_error_bit_for_bit(self, pinned):
         # A policy's pick is scored by subset_output_error and compared
-        # with the enumerated optimum with no tolerance.
+        # with the enumerated optimum with no tolerance; an unpinned search
+        # has no recent window.
         for seed in range(10):
             q, keys, vals = instance(seed, n=9)
-            idx, err = optimal_subset(q, keys, vals, 4, 2, force_recent=force_recent)
+            idx, err = optimal_subset(q, keys, vals, 4, 2 if pinned else 0)
             assert subset_output_error(q, keys, vals, [idx]) == [err]
+
+    def test_budget_one_keeps_the_best_single_entry(self):
+        # Without a window the one entry kept is the best one by brute force,
+        # the first of equal errors; any window pins the newest instead.
+        for seed in range(5):
+            q, keys, vals = instance(seed, n=7)
+            errors = [subset_output_error(q, keys, vals, [[i]])[0] for i in range(7)]
+            best = errors.index(min(errors))
+            assert optimal_subset(q, keys, vals, 1, 0) == ((best,), errors[best])
+            for window in (1, 3):
+                assert optimal_subset(q, keys, vals, 1, window) == ((6,), errors[6])
 
     def test_forced_recent_tail_is_always_included(self):
         q, keys, vals = instance(5, n=10)
@@ -189,18 +204,18 @@ class TestOptimalSubset:
     def test_unconstrained_search_is_at_least_as_good(self):
         for seed in range(10):
             q, keys, vals = instance(seed, n=9)
-            _, constrained = optimal_subset(q, keys, vals, 4, 2, force_recent=True)
-            _, free = optimal_subset(q, keys, vals, 4, 2, force_recent=False)
+            _, constrained = optimal_subset(q, keys, vals, 4, 2)
+            _, free = optimal_subset(q, keys, vals, 4, 0)
             assert free <= constrained
 
     def test_unconstrained_can_strictly_win(self):
         # Across seeds the free search must sometimes beat the pinned
-        # tail, otherwise force_recent would be vacuous.
+        # tail, otherwise pinning the recent window would be vacuous.
         wins = 0
         for seed in range(20):
             q, keys, vals = instance(seed, n=9)
-            _, constrained = optimal_subset(q, keys, vals, 4, 2, force_recent=True)
-            _, free = optimal_subset(q, keys, vals, 4, 2, force_recent=False)
+            _, constrained = optimal_subset(q, keys, vals, 4, 2)
+            _, free = optimal_subset(q, keys, vals, 4, 0)
             wins += free < constrained - 1e-12
         assert wins > 0
 

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cache_state import no_evictions
-from morphkv import KvCacheState
+from morphkv.cache import KvCacheState
 from morphkv.errors import InternalInvariantViolation, InvalidShape
 
 HEAD_DIM = 3

@@ -4,15 +4,17 @@ import contextlib
 import copy
 import io
 import json
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from morphkv import EvictionPolicyConfig, ModelConfig, StepTrace
 from morphkv.cli import main
 from morphkv.errors import TraceMismatch
-from morphkv.harness import StepTrace
+from morphkv.trace import TRACE_SCHEMA
 
 DATA = Path(__file__).parent / "data"
 GOLDENS = ("trace_interval1.json", "trace_interval8.json")
@@ -224,6 +226,42 @@ def test_golden_with_an_unevictable_position(case, tmp_path, capsys):
     doc = json.loads((DATA / "trace_interval1.json").read_text())
     doc["steps"][step]["evicted"][0][0][index] = position
     assert_input_error(doc, tmp_path, capsys)
+
+
+def window_doc(step_evicts: int) -> dict:
+    """A one-store morphkv trace with a 2-entry window, a budget of 5 and a
+    6-token prompt: the prefill evicts the newest prompt position, 5, and
+    step 0 appends position 6 and evicts ``step_evicts``."""
+    model = ModelConfig(n_layers=1, n_query_heads=1, n_kv_heads=1, head_dim=4, vocab_size=16)
+    policy = EvictionPolicyConfig(distant_capacity=3, recent_window=2, compress_prefill=True)
+    # 5 entries of a 4-scalar key and value, 8 bytes a scalar.
+    record = dict(step=0, token=7, occupancy=[[5]], evicted=[[[step_evicts]]], bytes=5 * 4 * 2 * 8)
+    return {
+        "schema": TRACE_SCHEMA,
+        "model": asdict(model),
+        "policy": asdict(policy),
+        "prompt": [1, 2, 3, 4, 5, 6],
+        "bytes_per_scalar": 8,
+        "prefill_evictions": [[[5]]],
+        "steps": [record],
+    }
+
+
+def test_window_member_behind_an_evicted_newer_position_is_refused():
+    # After step 0 the live positions are 0-4 and 6, so the window is 4 and
+    # 6: position 4 is a window member although it has a newer position, 5,
+    # that the prefill evicted. Evicting 3 instead is a valid trace.
+    assert StepTrace.from_dict(window_doc(3)).records[0].evicted == [[[3]]]
+    with pytest.raises(
+        TraceMismatch, match=r"^step record 0 store \(0,0\) evicts 4, one of its 2 newest positions$"
+    ):
+        StepTrace.from_dict(window_doc(4))
+
+
+def test_one_byte_scalars_load():
+    doc = window_doc(3)
+    doc["bytes_per_scalar"], doc["steps"][0]["bytes"] = 1, 5 * 4 * 2
+    assert StepTrace.from_dict(doc).bytes_per_scalar == 1
 
 
 # Fuzzing: one mutation of a golden per example, fed through ``main``. The
