@@ -103,8 +103,9 @@ def _cmd_metrics(args) -> int:
     with open(args.trace, "r", encoding="utf-8") as fh:
         try:
             document = json.load(fh)
-        except RecursionError as exc:
-            raise errors.TraceMismatch("trace JSON is nested too deeply to parse") from exc
+        # Nesting past the recursion limit, bad JSON and bytes that are not UTF-8.
+        except (RecursionError, ValueError) as exc:
+            raise errors.TraceMismatch(f"cannot parse trace {args.trace}: {exc}") from exc
     trace = StepTrace.from_dict(document)
     sys.stdout.write(render_metrics_csv(trace))
     report = repetition_rate(trace.consumed_tokens(), args.ngram)

@@ -74,13 +74,17 @@ def make_prompt(config: RunConfig) -> list[int]:
     """Seeded random prompt, or one integer token per whitespace field."""
     vocab = config.model.vocab_size
     if config.prompt_file is not None:
-        with open(config.prompt_file, "r", encoding="utf-8") as fh:
-            tokens = [int(tok) for tok in fh.read().split()]
+        # A field int() refuses and bytes that are not UTF-8 are both ValueErrors.
+        try:
+            with open(config.prompt_file, "r", encoding="utf-8") as fh:
+                tokens = [int(tok) for tok in fh.read().split()]
+        except ValueError as exc:
+            raise InvalidConfig(f"prompt file {config.prompt_file}: {exc}") from exc
         if not tokens:
             raise InvalidConfig(f"prompt file {config.prompt_file} holds no tokens")
         for tok in tokens:
             if not 0 <= tok < vocab:
-                raise InvalidToken(f"prompt token {tok} outside vocabulary of {vocab}")
+                raise InvalidToken(f"prompt file {config.prompt_file}: token {tok} outside vocabulary of {vocab}")
         return tokens
     rng = np.random.default_rng([config.model.seed, 1])
     return [int(t) for t in rng.integers(0, vocab, size=config.prompt_length)]
@@ -144,14 +148,13 @@ class Decoding:
             if record is None:
                 self._audit = StepAudit(
                     config.model, config.policy, config.bytes_per_scalar, len(self.trace.prompt),
-                    self.trace.prefill_evictions, config.decode_steps,
+                    self.trace.prefill_evictions,
                 )
             else:
                 self._audit.check(record.step, record.occupancy, record.evicted, record.bytes)
         except TraceMismatch as exc:
             raise InternalInvariantViolation(f"run trace fails its audit: {exc}") from exc
-        live = self._audit.live
-        if any(cache.positions(n).tolist() != live(n) for n in range(cache.n_layers)):
+        if [cache.positions(n).tolist() for n in range(cache.n_layers)] != self._audit.live:
             raise InternalInvariantViolation(f"{where}: cache positions differ from the audit")
 
     def result(self) -> RunResult:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections.abc import Iterator
 from dataclasses import asdict, dataclass, fields
-from itertools import islice
+from itertools import count, islice
 
 from .config import FIELD_TYPES, EvictionPolicyConfig, ModelConfig, RunConfig, field_types, is_int
 from .errors import InvalidConfig, TraceMismatch
@@ -20,26 +20,23 @@ from .metrics import kv_bytes_from_occupancies
 TRACE_SCHEMA = "kv-eviction-trace-v1"
 
 
-def expected_occupancy_stream(
-    policy: EvictionPolicyConfig, prompt_len: int, steps: int, layer: int
-) -> Iterator[int]:
+def expected_occupancy_stream(policy: EvictionPolicyConfig, prompt_len: int, layer: int) -> Iterator[int]:
     """Per-store occupancy a correct engine must show at ``layer``: after
-    the one-shot prompt policy, then after each decode step. Layers that
-    morphkv protects never evict."""
+    the one-shot prompt policy, then after each decode step, without end.
+    Layers that morphkv protects never evict."""
     kind = policy.kind
     budget = policy.cache_budget
     if kind == "morphkv" and layer >= policy.protected_layers:
         alive = min(prompt_len, budget) if policy.compress_prefill else prompt_len
         yield alive
-        for i in range(steps):
+        for i in count():
             alive += 1
             if i % policy.eviction_interval == 0 and alive > budget:
                 alive = budget
             yield alive
-        return
     kept = min(prompt_len, policy.prefill_budget) if kind == "snapkv" else prompt_len
     yield kept
-    for added in range(1, steps + 1):
+    for added in count(1):
         if kind == "scissorhands":
             yield min(prompt_len + added, policy.recent_window)
         elif kind == "streamingllm":
@@ -57,67 +54,65 @@ def peak_occupancy(policy: EvictionPolicyConfig, prompt_len: int, steps: int, n_
     before_append = (
         occ
         for layer in range(n_layers)
-        for occ in islice(expected_occupancy_stream(policy, prompt_len, steps, layer), steps)
+        for occ in islice(expected_occupancy_stream(policy, prompt_len, layer), steps)
     )
     return max(prompt_len, 1 + max(before_append, default=0))
 
 
-def _evict(evicted: list[int], gone: list[int], size: int, recent: int, where: str) -> None:
-    """Add ``gone`` to a store's sorted ``evicted``: live positions, in ``range(size)``
-    and not evicted yet, other than the store's ``recent`` newest."""
-    window = min(recent, size - len(evicted))
+def _evict(live: list[int], gone: list[int], recent: int, where: str) -> None:
+    """Remove ``gone`` from a store's sorted ``live`` positions. Each must be live
+    and outside the store's ``min(recent, len(live))`` newest, counted before any removal."""
+    window = min(recent, len(live))
     for p in gone:
-        i = bisect_left(evicted, p)
-        if not 0 <= p < size or (i < len(evicted) and evicted[i] == p):
+        i = bisect_left(live, p)
+        if i == len(live) or live[i] != p:
             raise TraceMismatch(f"{where} evicts {p} twice or while it is not live")
         # Live positions newer than p; the newest ``window`` are never evicted.
-        if size - 1 - p - (len(evicted) - i) < window:
+        if len(live) - 1 - i < window:
             raise TraceMismatch(f"{where} evicts {p}, one of its {window} newest positions")
-        evicted.insert(i, p)
+        del live[i]
 
 
 class StepAudit:
-    """Replays each store's evictions: its live positions are the ``size``
-    handed out so far less its ``evicted``. :meth:`check` raises
-    :class:`TraceMismatch` unless each store evicts distinct live positions
-    outside its ``recent_window`` newest (counted after the step's append),
-    its occupancy equals the replay and :func:`expected_occupancy_stream`,
-    and the bytes equal the byte model. Prefill evictions need only be
-    distinct prompt positions (snapkv may keep fewer than the window)."""
+    """Replays each store's evictions on ``live[layer][head]``, its live positions
+    oldest first, so its memory and per-step work follow each store's occupancy,
+    not the run's length. :meth:`check` raises :class:`TraceMismatch` unless each
+    store evicts distinct live positions outside its ``recent_window`` newest
+    (counted after the step's append), its occupancy equals the replay and
+    :func:`expected_occupancy_stream`, and the bytes equal the byte model. Prefill
+    evictions need only be distinct prompt positions (snapkv may keep fewer than the window)."""
 
-    def __init__(self, model, policy, per_scalar, prompt_len, prefill_evictions, steps):
+    def __init__(self, model, policy, per_scalar, prompt_len, prefill_evictions):
         self.model, self.policy, self.per_scalar = model, policy, per_scalar
         # Each layer's occupancy after each step, past the prompt policy's.
         self.streams = [
-            list(islice(expected_occupancy_stream(policy, prompt_len, steps, layer), 1, None))
+            islice(expected_occupancy_stream(policy, prompt_len, layer), 1, None)
             for layer in range(model.n_layers)
         ]
-        self.size, self.evicted = prompt_len, [[[] for _ in heads] for heads in prefill_evictions]
+        self.size = prompt_len
+        self.live = [[list(range(prompt_len)) for _ in heads] for heads in prefill_evictions]
         for layer, heads in enumerate(prefill_evictions):
-            for head, (gone, dropped) in enumerate(zip(heads, self.evicted[layer])):
-                _evict(dropped, gone, prompt_len, 0, f"prefill store ({layer},{head})")
+            for head, (gone, live) in enumerate(zip(heads, self.live[layer])):
+                _evict(live, gone, 0, f"prefill store ({layer},{head})")
 
     def check(self, step: int, occupancy, evicted, nbytes) -> None:
         """Check record ``step``, the next in order, and replay its evictions."""
         where = f"step record {step}"
         self.size += 1
         for layer, (stream, heads, occs) in enumerate(zip(self.streams, evicted, occupancy)):
-            for head, (gone, occ, dropped) in enumerate(zip(heads, occs, self.evicted[layer])):
+            kept = next(stream)
+            for head, (gone, occ, live) in enumerate(zip(heads, occs, self.live[layer])):
                 store = f"{where} store ({layer},{head})"
-                _evict(dropped, gone, self.size, self.policy.recent_window, store)
-                if not occ == self.size - len(dropped) == stream[step]:
+                live.append(self.size - 1)
+                _evict(live, gone, self.policy.recent_window, store)
+                if not occ == len(live) == kept:
                     raise TraceMismatch(
                         f"{store} occupancy {occ}, but its evictions leave "
-                        f"{self.size - len(dropped)} and {self.policy.kind} keeps {stream[step]}"
+                        f"{len(live)} and {self.policy.kind} keeps {kept}"
                     )
         expected = kv_bytes_from_occupancies(occupancy, self.model, self.policy, self.per_scalar)
         if nbytes != expected:
             raise TraceMismatch(f"{where} bytes {nbytes}, expected {expected}")
-
-    def live(self, layer: int) -> list[list[int]]:
-        """Each KV head's replayed live positions at ``layer``, oldest first."""
-        drops = map(set, self.evicted[layer])
-        return [[p for p in range(self.size) if p not in drop] for drop in drops]
 
 
 @dataclass
@@ -204,7 +199,7 @@ class StepTrace:
         _check_grid(prefill, model, _is_int_list, "prefill_evictions")
         if not isinstance(steps, list):
             raise TraceMismatch("trace steps must be a list")
-        audit = StepAudit(model, policy, per_scalar, len(prompt), prefill, len(steps))
+        audit = StepAudit(model, policy, per_scalar, len(prompt), prefill)
         for i, rec in enumerate(steps):
             where = f"step record {i}"
             if not isinstance(rec, dict):

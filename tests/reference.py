@@ -112,6 +112,81 @@ class RetentionReplay:
         return evicted
 
 
+def occupancy_closed_form(policy, prompt: int, layer: int, step: int) -> int:
+    """Entries a store at ``layer`` keeps, over a ``prompt``-token prompt,
+    after decode step ``step`` (-1: after the prompt policy), in closed form
+    rather than step by step. A morphkv store that evicts holds
+    ``min(budget, start + j + 1)`` after its newest selecting step ``j`` and
+    then grows by one a step."""
+    added, recent = step + 1, policy.recent_window
+    budget = policy.distant_capacity + recent
+    if policy.kind == "morphkv" and layer >= policy.protected_layers:
+        start = min(prompt, budget) if policy.compress_prefill else prompt
+        if step < 0:
+            return start
+        last = step - step % policy.eviction_interval
+        return min(budget, start + last + 1) + step - last
+    if policy.kind == "snapkv":
+        return min(prompt, policy.prefill_budget) + added
+    if step < 0 or policy.kind in ("morphkv", "full_attention"):
+        return prompt + added
+    if policy.kind == "scissorhands":
+        return min(prompt + added, recent)
+    if policy.kind == "streamingllm":
+        return min(prompt + added, policy.sink_count + recent)
+    return prompt + min(added, budget)  # h2o: prompt entries are immortal
+
+
+class LiveSetReplay:
+    """Set-based replay of a trace's (layer, KV head) stores, a mirror of
+    ``trace.StepAudit`` on another path. Each store is a ``set`` of live
+    positions; a step adds the next position, ``size``, and its newest
+    window is ``sorted(live)[-min(recent, len(live)):]``, taken after that
+    append and before the step's evictions.
+
+    :meth:`prefill` and :meth:`step` return the first rule the evictions
+    break, as ``(layer, head, rule)`` with ``rule`` one of ``"live"`` (a
+    position not live: never handed out, out of range or evicted before),
+    ``"window"`` or ``"occupancy"``; or None when they break none.
+    """
+
+    def __init__(self, n_layers, n_kv_heads, prompt_len, recent):
+        self.size, self.recent = prompt_len, recent
+        self.stores = [[set(range(prompt_len)) for _ in range(n_kv_heads)] for _ in range(n_layers)]
+
+    def prefill(self, evictions):
+        for layer, heads in enumerate(evictions):
+            for head, gone in enumerate(heads):
+                live = self.stores[layer][head]
+                for p in gone:
+                    if p not in live:
+                        return layer, head, "live"
+                    live.remove(p)
+        return None
+
+    def step(self, evictions, occupancy, kept):
+        """Replay one step; ``kept[layer]`` is what the policy leaves there."""
+        position = self.size
+        self.size += 1
+        for layer, heads in enumerate(evictions):
+            for head, gone in enumerate(heads):
+                live = self.stores[layer][head]
+                live.add(position)
+                newest = set(sorted(live)[-min(self.recent, len(live)):])
+                for p in gone:
+                    if p not in live:
+                        return layer, head, "live"
+                    if p in newest:
+                        return layer, head, "window"
+                    live.remove(p)
+                if not occupancy[layer][head] == len(live) == kept[layer]:
+                    return layer, head, "occupancy"
+        return None
+
+    def sorted_stores(self):
+        return [[sorted(live) for live in heads] for heads in self.stores]
+
+
 def kv_bytes_spreadsheet(occupancy, heads, layers, head_dim, bytes_per_scalar) -> int:
     """Cell-by-cell byte count: every store, every entry, key then value."""
     total = 0

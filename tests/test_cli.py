@@ -100,11 +100,11 @@ sys.exit(main(sys.argv[1:]))
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
-def assert_one_error_line(capsys, needle: str = "") -> None:
+def assert_one_error_line(capsys, *needles: str) -> None:
     captured = capsys.readouterr()
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
-    assert needle in lines[0]
+    assert all(needle in lines[0] for needle in needles), lines[0]
     assert captured.out == ""
 
 
@@ -444,6 +444,33 @@ class TestMetricsCommand:
         path.write_text("[" * 100_000)
         assert main(["metrics", "--trace", str(path)]) == 1
         assert_one_error_line(capsys)
+
+
+# Input files a command cannot use: a prompt field that is no integer or
+# outside MORPH_INI's vocabulary of 32, a prompt that is not UTF-8, and a
+# trace cut off after its first byte. The error line must name the file
+# (and the prompt's offending field).
+UNPARSABLE_INPUTS = {
+    "prompt_field": ("run", "prompt.txt", b"3 x 5", "'x'"),
+    "prompt_token": ("run", "prompt.txt", b"3 32 5", "token 32 outside"),
+    "prompt_bytes": ("run", "prompt.txt", b"3 \xff 5", "0xff"),
+    "truncated_trace": ("metrics", "trace.json", b"[", "Expecting value"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNPARSABLE_INPUTS))
+def test_unparsable_input_file_is_named_in_its_error(case, tmp_path, capsys):
+    command, name, content, detail = UNPARSABLE_INPUTS[case]
+    path = tmp_path / name
+    path.write_bytes(content)
+    if command == "run":
+        config = tmp_path / "prompted.ini"
+        config.write_text(MORPH_INI.replace("random:6", f"file:{name}"))
+        argv = ["run", "--config", str(config)]
+    else:
+        argv = ["metrics", "--trace", str(path)]
+    assert main(argv) == 1
+    assert_one_error_line(capsys, str(path), detail)
 
 
 class TestInspectCommand:
