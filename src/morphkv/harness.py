@@ -146,12 +146,9 @@ class Decoding:
         # A run's own trace failing its audit, prefill included, is a bug.
         try:
             if record is None:
-                self._audit = StepAudit(
-                    config.model, config.policy, config.bytes_per_scalar, len(self.trace.prompt),
-                    self.trace.prefill_evictions,
-                )
+                self._audit = StepAudit(self.trace)
             else:
-                self._audit.check(record.step, record.occupancy, record.evicted, record.bytes)
+                self._audit.check(record)
         except TraceMismatch as exc:
             raise InternalInvariantViolation(f"run trace fails its audit: {exc}") from exc
         if [cache.positions(n).tolist() for n in range(cache.n_layers)] != self._audit.live:
@@ -248,31 +245,26 @@ def run(config: RunConfig) -> RunResult:
     return decoding.result()
 
 
-def full_attention_bytes(
-    model: ModelConfig, prompt_len: int, steps: int, bytes_per_scalar: int
-) -> list[int]:
-    """Analytic full-attention byte stream: one entry per token seen."""
-    full = EvictionPolicyConfig(kind="full_attention")
-    return kv_bytes(full, [prompt_len + i + 1 for i in range(steps)], model, bytes_per_scalar)
-
-
-def _format_float(x: float) -> str:
-    return f"{x:.17g}"
-
-
 def cache_ratios(trace: StepTrace) -> list[float]:
-    """Each step's bytes over full attention's at the same step."""
-    full = full_attention_bytes(
-        trace.model, len(trace.prompt), len(trace.records), trace.bytes_per_scalar
-    )
+    """Each step's bytes over full attention's at the same step, which holds every token seen."""
+    seen = [len(trace.prompt) + i + 1 for i in range(len(trace.records))]
+    full = kv_bytes(EvictionPolicyConfig(kind="full_attention"), seen, trace.model, trace.bytes_per_scalar)
     return relative_cache_ratio(trace.byte_stream(), full) if trace.records else []
 
 
-def render_metrics_csv(trace: StepTrace) -> str:
-    lines = ["step,policy,occupancy,bytes,ratio"]
-    for rec, occ, ratio in zip(trace.records, trace.occupancy_totals(), cache_ratios(trace)):
-        lines.append(f"{rec.step},{trace.policy.kind},{occ},{rec.bytes},{_format_float(ratio)}")
+def _csv(header: str, rows) -> str:
+    """CSV text: ``header``, then a line per row of cells, a float in 17
+    significant digits and any other cell by ``str``."""
+    lines = [header]
+    for row in rows:
+        lines.append(",".join([f"{cell:.17g}" if isinstance(cell, float) else str(cell) for cell in row]))
     return "\n".join(lines) + "\n"
+
+
+def render_metrics_csv(trace: StepTrace) -> str:
+    rows = zip(trace.records, trace.occupancy_totals(), cache_ratios(trace))
+    cells = ((rec.step, trace.policy.kind, occ, rec.bytes, ratio) for rec, occ, ratio in rows)
+    return _csv("step,policy,occupancy,bytes,ratio", cells)
 
 
 def snapshot(result: RunResult) -> dict:
@@ -385,35 +377,33 @@ def render_compare_csv(columns: list[PolicyColumn]) -> str:
         header.extend([f"occupancy_{col.label}", f"bytes_{col.label}", f"ratio_{col.label}"])
         if col.error_mean is not None:
             header.append(f"error_{col.label}")
-    lines = [",".join(header)]
     occupancies = [col.trace.occupancy_totals() for col in columns]
+    rows = []
     for step in range(len(columns[0].ratio)):
-        row = [str(step)]
+        row = [step]
         for col, occupancy in zip(columns, occupancies):
-            nbytes = str(col.trace.records[step].bytes)
-            row.extend([str(occupancy[step]), nbytes, _format_float(col.ratio[step])])
+            row.extend([occupancy[step], col.trace.records[step].bytes, col.ratio[step]])
             if col.error_mean is not None:
-                row.append(_format_float(col.error_mean[step]))
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+                row.append(col.error_mean[step])
+        rows.append(row)
+    return _csv(",".join(header), rows)
 
 
 def render_summary_csv(columns: list[PolicyColumn]) -> str:
-    lines = ["label,kind,final_bytes,final_ratio,mean_error,max_error,evictions,repetition_rate"]
+    rows = []
     for col in columns:
         trace, forced = col.trace, col.error_mean is not None
-        cells = [
+        rows.append([
             col.label,
             trace.policy.kind,
-            str(trace.records[-1].bytes),
-            _format_float(col.ratio[-1]),
-            _format_float(col.mean_error) if forced else "",
-            _format_float(float(np.max(col.error_max))) if forced else "",
-            str(trace.total_evictions()),
-            _format_float(col.repetition),
-        ]
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+            trace.records[-1].bytes,
+            col.ratio[-1],
+            col.mean_error if forced else "",
+            float(np.max(col.error_max)) if forced else "",
+            trace.total_evictions(),
+            col.repetition,
+        ])
+    return _csv("label,kind,final_bytes,final_ratio,mean_error,max_error,evictions,repetition_rate", rows)
 
 
 @dataclass(frozen=True)
@@ -510,13 +500,8 @@ def oracle_regression(config: RunConfig, instances: int) -> list[RegressionRow]:
 
 
 def render_regression_csv(rows: list[RegressionRow]) -> str:
-    lines = ["instance_seed,policy,error,optimal_error"]
-    for row in rows:
-        lines.append(
-            f"{row.instance_seed},{row.policy},{_format_float(row.error)},"
-            f"{_format_float(row.optimal_error)}"
-        )
-    return "\n".join(lines) + "\n"
+    cells = ((row.instance_seed, row.policy, row.error, row.optimal_error) for row in rows)
+    return _csv("instance_seed,policy,error,optimal_error", cells)
 
 
 def regression_means(rows: list[RegressionRow]) -> dict[str, float]:
@@ -559,13 +544,12 @@ def check_regression_baseline(rows: list[RegressionRow], baseline_text: str) -> 
     raise InvalidParam("baseline differs from the sweep only in its line endings")
 
 
-# ``[run]`` is not a dataclass: ``prompt`` sets ``prompt_length`` or
-# ``prompt_file``.
-_RUN_KEYS = {
-    "prompt": "str",
-    "decode_steps": "int",
-    "bytes_per_scalar": "int",
-    "debug_invariants": "bool",
+# ``[run]`` holds ``RunConfig``'s own fields, but for ``prompt``, which sets
+# ``prompt_length`` or ``prompt_file``.
+_RUN_KEYS = {"prompt": "str"} | {
+    name: kind
+    for name, kind in field_types(RunConfig).items()
+    if name not in ("model", "policy", "prompt_length", "prompt_file")
 }
 
 

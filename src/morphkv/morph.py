@@ -21,7 +21,7 @@ import numpy as np
 
 from .cache import KvCacheState
 from .config import EvictionPolicyConfig
-from .errors import EmptyWindow, InvalidParam, InvalidShape
+from .errors import EmptyWindow, InvalidShape
 
 
 def fuse(cache: KvCacheState, layers: int | range, fusion: str) -> np.ndarray:
@@ -33,18 +33,14 @@ def fuse(cache: KvCacheState, layers: int | range, fusion: str) -> np.ndarray:
     window and get no score: they are retained unconditionally, so only the
     columns of older (distant) entries are returned, in entry order. Rows
     are combined oldest first, as :meth:`KvCacheState.score_matrix` returns
-    them.
+    them. ``fusion`` is ``"sum"`` or ``"max"``, as a config checks it.
     """
     occ = cache.occupancy(layers)
     distant = occ - min(cache.window_capacity, occ)
     stacked = cache.score_matrix(layers, distant)
     if stacked.shape[-2] == 0:
         raise EmptyWindow("cannot fuse an empty profile window")
-    if fusion == "sum":
-        return stacked.sum(axis=-2)
-    if fusion == "max":
-        return stacked.max(axis=-2)
-    raise InvalidParam(f"unknown fusion {fusion!r}")
+    return stacked.sum(axis=-2) if fusion == "sum" else stacked.max(axis=-2)
 
 
 def select_retained(scores, occupancy: int, distant_capacity: int, recent_window: int) -> np.ndarray:
@@ -55,10 +51,9 @@ def select_retained(scores, occupancy: int, distant_capacity: int, recent_window
     :func:`fuse`'s, and must align with the distant prefix of the entries.
     Returns ``(..., kept)`` indices, each row sorted, so entry order is
     preserved; equal scores favor the larger index (the more recent
-    entry). ``kept`` is ``min(occupancy, distant_capacity + recent_window)``.
+    entry). ``kept`` is ``min(occupancy, distant_capacity + recent_window)``;
+    a config's checks hold ``distant_capacity >= 0`` and ``recent_window >= 1``.
     """
-    if distant_capacity < 0 or recent_window < 1:
-        raise InvalidParam("need distant_capacity >= 0 and recent_window >= 1")
     recent = min(recent_window, occupancy)
     distant_count = occupancy - recent
     ranked = np.asarray(scores, dtype=np.float64)

@@ -3,7 +3,8 @@
 :meth:`StepTrace.to_dict` writes the ``trace.json`` a run leaves behind;
 :meth:`StepTrace.from_dict` reads one back and rejects, with
 :class:`TraceMismatch`, any document ``to_dict`` could not have produced.
-Both it and a run under ``debug_invariants`` check records by :class:`StepAudit`.
+Both it and a run under ``debug_invariants`` hand a :class:`StepTrace`, then
+each :class:`StepRecord` as it is added, to one :class:`StepAudit`.
 """
 
 from __future__ import annotations
@@ -23,28 +24,28 @@ TRACE_SCHEMA = "kv-eviction-trace-v1"
 def expected_occupancy_stream(policy: EvictionPolicyConfig, prompt_len: int, layer: int) -> Iterator[int]:
     """Per-store occupancy a correct engine must show at ``layer``: after
     the one-shot prompt policy, then after each decode step, without end.
-    Layers that morphkv protects never evict."""
-    kind = policy.kind
-    budget = policy.cache_budget
+    A store starts at its count after the prompt policy and grows by one a
+    step, cut back to its cap on each selecting step; stores with no cap
+    never evict."""
+    kind, budget = policy.kind, policy.cache_budget
+    alive, cap, interval = prompt_len, None, 1
     if kind == "morphkv" and layer >= policy.protected_layers:
         alive = min(prompt_len, budget) if policy.compress_prefill else prompt_len
+        cap, interval = budget, policy.eviction_interval
+    elif kind == "snapkv":
+        alive = min(prompt_len, policy.prefill_budget)
+    elif kind == "scissorhands":
+        cap = policy.recent_window
+    elif kind == "streamingllm":
+        cap = policy.sink_count + policy.recent_window
+    elif kind == "h2o":
+        cap = prompt_len + budget  # prompt entries are immortal
+    yield alive
+    for i in count():
+        alive += 1
+        if cap is not None and i % interval == 0:
+            alive = min(alive, cap)
         yield alive
-        for i in count():
-            alive += 1
-            if i % policy.eviction_interval == 0 and alive > budget:
-                alive = budget
-            yield alive
-    kept = min(prompt_len, policy.prefill_budget) if kind == "snapkv" else prompt_len
-    yield kept
-    for added in count(1):
-        if kind == "scissorhands":
-            yield min(prompt_len + added, policy.recent_window)
-        elif kind == "streamingllm":
-            yield min(prompt_len + added, policy.sink_count + policy.recent_window)
-        elif kind == "h2o":
-            yield prompt_len + min(added, budget)
-        else:
-            yield kept + added
 
 
 def peak_occupancy(policy: EvictionPolicyConfig, prompt_len: int, steps: int, n_layers: int) -> int:
@@ -74,45 +75,46 @@ def _evict(live: list[int], gone: list[int], recent: int, where: str) -> None:
 
 
 class StepAudit:
-    """Replays each store's evictions on ``live[layer][head]``, its live positions
+    """Replays each store of ``trace`` on ``live[layer][head]``, its live positions
     oldest first, so its memory and per-step work follow each store's occupancy,
-    not the run's length. :meth:`check` raises :class:`TraceMismatch` unless each
-    store evicts distinct live positions outside its ``recent_window`` newest
-    (counted after the step's append), its occupancy equals the replay and
-    :func:`expected_occupancy_stream`, and the bytes equal the byte model. Prefill
-    evictions need only be distinct prompt positions (snapkv may keep fewer than the window)."""
+    not the run's length. Made, it raises :class:`TraceMismatch` unless the prefill
+    evicts distinct prompt positions (no recency rule: snapkv may keep fewer than
+    the window); :meth:`check` raises it unless each store of a record evicts
+    distinct live positions outside its ``recent_window`` newest (counted after
+    the step's append) and the bytes equal the byte model. After the prefill and
+    after each step, every store's occupancy must equal both the replay and
+    :func:`expected_occupancy_stream`, whose first value is the prefill's."""
 
-    def __init__(self, model, policy, per_scalar, prompt_len, prefill_evictions):
-        self.model, self.policy, self.per_scalar = model, policy, per_scalar
-        # Each layer's occupancy after each step, past the prompt policy's.
-        self.streams = [
-            islice(expected_occupancy_stream(policy, prompt_len, layer), 1, None)
-            for layer in range(model.n_layers)
-        ]
-        self.size = prompt_len
-        self.live = [[list(range(prompt_len)) for _ in heads] for heads in prefill_evictions]
-        for layer, heads in enumerate(prefill_evictions):
+    def __init__(self, trace: StepTrace):
+        self.trace, self.size = trace, len(trace.prompt)
+        self.streams = [expected_occupancy_stream(trace.policy, self.size, n) for n in range(trace.model.n_layers)]
+        self.live = [[list(range(self.size)) for _ in heads] for heads in trace.prefill_evictions]
+        for layer, (stream, heads) in enumerate(zip(self.streams, trace.prefill_evictions)):
+            kept = next(stream)
             for head, (gone, live) in enumerate(zip(heads, self.live[layer])):
-                _evict(live, gone, 0, f"prefill store ({layer},{head})")
+                store = f"prefill store ({layer},{head})"
+                _evict(live, gone, 0, store)
+                if len(live) != kept:
+                    raise TraceMismatch(f"{store} occupancy {len(live)}, but {trace.policy.kind} keeps {kept}")
 
-    def check(self, step: int, occupancy, evicted, nbytes) -> None:
-        """Check record ``step``, the next in order, and replay its evictions."""
-        where = f"step record {step}"
+    def check(self, record: StepRecord) -> None:
+        """Check ``record``, the next in order, and replay its evictions."""
+        trace, where = self.trace, f"step record {record.step}"
         self.size += 1
-        for layer, (stream, heads, occs) in enumerate(zip(self.streams, evicted, occupancy)):
+        for layer, (stream, heads, occs) in enumerate(zip(self.streams, record.evicted, record.occupancy)):
             kept = next(stream)
             for head, (gone, occ, live) in enumerate(zip(heads, occs, self.live[layer])):
                 store = f"{where} store ({layer},{head})"
                 live.append(self.size - 1)
-                _evict(live, gone, self.policy.recent_window, store)
+                _evict(live, gone, trace.policy.recent_window, store)
                 if not occ == len(live) == kept:
                     raise TraceMismatch(
                         f"{store} occupancy {occ}, but its evictions leave "
-                        f"{len(live)} and {self.policy.kind} keeps {kept}"
+                        f"{len(live)} and {trace.policy.kind} keeps {kept}"
                     )
-        expected = kv_bytes_from_occupancies(occupancy, self.model, self.policy, self.per_scalar)
-        if nbytes != expected:
-            raise TraceMismatch(f"{where} bytes {nbytes}, expected {expected}")
+        expected = kv_bytes_from_occupancies(record.occupancy, trace.model, trace.policy, trace.bytes_per_scalar)
+        if record.bytes != expected:
+            raise TraceMismatch(f"{where} bytes {record.bytes}, expected {expected}")
 
 
 @dataclass
@@ -176,7 +178,7 @@ class StepTrace:
         could not have produced: a missing or unknown key, a wrong type, a
         config value its dataclass refuses, a grid that does not match the
         model's (layer, KV head) shape, step records out of order, or a
-        record that fails its :class:`StepAudit`.
+        prefill or record that fails its :class:`StepAudit`.
         """
         if not isinstance(data, dict):
             raise TraceMismatch("a trace must be a JSON object")
@@ -199,7 +201,8 @@ class StepTrace:
         _check_grid(prefill, model, _is_int_list, "prefill_evictions")
         if not isinstance(steps, list):
             raise TraceMismatch("trace steps must be a list")
-        audit = StepAudit(model, policy, per_scalar, len(prompt), prefill)
+        trace = cls(model, policy, list(prompt), per_scalar, prefill, [])
+        audit = StepAudit(trace)
         for i, rec in enumerate(steps):
             where = f"step record {i}"
             if not isinstance(rec, dict):
@@ -213,15 +216,10 @@ class StepTrace:
                 raise TraceMismatch(f"{where} bytes must be a non-negative integer")
             _check_grid(rec["occupancy"], model, is_int, f"{where} occupancy")
             _check_grid(rec["evicted"], model, _is_int_list, f"{where} evicted")
-            audit.check(i, rec["occupancy"], rec["evicted"], rec["bytes"])
-        return cls(
-            model=model,
-            policy=policy,
-            prompt=list(prompt),
-            bytes_per_scalar=per_scalar,
-            prefill_evictions=prefill,
-            records=[StepRecord(**rec) for rec in steps],
-        )
+            record = StepRecord(**rec)
+            audit.check(record)
+            trace.records.append(record)
+        return trace
 
 
 _TRACE_KEYS = frozenset(

@@ -154,7 +154,9 @@ class LiveSetReplay:
         self.size, self.recent = prompt_len, recent
         self.stores = [[set(range(prompt_len)) for _ in range(n_kv_heads)] for _ in range(n_layers)]
 
-    def prefill(self, evictions):
+    def prefill(self, evictions, kept):
+        """Replay the prefill's evictions; ``kept[layer]`` is what the
+        prompt policy leaves there, ``occupancy_closed_form`` at step -1."""
         for layer, heads in enumerate(evictions):
             for head, gone in enumerate(heads):
                 live = self.stores[layer][head]
@@ -162,6 +164,8 @@ class LiveSetReplay:
                     if p not in live:
                         return layer, head, "live"
                     live.remove(p)
+                if len(live) != kept[layer]:
+                    return layer, head, "occupancy"
         return None
 
     def step(self, evictions, occupancy, kept):

@@ -2,10 +2,10 @@
 
 Hypothesis draws tiny models, policies of every kind and eviction grids
 that follow the policy's occupancy rule, then corrupts some of them with
-one bad eviction or occupancy. ``StepAudit`` must refuse exactly the
-record, store and rule that ``reference.LiveSetReplay`` refuses first, and
-until then hold the reference's live positions after the prefill and
-after every step.
+one bad eviction, one occupancy or one prefill eviction too many or too
+few. ``StepAudit`` must refuse exactly the record, store and rule that
+``reference.LiveSetReplay`` refuses first, and until then hold the
+reference's live positions after the prefill and after every step.
 """
 
 import re
@@ -17,16 +17,17 @@ from morphkv import EvictionPolicyConfig, ModelConfig
 from morphkv.config import POLICY_KINDS
 from morphkv.errors import TraceMismatch
 from morphkv.metrics import kv_bytes_from_occupancies
-from morphkv.trace import StepAudit
+from morphkv.trace import StepAudit, StepRecord, StepTrace
 
 from reference import LiveSetReplay, occupancy_closed_form
 
 PER_SCALAR = 8
-# A corruption puts one bad position into an eviction cell, or shifts one
-# occupancy: "evicted" is a position evicted before, "range" one never
-# handed out, "repeated" one the cell already holds, "window" one of the
-# store's newest.
-CORRUPTIONS = ("none", "evicted", "range", "repeated", "window", "occupancy")
+# A corruption puts one bad position into an eviction cell, shifts one
+# occupancy or changes a prefill cell's count: "evicted" is a position
+# evicted before, "range" one never handed out, "repeated" one the cell
+# already holds, "window" one of the store's newest; "prefill_count" drops
+# one of a prefill cell's evictions or evicts one more prompt position.
+CORRUPTIONS = ("none", "evicted", "range", "repeated", "window", "occupancy", "prefill_count")
 RULES = {"twice or while it is not live": "live", "newest positions": "window", "occupancy": "occupancy"}
 WHERE = re.compile(r"^(?:prefill|step record (\d+)) store \((\d+),(\d+)\) ")
 
@@ -86,12 +87,18 @@ def _corrupt(draw, corruption, records, prompt_len, recent):
         size = prompt_len + index  # positions handed out by this record
         for layer, heads in enumerate(before):
             for head, live in enumerate(heads):
+                cell = evicted[layer][head]
                 pool = {
                     "evicted": sorted(set(range(size)) - set(live)),
                     "range": [-1, -3, size, size + 2],
-                    "repeated": list(evicted[layer][head]),
+                    "repeated": list(cell),
                     "window": live[-min(recent, len(live)) :] if index else [],
                     "occupancy": [-2, -1, 1, 2] if index else [],
+                    # Whole replacement cells, one eviction fewer or one more.
+                    "prefill_count": [] if index else (
+                        [cell[:i] + cell[i + 1 :] for i in range(len(cell))]
+                        + [cell + [p] for p in live if p not in cell]
+                    ),
                 }[corruption]
                 if pool:
                     targets.append((index, layer, head, pool))
@@ -102,6 +109,8 @@ def _corrupt(draw, corruption, records, prompt_len, recent):
     _, evicted, occupancy = records[index]
     if corruption == "occupancy":
         occupancy[layer][head] += value
+    elif corruption == "prefill_count":
+        evicted[layer][head] = value
     else:
         cell = evicted[layer][head]
         cell.insert(draw(st.integers(0, len(cell))), value)
@@ -122,27 +131,34 @@ def _refusal(exc: TraceMismatch):
 # the occupancy rule would refuse the record too.
 ONE_STORE = ModelConfig(n_layers=1, n_query_heads=1, n_kv_heads=1, head_dim=2, vocab_size=4)
 SHORT_STORE = (ONE_STORE, EvictionPolicyConfig(distant_capacity=0, recent_window=3), 1, [[[]]], [([[[0]]], [[1]])])
+# A snapkv prefill that evicts nothing leaves all 5 prompt entries where
+# its budget keeps 2: refused by the occupancy rule before any step.
+UNCUT_PREFILL = (ONE_STORE, EvictionPolicyConfig(kind="snapkv", prefill_budget=2), 5, [[[]]], [])
 
 
 @settings(max_examples=300, deadline=None)
 @given(case=audit_cases())
 @example(case=SHORT_STORE)
+@example(case=UNCUT_PREFILL)
 def test_audit_refuses_where_the_set_replay_does_and_holds_its_live_positions(case):
     model, policy, prompt_len, prefill, records = case
     reference = LiveSetReplay(model.n_layers, model.n_kv_heads, prompt_len, policy.recent_window)
-    expected = reference.prefill(prefill)
+
+    def kept(step):
+        return [occupancy_closed_form(policy, prompt_len, layer, step) for layer in range(model.n_layers)]
+
+    expected = reference.prefill(prefill, kept(-1))
     try:
-        audit = StepAudit(model, policy, PER_SCALAR, prompt_len, prefill)
+        audit = StepAudit(StepTrace(model, policy, [0] * prompt_len, PER_SCALAR, prefill, []))
     except TraceMismatch as exc:
         assert expected is not None and _refusal(exc) == (None, *expected), exc
         return
     assert expected is None and audit.live == reference.sorted_stores()
     for step, (evicted, occupancy) in enumerate(records):
-        kept = [occupancy_closed_form(policy, prompt_len, layer, step) for layer in range(model.n_layers)]
-        expected = reference.step(evicted, occupancy, kept)
+        expected = reference.step(evicted, occupancy, kept(step))
         nbytes = kv_bytes_from_occupancies(occupancy, model, policy, PER_SCALAR)
         try:
-            audit.check(step, occupancy, evicted, nbytes)
+            audit.check(StepRecord(step, 0, occupancy, evicted, nbytes))
         except TraceMismatch as exc:
             assert expected is not None and _refusal(exc) == (step, *expected), exc
             return

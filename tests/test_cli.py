@@ -336,9 +336,9 @@ class TestOracleCommand:
         checked: dict[StepAudit, list[int]] = {}
         check = StepAudit.check
 
-        def counted(audit, step, *args):
-            checked.setdefault(audit, []).append(step)
-            return check(audit, step, *args)
+        def counted(audit, record):
+            checked.setdefault(audit, []).append(record.step)
+            return check(audit, record)
 
         monkeypatch.setattr(StepAudit, "check", counted)
         argv = ["oracle", "--config", oracle_config_file, "--instances", "3"]

@@ -33,8 +33,8 @@ from morphkv.errors import (
     TraceMismatch,
 )
 from morphkv.harness import (
+    cache_ratios,
     check_regression_baseline,
-    full_attention_bytes,
     make_prompt,
     regression_means,
     render_compare_csv,
@@ -43,6 +43,7 @@ from morphkv.harness import (
     write_compare_outputs,
     write_run_outputs,
 )
+from morphkv.metrics import kv_bytes
 from morphkv.model import decode_step, greedy_token, init_model, prefill
 from morphkv.morph import fuse
 from morphkv.trace import peak_occupancy
@@ -872,5 +873,7 @@ class TestFullAttentionBytes:
     def test_matches_full_run(self):
         config = small_run_config("full_attention")
         result = run(config)
-        analytic = full_attention_bytes(SMALL_MODEL, 6, 8, 8)
+        # One entry per token seen: the 6-token prompt and each step's.
+        analytic = kv_bytes(config.policy, [6 + i + 1 for i in range(8)], SMALL_MODEL, 8)
         assert result.trace.byte_stream() == analytic
+        assert cache_ratios(result.trace) == [1.0] * 8

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from cache_state import no_evictions
 from morphkv import EvictionPolicyConfig, ModelConfig, RunConfig
 from morphkv.cache import KvCacheState
-from morphkv.errors import InvalidParam, InvalidShape
+from morphkv.errors import InvalidShape
 from morphkv.model import decode_step, init_model, prefill
 from morphkv.morph import fuse, morphkv_step, prefill_compress, select_retained
 
@@ -64,12 +64,6 @@ class TestSelectRetained:
     def test_rejects_misaligned_scores(self):
         with pytest.raises(InvalidShape):
             select_one(5, [0.1, 0.2], 2, 2)
-
-    def test_rejects_bad_params(self):
-        with pytest.raises(InvalidParam):
-            select_one(3, [0.1], -1, 2)
-        with pytest.raises(InvalidParam):
-            select_one(3, [0.1], 2, 0)
 
     @given(
         st.integers(1, 20),

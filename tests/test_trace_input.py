@@ -258,6 +258,24 @@ def test_window_member_behind_an_evicted_newer_position_is_refused():
         StepTrace.from_dict(window_doc(4))
 
 
+def test_prefill_that_leaves_too_many_entries_is_refused(tmp_path, capsys):
+    # snapkv at prefill_budget 2 keeps 2 of a 5-token prompt, but this
+    # prefill evicts nothing; with no step record after it, only the
+    # prefill's own count can refuse the trace.
+    doc = dict(
+        window_doc(3),
+        policy=asdict(EvictionPolicyConfig(kind="snapkv", prefill_budget=2)),
+        prompt=[1, 2, 3, 4, 5],
+        prefill_evictions=[[[]]],
+        steps=[],
+    )
+    path = tmp_path / "trace.json"
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["metrics", "--trace", str(path)]) == 1
+    assert capsys.readouterr().err == "error: prefill store (0,0) occupancy 5, but snapkv keeps 2\n"
+
+
 def test_one_byte_scalars_load():
     doc = window_doc(3)
     doc["bytes_per_scalar"], doc["steps"][0]["bytes"] = 1, 5 * 4 * 2
