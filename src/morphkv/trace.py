@@ -78,12 +78,13 @@ class StepAudit:
     """Replays each store of ``trace`` on ``live[layer][head]``, its live positions
     oldest first, so its memory and per-step work follow each store's occupancy,
     not the run's length. Made, it raises :class:`TraceMismatch` unless the prefill
-    evicts distinct prompt positions (no recency rule: snapkv may keep fewer than
-    the window); :meth:`check` raises it unless each store of a record evicts
-    distinct live positions outside its ``recent_window`` newest (counted after
-    the step's append) and the bytes equal the byte model. After the prefill and
-    after each step, every store's occupancy must equal both the replay and
-    :func:`expected_occupancy_stream`, whose first value is the prefill's."""
+    evicts distinct prompt positions outside each store's
+    ``min(recent_window, kept)`` newest, ``kept`` being what the prompt policy
+    leaves; :meth:`check` raises it unless each store of a record evicts distinct
+    live positions outside its ``recent_window`` newest (counted after the step's
+    append) and the bytes equal the byte model. After the prefill and after each
+    step, every store's occupancy must equal both the replay and
+    :func:`expected_occupancy_stream`, whose first value is ``kept``."""
 
     def __init__(self, trace: StepTrace):
         self.trace, self.size = trace, len(trace.prompt)
@@ -93,7 +94,7 @@ class StepAudit:
             kept = next(stream)
             for head, (gone, live) in enumerate(zip(heads, self.live[layer])):
                 store = f"prefill store ({layer},{head})"
-                _evict(live, gone, 0, store)
+                _evict(live, gone, min(trace.policy.recent_window, kept), store)
                 if len(live) != kept:
                     raise TraceMismatch(f"{store} occupancy {len(live)}, but {trace.policy.kind} keeps {kept}")
 

@@ -12,8 +12,8 @@ Golden checks come in two kinds. Decision goldens pin only tokens,
 evictions, occupancies and exact integer bytes, which hold under every
 SIMD dispatch and BLAS kernel. Float goldens pin float bits as well, which
 hold only under the default dispatch and kernels; each carries the
-``float_golden`` marker, and ``tests/test_goldens.py`` keeps them out of
-CI's ``PORTABLE_TESTS``.
+``float_golden`` marker, and CI runs the ``-m "not float_golden"``
+selection under other dispatches and kernels.
 """
 
 import sys

@@ -156,13 +156,18 @@ class LiveSetReplay:
 
     def prefill(self, evictions, kept):
         """Replay the prefill's evictions; ``kept[layer]`` is what the
-        prompt policy leaves there, ``occupancy_closed_form`` at step -1."""
+        prompt policy leaves there, ``occupancy_closed_form`` at step -1.
+        None of a store's ``min(recent, kept[layer])`` newest prompt
+        positions may go."""
         for layer, heads in enumerate(evictions):
+            newest = set(range(self.size - min(self.recent, kept[layer]), self.size))
             for head, gone in enumerate(heads):
                 live = self.stores[layer][head]
                 for p in gone:
                     if p not in live:
                         return layer, head, "live"
+                    if p in newest:
+                        return layer, head, "window"
                     live.remove(p)
                 if len(live) != kept[layer]:
                     return layer, head, "occupancy"

@@ -25,8 +25,9 @@ PER_SCALAR = 8
 # A corruption puts one bad position into an eviction cell, shifts one
 # occupancy or changes a prefill cell's count: "evicted" is a position
 # evicted before, "range" one never handed out, "repeated" one the cell
-# already holds, "window" one of the store's newest; "prefill_count" drops
-# one of a prefill cell's evictions or evicts one more prompt position.
+# already holds, "window" one of the store's newest, in a step or in the
+# prefill; "prefill_count" drops one of a prefill cell's evictions or evicts
+# one more prompt position.
 CORRUPTIONS = ("none", "evicted", "range", "repeated", "window", "occupancy", "prefill_count")
 RULES = {"twice or while it is not live": "live", "newest positions": "window", "occupancy": "occupancy"}
 WHERE = re.compile(r"^(?:prefill|step record (\d+)) store \((\d+),(\d+)\) ")
@@ -55,12 +56,13 @@ def audit_cases(draw):
     records = []
     for step in range(-1, steps):
         position = prompt_len + step
-        window = 0 if step < 0 else policy.recent_window
         before = [[] for _ in stores]
         evicted = [[] for _ in stores]
         occupancy = [[] for _ in stores]
         for layer, heads in enumerate(stores):
             kept = occupancy_closed_form(policy, prompt_len, layer, step)
+            # The prompt policy keeps a store's newest min(recent_window, kept).
+            window = policy.recent_window if step >= 0 else min(policy.recent_window, kept)
             for live in heads:
                 if step >= 0:
                     live.add(position)
@@ -83,16 +85,17 @@ def audit_cases(draw):
 def _corrupt(draw, corruption, records, prompt_len, recent):
     """Apply ``corruption`` to one (record, store) it can apply to."""
     targets = []
-    for index, (before, evicted, _) in enumerate(records):
+    for index, (before, evicted, occupancy) in enumerate(records):
         size = prompt_len + index  # positions handed out by this record
         for layer, heads in enumerate(before):
             for head, live in enumerate(heads):
                 cell = evicted[layer][head]
+                window = recent if index else min(recent, occupancy[layer][head])
                 pool = {
                     "evicted": sorted(set(range(size)) - set(live)),
                     "range": [-1, -3, size, size + 2],
                     "repeated": list(cell),
-                    "window": live[-min(recent, len(live)) :] if index else [],
+                    "window": live[-min(window, len(live)) :],
                     "occupancy": [-2, -1, 1, 2] if index else [],
                     # Whole replacement cells, one eviction fewer or one more.
                     "prefill_count": [] if index else (
@@ -134,12 +137,22 @@ SHORT_STORE = (ONE_STORE, EvictionPolicyConfig(distant_capacity=0, recent_window
 # A snapkv prefill that evicts nothing leaves all 5 prompt entries where
 # its budget keeps 2: refused by the occupancy rule before any step.
 UNCUT_PREFILL = (ONE_STORE, EvictionPolicyConfig(kind="snapkv", prefill_budget=2), 5, [[[]]], [])
+# A compressed prefill with a window of 2 that evicts position 5, the newest
+# of a 6-token prompt: refused by the window rule, its count being right.
+NEWEST_PREFILL = (
+    ONE_STORE,
+    EvictionPolicyConfig(distant_capacity=3, recent_window=2, compress_prefill=True),
+    6,
+    [[[5]]],
+    [],
+)
 
 
 @settings(max_examples=300, deadline=None)
 @given(case=audit_cases())
 @example(case=SHORT_STORE)
 @example(case=UNCUT_PREFILL)
+@example(case=NEWEST_PREFILL)
 def test_audit_refuses_where_the_set_replay_does_and_holds_its_live_positions(case):
     model, policy, prompt_len, prefill, records = case
     reference = LiveSetReplay(model.n_layers, model.n_kv_heads, prompt_len, policy.recent_window)

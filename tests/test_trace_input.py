@@ -230,7 +230,7 @@ def test_golden_with_an_unevictable_position(case, tmp_path, capsys):
 
 def window_doc(step_evicts: int) -> dict:
     """A one-store morphkv trace with a 2-entry window, a budget of 5 and a
-    6-token prompt: the prefill evicts the newest prompt position, 5, and
+    6-token prompt: the prefill evicts the oldest prompt position, 0, and
     step 0 appends position 6 and evicts ``step_evicts``."""
     model = ModelConfig(n_layers=1, n_query_heads=1, n_kv_heads=1, head_dim=4, vocab_size=16)
     policy = EvictionPolicyConfig(distant_capacity=3, recent_window=2, compress_prefill=True)
@@ -242,20 +242,31 @@ def window_doc(step_evicts: int) -> dict:
         "policy": asdict(policy),
         "prompt": [1, 2, 3, 4, 5, 6],
         "bytes_per_scalar": 8,
-        "prefill_evictions": [[[5]]],
+        "prefill_evictions": [[[0]]],
         "steps": [record],
     }
 
 
-def test_window_member_behind_an_evicted_newer_position_is_refused():
-    # After step 0 the live positions are 0-4 and 6, so the window is 4 and
-    # 6: position 4 is a window member although it has a newer position, 5,
-    # that the prefill evicted. Evicting 3 instead is a valid trace.
-    assert StepTrace.from_dict(window_doc(3)).records[0].evicted == [[[3]]]
+def test_step_that_evicts_a_window_member_is_refused():
+    # After step 0's append the live positions are 1-6, so the window is 5
+    # and 6: evicting 5 is refused, evicting 4 instead is a valid trace.
+    assert StepTrace.from_dict(window_doc(4)).records[0].evicted == [[[4]]]
     with pytest.raises(
-        TraceMismatch, match=r"^step record 0 store \(0,0\) evicts 4, one of its 2 newest positions$"
+        TraceMismatch, match=r"^step record 0 store \(0,0\) evicts 5, one of its 2 newest positions$"
     ):
-        StepTrace.from_dict(window_doc(4))
+        StepTrace.from_dict(window_doc(5))
+
+
+def test_prefill_that_evicts_a_newest_prompt_position_is_refused(tmp_path, capsys):
+    # The prompt policy keeps its newest min(recent_window, kept) = 2 prompt
+    # positions, so a prefill that evicts 5, the newest, is refused although
+    # it leaves the right count and step 0 would pass.
+    doc = dict(window_doc(3), prefill_evictions=[[[5]]])
+    path = tmp_path / "trace.json"
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["metrics", "--trace", str(path)]) == 1
+    assert capsys.readouterr().err == "error: prefill store (0,0) evicts 5, one of its 2 newest positions\n"
 
 
 def test_prefill_that_leaves_too_many_entries_is_refused(tmp_path, capsys):
