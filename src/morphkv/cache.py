@@ -13,13 +13,15 @@ one append adds an entry to each head of a layer and one
 are ``(layers, heads, capacity, head_dim)``, so each head's live keys are a
 row-major ``(n, head_dim)`` block. Every buffer is allocated once, at the
 ``capacity`` its run sizes it to (the most entries any store of the run
-will hold), and never grows: an append into a full layer is a bug. The
-profile ``(layers, heads, capacity, window_capacity)`` holds the newest
-aggregated attention rows as columns, a layer's ``r``-th recorded row in
-ring slot ``r % window_capacity``, read back oldest first as a C-contiguous
-``(..., rows, columns)`` copy, the order and layout :func:`morph.fuse` sums
-them in. A new entry's profile row is zero (a token cannot have attended
-to entries created after it), and evicted entries leave with their rows.
+will hold), and never grows: the forward checks that every store has room
+for its rows before its first append, and a store without room is a
+sizing bug. The profile ``(layers, heads, capacity, window_capacity)``
+holds the newest aggregated attention rows as columns, a layer's ``r``-th
+recorded row in ring slot ``r % window_capacity``, read back oldest first
+as a C-contiguous ``(..., rows, columns)`` copy, the order and layout
+:func:`morph.fuse` sums them in. A new entry's profile row is zero (a
+token cannot have attended to entries created after it), and evicted
+entries leave with their rows.
 Received attention is the running total of every recorded row, prefill
 rows included, so only the profile depends on the ring's capacity: a copy
 re-windowed to a smaller ring, or to any ring before this one has wrapped,
@@ -36,6 +38,12 @@ and :meth:`score_matrix` take such a range, or one layer as an int, which
 drops the layer axis as numpy indexing does; they and :meth:`keep` raise
 :class:`InvalidShape` for a stack whose layers differ.
 
+Trust: ``harness.start_runs`` makes every cache, its sizes from checked
+configs, and the forward's own rows fill it, so :meth:`append` and
+:meth:`record_step_profiles` take their arguments as given. The calls a
+policy makes (stacks, :meth:`score_matrix`, :meth:`keep`) and
+:meth:`copy` check theirs.
+
 View lifetime: :meth:`KvCacheState.keys_matrix`, :meth:`values_matrix`,
 :meth:`positions` and :meth:`received` return read-only views of live
 entries, not copies. A view is valid until the next :meth:`append`,
@@ -50,7 +58,7 @@ from __future__ import annotations
 import numpy as np
 
 from .config import ModelConfig
-from .errors import InternalInvariantViolation, InvalidConfig, InvalidParam, InvalidShape
+from .errors import InternalInvariantViolation, InvalidParam, InvalidShape
 
 # Order of the cache's buffers, and their dtypes. Every buffer's axes are
 # (layer, head, entry, ...), so one allocation and one index serve them all.
@@ -72,8 +80,6 @@ class KvCacheState:
     """
 
     def __init__(self, n_layers: int, n_kv_heads: int, head_dim: int, window_capacity: int, capacity: int):
-        if min(n_layers, n_kv_heads, head_dim, window_capacity, capacity) < 1:
-            raise InvalidConfig("a cache needs at least one layer, KV head, head dimension, ring slot and entry")
         self.n_layers, self.n_kv_heads, self.head_dim = n_layers, n_kv_heads, head_dim
         self.window_capacity, self.capacity = window_capacity, capacity
         self._n, self._recorded = [0] * n_layers, [0] * n_layers
@@ -131,21 +137,12 @@ class KvCacheState:
                 raise InvalidShape(f"layers {first}..{stop - 1} differ in occupancy or recorded profile rows")
         return (layers if stack is not layers else slice(first, stop)), first
 
-    def matches(self, model: ModelConfig) -> bool:
-        """Whether the stores have ``model``'s layer, KV head and head dimension counts."""
-        return (self.n_layers, self.n_kv_heads, self.head_dim) == (
-            model.n_layers, model.n_kv_heads, model.head_dim
-        )
-
     def occupancy(self, layers: int | range) -> int:
         """Entries each KV head of ``layers`` (one layer or a stack) holds."""
         return self._n[self._stack(layers)[1]]
 
     def occupancies(self) -> list[list[int]]:
         return [[n] * self.n_kv_heads for n in self._n]
-
-    def min_occupancy(self) -> int:
-        return min(self._n)
 
     def max_occupancy(self) -> int:
         return max(self._n)
@@ -156,13 +153,9 @@ class KvCacheState:
 
     def append(self, layer: int, keys, values, position: int) -> None:
         """Add one entry to every KV head of ``layer``: rotated key and value
-        rows ``(heads, head_dim)`` and the entry's absolute position. A full
-        layer means the run was sized wrong: :class:`InternalInvariantViolation`."""
-        n, shape = self._n[layer], (self.n_kv_heads, self.head_dim)
-        if np.shape(keys) != shape or np.shape(values) != shape:
-            raise InvalidShape(f"cache entries must be one vector per KV head, shape {shape}")
-        if n == self.capacity:
-            raise InternalInvariantViolation(f"layer {layer} is full: its stores hold all {n} entries")
+        rows ``(heads, head_dim)`` and the entry's absolute position. The
+        layer has room: the forward checks that before its first append."""
+        n = self._n[layer]
         k, v, positions, received, profile = self._buffers
         k[layer, :, n], v[layer, :, n], positions[layer, :, n] = keys, values, position
         # A new entry has received no attention and is in no row held so far.
@@ -203,20 +196,12 @@ class KvCacheState:
 
     def record_step_profiles(self, layer: int, group_rows) -> None:
         """Record one token's attention at ``layer``: ``group_rows`` is
-        ``(heads, group, n)``, one row per query head over the live entries.
-        Each head's group rows are summed into one profile row, dropping the
-        oldest row once ``window_capacity`` are held."""
-        n, heads = self._n[layer], self.n_kv_heads
-        try:
-            rows = np.asarray(group_rows, dtype=np.float64)
-        except ValueError as exc:
-            raise InvalidShape("group rows must share one length") from exc
-        if rows.ndim != 3 or rows.shape[1] < 1 or rows.shape[::2] != (heads, n):
-            raise InvalidShape(
-                f"profile rows have shape {rows.shape} but layer {layer} holds "
-                f"{n} entries in each of {heads} KV heads"
-            )
-        summed = rows.sum(axis=1)
+        ``(heads, group, n)``, one row per query head over the live entries,
+        as the forward computes them. Each head's group rows are summed into
+        one profile row, dropping the oldest row once ``window_capacity``
+        are held."""
+        n = self._n[layer]
+        summed = np.asarray(group_rows, dtype=np.float64).sum(axis=1)
         self._buffers[_PROFILE][layer, :, :n, self._recorded[layer] % self.window_capacity] = summed
         self._buffers[_RECEIVED][layer, :, :n] += summed
         self._recorded[layer] += 1

@@ -13,14 +13,6 @@ class EmptyCache(ValueError):
     """An operation needs at least one cache entry."""
 
 
-class EmptyWindow(ValueError):
-    """The attention profile window holds no rows."""
-
-
-class EmptyTrace(ValueError):
-    """A stream operation received an empty or degenerate trace."""
-
-
 class InvalidConfig(ValueError):
     """A configuration value violates its documented constraints."""
 
@@ -31,10 +23,6 @@ class InvalidToken(ValueError):
 
 class InvalidParam(ValueError):
     """A parameter is outside its documented range."""
-
-
-class CacheNotEmpty(ValueError):
-    """Prefill requires an empty cache."""
 
 
 class TraceMismatch(ValueError):

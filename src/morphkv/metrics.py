@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .config import EvictionPolicyConfig, ModelConfig
-from .errors import EmptyTrace, InvalidParam, TraceMismatch
+from .errors import InvalidParam
 
 # Policies that keep one copy of every entry per query head instead of one per
 # KV-head group: it changes the bytes counted, never which tokens are retained.
@@ -59,15 +59,9 @@ def kv_bytes_from_occupancies(
 
 
 def relative_cache_ratio(policy_bytes, full_bytes) -> list[float]:
-    """Elementwise policy bytes over full-attention bytes."""
-    policy_bytes = list(policy_bytes)
-    full_bytes = list(full_bytes)
-    if not policy_bytes or not full_bytes:
-        raise EmptyTrace("cannot compare empty byte streams")
-    if len(policy_bytes) != len(full_bytes):
-        raise TraceMismatch("byte streams differ in length")
-    if any(b == 0 for b in full_bytes):
-        raise EmptyTrace("full-attention byte stream hits zero")
+    """Elementwise policy bytes over full-attention bytes. The one caller,
+    ``harness.cache_ratios``, passes streams of one non-zero length, and
+    full attention holds at least the prompt at every step."""
     return [p / f for p, f in zip(policy_bytes, full_bytes)]
 
 

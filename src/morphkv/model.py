@@ -18,6 +18,10 @@ layer's dense math. ``prefill`` and ``decode_step`` take one weights
 object per cache: one object repeated, or objects of one model shape
 (``ModelConfig.same_shape``), whose every matrix is then stacked along a
 new first axis, one slice per cache, which that cache's rows multiply.
+
+Run inputs are checked once, where they enter: ``harness.start_runs``
+and ``step_runs``. ``prefill`` and ``decode_step`` refuse only what
+``step_runs`` can hand them, plus a cache without room, a sizing bug.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ import numpy as np
 
 from .cache import KvCacheState
 from .config import ModelConfig
-from .errors import CacheNotEmpty, EmptyCache, InternalInvariantViolation, InvalidParam, InvalidShape, InvalidToken
+from .errors import InternalInvariantViolation, InvalidParam, InvalidShape, InvalidToken
 from .numerics import apply_rope, scaled_dot_attention
 
 MLP_MULT = 4
@@ -195,18 +199,14 @@ def prefill(weights, prompts, caches) -> list[StepOutput]:
     the profiles end up holding the rows of the last ``window_capacity``
     prompt positions that the one-shot prompt compression consumes. Each
     output is bit-equal to feeding its cache's prompt alone, one token at
-    a time. Every input, a cache too small for its prompt included, is
-    checked before any cache changes.
+    a time. ``start_runs``, the one caller, checks what the prompts are
+    made of and makes the caches empty and shaped for the model, so both
+    are trusted here; the checks shared with ``decode_step`` still run
+    before any cache changes, and a cache too small for its prompt is a
+    sizing bug.
     """
     weights = _lockstep_weights(weights, prompts, caches, "prefill", "prompt")
-    prompts = [[_check_token(t, weights.config) for t in tokens] for tokens in prompts]
     length = len(prompts[0])
-    if not length:
-        raise InvalidShape("prompt must contain at least one token")
-    if any(len(tokens) != length for tokens in prompts):
-        raise InvalidShape("prefill needs prompts of one length")
-    if any(each.max_occupancy() for each in caches):
-        raise CacheNotEmpty("prefill needs an empty cache")
     _check_room(caches, length, "prefill")
     for start in range(0, length, PREFILL_BLOCK):
         block = range(start, min(start + PREFILL_BLOCK, length))
@@ -232,21 +232,17 @@ def _stacked(weights: tuple[DecoderWeights, ...]) -> DecoderWeights:
 
 
 def _lockstep_weights(weights, inputs, caches, caller: str, what: str) -> DecoderWeights:
-    """Check a forward's per-cache input: one ``what`` and one weights
-    object per cache, no cache twice, every cache shaped for the model.
-    Returns the one weights object the forward runs on: the list's one
-    object when every entry is the same, else the stack of them."""
+    """Check what ``step_runs`` can hand a forward: one ``what`` per cache
+    and no cache twice. Returns the one weights object the forward runs on:
+    the list's one object when every entry is the same, else the stack of
+    them. Its callers pass one weights object per cache, and ``start_runs``
+    shapes every cache for its run's model."""
     weights, n = tuple(weights), len(caches)
     if not n or len(inputs) != n:
         raise InvalidShape(f"{caller} needs one {what} per cache, got {len(inputs)} for {n}")
     if n > 1 and len(set(map(id, caches))) != n:
         raise InvalidParam(f"{caller} got the same cache twice")
-    if len(weights) != n:
-        raise InvalidShape(f"{caller} needs one weights object per cache, got {len(weights)} for {n}")
-    weights = weights[0] if all(w is weights[0] for w in weights) else _stacked(weights)
-    if not all(cache.matches(weights.config) for cache in caches):
-        raise InvalidShape("cache is shaped for another model")
-    return weights
+    return weights[0] if all(w is weights[0] for w in weights) else _stacked(weights)
 
 
 def _check_room(caches, rows: int, caller: str) -> None:
@@ -268,12 +264,12 @@ def decode_step(weights, tokens, caches) -> list[StepOutput]:
     aggregated attention rows into every store, as prefill does, so the
     policy that runs next sees the step's row in place. Policies never
     record. Returns one output per cache, each bit-equal to stepping that
-    cache alone. Every input, a full cache included, is checked before any
-    cache changes.
+    cache alone. Every bad input ``step_runs`` can hand it (a token outside the
+    vocabulary, a token count other than the cache count, the same cache
+    twice, weights of two model shapes) is refused before any cache changes,
+    and so is a full cache, which is a sizing bug.
     """
     weights = _lockstep_weights(weights, tokens, caches, "decode_step", "token")
-    if any(cache.min_occupancy() == 0 for cache in caches):
-        raise EmptyCache("decode_step needs a prompt in every store of every cache")
     _check_room(caches, 1, "decode_step")
     tokens = [_check_token(token, weights.config) for token in tokens]
     return _forward(weights, tokens, [cache.next_position() for cache in caches], caches)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .cache import KvCacheState
 from .config import EvictionPolicyConfig
-from .errors import EmptyWindow, InvalidShape
+from .errors import InvalidShape
 
 
 def fuse(cache: KvCacheState, layers: int | range, fusion: str) -> np.ndarray:
@@ -33,13 +33,13 @@ def fuse(cache: KvCacheState, layers: int | range, fusion: str) -> np.ndarray:
     window and get no score: they are retained unconditionally, so only the
     columns of older (distant) entries are returned, in entry order. Rows
     are combined oldest first, as :meth:`KvCacheState.score_matrix` returns
-    them. ``fusion`` is ``"sum"`` or ``"max"``, as a config checks it.
+    them. ``fusion`` is ``"sum"`` or ``"max"``, as a config checks it. The
+    rings hold at least one row: the prefill records one per prompt
+    position before any policy or result reads them.
     """
     occ = cache.occupancy(layers)
     distant = occ - min(cache.window_capacity, occ)
     stacked = cache.score_matrix(layers, distant)
-    if stacked.shape[-2] == 0:
-        raise EmptyWindow("cannot fuse an empty profile window")
     return stacked.sum(axis=-2) if fusion == "sum" else stacked.max(axis=-2)
 
 

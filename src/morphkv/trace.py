@@ -51,13 +51,20 @@ def expected_occupancy_stream(policy: EvictionPolicyConfig, prompt_len: int, lay
 def peak_occupancy(policy: EvictionPolicyConfig, prompt_len: int, steps: int, n_layers: int) -> int:
     """The most entries any store of a run holds: the prompt, or a step's
     count after its append and before its eviction, one more than the
-    prompt policy or the step before left."""
-    before_append = (
-        occ
-        for layer in range(n_layers)
-        for occ in islice(expected_occupancy_stream(policy, prompt_len, layer), steps)
-    )
-    return max(prompt_len, 1 + max(before_append, default=0))
+    prompt policy or the step before left. Each layer's walk ends at its
+    stream's second stop, a value no higher than the one before it: the
+    first stop leaves the store at its cap, each stop after it cuts the
+    store back to that cap, and the rise between them repeats."""
+    peak = prompt_len
+    for layer in range(n_layers):
+        before, stops = None, 0
+        for occ in islice(expected_occupancy_stream(policy, prompt_len, layer), steps):
+            if before is not None and occ <= before:
+                stops += 1
+                if stops == 2:
+                    break
+            peak, before = max(peak, occ + 1), occ
+    return peak
 
 
 def _evict(live: list[int], gone: list[int], recent: int, where: str) -> None:

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference
@@ -16,16 +16,11 @@ from morphkv import (
     load_run_config,
     start_runs,
     step_runs,
+    trace,
 )
 from morphkv.cache import _PROFILE, KvCacheState
 from morphkv.harness import snapshot
-from morphkv.errors import (
-    EmptyWindow,
-    InternalInvariantViolation,
-    InvalidConfig,
-    InvalidParam,
-    InvalidShape,
-)
+from morphkv.errors import InternalInvariantViolation, InvalidParam, InvalidShape
 from morphkv.model import PREFILL_BLOCK, decode_step, greedy_token, init_model, prefill
 from morphkv.morph import fuse, morphkv_step
 from morphkv.trace import peak_occupancy
@@ -53,9 +48,9 @@ def window_of(rows, width: int, capacity: int | None = None) -> KvCacheState:
     return cache
 
 
-def group_profile_row(rows, width: int | None = None) -> np.ndarray:
+def group_profile_row(rows) -> np.ndarray:
     """The profile row a one-head store records for one group of query-head rows."""
-    width = len(rows[0]) if width is None else width
+    width = len(rows[0])
     cache = KvCacheState(1, 1, 2, window_capacity=1, capacity=width)
     for pos in range(width):
         cache.append(0, *entry(pos))
@@ -77,14 +72,6 @@ class TestAggregation:
         rows = rng.uniform(size=(4, 6))
         expected = [sum(float(rows[j][k]) for j in range(4)) for k in range(6)]
         np.testing.assert_allclose(group_profile_row(rows), expected, atol=1e-12)
-
-    def test_rejects_ragged_rows(self):
-        with pytest.raises(InvalidShape):
-            group_profile_row([np.array([0.5, 0.5]), np.array([1.0])])
-
-    def test_rejects_empty_stack(self):
-        with pytest.raises(InvalidShape):
-            group_profile_row(np.zeros((0, 3)), width=3)
 
     @given(st.integers(1, 6), st.integers(1, 8), st.integers(0, 2**32 - 1))
     def test_row_order_is_irrelevant(self, g, n, seed):
@@ -121,12 +108,6 @@ class TestWindow:
         assert cache.occupancy(0) == 2
         np.testing.assert_array_equal(cache.score_matrix(0)[0, -1], [0.0, 2.0])
 
-    def test_record_rejects_misaligned_row(self):
-        cache = KvCacheState(1, 1, 2, window_capacity=2, capacity=1)
-        cache.append(0, *entry(0))
-        with pytest.raises(InvalidShape):
-            record(cache, [0.5, 0.5])
-
     def test_record_step_profiles_records_aggregated_rows(self):
         cache = KvCacheState(1, 1, 2, window_capacity=1, capacity=2)
         cache.append(0, *entry(0))
@@ -135,12 +116,6 @@ class TestWindow:
         assert cache.record_step_profiles(0, [group]) is None
         np.testing.assert_array_equal(cache.score_matrix(0)[0], [[0.75, 1.25]])
         np.testing.assert_array_equal(cache.received(0)[0], [0.75, 1.25])
-
-    def test_rejects_zero_capacity(self):
-        with pytest.raises(InvalidConfig):
-            KvCacheState(1, 1, 2, window_capacity=0, capacity=1)
-        with pytest.raises(InvalidConfig):
-            KvCacheState(1, 1, 2, window_capacity=1, capacity=0)
 
     def test_recorded_row_is_copied(self):
         cache = KvCacheState(1, 1, 2, window_capacity=2, capacity=1)
@@ -190,12 +165,6 @@ class TestFusion:
     def test_no_distant_entries_gives_empty_scores(self):
         w = window_of([[0.5, 0.5]], width=2, capacity=2)
         assert fuse(w, 0, "sum").shape == (1, 0)
-
-    def test_empty_window_raises(self):
-        w = KvCacheState(1, 1, 2, window_capacity=2, capacity=1)
-        w.append(0, *entry(0))
-        with pytest.raises(EmptyWindow):
-            fuse(w, 0, "sum")[0]
 
     def test_matches_loop_reference(self):
         rng = np.random.default_rng(21)
@@ -481,8 +450,6 @@ class TestCopy:
         before = cache_bits(cache)
         with pytest.raises(InvalidParam, match="full profile ring of 1 rows"):
             cache.copy(2, 3)
-        with pytest.raises(InvalidConfig):
-            cache.copy(0, 3)
         assert cache_bits(cache) == before
 
     def test_copy_below_the_live_count_is_refused_before_allocating(self, monkeypatch):
@@ -498,14 +465,19 @@ class TestCopy:
         assert cache_bits(cache) == before
 
     def test_a_full_copy_refuses_an_append_and_changes_nothing(self):
-        source = window_of([[0.1, 0.2, 0.7]], 3, capacity=1)
-        twin = source.copy(1, 3)
+        # A copy with no room for the next step's entry was sized wrong: the
+        # step refuses it as a bug before any layer appends.
+        weights = init_model(ModelConfig(n_layers=2, n_query_heads=2, n_kv_heads=1, head_dim=4, vocab_size=16))
+        source = prefilled(weights, [1, 2, 3], 2)
+        twin = source.copy(2, 3)
         before = cache_bits(twin), raw_state(twin)
-        with pytest.raises(InternalInvariantViolation, match="layer 0 is full"):
-            twin.append(0, *entry(3))
+        with pytest.raises(InternalInvariantViolation, match="adds 1 to a store with 0 free"):
+            decode_step([weights], [4], [twin])
         assert (cache_bits(twin), raw_state(twin)) == before
-        # The larger source copy has room for it.
-        source.copy(1, 4).append(0, *entry(3))
+        # A larger copy of the source has room for it.
+        roomy = source.copy(2, 4)
+        decode_step([weights], [4], [roomy])
+        assert roomy.occupancy(range(2)) == 4
 
     def test_unwrapped_ring_grows_into_a_wider_one(self):
         rows = [[0.5, 0.5, 0.0], [0.2, 0.3, 0.5]]
@@ -552,6 +524,17 @@ class TestRunSize:
 
     @settings(max_examples=60, deadline=None)
     @given(config=tiny_runs())
+    # A stream whose first stop comes before its peak: 2, 3, 4, 5, 6, 6 (the
+    # first stop, at the cap), 7, 8, 9, 6 (the second). The peak is 9 + 1;
+    # a walk ended at the first stop would size the cache at 6 + 1.
+    @example(
+        config=RunConfig(
+            model=ModelConfig(n_layers=1, n_query_heads=1, n_kv_heads=1, head_dim=2, vocab_size=16),
+            policy=EvictionPolicyConfig(kind="morphkv", distant_capacity=4, recent_window=2, eviction_interval=4),
+            prompt_length=2,
+            decode_steps=10,
+        )
+    )
     def test_capacity_is_the_peak_occupancy(self, config):
         (decoding,) = start_runs([config], [init_model(config.model)])
         cache = decoding.cache
@@ -580,3 +563,22 @@ class TestRunSize:
         config = replace(desk, prompt_length=64, decode_steps=decode_steps)
         assert config.policy.cache_budget == 64 and config.policy.eviction_interval == 1
         assert start_runs([config], [init_model(config.model)])[0].cache.capacity == 65
+
+    def test_the_peak_walk_does_not_grow_with_the_run(self, monkeypatch):
+        # Each layer's stream repeats from its second stop, so sizing a run of
+        # 10**6 steps reads as many occupancy values as one of 10**3.
+        desk = load_run_config(str(CONFIGS / "morphkv.ini"))
+        stream, drawn = trace.expected_occupancy_stream, []
+
+        def counted(*args):
+            for occ in stream(*args):
+                drawn.append(occ)
+                yield occ
+
+        monkeypatch.setattr(trace, "expected_occupancy_stream", counted)
+        counts = []
+        for steps in (10**3, 10**6):
+            drawn.clear()
+            assert peak_occupancy(desk.policy, 64, steps, desk.model.n_layers) == 65
+            counts.append(len(drawn))
+        assert counts[0] == counts[1]

@@ -458,11 +458,25 @@ class TestStepRuns:
     """``step_runs`` steps every run or none: each refused call leaves every
     run's cache and trace as they were."""
 
-    def assert_refused(self, error, runs, match):
+    def assert_refused(self, error, runs, tokens, match):
         before = [raw_bits(decoding) for decoding in runs]
         with pytest.raises(error, match=match):
-            step_runs(runs, [1] * len(runs))
+            step_runs(runs, tokens)
         assert [raw_bits(decoding) for decoding in runs] == before
+
+    def two_runs(self) -> list:
+        weights = init_model(SMALL_MODEL)
+        return start_runs([small_run_config(), small_run_config("h2o")], [weights, weights])
+
+    def test_a_token_outside_the_vocabulary(self):
+        runs = self.two_runs()
+        for tokens in ([1, SMALL_MODEL.vocab_size], [-1, 1]):
+            self.assert_refused(InvalidToken, runs, tokens, "outside vocabulary of 32")
+
+    def test_a_token_list_of_another_length(self):
+        runs = self.two_runs()
+        for tokens in ([1], [1, 2, 3]):
+            self.assert_refused(InvalidShape, runs, tokens, f"one token per cache, got {len(tokens)} for 2")
 
     def test_a_run_with_no_steps_left(self):
         config = small_run_config()
@@ -472,7 +486,7 @@ class TestStepRuns:
         (done,) = start_runs([replace(config, decode_steps=1)], [weights])
         step_runs([done], [1])
         assert done.cache.max_occupancy() < done.cache.capacity
-        self.assert_refused(InvalidParam, live + [done], "all 1 decode steps are done")
+        self.assert_refused(InvalidParam, live + [done], [1, 1], "all 1 decode steps are done")
 
     def test_runs_over_two_seeds_step_together_as_alone(self):
         # Each run has weights of its own; the shape is the one thing shared.
@@ -503,13 +517,13 @@ class TestStepRuns:
         config = small_run_config()
         foreign = replace(config, model=replace(SMALL_MODEL, seed=42, **other))
         runs = [start_runs([cfg], [init_model(cfg.model)])[0] for cfg in (config, foreign, config)]
-        self.assert_refused(InvalidParam, runs, "one model shape")
+        self.assert_refused(InvalidParam, runs, [1, 1, 1], "one model shape")
 
     def test_one_run_listed_twice(self):
         config = small_run_config()
         weights = init_model(config.model)
         (other,), (twice,) = start_runs([config], [weights]), start_runs([config], [weights])
-        self.assert_refused(InvalidParam, [other, twice, twice], "same cache twice")
+        self.assert_refused(InvalidParam, [other, twice, twice], [1, 1, 1], "same cache twice")
 
     def test_no_runs(self):
         with pytest.raises(InvalidParam, match="one or more runs"):

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import reference
 from morphkv import EvictionPolicyConfig, ModelConfig
-from morphkv.errors import EmptyTrace, InvalidParam, TraceMismatch
+from morphkv.errors import InvalidParam
 from morphkv.metrics import kv_bytes, kv_bytes_from_occupancies, relative_cache_ratio, repetition_rate
 
 GROUPED = EvictionPolicyConfig(kind="morphkv")
@@ -73,18 +73,6 @@ class TestCacheRatio:
 
     def test_identical_streams_are_unity(self):
         assert relative_cache_ratio([10, 20, 30], [10, 20, 30]) == [1.0, 1.0, 1.0]
-
-    def test_rejects_empty(self):
-        with pytest.raises(EmptyTrace):
-            relative_cache_ratio([], [])
-
-    def test_rejects_length_mismatch(self):
-        with pytest.raises(TraceMismatch):
-            relative_cache_ratio([1, 2], [1, 2, 3])
-
-    def test_rejects_zero_denominator(self):
-        with pytest.raises(EmptyTrace):
-            relative_cache_ratio([1, 2], [4, 0])
 
 
 class TestRepetition:

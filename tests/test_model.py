@@ -9,8 +9,6 @@ from cache_state import raw_state
 from morphkv import ModelConfig
 from morphkv.cache import KvCacheState
 from morphkv.errors import (
-    CacheNotEmpty,
-    EmptyCache,
     InternalInvariantViolation,
     InvalidConfig,
     InvalidParam,
@@ -205,29 +203,6 @@ class TestForward:
         assert greedy_token(np.array([0.5, 0.9, 0.9])) == 1
         assert greedy_token(np.array([1.0, 1.0])) == 0
 
-    def test_prefill_rejects_nonempty_cache(self):
-        w = init_model(TINY)
-        cache = fresh_cache(TINY, 1)
-        prefill([w], [[1]], [cache])
-        with pytest.raises(CacheNotEmpty):
-            prefill([w], [[2]], [cache])
-
-    def test_prefill_rejects_empty_prompt(self):
-        w = init_model(TINY)
-        with pytest.raises(InvalidShape):
-            prefill([w], [[]], [fresh_cache(TINY, 1)])
-
-    def test_rejects_out_of_vocab_token(self):
-        w = init_model(TINY)
-        with pytest.raises(InvalidToken):
-            prefill([w], [[TINY.vocab_size]], [fresh_cache(TINY, 1)])
-
-    def test_decode_rejects_empty_cache(self):
-        w = init_model(TINY)
-        with pytest.raises(EmptyCache):
-            decode_step([w], [1], [fresh_cache(TINY, 1)])
-
-
 
 class TestDecodeStepInput:
     """Every bad lockstep call fails before any cache changes."""
@@ -257,25 +232,6 @@ class TestDecodeStepInput:
     def test_no_caches(self):
         self.assert_rejected(InvalidShape, [], [], "got 0 for 0")
 
-    def test_weights_and_cache_counts_differ(self):
-        caches = [self.prefilled(), self.prefilled()]
-        before = [raw_state(cache) for cache in caches]
-        with pytest.raises(InvalidShape, match="one weights object per cache"):
-            decode_step([init_model(self.CFG)], [1, 2], caches)
-        assert [raw_state(cache) for cache in caches] == before
-
-    @pytest.mark.parametrize(
-        "other",
-        [dict(n_layers=3), dict(n_query_heads=4, n_kv_heads=2), dict(head_dim=8)],
-        ids=["layers", "kv_heads", "head_dim"],
-    )
-    def test_cache_shaped_for_another_model(self, other):
-        foreign = self.prefilled(replace(self.CFG, **other))
-        self.assert_rejected(InvalidShape, [1, 2], [self.prefilled(), foreign], "another model")
-
-    def test_empty_cache(self):
-        self.assert_rejected(EmptyCache, [1, 2], [self.prefilled(), fresh_cache(self.CFG, 1)])
-
     def test_full_cache(self):
         # A cache with no room for the step's entry was sized wrong: a bug.
         full = fresh_cache(self.CFG, 3, window=2)
@@ -302,13 +258,9 @@ class TestPrefillInput:
     @pytest.mark.parametrize(
         "case, error, match",
         [
-            ("prompt_lengths", InvalidShape, "prompts of one length"),
             ("prompt_count", InvalidShape, "one prompt per cache, got 3 for 2"),
             ("same_cache", InvalidParam, "same cache twice"),
-            ("weights_count", InvalidShape, "one weights object per cache, got 3 for 2"),
             ("weights_shape", InvalidParam, "one model shape"),
-            ("token", InvalidToken, None),
-            ("not_empty", CacheNotEmpty, None),
             ("too_small", InternalInvariantViolation, "adds 3 to a store with 2 free"),
             ("bare_weights", TypeError, "not iterable"),
         ],
@@ -316,24 +268,16 @@ class TestPrefillInput:
     def test_refused(self, case, error, match):
         caches = [fresh_cache(self.CFG, 4), fresh_cache(self.CFG, 4)]
         weights, prompts = [self.weights(9), self.weights(10)], [[1, 2, 3], [4, 5, 6]]
-        if case == "prompt_lengths":
-            prompts[1] = [4, 5]
-        elif case == "prompt_count":
+        if case == "prompt_count":
             prompts.append([7, 8, 9])
         elif case == "same_cache":
             caches[1] = caches[0]
-        elif case == "weights_count":
-            weights.append(self.weights(11))
         elif case == "weights_shape":
             weights[1] = self.weights(10, head_dim=2, n_query_heads=4, n_kv_heads=2)
-        elif case == "token":
-            prompts[1] = [4, self.CFG.vocab_size, 6]
         elif case == "too_small":
             caches[1] = fresh_cache(self.CFG, 2)
-        elif case == "bare_weights":
-            weights = weights[0]
         else:
-            prefill([weights[1]], [[4]], [caches[1]])
+            weights = weights[0]
         before = [raw_state(cache) for cache in caches]
         with pytest.raises(error, match=match):
             prefill(weights, prompts, caches)

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from cache_state import no_evictions
 from morphkv.cache import KvCacheState
-from morphkv.errors import InternalInvariantViolation, InvalidShape
+from morphkv.errors import InvalidShape
 
 HEAD_DIM = 3
 
@@ -176,8 +176,6 @@ def test_a_full_cache_keeps_every_row():
     cache = KvCacheState(1, 2, 2, window_capacity=2, capacity=total)
     for pos in range(total):
         cache.append(0, np.full((2, 2), float(pos)) + [[0], [1]], np.full((2, 2), -float(pos)), pos)
-    with pytest.raises(InternalInvariantViolation):
-        cache.append(0, np.zeros((2, 2)), np.zeros((2, 2)), total)
     expected = np.arange(total, dtype=float)
     np.testing.assert_array_equal(cache.keys_matrix(0)[:, :, 0], [expected, expected + 1])
     np.testing.assert_array_equal(cache.values_matrix(0)[:, :, 1], [-expected, -expected])
